@@ -4,12 +4,13 @@
 //! A fan-out service that accepts a budget but issues unbounded nested
 //! RPCs silently converts tail-latency hedging into head-of-line
 //! blocking — the classic deadline-propagation bug from the μ Suite
-//! midtier. For every public function with a `deadline`/`timeout`
-//! parameter (exact name or `_deadline`/`_timeout` suffix), each
-//! nested RPC-shaped call (`call`, `scatter`, `call_*`, `scatter_*`,
+//! midtier. For every public function with a budget parameter — one
+//! typed `CallOptions` (whose `.timeout` is the budget, whatever the
+//! binding is called), or one named `deadline`/`timeout` (exactly, or
+//! with a `_deadline`/`_timeout` suffix) — each nested RPC-shaped call (`call`, `scatter`, `call_*`, `scatter_*`,
 //! and the batch-path entry points `issue` and `handle_batch`) must
-//! mention the parameter — or a value derived from it — in its
-//! arguments.
+//! mention the parameter — or a value derived from it, such as
+//! `opts.timeout` or a `let` bound from it — in its arguments.
 //!
 //! "Derived from" is a forward taint fixpoint over `let` bindings: in
 //! `let remaining = deadline.saturating_duration_since(now);`,
@@ -30,11 +31,14 @@ use std::collections::HashSet;
 use crate::calls::calls_in;
 use crate::findings::{suppressed, Finding, Rule};
 use crate::lex::TokKind;
-use crate::parse::{FnItem, SourceFile};
+use crate::parse::{FnItem, Param, SourceFile};
 
-/// `true` for parameter names that denote a time budget.
-fn is_deadline_param(name: &str) -> bool {
-    name == "deadline"
+/// `true` for parameters that carry a time budget: by type
+/// (`CallOptions`, possibly borrowed or path-qualified) or by name.
+fn is_deadline_param(param: &Param) -> bool {
+    let name = param.name.as_str();
+    param.ty.split(' ').any(|tok| tok == "CallOptions")
+        || name == "deadline"
         || name == "timeout"
         || name.ends_with("_deadline")
         || name.ends_with("_timeout")
@@ -76,7 +80,7 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
             }
             let Some((s, e)) = f.body else { continue };
             let params: Vec<&str> =
-                f.params.iter().map(|p| p.name.as_str()).filter(|n| is_deadline_param(n)).collect();
+                f.params.iter().filter(|p| is_deadline_param(p)).map(|p| p.name.as_str()).collect();
             if params.is_empty() {
                 continue;
             }

@@ -5,8 +5,8 @@
 pub struct Midtier;
 
 impl Midtier {
-    pub fn handle(&self, payload: &[u8], deadline: u64) -> u64 {
-        let remaining = budget_from(deadline);
+    pub fn handle(&self, payload: &[u8], opts: CallOptions) -> u64 {
+        let remaining = budget_from(opts.timeout);
         self.call_leaf(payload, remaining);
         self.scatter_all(payload)
     }
@@ -38,8 +38,8 @@ pub struct WireMid {
 }
 
 impl WireMid {
-    pub fn relay(&self, payload: &[u8], timeout: u64) {
-        let _ = timeout;
+    pub fn relay(&self, payload: &[u8], opts: &CallOptions) {
+        let _ = opts;
         let remaining = self.ctx.remaining_budget();
         self.call_leaf(payload, remaining);
         self.scatter_direct(payload, self.ctx.remaining_budget());
@@ -84,15 +84,15 @@ fn shed_class() -> u32 {
 pub struct BatchMid;
 
 impl BatchMid {
-    pub fn drain(&self, payload: &[u8], timeout: u64) {
-        let _ = timeout;
+    pub fn drain(&self, payload: &[u8], call: rpc::CallOptions) {
+        let _ = call;
         let members = self.pop_batch(payload.len());
         self.handle_batch(members);
         self.issue(payload, fresh_members());
     }
 
-    pub fn merge(&self, payload: &[u8], deadline: u64) {
-        let remaining = budget_from(deadline);
+    pub fn merge(&self, payload: &[u8], opts: CallOptions) {
+        let remaining = budget_from(opts.timeout);
         self.issue(payload, remaining);
         self.handle_batch(fresh_members());
     }
@@ -108,4 +108,15 @@ impl BatchMid {
 
 fn fresh_members() -> u64 {
     0
+}
+
+/// The RPC surface's per-call options; `timeout` is the budget. Entry
+/// points above take it by value, by reference and path-qualified, and
+/// two keep the older `timeout: u64` spelling: the rule sees all four.
+pub struct CallOptions {
+    pub timeout: u64,
+}
+
+mod rpc {
+    pub use super::CallOptions;
 }

@@ -16,8 +16,8 @@
 
 use musuite_bench::BenchEnv;
 use musuite_rpc::{
-    BatchCall, BatchPolicy, ExecutionModel, RequestContext, RpcClient, Server, ServerConfig,
-    Service,
+    BatchCall, BatchPolicy, CallOptions, ExecutionModel, RequestContext, RpcClient, Server,
+    ServerConfig, Service,
 };
 use musuite_telemetry::report::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,7 +65,7 @@ fn run_at(addr: std::net::SocketAddr, conns: usize, batch: usize, duration: Dura
                     let calls: Vec<BatchCall> = (0..batch)
                         .map(|_| {
                             let tx = tx.clone();
-                            BatchCall::new(1, payload.clone(), move |r| {
+                            BatchCall::new(1, payload.clone(), CallOptions::default(), move |r| {
                                 tx.send(r.is_ok()).ok();
                             })
                         })

@@ -12,7 +12,7 @@
 //! Run: `cargo bench -p musuite-bench --bench fig11_14_syscalls`
 
 use musuite_bench::{load_label, offer_load, BenchEnv, Deployment, ALL_SERVICES};
-use musuite_telemetry::counters::{OsOpCounters, ALL_OPS};
+use musuite_telemetry::counters::{Event, OsOp, OsOpCounters};
 use musuite_telemetry::report::Table;
 
 fn main() {
@@ -31,10 +31,10 @@ fn main() {
             let report = offer_load(&deployment, qps, env.duration());
             let delta = counters.snapshot().since(&before);
             let completed = report.completed.max(1) as f64;
-            per_load.push(ALL_OPS.iter().map(|&op| delta.get(op) as f64 / completed).collect());
+            per_load.push(OsOp::ALL.iter().map(|&op| delta.get(op) as f64 / completed).collect());
         }
         let mut futex_row: Vec<f64> = Vec::new();
-        for (i, op) in ALL_OPS.iter().enumerate() {
+        for (i, op) in OsOp::ALL.iter().enumerate() {
             let counts: Vec<f64> = per_load.iter().map(|row| row[i]).collect();
             if counts.iter().all(|&c| c < 0.005) {
                 continue; // skip all-zero rows, as the figures do

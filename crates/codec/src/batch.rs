@@ -23,14 +23,14 @@
 //!
 //! Every sub-request keeps its *own* deadline budget and priority class —
 //! merging requests into one frame must not collapse their admission or
-//! expiry bookkeeping, so the per-request v2 metadata moves from the
-//! frame header into the entry. All integers are little-endian, matching
+//! expiry bookkeeping, so the per-request budget and priority move from
+//! the frame header into the entry. All integers are little-endian, matching
 //! the frame header. The outer frame's own request id and method are
 //! unused (conventionally zero); responses to the sub-requests travel as
 //! ordinary [`FrameKind::Response`] frames correlated by entry id, so the
 //! response path (and its coalescing writer) is unchanged.
 //!
-//! v1/v2 single-request streams are untouched: `Batch` is a new frame
+//! Single-request streams are untouched: `Batch` is a new frame
 //! kind, so decoders that predate it reject batch frames loudly with an
 //! invalid-discriminant error instead of misinterpreting them.
 //!
@@ -56,7 +56,7 @@ pub struct BatchEntry {
     /// The service method this sub-request invokes.
     pub method: u32,
     /// Remaining deadline budget in microseconds (`0` = no deadline),
-    /// decaying per hop exactly like a v2 frame header's budget.
+    /// decaying per hop exactly like a frame header's budget.
     pub deadline_budget_us: u32,
     /// Admission priority class of this sub-request.
     pub priority: Priority,
@@ -326,21 +326,21 @@ mod tests {
 
     #[test]
     fn single_request_streams_decode_unchanged() {
-        // A v1 and a v2 single-request frame followed by a batch frame on
-        // one stream: the old frames parse exactly as before.
-        let v1 = Frame::request(1, 1, b"one".to_vec());
-        let v2 = Frame::request(2, 1, b"two".to_vec()).with_budget(5_000, Priority::Critical);
+        // A plain and a budgeted single-request frame followed by a batch
+        // frame on one stream: the single frames parse exactly as before.
+        let plain = Frame::request(1, 1, b"one".to_vec());
+        let budgeted = Frame::request(2, 1, b"two".to_vec()).with_budget(5_000, Priority::Critical);
         let batch = batch_frame(&[BatchEntry::new(3, 1, b"three".to_vec())]);
-        let mut stream = v1.to_bytes();
-        stream.extend(v2.to_bytes());
+        let mut stream = plain.to_bytes();
+        stream.extend(budgeted.to_bytes());
         stream.extend(batch.to_bytes());
         let stream = Bytes::from(stream);
         let (a, rest) = Frame::parse(&stream).unwrap();
         let (b, rest) = Frame::parse(&rest).unwrap();
         let (c, rest) = Frame::parse(&rest).unwrap();
         assert!(rest.is_empty());
-        assert_eq!(a, v1);
-        assert_eq!(b, v2);
+        assert_eq!(a, plain);
+        assert_eq!(b, budgeted);
         assert_eq!(c.header.kind, FrameKind::Batch);
         assert_eq!(decode_batch(&c.payload).unwrap()[0].request_id, 3);
     }

@@ -3,30 +3,19 @@
 //! Every message on a μSuite-rs connection is one frame:
 //!
 //! ```text
-//! +-------+-------------+------+------------+--------+--------+----------+---------+
-//! | magic | payload len | kind | request id | method | status | checksum | payload |
-//! |  2 B  |     4 B     | 1 B  |    8 B     |  4 B   |  4 B   |   8 B    |  len B  |
-//! +-------+-------------+------+------------+--------+--------+----------+---------+
-//! ```
-//!
-//! Frames carrying overload-control metadata use the extended (v2) header,
-//! selected by the second magic byte, which appends two fields between the
-//! checksum and the payload:
-//!
-//! ```text
-//! +----------------+-----------------+----------+
-//! | …v1 fields…    | deadline budget | priority |
-//! |  31 B          |       4 B       |   1 B    |
-//! +----------------+-----------------+----------+
+//! +-------+-------------+------+------------+--------+--------+----------+--------+----------+---------+
+//! | magic | payload len | kind | request id | method | status | checksum | budget | priority | payload |
+//! |  2 B  |     4 B     | 1 B  |    8 B     |  4 B   |  4 B   |   8 B    |  4 B   |   1 B    |  len B  |
+//! +-------+-------------+------+------------+--------+--------+----------+--------+----------+---------+
 //! ```
 //!
 //! The deadline budget is the caller's *remaining* time in microseconds
 //! (`0` = no deadline); each hop re-encodes it minus its own elapsed time
 //! so the budget decays toward the leaves. The priority byte carries the
-//! [`Priority`] admission class. Encoders emit the compact v1 layout
-//! whenever both fields are at their defaults, so budget-less traffic is
-//! byte-identical to the original wire format and old frames decode
-//! unchanged (budget `0`, priority `Normal`).
+//! [`Priority`] admission class. This is the only layout: the 31-byte
+//! header that predates the budget and priority fields (magic `B5 53`) is
+//! retired, and a frame that opens with it is rejected with
+//! [`DecodeError::BadMagic`].
 //!
 //! All header integers are little-endian. The checksum is FNV-1a over the
 //! payload; it guards against framing desynchronization on a reused
@@ -47,26 +36,13 @@ use bytes::{BufMut, Bytes};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Frame magic bytes ("μS" in CP437 spirit: 0xB5 'S').
-pub const MAGIC: [u8; 2] = [0xB5, 0x53];
+/// Frame magic bytes ("μ" in CP437 spirit, then 'T': the retired
+/// budget-less layout used 'S', so either side rejects the other loudly
+/// with `BadMagic` instead of misframing).
+pub const MAGIC: [u8; 2] = [0xB5, 0x54];
 
-/// Magic bytes of the extended (v2) header carrying a deadline budget and
-/// a priority class ('S' bumped to 'T' so pre-budget decoders reject
-/// extended frames loudly with `BadMagic` instead of misframing).
-pub const MAGIC_V2: [u8; 2] = [0xB5, 0x54];
-
-/// Serialized size of the baseline (v1) header in bytes, excluding the
-/// payload.
-pub const HEADER_LEN: usize = 2 + 4 + 1 + 8 + 4 + 4 + 8;
-
-/// Serialized size of the extended (v2) header: the v1 fields plus a
-/// 4-byte deadline budget and a 1-byte priority class.
-pub const HEADER_LEN_V2: usize = HEADER_LEN + 4 + 1;
-
-/// Largest header any frame version carries; streaming readers size their
-/// header scratch to this and learn the actual length from the magic via
-/// [`FramePrefix::header_len`].
-pub const MAX_HEADER_LEN: usize = HEADER_LEN_V2;
+/// Serialized size of the header in bytes, excluding the payload.
+pub const HEADER_LEN: usize = 2 + 4 + 1 + 8 + 4 + 4 + 8 + 4 + 1;
 
 /// Maximum payload bytes accepted in one frame (16 MiB).
 pub const MAX_FRAME_LEN: usize = 16 << 20;
@@ -242,21 +218,9 @@ impl FrameHeader {
         FrameHeader { deadline_budget_us: budget_us, priority, ..*self }
     }
 
-    /// `true` when the header encodes in the compact v1 layout (budget
-    /// and priority both at their defaults).
-    fn is_v1(&self) -> bool {
-        self.deadline_budget_us == 0 && self.priority == Priority::Normal
-    }
-
-    /// Serialized header length for this frame: [`HEADER_LEN`] when the
-    /// budget and priority are at their defaults, [`HEADER_LEN_V2`]
-    /// otherwise.
+    /// Serialized header length: always [`HEADER_LEN`].
     pub fn encoded_len(&self) -> usize {
-        if self.is_v1() {
-            HEADER_LEN
-        } else {
-            HEADER_LEN_V2
-        }
+        HEADER_LEN
     }
 
     /// Serializes a complete frame into `buf`: this header followed by a
@@ -268,8 +232,7 @@ impl FrameHeader {
     pub fn encode_with_payload<B: BufMut>(&self, parts: &[&[u8]], buf: &mut B) {
         let len: usize = parts.iter().map(|part| part.len()).sum();
         debug_assert!(len <= MAX_FRAME_LEN, "frame payload exceeds MAX_FRAME_LEN");
-        let v1 = self.is_v1();
-        buf.put_slice(if v1 { &MAGIC } else { &MAGIC_V2 });
+        buf.put_slice(&MAGIC);
         wire::put_u32_le(buf, len as u32);
         buf.put_u8(self.kind as u8);
         wire::put_u64_le(buf, self.request_id);
@@ -280,10 +243,8 @@ impl FrameHeader {
             checksum = wire::fnv1a_update(checksum, part);
         }
         wire::put_u64_le(buf, checksum);
-        if !v1 {
-            wire::put_u32_le(buf, self.deadline_budget_us);
-            buf.put_u8(self.priority as u8);
-        }
+        wire::put_u32_le(buf, self.deadline_budget_us);
+        buf.put_u8(self.priority as u8);
         for part in parts {
             buf.put_slice(part);
         }
@@ -292,9 +253,7 @@ impl FrameHeader {
 
 /// The frame preamble, parsed ahead of the payload.
 ///
-/// Streaming readers pull the first two (magic) bytes, learn the header
-/// length for that frame version via [`FramePrefix::header_len`], buffer
-/// the rest of the header into a [`MAX_HEADER_LEN`]-sized stack scratch,
+/// Streaming readers buffer [`HEADER_LEN`] bytes into a stack scratch,
 /// parse this prefix, then read exactly [`FramePrefix::payload_len`]
 /// payload bytes into a pooled buffer — no heap allocation for the header
 /// and no re-validation once the payload arrives (see
@@ -307,29 +266,9 @@ pub struct FramePrefix {
     pub payload_len: usize,
     /// Declared FNV-1a checksum of the payload.
     pub checksum: u64,
-    /// Serialized length of this frame's header on the wire:
-    /// [`HEADER_LEN`] for v1 frames, [`HEADER_LEN_V2`] for v2.
-    pub header_len: usize,
 }
 
 impl FramePrefix {
-    /// Returns the wire header length implied by a frame's magic bytes:
-    /// [`HEADER_LEN`] for [`MAGIC`], [`HEADER_LEN_V2`] for [`MAGIC_V2`].
-    ///
-    /// Streaming readers call this once the first two bytes arrive to
-    /// learn how much more header to buffer before [`FramePrefix::parse`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::BadMagic`] for any other byte pair.
-    pub fn header_len(magic: [u8; 2]) -> Result<usize, DecodeError> {
-        match magic {
-            MAGIC => Ok(HEADER_LEN),
-            MAGIC_V2 => Ok(HEADER_LEN_V2),
-            _ => Err(DecodeError::BadMagic),
-        }
-    }
-
     /// Parses and validates a complete frame header at the front of
     /// `bytes` (payload bytes may follow; they are ignored here).
     ///
@@ -342,8 +281,10 @@ impl FramePrefix {
         if bytes.len() < 2 {
             return Err(DecodeError::UnexpectedEof { context: "frame magic" });
         }
-        let header_len = FramePrefix::header_len([bytes[0], bytes[1]])?;
-        if bytes.len() < header_len {
+        if bytes[..2] != MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        if bytes.len() < HEADER_LEN {
             return Err(DecodeError::UnexpectedEof { context: "frame header" });
         }
         let rest = &bytes[2..];
@@ -363,20 +304,14 @@ impl FramePrefix {
         let (status_raw, rest) = wire::get_u32_le(rest)?;
         let status = Status::from_u32(status_raw)?;
         let (checksum, rest) = wire::get_u64_le(rest)?;
-        let (deadline_budget_us, priority) = if header_len == HEADER_LEN_V2 {
-            let (budget, rest) = wire::get_u32_le(rest)?;
-            let (prio_raw, _) = rest
-                .split_first()
-                .ok_or(DecodeError::UnexpectedEof { context: "frame priority" })?;
-            (budget, Priority::from_u8(*prio_raw)?)
-        } else {
-            (0, Priority::Normal)
-        };
+        let (deadline_budget_us, rest) = wire::get_u32_le(rest)?;
+        let (prio_raw, _) =
+            rest.split_first().ok_or(DecodeError::UnexpectedEof { context: "frame priority" })?;
+        let priority = Priority::from_u8(*prio_raw)?;
         Ok(FramePrefix {
             header: FrameHeader { kind, request_id, method, status, deadline_budget_us, priority },
             payload_len,
             checksum,
-            header_len,
         })
     }
 
@@ -439,8 +374,7 @@ impl Frame {
         }
     }
 
-    /// Returns this frame with a deadline budget and priority class; the
-    /// frame encodes with the extended header unless both are defaults.
+    /// Returns this frame with a deadline budget and priority class.
     pub fn with_budget(mut self, budget_us: u32, priority: Priority) -> Frame {
         self.header = self.header.with_budget(budget_us, priority);
         self
@@ -475,11 +409,11 @@ impl Frame {
     pub fn parse(src: &Bytes) -> Result<(Frame, Bytes), DecodeError> {
         let bytes: &[u8] = src;
         let prefix = FramePrefix::parse(bytes)?;
-        let end = prefix.header_len + prefix.payload_len;
+        let end = HEADER_LEN + prefix.payload_len;
         if bytes.len() < end {
             return Err(DecodeError::UnexpectedEof { context: "frame payload" });
         }
-        let frame = prefix.check_payload(src.slice(prefix.header_len..end))?;
+        let frame = prefix.check_payload(src.slice(HEADER_LEN..end))?;
         Ok((frame, src.slice(end..)))
     }
 
@@ -504,12 +438,9 @@ impl Frame {
     /// connection, `io::ErrorKind::InvalidData` on malformed frames, and
     /// propagates other I/O errors.
     pub fn read_from<R: Read>(mut reader: R) -> io::Result<Frame> {
-        let mut header = [0u8; MAX_HEADER_LEN];
-        reader.read_exact(&mut header[..2])?;
-        let header_len = FramePrefix::header_len([header[0], header[1]])
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        reader.read_exact(&mut header[2..header_len])?;
-        let prefix = FramePrefix::parse(&header[..header_len])
+        let mut header = [0u8; HEADER_LEN];
+        reader.read_exact(&mut header)?;
+        let prefix = FramePrefix::parse(&header)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let mut buf = vec![0u8; prefix.payload_len];
         reader.read_exact(&mut buf)?;
@@ -650,7 +581,7 @@ mod tests {
 
     #[test]
     fn io_roundtrip() {
-        let frame = sample();
+        let frame = sample().with_budget(77, Priority::Sheddable);
         let mut buf = Vec::new();
         frame.write_to(&mut buf).unwrap();
         let parsed = Frame::read_from(&buf[..]).unwrap();
@@ -686,14 +617,13 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_frame_uses_extended_header() {
-        let frame = Frame::request(1, 2, Vec::new()).with_budget(1_000, Priority::Normal);
+    fn budget_and_priority_sit_at_the_end_of_the_header() {
+        let frame = Frame::request(1, 2, Vec::new()).with_budget(1_000, Priority::Sheddable);
         let bytes = frame.to_bytes();
-        assert_eq!(bytes.len(), HEADER_LEN_V2);
-        assert_eq!(bytes[..2], MAGIC_V2);
-        // Budget at offset 31..35 LE, priority byte at 35.
-        assert_eq!(bytes[HEADER_LEN..HEADER_LEN + 4], 1_000u32.to_le_bytes());
-        assert_eq!(bytes[HEADER_LEN + 4], Priority::Normal as u8);
+        assert_eq!(bytes.len(), HEADER_LEN);
+        assert_eq!(bytes[..2], MAGIC);
+        assert_eq!(bytes[31..35], 1_000u32.to_le_bytes());
+        assert_eq!(bytes[35], Priority::Sheddable as u8);
     }
 
     #[test]
@@ -708,77 +638,21 @@ mod tests {
     }
 
     #[test]
-    fn priority_alone_selects_extended_header() {
-        // A zero budget with a non-default class must still go on the
-        // wire: priority is meaningful without a deadline.
-        let frame = Frame::request(3, 1, Vec::new()).with_budget(0, Priority::Sheddable);
-        let bytes = Bytes::from(frame.to_bytes());
-        assert_eq!(bytes[..2], MAGIC_V2);
-        let (parsed, _) = Frame::parse(&bytes).unwrap();
-        assert_eq!(parsed.header.priority, Priority::Sheddable);
-        assert_eq!(parsed.header.deadline_budget_us, 0);
-    }
-
-    #[test]
-    fn default_budget_encodes_compact_v1() {
-        // Budget-less Normal traffic is byte-identical to the original
-        // wire format: bidirectional compatibility for the common case.
-        let frame = sample().with_budget(0, Priority::Normal);
-        let bytes = frame.to_bytes();
-        assert_eq!(bytes, sample().to_bytes());
-        assert_eq!(bytes[..2], MAGIC);
-    }
-
-    #[test]
-    fn legacy_frame_decodes_with_default_budget() {
-        let (parsed, _) = Frame::parse(&Bytes::from(sample().to_bytes())).unwrap();
-        assert_eq!(parsed.header.deadline_budget_us, 0);
-        assert_eq!(parsed.header.priority, Priority::Normal);
-    }
-
-    #[test]
-    fn extended_payload_aliases_input() {
-        let frame = sample().with_budget(9, Priority::Critical);
-        let src = Bytes::from(frame.to_bytes());
-        let (parsed, rest) = Frame::parse(&src).unwrap();
-        let base = src.as_ptr() as usize;
-        assert_eq!(parsed.payload.as_ptr() as usize, base + HEADER_LEN_V2);
-        assert!(rest.is_empty());
+    fn retired_magic_is_rejected() {
+        let mut bytes = sample().to_bytes();
+        bytes[..2].copy_from_slice(&[0xB5, 0x53]);
+        assert_eq!(Frame::parse(&Bytes::from(bytes.clone())).unwrap_err(), DecodeError::BadMagic);
+        assert_eq!(Frame::read_from(&bytes[..]).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn bad_priority_rejected() {
-        let mut bytes = sample().with_budget(5, Priority::Critical).to_bytes();
-        bytes[HEADER_LEN + 4] = 7; // priority byte
+        let mut bytes = sample().to_bytes();
+        bytes[HEADER_LEN - 1] = 7; // priority byte
         assert!(matches!(
             Frame::parse(&Bytes::from(bytes)),
             Err(DecodeError::InvalidDiscriminant { context: "Priority", .. })
         ));
-    }
-
-    #[test]
-    fn truncated_extended_header_rejected() {
-        let bytes = Bytes::from(sample().with_budget(5, Priority::Critical).to_bytes());
-        assert!(matches!(
-            Frame::parse(&bytes.slice(..HEADER_LEN_V2 - 1)),
-            Err(DecodeError::UnexpectedEof { .. })
-        ));
-    }
-
-    #[test]
-    fn header_len_from_magic() {
-        assert_eq!(FramePrefix::header_len(MAGIC).unwrap(), HEADER_LEN);
-        assert_eq!(FramePrefix::header_len(MAGIC_V2).unwrap(), HEADER_LEN_V2);
-        assert_eq!(FramePrefix::header_len([0, 0]).unwrap_err(), DecodeError::BadMagic);
-    }
-
-    #[test]
-    fn extended_io_roundtrip() {
-        let frame = sample().with_budget(77, Priority::Sheddable);
-        let mut buf = Vec::new();
-        frame.write_to(&mut buf).unwrap();
-        let parsed = Frame::read_from(&buf[..]).unwrap();
-        assert_eq!(parsed, frame);
     }
 
     #[test]
@@ -794,7 +668,7 @@ mod tests {
     fn priority_saturates_budget() {
         let header = FrameHeader::new(FrameKind::Request, 1, 2, Status::Ok)
             .with_budget(u32::MAX, Priority::Critical);
-        assert_eq!(header.encoded_len(), HEADER_LEN_V2);
+        assert_eq!(header.encoded_len(), HEADER_LEN);
         assert_eq!(header.deadline_budget_us, u32::MAX);
     }
 }

@@ -38,8 +38,7 @@ pub use decode::Decode;
 pub use encode::Encode;
 pub use error::DecodeError;
 pub use frame::{
-    Frame, FrameHeader, FrameKind, FramePrefix, Priority, Status, HEADER_LEN, HEADER_LEN_V2,
-    MAX_FRAME_LEN, MAX_HEADER_LEN,
+    Frame, FrameHeader, FrameKind, FramePrefix, Priority, Status, HEADER_LEN, MAX_FRAME_LEN,
 };
 
 /// Encodes a value into a fresh byte vector.

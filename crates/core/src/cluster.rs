@@ -12,13 +12,12 @@ use crate::leaf::{LeafHandler, LeafService};
 use crate::midtier::{MidTierHandler, MidTierService};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::{
-    FanoutGroup, FaultPlan, NetworkModel, Priority, Reactor, ReactorConfig, ResilientConfig,
+    CallOptions, FanoutGroup, FaultPlan, NetworkModel, Reactor, ReactorConfig, ResilientConfig,
     ResilientFanout, RpcClient, RpcError, Server, ServerConfig,
 };
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The method id used for front-end→mid-tier queries.
 pub const QUERY_METHOD: u32 = 1;
@@ -214,7 +213,9 @@ impl Cluster {
     }
 
     /// Shuts down the cluster: mid-tier first, then its leaf
-    /// connections, then the leaves. Stopping the mid-tier and its
+    /// connections, then the leaves. Every tier **aborts** — in-flight
+    /// calls complete with a typed error, none is waited for — and the
+    /// order keeps that quick: stopping the mid-tier and its
     /// fan-out *before* the leaf servers makes any still-in-flight leaf
     /// call fail fast as `Disconnected` instead of stalling against a
     /// half-dead leaf until its deadline. Idempotent.
@@ -249,78 +250,34 @@ impl<Req: Encode, Resp: Decode> TypedClient<Req, Resp> {
         TypedClient { client, method, _types: PhantomData }
     }
 
-    /// Issues a blocking typed call.
+    /// Issues a blocking typed call under `opts`: the timeout is carried
+    /// on the wire as a deadline budget the whole three-tier pipeline
+    /// inherits, and the priority tags the request for the server's
+    /// admission gate.
     ///
     /// # Errors
     ///
-    /// Returns transport errors from the client, remote handler errors, or
-    /// a decode error if the response payload is malformed — the latter
-    /// wrapped as [`ServiceError`] inside [`RpcError::Remote`] semantics is
-    /// avoided; decode failures surface as [`RpcError::Decode`].
-    pub fn call_typed(&self, request: &Req) -> Result<Resp, RpcError> {
-        let reply = self.client.call(self.method, musuite_codec::to_bytes(request))?;
+    /// Returns transport errors from the client, remote handler errors
+    /// (including rejections from overload control: shed or expired
+    /// server-side), [`RpcError::TimedOut`] when the budget runs out, or
+    /// [`RpcError::Decode`] if the response payload is malformed.
+    pub fn call_typed(&self, request: &Req, opts: CallOptions) -> Result<Resp, RpcError> {
+        let reply = self.client.call_opts(self.method, musuite_codec::to_bytes(request), opts)?;
         musuite_codec::from_bytes::<Resp>(&reply).map_err(RpcError::from)
     }
 
-    /// As [`TypedClient::call_typed`], bounded by `timeout` (carried on
-    /// the wire as a deadline budget the whole three-tier pipeline
-    /// inherits) and tagged with `priority` for the server's admission
-    /// gate.
-    ///
-    /// # Errors
-    ///
-    /// As [`TypedClient::call_typed`], plus [`RpcError::TimedOut`] when
-    /// the budget runs out and `Remote` rejections from overload control
-    /// (shed or expired server-side).
-    pub fn call_typed_opts(
-        &self,
-        request: &Req,
-        timeout: Option<Duration>,
-        priority: Priority,
-    ) -> Result<Resp, RpcError> {
-        let reply = self.client.call_opts(
-            self.method,
-            musuite_codec::to_bytes(request),
-            timeout,
-            priority,
-        )?;
-        musuite_codec::from_bytes::<Resp>(&reply).map_err(RpcError::from)
-    }
-
-    /// Issues an asynchronous typed call; the callback runs on the response
-    /// pick-up thread.
-    pub fn call_typed_async<F>(&self, request: &Req, callback: F)
+    /// Issues an asynchronous typed call under `opts`; the callback runs
+    /// on the response pick-up thread.
+    pub fn call_typed_async<F>(&self, request: &Req, opts: CallOptions, callback: F)
     where
         F: FnOnce(Result<Resp, RpcError>) + Send + 'static,
     {
-        self.client.call_async(self.method, musuite_codec::to_bytes(request), move |result| {
+        let payload = musuite_codec::to_bytes(request);
+        self.client.call_async_opts(self.method, payload, opts, move |result| {
             callback(result.and_then(|bytes| {
                 musuite_codec::from_bytes::<Resp>(&bytes).map_err(RpcError::from)
             }));
         });
-    }
-
-    /// Asynchronous variant of [`TypedClient::call_typed_opts`].
-    pub fn call_typed_async_opts<F>(
-        &self,
-        request: &Req,
-        timeout: Option<Duration>,
-        priority: Priority,
-        callback: F,
-    ) where
-        F: FnOnce(Result<Resp, RpcError>) + Send + 'static,
-    {
-        self.client.call_async_opts(
-            self.method,
-            musuite_codec::to_bytes(request),
-            timeout,
-            priority,
-            move |result| {
-                callback(result.and_then(|bytes| {
-                    musuite_codec::from_bytes::<Resp>(&bytes).map_err(RpcError::from)
-                }));
-            },
-        );
     }
 
     /// The underlying raw client.
@@ -385,14 +342,14 @@ mod tests {
         let cluster = launch(4);
         let client = cluster.client::<u64, u64>().unwrap();
         // max(q + 0, q + 10, q + 20, q + 30) = q + 30
-        assert_eq!(client.call_typed(&7).unwrap(), 37);
+        assert_eq!(client.call_typed(&7, CallOptions::default()).unwrap(), 37);
     }
 
     #[test]
     fn single_leaf_cluster() {
         let cluster = launch(1);
         let client = cluster.client::<u64, u64>().unwrap();
-        assert_eq!(client.call_typed(&5).unwrap(), 5);
+        assert_eq!(client.call_typed(&5, CallOptions::default()).unwrap(), 5);
     }
 
     #[test]
@@ -400,7 +357,7 @@ mod tests {
         let cluster = launch(2);
         let client = cluster.client::<u64, u64>().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        client.call_typed_async(&3, move |result| {
+        client.call_typed_async(&3, CallOptions::default(), move |result| {
             tx.send(result).unwrap();
         });
         let value = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap().unwrap();
@@ -413,7 +370,7 @@ mod tests {
         let cluster = Cluster::launch(config, MaxMid, |i| AddLeaf(i as u64 * 10)).unwrap();
         let client = cluster.client::<u64, u64>().unwrap();
         for q in 0..20u64 {
-            assert_eq!(client.call_typed(&q).unwrap(), q + 10);
+            assert_eq!(client.call_typed(&q, CallOptions::default()).unwrap(), q + 10);
         }
     }
 
@@ -426,7 +383,7 @@ mod tests {
         assert_eq!(cluster.midtier().network_threads(), 2);
         let client = cluster.client::<u64, u64>().unwrap();
         for q in 0..20u64 {
-            assert_eq!(client.call_typed(&q).unwrap(), q + 20);
+            assert_eq!(client.call_typed(&q, CallOptions::default()).unwrap(), q + 20);
         }
         cluster.shutdown();
     }
@@ -443,7 +400,7 @@ mod tests {
         let cluster = launch(2);
         let client = cluster.client::<u64, u64>().unwrap();
         for _ in 0..10 {
-            client.call_typed(&1).unwrap();
+            client.call_typed(&1, CallOptions::default()).unwrap();
         }
         assert_eq!(cluster.midtier().stats().requests(), 10);
         let leaf_requests: u64 =
@@ -468,7 +425,7 @@ mod tests {
         plan.arm();
         let client = cluster.client::<u64, u64>().unwrap();
         // Leaf 1 is dead under the plan; MaxMid keeps the survivors.
-        assert_eq!(client.call_typed(&5).unwrap(), 5);
+        assert_eq!(client.call_typed(&5, CallOptions::default()).unwrap(), 5);
         assert!(plan.injected() > 0, "the armed plan should have fired");
         use musuite_telemetry::resilience::ResilienceEvent;
         assert!(cluster.fanout().counters().get(ResilienceEvent::Retry) > 0);

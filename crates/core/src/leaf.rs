@@ -42,40 +42,6 @@ pub trait LeafHandler: Send + Sync + 'static {
     }
 }
 
-/// Batch-first view of a leaf computation: the unit of work is a
-/// `Vec<Request>`, not one request.
-///
-/// Every [`LeafHandler`] is a `BatchLeafHandler` through the blanket
-/// one-at-a-time adapter below, so batch-aware plumbing (the batched
-/// dispatch loop, generic batch harnesses) can require this trait while
-/// existing handlers keep working unchanged. Handlers with a real batch
-/// kernel just override [`LeafHandler::handle_batch`].
-pub trait BatchLeafHandler: Send + Sync + 'static {
-    /// The decoded request type.
-    type Request: Decode;
-    /// The encoded response type.
-    type Response: Encode;
-
-    /// Computes responses for `requests`, one result per request, in
-    /// order.
-    fn handle_batch(
-        &self,
-        requests: Vec<Self::Request>,
-    ) -> Vec<Result<Self::Response, ServiceError>>;
-}
-
-impl<H: LeafHandler> BatchLeafHandler for H {
-    type Request = H::Request;
-    type Response = H::Response;
-
-    fn handle_batch(
-        &self,
-        requests: Vec<Self::Request>,
-    ) -> Vec<Result<Self::Response, ServiceError>> {
-        LeafHandler::handle_batch(self, requests)
-    }
-}
-
 /// Adapts a [`LeafHandler`] to the untyped [`Service`] interface.
 #[derive(Debug)]
 pub struct LeafService<H> {
@@ -129,7 +95,7 @@ impl<H: LeafHandler> Service for LeafService<H> {
         if live.is_empty() {
             return;
         }
-        let results = LeafHandler::handle_batch(&self.handler, requests);
+        let results = self.handler.handle_batch(requests);
         debug_assert_eq!(
             results.len(),
             live.len(),
@@ -206,7 +172,7 @@ mod tests {
     #[test]
     fn default_handle_batch_matches_sequential() {
         let inputs = vec![1u64, 2, u64::MAX, 4];
-        let batched = LeafHandler::handle_batch(&Doubler, inputs.clone());
+        let batched = Doubler.handle_batch(inputs.clone());
         assert_eq!(batched.len(), 4);
         for (input, result) in inputs.into_iter().zip(&batched) {
             match Doubler.handle(input) {
@@ -214,14 +180,6 @@ mod tests {
                 Err(_) => assert!(result.is_err()),
             }
         }
-    }
-
-    #[test]
-    fn every_leaf_handler_is_a_batch_leaf_handler() {
-        fn assert_batch<H: BatchLeafHandler<Request = u64, Response = u64>>(h: &H) -> Vec<u64> {
-            h.handle_batch(vec![3, 4]).into_iter().map(|r| r.unwrap()).collect()
-        }
-        assert_eq!(assert_batch(&Doubler), vec![6, 8]);
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //!     |_leaf_index| CountLeaf,
 //! )?;
 //! let client = cluster.client()?;
-//! let total: u64 = client.call_typed(&vec![1u8, 2, 3])?;
+//! let total: u64 = client.call_typed(&vec![1u8, 2, 3], Default::default())?;
 //! assert_eq!(total, 9); // 3 leaves x 3 bytes
 //! # Ok(())
 //! # }
@@ -80,5 +80,5 @@ pub mod shard;
 pub use cluster::{Cluster, ClusterConfig, TypedClient};
 pub use degrade::Degraded;
 pub use error::ServiceError;
-pub use leaf::{BatchLeafHandler, LeafHandler};
+pub use leaf::LeafHandler;
 pub use midtier::{MidTierHandler, Plan};

@@ -22,8 +22,8 @@ use crate::error::ServiceError;
 use bytes::Bytes;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::{
-    FanoutGroup, LeafCall, Payload, RequestContext, ResilientConfig, ResilientFanout, RpcError,
-    Service,
+    CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, ResilientConfig, ResilientFanout,
+    RpcError, Service,
 };
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
@@ -232,14 +232,16 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
         // remains of the inbound request's wire budget (already net of
         // the time spent queued and planning here), and the request's
         // priority class rides along to every leaf.
-        let remaining = match ctx.remaining_budget() {
-            0 => None,
-            budget_us => Some(std::time::Duration::from_micros(u64::from(budget_us))),
+        let opts = CallOptions {
+            timeout: match ctx.remaining_budget() {
+                0 => None,
+                budget_us => Some(std::time::Duration::from_micros(u64::from(budget_us))),
+            },
+            priority: ctx.priority(),
         };
-        let priority = ctx.priority();
         // The worker thread issues the fan-out and returns to the pool;
         // the last response thread runs this closure.
-        self.fanout.scatter_opts(calls, remaining, priority, move |result| {
+        self.fanout.scatter(calls, opts, move |result| {
             // Fan-out stage = plan + issue + completion dispatch, excluding
             // the time spent waiting on the leaves themselves.
             let fanout_ns =

@@ -8,7 +8,7 @@ use musuite_core::cluster::{Cluster, ClusterConfig, TypedClient};
 use musuite_core::degrade::Degraded;
 use musuite_core::shard::RoundRobinMap;
 use musuite_data::vectors::VectorDataset;
-use musuite_rpc::RpcError;
+use musuite_rpc::{CallOptions, RpcError};
 use std::net::SocketAddr;
 
 /// A running HDSearch deployment: vector shards behind an LSH mid-tier.
@@ -147,7 +147,7 @@ impl HdSearchClient {
         vector: &[f32],
         k: u32,
     ) -> Result<Degraded<Vec<Neighbor>>, RpcError> {
-        self.inner.call_typed(&SearchQuery { vector: vector.to_vec(), k })
+        self.inner.call_typed(&SearchQuery { vector: vector.to_vec(), k }, CallOptions::default())
     }
 
     /// The underlying typed client (for async use in load generators).

@@ -11,7 +11,7 @@
 use crate::arrival::ArrivalProcess;
 use crate::recorder::LatencyRecorder;
 use crate::source::RequestSource;
-use musuite_rpc::{Priority, RpcClient};
+use musuite_rpc::{CallOptions, Priority, RpcClient};
 use musuite_telemetry::summary::DistributionSummary;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -183,16 +183,11 @@ fn drive<S: RequestSource>(
         let priority = config.mix.pick(issued);
         let recorder_handle = recorder.clone();
         let client = &clients[(issued as usize) % clients.len()];
-        client.call_async_opts(
-            method,
-            payload,
-            config.timeout,
-            priority,
-            move |result| match result {
-                Ok(_) => recorder_handle.record_success_for(priority, scheduled.elapsed()),
-                Err(e) => recorder_handle.record_failure_for(priority, e.failure_kind()),
-            },
-        );
+        let opts = CallOptions { timeout: config.timeout, priority };
+        client.call_async_opts(method, payload, opts, move |result| match result {
+            Ok(_) => recorder_handle.record_success_for(priority, scheduled.elapsed()),
+            Err(e) => recorder_handle.record_failure_for(priority, e.failure_kind()),
+        });
         issued += 1;
         next_at += arrivals.next_interarrival();
     }

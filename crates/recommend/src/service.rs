@@ -8,7 +8,7 @@ use crate::sparse::CsrMatrix;
 use musuite_core::cluster::{Cluster, ClusterConfig, TypedClient};
 use musuite_core::degrade::Degraded;
 use musuite_data::ratings::RatingsDataset;
-use musuite_rpc::RpcError;
+use musuite_rpc::{CallOptions, RpcError};
 use std::net::SocketAddr;
 
 /// How many shard neighbours vote on each prediction.
@@ -125,7 +125,7 @@ impl RecommendClient {
     /// Returns transport errors, unknown-id errors, or a whole-fleet
     /// failure.
     pub fn predict_with_status(&self, user: u32, item: u32) -> Result<Degraded<f32>, RpcError> {
-        self.inner.call_typed(&RatingQuery { user, item })
+        self.inner.call_typed(&RatingQuery { user, item }, CallOptions::default())
     }
 
     /// The underlying typed client (for async use in load generators).

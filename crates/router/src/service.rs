@@ -5,7 +5,7 @@ use crate::memkv::MemKvConfig;
 use crate::midtier::RouterMidTier;
 use crate::protocol::{KvRequest, KvResponse};
 use musuite_core::cluster::{Cluster, ClusterConfig, TypedClient};
-use musuite_rpc::RpcError;
+use musuite_rpc::{CallOptions, RpcError};
 use std::net::SocketAddr;
 
 /// A running Router deployment: replicated KV leaves behind a routing
@@ -92,13 +92,17 @@ pub struct RouterClient {
 }
 
 impl RouterClient {
+    fn call(&self, request: &KvRequest) -> Result<KvResponse, RpcError> {
+        self.inner.call_typed(request, CallOptions::default())
+    }
+
     /// Reads a key.
     ///
     /// # Errors
     ///
     /// Returns transport or replica-failure errors.
     pub fn get(&self, key: &str) -> Result<Option<Vec<u8>>, RpcError> {
-        match self.inner.call_typed(&KvRequest::Get { key: key.to_string() })? {
+        match self.call(&KvRequest::Get { key: key.to_string() })? {
             KvResponse::Value(value) => Ok(value),
             other => Err(unexpected(other)),
         }
@@ -110,7 +114,7 @@ impl RouterClient {
     ///
     /// Returns transport errors or a replica-majority failure.
     pub fn set(&self, key: &str, value: Vec<u8>) -> Result<(), RpcError> {
-        match self.inner.call_typed(&KvRequest::Set { key: key.to_string(), value })? {
+        match self.call(&KvRequest::Set { key: key.to_string(), value })? {
             KvResponse::Stored => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -129,7 +133,7 @@ impl RouterClient {
     ) -> Result<(), RpcError> {
         let request =
             KvRequest::SetEx { key: key.to_string(), value, ttl_ms: ttl.as_millis() as u64 };
-        match self.inner.call_typed(&request)? {
+        match self.call(&request)? {
             KvResponse::Stored => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -141,7 +145,7 @@ impl RouterClient {
     ///
     /// Returns transport errors or a replica-majority failure.
     pub fn delete(&self, key: &str) -> Result<bool, RpcError> {
-        match self.inner.call_typed(&KvRequest::Delete { key: key.to_string() })? {
+        match self.call(&KvRequest::Delete { key: key.to_string() })? {
             KvResponse::Deleted(existed) => Ok(existed),
             other => Err(unexpected(other)),
         }

@@ -27,7 +27,7 @@
 
 use bytes::{Bytes, BytesMut};
 use musuite_check::sync::Mutex;
-use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAX_HEADER_LEN};
+use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAGIC};
 use musuite_codec::{DecodeError, Frame};
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -259,8 +259,8 @@ impl<R: Read> FrameReader<R> {
     /// `io::ErrorKind::InvalidData` on malformed frames; other I/O errors
     /// propagate.
     pub fn read_frame(&mut self) -> io::Result<Frame> {
-        let mut header = [0u8; MAX_HEADER_LEN];
-        self.reader.read_exact(&mut header[..HEADER_LEN])?;
+        let mut header = [0u8; HEADER_LEN];
+        self.reader.read_exact(&mut header)?;
         self.finish_frame(header)
     }
 
@@ -271,22 +271,16 @@ impl<R: Read> FrameReader<R> {
     ///
     /// As [`FrameReader::read_frame`].
     pub fn read_frame_after_first_byte(&mut self, first: u8) -> io::Result<Frame> {
-        let mut header = [0u8; MAX_HEADER_LEN];
+        let mut header = [0u8; HEADER_LEN];
         header[0] = first;
-        self.reader.read_exact(&mut header[1..HEADER_LEN])?;
+        self.reader.read_exact(&mut header[1..])?;
         self.finish_frame(header)
     }
 
-    /// Finishes a frame whose first [`HEADER_LEN`] header bytes have
-    /// arrived: extended (v2) frames read their trailing budget/priority
-    /// bytes, then the payload lands in the pooled buffer. Baseline
-    /// frames cost exactly the same reads as before the extension.
-    fn finish_frame(&mut self, mut header: [u8; MAX_HEADER_LEN]) -> io::Result<Frame> {
-        let header_len = FramePrefix::header_len([header[0], header[1]]).map_err(invalid_data)?;
-        if header_len > HEADER_LEN {
-            self.reader.read_exact(&mut header[HEADER_LEN..header_len])?;
-        }
-        let prefix = FramePrefix::parse(&header[..header_len]).map_err(invalid_data)?;
+    /// Finishes a frame whose header has arrived: the payload lands in
+    /// the pooled buffer.
+    fn finish_frame(&mut self, header: [u8; HEADER_LEN]) -> io::Result<Frame> {
+        let prefix = FramePrefix::parse(&header).map_err(invalid_data)?;
         let payload = if prefix.payload_len == 0 {
             Bytes::new()
         } else {
@@ -390,11 +384,8 @@ impl<W: Write> FrameWriter<W> {
 /// sweep's `epoll_pwait`-class park instead.
 #[derive(Debug)]
 pub struct FrameAccumulator {
-    header: [u8; MAX_HEADER_LEN],
+    header: [u8; HEADER_LEN],
     header_filled: usize,
-    /// Bytes of header this frame carries: assumed [`HEADER_LEN`] until
-    /// the magic arrives, then corrected from the frame's version.
-    header_target: usize,
     prefix: Option<FramePrefix>,
     payload_filled: usize,
     buf: PooledBuf,
@@ -407,9 +398,8 @@ impl FrameAccumulator {
     /// out of the reactor's [`BufferPool`]).
     pub fn new(buf: PooledBuf) -> FrameAccumulator {
         FrameAccumulator {
-            header: [0u8; MAX_HEADER_LEN],
+            header: [0u8; HEADER_LEN],
             header_filled: 0,
-            header_target: HEADER_LEN,
             prefix: None,
             payload_filled: 0,
             buf,
@@ -438,25 +428,22 @@ impl FrameAccumulator {
         let prefix = match self.prefix {
             Some(p) => p,
             None => {
-                while self.header_filled < self.header_target {
+                while self.header_filled < HEADER_LEN {
                     let first_byte = self.header_filled == 0;
-                    let limit = self.header_target;
-                    match self.absorb(reader, first_byte, limit)? {
+                    match self.absorb(reader, first_byte, HEADER_LEN)? {
                         Some(n) => {
                             self.header_filled += n;
-                            if self.header_filled >= 2 {
-                                // The magic fixes this frame's real header
-                                // length (v1 or extended).
-                                self.header_target =
-                                    FramePrefix::header_len([self.header[0], self.header[1]])
-                                        .map_err(invalid_data)?;
+                            // A peer that is not speaking this protocol is
+                            // dropped as soon as its magic is in, not after
+                            // it has trickled in a whole header.
+                            if self.header_filled >= 2 && self.header[..2] != MAGIC {
+                                return Err(invalid_data(DecodeError::BadMagic));
                             }
                         }
                         None => return Ok(None),
                     }
                 }
-                let p =
-                    FramePrefix::parse(&self.header[..self.header_target]).map_err(invalid_data)?;
+                let p = FramePrefix::parse(&self.header).map_err(invalid_data)?;
                 self.buf.resize(p.payload_len, 0);
                 self.payload_filled = 0;
                 self.prefix = Some(p);
@@ -471,7 +458,6 @@ impl FrameAccumulator {
         }
         self.prefix = None;
         self.header_filled = 0;
-        self.header_target = HEADER_LEN;
         let payload = if prefix.payload_len == 0 {
             Bytes::new()
         } else {
@@ -776,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn reader_handles_extended_header() {
+    fn reader_carries_budget_and_priority() {
         use musuite_codec::Priority;
         let budgeted = Frame::request(1, 7, b"hot".to_vec()).with_budget(5_000, Priority::Critical);
         let plain = Frame::request(2, 7, b"cold".to_vec());
@@ -824,7 +810,8 @@ mod accumulator_tests {
 
     #[test]
     fn drip_fed_frame_assembles_across_polls() {
-        let frame = Frame::request(42, 7, b"dripped payload".to_vec());
+        let frame = Frame::request(42, 7, b"dripped payload".to_vec())
+            .with_budget(123_456, musuite_codec::Priority::Sheddable);
         let mut drip = Drip { data: frame.to_bytes(), pos: 0, ready: false };
         let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
         assert!(!acc.mid_frame());
@@ -837,8 +824,7 @@ mod accumulator_tests {
             }
         };
         assert!(polls > 2, "a dripping peer must take many sweeps");
-        assert_eq!(got.header.request_id, 42);
-        assert_eq!(got.payload, b"dripped payload");
+        assert_eq!(got, frame);
         assert!(!acc.mid_frame(), "state must reset after a complete frame");
     }
 
@@ -884,24 +870,6 @@ mod accumulator_tests {
     }
 
     #[test]
-    fn drip_fed_extended_frame_assembles() {
-        use musuite_codec::Priority;
-        let frame =
-            Frame::request(9, 3, b"budgeted".to_vec()).with_budget(123_456, Priority::Sheddable);
-        let mut drip = Drip { data: frame.to_bytes(), pos: 0, ready: false };
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        let got = loop {
-            if let Some((frame, _)) = acc.poll_frame(&mut drip).unwrap() {
-                break frame;
-            }
-        };
-        assert_eq!(got.header.deadline_budget_us, 123_456);
-        assert_eq!(got.header.priority, Priority::Sheddable);
-        assert_eq!(got.payload, b"budgeted");
-        assert!(!acc.mid_frame(), "state must reset for the next frame");
-    }
-
-    #[test]
     fn eof_and_corruption_surface_as_errors() {
         let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
         let err = acc.poll_frame(&mut &b""[..]).unwrap_err();
@@ -912,6 +880,11 @@ mod accumulator_tests {
         bytes[last] ^= 0xFF;
         let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
         let err = acc.poll_frame(&mut &bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // The retired magic is refused from its two bytes alone.
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let err = acc.poll_frame(&mut &[0xB5u8, 0x53][..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -4,7 +4,7 @@
 //! Each client owns one TCP connection whose responses are picked up by
 //! either a dedicated **response pick-up thread** (the paper's "resp.
 //! pick-up thread: `<block>`" in Fig. 8, via [`RpcClient::connect`]) or a
-//! **shared reactor** ([`RpcClient::connect_via`]) that sweeps many
+//! **shared reactor** ([`RpcClient::connect_with`]) that sweeps many
 //! client connections from a fixed poller pool — so a wide fan-out does
 //! not cost one thread per leaf. Either way, arriving responses are
 //! matched to in-flight requests through a shared table keyed by request
@@ -19,29 +19,50 @@
 //!
 //! In-flight hygiene: synchronous deadline waits use an absolute deadline
 //! (spurious wakeups cannot extend the timeout), and asynchronous calls
-//! may register a deadline with a lazily-spawned reaper thread that fails
-//! overdue entries with [`RpcError::TimedOut`] and removes them from the
-//! in-flight table — without it, a leaf that never responds would leak
-//! its table entry and callback forever.
+//! may register a deadline with the connection's lazily-spawned timer
+//! thread (`rpc::timer`), which fails overdue entries with
+//! [`RpcError::TimedOut`] and removes them from the in-flight table —
+//! without it, a leaf that never responds would leak its table entry and
+//! callback forever.
 
 use crate::buf::{ConnWriter, Payload};
 use crate::error::RpcError;
 use crate::fault::{ClientFaults, FaultKind};
 use crate::reactor::{CloseReason, ConnDriver, Drive, Reactor};
+use crate::timer::{Fate, Timer};
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
-use musuite_check::sync::{Condvar, Mutex};
+use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::batch::{BatchEntry, ENTRY_HEADER_LEN};
 use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::sync::{CountedCondvar, CountedMutex};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// What a caller may say about one call beyond its method and payload.
+/// The default is an unbounded call in the [`Priority::Normal`] class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CallOptions {
+    /// How long the caller waits: the call fails with
+    /// [`RpcError::TimedOut`] once this has passed, and what is left of it
+    /// travels in the frame header as the budget every downstream hop
+    /// inherits. `None` is unbounded.
+    pub timeout: Option<Duration>,
+    /// The admission class the server's overload gate sees.
+    pub priority: Priority,
+}
+
+impl CallOptions {
+    /// A [`Priority::Normal`] call bounded by `timeout`.
+    pub fn within(timeout: Duration) -> CallOptions {
+        CallOptions { timeout: Some(timeout), priority: Priority::Normal }
+    }
+}
 
 /// Completion callback for [`RpcClient::call_async`]; runs on the response
 /// pick-up thread.
@@ -97,12 +118,8 @@ impl SyncSlot {
 
 type InflightTable = Arc<CountedMutex<HashMap<u64, Pending>>>;
 
-/// Min-heap of `(fire time, request id)` shared with the reaper thread;
-/// entries are deadlines to enforce or fault-injected sends to release.
-type DeadlineQueue = Arc<(Mutex<BinaryHeap<Reverse<(Instant, u64)>>>, Condvar)>;
-
 /// A request held back by a [`FaultKind::Delay`] injection, released by
-/// the reaper thread at `send_at`.
+/// the timer thread at `send_at`.
 struct DelayedSend {
     send_at: Instant,
     method: u32,
@@ -123,38 +140,29 @@ fn complete(pending: Pending, result: Result<Bytes, RpcError>) {
 }
 
 /// One sub-call of a [`RpcClient::call_batch_async`] envelope: a method,
-/// payload, optional per-member deadline and priority, and the callback
-/// that receives this member's individual response.
+/// payload, per-member [`CallOptions`], and the callback that receives
+/// this member's individual response.
 pub struct BatchCall {
     method: u32,
     payload: Payload,
-    timeout: Option<Duration>,
-    priority: Priority,
+    opts: CallOptions,
     callback: Callback,
 }
 
 impl BatchCall {
-    /// A sub-call with no deadline and [`Priority::Normal`].
-    pub fn new<F>(method: u32, payload: impl Into<Payload>, callback: F) -> BatchCall
+    /// A sub-call. Its deadline and priority class travel in the member's
+    /// entry header inside the batch envelope, so the server's admission
+    /// gate and dequeue-expiry act on each member individually.
+    pub fn new<F>(
+        method: u32,
+        payload: impl Into<Payload>,
+        opts: CallOptions,
+        callback: F,
+    ) -> BatchCall
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        BatchCall {
-            method,
-            payload: payload.into(),
-            timeout: None,
-            priority: Priority::Normal,
-            callback: Box::new(callback),
-        }
-    }
-
-    /// Sets this member's deadline and priority class; both travel in the
-    /// member's entry header inside the batch envelope, so the server's
-    /// admission gate and dequeue-expiry act on each member individually.
-    pub fn with_opts(mut self, timeout: Option<Duration>, priority: Priority) -> BatchCall {
-        self.timeout = timeout;
-        self.priority = priority;
-        self
+        BatchCall { method, payload: payload.into(), opts, callback: Box::new(callback) }
     }
 }
 
@@ -163,8 +171,7 @@ impl std::fmt::Debug for BatchCall {
         f.debug_struct("BatchCall")
             .field("method", &self.method)
             .field("payload_len", &self.payload.len())
-            .field("timeout", &self.timeout)
-            .field("priority", &self.priority)
+            .field("opts", &self.opts)
             .finish_non_exhaustive()
     }
 }
@@ -184,7 +191,7 @@ fn budget_for(deadline: Option<Instant>) -> u32 {
 }
 
 /// Serializes and writes one request frame; shared by the caller-side send
-/// path and the reaper's delayed-send release (which is why the budget is
+/// path and the timer's delayed-send release (which is why the budget is
 /// derived from the absolute deadline here, at the last moment).
 #[allow(clippy::too_many_arguments)]
 fn write_frame(
@@ -256,6 +263,9 @@ fn write_batch_frame(
 
 /// A connection to one RPC server.
 ///
+/// Shutdown and drop **abort**: every call still in flight completes
+/// exactly once with [`RpcError::ConnectionClosed`]; nothing is waited for.
+///
 /// # Examples
 ///
 /// See [`crate`]-level documentation for an end-to-end example.
@@ -267,10 +277,11 @@ pub struct RpcClient {
     closed: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
     read_half: TcpStream,
-    deadlines: DeadlineQueue,
+    /// Call deadlines to enforce and fault-delayed sends to release, by
+    /// request id (a delayed send is one `delayed` holds an entry for).
+    timer: Timer<u64>,
     delayed: DelayedMap,
     faults: Option<ClientFaults>,
-    reaper: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl RpcClient {
@@ -280,57 +291,23 @@ impl RpcClient {
     ///
     /// Returns an error if the connection cannot be established.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_with(addr, None)
+        RpcClient::connect_with(addr, None, None)
     }
 
-    /// As [`RpcClient::connect`], attaching a per-leaf fault-injection
-    /// view. An armed plan may refuse the connect outright or perturb
-    /// subsequent sends; with `None` this is exactly [`RpcClient::connect`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the connection cannot be established or the
-    /// fault plan refuses it.
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        faults: Option<ClientFaults>,
-    ) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_inner(addr, faults, None)
-    }
-
-    /// Connects to `addr` with responses picked up by a shared
-    /// [`Reactor`] instead of a dedicated thread. A fan-out registers all
+    /// The general connect. `faults` attaches a per-leaf fault-injection
+    /// view: an armed plan may refuse the connect outright or perturb
+    /// subsequent sends. `reactor` has responses picked up by a shared
+    /// [`Reactor`] instead of a dedicated thread: a fan-out registers all
     /// of its leaf connections (and their hedge/alternate replacements)
     /// with one reactor, so the client-side network thread count is the
-    /// reactor's fixed poller count regardless of fan-out width.
+    /// reactor's fixed poller count regardless of fan-out width. With
+    /// `None, None` this is exactly [`RpcClient::connect`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the connection cannot be established or the
-    /// reactor is shutting down.
-    pub fn connect_via<A: ToSocketAddrs>(
-        addr: A,
-        reactor: &Arc<Reactor>,
-    ) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_inner(addr, None, Some(reactor))
-    }
-
-    /// As [`RpcClient::connect_via`], attaching a per-leaf fault-injection
-    /// view (the reactor-mode analogue of [`RpcClient::connect_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcClient::connect_via`], or if the fault plan refuses the
-    /// connect.
-    pub fn connect_with_via<A: ToSocketAddrs>(
-        addr: A,
-        faults: Option<ClientFaults>,
-        reactor: &Arc<Reactor>,
-    ) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_inner(addr, faults, Some(reactor))
-    }
-
-    fn connect_inner<A: ToSocketAddrs>(
+    /// Returns an error if the connection cannot be established, the
+    /// fault plan refuses it, or the reactor is shutting down.
+    pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         faults: Option<ClientFaults>,
         reactor: Option<&Arc<Reactor>>,
@@ -366,18 +343,29 @@ impl RpcClient {
                 closed.clone(),
             )),
         };
+        let writer = Arc::new(ConnWriter::new(stream));
+        let delayed: DelayedMap = Arc::new(Mutex::new(HashMap::new()));
+        let timer = Timer::new("musuite-reaper", {
+            let (inflight, closed) = (inflight.clone(), closed.clone());
+            let (delayed, writer) = (delayed.clone(), writer.clone());
+            move |request_id, fate| match fate {
+                Fate::Due => on_timer_due(&inflight, &closed, &delayed, &writer, request_id),
+                // The connection is going down, and its close path fails
+                // every in-flight entry, this one included.
+                Fate::Cancelled => {}
+            }
+        });
         Ok(RpcClient {
             peer_addr,
-            writer: Arc::new(ConnWriter::new(stream)),
+            writer,
             next_id: AtomicU64::new(1),
             inflight,
             closed,
             reader,
             read_half,
-            deadlines: Arc::new((Mutex::new(BinaryHeap::new()), Condvar::new())),
-            delayed: Arc::new(Mutex::new(HashMap::new())),
+            timer,
+            delayed,
             faults,
-            reaper: Mutex::new(None),
         })
     }
 
@@ -415,7 +403,7 @@ impl RpcClient {
 
     /// Sends a request through the fault shim. With no plan attached (the
     /// production path) this is a plain send; otherwise the plan may delay
-    /// the frame (parked in `delayed`, released by the reaper), swallow it
+    /// the frame (parked in `delayed`, released by the timer), swallow it
     /// (stall — only a deadline completes the call), tear the connection
     /// down, or corrupt the frame on the wire so the receiver's checksum
     /// rejects it.
@@ -443,13 +431,13 @@ impl RpcClient {
                 }
                 let send_at = Instant::now() + delay;
                 // The absolute deadline (not a budget snapshot) is parked
-                // with the frame: the reaper re-derives the remaining
+                // with the frame: the timer re-derives the remaining
                 // budget at release, so the hold-back decays it.
                 self.delayed.lock().insert(
                     request_id,
                     DelayedSend { send_at, method, payload: payload.clone(), deadline, priority },
                 );
-                self.schedule(send_at, request_id);
+                self.timer.schedule(send_at, request_id);
                 Ok(())
             }
             Some(FaultKind::Stall) => {
@@ -488,59 +476,33 @@ impl RpcClient {
     /// [`RpcError::ConnectionClosed`] if the connection drops mid-call, or
     /// an I/O error from the send path.
     pub fn call(&self, method: u32, payload: impl Into<Payload>) -> Result<Bytes, RpcError> {
-        self.call_with_timeout(method, payload.into(), None, Priority::Normal)
+        self.call_opts(method, payload, CallOptions::default())
     }
 
-    /// Issues a blocking call that fails with [`RpcError::TimedOut`] if no
-    /// response arrives within `timeout`.
+    /// Issues a blocking call under `opts`. The timeout travels on the
+    /// wire as a remaining budget (decayed at each hop) and the priority
+    /// drives the server's admission gate.
     ///
     /// # Errors
     ///
-    /// As [`RpcClient::call`], plus [`RpcError::TimedOut`].
-    pub fn call_deadline(
-        &self,
-        method: u32,
-        payload: impl Into<Payload>,
-        timeout: Duration,
-    ) -> Result<Bytes, RpcError> {
-        self.call_with_timeout(method, payload.into(), Some(timeout), Priority::Normal)
-    }
-
-    /// Issues a blocking call with an optional deadline and an explicit
-    /// priority class. The deadline travels on the wire as a remaining
-    /// budget (decayed at each hop) and the priority drives the server's
-    /// admission gate; `call_opts(m, p, None, Priority::Normal)` is
-    /// exactly [`RpcClient::call`].
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcClient::call_deadline`].
+    /// As [`RpcClient::call`], plus [`RpcError::TimedOut`] if no response
+    /// arrives within `opts.timeout`.
     pub fn call_opts(
         &self,
         method: u32,
         payload: impl Into<Payload>,
-        timeout: Option<Duration>,
-        priority: Priority,
+        opts: CallOptions,
     ) -> Result<Bytes, RpcError> {
-        self.call_with_timeout(method, payload.into(), timeout, priority)
-    }
-
-    fn call_with_timeout(
-        &self,
-        method: u32,
-        payload: Payload,
-        timeout: Option<Duration>,
-        priority: Priority,
-    ) -> Result<Bytes, RpcError> {
-        let deadline = timeout.map(|limit| Instant::now() + limit);
+        let deadline = opts.timeout.map(|limit| Instant::now() + limit);
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slot = SyncSlot::new();
         self.inflight.lock().insert(request_id, Pending::Sync(slot.clone()));
-        if let Err(e) = self.dispatch(request_id, method, &payload, deadline, priority) {
+        if let Err(e) = self.dispatch(request_id, method, &payload.into(), deadline, opts.priority)
+        {
             self.inflight.lock().remove(&request_id);
             return Err(e);
         }
-        let result = slot.wait(timeout);
+        let result = slot.wait(opts.timeout);
         if matches!(result, Err(RpcError::TimedOut)) {
             // Deregister so a timed-out call cannot leak its table entry;
             // a response racing this removal lands in the `None` arm of
@@ -560,63 +522,42 @@ impl RpcClient {
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        self.call_async_inner(method, payload.into(), None, Priority::Normal, Box::new(callback));
+        self.call_async_opts(method, payload, CallOptions::default(), callback);
     }
 
-    /// As [`RpcClient::call_async`], but the callback is guaranteed to run
-    /// within roughly `timeout`: if no response arrives in time, a reaper
-    /// thread removes the in-flight entry and invokes the callback with
-    /// [`RpcError::TimedOut`]. This is what bounds a scatter against a
-    /// stuck leaf.
-    pub fn call_async_deadline<F>(
-        &self,
-        method: u32,
-        payload: impl Into<Payload>,
-        timeout: Duration,
-        callback: F,
-    ) where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        self.call_async_inner(
-            method,
-            payload.into(),
-            Some(timeout),
-            Priority::Normal,
-            Box::new(callback),
-        );
-    }
-
-    /// As [`RpcClient::call_async_deadline`] with an optional deadline and
-    /// an explicit priority class; both travel in the request frame header
-    /// so the server's admission gate and dequeue-expiry can act on them.
+    /// As [`RpcClient::call_async`] under `opts`. With a timeout the
+    /// callback is guaranteed to run within roughly that long: if no
+    /// response arrives in time, the timer thread removes the in-flight
+    /// entry and invokes the callback with [`RpcError::TimedOut`] — this
+    /// is what bounds a scatter against a stuck leaf. Timeout and priority
+    /// both travel in the request frame header so the server's admission
+    /// gate and dequeue-expiry can act on them.
     pub fn call_async_opts<F>(
         &self,
         method: u32,
         payload: impl Into<Payload>,
-        timeout: Option<Duration>,
-        priority: Priority,
+        opts: CallOptions,
         callback: F,
     ) where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        self.call_async_inner(method, payload.into(), timeout, priority, Box::new(callback));
+        self.call_async_inner(method, payload.into(), opts, Box::new(callback));
     }
 
     fn call_async_inner(
         &self,
         method: u32,
         payload: Payload,
-        timeout: Option<Duration>,
-        priority: Priority,
+        opts: CallOptions,
         callback: Callback,
     ) {
-        let deadline = timeout.map(|limit| Instant::now() + limit);
+        let deadline = opts.timeout.map(|limit| Instant::now() + limit);
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.inflight.lock().insert(request_id, Pending::Async(callback));
         if let Some(when) = deadline {
-            self.schedule(when, request_id);
+            self.timer.schedule(when, request_id);
         }
-        if let Err(e) = self.dispatch(request_id, method, &payload, deadline, priority) {
+        if let Err(e) = self.dispatch(request_id, method, &payload, deadline, opts.priority) {
             if let Some(Pending::Async(cb)) = self.inflight.lock().remove(&request_id) {
                 cb(Err(e));
             }
@@ -641,26 +582,20 @@ impl RpcClient {
         if calls.len() == 1 {
             // lint: allow(expect): length is checked immediately above
             let call = calls.into_iter().next().expect("len checked above");
-            self.call_async_inner(
-                call.method,
-                call.payload,
-                call.timeout,
-                call.priority,
-                call.callback,
-            );
+            self.call_async_inner(call.method, call.payload, call.opts, call.callback);
             return;
         }
         // Register every member before the envelope leaves so a fast
         // response cannot miss its in-flight entry.
         let mut metas: Vec<BatchMeta> = Vec::with_capacity(calls.len());
         for call in calls {
-            let deadline = call.timeout.map(|limit| Instant::now() + limit);
+            let deadline = call.opts.timeout.map(|limit| Instant::now() + limit);
             let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
             self.inflight.lock().insert(request_id, Pending::Async(call.callback));
             if let Some(when) = deadline {
-                self.schedule(when, request_id);
+                self.timer.schedule(when, request_id);
             }
-            metas.push((request_id, call.method, call.payload, deadline, call.priority));
+            metas.push((request_id, call.method, call.payload, deadline, call.opts.priority));
         }
         if let Err(e) = write_batch_frame(&self.writer, &self.closed, &metas) {
             // A failed envelope write fails every member. The original
@@ -673,25 +608,6 @@ impl RpcClient {
                     cb(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
                 }
             }
-        }
-    }
-
-    /// Registers a timed event for `request_id` with the lazily-spawned
-    /// reaper thread: a call deadline to enforce, or a fault-delayed send
-    /// to release (the reaper distinguishes them through `delayed`).
-    fn schedule(&self, when: Instant, request_id: u64) {
-        let (heap, cv) = &*self.deadlines;
-        heap.lock().push(Reverse((when, request_id)));
-        cv.notify_one();
-        let mut reaper = self.reaper.lock();
-        if reaper.is_none() {
-            *reaper = Some(spawn_reaper_thread(
-                self.deadlines.clone(),
-                self.inflight.clone(),
-                self.closed.clone(),
-                self.delayed.clone(),
-                self.writer.clone(),
-            ));
         }
     }
 
@@ -722,9 +638,7 @@ impl RpcClient {
             return;
         }
         let _ = self.read_half.shutdown(Shutdown::Both);
-        // Wake the reaper (if any) so it observes the closed flag.
-        let (_, cv) = &*self.deadlines;
-        cv.notify_all();
+        self.timer.shutdown();
     }
 }
 
@@ -732,9 +646,6 @@ impl Drop for RpcClient {
     fn drop(&mut self) {
         self.shutdown();
         if let Some(handle) = self.reader.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.reaper.lock().take() {
             let _ = handle.join();
         }
     }
@@ -836,84 +747,48 @@ fn spawn_response_thread(
         .expect("spawn response thread") // lint: allow(expect): no connection without its pick-up thread
 }
 
-/// Reaps in-flight entries whose deadlines have passed and releases
-/// fault-delayed sends. Parked on a condition variable until the earliest
-/// timed event (or a new registration). A popped id is a delayed send if
-/// `delayed` holds its entry and the hold-back has elapsed — the frame is
-/// written now, late but intact; otherwise the id is an overdue deadline:
-/// the in-flight entry is removed and completed with
-/// [`RpcError::TimedOut`] (and any still-pending delayed send for it is
-/// cancelled). Entries already completed by the response thread are simply
-/// absent — the heap entry is then a no-op.
-fn spawn_reaper_thread(
-    deadlines: DeadlineQueue,
-    inflight: InflightTable,
-    closed: Arc<AtomicBool>,
-    delayed: DelayedMap,
-    writer: SharedWriter,
-) -> JoinHandle<()> {
-    OsOpCounters::global().incr(OsOp::Clone);
-    Builder::new()
-        .name("musuite-reaper".to_string())
-        .spawn(move || {
-            let (heap_lock, cv) = &*deadlines;
-            let mut heap = heap_lock.lock();
-            loop {
-                if closed.load(Ordering::Acquire) {
-                    break;
-                }
-                let Some(&Reverse((when, request_id))) = heap.peek() else {
-                    cv.wait(&mut heap);
-                    continue;
-                };
-                let now = Instant::now();
-                if when > now {
-                    cv.wait_for(&mut heap, when - now);
-                    continue;
-                }
-                heap.pop();
-                // Complete outside the heap lock: the callback may issue
-                // follow-up calls that register new deadlines.
-                drop(heap);
-                let release = {
-                    let mut map = delayed.lock();
-                    match map.get(&request_id) {
-                        // The hold-back elapsed: this pop releases the send.
-                        Some(hold) if hold.send_at <= now => map.remove(&request_id),
-                        // A deadline fired while the send is still held
-                        // back: cancel it and reap the call below.
-                        Some(_) => {
-                            map.remove(&request_id);
-                            None
-                        }
-                        None => None,
-                    }
-                };
-                if let Some(hold) = release {
-                    if inflight.lock().contains_key(&request_id) {
-                        if let Err(e) = write_frame(
-                            &writer,
-                            &closed,
-                            request_id,
-                            hold.method,
-                            FrameKind::Request,
-                            &hold.payload,
-                            hold.deadline,
-                            hold.priority,
-                            false,
-                        ) {
-                            if let Some(pending) = inflight.lock().remove(&request_id) {
-                                complete(pending, Err(e));
-                            }
-                        }
-                    }
-                } else if let Some(pending) = inflight.lock().remove(&request_id) {
-                    complete(pending, Err(RpcError::TimedOut));
-                }
-                heap = heap_lock.lock();
+/// One due timer entry. The id is a delayed send if `delayed` holds its
+/// entry and the hold-back has elapsed — the frame is written now, late
+/// but intact; otherwise it is an overdue deadline: the in-flight entry is
+/// removed and completed with [`RpcError::TimedOut`] (and a delayed send
+/// still held back for it is cancelled). Entries already completed by the
+/// response thread are simply absent — the timer entry is then a no-op.
+fn on_timer_due(
+    inflight: &InflightTable,
+    closed: &AtomicBool,
+    delayed: &DelayedMap,
+    writer: &SharedWriter,
+    request_id: u64,
+) {
+    let now = Instant::now();
+    let release = delayed.lock().remove(&request_id).filter(|hold| hold.send_at <= now);
+    let failure = match release {
+        Some(hold) => {
+            if !inflight.lock().contains_key(&request_id) {
+                return;
             }
-        })
-        .expect("spawn reaper thread") // lint: allow(expect): deadlines are unenforceable without it
+            let sent = write_frame(
+                writer,
+                closed,
+                request_id,
+                hold.method,
+                FrameKind::Request,
+                &hold.payload,
+                hold.deadline,
+                hold.priority,
+                false,
+            );
+            match sent {
+                Ok(()) => return,
+                Err(e) => e,
+            }
+        }
+        None => RpcError::TimedOut,
+    };
+    let pending = inflight.lock().remove(&request_id);
+    if let Some(pending) = pending {
+        complete(pending, Err(failure));
+    }
 }
 
 #[cfg(test)]
@@ -931,6 +806,8 @@ mod tests {
             ctx.respond_ok(bytes);
         }
     }
+
+    const BUDGET_500MS: Duration = Duration::from_millis(500);
 
     fn echo_server() -> Server {
         Server::spawn(ServerConfig::default(), Arc::new(Echo)).unwrap()
@@ -1011,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn call_deadline_times_out_against_stuck_server() {
+    fn bounded_call_times_out_against_stuck_server() {
         // A listener that accepts but never responds.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1021,7 +898,8 @@ mod tests {
         });
         let client = RpcClient::connect(addr).unwrap();
         let start = std::time::Instant::now();
-        let err = client.call_deadline(1, b"never".to_vec(), Duration::from_millis(100));
+        let err =
+            client.call_opts(1, b"never".to_vec(), CallOptions::within(Duration::from_millis(100)));
         assert!(matches!(err, Err(RpcError::TimedOut)));
         assert!(start.elapsed() < Duration::from_secs(1));
         assert_eq!(client.inflight_len(), 0, "timed-out call must be deregistered");
@@ -1039,9 +917,8 @@ mod tests {
         });
         let client = RpcClient::connect(addr).unwrap();
         let (tx, rx) = mpsc::channel();
-        client.call_async_deadline(1, b"never".to_vec(), Duration::from_millis(100), move |r| {
-            tx.send(r).unwrap();
-        });
+        let opts = CallOptions::within(Duration::from_millis(100));
+        client.call_async_opts(1, b"never".to_vec(), opts, move |r| tx.send(r).unwrap());
         assert_eq!(client.inflight_len(), 1);
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(result, Err(RpcError::TimedOut)));
@@ -1053,9 +930,8 @@ mod tests {
         let server = echo_server();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let (tx, rx) = mpsc::channel();
-        client.call_async_deadline(1, b"fast".to_vec(), Duration::from_secs(30), move |r| {
-            tx.send(r).unwrap();
-        });
+        let opts = CallOptions::within(Duration::from_secs(30));
+        client.call_async_opts(1, b"fast".to_vec(), opts, move |r| tx.send(r).unwrap());
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(result.unwrap(), b"fast");
         assert_eq!(client.inflight_len(), 0);
@@ -1076,9 +952,9 @@ mod tests {
         let server = Server::spawn(ServerConfig::default(), Arc::new(Probe)).unwrap();
         let client = RpcClient::connect(server.local_addr()).unwrap();
 
-        let reply = client
-            .call_opts(1, b"p".to_vec(), Some(Duration::from_millis(500)), Priority::Critical)
-            .unwrap();
+        let opts =
+            CallOptions { priority: Priority::Critical, ..CallOptions::within(BUDGET_500MS) };
+        let reply = client.call_opts(1, b"p".to_vec(), opts).unwrap();
         let observed = u32::from_le_bytes(reply[..4].try_into().unwrap());
         assert!(observed > 0, "server must observe a budget");
         assert!(observed <= 500_000, "observed budget must be below the front-end timeout");
@@ -1098,7 +974,7 @@ mod tests {
         let calls = (0..16u32)
             .map(|i| {
                 let tx = tx.clone();
-                BatchCall::new(1, i.to_le_bytes().to_vec(), move |result| {
+                BatchCall::new(1, i.to_le_bytes().to_vec(), CallOptions::default(), move |result| {
                     let bytes = result.unwrap();
                     let value = u32::from_le_bytes(bytes[..].try_into().unwrap());
                     tx.send(value).unwrap();
@@ -1128,9 +1004,15 @@ mod tests {
         let (bounded_tx, bounded_rx) = mpsc::channel();
         let (plain_tx, plain_rx) = mpsc::channel();
         client.call_batch_async(vec![
-            BatchCall::new(1, b"a".to_vec(), move |r| bounded_tx.send(r).unwrap())
-                .with_opts(Some(Duration::from_millis(500)), Priority::Critical),
-            BatchCall::new(1, b"b".to_vec(), move |r| plain_tx.send(r).unwrap()),
+            BatchCall::new(
+                1,
+                b"a".to_vec(),
+                CallOptions { priority: Priority::Critical, ..CallOptions::within(BUDGET_500MS) },
+                move |r| bounded_tx.send(r).unwrap(),
+            ),
+            BatchCall::new(1, b"b".to_vec(), CallOptions::default(), move |r| {
+                plain_tx.send(r).unwrap()
+            }),
         ]);
         let bounded = bounded_rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         let observed = u32::from_le_bytes(bounded[..4].try_into().unwrap());
@@ -1153,9 +1035,15 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let bounded_tx = tx.clone();
         client.call_batch_async(vec![
-            BatchCall::new(1, b"never".to_vec(), move |r| bounded_tx.send(r).unwrap())
-                .with_opts(Some(Duration::from_millis(100)), Priority::Normal),
-            BatchCall::new(1, b"unbounded".to_vec(), move |r| tx.send(r).unwrap()),
+            BatchCall::new(
+                1,
+                b"never".to_vec(),
+                CallOptions::within(Duration::from_millis(100)),
+                move |r| bounded_tx.send(r).unwrap(),
+            ),
+            BatchCall::new(1, b"unbounded".to_vec(), CallOptions::default(), move |r| {
+                tx.send(r).unwrap()
+            }),
         ]);
         assert_eq!(client.inflight_len(), 2);
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1168,9 +1056,12 @@ mod tests {
         let server = echo_server();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let (tx, rx) = mpsc::channel();
-        client.call_batch_async(vec![BatchCall::new(1, b"solo".to_vec(), move |r| {
-            tx.send(r).unwrap()
-        })]);
+        client.call_batch_async(vec![BatchCall::new(
+            1,
+            b"solo".to_vec(),
+            CallOptions::default(),
+            move |r| tx.send(r).unwrap(),
+        )]);
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(result.unwrap(), b"solo");
         // Empty batches are a no-op.
@@ -1187,7 +1078,9 @@ mod tests {
         let calls = (0..3u32)
             .map(|_| {
                 let tx = tx.clone();
-                BatchCall::new(1, b"late".to_vec(), move |r| tx.send(r).unwrap())
+                BatchCall::new(1, b"late".to_vec(), CallOptions::default(), move |r| {
+                    tx.send(r).unwrap()
+                })
             })
             .collect();
         client.call_batch_async(calls);
@@ -1237,7 +1130,8 @@ mod tests {
         fn reactor_client_round_trips_sync_and_async() {
             let server = echo_server();
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
-            let client = RpcClient::connect_via(server.local_addr(), &reactor).unwrap();
+            let client =
+                RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap();
             assert_eq!(client.call(1, b"via".to_vec()).unwrap(), b"via");
             let (tx, rx) = mpsc::channel();
             client.call_async(1, b"async-via".to_vec(), move |r| tx.send(r).unwrap());
@@ -1252,7 +1146,9 @@ mod tests {
             let reactor =
                 Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..ReactorConfig::default() }));
             let clients: Vec<_> = (0..8)
-                .map(|_| RpcClient::connect_via(server.local_addr(), &reactor).unwrap())
+                .map(|_| {
+                    RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap()
+                })
                 .collect();
             for (i, client) in clients.iter().enumerate() {
                 assert_eq!(client.call(1, vec![i as u8]).unwrap(), vec![i as u8]);
@@ -1273,7 +1169,7 @@ mod tests {
                 std::thread::sleep(Duration::from_secs(2));
             });
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
-            let client = RpcClient::connect_via(addr, &reactor).unwrap();
+            let client = RpcClient::connect_with(addr, None, Some(&reactor)).unwrap();
             let (tx, rx) = mpsc::channel();
             client.call_async(1, b"never".to_vec(), move |r| tx.send(r).unwrap());
             client.shutdown();
@@ -1286,7 +1182,7 @@ mod tests {
             let server = echo_server();
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
             reactor.shutdown();
-            assert!(RpcClient::connect_via(server.local_addr(), &reactor).is_err());
+            assert!(RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).is_err());
         }
     }
 
@@ -1299,10 +1195,13 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(11, 1).slow_leaf(0, Duration::from_millis(80)).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
             let start = Instant::now();
-            let reply = client.call_deadline(1, b"late".to_vec(), Duration::from_secs(5)).unwrap();
+            let reply = client
+                .call_opts(1, b"late".to_vec(), CallOptions::within(Duration::from_secs(5)))
+                .unwrap();
             assert_eq!(reply, b"late");
             assert!(
                 start.elapsed() >= Duration::from_millis(80),
@@ -1318,9 +1217,14 @@ mod tests {
                 .rule(0, crate::fault::FaultRule::always(FaultKind::Stall))
                 .build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
-            let err = client.call_deadline(1, b"stuck".to_vec(), Duration::from_millis(100));
+            let err = client.call_opts(
+                1,
+                b"stuck".to_vec(),
+                CallOptions::within(Duration::from_millis(100)),
+            );
             assert!(matches!(err, Err(RpcError::TimedOut)), "got {err:?}");
             assert_eq!(client.inflight_len(), 0);
         }
@@ -1330,13 +1234,15 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(13, 1).dead_leaf(0).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
             let err = client.call(1, b"dead".to_vec());
             assert!(matches!(err, Err(RpcError::ConnectionClosed)), "got {err:?}");
             assert!(client.is_closed());
             // Reconnects to a dead leaf are refused.
-            let refused = RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)));
+            let refused =
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None);
             assert!(refused.is_err());
         }
 
@@ -1345,11 +1251,16 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(14, 1).corrupting_leaf(0, 1).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
             // The server's checksum rejects the frame and drops the
             // connection: the call must error, never echo corrupt bytes.
-            let err = client.call_deadline(1, b"garble".to_vec(), Duration::from_secs(5));
+            let err = client.call_opts(
+                1,
+                b"garble".to_vec(),
+                CallOptions::within(Duration::from_secs(5)),
+            );
             assert!(err.is_err(), "corrupted request must not produce a reply");
             assert_eq!(plan.injected_of(FaultKind::Corrupt), 1);
         }
@@ -1359,7 +1270,8 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(15, 1).dead_leaf(0).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             let reply = client.call(1, b"fine".to_vec()).unwrap();
             assert_eq!(reply, b"fine");
             assert_eq!(plan.injected(), 0);
@@ -1374,7 +1286,7 @@ mod model_tests {
 
     /// The response/deadline race over the real `SyncSlot` and in-flight
     /// table: the pick-up thread claims the entry then completes, while
-    /// the caller times out and deregisters (the `call_with_timeout`
+    /// the caller times out and deregisters (the `call_opts`
     /// cleanup path). In every interleaving the caller observes exactly
     /// one outcome — a timed-out slot never resurrects a late write — and
     /// the table ends empty.

@@ -17,21 +17,21 @@
 //! payload bytes inside the process.
 
 use crate::buf::Payload;
-use crate::client::{BatchCall, RpcClient};
+use crate::client::{BatchCall, CallOptions, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
 use crate::reactor::Reactor;
+use crate::timer::{Fate, Timer};
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicUsize, Ordering};
-use musuite_check::sync::{Condvar, Mutex, RwLock};
-use musuite_check::thread::{Builder, JoinHandle};
+use musuite_check::sync::{Mutex, RwLock};
 use musuite_codec::Priority;
 use musuite_telemetry::batching::{BatchStats, FlushReason};
 use musuite_telemetry::clock::Clock;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The gathered outcome of one scatter: per-leaf results in request order
 /// plus the wall-clock time the fan-out took (used to attribute leaf time
@@ -177,6 +177,17 @@ struct BufferedCall {
     done: LeafCallback,
 }
 
+impl BufferedCall {
+    /// The options this call leaves with at `now`: what parking has left
+    /// of its budget, and its class.
+    fn opts_at(&self, now: Instant) -> CallOptions {
+        CallOptions {
+            timeout: self.deadline.map(|deadline| deadline - now),
+            priority: self.priority,
+        }
+    }
+}
+
 /// One leaf's merge buffer: the parked calls plus when the first of them
 /// arrived (the batch's delay clock).
 #[derive(Default)]
@@ -185,64 +196,41 @@ struct MergeBuffer {
     opened_at: Option<Instant>,
 }
 
-/// Flusher-thread coordination: the earliest buffer due time and the
-/// shutdown flag, guarded by one mutex the flusher's condvar waits on.
-struct FlusherShared {
-    stop: bool,
-    next_due: Option<Instant>,
-}
-
 /// Client-side merge batching: same-leaf sub-calls from *concurrent*
 /// scatters park here briefly and leave as one multi-request envelope —
 /// the mid-tier analogue of the server's dequeue-side `pop_batch`.
 struct MergeState {
     policy: BatchPolicy,
     buffers: Vec<Mutex<MergeBuffer>>,
-    shared: Mutex<FlusherShared>,
-    wake: Condvar,
-    flusher: Mutex<Option<JoinHandle<()>>>,
     stats: BatchStats,
 }
 
 impl MergeState {
-    /// Lowers the flusher's next wake-up to `due` if it is earlier.
-    fn propose_due(&self, due: Instant) {
-        let mut shared = self.shared.lock();
-        if shared.next_due.is_none_or(|current| due < current) {
-            shared.next_due = Some(due);
-            self.wake.notify_one();
+    /// Empties `leaf`'s buffer if its delay window has closed at `now`
+    /// (it may have been flushed full and reopened since the timer entry
+    /// that brought us here was queued; that opening has its own entry).
+    fn take_due(&self, leaf: usize, now: Instant) -> Vec<BufferedCall> {
+        let mut buffer = self.buffers[leaf].lock();
+        match buffer.opened_at {
+            Some(opened) if now >= opened + self.policy.max_delay() => {
+                buffer.opened_at = None;
+                std::mem::take(&mut buffer.calls)
+            }
+            _ => Vec::new(),
         }
     }
 
-    /// Flushes every buffer that is due at `now` (every non-empty buffer
-    /// when `force`), returning the earliest remaining due time.
-    fn sweep(&self, leaves: &[LeafConns], now: Instant, force: bool) -> Option<Instant> {
-        let mut earliest: Option<Instant> = None;
-        for (leaf, slot) in self.buffers.iter().enumerate() {
-            let taken = {
-                let mut buffer = slot.lock();
-                match buffer.opened_at {
-                    Some(opened) if force || now >= opened + self.policy.max_delay() => {
-                        buffer.opened_at = None;
-                        Some(std::mem::take(&mut buffer.calls))
-                    }
-                    Some(opened) => {
-                        let due = opened + self.policy.max_delay();
-                        if earliest.is_none_or(|current| due < current) {
-                            earliest = Some(due);
-                        }
-                        None
-                    }
-                    None => None,
-                }
-            };
-            if let Some(calls) = taken {
-                let reason =
-                    if force { FlushReason::QueueDrained } else { FlushReason::DelayExpired };
-                self.flush(leaves, leaf, calls, reason);
-            }
+    /// Completes every call parked for `leaf` with
+    /// [`RpcError::ConnectionClosed`] instead of sending it.
+    fn abort(&self, leaf: usize) {
+        let calls = {
+            let mut buffer = self.buffers[leaf].lock();
+            buffer.opened_at = None;
+            std::mem::take(&mut buffer.calls)
+        };
+        for call in calls {
+            (call.done)(Err(RpcError::ConnectionClosed));
         }
-        earliest
     }
 
     /// Sends a flushed buffer to its leaf. Members whose deadline already
@@ -268,53 +256,19 @@ impl MergeState {
         if live.len() == 1 {
             // lint: allow(expect): emptiness is checked immediately above
             let call = live.pop().expect("one live member");
-            let remaining = call.deadline.map(|deadline| deadline - now);
-            client.call_async_opts(call.method, call.payload, remaining, call.priority, call.done);
+            let opts = call.opts_at(now);
+            client.call_async_opts(call.method, call.payload, opts, call.done);
             return;
         }
         let batch = live
             .into_iter()
             .map(|call| {
-                let remaining = call.deadline.map(|deadline| deadline - now);
-                BatchCall::new(call.method, call.payload, call.done)
-                    .with_opts(remaining, call.priority)
+                let opts = call.opts_at(now);
+                BatchCall::new(call.method, call.payload, opts, call.done)
             })
             .collect();
         client.call_batch_async(batch);
     }
-}
-
-/// Spawns the delay flusher: it sleeps until the earliest open buffer
-/// comes due, sweeps, and reposes. Buffers opened while it sleeps lower
-/// its wake-up through [`MergeState::propose_due`].
-fn spawn_flusher_thread(state: Arc<MergeState>, leaves: Arc<Vec<LeafConns>>) -> JoinHandle<()> {
-    Builder::new()
-        .name("musuite-merge-flusher".into())
-        .spawn(move || loop {
-            {
-                let mut shared = state.shared.lock();
-                loop {
-                    if shared.stop {
-                        return;
-                    }
-                    match shared.next_due {
-                        None => state.wake.wait(&mut shared),
-                        Some(due) => {
-                            let now = Instant::now();
-                            if now >= due {
-                                shared.next_due = None;
-                                break;
-                            }
-                            state.wake.wait_for(&mut shared, due - now);
-                        }
-                    }
-                }
-            }
-            if let Some(next) = state.sweep(&leaves, Instant::now(), false) {
-                state.propose_due(next);
-            }
-        })
-        .expect("spawn merge flusher thread") // lint: allow(expect): delay flushes are unenforceable without it
 }
 
 /// A set of asynchronous clients, one connection pool per leaf
@@ -325,23 +279,22 @@ fn spawn_flusher_thread(state: Arc<MergeState>, leaves: Arc<Vec<LeafConns>>) -> 
 /// including later reconnects — registers with the reactor instead of
 /// spawning a response pick-up thread, so the client-side network thread
 /// count is the reactor's fixed poller count regardless of fan-out width.
+///
+/// Drop **aborts**: sub-calls parked in a merge buffer complete exactly
+/// once with [`RpcError::ConnectionClosed`] without being sent, and calls
+/// already on the wire fail the same way as their connections close.
 pub struct FanoutGroup {
     leaves: Arc<Vec<LeafConns>>,
     clock: Clock,
     reactor: Option<Arc<Reactor>>,
-    merge: Option<Arc<MergeState>>,
+    merge: Option<Merge>,
 }
 
-/// Connects one leaf client, through the shared reactor when present.
-fn connect_leaf(
-    addr: impl ToSocketAddrs,
-    faults: Option<ClientFaults>,
-    reactor: Option<&Arc<Reactor>>,
-) -> Result<RpcClient, RpcError> {
-    match reactor {
-        Some(reactor) => RpcClient::connect_with_via(addr, faults, reactor),
-        None => RpcClient::connect_with(addr, faults),
-    }
+/// Merge batching when it is on: the buffers, and the timer whose entries
+/// (one leaf index per buffer opening) close their delay windows.
+struct Merge {
+    state: Arc<MergeState>,
+    flusher: Timer<usize>,
 }
 
 impl FanoutGroup {
@@ -351,51 +304,16 @@ impl FanoutGroup {
     ///
     /// Returns the first connection error encountered.
     pub fn connect<A: ToSocketAddrs>(addrs: &[A]) -> Result<FanoutGroup, RpcError> {
-        Self::connect_pooled(addrs, 1)
+        Self::connect_with_plan_via(addrs, 1, None, None)
     }
 
-    /// Connects `conns_per_leaf` connections to every leaf. Each extra
-    /// connection brings its own response pick-up thread, spreading leaf
-    /// responses (and the merge work done on the last one) across threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first connection error encountered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conns_per_leaf` is zero.
-    pub fn connect_pooled<A: ToSocketAddrs>(
-        addrs: &[A],
-        conns_per_leaf: usize,
-    ) -> Result<FanoutGroup, RpcError> {
-        Self::connect_with_plan(addrs, conns_per_leaf, None)
-    }
-
-    /// As [`FanoutGroup::connect_pooled`], attaching a fault-injection
-    /// plan: every connection to leaf `i` (including later reconnects)
-    /// carries the plan's per-leaf view. With `None` this is exactly
-    /// [`FanoutGroup::connect_pooled`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first connection error encountered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conns_per_leaf` is zero or the plan covers fewer leaves
-    /// than `addrs`.
-    pub fn connect_with_plan<A: ToSocketAddrs>(
-        addrs: &[A],
-        conns_per_leaf: usize,
-        plan: Option<&Arc<FaultPlan>>,
-    ) -> Result<FanoutGroup, RpcError> {
-        Self::connect_with_plan_via(addrs, conns_per_leaf, plan, None)
-    }
-
-    /// As [`FanoutGroup::connect_with_plan`], optionally routing every
-    /// leaf connection's responses through a shared [`Reactor`] instead of
-    /// per-connection pick-up threads. Reconnects inherit the reactor.
+    /// The general connect: `conns_per_leaf` connections to every leaf
+    /// (each extra connection spreads leaf responses, and the merge work
+    /// done on the last one, across pick-up threads); optionally a
+    /// fault-injection plan, whose per-leaf view every connection to leaf
+    /// `i` carries; optionally a shared [`Reactor`] that picks up every
+    /// leaf connection's responses instead of per-connection threads.
+    /// Reconnects inherit the plan and the reactor.
     ///
     /// # Errors
     ///
@@ -417,7 +335,7 @@ impl FanoutGroup {
             let faults = plan.map(|plan| plan.client_faults(leaf));
             let mut conns = Vec::with_capacity(conns_per_leaf);
             for _ in 0..conns_per_leaf {
-                conns.push(Arc::new(connect_leaf(addr, faults.clone(), reactor)?));
+                conns.push(Arc::new(RpcClient::connect_with(addr, faults.clone(), reactor)?));
             }
             let addr = conns[0].peer_addr();
             leaves.push(LeafConns {
@@ -433,26 +351,6 @@ impl FanoutGroup {
             reactor: reactor.cloned(),
             merge: None,
         })
-    }
-
-    /// Builds a group from pre-connected clients, one per leaf.
-    pub fn from_clients(clients: Vec<Arc<RpcClient>>) -> FanoutGroup {
-        FanoutGroup {
-            leaves: Arc::new(
-                clients
-                    .into_iter()
-                    .map(|client| LeafConns {
-                        addr: client.peer_addr(),
-                        conns: RwLock::new(vec![client]),
-                        next: AtomicUsize::new(0),
-                        faults: None,
-                    })
-                    .collect(),
-            ),
-            clock: Clock::new(),
-            reactor: None,
-            merge: None,
-        }
     }
 
     /// Enables client-side merge batching: leaf sub-calls issued through
@@ -476,28 +374,29 @@ impl FanoutGroup {
         let state = Arc::new(MergeState {
             policy,
             buffers: (0..self.leaves.len()).map(|_| Mutex::new(MergeBuffer::default())).collect(),
-            shared: Mutex::new(FlusherShared { stop: false, next_due: None }),
-            wake: Condvar::new(),
-            flusher: Mutex::new(None),
             stats: BatchStats::default(),
         });
-        if !policy.max_delay().is_zero() {
-            let handle = spawn_flusher_thread(state.clone(), self.leaves.clone());
-            *state.flusher.lock() = Some(handle);
-        }
-        self.merge = Some(state);
+        let flusher = Timer::new("musuite-merge-flusher", {
+            let (state, leaves) = (state.clone(), self.leaves.clone());
+            move |leaf, fate| {
+                // Cancelled entries need nothing here: the group is being
+                // dropped, and its drop aborts every buffer.
+                if fate == Fate::Due {
+                    let calls = state.take_due(leaf, Instant::now());
+                    if !calls.is_empty() {
+                        state.flush(&leaves, leaf, calls, FlushReason::DelayExpired);
+                    }
+                }
+            }
+        });
+        self.merge = Some(Merge { state, flusher });
         self
     }
 
     /// Merge-batching occupancy and flush-reason counters, when batching
     /// is enabled ([`FanoutGroup::with_batching`]).
     pub fn batch_stats(&self) -> Option<&BatchStats> {
-        self.merge.as_ref().map(|state| &state.stats)
-    }
-
-    /// The shared reactor leaf connections register with, if any.
-    pub fn reactor(&self) -> Option<&Arc<Reactor>> {
-        self.reactor.as_ref()
+        self.merge.as_ref().map(|merge| &merge.state.stats)
     }
 
     /// Number of leaves in the group.
@@ -518,15 +417,6 @@ impl FanoutGroup {
     /// Panics if `index` is out of bounds.
     pub fn client(&self, index: usize) -> Arc<RpcClient> {
         self.leaves[index].pick()
-    }
-
-    /// The address leaf `index` was connected to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn leaf_addr(&self, index: usize) -> SocketAddr {
-        self.leaves[index].addr
     }
 
     /// Number of non-closed connections in leaf `index`'s pool.
@@ -557,8 +447,11 @@ impl FanoutGroup {
         let mut replaced = 0;
         for slot in conns.iter_mut() {
             if slot.is_closed() {
-                *slot =
-                    Arc::new(connect_leaf(leaf.addr, leaf.faults.clone(), self.reactor.as_ref())?);
+                *slot = Arc::new(RpcClient::connect_with(
+                    leaf.addr,
+                    leaf.faults.clone(),
+                    self.reactor.as_ref(),
+                )?);
                 replaced += 1;
             }
         }
@@ -589,35 +482,16 @@ impl FanoutGroup {
         P: Into<Payload>,
         F: FnOnce(FanoutResult) + Send + 'static,
     {
-        self.scatter_inner(requests, None, Priority::Normal, on_complete);
+        self.scatter_opts(requests, CallOptions::default(), on_complete);
     }
 
-    /// Like [`FanoutGroup::scatter`], but each leaf request that has not
-    /// completed within `timeout` fails its slot with
-    /// [`RpcError::TimedOut`] instead of stalling the merge forever — the
-    /// mid-tier's defense against a wedged leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any leaf index is out of bounds.
-    pub fn scatter_deadline<P, F>(
-        &self,
-        requests: Vec<(usize, u32, P)>,
-        timeout: Duration,
-        on_complete: F,
-    ) where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_inner(requests, Some(timeout), Priority::Normal, on_complete);
-    }
-
-    /// The fully-general scatter: an optional per-leaf deadline plus the
-    /// [`Priority`] class every leaf request carries on the wire. This is
-    /// the mid-tier's budget-forwarding hop — callers pass the *remaining*
-    /// budget of the inbound request (already net of time spent upstream)
-    /// as `timeout`, and each leaf frame departs carrying what is left of
-    /// it at write time.
+    /// The general scatter: every leaf request is issued under `opts`. A
+    /// leaf request that has not completed within `opts.timeout` fails its
+    /// slot with [`RpcError::TimedOut`] instead of stalling the merge
+    /// forever — the mid-tier's defense against a wedged leaf. This is
+    /// also the budget-forwarding hop: callers pass the *remaining* budget
+    /// of the inbound request (already net of time spent upstream), and
+    /// each leaf frame departs carrying what is left of it at write time.
     ///
     /// # Panics
     ///
@@ -625,21 +499,7 @@ impl FanoutGroup {
     pub fn scatter_opts<P, F>(
         &self,
         requests: Vec<(usize, u32, P)>,
-        timeout: Option<Duration>,
-        priority: Priority,
-        on_complete: F,
-    ) where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_inner(requests, timeout, priority, on_complete);
-    }
-
-    fn scatter_inner<P, F>(
-        &self,
-        requests: Vec<(usize, u32, P)>,
-        timeout: Option<Duration>,
-        priority: Priority,
+        opts: CallOptions,
         on_complete: F,
     ) where
         P: Into<Payload>,
@@ -656,7 +516,7 @@ impl FanoutGroup {
         for (slot, (leaf, method, payload)) in requests.into_iter().enumerate() {
             let state = state.clone();
             let done = move |result| state.arrive(slot, result);
-            self.issue(leaf, method, payload, timeout, priority, done);
+            self.issue(leaf, method, payload, opts, done);
         }
     }
 
@@ -664,34 +524,27 @@ impl FanoutGroup {
     /// direct asynchronous call normally, or the merge buffer when
     /// batching is enabled ([`FanoutGroup::with_batching`]) — where it may
     /// coalesce with sub-calls from other concurrent scatters to the same
-    /// leaf into one multi-request envelope. The `timeout` decays while
+    /// leaf into one multi-request envelope. `opts.timeout` decays while
     /// the call is parked, exactly as it decays in a send queue.
     ///
     /// # Panics
     ///
     /// Panics if `leaf` is out of bounds.
-    pub fn issue<P, F>(
-        &self,
-        leaf: usize,
-        method: u32,
-        payload: P,
-        timeout: Option<Duration>,
-        priority: Priority,
-        done: F,
-    ) where
+    pub fn issue<P, F>(&self, leaf: usize, method: u32, payload: P, opts: CallOptions, done: F)
+    where
         P: Into<Payload>,
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        let Some(merge) = &self.merge else {
-            self.leaves[leaf].pick().call_async_opts(method, payload, timeout, priority, done);
+        let Some(Merge { state: merge, flusher }) = &self.merge else {
+            self.leaves[leaf].pick().call_async_opts(method, payload, opts, done);
             return;
         };
         let now = Instant::now();
         let call = BufferedCall {
             method,
             payload: payload.into(),
-            deadline: timeout.map(|limit| now + limit),
-            priority,
+            deadline: opts.timeout.map(|limit| now + limit),
+            priority: opts.priority,
             done: Box::new(done),
         };
         let (full, opened) = {
@@ -719,21 +572,8 @@ impl FanoutGroup {
             };
             merge.flush(&self.leaves, leaf, calls, reason);
         } else if let Some(due) = opened {
-            merge.propose_due(due);
+            flusher.schedule(due, leaf);
         }
-    }
-
-    /// Scatters the same `(method, payload)` to **every** leaf. The
-    /// payload is converted to a [`Payload`] once; each leaf receives a
-    /// reference-counted clone of the same allocation, not a deep copy.
-    pub fn broadcast<P, F>(&self, method: u32, payload: P, on_complete: F)
-    where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        let payload = payload.into();
-        let requests = (0..self.leaves.len()).map(|leaf| (leaf, method, payload.clone())).collect();
-        self.scatter(requests, on_complete);
     }
 
     /// Scatters and blocks the calling thread until the merge completes —
@@ -746,37 +586,18 @@ impl FanoutGroup {
         // lint: allow(expect): completion closure runs on every path, even all-timeout
         rx.recv().expect("scatter completion always runs")
     }
-
-    /// Blocking variant of [`FanoutGroup::scatter_deadline`].
-    pub fn scatter_wait_deadline<P: Into<Payload>>(
-        &self,
-        requests: Vec<(usize, u32, P)>,
-        timeout: Duration,
-    ) -> FanoutResult {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter_deadline(requests, timeout, move |result| {
-            let _ = tx.send(result);
-        });
-        // lint: allow(expect): completion closure runs on every path, even all-timeout
-        rx.recv().expect("scatter completion always runs")
-    }
 }
 
 impl Drop for FanoutGroup {
-    /// Stops the delay flusher and force-flushes every parked sub-call so
-    /// no buffered callback is ever silently dropped with the group.
+    /// Stops the delay flusher and aborts every parked sub-call, so no
+    /// buffered callback is ever silently dropped with the group and none
+    /// is sent on a connection that is about to close.
     fn drop(&mut self) {
         let Some(merge) = &self.merge else { return };
-        {
-            let mut shared = merge.shared.lock();
-            shared.stop = true;
+        merge.flusher.shutdown();
+        for leaf in 0..merge.state.buffers.len() {
+            merge.state.abort(leaf);
         }
-        merge.wake.notify_all();
-        let handle = merge.flusher.lock().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        merge.sweep(&self.leaves, Instant::now(), true);
     }
 }
 
@@ -822,33 +643,6 @@ mod tests {
         let replies = result.successes();
         for (leaf, reply) in replies.iter().enumerate() {
             assert_eq!(reply, &[leaf as u8, 9]);
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_every_leaf() {
-        let (_servers, group) = leaf_cluster(3);
-        let (tx, rx) = std::sync::mpsc::channel();
-        group.broadcast(2, b"all".to_vec(), move |result| {
-            tx.send(result).unwrap();
-        });
-        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert_eq!(result.replies.len(), 3);
-        assert!(result.all_ok());
-    }
-
-    #[test]
-    fn broadcast_shares_one_payload_allocation() {
-        let (_servers, group) = leaf_cluster(3);
-        // Encode the shared state once; every leaf's reply must embed it.
-        let shared = Bytes::from(vec![0x5A; 256]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        group.broadcast(2, shared.clone(), move |result| {
-            tx.send(result).unwrap();
-        });
-        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        for reply in result.successes() {
-            assert_eq!(&reply[1..], &shared[..]);
         }
     }
 
@@ -915,7 +709,7 @@ mod tests {
             .map(|i| Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(i))).unwrap())
             .collect();
         let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
-        let group = FanoutGroup::connect_pooled(&addrs, 3).unwrap();
+        let group = FanoutGroup::connect_with_plan_via(&addrs, 3, None, None).unwrap();
         assert_eq!(group.len(), 2);
         // Repeated picks must rotate through distinct connections.
         let a = Arc::as_ptr(&group.client(0));
@@ -987,7 +781,8 @@ mod tests {
     #[test]
     fn broken_connection_is_skipped_then_reconnected() {
         let server = Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(7))).unwrap();
-        let group = FanoutGroup::connect_pooled(&[server.local_addr()], 2).unwrap();
+        let group =
+            FanoutGroup::connect_with_plan_via(&[server.local_addr()], 2, None, None).unwrap();
         assert_eq!(group.live_count(0), 2);
         // Break one connection; picks must route around it.
         group.client(0).shutdown();
@@ -999,7 +794,6 @@ mod tests {
         assert_eq!(group.reconnect(0).unwrap(), 1, "one closed connection replaced");
         assert_eq!(group.live_count(0), 2);
         assert_eq!(group.reconnect(0).unwrap(), 0, "reconnect is idempotent");
-        assert_eq!(group.leaf_addr(0), server.local_addr());
     }
 
     #[test]
@@ -1012,7 +806,6 @@ mod tests {
         let reactor =
             Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..ReactorConfig::default() }));
         let group = FanoutGroup::connect_with_plan_via(&addrs, 2, None, Some(&reactor)).unwrap();
-        assert!(group.reactor().is_some());
         // Registrations are adopted on the sweepers' next pass; poll
         // rather than racing the adoption.
         let adopted = |want: u64| {
@@ -1059,14 +852,11 @@ mod tests {
         let group = FanoutGroup::connect(&addrs).unwrap();
         let requests: Vec<_> = (0..3).map(|leaf| (leaf, 1u32, vec![0u8])).collect();
         let (tx, rx) = std::sync::mpsc::channel();
-        group.scatter_opts(
-            requests,
-            Some(std::time::Duration::from_millis(200)),
-            Priority::Critical,
-            move |result| {
-                tx.send(result).unwrap();
-            },
-        );
+        let opts = CallOptions {
+            priority: Priority::Critical,
+            ..CallOptions::within(std::time::Duration::from_millis(200))
+        };
+        group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
         let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         assert!(result.all_ok());
         for reply in result.successes() {
@@ -1155,15 +945,9 @@ mod tests {
         // A member whose budget is far smaller than the merge window
         // expires while parked; its batchmate must still be served.
         let expired_tx = tx.clone();
-        group.issue(
-            0,
-            1,
-            vec![1u8],
-            Some(std::time::Duration::from_millis(1)),
-            Priority::Normal,
-            move |r| expired_tx.send(("expired", r)).unwrap(),
-        );
-        group.issue(0, 1, vec![2u8], None, Priority::Normal, move |r| {
+        let tight = CallOptions::within(std::time::Duration::from_millis(1));
+        group.issue(0, 1, vec![1u8], tight, move |r| expired_tx.send(("expired", r)).unwrap());
+        group.issue(0, 1, vec![2u8], CallOptions::default(), move |r| {
             tx.send(("healthy", r)).unwrap()
         });
         let mut outcomes = std::collections::HashMap::new();
@@ -1181,16 +965,17 @@ mod tests {
 
     #[test]
     fn dropping_group_completes_parked_subcalls() {
-        let (_servers, group) = leaf_cluster(1);
-        let group =
-            group.with_batching(BatchPolicy::new(64, std::time::Duration::from_secs(3600)));
+        let (servers, group) = leaf_cluster(1);
+        let group = group.with_batching(BatchPolicy::new(64, std::time::Duration::from_secs(3600)));
         let (tx, rx) = std::sync::mpsc::channel();
-        group.issue(0, 1, vec![9u8], None, Priority::Normal, move |r| tx.send(r).unwrap());
+        group.issue(0, 1, vec![9u8], CallOptions::default(), move |r| tx.send(r).unwrap());
         // The hour-long merge window never elapses; dropping the group
-        // must force-flush the parked call rather than strand it.
+        // aborts the parked call rather than stranding or sending it.
         drop(group);
         let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert_eq!(result.unwrap()[..], [0u8, 9]);
+        assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
+        assert!(rx.recv().is_err(), "the callback ran once and was dropped");
+        assert_eq!(servers[0].stats().requests(), 0, "nothing was flushed onto the wire");
     }
 
     #[test]
@@ -1206,7 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn scatter_deadline_times_out_stuck_leaf() {
+    fn scatter_timeout_fails_only_the_stuck_leaf() {
         use std::net::TcpListener;
         // Leaf 0 is healthy; "leaf" 1 accepts but never responds.
         let server = Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(0))).unwrap();
@@ -1220,7 +1005,10 @@ mod tests {
         });
         let group = FanoutGroup::connect(&[server.local_addr(), stuck_addr]).unwrap();
         let requests = vec![(0usize, 1u32, vec![1u8]), (1, 1, vec![2u8])];
-        let result = group.scatter_wait_deadline(requests, std::time::Duration::from_millis(200));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let opts = CallOptions::within(std::time::Duration::from_millis(200));
+        group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
+        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         assert!(result.replies[0].is_ok(), "healthy leaf replied");
         assert!(
             matches!(result.replies[1], Err(RpcError::TimedOut)),
@@ -1237,7 +1025,7 @@ mod model_tests {
     use super::*;
     use musuite_check::{thread, Checker};
 
-    /// `scatter_deadline`'s gather race: a leaf response and the reaper's
+    /// A bounded scatter's gather race: a leaf response and the reaper's
     /// `TimedOut` arrive concurrently on different slots. In every
     /// interleaving the merge runs exactly once — on whichever arrival is
     /// last — and observes both slots filled.
@@ -1273,6 +1061,55 @@ mod model_tests {
             })
             .expect("gather must merge exactly once in every schedule");
         assert!(report.iterations > 1, "both arrival orders must be explored");
+    }
+
+    /// The merge flusher's delay flush races the group's drop over one
+    /// parked sub-call: the flusher takes the buffer to send it, or the
+    /// drop takes it to abort it. In every interleaving the callback runs
+    /// exactly once, and a second abort finds nothing left.
+    #[test]
+    fn flusher_vs_drop_completes_parked_call_exactly_once() {
+        let report = Checker::new()
+            .check(|| {
+                let completed = Arc::new(AtomicUsize::new(0));
+                let opened = Instant::now();
+                let merge = Arc::new(MergeState {
+                    policy: BatchPolicy::new(8, std::time::Duration::from_millis(1)),
+                    buffers: vec![Mutex::new(MergeBuffer {
+                        calls: vec![BufferedCall {
+                            method: 1,
+                            payload: Payload::new(),
+                            deadline: None,
+                            priority: Priority::Normal,
+                            done: Box::new({
+                                let completed = completed.clone();
+                                move |_| {
+                                    completed.fetch_add(1, Ordering::AcqRel);
+                                }
+                            }),
+                        }],
+                        opened_at: Some(opened),
+                    })],
+                    stats: BatchStats::default(),
+                });
+                let flusher = {
+                    let merge = merge.clone();
+                    thread::spawn(move || {
+                        // Stands in for the send: the connection's own
+                        // path completes a call once it has been handed over.
+                        let due = opened + std::time::Duration::from_secs(1);
+                        for call in merge.take_due(0, due) {
+                            (call.done)(Ok(Bytes::new()));
+                        }
+                    })
+                };
+                merge.abort(0);
+                flusher.join().unwrap();
+                merge.abort(0);
+                assert_eq!(completed.load(Ordering::Acquire), 1, "exactly one completion");
+            })
+            .expect("a parked call must complete exactly once in every schedule");
+        assert!(report.iterations > 1, "both claim orders must be explored");
     }
 
     /// Seeded buggy fixture: completing a slot behind a check-then-act

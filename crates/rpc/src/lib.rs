@@ -75,12 +75,13 @@ pub mod resilient;
 pub mod server;
 pub mod service;
 pub mod stats;
+mod timer;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
 pub use buf::{
     BufferPool, ConnWriter, FrameAccumulator, FrameReader, FrameWriter, Payload, PooledBuf,
 };
-pub use client::{BatchCall, RpcClient};
+pub use client::{BatchCall, CallOptions, RpcClient};
 pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
 pub use error::{FailureKind, RpcError};
 pub use fanout::FanoutGroup;

@@ -384,9 +384,11 @@ struct Conn {
 
 fn close_conn(mut conn: Conn, reason: CloseReason, stats: &ReactorStats, live: &AtomicUsize) {
     let _ = conn.stream.shutdown(Shutdown::Both);
-    conn.driver.on_close(reason);
+    // Counted out before the driver hears of it: whoever `on_close` wakes
+    // must not still see this connection as live.
     stats.record_closed();
     live.fetch_sub(1, Ordering::AcqRel);
+    conn.driver.on_close(reason);
 }
 
 /// The sweep loop proper. A stuck sweeper stalls timers and frame

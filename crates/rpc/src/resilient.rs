@@ -30,19 +30,17 @@
 //! [`RpcClient`]: crate::client::RpcClient
 
 use crate::buf::Payload;
+use crate::client::CallOptions;
 use crate::error::RpcError;
 use crate::fanout::{FanoutGroup, FanoutResult, ScatterState};
+use crate::timer::{Fate, Timer};
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
-use musuite_check::sync::{Condvar, Mutex};
-use musuite_check::thread::{Builder, JoinHandle};
+use musuite_check::sync::Mutex;
 use musuite_codec::Priority;
 use musuite_telemetry::clock::Clock;
-use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::histogram::LatencyHistogram;
 use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -322,40 +320,13 @@ enum TimerTask {
     Reconnect { leaf: usize },
 }
 
-struct Timed {
-    at: Instant,
-    seq: u64,
-    task: TimerTask,
-}
-
-impl PartialEq for Timed {
-    fn eq(&self, other: &Timed) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Timed {}
-impl PartialOrd for Timed {
-    fn partial_cmp(&self, other: &Timed) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timed {
-    fn cmp(&self, other: &Timed) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-struct TimerState {
-    heap: BinaryHeap<Reverse<Timed>>,
-    seq: u64,
-    shutdown: bool,
-    thread: Option<JoinHandle<()>>,
-}
-
-type TimerQueue = Arc<(Mutex<TimerState>, Condvar)>;
-
 /// A [`FanoutGroup`] wrapped with hedging, retry, circuit-breaker, and
 /// background-reconnect machinery (see module docs).
+///
+/// Shutdown and drop **abort**: queued hedges and retries are cancelled
+/// (each slot still delivers exactly once, with its last error) and every
+/// leaf connection is closed, so in-flight attempts fail as transport
+/// errors; nothing is waited for.
 ///
 /// # Examples
 ///
@@ -367,7 +338,7 @@ pub struct ResilientFanout {
     breakers: Vec<CircuitBreaker>,
     counters: ResilienceCounters,
     attempt_hist: Mutex<LatencyHistogram>,
-    timers: TimerQueue,
+    timers: Timer<TimerTask>,
     clock: Clock,
 }
 
@@ -378,22 +349,31 @@ impl ResilientFanout {
             Some(breaker) => (0..group.len()).map(|_| CircuitBreaker::new(breaker)).collect(),
             None => Vec::new(),
         };
-        Arc::new(ResilientFanout {
-            group,
-            config,
-            breakers,
-            counters: ResilienceCounters::new(),
-            attempt_hist: Mutex::new(LatencyHistogram::new()),
-            timers: Arc::new((
-                Mutex::new(TimerState {
-                    heap: BinaryHeap::new(),
-                    seq: 0,
-                    shutdown: false,
-                    thread: None,
-                }),
-                Condvar::new(),
-            )),
-            clock: Clock::new(),
+        Arc::new_cyclic(|owner: &Weak<ResilientFanout>| {
+            let owner = owner.clone();
+            let timers = Timer::new("musuite-resilient-timer", move |task, fate| {
+                match (fate, owner.upgrade()) {
+                    (Fate::Due, Some(rf)) => rf.run_task(task),
+                    // Cancelled, or the owner is gone: a slot-bound task
+                    // still owes its pending release — without it, a
+                    // gather whose hedge/retry was queued never completes.
+                    _ => match task {
+                        TimerTask::Hedge { slot } | TimerTask::Retry { slot, .. } => {
+                            slot.release_pending()
+                        }
+                        TimerTask::Reconnect { .. } => {}
+                    },
+                }
+            });
+            ResilientFanout {
+                group,
+                config,
+                breakers,
+                counters: ResilienceCounters::new(),
+                attempt_hist: Mutex::new(LatencyHistogram::new()),
+                timers,
+                clock: Clock::new(),
+            }
         })
     }
 
@@ -458,38 +438,24 @@ impl ResilientFanout {
     /// `on_complete` when every slot has delivered (a winning response or
     /// its final error). Slot order in the result matches `calls` order.
     ///
+    /// `opts.timeout` is the end-to-end bound (the caller's remaining
+    /// budget) and `opts.priority` rides on every attempt's wire frame.
+    /// Each attempt — primary, hedge, or retry — is clamped to whatever is
+    /// left of the budget when it launches, so a retry after backoff
+    /// departs with a *smaller* budget than the primary, and a slot whose
+    /// budget is exhausted fails fast instead of issuing work nobody is
+    /// waiting for.
+    ///
     /// An empty call list completes immediately on the calling thread.
     ///
     /// # Panics
     ///
     /// Panics if any target index is out of bounds.
-    pub fn scatter<F>(self: &Arc<Self>, calls: Vec<LeafCall>, on_complete: F)
+    pub fn scatter<F>(self: &Arc<Self>, calls: Vec<LeafCall>, opts: CallOptions, on_complete: F)
     where
         F: FnOnce(FanoutResult) + Send + 'static,
     {
-        self.scatter_opts(calls, None, Priority::Normal, on_complete);
-    }
-
-    /// As [`ResilientFanout::scatter`], bounded by an end-to-end `timeout`
-    /// (the caller's remaining budget) and carrying `priority` on every
-    /// attempt's wire frame. Each attempt — primary, hedge, or retry — is
-    /// clamped to whatever is left of the budget when it launches, so a
-    /// retry after backoff departs with a *smaller* budget than the
-    /// primary, and a slot whose budget is exhausted fails fast instead of
-    /// issuing work nobody is waiting for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target index is out of bounds.
-    pub fn scatter_opts<F>(
-        self: &Arc<Self>,
-        calls: Vec<LeafCall>,
-        timeout: Option<Duration>,
-        priority: Priority,
-        on_complete: F,
-    ) where
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
+        let CallOptions { timeout, priority } = opts;
         let deadline = timeout.map(|limit| Instant::now() + limit);
         if calls.is_empty() {
             on_complete(FanoutResult { replies: Vec::new(), elapsed_ns: 0 });
@@ -525,7 +491,8 @@ impl ResilientFanout {
                 priority,
             });
             if let Some(delay) = hedge_delay {
-                self.schedule(Instant::now() + delay, TimerTask::Hedge { slot: slot.clone() });
+                self.timers
+                    .schedule(Instant::now() + delay, TimerTask::Hedge { slot: slot.clone() });
             }
             let primary = slot.targets[0];
             self.launch_attempt(&slot, primary, false);
@@ -533,24 +500,9 @@ impl ResilientFanout {
     }
 
     /// Blocking variant of [`ResilientFanout::scatter`].
-    pub fn scatter_wait(self: &Arc<Self>, calls: Vec<LeafCall>) -> FanoutResult {
+    pub fn scatter_wait(self: &Arc<Self>, calls: Vec<LeafCall>, opts: CallOptions) -> FanoutResult {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter(calls, move |result| {
-            let _ = tx.send(result);
-        });
-        // lint: allow(expect): every slot delivers exactly once, so the completion always runs
-        rx.recv().expect("resilient scatter completion always runs")
-    }
-
-    /// Blocking variant of [`ResilientFanout::scatter_opts`].
-    pub fn scatter_wait_opts(
-        self: &Arc<Self>,
-        calls: Vec<LeafCall>,
-        timeout: Option<Duration>,
-        priority: Priority,
-    ) -> FanoutResult {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter_opts(calls, timeout, priority, move |result| {
+        self.scatter(calls, opts, move |result| {
             let _ = tx.send(result);
         });
         // lint: allow(expect): every slot delivers exactly once, so the completion always runs
@@ -620,14 +572,8 @@ impl ResilientFanout {
         };
         // Through the group's request path, so attempts from concurrent
         // scatters merge into one envelope when batching is enabled.
-        self.group.issue(
-            target,
-            slot.method,
-            slot.payload.clone(),
-            attempt_limit,
-            slot.priority,
-            callback,
-        );
+        let opts = CallOptions { timeout: attempt_limit, priority: slot.priority };
+        self.group.issue(target, slot.method, slot.payload.clone(), opts, callback);
     }
 
     /// Runs on the response pick-up (or reaper) thread when one attempt
@@ -676,7 +622,7 @@ impl ResilientFanout {
                     // Try to heal the leaf in the background so the
                     // half-open probe has a fresh connection to use.
                     if let Some(breaker_cfg) = &self.config.breaker {
-                        self.schedule(
+                        self.timers.schedule(
                             Instant::now() + breaker_cfg.cooldown,
                             TimerTask::Reconnect { leaf: target },
                         );
@@ -692,7 +638,7 @@ impl ResilientFanout {
         if slot.take_retry() {
             self.tick(ResilienceEvent::Retry);
             let next = slot.next_target();
-            self.schedule(
+            self.timers.schedule(
                 Instant::now() + self.config.backoff,
                 TimerTask::Retry { slot: slot.clone(), target: next },
             );
@@ -701,54 +647,34 @@ impl ResilientFanout {
         }
     }
 
-    /// Enqueues a timed task, lazily spawning the timer thread. After
-    /// shutdown, slot-bound tasks settle immediately instead of enqueuing
-    /// so no gather is left waiting on a dead timer.
-    fn schedule(self: &Arc<Self>, at: Instant, task: TimerTask) {
-        let (state_lock, cv) = &*self.timers;
-        let mut state = state_lock.lock();
-        if state.shutdown {
-            drop(state);
-            settle_cancelled(task);
-            return;
+    /// One due hedge, retry or reconnect; runs on the timer thread.
+    fn run_task(self: &Arc<Self>, task: TimerTask) {
+        match task {
+            // Another attempt already delivered: nothing left to launch.
+            TimerTask::Hedge { slot } | TimerTask::Retry { slot, .. } if slot.is_done() => {
+                slot.release_pending()
+            }
+            TimerTask::Hedge { slot } => {
+                self.tick(ResilienceEvent::HedgeFired);
+                let target = slot.next_target();
+                self.launch_attempt(&slot, target, true);
+            }
+            TimerTask::Retry { slot, target } => self.launch_attempt(&slot, target, false),
+            TimerTask::Reconnect { leaf } => {
+                if let Ok(replaced) = self.group.reconnect(leaf) {
+                    if replaced > 0 {
+                        self.tick(ResilienceEvent::Reconnect);
+                    }
+                }
+            }
         }
-        let seq = state.seq;
-        state.seq += 1;
-        state.heap.push(Reverse(Timed { at, seq, task }));
-        if state.thread.is_none() {
-            let timers = self.timers.clone();
-            let owner = Arc::downgrade(self);
-            OsOpCounters::global().incr(OsOp::Clone);
-            state.thread = Some(
-                Builder::new()
-                    .name("musuite-resilient-timer".to_string())
-                    .spawn(move || run_timer_thread(timers, owner))
-                    .expect("spawn resilient timer thread"), // lint: allow(expect): hedges and retries are unschedulable without it
-            );
-        }
-        cv.notify_one();
     }
 
-    /// Stops the timer thread (settling any queued hedge/retry tasks so
-    /// in-flight gathers complete) and closes every leaf connection, so
-    /// in-flight leaf calls fail fast as transport errors. Idempotent.
+    /// Cancels every queued hedge/retry task (settling them so in-flight
+    /// gathers complete) and closes every leaf connection, so in-flight
+    /// leaf calls fail fast as transport errors. Idempotent.
     pub fn shutdown(&self) {
-        let thread = {
-            let (state_lock, cv) = &*self.timers;
-            let mut state = state_lock.lock();
-            state.shutdown = true;
-            let drained: Vec<Timed> = state.heap.drain().map(|Reverse(timed)| timed).collect();
-            let thread = state.thread.take();
-            cv.notify_all();
-            drop(state);
-            for timed in drained {
-                settle_cancelled(timed.task);
-            }
-            thread
-        };
-        if let Some(handle) = thread {
-            let _ = handle.join();
-        }
+        self.timers.shutdown();
         self.group.shutdown_all();
     }
 }
@@ -765,68 +691,6 @@ impl std::fmt::Debug for ResilientFanout {
             .field("leaves", &self.group.len())
             .field("config", &self.config)
             .finish()
-    }
-}
-
-/// A cancelled slot-bound task still owes its pending release — without
-/// it, a gather whose hedge/retry was queued at shutdown never completes.
-fn settle_cancelled(task: TimerTask) {
-    match task {
-        TimerTask::Hedge { slot } | TimerTask::Retry { slot, .. } => slot.release_pending(),
-        TimerTask::Reconnect { .. } => {}
-    }
-}
-
-fn run_timer_thread(timers: TimerQueue, owner: Weak<ResilientFanout>) {
-    let (state_lock, cv) = &*timers;
-    let mut state = state_lock.lock();
-    loop {
-        if state.shutdown {
-            break;
-        }
-        let Some(Reverse(head)) = state.heap.peek() else {
-            cv.wait(&mut state);
-            continue;
-        };
-        let now = Instant::now();
-        if head.at > now {
-            let sleep = head.at - now;
-            cv.wait_for(&mut state, sleep);
-            continue;
-        }
-        let Some(Reverse(timed)) = state.heap.pop() else {
-            continue;
-        };
-        // Execute outside the lock: tasks may schedule follow-up work.
-        drop(state);
-        match (timed.task, owner.upgrade()) {
-            (TimerTask::Hedge { slot }, Some(rf)) => {
-                if slot.is_done() {
-                    slot.release_pending();
-                } else {
-                    rf.tick(ResilienceEvent::HedgeFired);
-                    let target = slot.next_target();
-                    rf.launch_attempt(&slot, target, true);
-                }
-            }
-            (TimerTask::Retry { slot, target }, Some(rf)) => {
-                if slot.is_done() {
-                    slot.release_pending();
-                } else {
-                    rf.launch_attempt(&slot, target, false);
-                }
-            }
-            (TimerTask::Reconnect { leaf }, Some(rf)) => {
-                if let Ok(replaced) = rf.group.reconnect(leaf) {
-                    if replaced > 0 {
-                        rf.tick(ResilienceEvent::Reconnect);
-                    }
-                }
-            }
-            // The owner is gone: settle slot obligations, skip the rest.
-            (task, None) => settle_cancelled(task),
-        }
-        state = state_lock.lock();
     }
 }
 
@@ -862,7 +726,7 @@ mod tests {
         let (_servers, group) = leaf_cluster(3);
         let rf = ResilientFanout::new(group, ResilientConfig::default());
         let calls: Vec<_> = (0..3).map(|leaf| LeafCall::new(leaf, 1, vec![9u8])).collect();
-        let result = rf.scatter_wait(calls);
+        let result = rf.scatter_wait(calls, CallOptions::default());
         assert!(result.all_ok());
         for (leaf, reply) in result.successes().iter().enumerate() {
             assert_eq!(reply, &[leaf as u8, 9]);
@@ -874,7 +738,7 @@ mod tests {
     fn empty_scatter_completes_immediately() {
         let (_servers, group) = leaf_cluster(1);
         let rf = ResilientFanout::new(group, ResilientConfig::default());
-        let result = rf.scatter_wait(Vec::new());
+        let result = rf.scatter_wait(Vec::new(), CallOptions::default());
         assert!(result.replies.is_empty());
     }
 
@@ -897,7 +761,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let calls: Vec<_> =
                     (0..2).map(|leaf| LeafCall::new(leaf, 1, vec![round])).collect();
-                let result = rf.scatter_wait(calls);
+                let result = rf.scatter_wait(calls, CallOptions::default());
                 assert!(result.all_ok());
                 for (leaf, reply) in result.successes().iter().enumerate() {
                     assert_eq!(reply, &[leaf as u8, round]);
@@ -924,7 +788,7 @@ mod tests {
         };
         let rf = ResilientFanout::new(group, config);
         let call = LeafCall::new(0, 1, vec![7u8]).with_alternates(vec![1]);
-        let result = rf.scatter_wait(vec![call]);
+        let result = rf.scatter_wait(vec![call], CallOptions::default());
         assert!(result.all_ok(), "retry must fail over to the healthy replica: {result:?}");
         assert_eq!(result.successes()[0], [1u8, 7], "served by the alternate leaf");
         assert!(rf.counters().get(ResilienceEvent::Retry) >= 1);
@@ -942,7 +806,7 @@ mod tests {
             ..ResilientConfig::default()
         };
         let rf = ResilientFanout::new(group, config);
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], CallOptions::default());
         assert_eq!(result.err_count(), 1);
         assert_eq!(result.kind_of(0), Some(FailureKind::Transport));
         assert_eq!(rf.counters().get(ResilienceEvent::Retry), 1);
@@ -960,12 +824,13 @@ mod tests {
         let rf = ResilientFanout::new(group, config);
         // First calls fail as transport errors and charge the breaker.
         for _ in 0..2 {
-            let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+            let result =
+                rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], CallOptions::default());
             assert_eq!(result.err_count(), 1);
         }
         assert_eq!(rf.counters().get(ResilienceEvent::BreakerOpened), 1);
         // Now the breaker sheds instantly without touching the socket.
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], CallOptions::default());
         assert_eq!(result.kind_of(0), Some(FailureKind::ShedBreaker));
         assert!(matches!(result.replies[0], Err(RpcError::CircuitOpen)));
     }
@@ -992,11 +857,11 @@ mod tests {
         };
         let rf = ResilientFanout::new(group, config);
         let started = Instant::now();
-        let result = rf.scatter_wait_opts(
-            vec![LeafCall::new(0, 1, vec![1u8])],
-            Some(Duration::from_millis(80)),
-            Priority::Sheddable,
-        );
+        let opts = CallOptions {
+            priority: Priority::Sheddable,
+            ..CallOptions::within(Duration::from_millis(80))
+        };
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], opts);
         assert_eq!(result.err_count(), 1);
         assert!(
             matches!(result.replies[0], Err(RpcError::TimedOut)),
@@ -1019,23 +884,24 @@ mod tests {
         // While armed, leaf 0 is dead: every send disconnects, reconnects
         // are refused. Disarming simulates the leaf coming back.
         let plan = FaultPlan::builder(23, 1).dead_leaf(0).build();
-        let group = Arc::new(FanoutGroup::connect_with_plan(&addrs, 1, Some(&plan)).unwrap());
+        let group =
+            Arc::new(FanoutGroup::connect_with_plan_via(&addrs, 1, Some(&plan), None).unwrap());
         let config = ResilientConfig {
             breaker: Some(BreakerConfig { threshold: 1, cooldown: Duration::from_millis(30) }),
             ..ResilientConfig::default()
         };
         let rf = ResilientFanout::new(group, config);
         plan.arm();
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], CallOptions::default());
         assert_eq!(result.err_count(), 1);
         assert_eq!(rf.counters().get(ResilienceEvent::BreakerOpened), 1);
         // Shed while the cooldown is pending.
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], CallOptions::default());
         assert!(matches!(result.replies[0], Err(RpcError::CircuitOpen)), "{result:?}");
         // The leaf recovers; the half-open probe reconnects and closes.
         plan.disarm();
         std::thread::sleep(Duration::from_millis(60));
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![2u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![2u8])], CallOptions::default());
         assert!(result.all_ok(), "half-open probe must recover: {result:?}");
         assert!(rf.counters().get(ResilienceEvent::BreakerProbe) >= 1);
         assert!(rf.counters().get(ResilienceEvent::BreakerClosed) >= 1);
@@ -1048,7 +914,8 @@ mod tests {
         let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
         // Leaf 0's sends are held back 300ms; leaf 1 is healthy.
         let plan = FaultPlan::builder(21, 2).slow_leaf(0, Duration::from_millis(300)).build();
-        let group = Arc::new(FanoutGroup::connect_with_plan(&addrs, 1, Some(&plan)).unwrap());
+        let group =
+            Arc::new(FanoutGroup::connect_with_plan_via(&addrs, 1, Some(&plan), None).unwrap());
         let config = ResilientConfig {
             hedge: HedgePolicy::After(Duration::from_millis(20)),
             breaker: None,
@@ -1058,7 +925,7 @@ mod tests {
         plan.arm();
         let started = Instant::now();
         let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(vec![1]);
-        let result = rf.scatter_wait(vec![call]);
+        let result = rf.scatter_wait(vec![call], CallOptions::default());
         let elapsed = started.elapsed();
         assert!(result.all_ok(), "hedge must win: {result:?}");
         assert_eq!(result.successes()[0], [1u8, 3], "the hedge's replica answered");
@@ -1084,7 +951,8 @@ mod tests {
         let rf = ResilientFanout::new(group, config);
         assert_eq!(rf.hedge_delay(), None, "no estimate before 64 attempts");
         for round in 0..70u8 {
-            let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![round])]);
+            let result =
+                rf.scatter_wait(vec![LeafCall::new(0, 1, vec![round])], CallOptions::default());
             assert!(result.all_ok());
         }
         let delay = rf.hedge_delay().expect("estimate after warm-up");
@@ -1109,7 +977,8 @@ mod tests {
                 },
             )
             .build();
-        let group = Arc::new(FanoutGroup::connect_with_plan(&addrs, 1, Some(&plan)).unwrap());
+        let group =
+            Arc::new(FanoutGroup::connect_with_plan_via(&addrs, 1, Some(&plan), None).unwrap());
         let config = ResilientConfig {
             retries: 2,
             backoff: Duration::from_millis(10),
@@ -1119,7 +988,7 @@ mod tests {
         };
         let rf = ResilientFanout::new(group, config);
         plan.arm();
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![0xAB])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![0xAB])], CallOptions::default());
         assert!(result.all_ok(), "retry after checksum rejection must succeed: {result:?}");
         assert_eq!(result.successes()[0], [0u8, 0xAB], "data intact after retry");
         assert!(rf.counters().get(ResilienceEvent::Retry) >= 1);
@@ -1135,7 +1004,7 @@ mod tests {
             ..ResilientConfig::default()
         };
         let rf = ResilientFanout::new(group, config);
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![5u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![5u8])], CallOptions::default());
         assert!(result.all_ok());
         rf.shutdown();
         rf.shutdown();
@@ -1143,7 +1012,7 @@ mod tests {
         // queued hedge settles instantly) instead of hanging on a timer.
         _servers[0].shutdown();
         let started = Instant::now();
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![6u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![6u8])], CallOptions::default());
         assert_eq!(result.err_count(), 1);
         assert!(started.elapsed() < Duration::from_secs(5), "must not wait for the 60s hedge");
     }

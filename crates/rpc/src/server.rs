@@ -91,6 +91,9 @@ impl ConnTable {
 /// A running RPC server.
 ///
 /// Dropping the server shuts it down and joins every thread it spawned.
+/// Shutdown **aborts** for callers — every connection closes at once, so
+/// their in-flight calls fail with `ConnectionClosed`; requests already
+/// queued still run (the worker pool drains), but into closed sockets.
 ///
 /// # Examples
 ///
@@ -641,7 +644,7 @@ fn spawn_poller(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::RpcClient;
+    use crate::client::{CallOptions, RpcClient};
     use crate::config::WaitMode;
     use bytes::Bytes;
     use std::time::Duration;
@@ -1023,7 +1026,11 @@ mod tests {
         }
         // A sheddable arrival is refused at the gate...
         let err = client
-            .call_opts(1, Vec::new(), None, Priority::Sheddable)
+            .call_opts(
+                1,
+                Vec::new(),
+                CallOptions { priority: Priority::Sheddable, ..Default::default() },
+            )
             .expect_err("sheddable must be shed at threshold");
         assert_eq!(err.failure_kind(), FailureKind::Shed, "got {err:?}");
         assert_eq!(server.stats().shed(Priority::Sheddable), 1);
@@ -1074,7 +1081,7 @@ mod tests {
         // ...then queue a request whose budget expires long before the
         // worker frees up. It must be answered without ever running.
         let err = client
-            .call_opts(1, Vec::new(), Some(Duration::from_millis(5)), Priority::Normal)
+            .call_opts(1, Vec::new(), CallOptions::within(Duration::from_millis(5)))
             .expect_err("tiny-budget request behind a 40ms hog cannot succeed");
         assert!(
             matches!(
@@ -1145,7 +1152,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         // ...then queue one request that will expire behind the hog and
         // one unbounded batchmate that must still execute.
-        client.call_async_opts(1, Vec::new(), Some(Duration::from_millis(5)), Priority::Normal, |_| {});
+        client.call_async_opts(
+            1,
+            Vec::new(),
+            CallOptions::within(Duration::from_millis(5)),
+            |_| {},
+        );
         let (tx, rx) = std::sync::mpsc::channel();
         client.call_async(1, Vec::new(), move |result| {
             tx.send(result).unwrap();

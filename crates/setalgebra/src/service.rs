@@ -6,7 +6,7 @@ use crate::protocol::{PostingList, TermQuery};
 use musuite_core::cluster::{Cluster, ClusterConfig, TypedClient};
 use musuite_core::degrade::Degraded;
 use musuite_data::text::{DocId, TermId, TextCorpus};
-use musuite_rpc::RpcError;
+use musuite_rpc::{CallOptions, RpcError};
 use std::net::SocketAddr;
 
 /// A running Set Algebra deployment: sharded inverted indexes behind a
@@ -120,7 +120,7 @@ impl SetAlgebraClient {
     ///
     /// Returns transport errors or a below-quorum shard failure.
     pub fn search_with_status(&self, terms: &[TermId]) -> Result<Degraded<PostingList>, RpcError> {
-        self.inner.call_typed(&TermQuery { terms: terms.to_vec() })
+        self.inner.call_typed(&TermQuery { terms: terms.to_vec() }, CallOptions::default())
     }
 
     /// The underlying typed client (for async use in load generators).

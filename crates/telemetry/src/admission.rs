@@ -5,13 +5,13 @@
 //! point so overload experiments can report *why* requests were refused —
 //! which priority class was shed, whether work died before or after it
 //! reached the dispatch queue, and how often the adaptive limiter moved —
-//! alongside the latency distributions. The design mirrors
-//! [`crate::resilience::ResilienceCounters`]: a fixed enum indexes a flat
-//! array of relaxed atomics, with scoped instances for tests and one
-//! process-wide instance for production telemetry.
+//! alongside the latency distributions. The counter machinery is
+//! [`crate::counters::EventCounters`]; this module contributes the enum,
+//! its name table and the shed/expired roll-ups.
 
-use musuite_check::atomic::{AtomicU64, Ordering};
+use crate::counters::{Event, EventCounters, EventSnapshot};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Overload-control events tallied by the admission layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,20 +37,18 @@ pub enum AdmissionEvent {
     LimitLowered,
 }
 
-/// All admission events in display order.
-pub const ALL_ADMISSION_EVENTS: [AdmissionEvent; 7] = [
-    AdmissionEvent::ShedCritical,
-    AdmissionEvent::ShedNormal,
-    AdmissionEvent::ShedSheddable,
-    AdmissionEvent::ExpiredAtArrival,
-    AdmissionEvent::ExpiredInQueue,
-    AdmissionEvent::LimitRaised,
-    AdmissionEvent::LimitLowered,
-];
+impl Event<7> for AdmissionEvent {
+    const ALL: [AdmissionEvent; 7] = [
+        AdmissionEvent::ShedCritical,
+        AdmissionEvent::ShedNormal,
+        AdmissionEvent::ShedSheddable,
+        AdmissionEvent::ExpiredAtArrival,
+        AdmissionEvent::ExpiredInQueue,
+        AdmissionEvent::LimitRaised,
+        AdmissionEvent::LimitLowered,
+    ];
 
-impl AdmissionEvent {
-    /// Short stable name used in reports.
-    pub fn name(&self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             AdmissionEvent::ShedCritical => "shed_critical",
             AdmissionEvent::ShedNormal => "shed_normal",
@@ -62,11 +60,13 @@ impl AdmissionEvent {
         }
     }
 
-    fn index(&self) -> usize {
-        ALL_ADMISSION_EVENTS
-            .iter()
-            .position(|event| event == self)
-            .expect("event present in ALL_ADMISSION_EVENTS") // lint: allow(expect): enum and table are defined together
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn global() -> &'static AdmissionCounters {
+        static GLOBAL: OnceLock<AdmissionCounters> = OnceLock::new();
+        GLOBAL.get_or_init(EventCounters::new)
     }
 }
 
@@ -76,7 +76,7 @@ impl fmt::Display for AdmissionEvent {
     }
 }
 
-/// A set of per-event atomic counters.
+/// The overload-control counter set.
 ///
 /// # Examples
 ///
@@ -89,89 +89,12 @@ impl fmt::Display for AdmissionEvent {
 /// assert_eq!(counters.get(AdmissionEvent::ShedSheddable), 1);
 /// assert_eq!(counters.get(AdmissionEvent::ShedCritical), 0);
 /// ```
-#[derive(Default)]
-pub struct AdmissionCounters {
-    counts: [AtomicU64; ALL_ADMISSION_EVENTS.len()],
-}
-
-impl AdmissionCounters {
-    /// Creates a zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the process-wide counter set.
-    pub fn global() -> &'static AdmissionCounters {
-        use std::sync::OnceLock;
-        static GLOBAL: OnceLock<AdmissionCounters> = OnceLock::new();
-        GLOBAL.get_or_init(AdmissionCounters::new)
-    }
-
-    /// Increments the counter for `event` by one.
-    #[inline]
-    pub fn incr(&self, event: AdmissionEvent) {
-        self.counts[event.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current count for `event`.
-    pub fn get(&self, event: AdmissionEvent) -> u64 {
-        self.counts[event.index()].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all counters in [`ALL_ADMISSION_EVENTS`] order.
-    pub fn snapshot(&self) -> AdmissionSnapshot {
-        let mut counts = [0u64; ALL_ADMISSION_EVENTS.len()];
-        for (slot, counter) in counts.iter_mut().zip(self.counts.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        AdmissionSnapshot { counts }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for counter in &self.counts {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl fmt::Debug for AdmissionCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdmissionCounters").field("snapshot", &self.snapshot()).finish()
-    }
-}
+pub type AdmissionCounters = EventCounters<AdmissionEvent, 7>;
 
 /// An immutable point-in-time copy of an [`AdmissionCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionSnapshot {
-    counts: [u64; ALL_ADMISSION_EVENTS.len()],
-}
+pub type AdmissionSnapshot = EventSnapshot<AdmissionEvent, 7>;
 
 impl AdmissionSnapshot {
-    /// Count for `event` at snapshot time.
-    pub fn get(&self, event: AdmissionEvent) -> u64 {
-        self.counts[event.index()]
-    }
-
-    /// Per-event difference `self - earlier`, saturating at zero.
-    pub fn since(&self, earlier: &AdmissionSnapshot) -> AdmissionSnapshot {
-        let mut counts = [0u64; ALL_ADMISSION_EVENTS.len()];
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        AdmissionSnapshot { counts }
-    }
-
-    /// Iterates over `(event, count)` pairs in display order.
-    pub fn iter(&self) -> impl Iterator<Item = (AdmissionEvent, u64)> + '_ {
-        ALL_ADMISSION_EVENTS.iter().map(move |&event| (event, self.get(event)))
-    }
-
-    /// Total of all counters.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Total requests refused at the admission gate across all classes.
     pub fn shed_total(&self) -> u64 {
         self.get(AdmissionEvent::ShedCritical)
@@ -190,56 +113,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn incr_and_get() {
-        let c = AdmissionCounters::new();
-        c.incr(AdmissionEvent::ShedNormal);
-        c.incr(AdmissionEvent::ShedNormal);
-        c.incr(AdmissionEvent::LimitLowered);
-        assert_eq!(c.get(AdmissionEvent::ShedNormal), 2);
-        assert_eq!(c.get(AdmissionEvent::LimitLowered), 1);
-        assert_eq!(c.get(AdmissionEvent::ShedCritical), 0);
-    }
-
-    #[test]
-    fn snapshot_diff_and_totals() {
+    fn shed_and_expired_roll_ups() {
         let c = AdmissionCounters::new();
         c.incr(AdmissionEvent::ShedSheddable);
         let s1 = c.snapshot();
         c.incr(AdmissionEvent::ShedSheddable);
         c.incr(AdmissionEvent::ExpiredInQueue);
         c.incr(AdmissionEvent::ExpiredAtArrival);
+        c.incr(AdmissionEvent::LimitLowered);
         let d = c.snapshot().since(&s1);
-        assert_eq!(d.get(AdmissionEvent::ShedSheddable), 1);
         assert_eq!(d.shed_total(), 1);
         assert_eq!(d.expired_total(), 2);
-        assert_eq!(d.total(), 3);
+        assert_eq!(d.total(), 4);
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let c = AdmissionCounters::new();
-        for &event in ALL_ADMISSION_EVENTS.iter() {
-            c.incr(event);
-        }
-        c.reset();
-        assert_eq!(c.snapshot().total(), 0);
-    }
-
-    #[test]
-    fn names_unique_and_displayable() {
-        let mut names: Vec<_> = ALL_ADMISSION_EVENTS.iter().map(|e| e.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ALL_ADMISSION_EVENTS.len());
-        for event in ALL_ADMISSION_EVENTS {
-            assert!(!format!("{event}").is_empty());
-        }
-    }
-
-    #[test]
-    fn global_is_singleton() {
-        let a = AdmissionCounters::global() as *const _;
-        let b = AdmissionCounters::global() as *const _;
-        assert_eq!(a, b);
+    fn admission_event_table_is_consistent() {
+        crate::counters::assert_event_table::<AdmissionEvent, 7>();
     }
 }

@@ -11,6 +11,26 @@
 
 use musuite_check::atomic::{AtomicU64, Ordering};
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::OnceLock;
+
+/// An enum whose variants index a flat array of counters: the one thing
+/// [`OsOp`], [`AdmissionEvent`](crate::admission::AdmissionEvent) and
+/// [`ResilienceEvent`](crate::resilience::ResilienceEvent) have in common.
+/// `N` is the variant count.
+pub trait Event<const N: usize>: Copy + 'static {
+    /// Every variant, in display order.
+    const ALL: [Self; N];
+
+    /// Short stable name used in reports.
+    fn name(self) -> &'static str;
+
+    /// This variant's slot in the counter array: unique and below `N`.
+    fn index(self) -> usize;
+
+    /// The process-wide counter set for this enum.
+    fn global() -> &'static EventCounters<Self, N>;
+}
 
 /// Classes of OS operations tallied by the suite, mirroring the syscalls
 /// the paper's `syscount` histograms report (Figs. 11–14).
@@ -43,22 +63,6 @@ pub enum OsOp {
     SchedYield,
 }
 
-/// All operation classes in display order (matches the paper's x-axes).
-pub const ALL_OPS: [OsOp; 12] = [
-    OsOp::OpenAt,
-    OsOp::SendMsg,
-    OsOp::EpollPwait,
-    OsOp::Write,
-    OsOp::Read,
-    OsOp::RecvMsg,
-    OsOp::Close,
-    OsOp::Futex,
-    OsOp::Clone,
-    OsOp::Mmap,
-    OsOp::Munmap,
-    OsOp::SchedYield,
-];
-
 impl OsOp {
     /// The syscall name this operation class corresponds to.
     pub fn syscall_name(&self) -> &'static str {
@@ -77,9 +81,36 @@ impl OsOp {
             OsOp::SchedYield => "sched_yield",
         }
     }
+}
 
-    fn index(&self) -> usize {
-        ALL_OPS.iter().position(|op| op == self).expect("op present in ALL_OPS")
+impl Event<12> for OsOp {
+    /// Display order matches the paper's x-axes.
+    const ALL: [OsOp; 12] = [
+        OsOp::OpenAt,
+        OsOp::SendMsg,
+        OsOp::EpollPwait,
+        OsOp::Write,
+        OsOp::Read,
+        OsOp::RecvMsg,
+        OsOp::Close,
+        OsOp::Futex,
+        OsOp::Clone,
+        OsOp::Mmap,
+        OsOp::Munmap,
+        OsOp::SchedYield,
+    ];
+
+    fn name(self) -> &'static str {
+        self.syscall_name()
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn global() -> &'static OsOpCounters {
+        static GLOBAL: OnceLock<OsOpCounters> = OnceLock::new();
+        GLOBAL.get_or_init(EventCounters::new)
     }
 }
 
@@ -89,11 +120,17 @@ impl fmt::Display for OsOp {
     }
 }
 
-/// A set of per-class atomic counters.
-///
-/// One process-wide instance (see [`OsOpCounters::global`]) is ticked by the
-/// RPC framework and the instrumented sync primitives; scoped instances can
-/// be created for tests.
+/// The OS-operation counter set ticked by the RPC framework and the
+/// instrumented sync primitives.
+pub type OsOpCounters = EventCounters<OsOp, 12>;
+
+/// An immutable point-in-time copy of an [`OsOpCounters`].
+pub type CounterSnapshot = EventSnapshot<OsOp, 12>;
+
+/// A set of per-variant relaxed atomic counters indexed by an [`Event`]
+/// enum. One process-wide instance per enum (see
+/// [`EventCounters::global`]) is ticked in production; scoped instances
+/// can be created for tests.
 ///
 /// # Examples
 ///
@@ -106,48 +143,51 @@ impl fmt::Display for OsOp {
 /// assert_eq!(counters.get(OsOp::Futex), 1);
 /// assert_eq!(counters.get(OsOp::SendMsg), 3);
 /// ```
-#[derive(Default)]
-pub struct OsOpCounters {
-    counts: [AtomicU64; ALL_OPS.len()],
+pub struct EventCounters<E, const N: usize> {
+    counts: [AtomicU64; N],
+    _event: PhantomData<E>,
 }
 
-impl OsOpCounters {
+impl<E: Event<N>, const N: usize> Default for EventCounters<E, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E: Event<N>, const N: usize> EventCounters<E, N> {
     /// Creates a zeroed counter set.
     pub fn new() -> Self {
-        Self::default()
+        EventCounters { counts: std::array::from_fn(|_| AtomicU64::new(0)), _event: PhantomData }
     }
 
     /// Returns the process-wide counter set.
-    pub fn global() -> &'static OsOpCounters {
-        use std::sync::OnceLock;
-        static GLOBAL: OnceLock<OsOpCounters> = OnceLock::new();
-        GLOBAL.get_or_init(OsOpCounters::new)
+    pub fn global() -> &'static Self {
+        E::global()
     }
 
-    /// Increments the counter for `op` by one.
+    /// Increments the counter for `event` by one.
     #[inline]
-    pub fn incr(&self, op: OsOp) {
-        self.counts[op.index()].fetch_add(1, Ordering::Relaxed);
+    pub fn incr(&self, event: E) {
+        self.add(event, 1);
     }
 
-    /// Increments the counter for `op` by `n`.
+    /// Increments the counter for `event` by `n`.
     #[inline]
-    pub fn add(&self, op: OsOp, n: u64) {
-        self.counts[op.index()].fetch_add(n, Ordering::Relaxed);
+    pub fn add(&self, event: E, n: u64) {
+        self.counts[event.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current count for `op`.
-    pub fn get(&self, op: OsOp) -> u64 {
-        self.counts[op.index()].load(Ordering::Relaxed)
+    /// Current count for `event`.
+    pub fn get(&self, event: E) -> u64 {
+        self.counts[event.index()].load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all counters in [`ALL_OPS`] order.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        let mut counts = [0u64; ALL_OPS.len()];
-        for (slot, counter) in counts.iter_mut().zip(self.counts.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
+    /// Snapshot of all counters.
+    pub fn snapshot(&self) -> EventSnapshot<E, N> {
+        EventSnapshot {
+            counts: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
+            _event: PhantomData,
         }
-        CounterSnapshot { counts }
     }
 
     /// Resets every counter to zero.
@@ -158,37 +198,36 @@ impl OsOpCounters {
     }
 }
 
-impl fmt::Debug for OsOpCounters {
+impl<E: Event<N>, const N: usize> fmt::Debug for EventCounters<E, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snap = self.snapshot();
-        f.debug_struct("OsOpCounters").field("snapshot", &snap).finish()
+        f.debug_map().entries(self.snapshot().iter().map(|(e, count)| (e.name(), count))).finish()
     }
 }
 
-/// An immutable point-in-time copy of an [`OsOpCounters`].
+/// An immutable point-in-time copy of an [`EventCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    counts: [u64; ALL_OPS.len()],
+pub struct EventSnapshot<E, const N: usize> {
+    counts: [u64; N],
+    _event: PhantomData<E>,
 }
 
-impl CounterSnapshot {
-    /// Count for `op` at snapshot time.
-    pub fn get(&self, op: OsOp) -> u64 {
-        self.counts[op.index()]
+impl<E: Event<N>, const N: usize> EventSnapshot<E, N> {
+    /// Count for `event` at snapshot time.
+    pub fn get(&self, event: E) -> u64 {
+        self.counts[event.index()]
     }
 
-    /// Per-op difference `self - earlier`, saturating at zero.
-    pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut counts = [0u64; ALL_OPS.len()];
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_sub(earlier.counts[i]);
+    /// Per-event difference `self - earlier`, saturating at zero.
+    pub fn since(&self, earlier: &Self) -> Self {
+        EventSnapshot {
+            counts: std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i])),
+            _event: PhantomData,
         }
-        CounterSnapshot { counts }
     }
 
-    /// Iterates over `(op, count)` pairs in display order.
-    pub fn iter(&self) -> impl Iterator<Item = (OsOp, u64)> + '_ {
-        ALL_OPS.iter().map(move |&op| (op, self.get(op)))
+    /// Iterates over `(event, count)` pairs in display order.
+    pub fn iter(&self) -> impl Iterator<Item = (E, u64)> + '_ {
+        E::ALL.into_iter().map(move |event| (event, self.get(event)))
     }
 
     /// Total of all counters.
@@ -197,53 +236,52 @@ impl CounterSnapshot {
     }
 }
 
+/// Test helper shared by the three event enums: names are unique and
+/// non-empty, and `index` is a bijection onto `0..N`.
+#[cfg(test)]
+pub(crate) fn assert_event_table<E: Event<N> + fmt::Display, const N: usize>() {
+    let mut names: Vec<_> = E::ALL.iter().map(|e| e.name()).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), N, "names must be unique");
+    let mut slots: Vec<_> = E::ALL.iter().map(|e| e.index()).collect();
+    slots.sort_unstable();
+    assert_eq!(slots, (0..N).collect::<Vec<_>>(), "indices must cover 0..N exactly once");
+    for event in E::ALL {
+        assert_eq!(format!("{event}"), event.name());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn incr_and_get() {
+    fn incr_add_snapshot_diff_and_reset() {
         let c = OsOpCounters::new();
         assert_eq!(c.get(OsOp::Futex), 0);
         c.incr(OsOp::Futex);
         c.incr(OsOp::Futex);
+        c.add(OsOp::SendMsg, 5);
         assert_eq!(c.get(OsOp::Futex), 2);
         assert_eq!(c.get(OsOp::RecvMsg), 0);
-    }
-
-    #[test]
-    fn snapshot_diff() {
-        let c = OsOpCounters::new();
-        c.add(OsOp::SendMsg, 5);
         let s1 = c.snapshot();
         c.add(OsOp::SendMsg, 7);
         c.incr(OsOp::Close);
-        let s2 = c.snapshot();
-        let d = s2.since(&s1);
+        let d = c.snapshot().since(&s1);
         assert_eq!(d.get(OsOp::SendMsg), 7);
         assert_eq!(d.get(OsOp::Close), 1);
         assert_eq!(d.get(OsOp::Futex), 0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = OsOpCounters::new();
-        for &op in ALL_OPS.iter() {
-            c.add(op, 3);
-        }
+        assert_eq!(d.total(), 8);
+        assert_eq!(d.iter().map(|(_, n)| n).sum::<u64>(), 8);
+        assert_eq!(d.iter().next(), Some((OsOp::OpenAt, 0)), "iteration follows display order");
         c.reset();
         assert_eq!(c.snapshot().total(), 0);
     }
 
     #[test]
-    fn all_ops_unique_and_displayable() {
-        let mut names: Vec<_> = ALL_OPS.iter().map(|op| op.syscall_name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ALL_OPS.len());
-        for op in ALL_OPS {
-            assert!(!format!("{op}").is_empty());
-        }
+    fn os_op_table_is_consistent() {
+        assert_event_table::<OsOp, 12>();
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! breakers, degraded merges) ticks these counters at each decision point
 //! so chaos experiments can report *how* a run survived — how many hedges
 //! fired and won, how often a breaker opened, how many responses were
-//! served degraded — alongside the latency distributions. The design
-//! mirrors [`crate::counters::OsOpCounters`]: a fixed enum indexes a flat
-//! array of relaxed atomics, with scoped instances for tests and one
-//! process-wide instance for production telemetry.
+//! served degraded — alongside the latency distributions. The counter
+//! machinery is [`crate::counters::EventCounters`]; this module
+//! contributes the enum and its name table.
 
-use musuite_check::atomic::{AtomicU64, Ordering};
+use crate::counters::{Event, EventCounters, EventSnapshot};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Fault-tolerance events tallied by the resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,22 +36,20 @@ pub enum ResilienceEvent {
     FaultInjected,
 }
 
-/// All resilience events in display order.
-pub const ALL_RESILIENCE_EVENTS: [ResilienceEvent; 9] = [
-    ResilienceEvent::HedgeFired,
-    ResilienceEvent::HedgeWon,
-    ResilienceEvent::Retry,
-    ResilienceEvent::BreakerOpened,
-    ResilienceEvent::BreakerProbe,
-    ResilienceEvent::BreakerClosed,
-    ResilienceEvent::Reconnect,
-    ResilienceEvent::DegradedResponse,
-    ResilienceEvent::FaultInjected,
-];
+impl Event<9> for ResilienceEvent {
+    const ALL: [ResilienceEvent; 9] = [
+        ResilienceEvent::HedgeFired,
+        ResilienceEvent::HedgeWon,
+        ResilienceEvent::Retry,
+        ResilienceEvent::BreakerOpened,
+        ResilienceEvent::BreakerProbe,
+        ResilienceEvent::BreakerClosed,
+        ResilienceEvent::Reconnect,
+        ResilienceEvent::DegradedResponse,
+        ResilienceEvent::FaultInjected,
+    ];
 
-impl ResilienceEvent {
-    /// Short stable name used in reports.
-    pub fn name(&self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             ResilienceEvent::HedgeFired => "hedge_fired",
             ResilienceEvent::HedgeWon => "hedge_won",
@@ -65,11 +63,13 @@ impl ResilienceEvent {
         }
     }
 
-    fn index(&self) -> usize {
-        ALL_RESILIENCE_EVENTS
-            .iter()
-            .position(|event| event == self)
-            .expect("event present in ALL_RESILIENCE_EVENTS") // lint: allow(expect): enum and table are defined together
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn global() -> &'static ResilienceCounters {
+        static GLOBAL: OnceLock<ResilienceCounters> = OnceLock::new();
+        GLOBAL.get_or_init(EventCounters::new)
     }
 }
 
@@ -79,7 +79,7 @@ impl fmt::Display for ResilienceEvent {
     }
 }
 
-/// A set of per-event atomic counters.
+/// The fault-tolerance counter set.
 ///
 /// # Examples
 ///
@@ -92,143 +92,17 @@ impl fmt::Display for ResilienceEvent {
 /// assert_eq!(counters.get(ResilienceEvent::HedgeFired), 1);
 /// assert_eq!(counters.get(ResilienceEvent::Retry), 0);
 /// ```
-#[derive(Default)]
-pub struct ResilienceCounters {
-    counts: [AtomicU64; ALL_RESILIENCE_EVENTS.len()],
-}
-
-impl ResilienceCounters {
-    /// Creates a zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the process-wide counter set.
-    pub fn global() -> &'static ResilienceCounters {
-        use std::sync::OnceLock;
-        static GLOBAL: OnceLock<ResilienceCounters> = OnceLock::new();
-        GLOBAL.get_or_init(ResilienceCounters::new)
-    }
-
-    /// Increments the counter for `event` by one.
-    #[inline]
-    pub fn incr(&self, event: ResilienceEvent) {
-        self.counts[event.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current count for `event`.
-    pub fn get(&self, event: ResilienceEvent) -> u64 {
-        self.counts[event.index()].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all counters in [`ALL_RESILIENCE_EVENTS`] order.
-    pub fn snapshot(&self) -> ResilienceSnapshot {
-        let mut counts = [0u64; ALL_RESILIENCE_EVENTS.len()];
-        for (slot, counter) in counts.iter_mut().zip(self.counts.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        ResilienceSnapshot { counts }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for counter in &self.counts {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl fmt::Debug for ResilienceCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ResilienceCounters").field("snapshot", &self.snapshot()).finish()
-    }
-}
+pub type ResilienceCounters = EventCounters<ResilienceEvent, 9>;
 
 /// An immutable point-in-time copy of a [`ResilienceCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    counts: [u64; ALL_RESILIENCE_EVENTS.len()],
-}
-
-impl ResilienceSnapshot {
-    /// Count for `event` at snapshot time.
-    pub fn get(&self, event: ResilienceEvent) -> u64 {
-        self.counts[event.index()]
-    }
-
-    /// Per-event difference `self - earlier`, saturating at zero.
-    pub fn since(&self, earlier: &ResilienceSnapshot) -> ResilienceSnapshot {
-        let mut counts = [0u64; ALL_RESILIENCE_EVENTS.len()];
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        ResilienceSnapshot { counts }
-    }
-
-    /// Iterates over `(event, count)` pairs in display order.
-    pub fn iter(&self) -> impl Iterator<Item = (ResilienceEvent, u64)> + '_ {
-        ALL_RESILIENCE_EVENTS.iter().map(move |&event| (event, self.get(event)))
-    }
-
-    /// Total of all counters.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
+pub type ResilienceSnapshot = EventSnapshot<ResilienceEvent, 9>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn incr_and_get() {
-        let c = ResilienceCounters::new();
-        c.incr(ResilienceEvent::Retry);
-        c.incr(ResilienceEvent::Retry);
-        c.incr(ResilienceEvent::BreakerOpened);
-        assert_eq!(c.get(ResilienceEvent::Retry), 2);
-        assert_eq!(c.get(ResilienceEvent::BreakerOpened), 1);
-        assert_eq!(c.get(ResilienceEvent::HedgeWon), 0);
-    }
-
-    #[test]
-    fn snapshot_diff_and_total() {
-        let c = ResilienceCounters::new();
-        c.incr(ResilienceEvent::HedgeFired);
-        let s1 = c.snapshot();
-        c.incr(ResilienceEvent::HedgeFired);
-        c.incr(ResilienceEvent::DegradedResponse);
-        let d = c.snapshot().since(&s1);
-        assert_eq!(d.get(ResilienceEvent::HedgeFired), 1);
-        assert_eq!(d.get(ResilienceEvent::DegradedResponse), 1);
-        assert_eq!(d.total(), 2);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = ResilienceCounters::new();
-        for &event in ALL_RESILIENCE_EVENTS.iter() {
-            c.incr(event);
-        }
-        c.reset();
-        assert_eq!(c.snapshot().total(), 0);
-    }
-
-    #[test]
-    fn names_unique_and_displayable() {
-        let mut names: Vec<_> = ALL_RESILIENCE_EVENTS.iter().map(|e| e.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ALL_RESILIENCE_EVENTS.len());
-        for event in ALL_RESILIENCE_EVENTS {
-            assert!(!format!("{event}").is_empty());
-        }
-    }
-
-    #[test]
-    fn global_is_singleton() {
-        let a = ResilienceCounters::global() as *const _;
-        let b = ResilienceCounters::global() as *const _;
-        assert_eq!(a, b);
+    fn resilience_event_table_is_consistent() {
+        crate::counters::assert_event_table::<ResilienceEvent, 9>();
     }
 }

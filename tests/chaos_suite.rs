@@ -13,7 +13,7 @@ use musuite::core::degrade::Degraded;
 use musuite::core::error::ServiceError;
 use musuite::core::leaf::LeafHandler;
 use musuite::core::midtier::{MidTierHandler, Plan};
-use musuite::rpc::{FaultKind, FaultPlan, HedgePolicy, ResilientConfig, RpcError};
+use musuite::rpc::{CallOptions, FaultKind, FaultPlan, HedgePolicy, ResilientConfig, RpcError};
 use musuite::telemetry::resilience::ResilienceEvent;
 use std::time::{Duration, Instant};
 
@@ -196,7 +196,10 @@ fn slow_leaf_hedging_bounds_the_tail() {
         (0..n)
             .map(|i| {
                 let start = Instant::now();
-                assert_eq!(client.call_typed(&(i as u64)).unwrap(), (i * i) as u64);
+                assert_eq!(
+                    client.call_typed(&(i as u64), CallOptions::default()).unwrap(),
+                    (i * i) as u64
+                );
                 start.elapsed()
             })
             .collect()
@@ -253,7 +256,7 @@ fn shared_poller_midtier_keeps_dead_leaf_and_hedging_guarantees() {
     // still answer from an alternate, under the shared pollers.
     for i in 0..60u64 {
         assert_eq!(
-            client.call_typed(&i).unwrap(),
+            client.call_typed(&i, CallOptions::default()).unwrap(),
             i * i,
             "read {i} lost under SharedPollers (replay with seed {seed})"
         );
@@ -287,7 +290,7 @@ fn corruption_is_detected_and_retried_never_served() {
     for q in 0..60u64 {
         // Every answer must be the exact arithmetic truth: a corrupt
         // frame may cost a retry, never an answer built from bad bytes.
-        let got = client.call_typed(&q).unwrap();
+        let got = client.call_typed(&q, CallOptions::default()).unwrap();
         assert_eq!(got.value, 2 * q * q, "corruption must never alter data (seed {seed})");
         assert!(!got.degraded, "retries must restore full fidelity");
     }
@@ -314,7 +317,7 @@ fn flapping_leaf_is_ridden_out_by_retries() {
     let client = cluster.client::<u64, Degraded<u64>>().unwrap();
     plan.arm();
     for q in 0..80u64 {
-        let got = client.call_typed(&q).unwrap();
+        let got = client.call_typed(&q, CallOptions::default()).unwrap();
         assert_eq!(got.value, 4 * q * q, "all four shards must contribute (seed {seed})");
         assert!(!got.degraded, "a flap must be repaired by retry, not degraded away");
     }
@@ -342,7 +345,7 @@ fn fault_plans_replay_byte_for_byte_from_their_seed() {
         let client = cluster.client::<u64, Degraded<u64>>().unwrap();
         plan.arm();
         for q in 0..20u64 {
-            let got = client.call_typed(&q).unwrap();
+            let got = client.call_typed(&q, CallOptions::default()).unwrap();
             assert_eq!(got.value, 2 * q * q);
             assert!(got.degraded);
         }
@@ -590,7 +593,7 @@ fn teardown_mid_scatter_fails_fast() {
     let (tx, rx) = std::sync::mpsc::channel();
     for q in 0..4u64 {
         let tx = tx.clone();
-        client.call_typed_async(&q, move |result| {
+        client.call_typed_async(&q, CallOptions::default(), move |result| {
             let _ = tx.send(result.is_err());
         });
     }

@@ -4,7 +4,7 @@
 //! pooled buffer is reused for later frames.
 
 use bytes::Bytes;
-use musuite::codec::{from_bytes, to_bytes, Decode, Encode, Frame, Status};
+use musuite::codec::{from_bytes, to_bytes, Decode, DecodeError, Encode, Frame, Status};
 use musuite::rpc::FrameReader;
 use proptest::prelude::*;
 
@@ -146,6 +146,19 @@ proptest! {
         let bytes = Bytes::from(Frame::request(1, 2, payload).to_bytes());
         let cut = cut.min(bytes.len().saturating_sub(1));
         prop_assert!(Frame::parse(&bytes.slice(..cut)).is_err());
+    }
+
+    #[test]
+    fn retired_magic_is_an_error_whatever_follows(tail in proptest::collection::vec(any::<u8>(), 0..256)) {
+        // The 31-byte header that predates budgets opened with B5 53. It is
+        // refused on the magic alone — `BadMagic`, not a length or checksum
+        // error — so the bytes after it, which may declare any payload
+        // length up to 4 GiB, are never used to size a buffer.
+        let mut bytes = vec![0xB5, 0x53];
+        bytes.extend(tail);
+        prop_assert_eq!(Frame::parse(&Bytes::from(bytes.clone())).unwrap_err(), DecodeError::BadMagic);
+        prop_assert!(Frame::read_from(&bytes[..]).is_err());
+        prop_assert!(FrameReader::new(&bytes[..]).read_frame().is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! dropped at dequeue without ever occupying a worker.
 
 use musuite::rpc::{
-    FanoutGroup, Priority, RequestContext, RpcClient, RpcError, Server, ServerConfig, Service,
-    Status,
+    CallOptions, FanoutGroup, Priority, RequestContext, RpcClient, RpcError, Server, ServerConfig,
+    Service, Status,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -52,30 +52,27 @@ impl Service for RelayMid {
         if !self.compute.is_zero() {
             std::thread::sleep(self.compute);
         }
-        let remaining = match ctx.remaining_budget() {
-            0 => None,
-            budget_us => Some(Duration::from_micros(u64::from(budget_us))),
-        };
-        let priority = ctx.priority();
-        let payload = ctx.payload().to_vec();
-        self.leaves.scatter_opts(
-            vec![(0usize, 1u32, payload)],
-            remaining,
-            priority,
-            move |result| {
-                match result.replies.into_iter().next().expect("one scattered slot") {
-                    Ok(bytes) => ctx.respond_ok(bytes.to_vec()),
-                    // A timed-out or expired leaf call is a deadline failure as
-                    // far as the front-end is concerned; anything else is plain
-                    // unavailability.
-                    Err(
-                        e @ (RpcError::TimedOut
-                        | RpcError::Remote { status: Status::DeadlineExpired, .. }),
-                    ) => ctx.respond_err(Status::DeadlineExpired, e.to_string()),
-                    Err(e) => ctx.respond_err(Status::Unavailable, e.to_string()),
-                }
+        let opts = CallOptions {
+            timeout: match ctx.remaining_budget() {
+                0 => None,
+                budget_us => Some(Duration::from_micros(u64::from(budget_us))),
             },
-        );
+            priority: ctx.priority(),
+        };
+        let payload = ctx.payload().to_vec();
+        self.leaves.scatter_opts(vec![(0usize, 1u32, payload)], opts, move |result| {
+            match result.replies.into_iter().next().expect("one scattered slot") {
+                Ok(bytes) => ctx.respond_ok(bytes.to_vec()),
+                // A timed-out or expired leaf call is a deadline failure as
+                // far as the front-end is concerned; anything else is plain
+                // unavailability.
+                Err(
+                    e @ (RpcError::TimedOut
+                    | RpcError::Remote { status: Status::DeadlineExpired, .. }),
+                ) => ctx.respond_err(Status::DeadlineExpired, e.to_string()),
+                Err(e) => ctx.respond_err(Status::Unavailable, e.to_string()),
+            }
+        });
     }
 }
 
@@ -132,8 +129,10 @@ fn deadline_budget_decays_at_every_hop() {
         .call_opts(
             1,
             b"q".to_vec(),
-            Some(Duration::from_micros(u64::from(FRONT_END_TIMEOUT_US))),
-            Priority::Critical,
+            CallOptions {
+                priority: Priority::Critical,
+                ..CallOptions::within(Duration::from_micros(u64::from(FRONT_END_TIMEOUT_US)))
+            },
         )
         .unwrap();
     assert_eq!(reply, b"q".to_vec());
@@ -191,7 +190,7 @@ fn pre_expired_request_is_never_executed_at_the_leaf() {
     // behind the slow one: it must fail, and the leaf must never run it.
     let err = tiers
         .client
-        .call_opts(1, b"doomed".to_vec(), Some(Duration::from_millis(10)), Priority::Normal)
+        .call_opts(1, b"doomed".to_vec(), CallOptions::within(Duration::from_millis(10)))
         .unwrap_err();
     assert!(
         matches!(

@@ -1,8 +1,8 @@
 //! Fault-injection and robustness tests for the RPC substrate.
 
 use musuite::rpc::{
-    ExecutionModel, NetworkModel, Reactor, ReactorConfig, RequestContext, RpcClient, RpcError,
-    Server, ServerConfig, Service, Status, WaitMode,
+    CallOptions, ExecutionModel, NetworkModel, Reactor, ReactorConfig, RequestContext, RpcClient,
+    RpcError, Server, ServerConfig, Service, Status, WaitMode,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -104,7 +104,9 @@ fn shared_pollers_hold_network_threads_fixed_under_256_connections() {
     // client side of this test is also O(1) threads.
     let reactor = Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..Default::default() }));
     let clients: Vec<Arc<RpcClient>> = (0..256)
-        .map(|_| Arc::new(RpcClient::connect_via(server.local_addr(), &reactor).unwrap()))
+        .map(|_| {
+            Arc::new(RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap())
+        })
         .collect();
 
     // Every connection issues a request concurrently; every one completes
@@ -227,7 +229,10 @@ fn fanout_survives_stuck_and_garbage_leaves() {
     let requests: Vec<(usize, u32, Payload)> = (0..3)
         .map(|leaf| (leaf, 1u32, Payload::with_suffix(shared.clone(), vec![leaf as u8])))
         .collect();
-    let result = group.scatter_wait_deadline(requests, Duration::from_millis(300));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let opts = CallOptions::within(Duration::from_millis(300));
+    group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
+    let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
     // Slot N holds leaf N's outcome regardless of completion order.
     assert_eq!(result.replies.len(), 3);
