@@ -170,7 +170,9 @@ pub fn decode_batch(src: &Bytes) -> Result<Vec<BatchEntry>, DecodeError> {
         let payload_len = u32::from_le_bytes(header[17..21].try_into().expect("4-byte slice")) // lint: allow(expect): slice length is fixed above
             as usize;
         offset += ENTRY_HEADER_LEN;
-        if bytes.len() < offset + payload_len {
+        // Compared against what is left, so a forged length cannot wrap
+        // the sum on a 32-bit target.
+        if bytes.len() - offset < payload_len {
             return Err(DecodeError::UnexpectedEof { context: "batch entry payload" });
         }
         entries.push(BatchEntry {
@@ -257,16 +259,21 @@ mod tests {
         assert_eq!(decoded[0].priority, Priority::Normal);
     }
 
+    // The three hostile-envelope cases below are also proptests in
+    // `tests/codec_properties.rs`; they live here as plain tests so the
+    // Miri job walks the decoder's slicing under each of them.
+
     #[test]
-    fn truncated_envelope_rejected() {
+    fn truncated_member_table_rejected() {
         let mut buf = Vec::new();
         encode_batch(&sample_entries(), &mut buf);
         let full = Bytes::from(buf);
-        for cut in [1, COUNT_LEN + 3, full.len() - 1] {
+        for cut in 0..full.len() {
             assert!(
                 matches!(
                     decode_batch(&full.slice(..cut)),
-                    Err(DecodeError::UnexpectedEof { .. }) | Err(DecodeError::LengthOverflow { .. })
+                    Err(DecodeError::UnexpectedEof { .. })
+                        | Err(DecodeError::LengthOverflow { .. })
                 ),
                 "cut at {cut} must fail"
             );
@@ -276,12 +283,53 @@ mod tests {
     #[test]
     fn forged_count_rejected_without_allocation() {
         let mut buf = Vec::new();
-        encode_batch(&sample_entries(), &mut buf);
-        buf[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_batch(&Bytes::from(buf)),
-            Err(DecodeError::LengthOverflow { .. })
-        ));
+        encode_batch(&[BatchEntry::new(1, 1, vec![0u8; 100])], &mut buf);
+        // More members than the payload could hold, up to one that would
+        // overflow any allocation: refused on arithmetic alone, before
+        // anything is sized from the count.
+        let holds = ((buf.len() - COUNT_LEN) / ENTRY_HEADER_LEN) as u32;
+        for forged in [holds + 1, u32::MAX / 2, u32::MAX] {
+            buf[0..4].copy_from_slice(&forged.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_batch(&Bytes::from(buf.clone())),
+                    Err(DecodeError::LengthOverflow { .. })
+                ),
+                "count {forged}"
+            );
+        }
+        // A count the payload could hold, but does not: the walk runs off
+        // the end of the member table.
+        for forged in 2..=holds {
+            buf[0..4].copy_from_slice(&forged.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_batch(&Bytes::from(buf.clone())),
+                    Err(DecodeError::UnexpectedEof { .. })
+                ),
+                "count {forged}"
+            );
+        }
+    }
+
+    #[test]
+    fn member_length_past_the_payload_rejected() {
+        let entries = sample_entries();
+        let mut buf = Vec::new();
+        encode_batch(&entries, &mut buf);
+        // The last member's length field, declaring one byte more than is
+        // left, and then as much as the field can say.
+        let len_at = buf.len() - entries[2].payload.len() - 4;
+        for forged in [entries[2].payload.len() as u32 + 1, u32::MAX] {
+            buf[len_at..len_at + 4].copy_from_slice(&forged.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_batch(&Bytes::from(buf.clone())),
+                    Err(DecodeError::UnexpectedEof { context: "batch entry payload" })
+                ),
+                "length {forged}"
+            );
+        }
     }
 
     #[test]
@@ -315,7 +363,7 @@ mod tests {
         let joined: Vec<u8> = prefix.iter().chain(suffix.iter()).copied().collect();
         let entry = BatchEntry::new(7, 3, joined).with_budget(10, Priority::Critical);
         let mut whole = Vec::new();
-        encode_batch(&[entry.clone()], &mut whole);
+        encode_batch(std::slice::from_ref(&entry), &mut whole);
         let mut parts = Vec::new();
         wire::put_u32_le(&mut parts, 1);
         parts.extend_from_slice(&entry.header_bytes_for_len(prefix.len() + suffix.len()));

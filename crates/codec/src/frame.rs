@@ -34,7 +34,6 @@ use crate::error::DecodeError;
 use crate::wire;
 use bytes::{BufMut, Bytes};
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// Frame magic bytes ("μ" in CP437 spirit, then 'T': the retired
 /// budget-less layout used 'S', so either side rejects the other loudly
@@ -383,15 +382,8 @@ impl Frame {
     /// Serializes the frame to a byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.header.encoded_len() + self.payload.len());
-        self.encode_into(&mut buf);
+        self.header.encode_with_payload(&[&self.payload], &mut buf);
         buf
-    }
-
-    /// Serializes the frame into a caller-provided buffer, typically a
-    /// reused [`bytes::BytesMut`] scratch that amortizes allocations
-    /// across frames on a connection.
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
-        self.header.encode_with_payload(&[&self.payload], buf);
     }
 
     /// Parses one frame from the front of `src`, returning it and the
@@ -415,38 +407,6 @@ impl Frame {
         }
         let frame = prefix.check_payload(src.slice(HEADER_LEN..end))?;
         Ok((frame, src.slice(end..)))
-    }
-
-    /// Writes the frame to `writer` as a single `write_all`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(&self.to_bytes())
-    }
-
-    /// Reads exactly one frame from `reader` (blocking).
-    ///
-    /// This convenience allocates a fresh buffer per frame; hot paths use
-    /// a pooled read buffer (see `musuite_rpc`'s `FrameReader`) and call
-    /// [`Frame::parse`] on the frozen slice instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns `io::ErrorKind::UnexpectedEof` on a cleanly closed
-    /// connection, `io::ErrorKind::InvalidData` on malformed frames, and
-    /// propagates other I/O errors.
-    pub fn read_from<R: Read>(mut reader: R) -> io::Result<Frame> {
-        let mut header = [0u8; HEADER_LEN];
-        reader.read_exact(&mut header)?;
-        let prefix = FramePrefix::parse(&header)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut buf = vec![0u8; prefix.payload_len];
-        reader.read_exact(&mut buf)?;
-        prefix
-            .check_payload(Bytes::from(buf))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -572,37 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_scratch_matches_to_bytes() {
-        let frame = sample();
-        let mut scratch = bytes::BytesMut::with_capacity(8);
-        frame.encode_into(&mut scratch);
-        assert_eq!(scratch[..], frame.to_bytes()[..]);
-    }
-
-    #[test]
-    fn io_roundtrip() {
-        let frame = sample().with_budget(77, Priority::Sheddable);
-        let mut buf = Vec::new();
-        frame.write_to(&mut buf).unwrap();
-        let parsed = Frame::read_from(&buf[..]).unwrap();
-        assert_eq!(parsed, frame);
-    }
-
-    #[test]
-    fn io_eof_on_closed_stream() {
-        let err = Frame::read_from(&b""[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn io_invalid_data_on_bad_magic() {
-        let mut bytes = sample().to_bytes();
-        bytes[1] ^= 0xFF;
-        let err = Frame::read_from(&bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
     fn status_display_and_is_ok() {
         assert!(Status::Ok.is_ok());
         assert!(!Status::AppError.is_ok());
@@ -641,8 +570,7 @@ mod tests {
     fn retired_magic_is_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[..2].copy_from_slice(&[0xB5, 0x53]);
-        assert_eq!(Frame::parse(&Bytes::from(bytes.clone())).unwrap_err(), DecodeError::BadMagic);
-        assert_eq!(Frame::read_from(&bytes[..]).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(Frame::parse(&Bytes::from(bytes)).unwrap_err(), DecodeError::BadMagic);
     }
 
     #[test]

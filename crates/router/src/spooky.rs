@@ -46,7 +46,6 @@ fn read_partial_u64(bytes: &[u8]) -> u64 {
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn short_mix(h0: &mut u64, h1: &mut u64, h2: &mut u64, h3: &mut u64) {
     *h2 = h2.rotate_left(50);
     *h2 = h2.wrapping_add(*h3);

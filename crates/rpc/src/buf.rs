@@ -1,6 +1,6 @@
 //! Pooled wire buffers: the zero-copy plumbing under every connection.
 //!
-//! Three pieces keep payload bytes from being copied between the socket
+//! Four pieces keep payload bytes from being copied between the socket
 //! and the service handler:
 //!
 //! * [`Payload`] — an outgoing message body as up to two [`Bytes`]
@@ -9,13 +9,10 @@
 //!   leaf a reference-counted clone of the same allocation; the per-leaf
 //!   suffix rides in the second segment. Length and checksum are computed
 //!   across the segment boundary, so the two are never joined in memory.
-//! * [`FrameReader`] — a socket read loop with a persistent [`BytesMut`]:
-//!   the header lands in a stack buffer, the payload in pooled memory
-//!   that is frozen into a [`Bytes`] and handed out without a copy.
-//! * [`FrameWriter`] — the serialized write half of a connection with a
-//!   reusable scratch buffer, so response/request serialization reuses
-//!   one allocation for the life of the connection instead of building a
-//!   fresh `Vec` per frame.
+//! * [`FrameReader`] — a blocking frame reader with a persistent
+//!   [`BytesMut`]: the header lands in a stack buffer, the payload in
+//!   pooled memory that is frozen into a [`Bytes`] and handed out without
+//!   a copy.
 //! * [`FrameAccumulator`] — the non-blocking counterpart of
 //!   [`FrameReader`] for reactor-owned sockets: an incremental state
 //!   machine that absorbs whatever bytes are available and yields complete
@@ -37,6 +34,10 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+
+/// Idle read buffers a server or reactor retains across connection churn;
+/// beyond this, a closing connection's buffer is freed rather than pooled.
+pub(crate) const MAX_IDLE_READ_BUFFERS: usize = 64;
 
 /// A shared pool of reusable read buffers.
 ///
@@ -222,28 +223,28 @@ impl From<&'static [u8]> for Payload {
 ///
 /// Reads the fixed-size header into a stack array, then the payload into
 /// a persistent [`BytesMut`] that is frozen and handed out as a [`Bytes`]
-/// — the frame's payload is *never* copied after leaving the kernel. The
-/// seed path (`Frame::read_from`) allocated a header+payload vector per
-/// frame and then copied the payload out of it; this reader does one
-/// payload-sized buffer per frame and zero copies, and empty payloads
-/// touch the allocator not at all.
+/// — the frame's payload is *never* copied after leaving the kernel: one
+/// payload-sized buffer per frame, zero copies, and empty payloads touch
+/// the allocator not at all.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     reader: R,
     buf: PooledBuf,
+    mid_frame: bool,
+    clock: Clock,
 }
 
 impl<R: Read> FrameReader<R> {
     /// Wraps `reader` with an unpooled payload buffer.
     pub fn new(reader: R) -> FrameReader<R> {
-        FrameReader { reader, buf: PooledBuf::unpooled() }
+        FrameReader::with_buffer(reader, PooledBuf::unpooled())
     }
 
     /// Wraps `reader` with a payload buffer checked out of a
     /// [`BufferPool`]; when this reader is dropped the buffer (and its
     /// warmed-up capacity) goes back to the pool for the next connection.
     pub fn with_buffer(reader: R, buf: PooledBuf) -> FrameReader<R> {
-        FrameReader { reader, buf }
+        FrameReader { reader, buf, mid_frame: false, clock: Clock::new() }
     }
 
     /// A shared reference to the underlying reader.
@@ -251,46 +252,48 @@ impl<R: Read> FrameReader<R> {
         &self.reader
     }
 
-    /// Reads exactly one frame (blocking).
+    /// Returns `true` if the last [`FrameReader::read_frame`] failed with
+    /// part of a frame already received — a read timeout then means a
+    /// stalled peer, not an idle connection.
+    pub(crate) fn mid_frame(&self) -> bool {
+        self.mid_frame
+    }
+
+    /// Reads exactly one frame (blocking) and returns it with the
+    /// monotonic timestamp at which its first byte arrived.
+    ///
+    /// The first `read` is the readiness wait — the userspace edge of
+    /// `epoll_pwait` + hardirq delivery — and keeps whatever header bytes
+    /// arrived with the wakeup, so a frame costs one `read` for the header
+    /// and one for the payload.
     ///
     /// # Errors
     ///
     /// `io::ErrorKind::UnexpectedEof` on a cleanly closed connection,
     /// `io::ErrorKind::InvalidData` on malformed frames; other I/O errors
-    /// propagate.
-    pub fn read_frame(&mut self) -> io::Result<Frame> {
+    /// propagate (a read timeout set on the socket surfaces as
+    /// `WouldBlock`/`TimedOut`).
+    pub fn read_frame(&mut self) -> io::Result<(Frame, u64)> {
         let mut header = [0u8; HEADER_LEN];
-        self.reader.read_exact(&mut header)?;
-        self.finish_frame(header)
-    }
-
-    /// Reads one frame whose first byte was already consumed by a
-    /// readiness probe (the server poller's blocking first-byte read).
-    ///
-    /// # Errors
-    ///
-    /// As [`FrameReader::read_frame`].
-    pub fn read_frame_after_first_byte(&mut self, first: u8) -> io::Result<Frame> {
-        let mut header = [0u8; HEADER_LEN];
-        header[0] = first;
-        self.reader.read_exact(&mut header[1..])?;
-        self.finish_frame(header)
-    }
-
-    /// Finishes a frame whose header has arrived: the payload lands in
-    /// the pooled buffer.
-    fn finish_frame(&mut self, header: [u8; HEADER_LEN]) -> io::Result<Frame> {
-        let prefix = FramePrefix::parse(&header).map_err(invalid_data)?;
-        let payload = if prefix.payload_len == 0 {
-            Bytes::new()
-        } else {
-            // One read_exact into pooled memory, then a zero-copy freeze:
-            // the Bytes handed to the service aliases this read buffer.
-            self.buf.resize(prefix.payload_len, 0);
-            self.reader.read_exact(&mut self.buf[..])?;
-            self.buf.split_to(prefix.payload_len).freeze()
+        let filled = loop {
+            match self.reader.read(&mut header) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
         };
-        prefix.check_payload(payload).map_err(invalid_data)
+        let rx_start_ns = self.clock.now_ns();
+        self.mid_frame = true;
+        self.reader.read_exact(&mut header[filled..])?;
+        let prefix = FramePrefix::parse(&header).map_err(invalid_data)?;
+        // One read_exact into pooled memory (none at all for an empty
+        // payload), then the freeze.
+        self.buf.resize(prefix.payload_len, 0);
+        self.reader.read_exact(&mut self.buf[..])?;
+        let frame = freeze_frame(prefix, &mut self.buf)?;
+        self.mid_frame = false;
+        Ok((frame, rx_start_ns))
     }
 }
 
@@ -298,74 +301,17 @@ fn invalid_data(e: DecodeError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// The write half of a connection with a reusable serialization scratch.
-///
-/// Every frame is serialized into the same [`BytesMut`] (cleared, never
-/// shrunk) and written with a single `write_all`, so steady-state framing
-/// performs no allocation. [`FrameWriter::write_parts`] streams a
-/// multi-segment [`Payload`] without joining the segments first.
-#[derive(Debug)]
-pub struct FrameWriter<W> {
-    writer: W,
-    scratch: BytesMut,
-}
-
-impl<W: Write> FrameWriter<W> {
-    /// Wraps `writer` with an empty scratch buffer.
-    pub fn new(writer: W) -> FrameWriter<W> {
-        FrameWriter { writer, scratch: BytesMut::new() }
-    }
-
-    /// A shared reference to the underlying writer.
-    pub fn get_ref(&self) -> &W {
-        &self.writer
-    }
-
-    /// Serializes and writes one complete frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        self.write_parts(&frame.header, &[&frame.payload])
-    }
-
-    /// Serializes `header` with a payload assembled from `parts` and
-    /// writes it as one `write_all`. Length and checksum span the part
-    /// boundaries, so scattered segments go on the wire without a join.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_parts(&mut self, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
-        self.scratch.clear();
-        header.encode_with_payload(parts, &mut self.scratch);
-        self.writer.write_all(&self.scratch)
-    }
-
-    /// Fault-injection only: serializes the frame exactly like
-    /// [`FrameWriter::write_parts`], then flips one bit of the serialized
-    /// bytes *after* the checksum was computed — the receiver's
-    /// [`FramePrefix::check_payload`] must reject the frame. Flips the
-    /// last byte, so a non-empty payload is corrupted (empty payloads
-    /// corrupt the checksum field itself, which is equally detected).
-    ///
-    /// [`FramePrefix::check_payload`]: musuite_codec::frame::FramePrefix::check_payload
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_parts_corrupted(
-        &mut self,
-        header: &FrameHeader,
-        parts: &[&[u8]],
-    ) -> io::Result<()> {
-        self.scratch.clear();
-        header.encode_with_payload(parts, &mut self.scratch);
-        let last = self.scratch.len() - 1;
-        self.scratch[last] ^= 0x40;
-        self.writer.write_all(&self.scratch)
-    }
+/// Turns a read buffer holding exactly `prefix`'s payload into the frame:
+/// a zero-copy freeze — the `Bytes` handed to the service aliases the
+/// pooled read buffer — checked against the prefix. An empty payload
+/// never touches the allocator.
+fn freeze_frame(prefix: FramePrefix, buf: &mut BytesMut) -> io::Result<Frame> {
+    let payload = if prefix.payload_len == 0 {
+        Bytes::new()
+    } else {
+        buf.split_to(prefix.payload_len).freeze()
+    };
+    prefix.check_payload(payload).map_err(invalid_data)
 }
 
 /// Incremental frame decoder for reactor-owned non-blocking sockets.
@@ -458,12 +404,7 @@ impl FrameAccumulator {
         }
         self.prefix = None;
         self.header_filled = 0;
-        let payload = if prefix.payload_len == 0 {
-            Bytes::new()
-        } else {
-            self.buf.split_to(prefix.payload_len).freeze()
-        };
-        let frame = prefix.check_payload(payload).map_err(invalid_data)?;
+        let frame = freeze_frame(prefix, &mut self.buf)?;
         Ok(Some((frame, self.rx_start_ns)))
     }
 
@@ -497,6 +438,11 @@ impl FrameAccumulator {
         }
     }
 }
+
+/// The write half of a connection as every holder shares it: responses
+/// (or requests) from any thread serialize into one pending buffer and
+/// leave in batched writes (see [`ConnWriter`]).
+pub(crate) type SharedWriter = Arc<ConnWriter>;
 
 #[derive(Debug)]
 struct WriteState {
@@ -555,16 +501,6 @@ impl ConnWriter {
             }),
             stats,
         }
-    }
-
-    /// The underlying socket.
-    pub fn get_ref(&self) -> &TcpStream {
-        &self.stream
-    }
-
-    /// The coalescing counters this writer reports into.
-    pub fn stats(&self) -> &CoalesceStats {
-        &self.stats
     }
 
     /// Serializes `header` with a payload assembled from `parts` and
@@ -656,6 +592,16 @@ impl ConnWriter {
     }
 }
 
+/// Both ends of a fresh loopback connection, for this crate's tests.
+#[cfg(test)]
+pub(crate) fn loopback_pair() -> (TcpStream, TcpStream) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let a = TcpStream::connect(addr).unwrap();
+    let (b, _) = listener.accept().unwrap();
+    (a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,56 +635,79 @@ mod tests {
     }
 
     #[test]
-    fn writer_reader_roundtrip_through_pipe() {
-        let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            writer.write_frame(&Frame::request(1, 7, b"first".to_vec())).unwrap();
-            let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
-            let header = Frame::request(2, 8, Vec::new()).header;
-            writer.write_parts(&header, &payload.parts()).unwrap();
-            writer.write_frame(&Frame::response(1, 7, Status::Ok, Vec::new())).unwrap();
-        }
+    fn encoded_frames_roundtrip_through_reader() {
+        let mut wire = Frame::request(1, 7, b"first".to_vec()).to_bytes();
+        // A two-segment payload goes on the wire without being joined.
+        let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
+        Frame::request(2, 8, Vec::new()).header.encode_with_payload(&payload.parts(), &mut wire);
+        wire.extend(Frame::response(1, 7, Status::Ok, Vec::new()).to_bytes());
         let mut reader = FrameReader::new(&wire[..]);
-        let first = reader.read_frame().unwrap();
+        let (first, rx_start_ns) = reader.read_frame().unwrap();
+        assert!(rx_start_ns > 0, "first byte must be timestamped");
         assert_eq!(first.header.request_id, 1);
         assert_eq!(first.payload, b"first");
-        let second = reader.read_frame().unwrap();
+        let (second, _) = reader.read_frame().unwrap();
         assert_eq!(second.header.request_id, 2);
         assert_eq!(second.payload, [0xAA, 0xAA, 0xAA, 0xBB]);
-        let third = reader.read_frame().unwrap();
+        let (third, _) = reader.read_frame().unwrap();
         assert_eq!(third.header.kind, FrameKind::Response);
         assert!(third.payload.is_empty());
         assert!(reader.read_frame().is_err(), "stream exhausted");
     }
 
-    #[test]
-    fn reader_first_byte_path_matches_whole_frame() {
-        let bytes = Frame::request(5, 2, b"probe".to_vec()).to_bytes();
-        let mut reader = FrameReader::new(&bytes[1..]);
-        let frame = reader.read_frame_after_first_byte(bytes[0]).unwrap();
-        assert_eq!(frame.header.request_id, 5);
-        assert_eq!(frame.payload, b"probe");
+    /// Hands out `chunk` bytes per `read`, then reports `at_end`.
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        chunk: usize,
+        at_end: io::ErrorKind,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.data.len() {
+                return Err(self.at_end.into());
+            }
+            let n = self.chunk.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
     }
 
     #[test]
-    fn corrupted_write_is_rejected_by_reader() {
-        let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            let frame = Frame::request(3, 9, b"poisoned".to_vec());
-            writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
+    fn reader_assembles_a_frame_whatever_the_wakeup_carried() {
+        // Budget and priority ride in the header's tail: they must survive
+        // however the header was split across reads.
+        let frame = Frame::request(5, 2, b"probe".to_vec())
+            .with_budget(5_000, musuite_codec::Priority::Critical);
+        for chunk in [1, 7, HEADER_LEN, 4096] {
+            let trickle =
+                Trickle { data: frame.to_bytes(), pos: 0, chunk, at_end: io::ErrorKind::TimedOut };
+            let (got, _) = FrameReader::new(trickle).read_frame().unwrap();
+            assert_eq!(got, frame, "{chunk} bytes per read");
         }
-        let err = FrameReader::new(&wire[..]).read_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "checksum must catch the flip");
-        // Empty payload: the flip lands in the checksum field itself.
-        let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            let frame = Frame::request(4, 9, Vec::new());
-            writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
+    }
+
+    #[test]
+    fn read_timeout_is_idle_only_between_frames() {
+        let bytes = Frame::request(5, 2, b"probe".to_vec()).to_bytes();
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            // One whole frame, then silence: the timeout finds no frame in flight.
+            let mut reader =
+                FrameReader::new(Trickle { data: bytes.clone(), pos: 0, chunk: 64, at_end: kind });
+            reader.read_frame().unwrap();
+            assert_eq!(reader.read_frame().unwrap_err().kind(), kind);
+            assert!(!reader.mid_frame());
+            // A peer that stalls inside the header, or inside the payload.
+            for cut in [3, HEADER_LEN + 2] {
+                let data = bytes[..cut].to_vec();
+                let mut reader =
+                    FrameReader::new(Trickle { data, pos: 0, chunk: 64, at_end: kind });
+                assert_eq!(reader.read_frame().unwrap_err().kind(), kind);
+                assert!(reader.mid_frame(), "stalled {cut} bytes into a frame");
+            }
         }
-        assert!(FrameReader::new(&wire[..]).read_frame().is_err());
     }
 
     #[test]
@@ -759,23 +728,6 @@ mod tests {
     fn reader_eof_on_empty_stream() {
         let err = FrameReader::new(&b""[..]).read_frame().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn reader_carries_budget_and_priority() {
-        use musuite_codec::Priority;
-        let budgeted = Frame::request(1, 7, b"hot".to_vec()).with_budget(5_000, Priority::Critical);
-        let plain = Frame::request(2, 7, b"cold".to_vec());
-        let mut wire = budgeted.to_bytes();
-        wire.extend(plain.to_bytes());
-        let mut reader = FrameReader::new(&wire[..]);
-        let first = reader.read_frame().unwrap();
-        assert_eq!(first.header.deadline_budget_us, 5_000);
-        assert_eq!(first.header.priority, Priority::Critical);
-        assert_eq!(first.payload, b"hot");
-        let second = reader.read_frame().unwrap();
-        assert_eq!(second.header.deadline_budget_us, 0);
-        assert_eq!(second.payload, b"cold");
     }
 }
 
@@ -845,12 +797,8 @@ mod accumulator_tests {
 
     #[test]
     fn back_to_back_frames_drain_in_order() {
-        let mut wire = Vec::new();
-        {
-            let mut w = FrameWriter::new(&mut wire);
-            w.write_frame(&Frame::request(1, 5, b"first".to_vec())).unwrap();
-            w.write_frame(&Frame::response(2, 5, Status::Ok, Vec::new())).unwrap();
-        }
+        let mut wire = Frame::request(1, 5, b"first".to_vec()).to_bytes();
+        wire.extend(Frame::response(2, 5, Status::Ok, Vec::new()).to_bytes());
         let mut drip = Drip { data: wire, pos: 0, ready: true };
         let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
         let mut got = Vec::new();
@@ -892,21 +840,13 @@ mod accumulator_tests {
 #[cfg(test)]
 mod conn_writer_tests {
     use super::*;
-    use std::net::TcpListener;
     use std::time::Duration;
-
-    fn loopback_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
 
     #[test]
     fn concurrent_writers_coalesce_without_corruption() {
         let (tx_side, rx_side) = loopback_pair();
-        let writer = Arc::new(ConnWriter::new(tx_side));
+        let stats = CoalesceStats::new();
+        let writer = Arc::new(ConnWriter::with_stats(tx_side, stats.clone()));
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 25;
         let handles: Vec<_> = (0..THREADS)
@@ -923,14 +863,13 @@ mod conn_writer_tests {
         let mut reader = FrameReader::new(rx_side);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..THREADS * PER_THREAD {
-            let frame = reader.read_frame().unwrap();
+            let (frame, _) = reader.read_frame().unwrap();
             assert_eq!(frame.payload.len(), 64, "frames must not interleave");
             assert!(seen.insert(frame.header.request_id), "duplicate frame");
         }
         for h in handles {
             h.join().unwrap();
         }
-        let stats = writer.stats();
         assert_eq!(stats.frames(), THREADS * PER_THREAD);
         assert!(stats.flushes() >= 1);
         assert_eq!(stats.saved(), stats.frames() - stats.flushes());
@@ -942,6 +881,12 @@ mod conn_writer_tests {
         let writer = ConnWriter::new(tx_side);
         let frame = Frame::request(3, 9, b"poisoned".to_vec());
         writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
+        let err = FrameReader::new(rx_side).read_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "checksum must catch the flip");
+        // Empty payload: the flip lands in the header's last byte instead.
+        let (tx_side, rx_side) = loopback_pair();
+        let frame = Frame::request(4, 9, Vec::new());
+        ConnWriter::new(tx_side).write_parts_corrupted(&frame.header, &[]).unwrap();
         let err = FrameReader::new(rx_side).read_frame().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

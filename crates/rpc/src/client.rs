@@ -25,15 +25,15 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{ConnWriter, Payload};
+use crate::buf::{ConnWriter, FrameReader, Payload, SharedWriter};
 use crate::error::RpcError;
 use crate::fault::{ClientFaults, FaultKind};
-use crate::reactor::{CloseReason, ConnDriver, Drive, Reactor};
+use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
 use crate::timer::{Fate, Timer};
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
 use musuite_check::sync::Mutex;
-use musuite_check::thread::{Builder, JoinHandle};
+use musuite_check::thread::JoinHandle;
 use musuite_codec::batch::{BatchEntry, ENTRY_HEADER_LEN};
 use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
@@ -118,19 +118,24 @@ impl SyncSlot {
 
 type InflightTable = Arc<CountedMutex<HashMap<u64, Pending>>>;
 
-/// A request held back by a [`FaultKind::Delay`] injection, released by
-/// the timer thread at `send_at`.
-struct DelayedSend {
-    send_at: Instant,
+/// One request on its way out: what the send path, the fault shim's
+/// hold-back and a batch envelope's member table all need of it.
+struct Outgoing {
+    request_id: u64,
     method: u32,
     payload: Payload,
     deadline: Option<Instant>,
     priority: Priority,
 }
 
-type DelayedMap = Arc<Mutex<HashMap<u64, DelayedSend>>>;
+/// A request held back by a [`FaultKind::Delay`] injection, released by
+/// the timer thread at `send_at`.
+struct DelayedSend {
+    send_at: Instant,
+    request: Outgoing,
+}
 
-type SharedWriter = Arc<ConnWriter>;
+type DelayedMap = Arc<Mutex<HashMap<u64, DelayedSend>>>;
 
 fn complete(pending: Pending, result: Result<Bytes, RpcError>) {
     match pending {
@@ -190,61 +195,55 @@ fn budget_for(deadline: Option<Instant>) -> u32 {
     }
 }
 
-/// Serializes and writes one request frame; shared by the caller-side send
-/// path and the timer's delayed-send release (which is why the budget is
-/// derived from the absolute deadline here, at the last moment).
-#[allow(clippy::too_many_arguments)]
-fn write_frame(
-    writer: &SharedWriter,
-    closed: &AtomicBool,
-    request_id: u64,
-    method: u32,
-    kind: FrameKind,
-    payload: &Payload,
-    deadline: Option<Instant>,
-    priority: Priority,
-    corrupt: bool,
-) -> Result<(), RpcError> {
-    if closed.load(Ordering::Acquire) {
-        return Err(RpcError::ConnectionClosed);
+impl Outgoing {
+    /// Serializes and writes this request as one frame of `kind`; shared
+    /// by the caller-side send path and the timer's delayed-send release
+    /// (which is why the budget is derived from the absolute deadline
+    /// here, at the last moment). `corrupt` is fault injection only.
+    fn write(
+        &self,
+        writer: &ConnWriter,
+        closed: &AtomicBool,
+        kind: FrameKind,
+        corrupt: bool,
+    ) -> Result<(), RpcError> {
+        if closed.load(Ordering::Acquire) {
+            return Err(RpcError::ConnectionClosed);
+        }
+        let header = FrameHeader::new(kind, self.request_id, self.method, Status::Ok)
+            .with_budget(budget_for(self.deadline), self.priority);
+        // The payload's segments go on the wire without being joined; the
+        // frame serializes into this connection's shared pending buffer and
+        // may coalesce with competing requests into one socket write (the
+        // writer accounts the actual `sendmsg` calls).
+        if corrupt {
+            writer.write_parts_corrupted(&header, &self.payload.parts())?;
+        } else {
+            writer.write_parts(&header, &self.payload.parts())?;
+        }
+        Ok(())
     }
-    let header = FrameHeader::new(kind, request_id, method, Status::Ok)
-        .with_budget(budget_for(deadline), priority);
-    // The payload's segments go on the wire without being joined; the
-    // frame serializes into this connection's shared pending buffer and
-    // may coalesce with competing requests into one socket write (the
-    // writer accounts the actual `sendmsg` calls).
-    if corrupt {
-        writer.write_parts_corrupted(&header, &payload.parts())?;
-    } else {
-        writer.write_parts(&header, &payload.parts())?;
-    }
-    Ok(())
 }
-
-/// One registered sub-call of a batch send: `(request_id, method, payload,
-/// deadline, priority)`.
-type BatchMeta = (u64, u32, Payload, Option<Instant>, Priority);
 
 /// Serializes and writes one [`FrameKind::Batch`] frame carrying every
 /// sub-call in `calls` as a multi-request envelope. Per-member deadline
 /// budgets are derived from the absolute deadlines here, at the last
-/// moment before the frame leaves, exactly like [`write_frame`] does for
-/// single requests.
+/// moment before the frame leaves, exactly like [`Outgoing::write`] does
+/// for single requests.
 fn write_batch_frame(
-    writer: &SharedWriter,
+    writer: &ConnWriter,
     closed: &AtomicBool,
-    calls: &[BatchMeta],
+    calls: &[Outgoing],
 ) -> Result<(), RpcError> {
     if closed.load(Ordering::Acquire) {
         return Err(RpcError::ConnectionClosed);
     }
     let count = (calls.len() as u32).to_le_bytes();
     let mut entry_headers: Vec<[u8; ENTRY_HEADER_LEN]> = Vec::with_capacity(calls.len());
-    for (request_id, method, payload, deadline, priority) in calls {
-        let entry = BatchEntry::new(*request_id, *method, Bytes::new())
-            .with_budget(budget_for(*deadline), *priority);
-        entry_headers.push(entry.header_bytes_for_len(payload.len()));
+    for call in calls {
+        let entry = BatchEntry::new(call.request_id, call.method, Bytes::new())
+            .with_budget(budget_for(call.deadline), call.priority);
+        entry_headers.push(entry.header_bytes_for_len(call.payload.len()));
     }
     // Assemble the scatter list: count word, then each member's entry
     // header followed by its payload segments — all borrowed, so the
@@ -252,9 +251,9 @@ fn write_batch_frame(
     // without joining the payloads first.
     let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + calls.len() * 3);
     parts.push(&count);
-    for ((_, _, payload, _, _), entry_header) in calls.iter().zip(&entry_headers) {
+    for (call, entry_header) in calls.iter().zip(&entry_headers) {
         parts.push(entry_header);
-        parts.extend(payload.parts());
+        parts.extend(call.payload.parts());
     }
     let header = FrameHeader::new(FrameKind::Batch, 0, 0, Status::Ok);
     writer.write_parts(&header, &parts)?;
@@ -327,19 +326,21 @@ impl RpcClient {
         let read_half = stream.try_clone()?;
         let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
         let closed = Arc::new(AtomicBool::new(false));
+        let driver = ClientConnDriver { inflight: inflight.clone(), closed: closed.clone() };
         let reader = match reactor {
             Some(reactor) => {
                 // The reactor owns the read half; response matching runs
                 // inside its sweep. No per-connection thread exists, so
                 // there is nothing to join on drop.
-                let driver =
-                    ClientConnDriver { inflight: inflight.clone(), closed: closed.clone() };
                 reactor.register(read_half.try_clone()?, Box::new(driver))?;
                 None
             }
-            None => Some(spawn_response_thread(
-                read_half.try_clone()?,
-                inflight.clone(),
+            // One unpooled read buffer for the life of the connection;
+            // each response payload is a zero-copy slice of it.
+            None => Some(spawn_blocking_runner(
+                "musuite-response",
+                FrameReader::new(read_half.try_clone()?),
+                driver,
                 closed.clone(),
             )),
         };
@@ -379,26 +380,15 @@ impl RpcClient {
         self.closed.load(Ordering::Acquire)
     }
 
-    fn send_request(
-        &self,
-        request_id: u64,
-        method: u32,
-        kind: FrameKind,
-        payload: &Payload,
-        deadline: Option<Instant>,
-        priority: Priority,
-    ) -> Result<(), RpcError> {
-        write_frame(
-            &self.writer,
-            &self.closed,
-            request_id,
+    /// Numbers one call and fixes its absolute deadline.
+    fn outgoing(&self, method: u32, payload: Payload, opts: CallOptions) -> Outgoing {
+        Outgoing {
+            request_id: self.next_id.fetch_add(1, Ordering::Relaxed),
             method,
-            kind,
             payload,
-            deadline,
-            priority,
-            false,
-        )
+            deadline: opts.timeout.map(|limit| Instant::now() + limit),
+            priority: opts.priority,
+        }
     }
 
     /// Sends a request through the fault shim. With no plan attached (the
@@ -407,36 +397,21 @@ impl RpcClient {
     /// (stall — only a deadline completes the call), tear the connection
     /// down, or corrupt the frame on the wire so the receiver's checksum
     /// rejects it.
-    fn dispatch(
-        &self,
-        request_id: u64,
-        method: u32,
-        payload: &Payload,
-        deadline: Option<Instant>,
-        priority: Priority,
-    ) -> Result<(), RpcError> {
+    fn dispatch(&self, request: Outgoing) -> Result<(), RpcError> {
         let fault = self.faults.as_ref().and_then(ClientFaults::next_send_fault);
         match fault {
-            None | Some(FaultKind::ConnectRefused) => self.send_request(
-                request_id,
-                method,
-                FrameKind::Request,
-                payload,
-                deadline,
-                priority,
-            ),
+            None | Some(FaultKind::ConnectRefused) => {
+                request.write(&self.writer, &self.closed, FrameKind::Request, false)
+            }
             Some(FaultKind::Delay(delay)) => {
                 if self.is_closed() {
                     return Err(RpcError::ConnectionClosed);
                 }
-                let send_at = Instant::now() + delay;
+                let (send_at, request_id) = (Instant::now() + delay, request.request_id);
                 // The absolute deadline (not a budget snapshot) is parked
                 // with the frame: the timer re-derives the remaining
                 // budget at release, so the hold-back decays it.
-                self.delayed.lock().insert(
-                    request_id,
-                    DelayedSend { send_at, method, payload: payload.clone(), deadline, priority },
-                );
+                self.delayed.lock().insert(request_id, DelayedSend { send_at, request });
                 self.timer.schedule(send_at, request_id);
                 Ok(())
             }
@@ -454,17 +429,9 @@ impl RpcClient {
                 self.shutdown();
                 Err(RpcError::ConnectionClosed)
             }
-            Some(FaultKind::Corrupt) => write_frame(
-                &self.writer,
-                &self.closed,
-                request_id,
-                method,
-                FrameKind::Request,
-                payload,
-                deadline,
-                priority,
-                true,
-            ),
+            Some(FaultKind::Corrupt) => {
+                request.write(&self.writer, &self.closed, FrameKind::Request, true)
+            }
         }
     }
 
@@ -493,12 +460,11 @@ impl RpcClient {
         payload: impl Into<Payload>,
         opts: CallOptions,
     ) -> Result<Bytes, RpcError> {
-        let deadline = opts.timeout.map(|limit| Instant::now() + limit);
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let request = self.outgoing(method, payload.into(), opts);
+        let request_id = request.request_id;
         let slot = SyncSlot::new();
         self.inflight.lock().insert(request_id, Pending::Sync(slot.clone()));
-        if let Err(e) = self.dispatch(request_id, method, &payload.into(), deadline, opts.priority)
-        {
+        if let Err(e) = self.dispatch(request) {
             self.inflight.lock().remove(&request_id);
             return Err(e);
         }
@@ -551,17 +517,31 @@ impl RpcClient {
         opts: CallOptions,
         callback: Callback,
     ) {
-        let deadline = opts.timeout.map(|limit| Instant::now() + limit);
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inflight.lock().insert(request_id, Pending::Async(callback));
-        if let Some(when) = deadline {
-            self.timer.schedule(when, request_id);
-        }
-        if let Err(e) = self.dispatch(request_id, method, &payload, deadline, opts.priority) {
+        let request = self.register_async(method, payload, opts, callback);
+        let request_id = request.request_id;
+        if let Err(e) = self.dispatch(request) {
             if let Some(Pending::Async(cb)) = self.inflight.lock().remove(&request_id) {
                 cb(Err(e));
             }
         }
+    }
+
+    /// Enters one asynchronous call in the in-flight table, and its
+    /// deadline (if any) with the timer, before anything is sent — so a
+    /// fast response cannot miss its entry.
+    fn register_async(
+        &self,
+        method: u32,
+        payload: Payload,
+        opts: CallOptions,
+        callback: Callback,
+    ) -> Outgoing {
+        let request = self.outgoing(method, payload, opts);
+        self.inflight.lock().insert(request.request_id, Pending::Async(callback));
+        if let Some(when) = request.deadline {
+            self.timer.schedule(when, request.request_id);
+        }
+        request
     }
 
     /// Issues several asynchronous calls as **one** multi-request
@@ -585,25 +565,18 @@ impl RpcClient {
             self.call_async_inner(call.method, call.payload, call.opts, call.callback);
             return;
         }
-        // Register every member before the envelope leaves so a fast
-        // response cannot miss its in-flight entry.
-        let mut metas: Vec<BatchMeta> = Vec::with_capacity(calls.len());
-        for call in calls {
-            let deadline = call.opts.timeout.map(|limit| Instant::now() + limit);
-            let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.inflight.lock().insert(request_id, Pending::Async(call.callback));
-            if let Some(when) = deadline {
-                self.timer.schedule(when, request_id);
-            }
-            metas.push((request_id, call.method, call.payload, deadline, call.opts.priority));
-        }
-        if let Err(e) = write_batch_frame(&self.writer, &self.closed, &metas) {
+        // Every member is registered before the envelope leaves.
+        let members: Vec<Outgoing> = calls
+            .into_iter()
+            .map(|call| self.register_async(call.method, call.payload, call.opts, call.callback))
+            .collect();
+        if let Err(e) = write_batch_frame(&self.writer, &self.closed, &members) {
             // A failed envelope write fails every member. The original
             // error is reported once; the rest see ConnectionClosed
             // (io::Error is not Clone, and a writer failure means the
             // connection is done for).
             let mut first = Some(e);
-            for (request_id, ..) in &metas {
+            for Outgoing { request_id, .. } in &members {
                 if let Some(Pending::Async(cb)) = self.inflight.lock().remove(request_id) {
                     cb(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
                 }
@@ -623,7 +596,14 @@ impl RpcClient {
     ///
     /// Returns send-path errors only; delivery is not acknowledged.
     pub fn notify(&self, method: u32, payload: impl Into<Payload>) -> Result<(), RpcError> {
-        self.send_request(0, method, FrameKind::OneWay, &payload.into(), None, Priority::Normal)
+        let oneway = Outgoing {
+            request_id: 0,
+            method,
+            payload: payload.into(),
+            deadline: None,
+            priority: Priority::Normal,
+        };
+        oneway.write(&self.writer, &self.closed, FrameKind::OneWay, false)
     }
 
     /// Number of calls awaiting responses.
@@ -661,8 +641,7 @@ impl std::fmt::Debug for RpcClient {
     }
 }
 
-/// Routes one arriving response frame to its in-flight entry: shared by
-/// the dedicated pick-up thread and the reactor driver.
+/// Routes one arriving response frame to its in-flight entry.
 fn deliver_response(inflight: &InflightTable, frame: Frame) {
     if frame.header.kind != FrameKind::Response {
         return;
@@ -693,8 +672,9 @@ fn fail_all_inflight(inflight: &InflightTable) {
     }
 }
 
-/// Per-connection protocol logic when responses are picked up by a shared
-/// [`Reactor`]: the body of the response thread, minus the thread.
+/// The client side of one connection, whichever runner picks the
+/// responses up: a shared [`Reactor`]'s sweep, or the connection's own
+/// pick-up thread.
 struct ClientConnDriver {
     inflight: InflightTable,
     closed: Arc<AtomicBool>,
@@ -711,40 +691,11 @@ impl ConnDriver for ClientConnDriver {
 
     #[musuite_marker::nonblocking]
     fn on_close(&mut self, _reason: CloseReason) {
-        // Exactly-once by the reactor's registration ledger; callbacks for
-        // every in-flight call fire here with `ConnectionClosed`.
+        // Exactly once, by either runner's contract; callbacks for every
+        // in-flight call fire here with `ConnectionClosed`.
         self.closed.store(true, Ordering::Release);
         fail_all_inflight(&self.inflight);
     }
-}
-
-fn spawn_response_thread(
-    stream: TcpStream,
-    inflight: InflightTable,
-    closed: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    OsOpCounters::global().incr(OsOp::Clone);
-    Builder::new()
-        .name("musuite-response".to_string())
-        .spawn(move || {
-            let counters = OsOpCounters::global();
-            // One pooled read buffer for the life of the connection; each
-            // response payload is a zero-copy slice of it.
-            let mut reader = crate::buf::FrameReader::new(stream);
-            loop {
-                counters.incr(OsOp::EpollPwait);
-                let frame = match reader.read_frame() {
-                    Ok(frame) => frame,
-                    Err(_) => break,
-                };
-                counters.incr(OsOp::RecvMsg);
-                deliver_response(&inflight, frame);
-            }
-            closed.store(true, Ordering::Release);
-            counters.incr(OsOp::Close);
-            fail_all_inflight(&inflight);
-        })
-        .expect("spawn response thread") // lint: allow(expect): no connection without its pick-up thread
 }
 
 /// One due timer entry. The id is a delayed send if `delayed` holds its
@@ -757,7 +708,7 @@ fn on_timer_due(
     inflight: &InflightTable,
     closed: &AtomicBool,
     delayed: &DelayedMap,
-    writer: &SharedWriter,
+    writer: &ConnWriter,
     request_id: u64,
 ) {
     let now = Instant::now();
@@ -767,18 +718,7 @@ fn on_timer_due(
             if !inflight.lock().contains_key(&request_id) {
                 return;
             }
-            let sent = write_frame(
-                writer,
-                closed,
-                request_id,
-                hold.method,
-                FrameKind::Request,
-                &hold.payload,
-                hold.deadline,
-                hold.priority,
-                false,
-            );
-            match sent {
+            match hold.request.write(writer, closed, FrameKind::Request, false) {
                 Ok(()) => return,
                 Err(e) => e,
             }
@@ -811,6 +751,27 @@ mod tests {
 
     fn echo_server() -> Server {
         Server::spawn(ServerConfig::default(), Arc::new(Echo)).unwrap()
+    }
+
+    /// A listener that accepts one connection and never responds on it.
+    fn stuck_server() -> SocketAddr {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (_stream, _) = listener.accept().unwrap();
+            std::thread::sleep(Duration::from_secs(2));
+        });
+        addr
+    }
+
+    /// Answers with the budget and priority it observed.
+    struct Probe;
+    impl Service for Probe {
+        fn call(&self, ctx: RequestContext) {
+            let mut out = ctx.remaining_budget().to_le_bytes().to_vec();
+            out.push(ctx.priority() as u8);
+            ctx.respond_ok(out);
+        }
     }
 
     #[test]
@@ -865,16 +826,41 @@ mod tests {
     }
 
     #[test]
-    fn server_shutdown_fails_inflight_calls() {
-        let server = echo_server();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        // Ensure the connection is live.
-        client.call(1, b"warm".to_vec()).unwrap();
-        server.shutdown();
-        // Subsequent calls fail (either on send or via ConnectionClosed).
-        std::thread::sleep(Duration::from_millis(50));
-        let err = client.call(1, b"after".to_vec());
-        assert!(err.is_err());
+    fn server_shutdown_fails_inflight_calls_exactly_once_under_either_runner() {
+        use crate::reactor::ReactorConfig;
+        /// Keeps every request unanswered until the test lets go.
+        #[derive(Default)]
+        struct Parked(std::sync::Mutex<Vec<RequestContext>>);
+        impl Service for Parked {
+            fn call(&self, ctx: RequestContext) {
+                self.0.lock().unwrap().push(ctx);
+            }
+        }
+        let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
+        for pick_up in [None, Some(&reactor)] {
+            let parked = Arc::new(Parked::default());
+            let server = Server::spawn(ServerConfig::default(), parked.clone()).unwrap();
+            let client = RpcClient::connect_with(server.local_addr(), None, pick_up).unwrap();
+            let (tx, rx) = mpsc::channel();
+            for _ in 0..3 {
+                let tx = tx.clone();
+                client.call_async(1, b"held".to_vec(), move |r| tx.send(r).unwrap());
+            }
+            while parked.0.lock().unwrap().len() < 3 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            server.shutdown();
+            for _ in 0..3 {
+                let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
+            }
+            assert_eq!(client.inflight_len(), 0);
+            assert!(client.is_closed());
+            // The late answers go into closed sockets; no call completes twice.
+            parked.0.lock().unwrap().clear();
+            assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+            assert!(client.call(1, b"after".to_vec()).is_err());
+        }
     }
 
     #[test]
@@ -889,13 +875,7 @@ mod tests {
 
     #[test]
     fn bounded_call_times_out_against_stuck_server() {
-        // A listener that accepts but never responds.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _keeper = std::thread::spawn(move || {
-            let (_stream, _) = listener.accept().unwrap();
-            std::thread::sleep(Duration::from_secs(2));
-        });
+        let addr = stuck_server();
         let client = RpcClient::connect(addr).unwrap();
         let start = std::time::Instant::now();
         let err =
@@ -907,14 +887,9 @@ mod tests {
 
     #[test]
     fn async_deadline_reaps_stuck_request() {
-        // A listener that accepts but never responds: without the reaper,
-        // the async entry would sit in the in-flight table forever.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _keeper = std::thread::spawn(move || {
-            let (_stream, _) = listener.accept().unwrap();
-            std::thread::sleep(Duration::from_secs(2));
-        });
+        // Without the reaper, the async entry would sit in the in-flight
+        // table forever.
+        let addr = stuck_server();
         let client = RpcClient::connect(addr).unwrap();
         let (tx, rx) = mpsc::channel();
         let opts = CallOptions::within(Duration::from_millis(100));
@@ -940,15 +915,6 @@ mod tests {
 
     #[test]
     fn deadline_budget_and_priority_ride_the_wire() {
-        // A probe service reporting the budget and priority it observed.
-        struct Probe;
-        impl Service for Probe {
-            fn call(&self, ctx: RequestContext) {
-                let mut out = ctx.remaining_budget().to_le_bytes().to_vec();
-                out.push(ctx.priority() as u8);
-                ctx.respond_ok(out);
-            }
-        }
         let server = Server::spawn(ServerConfig::default(), Arc::new(Probe)).unwrap();
         let client = RpcClient::connect(server.local_addr()).unwrap();
 
@@ -991,14 +957,6 @@ mod tests {
 
     #[test]
     fn batch_members_carry_individual_budget_and_priority() {
-        struct Probe;
-        impl Service for Probe {
-            fn call(&self, ctx: RequestContext) {
-                let mut out = ctx.remaining_budget().to_le_bytes().to_vec();
-                out.push(ctx.priority() as u8);
-                ctx.respond_ok(out);
-            }
-        }
         let server = Server::spawn(ServerConfig::default(), Arc::new(Probe)).unwrap();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let (bounded_tx, bounded_rx) = mpsc::channel();
@@ -1025,12 +983,7 @@ mod tests {
 
     #[test]
     fn batch_member_deadline_reaps_against_stuck_server() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _keeper = std::thread::spawn(move || {
-            let (_stream, _) = listener.accept().unwrap();
-            std::thread::sleep(Duration::from_secs(2));
-        });
+        let addr = stuck_server();
         let client = RpcClient::connect(addr).unwrap();
         let (tx, rx) = mpsc::channel();
         let bounded_tx = tx.clone();
@@ -1162,12 +1115,7 @@ mod tests {
             // A server that accepts but never responds; tearing the client
             // down must complete the pending async call via the reactor's
             // on_close path, not leak it.
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let _keeper = std::thread::spawn(move || {
-                let (_stream, _) = listener.accept().unwrap();
-                std::thread::sleep(Duration::from_secs(2));
-            });
+            let addr = stuck_server();
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
             let client = RpcClient::connect_with(addr, None, Some(&reactor)).unwrap();
             let (tx, rx) = mpsc::channel();

@@ -34,7 +34,7 @@
 //! a per-connection poller thread ([`buf::FrameReader`]) or a shared
 //! reactor sweep ([`buf::FrameAccumulator`]) — fills a pooled buffer and
 //! hands out `bytes::Bytes` slices of it; outgoing frames serialize into
-//! a reusable scratch ([`buf::FrameWriter`] / the coalescing
+//! the connection's reusable pending buffer (the coalescing
 //! [`buf::ConnWriter`]); and a fan-out encodes shared request state once,
 //! sharing the allocation across leaves via [`buf::Payload`].
 //!
@@ -78,9 +78,7 @@ pub mod stats;
 mod timer;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
-pub use buf::{
-    BufferPool, ConnWriter, FrameAccumulator, FrameReader, FrameWriter, Payload, PooledBuf,
-};
+pub use buf::{BufferPool, ConnWriter, FrameAccumulator, FrameReader, Payload, PooledBuf};
 pub use client::{BatchCall, CallOptions, RpcClient};
 pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
 pub use error::{FailureKind, RpcError};

@@ -40,21 +40,26 @@
 //! idle timeout, or by reactor shutdown; in every case the driver's
 //! `on_close` runs exactly once (the handoff between a racing `register`
 //! and `shutdown` is model-checked under `musuite_check`).
+//!
+//! The thread-per-connection arm of [`NetworkModel`](crate::NetworkModel)
+//! runs the same [`ConnDriver`]s under a second runner,
+//! `spawn_blocking_runner`; a driver cannot tell which feeds it, so the
+//! two models are an ablation of the wait, not of the protocol.
 
-use crate::buf::{BufferPool, FrameAccumulator};
+use crate::buf::{BufferPool, FrameAccumulator, FrameReader, MAX_IDLE_READ_BUFFERS};
 use crate::config::WaitMode;
 use crate::error::RpcError;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
 use musuite_check::sync::{Condvar, Mutex};
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::Frame;
+use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::netpoll::ReactorStats;
+use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Idle buffers retained per reactor for connection churn.
-const MAX_IDLE_READ_BUFFERS: usize = 64;
 /// First timed park after a shard goes idle.
 const PARK_MIN: Duration = Duration::from_micros(20);
 /// Escalation ceiling: 20 µs << 5.
@@ -71,31 +76,85 @@ pub enum Drive {
     Close,
 }
 
-/// Why a connection left the reactor.
+/// Why a connection left its runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CloseReason {
     /// The peer hung up, the stream errored, or the driver asked to close.
     Disconnect,
     /// No traffic within the configured idle timeout.
     Idle,
-    /// The reactor is shutting down.
+    /// The reactor, or the connection's owner, is shutting down.
     Shutdown,
 }
 
-/// Per-connection protocol logic plugged into the reactor.
+/// Per-connection protocol logic, run by a reactor sweep thread or by a
+/// thread of its own (`spawn_blocking_runner`).
 ///
-/// The reactor owns the socket's read half and the frame-assembly buffer;
+/// The runner owns the socket's read half and the frame-assembly buffer;
 /// the driver only sees complete frames. `on_close` is called exactly
-/// once, whatever the connection's fate — it is where a server releases
-/// conn-table state and a client fails its in-flight calls.
+/// once, whatever the connection's fate — it is where a server counts an
+/// idle reap and a client fails its in-flight calls.
 pub trait ConnDriver: Send {
     /// Handles one complete frame. `rx_start_ns` is the monotonic
     /// timestamp at which the frame's first byte arrived (for NetRx
     /// stage attribution).
     fn on_frame(&mut self, frame: Frame, rx_start_ns: u64) -> Drive;
 
-    /// Final callback when the connection leaves the reactor.
+    /// Final callback when the connection leaves its runner.
     fn on_close(&mut self, reason: CloseReason);
+}
+
+/// The thread-per-connection runner: spawns a thread named `name` that
+/// blocks on `reader`'s socket, hands every frame to `driver`, and closes
+/// the socket when the peer hangs up or sends a bad frame, when the driver
+/// says [`Drive::Close`], when a read timeout set on the socket passes with
+/// no frame in flight ([`CloseReason::Idle`]), or once `stop` is set — the
+/// owner sets it and then shuts the socket down to interrupt the wait.
+/// `on_close` is the thread's last act.
+///
+/// OS-op analogs, per the paper's syscall profile: one `epoll_pwait` per
+/// wait, one `recvmsg` per frame, one `close` per connection.
+pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
+    name: &str,
+    mut reader: FrameReader<TcpStream>,
+    mut driver: D,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<()> {
+    let counters = OsOpCounters::global();
+    counters.incr(OsOp::Clone);
+    Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            let reason = loop {
+                counters.incr(OsOp::EpollPwait);
+                let verdict = reader.read_frame().map(|(frame, rx_start_ns)| {
+                    counters.incr(OsOp::RecvMsg);
+                    driver.on_frame(frame, rx_start_ns)
+                });
+                match verdict {
+                    _ if stop.load(Ordering::Acquire) => break CloseReason::Shutdown,
+                    Ok(Drive::Continue) => {}
+                    Ok(Drive::Close) => break CloseReason::Disconnect,
+                    // A read timeout (either kind, by platform) with no
+                    // frame in flight is an idle connection; one that
+                    // strikes inside a frame is a broken stream.
+                    Err(e)
+                        if !reader.mid_frame()
+                            && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                    {
+                        break CloseReason::Idle
+                    }
+                    Err(_) => break CloseReason::Disconnect,
+                }
+            };
+            // Both halves, explicitly: other handles to this socket exist
+            // (the write half, the owner's), so dropping ours would leave
+            // the peer waiting on a silent connection.
+            let _ = reader.get_ref().shutdown(Shutdown::Both);
+            counters.incr(OsOp::Close);
+            driver.on_close(reason);
+        })
+        .expect("spawn connection runner") // lint: allow(expect): a connection is dead without its runner
 }
 
 /// Tuning for a [`Reactor`]; mirrors the server's network knobs.
@@ -502,19 +561,11 @@ fn park(ledger: &Ledger<Registration>, stats: &ReactorStats, streak: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::loopback_pair;
     use musuite_codec::frame::FrameHeader;
     use musuite_codec::{FrameKind, Status};
     use std::io::Write;
-    use std::net::TcpListener;
     use std::sync::mpsc;
-
-    fn loopback_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
 
     /// Forwards every event to an mpsc channel.
     struct Probe {
@@ -560,31 +611,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn peer_hangup_closes_with_disconnect() {
-        let reactor = Reactor::start(ReactorConfig::default());
-        let (peer, reactor_side) = loopback_pair();
-        let (driver, _frames, closes) = probe();
-        reactor.register(reactor_side, Box::new(driver)).unwrap();
-        drop(peer);
-        let reason = closes.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(reason, CloseReason::Disconnect);
-        assert_eq!(reactor.live_connections(), 0);
+    /// The two things that can run a [`ConnDriver`]. What a driver sees —
+    /// frames in order, then `on_close` exactly once with the reason — must
+    /// not depend on which, so the lifecycle tests below run under both.
+    #[derive(Debug, Clone, Copy)]
+    enum Runner {
+        Sweeper,
+        Blocking,
+    }
+
+    const RUNNERS: [Runner; 2] = [Runner::Sweeper, Runner::Blocking];
+
+    /// A driver running over one end of a loopback pair.
+    struct Running {
+        peer: TcpStream,
+        /// The owner's shutdown; returns once the driver can no longer be
+        /// called, so whatever `on_close` sent has been sent.
+        stop: Box<dyn FnOnce()>,
+    }
+
+    fn run<D: ConnDriver + 'static>(
+        runner: Runner,
+        driver: D,
+        idle_timeout: Option<Duration>,
+    ) -> Running {
+        let (peer, side) = loopback_pair();
+        let stop: Box<dyn FnOnce()> = match runner {
+            Runner::Sweeper => {
+                let reactor = Reactor::start(ReactorConfig {
+                    pollers: 1,
+                    idle_timeout,
+                    ..ReactorConfig::default()
+                });
+                reactor.register(side, Box::new(driver)).unwrap();
+                // Dropped right after, which shuts down again: idempotent.
+                Box::new(move || reactor.shutdown())
+            }
+            Runner::Blocking => {
+                side.set_read_timeout(idle_timeout).unwrap();
+                let owner = side.try_clone().unwrap();
+                let stop = Arc::new(AtomicBool::new(false));
+                let runner =
+                    spawn_blocking_runner("test", FrameReader::new(side), driver, stop.clone());
+                Box::new(move || {
+                    stop.store(true, Ordering::Release);
+                    let _ = owner.shutdown(Shutdown::Both);
+                    runner.join().unwrap();
+                })
+            }
+        };
+        Running { peer, stop }
+    }
+
+    /// Waits for the connection to close on its own, then stops the runner
+    /// to be sure `on_close` ran exactly once — not again at shutdown.
+    fn sole_close_reason(running: Running, closes: &mpsc::Receiver<CloseReason>) -> CloseReason {
+        let reason = closes.recv_timeout(Duration::from_secs(5)).expect("on_close must run");
+        (running.stop)();
+        assert!(closes.try_recv().is_err(), "on_close must run exactly once");
+        reason
+    }
+
+    /// A closed connection is dead on the wire at once, whatever other
+    /// handles on the socket are still open: the peer reads EOF.
+    fn assert_peer_reads_eof(peer: &mut TcpStream) {
+        use std::io::Read;
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(peer.read(&mut [0u8; 8]).unwrap_or(0), 0);
     }
 
     #[test]
-    fn corrupt_bytes_close_the_connection() {
-        let reactor = Reactor::start(ReactorConfig::default());
-        let (mut peer, reactor_side) = loopback_pair();
-        let (driver, _frames, closes) = probe();
-        reactor.register(reactor_side, Box::new(driver)).unwrap();
-        peer.write_all(&[0u8; 64]).unwrap();
-        let reason = closes.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(reason, CloseReason::Disconnect);
+    fn peer_hangup_closes_once_with_disconnect() {
+        for runner in RUNNERS {
+            let (driver, frames, closes) = probe();
+            let mut running = run(runner, driver, None);
+            let last_words = Frame::request(7, 3, b"last words".to_vec());
+            running.peer.write_all(&last_words.to_bytes()).unwrap();
+            assert_eq!(frames.recv_timeout(Duration::from_secs(5)).unwrap(), last_words);
+            running.peer.shutdown(Shutdown::Both).unwrap();
+            assert_eq!(sole_close_reason(running, &closes), CloseReason::Disconnect, "{runner:?}");
+        }
     }
 
     #[test]
-    fn driver_close_verdict_is_honored() {
+    fn bad_bytes_close_once_with_disconnect_and_the_peer_reads_eof() {
+        let mut poisoned = Frame::request(1, 1, b"x".to_vec()).to_bytes();
+        *poisoned.last_mut().unwrap() ^= 0xFF;
+        for runner in RUNNERS {
+            for bytes in [&[0u8; 64][..], &poisoned] {
+                let (driver, _frames, closes) = probe();
+                let mut running = run(runner, driver, None);
+                running.peer.write_all(bytes).unwrap();
+                assert_peer_reads_eof(&mut running.peer);
+                assert_eq!(
+                    sole_close_reason(running, &closes),
+                    CloseReason::Disconnect,
+                    "{runner:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn driver_close_verdict_closes_once_with_disconnect() {
         struct OneShot {
             closes: mpsc::Sender<CloseReason>,
         }
@@ -596,52 +725,49 @@ mod tests {
                 let _ = self.closes.send(reason);
             }
         }
-        let reactor = Reactor::start(ReactorConfig::default());
-        let (mut peer, reactor_side) = loopback_pair();
-        let (ctx, crx) = mpsc::channel();
-        reactor.register(reactor_side, Box::new(OneShot { closes: ctx })).unwrap();
-        peer.write_all(&Frame::request(1, 1, Vec::new()).to_bytes()).unwrap();
-        assert_eq!(crx.recv_timeout(Duration::from_secs(5)).unwrap(), CloseReason::Disconnect);
+        for runner in RUNNERS {
+            let (ctx, closes) = mpsc::channel();
+            let mut running = run(runner, OneShot { closes: ctx }, None);
+            running.peer.write_all(&Frame::request(1, 1, Vec::new()).to_bytes()).unwrap();
+            assert_eq!(sole_close_reason(running, &closes), CloseReason::Disconnect, "{runner:?}");
+        }
     }
 
     #[test]
-    fn idle_connections_are_reaped_mid_frame_spared() {
-        let reactor = Reactor::start(ReactorConfig {
-            idle_timeout: Some(Duration::from_millis(50)),
-            ..ReactorConfig::default()
-        });
-        let (mut idle_peer, idle_side) = loopback_pair();
-        let (mut busy_peer, busy_side) = loopback_pair();
-        let (idle_driver, _f1, idle_closes) = probe();
-        let (busy_driver, _f2, busy_closes) = probe();
-        reactor.register(idle_side, Box::new(idle_driver)).unwrap();
-        reactor.register(busy_side, Box::new(busy_driver)).unwrap();
-        // The busy peer keeps one frame perpetually half-sent: it must
-        // not be reaped even though no *complete* frame ever arrives.
-        let frame_bytes = Frame::request(1, 1, vec![7u8; 1000]).to_bytes();
-        let deadline = Instant::now() + Duration::from_millis(300);
-        let mut sent = 0usize;
-        let mut reap_reason = None;
-        while Instant::now() < deadline {
-            if sent < frame_bytes.len() - 1 {
-                busy_peer.write_all(&frame_bytes[sent..sent + 1]).unwrap();
-                sent += 1;
-            }
-            if reap_reason.is_none() {
-                if let Ok(reason) = idle_closes.try_recv() {
-                    reap_reason = Some(reason);
+    fn idle_connections_are_reaped_once_mid_frame_spared() {
+        for runner in RUNNERS {
+            let idle_timeout = Some(Duration::from_millis(50));
+            let (idle_driver, _f1, idle_closes) = probe();
+            let (busy_driver, _f2, busy_closes) = probe();
+            let mut idle = run(runner, idle_driver, idle_timeout);
+            let mut busy = run(runner, busy_driver, idle_timeout);
+            // The busy peer keeps one frame perpetually half-sent: it must
+            // not be reaped even though no *complete* frame ever arrives.
+            let frame_bytes = Frame::request(1, 1, vec![7u8; 1000]).to_bytes();
+            let deadline = Instant::now() + Duration::from_millis(300);
+            for byte in frame_bytes[..frame_bytes.len() - 1].chunks(1) {
+                if Instant::now() >= deadline {
+                    break;
                 }
+                busy.peer.write_all(byte).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            assert!(busy_closes.try_recv().is_err(), "mid-frame conn must survive ({runner:?})");
+            assert_peer_reads_eof(&mut idle.peer);
+            assert_eq!(sole_close_reason(idle, &idle_closes), CloseReason::Idle, "{runner:?}");
+            (busy.stop)();
         }
-        assert_eq!(reap_reason, Some(CloseReason::Idle), "idle conn must be reaped");
-        assert!(busy_closes.try_recv().is_err(), "mid-frame conn must survive");
-        // The reaped socket is actually dead: the peer sees EOF.
-        let mut scratch = [0u8; 8];
-        use std::io::Read;
-        idle_peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(idle_peer.read(&mut scratch).unwrap_or(0), 0);
-        reactor.shutdown();
+    }
+
+    #[test]
+    fn owner_shutdown_closes_once_with_shutdown() {
+        for runner in RUNNERS {
+            let (driver, _frames, closes) = probe();
+            let running = run(runner, driver, None);
+            (running.stop)();
+            assert_eq!(closes.try_recv(), Ok(CloseReason::Shutdown), "{runner:?}");
+            assert!(closes.try_recv().is_err(), "on_close must run exactly once");
+        }
     }
 
     #[test]
@@ -653,18 +779,6 @@ mod tests {
         let err = reactor.register(reactor_side, Box::new(driver)).unwrap_err();
         assert!(matches!(err, RpcError::ShuttingDown));
         assert_eq!(closes.recv_timeout(Duration::from_secs(1)).unwrap(), CloseReason::Shutdown);
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_closes_exactly_once() {
-        let reactor = Reactor::start(ReactorConfig { pollers: 1, ..ReactorConfig::default() });
-        let (_peer, reactor_side) = loopback_pair();
-        let (driver, _frames, closes) = probe();
-        reactor.register(reactor_side, Box::new(driver)).unwrap();
-        reactor.shutdown();
-        reactor.shutdown();
-        assert_eq!(closes.recv_timeout(Duration::from_secs(5)).unwrap(), CloseReason::Shutdown);
-        assert!(closes.try_recv().is_err(), "on_close must run exactly once");
     }
 
     #[test]
@@ -687,6 +801,7 @@ mod tests {
             assert_eq!(frame.header.request_id, id);
         }
         // The budget forced the 40-frame burst across many sweeps.
+        reactor.shutdown(); // a sweep is counted as it ends
         assert!(reactor.stats().sweeps() >= 20);
     }
 
@@ -700,12 +815,13 @@ mod tests {
         let frame = Frame { header, payload: bytes::Bytes::new() };
         peer.write_all(&frame.to_bytes()).unwrap();
         frames.recv_timeout(Duration::from_secs(5)).unwrap();
-        let stats = reactor.stats().clone();
+        // A sweep is counted as it ends: stop the sweepers, then read.
+        reactor.shutdown();
+        let stats = reactor.stats();
         assert_eq!(stats.registered(), 1);
         assert_eq!(stats.frames(), 1);
         assert!(stats.sweeps() >= 1);
-        reactor.shutdown();
-        assert_eq!(reactor.stats().closed(), 1);
+        assert_eq!(stats.closed(), 1);
     }
 }
 

@@ -9,11 +9,12 @@
 //!   every connection (the paper's Fig. 8 mid-tier, where network thread
 //!   count is an architectural constant independent of client count).
 //!
-//! Either way, complete requests are enqueued for the worker pool
-//! ([`ExecutionModel::Dispatch`]) or handled directly on the network
-//! thread ([`ExecutionModel::Inline`]). Workers park on the queue's
-//! condition variable when idle, exactly the structure whose futex and
-//! wakeup overheads the paper characterizes.
+//! Either way, the connection's protocol is one `ServerConnDriver`, and
+//! the model only picks what runs it. Complete requests are enqueued for
+//! the worker pool ([`ExecutionModel::Dispatch`]) or handled directly on
+//! the network thread ([`ExecutionModel::Inline`]). Workers park on the
+//! queue's condition variable when idle, exactly the structure whose futex
+//! and wakeup overheads the paper characterizes.
 //!
 //! Request payloads are zero-copy slices of pooled read buffers in both
 //! modes ([`FrameReader`] per-connection, [`FrameAccumulator`] inside the
@@ -29,62 +30,48 @@
 //! [`FrameAccumulator`]: crate::FrameAccumulator
 
 use crate::admission::{AdmissionControl, LimitChange};
-use crate::buf::{BufferPool, ConnWriter, FrameReader};
+use crate::buf::{BufferPool, ConnWriter, FrameReader, SharedWriter, MAX_IDLE_READ_BUFFERS};
 use crate::config::{ExecutionModel, NetworkModel, ServerConfig};
 use crate::error::RpcError;
 use crate::queue::DispatchQueue;
-use crate::reactor::{CloseReason, ConnDriver, Drive, Reactor, ReactorConfig};
-use crate::service::{RequestContext, Service, SharedWriter};
+use crate::reactor::{
+    spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor, ReactorConfig,
+};
+use crate::service::{RequestContext, Service};
 use crate::stats::ServerStats;
 use musuite_check::atomic::{AtomicBool, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::batch::decode_batch;
-use musuite_codec::frame::{FrameHeader, FrameKind};
+use musuite_codec::frame::FrameKind;
 use musuite_codec::{Frame, Priority, Status};
 use musuite_telemetry::admission::{AdmissionCounters, AdmissionEvent};
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
-use std::collections::HashMap;
-use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
-/// Id-keyed connection bookkeeping plus the list of pollers that have
-/// exited and are ready to be reaped. Used only in `BlockingPerConn`
-/// mode; the reactor tracks its own connections.
-#[derive(Default)]
-struct ConnTable {
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    pollers: Mutex<HashMap<u64, JoinHandle<()>>>,
-    finished: Mutex<Vec<u64>>,
+/// A `BlockingPerConn` connection: a handle on its socket, to interrupt
+/// the poller's blocking read at shutdown, and the poller to join.
+struct LiveConn {
+    stream: TcpStream,
+    poller: JoinHandle<()>,
 }
 
-impl ConnTable {
-    /// Removes (and joins) every poller that has announced completion.
-    /// Called opportunistically from the accept loop and from accessors,
-    /// so a long-lived server shedding short-lived connections holds
-    /// state proportional to *live* connections, not historical ones.
-    fn reap(&self) {
-        let done: Vec<u64> = std::mem::take(&mut *self.finished.lock());
-        if done.is_empty() {
-            return;
-        }
-        for id in done {
-            self.conns.lock().remove(&id);
-            let handle = self.pollers.lock().remove(&id);
-            if let Some(handle) = handle {
-                // The poller pushed its id as its final act, so this join
-                // completes promptly.
-                let _ = handle.join();
-            }
-        }
-    }
+/// Connection bookkeeping in `BlockingPerConn` mode; the reactor tracks
+/// its own connections.
+type ConnTable = Mutex<Vec<LiveConn>>;
 
-    fn live_connections(&self) -> usize {
-        self.reap();
-        self.conns.lock().len()
+/// Removes (and joins) every poller that has exited. Called
+/// opportunistically from the accept loop and from accessors, so a
+/// long-lived server shedding short-lived connections holds state
+/// proportional to *live* connections, not historical ones.
+fn reap_exited(table: &ConnTable) {
+    let done: Vec<LiveConn> =
+        table.lock().extract_if(.., |conn| conn.poller.is_finished()).collect();
+    for conn in done {
+        let _ = conn.poller.join();
     }
 }
 
@@ -118,14 +105,12 @@ impl ConnTable {
 /// ```
 pub struct Server {
     local_addr: SocketAddr,
-    stats: ServerStats,
+    pipeline: Arc<Pipeline>,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     table: Arc<ConnTable>,
-    queue: DispatchQueue<RequestContext>,
     reactor: Option<Arc<Reactor>>,
-    admission: AdmissionControl,
 }
 
 impl Server {
@@ -150,6 +135,14 @@ impl Server {
         // limit floats below it on observed queue delay.
         let admission =
             AdmissionControl::new(config.admission_model_value(), config.queue_capacity_value());
+        let pipeline = Arc::new(Pipeline {
+            stats,
+            queue,
+            service,
+            model: config.execution_model_value(),
+            admission,
+            clock: Clock::new(),
+        });
         let table = Arc::new(ConnTable::default());
         let reactor = match config.network_model_value() {
             NetworkModel::BlockingPerConn => None,
@@ -164,19 +157,16 @@ impl Server {
         };
 
         let mut worker_handles = Vec::new();
-        if config.execution_model_value() == ExecutionModel::Dispatch {
+        if pipeline.model == ExecutionModel::Dispatch {
             let batch = config.batch_policy_value();
             for i in 0..config.worker_count() {
-                let queue = queue.clone();
-                let service = service.clone();
-                let stats = stats.clone();
-                let admission = admission.clone();
+                let pipeline = pipeline.clone();
                 OsOpCounters::global().incr(OsOp::Clone);
                 worker_handles.push(
                     Builder::new()
                         .name(format!("musuite-worker-{i}"))
                         .spawn(move || {
-                            let clock = Clock::new();
+                            let Pipeline { queue, service, stats, .. } = &*pipeline;
                             if batch.is_on() {
                                 // Batched unit of work: one park/unpark per
                                 // drained batch. Expired members are dropped
@@ -189,9 +179,7 @@ impl Server {
                                     stats.batching().record_batch(members.len(), reason);
                                     let live: Vec<RequestContext> = members
                                         .into_iter()
-                                        .filter_map(|ctx| {
-                                            screen_dequeued(&admission, &stats, &clock, ctx)
-                                        })
+                                        .filter_map(|ctx| pipeline.screen_dequeued(ctx))
                                         .collect();
                                     if !live.is_empty() {
                                         service.call_batch(live);
@@ -199,9 +187,7 @@ impl Server {
                                 }
                             } else {
                                 while let Some(ctx) = queue.pop() {
-                                    if let Some(ctx) =
-                                        screen_dequeued(&admission, &stats, &clock, ctx)
-                                    {
+                                    if let Some(ctx) = pipeline.screen_dequeued(ctx) {
                                         service.call(ctx);
                                     }
                                 }
@@ -214,12 +200,9 @@ impl Server {
 
         let accept_handle = {
             let shutdown = shutdown.clone();
-            let stats = stats.clone();
-            let queue = queue.clone();
+            let pipeline = pipeline.clone();
             let table = table.clone();
             let reactor = reactor.clone();
-            let admission = admission.clone();
-            let model = config.execution_model_value();
             let idle_timeout = config.idle_timeout_value();
             // Read buffers survive connection churn: an exiting poller's
             // warmed-up buffer is handed to the next connection.
@@ -228,60 +211,39 @@ impl Server {
             Builder::new()
                 .name("musuite-accept".to_string())
                 .spawn(move || {
-                    let mut next_conn_id = 0u64;
                     for stream in listener.incoming() {
                         if shutdown.load(Ordering::Acquire) {
                             break;
                         }
                         // Retire bookkeeping for pollers that exited since
                         // the last accept before adding the new one.
-                        table.reap();
+                        reap_exited(&table);
                         let Ok(stream) = stream else { continue };
                         OsOpCounters::global().incr(OsOp::OpenAt);
                         stream.set_nodelay(true).ok();
                         let Ok(read_half) = stream.try_clone() else { continue };
-                        let writer: SharedWriter =
-                            Arc::new(ConnWriter::with_stats(stream, stats.coalesce().clone()));
+                        let stats = pipeline.stats.coalesce().clone();
+                        let driver = ServerConnDriver {
+                            writer: Arc::new(ConnWriter::with_stats(stream, stats)),
+                            pipeline: pipeline.clone(),
+                        };
                         if let Some(reactor) = &reactor {
                             // Shared-poller mode: the reactor owns the read
                             // half; no thread is spawned for this conn.
-                            let driver = ServerConnDriver {
-                                writer,
-                                stats: stats.clone(),
-                                queue: queue.clone(),
-                                service: service.clone(),
-                                model,
-                                clock: Clock::new(),
-                                admission: admission.clone(),
-                            };
                             let _ = reactor.register(read_half, Box::new(driver));
                             continue;
                         }
-                        if let Some(timeout) = idle_timeout {
-                            // Baseline idle reaping: the poller's blocking
-                            // first-byte read times out and exits.
-                            read_half.set_read_timeout(Some(timeout)).ok();
-                        }
-                        let conn_id = next_conn_id;
-                        next_conn_id += 1;
-                        // lint: allow(expect): dup of a just-accepted live fd
-                        let conn_handle = writer.get_ref().try_clone().expect("clone live fd");
-                        table.conns.lock().insert(conn_id, conn_handle);
-                        let poller = spawn_poller(
-                            conn_id,
-                            read_half,
-                            writer,
-                            stats.clone(),
-                            queue.clone(),
-                            service.clone(),
-                            model,
+                        // Baseline idle reaping: the poller's blocking wait
+                        // for the next frame times out and it exits.
+                        read_half.set_read_timeout(idle_timeout).ok();
+                        let Ok(conn_handle) = read_half.try_clone() else { continue };
+                        let poller = spawn_blocking_runner(
+                            "musuite-poller",
+                            FrameReader::with_buffer(read_half, read_buffers.acquire()),
+                            driver,
                             shutdown.clone(),
-                            table.clone(),
-                            read_buffers.acquire(),
-                            idle_timeout.is_some(),
-                            admission.clone(),
                         );
-                        table.pollers.lock().insert(conn_id, poller);
+                        table.lock().push(LiveConn { stream: conn_handle, poller });
                     }
                 })
                 .expect("spawn accept thread") // lint: allow(expect): server is inert without acceptor
@@ -289,14 +251,12 @@ impl Server {
 
         Ok(Server {
             local_addr,
-            stats,
+            pipeline,
             shutdown,
             accept_handle: Some(accept_handle),
             worker_handles,
             table,
-            queue,
             reactor,
-            admission,
         })
     }
 
@@ -307,7 +267,7 @@ impl Server {
 
     /// Shared telemetry for this server.
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.pipeline.stats
     }
 
     /// Number of live connections. Per-connection mode reaps exited
@@ -315,7 +275,10 @@ impl Server {
     pub fn connection_count(&self) -> usize {
         match &self.reactor {
             Some(reactor) => reactor.live_connections(),
-            None => self.table.live_connections(),
+            None => {
+                reap_exited(&self.table);
+                self.table.lock().len()
+            }
         }
     }
 
@@ -339,7 +302,7 @@ impl Server {
 
     /// The admission gate: current concurrency limit and in-flight count.
     pub fn admission(&self) -> &AdmissionControl {
-        &self.admission
+        &self.pipeline.admission
     }
 
     /// Stops accepting, closes every connection, drains the worker pool,
@@ -351,16 +314,18 @@ impl Server {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         // Unblock pollers parked in read().
-        for conn in self.table.conns.lock().values() {
-            let _ = conn.shutdown(Shutdown::Both);
+        for conn in self.table.lock().iter() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         if let Some(reactor) = &self.reactor {
             reactor.shutdown();
         }
-        self.queue.close();
+        self.pipeline.queue.close();
     }
+}
 
-    fn join_all(&mut self) {
+impl Drop for Server {
+    fn drop(&mut self) {
         self.shutdown();
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
@@ -368,21 +333,10 @@ impl Server {
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
-        let pollers: Vec<_> = {
-            let mut map = self.table.pollers.lock();
-            map.drain().map(|(_, handle)| handle).collect()
-        };
-        for handle in pollers {
-            let _ = handle.join();
+        let conns = std::mem::take(&mut *self.table.lock());
+        for conn in conns {
+            let _ = conn.poller.join();
         }
-        self.table.conns.lock().clear();
-        self.table.finished.lock().clear();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.join_all();
     }
 }
 
@@ -390,25 +344,9 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("local_addr", &self.local_addr)
-            .field("stats", &self.stats)
+            .field("stats", self.stats())
             .finish()
     }
-}
-
-/// Idle read buffers retained across connections; beyond this, buffers
-/// from exiting pollers are freed rather than pooled.
-const MAX_IDLE_READ_BUFFERS: usize = 64;
-
-/// Per-connection protocol logic when the connection is reactor-owned:
-/// the same request pipeline as the blocking poller, minus the thread.
-struct ServerConnDriver {
-    writer: SharedWriter,
-    stats: ServerStats,
-    queue: DispatchQueue<RequestContext>,
-    service: Arc<dyn Service>,
-    model: ExecutionModel,
-    clock: Clock,
-    admission: AdmissionControl,
 }
 
 /// Maps a shed request's class to its telemetry event.
@@ -420,119 +358,116 @@ fn shed_event(priority: Priority) -> AdmissionEvent {
     }
 }
 
-/// Per-member dequeue bookkeeping shared by the single-request and
-/// batched worker loops: feeds the queue-delay signal (what the
-/// breakdown's Block stage samples) to the adaptive limiter, then
-/// screens out requests whose deadline expired while queued — the
-/// caller has given up, so abandoned work must never occupy a worker.
-/// Returns the context only when it should still execute.
-fn screen_dequeued(
-    admission: &AdmissionControl,
-    stats: &ServerStats,
-    clock: &Clock,
-    ctx: RequestContext,
-) -> Option<RequestContext> {
-    let delay = clock.delta(ctx.received_at_ns(), clock.now_ns());
-    match admission.note_dequeue(delay) {
-        Some(LimitChange::Raised) => AdmissionCounters::global().incr(AdmissionEvent::LimitRaised),
-        Some(LimitChange::Lowered) => {
-            AdmissionCounters::global().incr(AdmissionEvent::LimitLowered)
-        }
-        None => {}
-    }
-    if ctx.is_expired() {
-        stats.record_deadline_expired();
-        AdmissionCounters::global().incr(AdmissionEvent::ExpiredInQueue);
-        ctx.respond_err(Status::DeadlineExpired, "deadline expired in queue");
-        return None;
-    }
-    Some(ctx)
+/// What every network thread and worker of one server shares; its methods
+/// are the request pipeline, from a decoded frame to a running handler.
+struct Pipeline {
+    stats: ServerStats,
+    queue: DispatchQueue<RequestContext>,
+    service: Arc<dyn Service>,
+    model: ExecutionModel,
+    admission: AdmissionControl,
+    clock: Clock,
 }
 
-/// Routes one decoded frame through the request pipeline — the protocol
-/// edge shared by both network models. `OneWay` frames go straight to
-/// the service; `Request` frames become one context; `Batch` frames are
-/// unpacked into per-member contexts so admission, shedding, and expiry
-/// stay *per sub-request* (a merged frame must account identically to
-/// the same requests sent individually). A batch envelope that fails to
-/// decode despite the outer checksum is a peer bug and is dropped whole;
-/// anything else (responses on a server connection) is ignored.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_frame(
-    frame: Frame,
-    received: u64,
-    writer: &SharedWriter,
-    stats: &ServerStats,
-    queue: &DispatchQueue<RequestContext>,
-    service: &Arc<dyn Service>,
-    model: ExecutionModel,
-    admission: &AdmissionControl,
-) {
-    match frame.header.kind {
-        FrameKind::OneWay => service.notify(frame.header.method, frame.payload),
-        FrameKind::Request => {
-            let ctx = RequestContext::new(frame, received, writer.clone(), stats.clone());
-            admit_and_dispatch(admission, stats, queue, service, model, ctx);
-        }
-        FrameKind::Batch => {
-            let Ok(entries) = decode_batch(&frame.payload) else { return };
-            for entry in entries {
-                let header =
-                    FrameHeader::new(FrameKind::Request, entry.request_id, entry.method, Status::Ok)
-                        .with_budget(entry.deadline_budget_us, entry.priority);
-                let member = Frame { header, payload: entry.payload };
-                let ctx = RequestContext::new(member, received, writer.clone(), stats.clone());
-                admit_and_dispatch(admission, stats, queue, service, model, ctx);
+impl Pipeline {
+    /// Routes one decoded frame, read off the connection `writer` answers
+    /// on, through the request pipeline. `OneWay` frames go straight to
+    /// the service; `Request` frames become one context; `Batch` frames are
+    /// unpacked into per-member contexts so admission, shedding, and expiry
+    /// stay *per sub-request* (a merged frame must account identically to
+    /// the same requests sent individually). A batch envelope that fails to
+    /// decode despite the outer checksum is a peer bug and is dropped whole;
+    /// anything else (responses on a server connection) is ignored.
+    fn dispatch_frame(&self, frame: Frame, received: u64, writer: &SharedWriter) {
+        let admit = |request: Frame| {
+            let stats = self.stats.clone();
+            self.admit_and_dispatch(RequestContext::new(request, received, writer.clone(), stats))
+        };
+        match frame.header.kind {
+            FrameKind::OneWay => self.service.notify(frame.header.method, frame.payload),
+            FrameKind::Request => admit(frame),
+            FrameKind::Batch => {
+                let Ok(entries) = decode_batch(&frame.payload) else { return };
+                for entry in entries {
+                    let member = Frame::request(entry.request_id, entry.method, entry.payload);
+                    admit(member.with_budget(entry.deadline_budget_us, entry.priority));
+                }
             }
+            FrameKind::Response => {}
         }
-        FrameKind::Response => {}
     }
-}
 
-/// The shared admission pipeline behind both network edges: count the
-/// request, refuse arrivals whose deadline already passed, pass the
-/// priority gate, then hand the context to the execution model. The
-/// admission permit rides inside the context and is released when the
-/// context drops (response sent, context abandoned, or handler panic),
-/// so the in-flight count can never leak.
-fn admit_and_dispatch(
-    admission: &AdmissionControl,
-    stats: &ServerStats,
-    queue: &DispatchQueue<RequestContext>,
-    service: &Arc<dyn Service>,
-    model: ExecutionModel,
-    mut ctx: RequestContext,
-) {
-    stats.record_request();
-    // Arrival-expiry: the budget was spent upstream, so answering now is
-    // cheaper than ever touching the gate or the queue.
-    if ctx.is_expired() {
-        stats.record_deadline_expired();
-        AdmissionCounters::global().incr(AdmissionEvent::ExpiredAtArrival);
-        ctx.respond_err(Status::DeadlineExpired, "deadline expired on arrival");
-        return;
-    }
-    let priority = ctx.priority();
-    match admission.try_admit(priority) {
-        Some(permit) => ctx.attach_permit(permit),
-        None => {
-            stats.record_shed(priority);
-            AdmissionCounters::global().incr(shed_event(priority));
-            ctx.respond_err(Status::Unavailable, "admission limit reached");
+    /// The admission pipeline: count the request, refuse arrivals whose
+    /// deadline already passed, pass the priority gate, then hand the
+    /// context to the execution model. The admission permit rides inside
+    /// the context and is released when the context drops (response sent,
+    /// context abandoned, or handler panic), so the in-flight count can
+    /// never leak.
+    fn admit_and_dispatch(&self, mut ctx: RequestContext) {
+        self.stats.record_request();
+        // Arrival-expiry: the budget was spent upstream, so answering now is
+        // cheaper than ever touching the gate or the queue.
+        if ctx.is_expired() {
+            self.stats.record_deadline_expired();
+            AdmissionCounters::global().incr(AdmissionEvent::ExpiredAtArrival);
+            ctx.respond_err(Status::DeadlineExpired, "deadline expired on arrival");
             return;
         }
-    }
-    match model {
-        ExecutionModel::Inline => service.call(ctx),
-        ExecutionModel::Dispatch => {
-            // The queue holds the context by value; a failed push sheds
-            // load so saturation does not grow an unbounded backlog.
-            if let Err(ctx) = queue.try_push(ctx) {
-                stats.record_rejected();
-                ctx.respond_err(Status::Unavailable, "dispatch queue full");
+        let priority = ctx.priority();
+        match self.admission.try_admit(priority) {
+            Some(permit) => ctx.attach_permit(permit),
+            None => {
+                self.stats.record_shed(priority);
+                AdmissionCounters::global().incr(shed_event(priority));
+                ctx.respond_err(Status::Unavailable, "admission limit reached");
+                return;
+            }
+        }
+        match self.model {
+            ExecutionModel::Inline => self.service.call(ctx),
+            ExecutionModel::Dispatch => {
+                // The queue holds the context by value; a failed push sheds
+                // load so saturation does not grow an unbounded backlog.
+                if let Err(ctx) = self.queue.try_push(ctx) {
+                    self.stats.record_rejected();
+                    ctx.respond_err(Status::Unavailable, "dispatch queue full");
+                }
             }
         }
     }
+
+    /// Per-member dequeue bookkeeping shared by the single-request and
+    /// batched worker loops: feeds the queue-delay signal (what the
+    /// breakdown's Block stage samples) to the adaptive limiter, then
+    /// screens out requests whose deadline expired while queued — the
+    /// caller has given up, so abandoned work must never occupy a worker.
+    /// Returns the context only when it should still execute.
+    fn screen_dequeued(&self, ctx: RequestContext) -> Option<RequestContext> {
+        let delay = self.clock.delta(ctx.received_at_ns(), self.clock.now_ns());
+        match self.admission.note_dequeue(delay) {
+            Some(LimitChange::Raised) => {
+                AdmissionCounters::global().incr(AdmissionEvent::LimitRaised)
+            }
+            Some(LimitChange::Lowered) => {
+                AdmissionCounters::global().incr(AdmissionEvent::LimitLowered)
+            }
+            None => {}
+        }
+        if ctx.is_expired() {
+            self.stats.record_deadline_expired();
+            AdmissionCounters::global().incr(AdmissionEvent::ExpiredInQueue);
+            ctx.respond_err(Status::DeadlineExpired, "deadline expired in queue");
+            return None;
+        }
+        Some(ctx)
+    }
+}
+
+/// The server side of one connection, whichever runner feeds it: a
+/// reactor sweep, or a poller thread of the connection's own.
+struct ServerConnDriver {
+    writer: SharedWriter,
+    pipeline: Arc<Pipeline>,
 }
 
 impl ConnDriver for ServerConnDriver {
@@ -541,104 +476,22 @@ impl ConnDriver for ServerConnDriver {
     // declared here, at the impl, rather than inherited from the root.
     #[musuite_marker::nonblocking]
     fn on_frame(&mut self, frame: Frame, rx_start_ns: u64) -> Drive {
-        let received = self.clock.now_ns();
-        self.stats.breakdown().record(Stage::NetRx, self.clock.delta(rx_start_ns, received));
-        // Inline runs the handler on the sweep thread itself — the
-        // paper's in-line design, now with a *shared* network thread.
-        dispatch_frame(
-            frame,
-            received,
-            &self.writer,
-            &self.stats,
-            &self.queue,
-            &self.service,
-            self.model,
-            &self.admission,
-        );
+        let Pipeline { stats, clock, .. } = &*self.pipeline;
+        // Everything from the frame's first byte to here is Net_rx.
+        let received = clock.now_ns();
+        stats.breakdown().record(Stage::NetRx, clock.delta(rx_start_ns, received));
+        // Inline runs the handler on the network thread itself — the
+        // paper's in-line design, on either kind of network thread.
+        self.pipeline.dispatch_frame(frame, received, &self.writer);
         Drive::Continue
     }
 
     #[musuite_marker::nonblocking]
     fn on_close(&mut self, reason: CloseReason) {
         if reason == CloseReason::Idle {
-            self.stats.record_idle_reaped();
+            self.pipeline.stats.record_idle_reaped();
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_poller(
-    conn_id: u64,
-    read_half: TcpStream,
-    writer: SharedWriter,
-    stats: ServerStats,
-    queue: DispatchQueue<RequestContext>,
-    service: Arc<dyn Service>,
-    model: ExecutionModel,
-    shutdown: Arc<AtomicBool>,
-    table: Arc<ConnTable>,
-    read_buf: crate::buf::PooledBuf,
-    reap_on_timeout: bool,
-    admission: AdmissionControl,
-) -> JoinHandle<()> {
-    OsOpCounters::global().incr(OsOp::Clone);
-    Builder::new()
-        .name("musuite-poller".to_string())
-        .spawn(move || {
-            let clock = Clock::new();
-            let counters = OsOpCounters::global();
-            // Persistent pooled read buffer for this connection; request
-            // payloads are zero-copy slices of it. The buffer returns to
-            // the server's pool when this poller exits.
-            let mut reader = FrameReader::with_buffer(read_half, read_buf);
-            loop {
-                // Wait for readiness: the blocking first-byte read is the
-                // userspace edge of epoll_pwait + hardirq delivery.
-                counters.incr(OsOp::EpollPwait);
-                let mut first = [0u8; 1];
-                if let Err(e) = reader.get_ref().read_exact(&mut first) {
-                    if reap_on_timeout
-                        && matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-                    {
-                        // Idle past the configured timeout with no frame
-                        // in flight: reap the connection.
-                        stats.record_idle_reaped();
-                        let _ = reader.get_ref().shutdown(Shutdown::Both);
-                    }
-                    break;
-                }
-                // Data has arrived; everything from here to a parsed frame
-                // is the Net_rx stage.
-                let rx_start = clock.now_ns();
-                counters.incr(OsOp::RecvMsg);
-                let frame = match reader.read_frame_after_first_byte(first[0]) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        // A malformed or checksum-rejected frame poisons
-                        // the stream. Close both halves explicitly (the
-                        // conn table holds another handle, so dropping
-                        // ours is not enough) so the peer observes the
-                        // failure immediately instead of timing out on a
-                        // silent connection.
-                        let _ = reader.get_ref().shutdown(Shutdown::Both);
-                        break;
-                    }
-                };
-                let received = clock.now_ns();
-                stats.breakdown().record(Stage::NetRx, clock.delta(rx_start, received));
-                dispatch_frame(
-                    frame, received, &writer, &stats, &queue, &service, model, &admission,
-                );
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            counters.incr(OsOp::Close);
-            // Announce completion so the accept loop (or an accessor)
-            // retires this connection's bookkeeping.
-            table.finished.lock().push(conn_id);
-        })
-        .expect("spawn poller thread") // lint: allow(expect): connection is dead without poller
 }
 
 #[cfg(test)]
@@ -782,24 +635,22 @@ mod tests {
         assert_eq!(server.stats().responses(), 400);
     }
 
-    #[test]
-    fn closed_connections_are_reaped() {
-        let server = Server::spawn(ServerConfig::default(), Arc::new(Echo)).unwrap();
+    fn closed_connections_reaped_case(network: NetworkModel) {
+        let mut config = ServerConfig::default();
+        config.network_model(network);
+        let server = Server::spawn(config, Arc::new(Echo)).unwrap();
         for _ in 0..5 {
             let client = RpcClient::connect(server.local_addr()).unwrap();
             client.call(1, b"hi".to_vec()).unwrap();
-            drop(client); // hangs up; the poller exits shortly after
+            drop(client); // hangs up; the server notices shortly after
         }
-        // The pollers notice the hang-ups asynchronously; poll until the
+        // The hang-ups are noticed asynchronously; poll until the
         // bookkeeping drains rather than racing a fixed sleep.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if server.connection_count() == 0 {
-                break;
-            }
+        while server.connection_count() != 0 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "dead connections were never reaped: {} still tracked",
+                "dead connections were never reaped under {network:?}: {} still tracked",
                 server.connection_count()
             );
             std::thread::sleep(Duration::from_millis(10));
@@ -811,27 +662,13 @@ mod tests {
     }
 
     #[test]
+    fn closed_connections_are_reaped() {
+        closed_connections_reaped_case(NetworkModel::BlockingPerConn);
+    }
+
+    #[test]
     fn shared_pollers_reap_closed_connections() {
-        let mut config = ServerConfig::default();
-        config.network_model(NetworkModel::SharedPollers { pollers: 1 });
-        let server = Server::spawn(config, Arc::new(Echo)).unwrap();
-        for _ in 0..5 {
-            let client = RpcClient::connect(server.local_addr()).unwrap();
-            client.call(1, b"hi".to_vec()).unwrap();
-            drop(client);
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.connection_count() != 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "reactor never released dead conns: {} live",
-                server.connection_count()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        client.call(1, b"again".to_vec()).unwrap();
-        assert_eq!(server.connection_count(), 1);
+        closed_connections_reaped_case(NetworkModel::SharedPollers { pollers: 1 });
     }
 
     fn idle_reap_case(network: NetworkModel) {
@@ -867,9 +704,10 @@ mod tests {
         idle_reap_case(NetworkModel::SharedPollers { pollers: 2 });
     }
 
-    #[test]
-    fn breakdown_stages_populated_after_traffic() {
-        let server = Server::spawn(ServerConfig::default(), Arc::new(Echo)).unwrap();
+    fn breakdown_stages_case(network: NetworkModel) {
+        let mut config = ServerConfig::default();
+        config.network_model(network);
+        let server = Server::spawn(config, Arc::new(Echo)).unwrap();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         for _ in 0..20 {
             client.call(1, vec![0u8; 128]).unwrap();
@@ -884,18 +722,13 @@ mod tests {
     }
 
     #[test]
+    fn breakdown_stages_populated_after_traffic() {
+        breakdown_stages_case(NetworkModel::BlockingPerConn);
+    }
+
+    #[test]
     fn breakdown_stages_populated_under_shared_pollers() {
-        let mut config = ServerConfig::default();
-        config.network_model(NetworkModel::SharedPollers { pollers: 2 });
-        let server = Server::spawn(config, Arc::new(Echo)).unwrap();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        for _ in 0..20 {
-            client.call(1, vec![0u8; 128]).unwrap();
-        }
-        let breakdown = server.stats().breakdown();
-        assert_eq!(breakdown.histogram(Stage::NetRx).count(), 20);
-        assert_eq!(breakdown.histogram(Stage::Block).count(), 20);
-        assert!(breakdown.histogram(Stage::NetTx).count() >= 19);
+        breakdown_stages_case(NetworkModel::SharedPollers { pollers: 2 });
     }
 
     #[test]
@@ -1058,20 +891,21 @@ mod tests {
         assert_eq!(server.stats().shed_total(), 1);
     }
 
+    /// Counts the requests that reach it, and takes 40 ms over each.
+    struct Tracking {
+        ran: Arc<musuite_check::atomic::AtomicU64>,
+    }
+    impl Service for Tracking {
+        fn call(&self, ctx: RequestContext) {
+            self.ran.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(40));
+            ctx.respond_ok(Vec::new());
+        }
+    }
+
     #[test]
     fn expired_requests_are_dropped_at_dequeue_without_running() {
-        use musuite_check::atomic::AtomicU64;
-        struct Tracking {
-            ran: Arc<AtomicU64>,
-        }
-        impl Service for Tracking {
-            fn call(&self, ctx: RequestContext) {
-                self.ran.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(40));
-                ctx.respond_ok(Vec::new());
-            }
-        }
-        let ran = Arc::new(AtomicU64::new(0));
+        let ran = Arc::new(musuite_check::atomic::AtomicU64::new(0));
         let mut config = ServerConfig::default();
         config.workers(1).queue_capacity(4);
         let server = Server::spawn(config, Arc::new(Tracking { ran: ran.clone() })).unwrap();
@@ -1128,18 +962,7 @@ mod tests {
     #[test]
     fn batched_dispatch_expired_members_dropped_not_batchmates() {
         use crate::config::BatchPolicy;
-        use musuite_check::atomic::AtomicU64;
-        struct Tracking {
-            ran: Arc<AtomicU64>,
-        }
-        impl Service for Tracking {
-            fn call(&self, ctx: RequestContext) {
-                self.ran.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(40));
-                ctx.respond_ok(Vec::new());
-            }
-        }
-        let ran = Arc::new(AtomicU64::new(0));
+        let ran = Arc::new(musuite_check::atomic::AtomicU64::new(0));
         let mut config = ServerConfig::default();
         config
             .workers(1)

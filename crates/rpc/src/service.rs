@@ -11,7 +11,7 @@
 //! fan-out.
 
 use crate::admission::AdmissionPermit;
-use crate::buf::ConnWriter;
+use crate::buf::SharedWriter;
 use crate::stats::ServerStats;
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicU64, Ordering};
@@ -79,11 +79,6 @@ mod notify_tests {
         Quiet.notify(1, Bytes::from(vec![1, 2, 3]));
     }
 }
-
-/// Shared, coalescing write half of a connection: responses from any
-/// thread serialize into a common pending buffer and leave in batched
-/// writes (see [`ConnWriter`]).
-pub(crate) type SharedWriter = Arc<ConnWriter>;
 
 /// Everything a handler needs to process and complete one RPC.
 ///
@@ -274,17 +269,10 @@ impl Drop for RequestContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{loopback_pair, ConnWriter};
     use musuite_codec::FrameKind;
     use std::io::Read;
-    use std::net::{TcpListener, TcpStream};
-
-    fn loopback_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
+    use std::net::TcpStream;
 
     fn context_for(stream: TcpStream, stats: &ServerStats) -> RequestContext {
         let frame = Frame::request(11, 5, b"req".to_vec());

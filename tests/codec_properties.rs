@@ -4,9 +4,36 @@
 //! pooled buffer is reused for later frames.
 
 use bytes::Bytes;
-use musuite::codec::{from_bytes, to_bytes, Decode, DecodeError, Encode, Frame, Status};
+use musuite::codec::batch::{COUNT_LEN, ENTRY_HEADER_LEN};
+use musuite::codec::{
+    decode_batch, encode_batch, from_bytes, to_bytes, BatchEntry, Decode, DecodeError, Encode,
+    Frame, Status,
+};
 use musuite::rpc::FrameReader;
 use proptest::prelude::*;
+
+/// A well-formed `FrameKind::Batch` envelope over `payloads`, and the
+/// offset of each member's entry header inside it.
+fn batch_envelope(payloads: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
+    let entries: Vec<BatchEntry> = payloads
+        .iter()
+        .enumerate()
+        .map(|(i, payload)| BatchEntry::new(i as u64, 1, payload.clone()))
+        .collect();
+    let mut envelope = Vec::new();
+    encode_batch(&entries, &mut envelope);
+    let mut offsets = Vec::with_capacity(payloads.len());
+    let mut offset = COUNT_LEN;
+    for payload in payloads {
+        offsets.push(offset);
+        offset += ENTRY_HEADER_LEN + payload.len();
+    }
+    (envelope, offsets)
+}
+
+fn member_payloads(members: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..96), members)
+}
 
 fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T) {
     let bytes = to_bytes(value);
@@ -115,7 +142,7 @@ proptest! {
         }
         let mut reader = FrameReader::new(&wire[..]);
         let held: Vec<Bytes> =
-            (0..payloads.len()).map(|_| reader.read_frame().unwrap().payload).collect();
+            (0..payloads.len()).map(|_| reader.read_frame().unwrap().0.payload).collect();
         for (held_payload, original) in held.iter().zip(&payloads) {
             prop_assert_eq!(&held_payload[..], &original[..]);
         }
@@ -157,7 +184,6 @@ proptest! {
         let mut bytes = vec![0xB5, 0x53];
         bytes.extend(tail);
         prop_assert_eq!(Frame::parse(&Bytes::from(bytes.clone())).unwrap_err(), DecodeError::BadMagic);
-        prop_assert!(Frame::read_from(&bytes[..]).is_err());
         prop_assert!(FrameReader::new(&bytes[..]).read_frame().is_err());
     }
 
@@ -174,5 +200,52 @@ proptest! {
         if let Ok((parsed, _)) = Frame::parse(&Bytes::from(bytes)) {
             prop_assert_ne!(&parsed.payload[..], &payload[..]);
         }
+    }
+
+    // Hostile `FrameKind::Batch` envelopes. The outer frame's checksum says
+    // nothing about what a peer put inside, so each forged field must come
+    // back as `Err` — a panic, or an allocation sized from the forged
+    // number, would fail (or kill) the test run.
+
+    #[test]
+    fn forged_batch_member_count_is_an_error(payloads in member_payloads(0..6), forged: u32) {
+        let (mut envelope, _) = batch_envelope(&payloads);
+        prop_assume!(forged as usize != payloads.len());
+        envelope[..COUNT_LEN].copy_from_slice(&forged.to_le_bytes());
+        let holds = (envelope.len() - COUNT_LEN) / ENTRY_HEADER_LEN;
+        let outcome = decode_batch(&Bytes::from(envelope));
+        prop_assert!(outcome.is_err());
+        if forged as usize > holds {
+            // More members than the payload could hold, all the way to one
+            // that overflows any allocation: refused on arithmetic alone.
+            let refused = matches!(outcome, Err(DecodeError::LengthOverflow { .. }));
+            prop_assert!(refused, "count {} where {} fit: {:?}", forged, holds, outcome);
+        }
+    }
+
+    #[test]
+    fn truncated_batch_member_table_is_an_error(payloads in member_payloads(1..6), cut: usize) {
+        let (envelope, _) = batch_envelope(&payloads);
+        let cut = cut % envelope.len();
+        prop_assert!(decode_batch(&Bytes::from(envelope).slice(..cut)).is_err());
+    }
+
+    #[test]
+    fn batch_member_length_past_the_payload_is_an_error(
+        payloads in member_payloads(1..6),
+        member: usize,
+        excess: u32,
+    ) {
+        let (mut envelope, offsets) = batch_envelope(&payloads);
+        let member = member % payloads.len();
+        // The bytes that follow this member's header, and a length that
+        // claims more of them than exist.
+        let left = envelope.len() - offsets[member] - ENTRY_HEADER_LEN;
+        let forged = (left as u32).saturating_add(excess.max(1));
+        let len_at = offsets[member] + ENTRY_HEADER_LEN - 4;
+        envelope[len_at..len_at + 4].copy_from_slice(&forged.to_le_bytes());
+        let outcome = decode_batch(&Bytes::from(envelope));
+        let ran_out = matches!(outcome, Err(DecodeError::UnexpectedEof { .. }));
+        prop_assert!(ran_out, "length {} with {} bytes left: {:?}", forged, left, outcome);
     }
 }
