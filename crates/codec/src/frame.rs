@@ -26,9 +26,9 @@
 //! a particular RPC".
 //!
 //! Payloads are [`Bytes`] handles: [`Frame::parse`] slices the payload out
-//! of the input buffer without copying, so a frame decoded from a pooled
-//! connection read buffer shares that buffer's allocation all the way into
-//! the service handler.
+//! of the input buffer without copying, so a frame decoded from a
+//! connection's receive chunk shares that chunk's allocation all the way
+//! into the service handler.
 
 use crate::error::DecodeError;
 use crate::wire;
@@ -252,10 +252,9 @@ impl FrameHeader {
 
 /// The frame preamble, parsed ahead of the payload.
 ///
-/// Streaming readers buffer [`HEADER_LEN`] bytes into a stack scratch,
-/// parse this prefix, then read exactly [`FramePrefix::payload_len`]
-/// payload bytes into a pooled buffer — no heap allocation for the header
-/// and no re-validation once the payload arrives (see
+/// Streaming readers parse this prefix as soon as [`HEADER_LEN`] bytes are
+/// in — before sizing anything from [`FramePrefix::payload_len`] — and do
+/// not validate again once the payload arrives (see
 /// [`FramePrefix::check_payload`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FramePrefix {

@@ -72,7 +72,7 @@ impl<H: LeafHandler> Service for LeafService<H> {
         };
         match self.handler.handle(request) {
             Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
-            Err(e) => ctx.respond_err(e.status(), e.message().to_owned()),
+            Err(e) => ctx.respond_err(e.status(), e.message()),
         }
     }
 
@@ -106,7 +106,7 @@ impl<H: LeafHandler> Service for LeafService<H> {
         for (ctx, result) in live.into_iter().zip(results) {
             match result {
                 Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
-                Err(e) => ctx.respond_err(e.status(), e.message().to_owned()),
+                Err(e) => ctx.respond_err(e.status(), e.message()),
             }
         }
     }

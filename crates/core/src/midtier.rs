@@ -207,7 +207,7 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
         // payload holds a reference-counted handle to this buffer plus its
         // own small suffix.
         let shared = Bytes::from(musuite_codec::to_bytes(&plan.shared));
-        let alternates = plan.alternates;
+        let mut alternates = plan.alternates;
         let calls: Vec<LeafCall> = plan
             .targets
             .into_iter()
@@ -219,9 +219,9 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
                     self.leaf_method,
                     Payload::with_suffix(shared.clone(), suffix),
                 );
-                match alternates.get(slot) {
-                    Some(alts) if !alts.is_empty() => call.with_alternates(alts.clone()),
-                    _ => call,
+                match alternates.get_mut(slot) {
+                    Some(alts) => call.with_alternates(std::mem::take(alts)),
+                    None => call,
                 }
             })
             .collect();
@@ -264,7 +264,7 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
                         .record_ns(Stage::Merge, clock.now_ns().saturating_sub(merge_start));
                     ctx.respond_ok(musuite_codec::to_bytes(&response));
                 }
-                Err(e) => ctx.respond_err(e.status(), e.message().to_owned()),
+                Err(e) => ctx.respond_err(e.status(), e.message()),
             }
         });
     }

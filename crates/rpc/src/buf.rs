@@ -1,6 +1,6 @@
-//! Pooled wire buffers: the zero-copy plumbing under every connection.
+//! Wire buffers: the zero-copy plumbing under every connection.
 //!
-//! Four pieces keep payload bytes from being copied between the socket
+//! Three pieces keep payload bytes from being copied between the socket
 //! and the service handler:
 //!
 //! * [`Payload`] — an outgoing message body as up to two [`Bytes`]
@@ -9,21 +9,16 @@
 //!   leaf a reference-counted clone of the same allocation; the per-leaf
 //!   suffix rides in the second segment. Length and checksum are computed
 //!   across the segment boundary, so the two are never joined in memory.
-//! * [`FrameReader`] — a blocking frame reader with a persistent
-//!   [`BytesMut`]: the header lands in a stack buffer, the payload in
-//!   pooled memory that is frozen into a [`Bytes`] and handed out without
-//!   a copy.
-//! * [`FrameAccumulator`] — the non-blocking counterpart of
-//!   [`FrameReader`] for reactor-owned sockets: an incremental state
-//!   machine that absorbs whatever bytes are available and yields complete
-//!   frames, preserving the same pooled-buffer zero-copy path.
+//! * [`RecvBuf`] — the frame reader of every connection, whichever runner
+//!   drives it: each wake's bytes land in a chunk, every complete frame in
+//!   the chunk is handed out as a [`Bytes`] slice of it, and the chunk is
+//!   taken back for refilling once the last slice is dropped.
 //! * [`ConnWriter`] — a thread-safe coalescing writer: frames queued while
 //!   another thread is flushing the same connection ride out in that
 //!   thread's single buffered write, shrinking the `sendmsg` column of the
 //!   syscall-profile analog.
 
 use bytes::{Bytes, BytesMut};
-use musuite_check::sync::Mutex;
 use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAGIC};
 use musuite_codec::{DecodeError, Frame};
 use musuite_telemetry::clock::Clock;
@@ -32,110 +27,7 @@ use musuite_telemetry::netpoll::CoalesceStats;
 use musuite_telemetry::sync::CountedMutex;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-/// Idle read buffers a server or reactor retains across connection churn;
-/// beyond this, a closing connection's buffer is freed rather than pooled.
-pub(crate) const MAX_IDLE_READ_BUFFERS: usize = 64;
-
-/// A shared pool of reusable read buffers.
-///
-/// A server's pollers each need a payload buffer for the life of their
-/// connection; with connection churn, allocating a fresh [`BytesMut`] per
-/// connection leaks warmed-up capacity every time a client hangs up. The
-/// pool keeps up to `max_idle` returned buffers (capacity intact) and
-/// hands them to the next connection. `acquire` never blocks beyond the
-/// free-list lock and never fails — an empty pool just allocates.
-///
-/// Invariant (model-checked): a buffer is owned by at most one
-/// [`PooledBuf`] at a time; returning it on drop makes it available again.
-///
-/// # Examples
-///
-/// ```
-/// use musuite_rpc::BufferPool;
-///
-/// let pool = BufferPool::new(4);
-/// let mut buf = pool.acquire();
-/// buf.extend_from_slice(b"scratch");
-/// drop(buf); // returns (cleared) to the pool
-/// assert_eq!(pool.idle(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BufferPool {
-    inner: Arc<PoolInner>,
-}
-
-#[derive(Debug)]
-struct PoolInner {
-    free: Mutex<Vec<BytesMut>>,
-    max_idle: usize,
-}
-
-impl BufferPool {
-    /// Creates a pool retaining at most `max_idle` idle buffers; beyond
-    /// that, returned buffers are simply freed.
-    pub fn new(max_idle: usize) -> BufferPool {
-        BufferPool { inner: Arc::new(PoolInner { free: Mutex::new(Vec::new()), max_idle }) }
-    }
-
-    /// Checks a buffer out of the pool, allocating if none is idle.
-    pub fn acquire(&self) -> PooledBuf {
-        let buf = self.inner.free.lock().pop().unwrap_or_default();
-        PooledBuf { buf, pool: Some(self.inner.clone()) }
-    }
-
-    /// Number of idle buffers currently held.
-    pub fn idle(&self) -> usize {
-        self.inner.free.lock().len()
-    }
-}
-
-/// A buffer checked out of a [`BufferPool`] (or standalone via
-/// [`PooledBuf::unpooled`]). Dereferences to [`BytesMut`]; dropping it
-/// clears the contents and returns the allocation to its pool.
-#[derive(Debug)]
-pub struct PooledBuf {
-    buf: BytesMut,
-    pool: Option<Arc<PoolInner>>,
-}
-
-impl PooledBuf {
-    /// A buffer backed by no pool: dropping it frees the allocation. This
-    /// is what clients use — one connection, no churn to amortize.
-    pub fn unpooled() -> PooledBuf {
-        PooledBuf { buf: BytesMut::new(), pool: None }
-    }
-}
-
-impl Deref for PooledBuf {
-    type Target = BytesMut;
-    #[inline]
-    fn deref(&self) -> &BytesMut {
-        &self.buf
-    }
-}
-
-impl DerefMut for PooledBuf {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut BytesMut {
-        &mut self.buf
-    }
-}
-
-impl Drop for PooledBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.clear();
-            let mut free = pool.free.lock();
-            if free.len() < pool.max_idle {
-                free.push(buf);
-            }
-        }
-    }
-}
 
 /// An outgoing message body: a shared head plus a per-request tail.
 ///
@@ -219,223 +111,244 @@ impl From<&'static [u8]> for Payload {
     }
 }
 
-/// Streaming frame reader with a pooled payload buffer.
-///
-/// Reads the fixed-size header into a stack array, then the payload into
-/// a persistent [`BytesMut`] that is frozen and handed out as a [`Bytes`]
-/// — the frame's payload is *never* copied after leaving the kernel: one
-/// payload-sized buffer per frame, zero copies, and empty payloads touch
-/// the allocator not at all.
-#[derive(Debug)]
-pub struct FrameReader<R> {
-    reader: R,
-    buf: PooledBuf,
-    mid_frame: bool,
-    clock: Clock,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps `reader` with an unpooled payload buffer.
-    pub fn new(reader: R) -> FrameReader<R> {
-        FrameReader::with_buffer(reader, PooledBuf::unpooled())
-    }
-
-    /// Wraps `reader` with a payload buffer checked out of a
-    /// [`BufferPool`]; when this reader is dropped the buffer (and its
-    /// warmed-up capacity) goes back to the pool for the next connection.
-    pub fn with_buffer(reader: R, buf: PooledBuf) -> FrameReader<R> {
-        FrameReader { reader, buf, mid_frame: false, clock: Clock::new() }
-    }
-
-    /// A shared reference to the underlying reader.
-    pub fn get_ref(&self) -> &R {
-        &self.reader
-    }
-
-    /// Returns `true` if the last [`FrameReader::read_frame`] failed with
-    /// part of a frame already received — a read timeout then means a
-    /// stalled peer, not an idle connection.
-    pub(crate) fn mid_frame(&self) -> bool {
-        self.mid_frame
-    }
-
-    /// Reads exactly one frame (blocking) and returns it with the
-    /// monotonic timestamp at which its first byte arrived.
-    ///
-    /// The first `read` is the readiness wait — the userspace edge of
-    /// `epoll_pwait` + hardirq delivery — and keeps whatever header bytes
-    /// arrived with the wakeup, so a frame costs one `read` for the header
-    /// and one for the payload.
-    ///
-    /// # Errors
-    ///
-    /// `io::ErrorKind::UnexpectedEof` on a cleanly closed connection,
-    /// `io::ErrorKind::InvalidData` on malformed frames; other I/O errors
-    /// propagate (a read timeout set on the socket surfaces as
-    /// `WouldBlock`/`TimedOut`).
-    pub fn read_frame(&mut self) -> io::Result<(Frame, u64)> {
-        let mut header = [0u8; HEADER_LEN];
-        let filled = loop {
-            match self.reader.read(&mut header) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => break n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        let rx_start_ns = self.clock.now_ns();
-        self.mid_frame = true;
-        self.reader.read_exact(&mut header[filled..])?;
-        let prefix = FramePrefix::parse(&header).map_err(invalid_data)?;
-        // One read_exact into pooled memory (none at all for an empty
-        // payload), then the freeze.
-        self.buf.resize(prefix.payload_len, 0);
-        self.reader.read_exact(&mut self.buf[..])?;
-        let frame = freeze_frame(prefix, &mut self.buf)?;
-        self.mid_frame = false;
-        Ok((frame, rx_start_ns))
-    }
-}
+/// Smallest chunk a connection reads into; an exchange of short messages
+/// never outgrows it.
+const MIN_CHUNK: usize = 1 << 10;
+/// Largest chunk kept for refilling. A bigger frame gets a buffer of
+/// exactly its size, freed with its payload.
+const MAX_CHUNK: usize = 64 << 10;
+/// Chunks with live payload slices a connection keeps a handle on, to take
+/// back later. One frozen while this many are out is freed with its slices.
+const MAX_LENT_CHUNKS: usize = 16;
 
 fn invalid_data(e: DecodeError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Turns a read buffer holding exactly `prefix`'s payload into the frame:
-/// a zero-copy freeze — the `Bytes` handed to the service aliases the
-/// pooled read buffer — checked against the prefix. An empty payload
-/// never touches the allocator.
-fn freeze_frame(prefix: FramePrefix, buf: &mut BytesMut) -> io::Result<Frame> {
-    let payload = if prefix.payload_len == 0 {
-        Bytes::new()
-    } else {
-        buf.split_to(prefix.payload_len).freeze()
-    };
-    prefix.check_payload(payload).map_err(invalid_data)
+/// The validated prefix of the frame `bytes` opens with, once its header
+/// is all there; a foreign protocol is refused from its magic alone.
+fn front_prefix(bytes: &[u8]) -> io::Result<Option<FramePrefix>> {
+    if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
+        return Err(invalid_data(DecodeError::BadMagic));
+    }
+    if bytes.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    FramePrefix::parse(bytes).map(Some).map_err(invalid_data)
 }
 
-/// Incremental frame decoder for reactor-owned non-blocking sockets.
+/// A connection's receive buffer: the one frame reader, driven by both
+/// runners — a connection's own thread with a blocking `read`, a reactor
+/// sweep with a non-blocking one.
 ///
-/// A reactor sweep calls [`FrameAccumulator::poll_frame`] on each
-/// registered connection; the accumulator reads whatever bytes the kernel
-/// has buffered and returns `Ok(None)` when the socket would block with a
-/// frame still incomplete — the partial header/payload stays buffered and
-/// the next sweep resumes exactly where this one stopped. Complete frames
-/// take the same zero-copy path as [`FrameReader`]: the payload is read
-/// into pooled memory and frozen into a [`Bytes`] without a copy.
+/// Each wake reads whatever the socket holds into a **chunk**. Once the
+/// chunk holds a complete frame it is frozen and every complete frame in
+/// it is handed out as a [`Bytes`] slice of it — no copy between the
+/// kernel and the service handler, and one `read` for all of them. A
+/// trailing partial frame is carried into the next chunk. The buffer keeps
+/// a handle on each frozen chunk and takes it back for refilling once no
+/// slice of it is alive ([`Bytes::try_into_mut`]), so a connection in
+/// steady state makes no allocator call per frame. A payload is therefore
+/// never overwritten while anyone can still read it.
 ///
-/// Each data-returning `read` ticks the global `recvmsg` counter; probe
-/// reads that return `WouldBlock` are *not* counted — they are the
-/// reactor's stand-in for an epoll readiness check, accounted under the
-/// sweep's `epoll_pwait`-class park instead.
-#[derive(Debug)]
-pub struct FrameAccumulator {
-    header: [u8; HEADER_LEN],
-    header_filled: usize,
-    prefix: Option<FramePrefix>,
-    payload_filled: usize,
-    buf: PooledBuf,
-    rx_start_ns: u64,
+/// Chunks are sized from the frames seen: they start at 1 KiB and grow to
+/// hold the largest frame so far, up to 64 KiB; a frame beyond that gets a
+/// buffer of exactly its size. Every prefix is validated before anything
+/// is reserved for its payload. Nothing is allocated until the first byte
+/// arrives. Each `read` that returns data ticks the `recvmsg` analog; the
+/// wait before it is the runner's to account.
+#[derive(Debug, Default)]
+pub struct RecvBuf {
+    /// The chunk being read into; `fill[..filled]` opens a frame that is
+    /// not complete yet. Empty (no allocation) while `ready` has bytes.
+    fill: BytesMut,
+    filled: usize,
+    /// The frozen chunk being handed out; `ready[pos..end]` is received
+    /// and not yet consumed.
+    ready: Bytes,
+    pos: usize,
+    end: usize,
+    /// Frozen chunks whose payload slices may still be alive.
+    lent: Vec<Bytes>,
+    /// Header and payload of the largest frame seen.
+    largest_frame: usize,
+    /// When the first byte of the frame at the front arrived, and when
+    /// the latest `read` returned.
+    front_rx_ns: u64,
+    read_ns: u64,
     clock: Clock,
 }
 
-impl FrameAccumulator {
-    /// Creates an accumulator whose payloads fill `buf` (typically checked
-    /// out of the reactor's [`BufferPool`]).
-    pub fn new(buf: PooledBuf) -> FrameAccumulator {
-        FrameAccumulator {
-            header: [0u8; HEADER_LEN],
-            header_filled: 0,
-            prefix: None,
-            payload_filled: 0,
-            buf,
-            rx_start_ns: 0,
-            clock: Clock::new(),
+impl RecvBuf {
+    /// Length of the chunks allocated now: a power of two that holds the
+    /// largest frame seen, within [`MIN_CHUNK`] and [`MAX_CHUNK`].
+    fn chunk_len(&self) -> usize {
+        self.largest_frame.next_power_of_two().clamp(MIN_CHUNK, MAX_CHUNK)
+    }
+
+    /// Received bytes not yet handed out as a frame.
+    fn unconsumed(&self) -> &[u8] {
+        if self.pos < self.end {
+            &self.ready[self.pos..self.end]
+        } else {
+            &self.fill[..self.filled]
         }
     }
 
-    /// Returns `true` if a partially received frame is buffered — used by
-    /// idle reaping to avoid dropping a connection mid-frame.
-    pub fn mid_frame(&self) -> bool {
-        self.header_filled > 0 || self.prefix.is_some()
+    /// Returns `true` if [`RecvBuf::poll_frame`] will return without
+    /// reading: a complete frame is buffered, or bytes that cannot be one.
+    pub fn has_frame(&self) -> bool {
+        let bytes = self.unconsumed();
+        match front_prefix(bytes) {
+            Ok(Some(prefix)) => bytes.len() >= HEADER_LEN + prefix.payload_len,
+            Ok(None) => false,
+            Err(_) => true,
+        }
     }
 
-    /// Absorbs available bytes from `reader` and returns the next complete
-    /// frame with the monotonic timestamp at which its first byte arrived,
-    /// or `Ok(None)` if the socket has no complete frame buffered yet.
+    /// Returns `true` if part of a frame is buffered and the rest has not
+    /// arrived: a wait that times out now has caught a stalled peer, not
+    /// an idle connection.
+    pub fn mid_frame(&self) -> bool {
+        !self.unconsumed().is_empty() && !self.has_frame()
+    }
+
+    /// Returns the next complete frame with the monotonic timestamp at
+    /// which its first byte arrived: a buffered one without touching
+    /// `reader`, else `reader` is read until one is complete. `Ok(None)`
+    /// means the read would block (a non-blocking socket) or timed out (a
+    /// blocking one): what arrived stays buffered for the next call.
     ///
     /// # Errors
     ///
     /// `io::ErrorKind::UnexpectedEof` on a closed connection,
-    /// `io::ErrorKind::InvalidData` on malformed frames; other I/O errors
-    /// propagate. After any error the connection must be dropped — the
-    /// accumulator's partial state is unrecoverable.
+    /// `io::ErrorKind::InvalidData` on a malformed frame; other I/O errors
+    /// propagate. After any error the connection must be dropped.
     pub fn poll_frame<R: Read>(&mut self, reader: &mut R) -> io::Result<Option<(Frame, u64)>> {
-        let prefix = match self.prefix {
-            Some(p) => p,
-            None => {
-                while self.header_filled < HEADER_LEN {
-                    let first_byte = self.header_filled == 0;
-                    match self.absorb(reader, first_byte, HEADER_LEN)? {
-                        Some(n) => {
-                            self.header_filled += n;
-                            // A peer that is not speaking this protocol is
-                            // dropped as soon as its magic is in, not after
-                            // it has trickled in a whole header.
-                            if self.header_filled >= 2 && self.header[..2] != MAGIC {
-                                return Err(invalid_data(DecodeError::BadMagic));
-                            }
-                        }
-                        None => return Ok(None),
-                    }
-                }
-                let p = FramePrefix::parse(&self.header).map_err(invalid_data)?;
-                self.buf.resize(p.payload_len, 0);
-                self.payload_filled = 0;
-                self.prefix = Some(p);
-                p
+        loop {
+            if let Some(frame) = self.next_ready()? {
+                return Ok(Some(frame));
             }
-        };
-        while self.payload_filled < prefix.payload_len {
-            match self.absorb(reader, false, prefix.payload_len)? {
-                Some(n) => self.payload_filled += n,
-                None => return Ok(None),
+            if !self.read_more(reader)? {
+                return Ok(None);
             }
         }
-        self.prefix = None;
-        self.header_filled = 0;
-        let frame = freeze_frame(prefix, &mut self.buf)?;
-        Ok(Some((frame, self.rx_start_ns)))
     }
 
-    /// One `read` into whichever region (header or payload) is filling.
-    /// Returns `Ok(None)` on `WouldBlock`, `Ok(Some(n))` on progress.
-    fn absorb<R: Read>(
-        &mut self,
-        reader: &mut R,
-        first_byte: bool,
-        limit: usize,
-    ) -> io::Result<Option<usize>> {
-        loop {
-            let dst = if self.prefix.is_some() {
-                &mut self.buf[self.payload_filled..limit]
-            } else {
-                &mut self.header[self.header_filled..limit]
-            };
-            match reader.read(dst) {
+    /// Hands out the frame at the front of the frozen chunk, if complete.
+    fn next_ready(&mut self) -> io::Result<Option<(Frame, u64)>> {
+        let bytes = &self.ready[self.pos..self.end];
+        let Some(prefix) = front_prefix(bytes)? else { return Ok(None) };
+        let total = HEADER_LEN + prefix.payload_len;
+        if bytes.len() < total {
+            return Ok(None);
+        }
+        // An empty payload must not pin the chunk.
+        let payload = match prefix.payload_len {
+            0 => Bytes::new(),
+            _ => self.ready.slice(self.pos + HEADER_LEN..self.pos + total),
+        };
+        self.pos += total;
+        let rx_start_ns = std::mem::replace(&mut self.front_rx_ns, self.read_ns);
+        let frame = prefix.check_payload(payload).map_err(invalid_data)?;
+        Ok(Some((frame, rx_start_ns)))
+    }
+
+    /// One `read` into the filling chunk, which is frozen once it holds a
+    /// complete frame. Returns `false` if the read found nothing.
+    fn read_more<R: Read>(&mut self, reader: &mut R) -> io::Result<bool> {
+        if self.fill.is_empty() {
+            self.start_chunk();
+        }
+        if let Some(prefix) = front_prefix(&self.fill[..self.filled])? {
+            let total = HEADER_LEN + prefix.payload_len;
+            if total > self.fill.len() {
+                self.outgrow(total);
+            }
+        }
+        debug_assert!(self.filled < self.fill.len(), "a full chunk holds a frame, or was outgrown");
+        let n = loop {
+            match reader.read(&mut self.fill[self.filled..]) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => {
-                    if first_byte {
-                        self.rx_start_ns = self.clock.now_ns();
-                    }
-                    OsOpCounters::global().incr(OsOp::RecvMsg);
-                    return Ok(Some(n));
+                Ok(n) => break n,
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return Ok(false)
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
+        };
+        OsOpCounters::global().incr(OsOp::RecvMsg);
+        self.read_ns = self.clock.now_ns();
+        if self.filled == 0 {
+            self.front_rx_ns = self.read_ns;
         }
+        self.filled += n;
+        if let Some(prefix) = front_prefix(&self.fill[..self.filled])? {
+            if self.filled >= HEADER_LEN + prefix.payload_len {
+                self.ready = std::mem::take(&mut self.fill).freeze();
+                self.end = std::mem::take(&mut self.filled);
+                self.pos = 0;
+            }
+        }
+        Ok(true)
+    }
+
+    /// The frozen chunk has no complete frame left: moves its trailing
+    /// partial frame to the front of a writable chunk — the same chunk,
+    /// if every slice of it is gone already, as on a connection that
+    /// carries one call at a time.
+    fn start_chunk(&mut self) {
+        let partial = std::mem::take(&mut self.pos)..std::mem::take(&mut self.end);
+        self.filled = partial.len();
+        let drained = match std::mem::take(&mut self.ready).try_into_mut() {
+            Ok(mut own) if own.len() == self.chunk_len() => {
+                own.copy_within(partial, 0);
+                self.fill = own;
+                return;
+            }
+            Ok(odd_sized) => odd_sized.freeze(),
+            Err(shared) => shared,
+        };
+        self.fill = self.writable_chunk(self.filled);
+        self.fill[..self.filled].copy_from_slice(&drained[partial]);
+        if drained.len() == self.chunk_len() && self.lent.len() < MAX_LENT_CHUNKS {
+            self.lent.push(drained);
+        }
+    }
+
+    /// A lent chunk no slice of which is alive any more, else a new one:
+    /// `chunk_len` bytes, or `at_least` if that is more.
+    fn writable_chunk(&mut self, at_least: usize) -> BytesMut {
+        let mut i = 0;
+        while i < self.lent.len() {
+            match std::mem::take(&mut self.lent[i]).try_into_mut() {
+                // One from before the chunk length grew is let go.
+                Ok(own) if own.len() == self.chunk_len() && own.len() >= at_least => {
+                    self.lent.swap_remove(i);
+                    return own;
+                }
+                Ok(_) => drop(self.lent.swap_remove(i)),
+                Err(shared) => {
+                    self.lent[i] = shared;
+                    i += 1;
+                }
+            }
+        }
+        BytesMut::from(vec![0; self.chunk_len().max(at_least)])
+    }
+
+    /// The frame opening the filling chunk is `total` bytes, more than the
+    /// chunk holds: sizes chunks to hold such a frame from now on, and
+    /// continues this one in a chunk of the new size — or, beyond
+    /// [`MAX_CHUNK`], in a buffer of exactly the frame's size.
+    fn outgrow(&mut self, total: usize) {
+        self.largest_frame = self.largest_frame.max(total);
+        let mut bigger = BytesMut::from(vec![0; self.chunk_len().max(total)]);
+        bigger[..self.filled].copy_from_slice(&self.fill[..self.filled]);
+        self.fill = bigger;
     }
 }
 
@@ -605,8 +518,9 @@ pub(crate) fn loopback_pair() -> (TcpStream, TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use musuite_codec::frame::FrameKind;
+    use musuite_codec::frame::{FrameKind, MAX_FRAME_LEN};
     use musuite_codec::Status;
+    use proptest::prelude::*;
 
     #[test]
     fn payload_conversions() {
@@ -634,59 +548,197 @@ mod tests {
         assert_eq!(b.parts()[1], [2]);
     }
 
-    #[test]
-    fn encoded_frames_roundtrip_through_reader() {
-        let mut wire = Frame::request(1, 7, b"first".to_vec()).to_bytes();
-        // A two-segment payload goes on the wire without being joined.
-        let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
-        Frame::request(2, 8, Vec::new()).header.encode_with_payload(&payload.parts(), &mut wire);
-        wire.extend(Frame::response(1, 7, Status::Ok, Vec::new()).to_bytes());
-        let mut reader = FrameReader::new(&wire[..]);
-        let (first, rx_start_ns) = reader.read_frame().unwrap();
-        assert!(rx_start_ns > 0, "first byte must be timestamped");
-        assert_eq!(first.header.request_id, 1);
-        assert_eq!(first.payload, b"first");
-        let (second, _) = reader.read_frame().unwrap();
-        assert_eq!(second.header.request_id, 2);
-        assert_eq!(second.payload, [0xAA, 0xAA, 0xAA, 0xBB]);
-        let (third, _) = reader.read_frame().unwrap();
-        assert_eq!(third.header.kind, FrameKind::Response);
-        assert!(third.payload.is_empty());
-        assert!(reader.read_frame().is_err(), "stream exhausted");
-    }
-
-    /// Hands out `chunk` bytes per `read`, then reports `at_end`.
-    struct Trickle {
+    /// An in-memory peer: hands out `sizes[i]` bytes at the i-th read
+    /// (cycling), with `stutter` reporting `WouldBlock` before each — what
+    /// a sweep sees of a slow peer — and `at_end` once the data is out
+    /// (`None`: the peer hung up).
+    #[derive(Default)]
+    struct Script {
         data: Vec<u8>,
         pos: usize,
-        chunk: usize,
-        at_end: io::ErrorKind,
+        sizes: Vec<usize>,
+        reads: usize,
+        stutter: bool,
+        ready: bool,
+        at_end: Option<io::ErrorKind>,
     }
 
-    impl Read for Trickle {
+    impl Script {
+        fn new(data: Vec<u8>, sizes: Vec<usize>) -> Script {
+            Script { data, sizes, ..Script::default() }
+        }
+
+        /// All of `data` in one read, then `at_end`.
+        fn burst(data: Vec<u8>, at_end: io::ErrorKind) -> Script {
+            Script { at_end: Some(at_end), ..Script::new(data, vec![usize::MAX]) }
+        }
+    }
+
+    impl Read for Script {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             if self.pos == self.data.len() {
-                return Err(self.at_end.into());
+                return self.at_end.map_or(Ok(0), |kind| Err(kind.into()));
             }
-            let n = self.chunk.min(buf.len()).min(self.data.len() - self.pos);
+            if self.stutter && !std::mem::replace(&mut self.ready, false) {
+                self.ready = true;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(buf.len()).min(self.data.len() - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
         }
     }
 
-    #[test]
-    fn reader_assembles_a_frame_whatever_the_wakeup_carried() {
-        // Budget and priority ride in the header's tail: they must survive
-        // however the header was split across reads.
-        let frame = Frame::request(5, 2, b"probe".to_vec())
-            .with_budget(5_000, musuite_codec::Priority::Critical);
-        for chunk in [1, 7, HEADER_LEN, 4096] {
-            let trickle =
-                Trickle { data: frame.to_bytes(), pos: 0, chunk, at_end: io::ErrorKind::TimedOut };
-            let (got, _) = FrameReader::new(trickle).read_frame().unwrap();
-            assert_eq!(got, frame, "{chunk} bytes per read");
+    /// Polls until the peer has nothing more: every frame, then how the
+    /// stream ended (`None`: it would block).
+    fn drain(buf: &mut RecvBuf, peer: &mut Script) -> (Vec<Frame>, Option<io::ErrorKind>) {
+        let mut frames = Vec::new();
+        loop {
+            match buf.poll_frame(peer) {
+                Ok(Some((frame, _))) => frames.push(frame),
+                Ok(None) if peer.pos == peer.data.len() => return (frames, None),
+                Ok(None) => {}
+                Err(e) => return (frames, Some(e.kind())),
+            }
         }
+    }
+
+    #[test]
+    fn encoded_frames_roundtrip_through_the_buffer() {
+        let mut wire = Frame::request(1, 7, b"first".to_vec()).to_bytes();
+        // A two-segment payload goes on the wire without being joined.
+        let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
+        Frame::request(2, 8, Vec::new()).header.encode_with_payload(&payload.parts(), &mut wire);
+        // Budget and priority ride in the header's tail.
+        let third = Frame::response(1, 7, Status::Ok, Vec::new())
+            .with_budget(5_000, musuite_codec::Priority::Critical);
+        wire.extend(third.to_bytes());
+        let mut buf = RecvBuf::default();
+        let (frames, end) = drain(&mut buf, &mut Script::new(wire, vec![usize::MAX]));
+        assert_eq!(end, Some(io::ErrorKind::UnexpectedEof), "stream exhausted");
+        assert_eq!(frames[0].header.request_id, 1);
+        assert_eq!(frames[0].payload, b"first");
+        assert_eq!(frames[1].header.request_id, 2);
+        assert_eq!(frames[1].payload, [0xAA, 0xAA, 0xAA, 0xBB]);
+        assert_eq!(frames[2].header.kind, FrameKind::Response);
+        assert_eq!(frames[2], third);
+        assert_eq!(frames.len(), 3);
+    }
+
+    /// Frame `i` of a test stream: a payload of `len` bytes that no other
+    /// index or length shares.
+    fn numbered_frame(i: usize, len: usize) -> Frame {
+        let payload: Vec<u8> = (0..len).map(|j| (i * 31 + j * 7 + len) as u8).collect();
+        Frame::request(i as u64, 3, payload)
+    }
+
+    /// Payload lengths from empty to larger than a chunk.
+    fn payload_len() -> impl Strategy<Value = usize> {
+        (0u8..4, 0usize..3 * MIN_CHUNK).prop_map(|(class, len)| match class {
+            0 => 0,
+            1 => len % 64,
+            2 => len % MIN_CHUNK,
+            _ => MIN_CHUNK + len,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn frames_are_the_same_however_the_bytes_arrive(
+            lens in proptest::collection::vec(payload_len(), 1..12),
+            sizes in proptest::collection::vec(1usize..2 * MIN_CHUNK, 1..6),
+            stutter: bool,
+            hold_every in 1usize..4,
+        ) {
+            let sent: Vec<Frame> =
+                lens.iter().enumerate().map(|(i, &len)| numbered_frame(i, len)).collect();
+            let wire: Vec<u8> = sent.iter().flat_map(Frame::to_bytes).collect();
+            // One byte at a time, the generated split, everything at once.
+            for sizes in [vec![1], sizes.clone(), vec![usize::MAX]] {
+                let at_end = stutter.then_some(io::ErrorKind::WouldBlock);
+                let mut peer = Script { stutter, at_end, ..Script::new(wire.clone(), sizes) };
+                let mut buf = RecvBuf::default();
+                // Every `hold_every`-th payload is held to the end; the rest
+                // are dropped at once, so their chunks are refilled under
+                // the held ones.
+                let mut held = Vec::new();
+                let mut got = 0;
+                let end = loop {
+                    match buf.poll_frame(&mut peer) {
+                        Ok(Some((frame, _))) => {
+                            prop_assert_eq!(&frame, &sent[got], "frame {} of {:?}", got, &lens);
+                            if got % hold_every == 0 {
+                                held.push((got, frame.payload));
+                            }
+                            got += 1;
+                        }
+                        Ok(None) if peer.pos == wire.len() => break None,
+                        Ok(None) => {}
+                        Err(e) => break Some(e.kind()),
+                    }
+                    prop_assert!(buf.lent.len() <= MAX_LENT_CHUNKS);
+                };
+                prop_assert_eq!(got, sent.len());
+                prop_assert_eq!(end, if stutter { None } else { Some(io::ErrorKind::UnexpectedEof) });
+                prop_assert!(!buf.mid_frame() && !buf.has_frame());
+                for (i, payload) in held {
+                    prop_assert_eq!(&payload, &sent[i].payload, "held payload {} was overwritten", i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_are_refilled_once_their_payloads_are_dropped_and_never_before() {
+        let frame = numbered_frame(1, 300);
+        let mut buf = RecvBuf::default();
+        let mut next = || {
+            let mut peer = Script::burst(frame.to_bytes(), io::ErrorKind::WouldBlock);
+            buf.poll_frame(&mut peer).unwrap().unwrap().0.payload
+        };
+        // One call at a time, each payload dropped before the next frame
+        // arrives: every frame lands in the same allocation.
+        let chunk = next().as_ptr();
+        assert!((0..50).all(|_| next().as_ptr() == chunk));
+        // More payloads outstanding than the buffer tracks chunks for.
+        let held: Vec<Bytes> = (0..2 * MAX_LENT_CHUNKS).map(|_| next()).collect();
+        let chunks: std::collections::HashSet<_> = held.iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(chunks.len(), held.len(), "a held payload's chunk is never refilled");
+        assert!(held.iter().all(|payload| payload == &frame.payload));
+        drop(held);
+        // Once released, the tracked chunks serve the following frames.
+        let later: Vec<Bytes> = (0..MAX_LENT_CHUNKS).map(|_| next()).collect();
+        assert!(later.iter().all(|payload| chunks.contains(&payload.as_ptr())));
+    }
+
+    #[test]
+    fn frames_read_together_are_handed_out_without_reading_again() {
+        let mut wire = numbered_frame(0, 10).to_bytes();
+        wire.extend(numbered_frame(1, 0).to_bytes());
+        wire.extend(numbered_frame(2, 20).to_bytes());
+        let cut = wire.len() - 5;
+        let at_end = Some(io::ErrorKind::WouldBlock);
+        let mut peer = Script { at_end, ..Script::new(wire, vec![cut, 5]) };
+        let mut buf = RecvBuf::default();
+        assert!(!buf.has_frame() && !buf.mid_frame());
+        let (first, first_rx_ns) = buf.poll_frame(&mut peer).unwrap().unwrap();
+        assert_eq!(first, numbered_frame(0, 10));
+        // A sweep whose budget ends here leaves a frame behind: it must not
+        // be mistaken for an idle, or a stalled, connection.
+        assert!(buf.has_frame() && !buf.mid_frame());
+        assert_eq!(buf.poll_frame(&mut peer).unwrap().unwrap().0, numbered_frame(1, 0));
+        assert_eq!(peer.reads, 1, "both came out of the first read");
+        assert!(!buf.has_frame() && buf.mid_frame(), "the third is cut short");
+        let (third, third_rx_ns) = buf.poll_frame(&mut peer).unwrap().unwrap();
+        assert_eq!(third, numbered_frame(2, 20));
+        assert_eq!(peer.reads, 2);
+        assert_eq!(third_rx_ns, first_rx_ns, "its first byte came with the first read");
+        assert!(first_rx_ns <= Clock::new().now_ns());
+        assert!(buf.poll_frame(&mut peer).unwrap().is_none());
+        assert!(!buf.has_frame() && !buf.mid_frame());
     }
 
     #[test]
@@ -694,146 +746,70 @@ mod tests {
         let bytes = Frame::request(5, 2, b"probe".to_vec()).to_bytes();
         for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
             // One whole frame, then silence: the timeout finds no frame in flight.
-            let mut reader =
-                FrameReader::new(Trickle { data: bytes.clone(), pos: 0, chunk: 64, at_end: kind });
-            reader.read_frame().unwrap();
-            assert_eq!(reader.read_frame().unwrap_err().kind(), kind);
-            assert!(!reader.mid_frame());
+            let mut peer = Script::burst(bytes.clone(), kind);
+            let mut buf = RecvBuf::default();
+            buf.poll_frame(&mut peer).unwrap().unwrap();
+            assert!(buf.poll_frame(&mut peer).unwrap().is_none());
+            assert!(!buf.mid_frame());
             // A peer that stalls inside the header, or inside the payload.
             for cut in [3, HEADER_LEN + 2] {
-                let data = bytes[..cut].to_vec();
-                let mut reader =
-                    FrameReader::new(Trickle { data, pos: 0, chunk: 64, at_end: kind });
-                assert_eq!(reader.read_frame().unwrap_err().kind(), kind);
-                assert!(reader.mid_frame(), "stalled {cut} bytes into a frame");
+                let mut peer = Script::burst(bytes[..cut].to_vec(), kind);
+                let mut buf = RecvBuf::default();
+                assert!(buf.poll_frame(&mut peer).unwrap().is_none());
+                assert!(buf.mid_frame(), "stalled {cut} bytes into a frame");
             }
         }
     }
 
     #[test]
-    fn reader_rejects_corruption() {
+    fn hostile_bytes_are_errors_and_reserve_nothing() {
+        let kind_of = |bytes: &[u8], sizes: Vec<usize>| {
+            let mut buf = RecvBuf::default();
+            let (frames, end) = drain(&mut buf, &mut Script::new(bytes.to_vec(), sizes));
+            assert!(frames.is_empty());
+            assert!(buf.fill.len() <= MIN_CHUNK, "nothing may be reserved for a refused frame");
+            end
+        };
+        assert_eq!(kind_of(b"", vec![1]), Some(io::ErrorKind::UnexpectedEof));
+        // A flipped payload bit, and a flipped magic bit.
         let mut bytes = Frame::request(5, 2, b"x".to_vec()).to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        let err = FrameReader::new(&bytes[..]).read_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        assert_eq!(kind_of(&bytes, vec![usize::MAX]), Some(io::ErrorKind::InvalidData));
         let mut bytes = Frame::request(5, 2, Vec::new()).to_bytes();
         bytes[0] ^= 0xFF;
-        let err = FrameReader::new(&bytes[..]).read_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn reader_eof_on_empty_stream() {
-        let err = FrameReader::new(&b""[..]).read_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-}
-
-#[cfg(test)]
-mod accumulator_tests {
-    use super::*;
-    use musuite_codec::Status;
-
-    /// Yields one byte per call, interleaving `WouldBlock` between bytes —
-    /// the worst case a reactor sweep can see from a slow peer.
-    struct Drip {
-        data: Vec<u8>,
-        pos: usize,
-        ready: bool,
-    }
-
-    impl Read for Drip {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.pos >= self.data.len() {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            if !self.ready {
-                self.ready = true;
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            self.ready = false;
-            buf[0] = self.data[self.pos];
-            self.pos += 1;
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn drip_fed_frame_assembles_across_polls() {
-        let frame = Frame::request(42, 7, b"dripped payload".to_vec())
-            .with_budget(123_456, musuite_codec::Priority::Sheddable);
-        let mut drip = Drip { data: frame.to_bytes(), pos: 0, ready: false };
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        assert!(!acc.mid_frame());
-        let mut polls = 0usize;
-        let got = loop {
-            polls += 1;
-            if let Some((frame, rx_start)) = acc.poll_frame(&mut drip).unwrap() {
-                assert!(rx_start > 0, "first byte must be timestamped");
-                break frame;
-            }
-        };
-        assert!(polls > 2, "a dripping peer must take many sweeps");
-        assert_eq!(got, frame);
-        assert!(!acc.mid_frame(), "state must reset after a complete frame");
-    }
-
-    #[test]
-    fn mid_frame_reports_partial_state() {
-        let bytes = Frame::request(1, 1, b"xyz".to_vec()).to_bytes();
-        // Header plus one payload byte available, then the peer stalls.
-        let mut drip = Drip { data: bytes[..HEADER_LEN + 1].to_vec(), pos: 0, ready: true };
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        for _ in 0..10_000 {
-            assert!(acc.poll_frame(&mut drip).unwrap().is_none());
-            if drip.pos >= drip.data.len() {
-                break;
-            }
-        }
-        assert!(acc.mid_frame(), "payload is incomplete");
-    }
-
-    #[test]
-    fn back_to_back_frames_drain_in_order() {
-        let mut wire = Frame::request(1, 5, b"first".to_vec()).to_bytes();
-        wire.extend(Frame::response(2, 5, Status::Ok, Vec::new()).to_bytes());
-        let mut drip = Drip { data: wire, pos: 0, ready: true };
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        let mut got = Vec::new();
-        for _ in 0..10_000 {
-            match acc.poll_frame(&mut drip).unwrap() {
-                Some((frame, _)) => got.push(frame),
-                None => {
-                    if drip.pos >= drip.data.len() {
-                        break;
-                    }
-                }
-            }
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].payload, b"first");
-        assert_eq!(got[1].header.request_id, 2);
-    }
-
-    #[test]
-    fn eof_and_corruption_surface_as_errors() {
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        let err = acc.poll_frame(&mut &b""[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-
-        let mut bytes = Frame::request(5, 2, b"x".to_vec()).to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        let err = acc.poll_frame(&mut &bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
+        assert_eq!(kind_of(&bytes, vec![usize::MAX]), Some(io::ErrorKind::InvalidData));
         // The retired magic is refused from its two bytes alone.
-        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
-        let err = acc.poll_frame(&mut &[0xB5u8, 0x53][..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(kind_of(&[0xB5, 0x53], vec![1]), Some(io::ErrorKind::InvalidData));
+        // A declared length over the limit is refused by the prefix check,
+        // before anything is sized from it.
+        let mut bytes = Frame::request(5, 2, Vec::new()).to_bytes();
+        bytes[2..6].copy_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        for sizes in [vec![1], vec![usize::MAX]] {
+            assert_eq!(kind_of(&bytes, sizes), Some(io::ErrorKind::InvalidData));
+        }
+        // A stream that ends inside a frame.
+        let bytes = numbered_frame(1, 2 * MIN_CHUNK).to_bytes();
+        for cut in [1, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 1, bytes.len() - 1] {
+            let mut buf = RecvBuf::default();
+            let (frames, end) = drain(&mut buf, &mut Script::new(bytes[..cut].to_vec(), vec![700]));
+            assert!(frames.is_empty());
+            assert_eq!(end, Some(io::ErrorKind::UnexpectedEof), "cut at {cut}");
+            assert!(buf.fill.len() <= 4 * MIN_CHUNK, "sized from the frame, not beyond it");
+        }
+    }
+
+    #[test]
+    fn a_frame_beyond_the_largest_chunk_gets_a_buffer_of_its_own_size() {
+        let big = numbered_frame(7, MAX_CHUNK + 1000);
+        let small = numbered_frame(8, 10);
+        let mut wire = big.to_bytes();
+        wire.extend(small.to_bytes());
+        wire.extend(big.to_bytes());
+        let mut buf = RecvBuf::default();
+        let (frames, _) = drain(&mut buf, &mut Script::new(wire, vec![5000]));
+        assert_eq!(frames, [big.clone(), small, big]);
+        assert_eq!(buf.chunk_len(), MAX_CHUNK, "chunks kept for refilling stay bounded");
+        assert!(buf.lent.iter().all(|chunk| chunk.len() <= MAX_CHUNK));
     }
 }
 
@@ -860,10 +836,10 @@ mod conn_writer_tests {
                 })
             })
             .collect();
-        let mut reader = FrameReader::new(rx_side);
+        let mut reader = RecvBuf::default();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..THREADS * PER_THREAD {
-            let (frame, _) = reader.read_frame().unwrap();
+            let (frame, _) = reader.poll_frame(&mut &rx_side).unwrap().unwrap();
             assert_eq!(frame.payload.len(), 64, "frames must not interleave");
             assert!(seen.insert(frame.header.request_id), "duplicate frame");
         }
@@ -881,13 +857,13 @@ mod conn_writer_tests {
         let writer = ConnWriter::new(tx_side);
         let frame = Frame::request(3, 9, b"poisoned".to_vec());
         writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
-        let err = FrameReader::new(rx_side).read_frame().unwrap_err();
+        let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "checksum must catch the flip");
         // Empty payload: the flip lands in the header's last byte instead.
         let (tx_side, rx_side) = loopback_pair();
         let frame = Frame::request(4, 9, Vec::new());
         ConnWriter::new(tx_side).write_parts_corrupted(&frame.header, &[]).unwrap();
-        let err = FrameReader::new(rx_side).read_frame().unwrap_err();
+        let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -915,38 +891,53 @@ mod conn_writer_tests {
 #[cfg(all(test, musuite_check))]
 mod model_tests {
     use super::*;
+    use musuite_check::atomic::{AtomicBool, Ordering};
     use musuite_check::{thread, Checker};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicUsize;
 
-    /// Two holders acquire from the pool concurrently while buffers churn
-    /// through release/reacquire: in every interleaving each holder gets an
-    /// exclusive, cleared buffer — one holder's writes are never visible
-    /// to the other.
+    /// A chunk goes back to its connection from whichever thread drops the
+    /// last payload slice. A handler reads and drops its payload while the
+    /// connection's own thread goes on receiving: in every interleaving the
+    /// handler sees the bytes it was handed, and the chunk behind them is
+    /// refilled only after the handler has let go — which some schedules
+    /// must reach and others must not.
     #[test]
-    fn concurrent_acquire_never_aliases() {
+    fn a_chunk_is_refilled_only_after_its_last_payload_is_dropped() {
+        // Schedules that [did not refill the held chunk, did].
+        let outcomes = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let tally = outcomes.clone();
         let report = Checker::new()
-            .check(|| {
-                let pool = BufferPool::new(4);
-                let pool2 = pool.clone();
-                let other = thread::spawn(move || {
-                    let mut buf = pool2.acquire();
-                    assert!(buf.is_empty(), "pooled buffer must arrive cleared");
-                    buf.extend_from_slice(b"aaaa");
-                    assert_eq!(&buf[..], b"aaaa", "another holder's bytes leaked in");
-                    drop(buf); // returns to the pool
-                    let buf = pool2.acquire();
-                    assert!(buf.is_empty(), "reacquired buffer must arrive cleared");
+            .check(move || {
+                let first = Frame::request(1, 1, vec![0xAA; 100]);
+                let later = Frame::request(2, 1, vec![0x55; 100]);
+                let mut buf = RecvBuf::default();
+                let (frame, _) = buf.poll_frame(&mut &first.to_bytes()[..]).unwrap().unwrap();
+                let held = frame.payload;
+                let chunk = held.as_ptr();
+                let released = Arc::new(AtomicBool::new(false));
+                let handler = thread::spawn({
+                    let released = released.clone();
+                    move || {
+                        assert_eq!(held, [0xAA; 100], "refilled while still held");
+                        released.store(true, Ordering::Release);
+                        drop(held);
+                    }
                 });
-                let mut buf = pool.acquire();
-                assert!(buf.is_empty(), "pooled buffer must arrive cleared");
-                buf.extend_from_slice(b"bb");
-                assert_eq!(&buf[..], b"bb", "another holder's bytes leaked in");
-                drop(buf);
-                other.join().unwrap();
-                assert!(Arc::strong_count(&pool.inner) == 1);
-                assert!(pool.idle() <= 2, "at most two buffers ever existed");
+                let mut reused = false;
+                for _ in 0..2 {
+                    let (frame, _) = buf.poll_frame(&mut &later.to_bytes()[..]).unwrap().unwrap();
+                    assert_eq!(frame, later);
+                    if frame.payload.as_ptr() == chunk {
+                        assert!(released.load(Ordering::Acquire), "refilled before its release");
+                        reused = true;
+                    }
+                }
+                handler.join().unwrap();
+                tally[usize::from(reused)].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             })
-            .expect("no schedule may alias or dirty a pooled buffer");
-        assert!(report.iterations > 1, "acquire/release orders must be explored");
+            .expect("no schedule may refill a chunk under a live payload");
+        assert!(report.iterations > 1, "release/refill orders must be explored");
+        let reached = |n: &AtomicUsize| n.load(std::sync::atomic::Ordering::Relaxed) > 0;
+        assert!(outcomes.iter().all(reached), "both orders must be reached");
     }
 }

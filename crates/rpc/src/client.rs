@@ -12,8 +12,8 @@
 //! completion callback in place. Many threads may issue calls on one
 //! client concurrently; requests are multiplexed on the connection.
 //!
-//! Response payloads are [`Bytes`] slices of the pick-up thread's pooled
-//! read buffer — they travel from the socket to the caller without being
+//! Response payloads are [`Bytes`] slices of the connection's receive
+//! buffer — they travel from the socket to the caller without being
 //! copied. Requests are [`Payload`]s, so a fan-out can share one encoded
 //! prefix across many calls by reference count instead of deep copy.
 //!
@@ -25,7 +25,7 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{ConnWriter, FrameReader, Payload, SharedWriter};
+use crate::buf::{ConnWriter, Payload, SharedWriter};
 use crate::error::RpcError;
 use crate::fault::{ClientFaults, FaultKind};
 use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
@@ -335,11 +335,9 @@ impl RpcClient {
                 reactor.register(read_half.try_clone()?, Box::new(driver))?;
                 None
             }
-            // One unpooled read buffer for the life of the connection;
-            // each response payload is a zero-copy slice of it.
             None => Some(spawn_blocking_runner(
                 "musuite-response",
-                FrameReader::new(read_half.try_clone()?),
+                read_half.try_clone()?,
                 driver,
                 closed.clone(),
             )),

@@ -13,11 +13,11 @@
 //! request state to every leaf (the common case — a query vector, a key)
 //! encodes it **once** and hands each leaf a reference-counted clone of
 //! the same allocation. Replies come back as [`Bytes`] slices of each
-//! client connection's pooled read buffer, so neither direction copies
+//! client connection's receive buffer, so neither direction copies
 //! payload bytes inside the process.
 
 use crate::buf::Payload;
-use crate::client::{BatchCall, CallOptions, RpcClient};
+use crate::client::{BatchCall, CallOptions, Callback, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
@@ -88,44 +88,63 @@ impl FanoutResult {
     }
 }
 
-pub(crate) type CompletionFn = Box<dyn FnOnce(FanoutResult) + Send>;
+/// What one slot of a scatter came back with.
+type Reply = Result<Bytes, RpcError>;
+
+// The last arrival turns the gathered `Vec<Option<Reply>>` into the
+// result's `Vec<Reply>` in place; that needs the two to be laid out alike.
+const _: () = assert!(std::mem::size_of::<Option<Reply>>() == std::mem::size_of::<Reply>());
+
+/// A [`ScatterState`] minus its completion's type, for holders that outlive
+/// the `scatter` call that knew it (the resilient wrapper's control blocks).
+pub(crate) trait Gather: Send + Sync {
+    /// Delivers `slot`'s reply; the last delivery runs the completion.
+    fn arrive(&self, slot: usize, result: Reply);
+}
 
 /// Count-down gather shared by [`FanoutGroup`] and the resilient wrapper:
 /// each slot's arrival stashes its result; the last arrival runs the merge.
-pub(crate) struct ScatterState {
-    pub(crate) remaining: AtomicUsize,
-    pub(crate) replies: Mutex<Vec<Option<Result<Bytes, RpcError>>>>,
-    pub(crate) on_complete: Mutex<Option<CompletionFn>>,
-    pub(crate) started_at_ns: u64,
-    pub(crate) clock: Clock,
+/// One allocation holds the count, the replies' header and the completion.
+pub(crate) struct ScatterState<F> {
+    remaining: AtomicUsize,
+    gathered: Mutex<Gathered<F>>,
+    started_at_ns: u64,
+    clock: Clock,
 }
 
-impl ScatterState {
-    pub(crate) fn new<F>(slots: usize, clock: Clock, on_complete: F) -> Arc<ScatterState>
-    where
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
+struct Gathered<F> {
+    replies: Vec<Option<Reply>>,
+    on_complete: Option<F>,
+}
+
+impl<F: FnOnce(FanoutResult) + Send> ScatterState<F> {
+    pub(crate) fn new(slots: usize, clock: Clock, on_complete: F) -> Arc<ScatterState<F>> {
         Arc::new(ScatterState {
             remaining: AtomicUsize::new(slots),
-            replies: Mutex::new((0..slots).map(|_| None).collect()),
-            on_complete: Mutex::new(Some(Box::new(on_complete))),
+            gathered: Mutex::new(Gathered {
+                replies: (0..slots).map(|_| None).collect(),
+                on_complete: Some(on_complete),
+            }),
             started_at_ns: clock.now_ns(),
             clock,
         })
     }
+}
 
-    pub(crate) fn arrive(&self, slot: usize, result: Result<Bytes, RpcError>) {
-        let prev = self.replies.lock()[slot].replace(result);
+impl<F: FnOnce(FanoutResult) + Send> Gather for ScatterState<F> {
+    fn arrive(&self, slot: usize, result: Reply) {
+        let prev = self.gathered.lock().replies[slot].replace(result);
         assert!(prev.is_none(), "fan-out slot {slot} completed twice");
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last response: merge here, on the response pick-up thread.
-            let callback = self.on_complete.lock().take();
+            let (replies, callback) = {
+                let mut gathered = self.gathered.lock();
+                (std::mem::take(&mut gathered.replies), gathered.on_complete.take())
+            };
             if let Some(callback) = callback {
-                let replies = self
-                    .replies
-                    .lock()
-                    .iter_mut()
-                    .map(|slot| slot.take().expect("all slots filled at count-down zero")) // lint: allow(expect): model-checked invariant
+                let replies = replies
+                    .into_iter()
+                    .map(|slot| slot.expect("all slots filled at count-down zero")) // lint: allow(expect): model-checked invariant
                     .collect();
                 let elapsed_ns = self.clock.now_ns().saturating_sub(self.started_at_ns);
                 callback(FanoutResult { replies, elapsed_ns });
@@ -165,16 +184,13 @@ impl LeafConns {
     }
 }
 
-/// The boxed completion a buffered leaf call resolves through.
-type LeafCallback = Box<dyn FnOnce(Result<Bytes, RpcError>) + Send + 'static>;
-
 /// One leaf sub-call parked in a merge buffer awaiting flush.
 struct BufferedCall {
     method: u32,
     payload: Payload,
     deadline: Option<Instant>,
     priority: Priority,
-    done: LeafCallback,
+    done: Callback,
 }
 
 impl BufferedCall {
@@ -1034,23 +1050,17 @@ mod model_tests {
         let report = Checker::new()
             .check(|| {
                 let merged = Arc::new(AtomicUsize::new(0));
-                let state = Arc::new(ScatterState {
-                    remaining: AtomicUsize::new(2),
-                    replies: Mutex::new(vec![None, None]),
-                    on_complete: Mutex::new(Some(Box::new({
-                        let merged = merged.clone();
-                        move |result: FanoutResult| {
-                            assert_eq!(result.replies.len(), 2);
-                            assert!(result.replies[0].is_ok(), "leaf reply lost in merge");
-                            assert!(
-                                matches!(result.replies[1], Err(RpcError::TimedOut)),
-                                "reaped slot lost in merge"
-                            );
-                            merged.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }))),
-                    started_at_ns: 0,
-                    clock: Clock::new(),
+                let state = ScatterState::new(2, Clock::new(), {
+                    let merged = merged.clone();
+                    move |result: FanoutResult| {
+                        assert_eq!(result.replies.len(), 2);
+                        assert!(result.replies[0].is_ok(), "leaf reply lost in merge");
+                        assert!(
+                            matches!(result.replies[1], Err(RpcError::TimedOut)),
+                            "reaped slot lost in merge"
+                        );
+                        merged.fetch_add(1, Ordering::AcqRel);
+                    }
                 });
                 let state2 = state.clone();
                 let responder =
@@ -1122,22 +1132,16 @@ mod model_tests {
     fn double_arrival_is_caught_with_replayable_seed() {
         fn buggy() -> impl Fn() + Send + Sync + 'static {
             || {
-                let state = Arc::new(ScatterState {
-                    remaining: AtomicUsize::new(2),
-                    replies: Mutex::new(vec![None, None]),
-                    on_complete: Mutex::new(None),
-                    started_at_ns: 0,
-                    clock: Clock::new(),
-                });
+                let state = ScatterState::new(2, Clock::new(), |_: FanoutResult| {});
                 let state2 = state.clone();
                 // BUG (both threads): vacancy check and arrival are two
                 // separate critical sections, so both can pass the check.
                 let responder = thread::spawn(move || {
-                    if state2.replies.lock()[0].is_none() {
+                    if state2.gathered.lock().replies[0].is_none() {
                         state2.arrive(0, Ok(Bytes::new()));
                     }
                 });
-                if state.replies.lock()[0].is_none() {
+                if state.gathered.lock().replies[0].is_none() {
                     state.arrive(0, Err(RpcError::TimedOut));
                 }
                 responder.join().unwrap();

@@ -30,10 +30,10 @@
 //! | inline vs dispatch designs (§VII) | [`config::ExecutionModel`] |
 //! | network wait model (§IV/§VII) | [`config::NetworkModel`] |
 //!
-//! The wire path is zero-copy end to end: each connection's reader —
-//! a per-connection poller thread ([`buf::FrameReader`]) or a shared
-//! reactor sweep ([`buf::FrameAccumulator`]) — fills a pooled buffer and
-//! hands out `bytes::Bytes` slices of it; outgoing frames serialize into
+//! The wire path is zero-copy end to end: each connection's reader — a
+//! per-connection poller thread or a shared reactor sweep, driving the
+//! same [`buf::RecvBuf`] — fills a reusable chunk and hands out
+//! `bytes::Bytes` slices of it; outgoing frames serialize into
 //! the connection's reusable pending buffer (the coalescing
 //! [`buf::ConnWriter`]); and a fan-out encodes shared request state once,
 //! sharing the allocation across leaves via [`buf::Payload`].
@@ -78,7 +78,7 @@ pub mod stats;
 mod timer;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
-pub use buf::{BufferPool, ConnWriter, FrameAccumulator, FrameReader, Payload, PooledBuf};
+pub use buf::{ConnWriter, Payload, RecvBuf};
 pub use client::{BatchCall, CallOptions, RpcClient};
 pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
 pub use error::{FailureKind, RpcError};

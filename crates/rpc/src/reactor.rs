@@ -7,10 +7,10 @@
 //! that design without `epoll` bindings (no `unsafe`, no new
 //! dependencies): every registered socket is switched to non-blocking
 //! mode and partitioned across `pollers` *sweep threads*. Each sweep
-//! thread loops over its shard, asking each connection's
-//! [`FrameAccumulator`] to absorb whatever bytes the kernel has buffered;
-//! complete frames are handed to the connection's [`ConnDriver`] (the
-//! server's dispatch path or the client's in-flight completion path).
+//! thread loops over its shard, asking each connection's [`RecvBuf`] to
+//! read whatever bytes the kernel has buffered; complete frames are handed
+//! to the connection's [`ConnDriver`] (the server's dispatch path or the
+//! client's in-flight completion path).
 //!
 //! Between *empty* sweeps — no shard connection had a complete frame —
 //! the thread waits according to [`WaitMode`], extending the paper's
@@ -29,8 +29,8 @@
 //!
 //! Fairness: one connection may drain at most `sweep_budget` frames per
 //! sweep before the thread moves on, so a chatty peer cannot starve its
-//! shard-mates; undrained bytes stay in the kernel buffer for the next
-//! sweep.
+//! shard-mates; frames it has read but not drained stay in its receive
+//! buffer and go first in the next sweep, which is therefore never empty.
 //!
 //! Registration is lock-free for the sweeper in the steady state: new
 //! connections land in the shard's [`Ledger`] and are adopted at the top
@@ -46,7 +46,7 @@
 //! `spawn_blocking_runner`; a driver cannot tell which feeds it, so the
 //! two models are an ablation of the wait, not of the protocol.
 
-use crate::buf::{BufferPool, FrameAccumulator, FrameReader, MAX_IDLE_READ_BUFFERS};
+use crate::buf::RecvBuf;
 use crate::config::WaitMode;
 use crate::error::RpcError;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -55,7 +55,6 @@ use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::Frame;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::netpoll::ReactorStats;
-use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -105,18 +104,20 @@ pub trait ConnDriver: Send {
 }
 
 /// The thread-per-connection runner: spawns a thread named `name` that
-/// blocks on `reader`'s socket, hands every frame to `driver`, and closes
-/// the socket when the peer hangs up or sends a bad frame, when the driver
+/// blocks on `stream`, hands every frame to `driver`, and closes the
+/// socket when the peer hangs up or sends a bad frame, when the driver
 /// says [`Drive::Close`], when a read timeout set on the socket passes with
 /// no frame in flight ([`CloseReason::Idle`]), or once `stop` is set — the
 /// owner sets it and then shuts the socket down to interrupt the wait.
 /// `on_close` is the thread's last act.
 ///
 /// OS-op analogs, per the paper's syscall profile: one `epoll_pwait` per
-/// wait, one `recvmsg` per frame, one `close` per connection.
+/// wait entered with no complete frame buffered, one `recvmsg` per `read`
+/// that returned data (counted by the [`RecvBuf`]), one `close` per
+/// connection. Frames that arrived together cost one of each.
 pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
     name: &str,
-    mut reader: FrameReader<TcpStream>,
+    stream: TcpStream,
     mut driver: D,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
@@ -125,32 +126,28 @@ pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
     Builder::new()
         .name(name.to_string())
         .spawn(move || {
+            let mut buf = RecvBuf::default();
             let reason = loop {
-                counters.incr(OsOp::EpollPwait);
-                let verdict = reader.read_frame().map(|(frame, rx_start_ns)| {
-                    counters.incr(OsOp::RecvMsg);
-                    driver.on_frame(frame, rx_start_ns)
-                });
+                if !buf.has_frame() {
+                    counters.incr(OsOp::EpollPwait);
+                }
+                let verdict = buf
+                    .poll_frame(&mut &stream)
+                    .map(|got| got.map(|(frame, rx_start_ns)| driver.on_frame(frame, rx_start_ns)));
                 match verdict {
                     _ if stop.load(Ordering::Acquire) => break CloseReason::Shutdown,
-                    Ok(Drive::Continue) => {}
-                    Ok(Drive::Close) => break CloseReason::Disconnect,
-                    // A read timeout (either kind, by platform) with no
-                    // frame in flight is an idle connection; one that
-                    // strikes inside a frame is a broken stream.
-                    Err(e)
-                        if !reader.mid_frame()
-                            && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-                    {
-                        break CloseReason::Idle
-                    }
-                    Err(_) => break CloseReason::Disconnect,
+                    Ok(Some(Drive::Continue)) => {}
+                    Ok(Some(Drive::Close)) => break CloseReason::Disconnect,
+                    // The read timed out. With nothing buffered that is an
+                    // idle connection; inside a frame, a broken stream.
+                    Ok(None) if !buf.mid_frame() => break CloseReason::Idle,
+                    Ok(None) | Err(_) => break CloseReason::Disconnect,
                 }
             };
             // Both halves, explicitly: other handles to this socket exist
             // (the write half, the owner's), so dropping ours would leave
             // the peer waiting on a silent connection.
-            let _ = reader.get_ref().shutdown(Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Both);
             counters.incr(OsOp::Close);
             driver.on_close(reason);
         })
@@ -324,13 +321,11 @@ impl Reactor {
         assert!(config.sweep_budget > 0, "sweep budget must be positive");
         let stats = ReactorStats::new();
         let live = Arc::new(AtomicUsize::new(0));
-        let pool = BufferPool::new(MAX_IDLE_READ_BUFFERS);
         let shards = (0..config.pollers)
             .map(|i| {
                 let ledger = Arc::new(Ledger::new());
                 let params = SweepParams {
                     ledger: ledger.clone(),
-                    pool: pool.clone(),
                     stats: stats.clone(),
                     live: live.clone(),
                     wait_mode: config.wait_mode,
@@ -425,7 +420,6 @@ impl Drop for Reactor {
 
 struct SweepParams {
     ledger: Arc<Ledger<Registration>>,
-    pool: BufferPool,
     stats: ReactorStats,
     live: Arc<AtomicUsize>,
     wait_mode: WaitMode,
@@ -436,7 +430,7 @@ struct SweepParams {
 /// A connection owned by one sweep thread.
 struct Conn {
     stream: TcpStream,
-    acc: FrameAccumulator,
+    buf: RecvBuf,
     driver: Box<dyn ConnDriver>,
     last_activity: Instant,
 }
@@ -456,7 +450,7 @@ fn close_conn(mut conn: Conn, reason: CloseReason, stats: &ReactorStats, live: &
 /// `musuite-analyze` reachability pass.
 #[musuite_marker::nonblocking]
 fn run_sweeper(params: SweepParams) {
-    let SweepParams { ledger, pool, stats, live, wait_mode, sweep_budget, idle_timeout } = params;
+    let SweepParams { ledger, stats, live, wait_mode, sweep_budget, idle_timeout } = params;
     let mut conns: Vec<Conn> = Vec::new();
     let mut idle_streak: u32 = 0;
     loop {
@@ -465,7 +459,7 @@ fn run_sweeper(params: SweepParams) {
             live.fetch_add(1, Ordering::AcqRel);
             conns.push(Conn {
                 stream: reg.stream,
-                acc: FrameAccumulator::new(pool.acquire()),
+                buf: RecvBuf::default(),
                 driver: reg.driver,
                 last_activity: Instant::now(),
             });
@@ -484,10 +478,10 @@ fn run_sweeper(params: SweepParams) {
             let mut frames_this_conn = 0usize;
             let mut close = None;
             // Fairness bound: at most `sweep_budget` frames before moving
-            // to the shard's next connection; surplus bytes wait in the
-            // kernel buffer.
+            // to the shard's next connection; surplus frames wait in the
+            // connection's receive buffer.
             while frames_this_conn < sweep_budget {
-                match conn.acc.poll_frame(&mut conn.stream) {
+                match conn.buf.poll_frame(&mut conn.stream) {
                     Ok(Some((frame, rx_start_ns))) => {
                         frames_this_conn += 1;
                         match conn.driver.on_frame(frame, rx_start_ns) {
@@ -512,7 +506,7 @@ fn run_sweeper(params: SweepParams) {
                 if let Some(timeout) = idle_timeout {
                     // Never reap mid-frame: a slow-trickling peer is
                     // active, just glacially so.
-                    if !conn.acc.mid_frame() && now.duration_since(conn.last_activity) >= timeout {
+                    if !conn.buf.mid_frame() && now.duration_since(conn.last_activity) >= timeout {
                         close = Some(CloseReason::Idle);
                     }
                 }
@@ -651,8 +645,7 @@ mod tests {
                 side.set_read_timeout(idle_timeout).unwrap();
                 let owner = side.try_clone().unwrap();
                 let stop = Arc::new(AtomicBool::new(false));
-                let runner =
-                    spawn_blocking_runner("test", FrameReader::new(side), driver, stop.clone());
+                let runner = spawn_blocking_runner("test", side, driver, stop.clone());
                 Box::new(move || {
                     stop.store(true, Ordering::Release);
                     let _ = owner.shutdown(Shutdown::Both);

@@ -32,7 +32,7 @@
 use crate::buf::Payload;
 use crate::client::CallOptions;
 use crate::error::RpcError;
-use crate::fanout::{FanoutGroup, FanoutResult, ScatterState};
+use crate::fanout::{FanoutGroup, FanoutResult, Gather, ScatterState};
 use crate::timer::{Fate, Timer};
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -257,13 +257,16 @@ struct SlotCtl {
     index: usize,
     method: u32,
     payload: Payload,
-    targets: Vec<usize>,
+    /// The slot's rotation is the primary, then each alternate (none of
+    /// them the primary, none twice), then round again.
+    primary: usize,
+    alternates: Vec<usize>,
     rotation: AtomicUsize,
     done: AtomicBool,
     pending: AtomicUsize,
     retries_left: AtomicUsize,
     last_error: Mutex<Option<RpcError>>,
-    gather: Arc<ScatterState>,
+    gather: Arc<dyn Gather>,
     /// Absolute end-to-end budget for this slot: every attempt (primary,
     /// hedge, retry) is bounded by what remains of it at launch time, so
     /// retries cannot extend the caller's deadline.
@@ -282,9 +285,17 @@ impl SlotCtl {
         self.done.load(Ordering::Acquire)
     }
 
+    /// Number of distinct targets in the slot's rotation.
+    fn target_count(&self) -> usize {
+        1 + self.alternates.len()
+    }
+
     /// Next target in the slot's rotation (primary, alternates, wrap).
     fn next_target(&self) -> usize {
-        self.targets[self.rotation.fetch_add(1, Ordering::Relaxed) % self.targets.len()]
+        match self.rotation.fetch_add(1, Ordering::Relaxed) % self.target_count() {
+            0 => self.primary,
+            turn => self.alternates[turn - 1],
+        }
     }
 
     /// Consumes one retry credit if any remain.
@@ -467,20 +478,27 @@ impl ResilientFanout {
                 assert!(alt < self.group.len(), "alternate index {alt} out of bounds");
             }
         }
-        let gather = ScatterState::new(calls.len(), self.clock, on_complete);
+        let gather: Arc<dyn Gather> = ScatterState::new(calls.len(), self.clock, on_complete);
         let hedge_delay = self.hedge_delay();
         for (index, call) in calls.into_iter().enumerate() {
-            let mut targets = vec![call.leaf];
-            for alt in call.alternates {
-                if !targets.contains(&alt) {
-                    targets.push(alt);
+            // The caller's list becomes the slot's, minus the primary and
+            // repeats; the common slot without alternates owns no list.
+            let mut alternates = call.alternates;
+            let mut kept = 0;
+            for i in 0..alternates.len() {
+                let alt = alternates[i];
+                if alt != call.leaf && !alternates[..kept].contains(&alt) {
+                    alternates[kept] = alt;
+                    kept += 1;
                 }
             }
+            alternates.truncate(kept);
             let slot = Arc::new(SlotCtl {
                 index,
                 method: call.method,
                 payload: call.payload,
-                targets,
+                primary: call.leaf,
+                alternates,
                 rotation: AtomicUsize::new(1),
                 done: AtomicBool::new(false),
                 pending: AtomicUsize::new(1 + usize::from(hedge_delay.is_some())),
@@ -494,8 +512,7 @@ impl ResilientFanout {
                 self.timers
                     .schedule(Instant::now() + delay, TimerTask::Hedge { slot: slot.clone() });
             }
-            let primary = slot.targets[0];
-            self.launch_attempt(&slot, primary, false);
+            self.launch_attempt(&slot, slot.primary, false);
         }
     }
 
@@ -516,7 +533,7 @@ impl ResilientFanout {
     fn launch_attempt(self: &Arc<Self>, slot: &Arc<SlotCtl>, target: usize, is_hedge: bool) {
         let mut target = target;
         let mut admitted = None;
-        for _ in 0..slot.targets.len() {
+        for _ in 0..slot.target_count() {
             match self.admit(target) {
                 Admission::Allow => {
                     admitted = Some(target);
@@ -1138,7 +1155,8 @@ mod model_tests {
                     index: 0,
                     method: 1,
                     payload: Payload::new(),
-                    targets: vec![0, 1],
+                    primary: 0,
+                    alternates: vec![1],
                     rotation: AtomicUsize::new(1),
                     done: AtomicBool::new(false),
                     // Two obligations in flight: primary and hedge.

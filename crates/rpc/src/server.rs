@@ -16,21 +16,18 @@
 //! queue's condition variable when idle, exactly the structure whose futex
 //! and wakeup overheads the paper characterizes.
 //!
-//! Request payloads are zero-copy slices of pooled read buffers in both
-//! modes ([`FrameReader`] per-connection, [`FrameAccumulator`] inside the
-//! reactor), handed through the dispatch queue into the service without a
-//! memcpy. Responses leave through a per-connection coalescing
+//! Request payloads are zero-copy slices of the connection's receive
+//! buffer ([`RecvBuf`](crate::RecvBuf)) in both modes, handed through the
+//! dispatch queue into the service without a memcpy. Responses leave through a per-connection coalescing
 //! [`crate::ConnWriter`]: concurrent completions for one connection batch
 //! into a single socket write.
 //!
 //! Connection bookkeeping is reaped in both modes, and an optional idle
 //! timeout drops connections with no traffic (counted in
 //! [`ServerStats::idle_reaped`]).
-//!
-//! [`FrameAccumulator`]: crate::FrameAccumulator
 
 use crate::admission::{AdmissionControl, LimitChange};
-use crate::buf::{BufferPool, ConnWriter, FrameReader, SharedWriter, MAX_IDLE_READ_BUFFERS};
+use crate::buf::{ConnWriter, SharedWriter};
 use crate::config::{ExecutionModel, NetworkModel, ServerConfig};
 use crate::error::RpcError;
 use crate::queue::DispatchQueue;
@@ -204,9 +201,6 @@ impl Server {
             let table = table.clone();
             let reactor = reactor.clone();
             let idle_timeout = config.idle_timeout_value();
-            // Read buffers survive connection churn: an exiting poller's
-            // warmed-up buffer is handed to the next connection.
-            let read_buffers = BufferPool::new(MAX_IDLE_READ_BUFFERS);
             OsOpCounters::global().incr(OsOp::Clone);
             Builder::new()
                 .name("musuite-accept".to_string())
@@ -239,7 +233,7 @@ impl Server {
                         let Ok(conn_handle) = read_half.try_clone() else { continue };
                         let poller = spawn_blocking_runner(
                             "musuite-poller",
-                            FrameReader::with_buffer(read_half, read_buffers.acquire()),
+                            read_half,
                             driver,
                             shutdown.clone(),
                         );

@@ -19,7 +19,6 @@ use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A request handler.
@@ -82,8 +81,8 @@ mod notify_tests {
 
 /// Everything a handler needs to process and complete one RPC.
 ///
-/// The request payload is a [`Bytes`] slice of the connection's pooled
-/// read buffer — no copy was made between the socket and this context.
+/// The request payload is a [`Bytes`] slice of the connection's receive
+/// buffer — no copy was made between the socket and this context.
 ///
 /// The context is completed at most once; completing it responds on the
 /// originating connection. If a handler drops the context without
@@ -98,7 +97,7 @@ pub struct RequestContext {
     priority: Priority,
     deadline: Option<Instant>,
     permit: Option<AdmissionPermit>,
-    leaf_ns: Arc<AtomicU64>,
+    leaf_ns: AtomicU64,
     writer: SharedWriter,
     stats: ServerStats,
     clock: Clock,
@@ -127,7 +126,7 @@ impl RequestContext {
             priority: frame.header.priority,
             deadline,
             permit: None,
-            leaf_ns: Arc::new(AtomicU64::new(0)),
+            leaf_ns: AtomicU64::new(0),
             writer,
             stats,
             clock: Clock::new(),
@@ -216,19 +215,20 @@ impl RequestContext {
     }
 
     /// Completes the RPC successfully with `payload`.
-    pub fn respond_ok(self, payload: impl Into<Bytes>) {
+    pub fn respond_ok(self, payload: impl AsRef<[u8]>) {
         self.respond(Status::Ok, payload);
     }
 
     /// Completes the RPC with an error status and diagnostic bytes.
-    pub fn respond_err(self, status: Status, detail: impl Into<Bytes>) {
+    pub fn respond_err(self, status: Status, detail: impl AsRef<[u8]>) {
         self.respond(status, detail);
     }
 
-    /// Completes the RPC with an explicit status.
-    pub fn respond(mut self, status: Status, payload: impl Into<Bytes>) {
+    /// Completes the RPC with an explicit status. The body is borrowed:
+    /// it is serialized straight into the connection's pending buffer.
+    pub fn respond(mut self, status: Status, payload: impl AsRef<[u8]>) {
         self.completed = true;
-        self.send_response(status, &payload.into());
+        self.send_response(status, payload.as_ref());
     }
 
     fn send_response(&self, status: Status, payload: &[u8]) {
@@ -273,6 +273,7 @@ mod tests {
     use musuite_codec::FrameKind;
     use std::io::Read;
     use std::net::TcpStream;
+    use std::sync::Arc;
 
     fn context_for(stream: TcpStream, stats: &ServerStats) -> RequestContext {
         let frame = Frame::request(11, 5, b"req".to_vec());
@@ -304,7 +305,7 @@ mod tests {
         assert_eq!(ctx.method(), 5);
         assert_eq!(ctx.request_id(), 11);
         assert_eq!(ctx.payload(), b"req");
-        ctx.respond_ok(b"resp".to_vec());
+        ctx.respond_ok(b"resp");
         let frame = read_response(&mut client);
         assert_eq!(frame.header.kind, FrameKind::Response);
         assert_eq!(frame.header.request_id, 11);

@@ -9,7 +9,7 @@ use musuite::codec::{
     decode_batch, encode_batch, from_bytes, to_bytes, BatchEntry, Decode, DecodeError, Encode,
     Frame, Status,
 };
-use musuite::rpc::FrameReader;
+use musuite::rpc::RecvBuf;
 use proptest::prelude::*;
 
 /// A well-formed `FrameKind::Batch` envelope over `payloads`, and the
@@ -133,16 +133,16 @@ proptest! {
     fn reader_payloads_survive_buffer_reuse(payloads in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 1..128), 2..6)
     ) {
-        // A FrameReader reuses one pooled buffer across frames. Payloads
-        // handed out for earlier frames must stay intact while later
-        // frames are read into the pool.
+        // A RecvBuf refills its chunks across frames. Payloads handed out
+        // for earlier frames must stay intact while later frames are read.
         let mut wire = Vec::new();
         for (i, payload) in payloads.iter().enumerate() {
             wire.extend(Frame::request(i as u64, 1, payload.clone()).to_bytes());
         }
-        let mut reader = FrameReader::new(&wire[..]);
-        let held: Vec<Bytes> =
-            (0..payloads.len()).map(|_| reader.read_frame().unwrap().0.payload).collect();
+        let (mut reader, mut wire) = (RecvBuf::default(), &wire[..]);
+        let held: Vec<Bytes> = (0..payloads.len())
+            .map(|_| reader.poll_frame(&mut wire).unwrap().unwrap().0.payload)
+            .collect();
         for (held_payload, original) in held.iter().zip(&payloads) {
             prop_assert_eq!(&held_payload[..], &original[..]);
         }
@@ -184,7 +184,7 @@ proptest! {
         let mut bytes = vec![0xB5, 0x53];
         bytes.extend(tail);
         prop_assert_eq!(Frame::parse(&Bytes::from(bytes.clone())).unwrap_err(), DecodeError::BadMagic);
-        prop_assert!(FrameReader::new(&bytes[..]).read_frame().is_err());
+        prop_assert!(RecvBuf::default().poll_frame(&mut &bytes[..]).is_err());
     }
 
     #[test]

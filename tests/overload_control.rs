@@ -62,7 +62,7 @@ impl Service for RelayMid {
         let payload = ctx.payload().to_vec();
         self.leaves.scatter_opts(vec![(0usize, 1u32, payload)], opts, move |result| {
             match result.replies.into_iter().next().expect("one scattered slot") {
-                Ok(bytes) => ctx.respond_ok(bytes.to_vec()),
+                Ok(bytes) => ctx.respond_ok(bytes),
                 // A timed-out or expired leaf call is a deadline failure as
                 // far as the front-end is concerned; anything else is plain
                 // unavailability.

@@ -1,8 +1,8 @@
 //! Fault-injection and robustness tests for the RPC substrate.
 
 use musuite::rpc::{
-    CallOptions, ExecutionModel, NetworkModel, Reactor, ReactorConfig, RequestContext, RpcClient,
-    RpcError, Server, ServerConfig, Service, Status, WaitMode,
+    CallOptions, ExecutionModel, Frame, NetworkModel, Reactor, ReactorConfig, RecvBuf,
+    RequestContext, RpcClient, RpcError, Server, ServerConfig, Service, Status, WaitMode,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -50,6 +50,41 @@ fn oversized_frame_is_rejected_cleanly() {
     std::thread::sleep(Duration::from_millis(50));
     let client = RpcClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.call(1, b"still alive".to_vec()).unwrap(), b"still alive");
+}
+
+#[test]
+fn frames_cut_off_by_the_sweep_budget_are_neither_lost_nor_taken_for_idleness() {
+    // Eight requests arrive in one segment, so one `read` buffers them all;
+    // the sweeper may hand out one per sweep, and the in-line handler makes
+    // every sweep outlast the idle timeout. The seven frames waiting in the
+    // connection's receive buffer are traffic: it must not be reaped (or the
+    // sweeper parked) while they wait.
+    struct Slow;
+    impl Service for Slow {
+        fn call(&self, ctx: RequestContext) {
+            std::thread::sleep(Duration::from_millis(8));
+            let bytes = ctx.payload().clone();
+            ctx.respond_ok(bytes);
+        }
+    }
+    let mut config = ServerConfig::default();
+    config
+        .network_model(NetworkModel::SharedPollers { pollers: 1 })
+        .execution_model(ExecutionModel::Inline)
+        .sweep_budget(1)
+        .idle_timeout(Duration::from_millis(4));
+    let server = Server::spawn(config, Arc::new(Slow)).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let burst: Vec<u8> =
+        (0..8u64).flat_map(|id| Frame::request(id, 1, vec![id as u8; 40]).to_bytes()).collect();
+    raw.write_all(&burst).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut responses = RecvBuf::default();
+    for id in 0..8u64 {
+        let (frame, _) = responses.poll_frame(&mut raw).unwrap().expect("a response per request");
+        assert_eq!((frame.header.request_id, &frame.payload[..]), (id, &[id as u8; 40][..]));
+    }
+    assert_eq!(server.stats().responses(), 8);
 }
 
 #[test]
