@@ -13,21 +13,24 @@
 //!   drives it: each wake's bytes land in a chunk, every complete frame in
 //!   the chunk is handed out as a [`Bytes`] slice of it, and the chunk is
 //!   taken back for refilling once the last slice is dropped.
-//! * [`ConnWriter`] — a thread-safe coalescing writer: frames queued while
-//!   another thread is flushing the same connection ride out in that
-//!   thread's single buffered write, shrinking the `sendmsg` column of the
-//!   syscall-profile analog.
+//! * [`ConnWriter`] — a thread-safe coalescing writer: what a loop thread
+//!   queues while it has ready work leaves in one write before it waits,
+//!   and frames queued while another thread is flushing ride out in that
+//!   thread's write, shrinking the `sendmsg` column of the syscall profile.
 
 use bytes::{Bytes, BytesMut};
+use musuite_check::sync::MutexGuard;
 use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAGIC};
 use musuite_codec::{DecodeError, Frame};
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::netpoll::CoalesceStats;
 use musuite_telemetry::sync::CountedMutex;
+use std::cell::RefCell;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// An outgoing message body: a shared head plus a per-request tail.
 ///
@@ -120,6 +123,13 @@ const MAX_CHUNK: usize = 64 << 10;
 /// Chunks with live payload slices a connection keeps a handle on, to take
 /// back later. One frozen while this many are out is freed with its slices.
 const MAX_LENT_CHUNKS: usize = 16;
+/// A work item that took this long — about what a write costs, the peer's
+/// wake-up included — saves nothing by holding its frames back: the loop
+/// thread flushes before the next item. Shorter ones (a Router lookup, a
+/// completion callback) batch as deep as the ready work goes. The clock is
+/// read between items only, so a frame waits out the short items after it
+/// and one of any length; see [`flush_outbox`].
+pub const MAX_DEFER: Duration = Duration::from_micros(20);
 
 fn invalid_data(e: DecodeError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
@@ -367,7 +377,7 @@ struct WriteState {
     /// A thread is currently writing this connection's batch; new frames
     /// appended to `pending` will ride its next iteration.
     flushing: bool,
-    /// A write failed; the peer is gone and further frames are refused.
+    /// A write failed; the socket is shut down and further frames are refused.
     broken: bool,
 }
 
@@ -375,19 +385,21 @@ struct WriteState {
 ///
 /// Any number of threads (workers completing responses, fan-out merge
 /// callbacks, reactor sweeps shedding load) serialize frames into a shared
-/// pending buffer under a short lock. The first writer becomes the
-/// *flusher*: it repeatedly takes the whole pending batch and writes it
-/// outside the lock, so frames queued meanwhile leave in a single
-/// `write_all` — one syscall for many responses. [`CoalesceStats`] counts
+/// pending buffer under a short lock. A **loop thread** (inside a
+/// [`DeferScope`]: a connection's runner, a sweeper, a dispatch worker)
+/// only notes the writer in its outbox and flushes it once when it runs
+/// out of ready work, or after an item that took [`MAX_DEFER`]: one
+/// `write` for all a burst produced on the connection. Any other thread
+/// flushes at once, as the *flusher*: it repeatedly takes the whole
+/// pending batch and writes it outside the lock, so frames queued
+/// meanwhile — deferred ones too — leave with it. [`CoalesceStats`] counts
 /// frames vs. actual writes; the difference is syscalls saved.
 ///
 /// Works on both blocking sockets (per-connection mode) and non-blocking
 /// reactor-owned sockets: `WouldBlock` during a flush is retried with a
-/// CPU yield until the kernel accepts the bytes.
-///
-/// A failed write marks the connection broken; frames already accepted for
-/// a batch that fails are lost, which matches the seed semantics — a send
-/// failure means the client went away and nobody is left to tell.
+/// CPU yield until the kernel accepts the bytes. The first failed write
+/// marks the connection broken and shuts the socket down, so its runner
+/// fails every call in flight exactly once, whichever thread queued it.
 #[derive(Debug)]
 pub struct ConnWriter {
     stream: TcpStream,
@@ -417,28 +429,36 @@ impl ConnWriter {
     }
 
     /// Serializes `header` with a payload assembled from `parts` and
-    /// queues it for transmission, flushing unless another thread already
-    /// is. Returns once the frame is on the wire *or* safely queued behind
-    /// an in-progress flush.
+    /// queues it for transmission. Returns once the frame is on the wire,
+    /// queued behind an in-progress flush, or noted for the calling loop
+    /// thread's next flush.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors observed by this thread's own flush; a frame
-    /// accepted into another thread's batch reports `Ok` even if that
-    /// batch later fails (the connection is then marked broken and
-    /// subsequent writes refuse with `BrokenPipe`).
-    pub fn write_parts(&self, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
+    /// Propagates I/O errors observed by this thread's own flush, and
+    /// refuses with `BrokenPipe` once any flush has failed. A frame that
+    /// leaves in a later flush reports `Ok` even if that flush fails.
+    pub fn write_parts(self: &Arc<Self>, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
         self.enqueue(header, parts, false)
     }
 
     /// Fault-injection only: like [`ConnWriter::write_parts`] but flips
     /// one bit of the serialized frame after checksumming, so the receiver
     /// must reject it.
-    pub fn write_parts_corrupted(&self, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
+    pub fn write_parts_corrupted(
+        self: &Arc<Self>,
+        header: &FrameHeader,
+        parts: &[&[u8]],
+    ) -> io::Result<()> {
         self.enqueue(header, parts, true)
     }
 
-    fn enqueue(&self, header: &FrameHeader, parts: &[&[u8]], corrupt: bool) -> io::Result<()> {
+    fn enqueue(
+        self: &Arc<Self>,
+        header: &FrameHeader,
+        parts: &[&[u8]],
+        corrupt: bool,
+    ) -> io::Result<()> {
         let mut st = self.state.lock();
         if st.broken {
             return Err(io::ErrorKind::BrokenPipe.into());
@@ -458,6 +478,17 @@ impl ConnWriter {
             musuite_telemetry::sync::record_contention_event();
             return Ok(());
         }
+        if Outbox::defer(self) {
+            return Ok(());
+        }
+        self.flush(st)
+    }
+
+    /// Writes out whatever is pending, unless another thread is doing so.
+    fn flush<'a>(&'a self, mut st: MutexGuard<'a, WriteState>) -> io::Result<()> {
+        if st.flushing || st.pending.is_empty() {
+            return Ok(());
+        }
         st.flushing = true;
         loop {
             let mut batch = std::mem::take(&mut st.pending);
@@ -471,6 +502,8 @@ impl ConnWriter {
                 st.broken = true;
                 st.flushing = false;
                 st.pending.clear();
+                // How callers whose queued frames are lost get to know.
+                let _ = self.stream.shutdown(Shutdown::Both);
                 return Err(e);
             }
             if st.pending.is_empty() {
@@ -502,6 +535,86 @@ impl ConnWriter {
             }
         }
         Ok(())
+    }
+}
+
+/// The calling thread's deferred writes: the writers it has queued frames
+/// on since it last flushed, in storage that is reused.
+struct Outbox {
+    /// Inside a [`DeferScope`].
+    deferring: bool,
+    dirty: Vec<SharedWriter>,
+    /// When the work item in progress began.
+    item_start_ns: u64,
+}
+
+thread_local! {
+    static OUTBOX: RefCell<Outbox> =
+        const { RefCell::new(Outbox { deferring: false, dirty: Vec::new(), item_start_ns: 0 }) };
+}
+
+impl Outbox {
+    /// Notes `writer` for the next flush; `false` (not a loop thread)
+    /// tells the caller to flush now.
+    fn defer(writer: &SharedWriter) -> bool {
+        OUTBOX.with_borrow_mut(|outbox| {
+            if outbox.deferring && !outbox.dirty.iter().any(|noted| Arc::ptr_eq(noted, writer)) {
+                outbox.dirty.push(writer.clone());
+            }
+            outbox.deferring
+        })
+    }
+
+    fn flush(&mut self) {
+        for writer in self.dirty.drain(..) {
+            // A failed flush has shut the socket down: its runner reports it.
+            let _ = writer.flush(writer.state.lock());
+        }
+    }
+}
+
+/// Writes out every frame the calling thread has deferred. Whatever in
+/// this crate blocks a thread — a queue about to park its consumer, a
+/// synchronous call or gather about to wait — calls this first; so does a
+/// [`Service`](crate::Service) handler before it waits on anything of its
+/// own, or runs long with frames queued.
+pub fn flush_outbox() {
+    OUTBOX.with_borrow_mut(Outbox::flush);
+}
+
+/// Marks the calling thread as a loop that drains ready work: frames it
+/// queues on any [`ConnWriter`] stay in its outbox until it flushes, which
+/// it must whenever it is about to wait, and does on the way out.
+pub(crate) struct DeferScope(());
+
+impl DeferScope {
+    pub(crate) fn enter() -> DeferScope {
+        OUTBOX.with_borrow_mut(|outbox| outbox.deferring = true);
+        DeferScope(())
+    }
+
+    /// Call before each work item: flushes if the item before it took
+    /// [`MAX_DEFER`] or more.
+    pub(crate) fn checkpoint(&self) {
+        OUTBOX.with_borrow_mut(|outbox| {
+            let mut now = Clock.now_ns();
+            let short = now.saturating_sub(outbox.item_start_ns) < MAX_DEFER.as_nanos() as u64;
+            if !short && !outbox.dirty.is_empty() {
+                outbox.flush();
+                // The write is not the next item's time.
+                now = Clock.now_ns();
+            }
+            outbox.item_start_ns = now;
+        });
+    }
+}
+
+impl Drop for DeferScope {
+    fn drop(&mut self) {
+        OUTBOX.with_borrow_mut(|outbox| {
+            outbox.flush();
+            outbox.deferring = false;
+        });
     }
 }
 
@@ -854,7 +967,7 @@ mod conn_writer_tests {
     #[test]
     fn corrupted_variant_is_rejected_downstream() {
         let (tx_side, rx_side) = loopback_pair();
-        let writer = ConnWriter::new(tx_side);
+        let writer = Arc::new(ConnWriter::new(tx_side));
         let frame = Frame::request(3, 9, b"poisoned".to_vec());
         writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
         let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
@@ -862,7 +975,7 @@ mod conn_writer_tests {
         // Empty payload: the flip lands in the header's last byte instead.
         let (tx_side, rx_side) = loopback_pair();
         let frame = Frame::request(4, 9, Vec::new());
-        ConnWriter::new(tx_side).write_parts_corrupted(&frame.header, &[]).unwrap();
+        Arc::new(ConnWriter::new(tx_side)).write_parts_corrupted(&frame.header, &[]).unwrap();
         let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -870,7 +983,7 @@ mod conn_writer_tests {
     #[test]
     fn broken_connection_refuses_further_frames() {
         let (tx_side, rx_side) = loopback_pair();
-        let writer = ConnWriter::new(tx_side);
+        let writer = Arc::new(ConnWriter::new(tx_side));
         drop(rx_side);
         let frame = Frame::request(1, 1, vec![0u8; 4096]);
         let mut saw_error = false;
@@ -939,5 +1052,46 @@ mod model_tests {
         assert!(report.iterations > 1, "release/refill orders must be explored");
         let reached = |n: &AtomicUsize| n.load(std::sync::atomic::Ordering::Relaxed) > 0;
         assert!(outcomes.iter().all(reached), "both orders must be reached");
+    }
+
+    /// A loop thread deferring two frames, another thread writing one at
+    /// once, the flusher election between them: every frame is written
+    /// exactly once, a thread's own in order, and none is left pending.
+    /// One write for all three, two, and three must each be reached.
+    #[test]
+    fn deferred_and_immediate_frames_are_each_written_exactly_once() {
+        fn send(writer: &SharedWriter, id: u64) {
+            writer.write_parts(&Frame::request(id, 1, Vec::new()).header, &[]).unwrap();
+        }
+        let outcomes = Arc::new([const { AtomicUsize::new(0) }; 3]);
+        let tally = outcomes.clone();
+        Checker::new()
+            .check(move || {
+                let (tx_side, rx_side) = loopback_pair();
+                let writer = Arc::new(ConnWriter::new(tx_side));
+                let deferring = thread::spawn({
+                    let writer = writer.clone();
+                    move || {
+                        let _scope = DeferScope::enter();
+                        send(&writer, 1);
+                        send(&writer, 2);
+                    }
+                });
+                send(&writer, 3);
+                deferring.join().unwrap();
+                assert!(writer.state.lock().pending.is_empty(), "a frame was stranded");
+                rx_side.set_nonblocking(true).unwrap();
+                let mut reader = RecvBuf::default();
+                let ids: Vec<u64> =
+                    std::iter::from_fn(|| reader.poll_frame(&mut &rx_side).unwrap())
+                        .map(|(frame, _)| frame.header.request_id)
+                        .collect();
+                assert!(matches!(ids[..], [1, 2, 3] | [1, 3, 2] | [3, 1, 2]), "{ids:?}");
+                let writes = writer.stats.flushes() as usize;
+                tally[writes - 1].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            })
+            .expect("no schedule may lose, duplicate, reorder or strand a frame");
+        let reached = |n: &AtomicUsize| n.load(std::sync::atomic::Ordering::Relaxed) > 0;
+        assert!(outcomes.iter().all(reached), "every number of writes must be reached");
     }
 }

@@ -25,7 +25,7 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{ConnWriter, Payload, SharedWriter};
+use crate::buf::{flush_outbox, ConnWriter, Payload, SharedWriter};
 use crate::error::RpcError;
 use crate::fault::{ClientFaults, FaultKind};
 use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
@@ -89,6 +89,8 @@ impl SyncSlot {
     }
 
     fn wait(&self, timeout: Option<Duration>) -> Result<Bytes, RpcError> {
+        // On a loop thread the request may still sit in the outbox.
+        flush_outbox();
         // The deadline is absolute: a spurious wakeup re-waits only for
         // the *remaining* time instead of restarting the full timeout.
         let deadline = timeout.map(|limit| Instant::now() + limit);
@@ -202,7 +204,7 @@ impl Outgoing {
     /// here, at the last moment). `corrupt` is fault injection only.
     fn write(
         &self,
-        writer: &ConnWriter,
+        writer: &SharedWriter,
         closed: &AtomicBool,
         kind: FrameKind,
         corrupt: bool,
@@ -231,7 +233,7 @@ impl Outgoing {
 /// moment before the frame leaves, exactly like [`Outgoing::write`] does
 /// for single requests.
 fn write_batch_frame(
-    writer: &ConnWriter,
+    writer: &SharedWriter,
     closed: &AtomicBool,
     calls: &[Outgoing],
 ) -> Result<(), RpcError> {
@@ -706,7 +708,7 @@ fn on_timer_due(
     inflight: &InflightTable,
     closed: &AtomicBool,
     delayed: &DelayedMap,
-    writer: &ConnWriter,
+    writer: &SharedWriter,
     request_id: u64,
 ) {
     let now = Instant::now();

@@ -599,6 +599,7 @@ impl FanoutGroup {
         self.scatter(requests, move |result| {
             let _ = tx.send(result);
         });
+        crate::buf::flush_outbox();
         // lint: allow(expect): completion closure runs on every path, even all-timeout
         rx.recv().expect("scatter completion always runs")
     }

@@ -13,7 +13,9 @@
 //! Both block- and poll-based consumer waiting are supported
 //! ([`WaitMode`]), matching the §VII trade-off discussion.
 
+use crate::buf::flush_outbox;
 use crate::config::WaitMode;
+use musuite_check::sync::MutexGuard;
 use musuite_telemetry::batching::FlushReason;
 use musuite_telemetry::breakdown::{BreakdownRecorder, Stage};
 use musuite_telemetry::clock::Clock;
@@ -36,6 +38,10 @@ struct Shared<T> {
 struct QueueState<T> {
     entries: VecDeque<Entry<T>>,
     closed: bool,
+    /// Consumers waiting on `available`, and how many of them a push has
+    /// woken that have not run yet: a push wakes one only if one is left.
+    parked: usize,
+    woken: usize,
 }
 
 /// A bounded MPMC queue instrumented for dispatch-latency attribution.
@@ -83,7 +89,12 @@ impl<T> DispatchQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         DispatchQueue {
             shared: Arc::new(Shared {
-                queue: CountedMutex::new(QueueState { entries: VecDeque::new(), closed: false }),
+                queue: CountedMutex::new(QueueState {
+                    entries: VecDeque::new(),
+                    closed: false,
+                    parked: 0,
+                    woken: 0,
+                }),
                 available: CountedCondvar::new(),
             }),
             capacity,
@@ -118,23 +129,19 @@ impl<T> DispatchQueue<T> {
     ///
     /// Returns `Err(item)` when the queue is closed or at capacity.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        {
-            let mut state = self.shared.queue.lock();
-            if state.closed || state.entries.len() >= self.capacity {
-                return Err(item);
-            }
-            state.entries.push_back(Entry { item, enqueued_at_ns: self.clock.now_ns() });
+        let mut state = self.shared.queue.lock();
+        if state.closed || state.entries.len() >= self.capacity {
+            return Err(item);
         }
-        match self.wait_mode {
-            WaitMode::Block | WaitMode::Adaptive => {
-                // Adaptive consumers may be parked past their spin budget,
-                // so a wake is still required; parked-thread bookkeeping in
-                // the condvar makes it a no-op when everyone is spinning.
-                self.shared.available.notify_one();
-            }
-            WaitMode::Poll => {
-                // Consumers are spinning; no futex wake needed.
-            }
+        state.entries.push_back(Entry { item, enqueued_at_ns: self.clock.now_ns() });
+        // A consumer that is busy, spinning, or woken already and about to
+        // look costs no futex wake; one deciding to park does so under the
+        // lock held here, so it sees the entry or is seen parked.
+        let wake = state.parked > state.woken;
+        state.woken += usize::from(wake);
+        drop(state);
+        if wake {
+            self.shared.available.notify_one();
         }
         Ok(())
     }
@@ -142,6 +149,12 @@ impl<T> DispatchQueue<T> {
     /// Dequeues an item, blocking (or spinning, per [`WaitMode`]) until one
     /// is available. Returns `None` once the queue is closed and drained.
     pub fn pop(&self) -> Option<T> {
+        if let Some(item) = self.try_pop() {
+            return Some(item);
+        }
+        // Nothing ready: what this thread deferred is written before it
+        // waits, with the queue unlocked so producers are not held up.
+        flush_outbox();
         match self.wait_mode {
             WaitMode::Block => self.pop_blocking(),
             WaitMode::Poll => self.pop_polling(),
@@ -189,7 +202,7 @@ impl<T> DispatchQueue<T> {
                 return None;
             }
             let waited_from = self.clock.now_ns();
-            self.shared.available.wait(&mut state);
+            self.park(&mut state, None);
             // Active-Exe: we became runnable when the producer notified;
             // the gap until this line executes is the wakeup latency. The
             // producer-side timestamp travels via the queue entry itself,
@@ -245,6 +258,8 @@ impl<T> DispatchQueue<T> {
             return Some((batch, FlushReason::SizeFull));
         }
         let deadline = (!max_delay.is_zero()).then(|| Instant::now() + max_delay);
+        // The batch before this one may have left frames deferred.
+        let mut unflushed = true;
         loop {
             let mut state = self.shared.queue.lock();
             while batch.len() < max_size {
@@ -266,11 +281,17 @@ impl<T> DispatchQueue<T> {
             if now >= deadline {
                 return Some((batch, FlushReason::DelayExpired));
             }
+            if std::mem::take(&mut unflushed) {
+                // As in `pop`; then the queue is looked at again.
+                drop(state);
+                flush_outbox();
+                continue;
+            }
             match self.wait_mode {
                 WaitMode::Block | WaitMode::Adaptive => {
                     // Timed park: a straggler's notify wakes us early, the
                     // timeout bounds how long the partial batch can age.
-                    self.shared.available.wait_for(&mut state, deadline - now);
+                    self.park(&mut state, Some(deadline - now));
                 }
                 WaitMode::Poll => {
                     drop(state);
@@ -279,6 +300,20 @@ impl<T> DispatchQueue<T> {
                 }
             }
         }
+    }
+
+    /// Waits on `available`, counted as parked meanwhile. However the wait
+    /// ends the consumer looks at the queue next, so it takes one wake-up
+    /// off the books: its own, or one on its way to a consumer that will
+    /// do the same.
+    fn park(&self, state: &mut MutexGuard<'_, QueueState<T>>, timeout: Option<Duration>) {
+        state.parked += 1;
+        match timeout {
+            Some(timeout) => drop(self.shared.available.wait_for(state, timeout)),
+            None => self.shared.available.wait(state),
+        }
+        state.parked -= 1;
+        state.woken = state.woken.saturating_sub(1);
     }
 
     /// Attempts to dequeue without waiting.
@@ -618,6 +653,32 @@ mod model_tests {
             })
             .expect("no interleaving may strand a parked worker");
         assert!(report.iterations > 1, "exploration must try preempting schedules");
+    }
+
+    /// A push racing the consumer's decision to park: the consumer gets the
+    /// item in every schedule — woken if the push found it parked, without
+    /// a wake-up if the push came first — and both orders are reached.
+    #[test]
+    fn push_racing_a_parking_consumer_never_loses_the_wakeup() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Schedules in which the push [woke nobody, woke the consumer].
+        let outcomes = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let tally = outcomes.clone();
+        Checker::new()
+            .check(move || {
+                let q = DispatchQueue::<u32>::new(4, WaitMode::Block);
+                let consumer = {
+                    let q = q.clone();
+                    thread::spawn(move || q.pop())
+                };
+                q.try_push(7).unwrap();
+                assert_eq!(consumer.join().unwrap(), Some(7));
+                // A consumer that parked records how long its wake-up took.
+                let woken = q.breakdown().histogram(Stage::ActiveExe).count() > 0;
+                tally[usize::from(woken)].fetch_add(1, Ordering::Relaxed);
+            })
+            .expect("no schedule may leave the consumer parked beside a queued item");
+        assert!(outcomes.iter().all(|n| n.load(Ordering::Relaxed) > 0), "both orders");
     }
 
     /// Two contending batch-poppers over three queued items: in every

@@ -46,7 +46,7 @@
 //! `spawn_blocking_runner`; a driver cannot tell which feeds it, so the
 //! two models are an ablation of the wait, not of the protocol.
 
-use crate::buf::RecvBuf;
+use crate::buf::{flush_outbox, DeferScope, RecvBuf};
 use crate::config::WaitMode;
 use crate::error::RpcError;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -114,7 +114,9 @@ pub trait ConnDriver: Send {
 /// OS-op analogs, per the paper's syscall profile: one `epoll_pwait` per
 /// wait entered with no complete frame buffered, one `recvmsg` per `read`
 /// that returned data (counted by the [`RecvBuf`]), one `close` per
-/// connection. Frames that arrived together cost one of each.
+/// connection. Frames that arrived together cost one of each — and so does
+/// what handling them sends: the thread is a [`DeferScope`] that flushes
+/// when no complete frame is left, before it waits for the next.
 pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
     name: &str,
     stream: TcpStream,
@@ -127,13 +129,19 @@ pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
         .name(name.to_string())
         .spawn(move || {
             let mut buf = RecvBuf::default();
+            // Dropped after `on_close`: what that queued is written too.
+            let outbox = DeferScope::enter();
             let reason = loop {
                 if !buf.has_frame() {
+                    flush_outbox();
                     counters.incr(OsOp::EpollPwait);
                 }
-                let verdict = buf
-                    .poll_frame(&mut &stream)
-                    .map(|got| got.map(|(frame, rx_start_ns)| driver.on_frame(frame, rx_start_ns)));
+                let verdict = buf.poll_frame(&mut &stream).map(|got| {
+                    got.map(|(frame, rx_start_ns)| {
+                        outbox.checkpoint();
+                        driver.on_frame(frame, rx_start_ns)
+                    })
+                });
                 match verdict {
                     _ if stop.load(Ordering::Acquire) => break CloseReason::Shutdown,
                     Ok(Some(Drive::Continue)) => {}
@@ -453,6 +461,7 @@ fn run_sweeper(params: SweepParams) {
     let SweepParams { ledger, stats, live, wait_mode, sweep_budget, idle_timeout } = params;
     let mut conns: Vec<Conn> = Vec::new();
     let mut idle_streak: u32 = 0;
+    let outbox = DeferScope::enter();
     loop {
         for reg in ledger.drain() {
             stats.record_registered();
@@ -484,6 +493,7 @@ fn run_sweeper(params: SweepParams) {
                 match conn.buf.poll_frame(&mut conn.stream) {
                     Ok(Some((frame, rx_start_ns))) => {
                         frames_this_conn += 1;
+                        outbox.checkpoint();
                         match conn.driver.on_frame(frame, rx_start_ns) {
                             Drive::Continue => {}
                             Drive::Close => {
@@ -520,6 +530,9 @@ fn run_sweeper(params: SweepParams) {
             }
         }
         stats.record_sweep(drained);
+        // One pass is this thread's burst: what it queued goes out before
+        // the thread polls the sockets again, yields or parks.
+        flush_outbox();
         if drained > 0 {
             idle_streak = 0;
             continue;

@@ -522,6 +522,7 @@ impl ResilientFanout {
         self.scatter(calls, opts, move |result| {
             let _ = tx.send(result);
         });
+        crate::buf::flush_outbox();
         // lint: allow(expect): every slot delivers exactly once, so the completion always runs
         rx.recv().expect("resilient scatter completion always runs")
     }

@@ -18,16 +18,17 @@
 //!
 //! Request payloads are zero-copy slices of the connection's receive
 //! buffer ([`RecvBuf`](crate::RecvBuf)) in both modes, handed through the
-//! dispatch queue into the service without a memcpy. Responses leave through a per-connection coalescing
-//! [`crate::ConnWriter`]: concurrent completions for one connection batch
-//! into a single socket write.
+//! dispatch queue into the service without a memcpy. Responses leave
+//! through a per-connection coalescing [`crate::ConnWriter`]: what a thread
+//! completes in one burst of ready work, and what other threads complete
+//! meanwhile, batch into a single socket write.
 //!
 //! Connection bookkeeping is reaped in both modes, and an optional idle
 //! timeout drops connections with no traffic (counted in
 //! [`ServerStats::idle_reaped`]).
 
 use crate::admission::{AdmissionControl, LimitChange};
-use crate::buf::{ConnWriter, SharedWriter};
+use crate::buf::{ConnWriter, DeferScope, SharedWriter};
 use crate::config::{ExecutionModel, NetworkModel, ServerConfig};
 use crate::error::RpcError;
 use crate::queue::DispatchQueue;
@@ -164,6 +165,9 @@ impl Server {
                         .name(format!("musuite-worker-{i}"))
                         .spawn(move || {
                             let Pipeline { queue, service, stats, .. } = &*pipeline;
+                            // Writes wait until the queue runs dry: `pop`
+                            // flushes before it parks.
+                            let outbox = DeferScope::enter();
                             if batch.is_on() {
                                 // Batched unit of work: one park/unpark per
                                 // drained batch. Expired members are dropped
@@ -173,6 +177,7 @@ impl Server {
                                 while let Some((members, reason)) =
                                     queue.pop_batch(batch.max_size(), batch.max_delay())
                                 {
+                                    outbox.checkpoint();
                                     stats.batching().record_batch(members.len(), reason);
                                     let live: Vec<RequestContext> = members
                                         .into_iter()
@@ -184,6 +189,7 @@ impl Server {
                                 }
                             } else {
                                 while let Some(ctx) = queue.pop() {
+                                    outbox.checkpoint();
                                     if let Some(ctx) = pipeline.screen_dequeued(ctx) {
                                         service.call(ctx);
                                     }

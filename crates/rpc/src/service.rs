@@ -28,6 +28,12 @@ use std::time::{Duration, Instant};
 /// must eventually complete it — either synchronously before returning or
 /// from another thread (a dropped, uncompleted context automatically
 /// responds with [`Status::AppError`] so clients never hang).
+///
+/// Those threads write what they queue (responses, `call_async` requests)
+/// when they run out of ready work, and what blocks in this crate (`call`,
+/// `scatter_wait`) writes it first. A handler that waits on something of its
+/// own for a call it issued, keeps working after it responded, or is about
+/// to run long calls [`flush_outbox`](crate::buf::flush_outbox) before.
 pub trait Service: Send + Sync + 'static {
     /// Handles one request.
     fn call(&self, ctx: RequestContext);

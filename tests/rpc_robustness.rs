@@ -316,3 +316,56 @@ fn midtier_survives_leaf_flap() {
     assert!(client.search(&query).is_err(), "below quorum must error");
     assert!(client.search(&query).is_err());
 }
+
+/// A peer that resets the connection in the middle of a burst from several
+/// threads: one thread's write fails, frames the others had queued behind it
+/// are lost with it — and every call, whichever thread issued it and
+/// whether or not its frame ever left, completes exactly once with an
+/// error. None hangs waiting for a close the peer never sends.
+#[test]
+fn peer_reset_mid_burst_fails_every_inflight_call_exactly_once() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    const THREADS: usize = 3;
+    const PER_THREAD: usize = 400;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = Arc::new(RpcClient::connect(listener.local_addr().unwrap()).unwrap());
+    let (peer, _) = listener.accept().unwrap();
+    let completions: Arc<Vec<AtomicU32>> =
+        Arc::new((0..THREADS * PER_THREAD).map(|_| AtomicU32::new(0)).collect());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let issuers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (client, completions, done_tx) =
+                (client.clone(), completions.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                for i in 0..PER_THREAD {
+                    let (completions, done_tx) = (completions.clone(), done_tx.clone());
+                    let slot = t * PER_THREAD + i;
+                    // 16 KiB each: the burst outgrows the socket buffers,
+                    // so writers are still at it when the reset lands.
+                    client.call_async(1, vec![t as u8; 16 << 10], move |result| {
+                        completions[slot].fetch_add(1, Ordering::SeqCst);
+                        let _ = done_tx.send(result.map(drop));
+                    });
+                }
+            })
+        })
+        .collect();
+    drop(done_tx);
+    // Closing a socket with unread data in it sends RST, not FIN.
+    std::thread::sleep(Duration::from_millis(20));
+    drop(peer);
+    for issuer in issuers {
+        issuer.join().unwrap();
+    }
+    for _ in 0..THREADS * PER_THREAD {
+        let result = done_rx.recv_timeout(Duration::from_secs(10)).expect("a call hung");
+        assert!(
+            matches!(result, Err(RpcError::ConnectionClosed | RpcError::Io(_))),
+            "a call on a reset connection ended with {result:?}"
+        );
+    }
+    assert!(completions.iter().all(|n| n.load(Ordering::SeqCst) == 1), "completed twice");
+    assert!(client.is_closed());
+    assert_eq!(client.inflight_len(), 0);
+}

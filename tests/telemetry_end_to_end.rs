@@ -7,7 +7,16 @@ use musuite::hdsearch::service::HdSearchService;
 use musuite::telemetry::breakdown::Stage;
 use musuite::telemetry::counters::{OsOp, OsOpCounters};
 use musuite::telemetry::procstat::{ContextSwitches, SchedStat};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// `ContextSwitches` sums over the threads alive when it samples, so a
+/// cluster that another test shuts down between two samples takes its share
+/// out of the difference: the tests here take turns.
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn run_traffic(queries: usize) -> HdSearchService {
     let dataset = VectorDataset::generate(&VectorDatasetConfig {
@@ -26,6 +35,7 @@ fn run_traffic(queries: usize) -> HdSearchService {
 
 #[test]
 fn futex_class_ops_dominate_and_scale_with_traffic() {
+    let _turn = turn();
     let counters = OsOpCounters::global();
     let before = counters.snapshot();
     let service = run_traffic(200);
@@ -41,6 +51,7 @@ fn futex_class_ops_dominate_and_scale_with_traffic() {
 
 #[test]
 fn breakdown_stages_cover_request_lifecycle() {
+    let _turn = turn();
     let service = run_traffic(100);
     let breakdown = service.cluster().midtier().stats().breakdown();
     for stage in [Stage::NetRx, Stage::Block, Stage::Net, Stage::LeafFanout] {
@@ -56,6 +67,7 @@ fn breakdown_stages_cover_request_lifecycle() {
 
 #[test]
 fn leaf_time_is_excluded_from_net_stage() {
+    let _turn = turn();
     let service = run_traffic(100);
     let breakdown = service.cluster().midtier().stats().breakdown();
     let net = breakdown.histogram(Stage::Net);
@@ -68,6 +80,7 @@ fn leaf_time_is_excluded_from_net_stage() {
 #[cfg(target_os = "linux")]
 #[test]
 fn context_switches_and_runqueue_delay_advance_under_load() {
+    let _turn = turn();
     let cs_before = ContextSwitches::sample_or_default();
     let ss_before = SchedStat::sample_or_default();
     let service = run_traffic(300);
@@ -83,6 +96,7 @@ fn context_switches_and_runqueue_delay_advance_under_load() {
 
 #[test]
 fn contention_events_accumulate_under_parallel_load() {
+    let _turn = turn();
     use musuite::telemetry::sync;
     let dataset = VectorDataset::generate(&VectorDatasetConfig {
         points: 1_000,
