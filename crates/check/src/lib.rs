@@ -20,7 +20,7 @@
 //!   uses these shims in place of the raw primitives.
 //! * **`RUSTFLAGS='--cfg musuite_check'`**: the same types route every
 //!   acquire, release, wait, notify, non-relaxed atomic access, spawn,
-//!   and join through a cooperative scheduler ([`Checker`]) that runs
+//!   and join through a cooperative scheduler (`Checker`) that runs
 //!   model threads one at a time and explores interleavings by DFS over
 //!   schedule prefixes with a bounded preemption budget.
 //!
@@ -35,7 +35,7 @@
 //!
 //! Every failure carries a **seed**: the dot-separated choice sequence of
 //! the failing schedule. `MUSUITE_CHECK_SEED=<seed>` (or
-//! [`Checker::replay`]) deterministically reruns that interleaving.
+//! `Checker::replay`) deterministically reruns that interleaving.
 //!
 //! # Running the model-check suite
 //!

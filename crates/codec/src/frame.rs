@@ -54,8 +54,7 @@ pub enum FrameKind {
     Request = 0,
     /// A response from a server to a client.
     Response = 1,
-    /// A one-way notification (no response expected).
-    OneWay = 2,
+    // 2 is reserved (a retired one-way notification) and fails to decode.
     /// A multi-request envelope: the payload is a [`crate::batch`]
     /// envelope carrying several sub-requests, each with its own id,
     /// method, deadline budget, and priority. Responses come back as
@@ -69,7 +68,6 @@ impl FrameKind {
         match value {
             0 => Ok(FrameKind::Request),
             1 => Ok(FrameKind::Response),
-            2 => Ok(FrameKind::OneWay),
             3 => Ok(FrameKind::Batch),
             _ => Err(DecodeError::InvalidDiscriminant { value, context: "FrameKind" }),
         }
@@ -182,7 +180,7 @@ impl fmt::Display for Status {
 /// Frame metadata preceding the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Request/response/one-way discriminator.
+    /// Request/response/batch discriminator.
     pub kind: FrameKind,
     /// Correlates a response with its in-flight request.
     pub request_id: u64,
@@ -506,12 +504,15 @@ mod tests {
 
     #[test]
     fn bad_kind_and_status_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[6] = 9; // kind byte
-        assert!(matches!(
-            Frame::parse(&Bytes::from(bytes)),
-            Err(DecodeError::InvalidDiscriminant { context: "FrameKind", .. })
-        ));
+        // 2 is reserved: it was the retired one-way notification.
+        for kind in [2, 9] {
+            let mut bytes = sample().to_bytes();
+            bytes[6] = kind; // kind byte
+            assert!(matches!(
+                Frame::parse(&Bytes::from(bytes)),
+                Err(DecodeError::InvalidDiscriminant { context: "FrameKind", .. })
+            ));
+        }
         let mut bytes = sample().to_bytes();
         bytes[19..23].copy_from_slice(&99u32.to_le_bytes()); // status field
         assert!(matches!(

@@ -7,7 +7,7 @@
 //! top-k with ids translated back to global space.
 
 use crate::distance::euclidean_sq;
-use crate::protocol::{LeafSearchRequest, LeafSearchResponse, Neighbor};
+use crate::protocol::{check_query, LeafSearchRequest, LeafSearchResponse, Neighbor};
 use musuite_core::error::ServiceError;
 use musuite_core::leaf::LeafHandler;
 use musuite_core::shard::RoundRobinMap;
@@ -94,18 +94,11 @@ impl HdSearchLeaf {
         scored
     }
 
-    /// `true` if `request`'s query vector matches the shard's
-    /// dimensionality (an empty shard accepts anything).
-    fn dim_ok(&self, request: &LeafSearchRequest) -> bool {
-        self.vectors.is_empty() || request.vector.len() == self.dim
-    }
-
-    fn dim_error(&self, request: &LeafSearchRequest) -> ServiceError {
-        ServiceError::bad_request(format!(
-            "query dimension {} does not match corpus dimension {}",
-            request.vector.len(),
-            self.dim
-        ))
+    /// Refuses a query vector of the wrong dimension (an empty shard has
+    /// none and takes any) or with a non-finite coordinate.
+    fn check(&self, request: &LeafSearchRequest) -> Result<(), ServiceError> {
+        let dim = if self.vectors.is_empty() { request.vector.len() } else { self.dim };
+        check_query(&request.vector, dim)
     }
 }
 
@@ -113,7 +106,7 @@ impl HdSearchLeaf {
 /// the sequential and the batched path rank neighbours by.
 fn sort_top_k(scored: &mut Vec<Neighbor>, k: usize) {
     scored.sort_by(|a, b| {
-        // lint: allow(expect): euclidean_sq over finite corpus vectors is finite
+        // lint: allow(expect): `check` admits finite queries only, so no distance is NaN
         (a.distance, a.id).partial_cmp(&(b.distance, b.id)).expect("distances are finite")
     });
     scored.truncate(k);
@@ -124,9 +117,7 @@ impl LeafHandler for HdSearchLeaf {
     type Response = LeafSearchResponse;
 
     fn handle(&self, request: LeafSearchRequest) -> Result<LeafSearchResponse, ServiceError> {
-        if !self.dim_ok(&request) {
-            return Err(self.dim_error(&request));
-        }
+        self.check(&request)?;
         Ok(LeafSearchResponse {
             neighbors: self.search(&request.vector, &request.candidates, request.k as usize),
         })
@@ -136,19 +127,20 @@ impl LeafHandler for HdSearchLeaf {
         &self,
         requests: Vec<LeafSearchRequest>,
     ) -> Vec<Result<LeafSearchResponse, ServiceError>> {
-        // Validate members individually — a bad-dimension member errors
-        // out alone while its batchmates share one scoring sweep.
+        // Validate members individually — a bad query vector errors out
+        // alone while its batchmates share one scoring sweep.
         let mut results: Vec<Result<LeafSearchResponse, ServiceError>> =
             Vec::with_capacity(requests.len());
         let mut valid = Vec::with_capacity(requests.len());
         let mut valid_slots = Vec::with_capacity(requests.len());
         for (slot, request) in requests.into_iter().enumerate() {
-            if self.dim_ok(&request) {
-                results.push(Ok(LeafSearchResponse { neighbors: Vec::new() }));
-                valid_slots.push(slot);
-                valid.push(request);
-            } else {
-                results.push(Err(self.dim_error(&request)));
+            match self.check(&request) {
+                Ok(()) => {
+                    results.push(Ok(LeafSearchResponse { neighbors: Vec::new() }));
+                    valid_slots.push(slot);
+                    valid.push(request);
+                }
+                Err(error) => results.push(Err(error)),
             }
         }
         for (slot, neighbors) in valid_slots.into_iter().zip(self.search_batch(&valid)) {
@@ -199,6 +191,10 @@ mod tests {
             .handle(LeafSearchRequest { vector: vec![0.0; 5], candidates: vec![0], k: 1 })
             .unwrap_err();
         assert!(err.message().contains("dimension"));
+        let err = leaf
+            .handle(LeafSearchRequest { vector: vec![f32::NAN, 0.0], candidates: vec![0], k: 1 })
+            .unwrap_err();
+        assert!(err.message().contains("non-finite"));
     }
 
     #[test]
@@ -244,10 +240,12 @@ mod tests {
                 LeafSearchRequest { vector: vec![0.0, 0.0], candidates: vec![0, 1], k: 2 },
                 LeafSearchRequest { vector: vec![0.0; 5], candidates: vec![0], k: 1 },
                 LeafSearchRequest { vector: vec![1.0, 0.0], candidates: vec![1], k: 1 },
+                LeafSearchRequest { vector: vec![f32::INFINITY, 0.0], candidates: vec![0], k: 1 },
             ],
         );
         assert_eq!(results[0].as_ref().unwrap().neighbors.len(), 2);
         assert!(results[1].as_ref().unwrap_err().message().contains("dimension"));
         assert_eq!(results[2].as_ref().unwrap().neighbors[0].id, 3);
+        assert!(results[3].as_ref().unwrap_err().message().contains("non-finite"));
     }
 }

@@ -156,6 +156,11 @@ impl LshIndex {
         &self.config
     }
 
+    /// The dimension of the indexed vectors, which a query must share.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// Looks up near-neighbour candidates for `query`, deduplicated and in
     /// first-seen order.
     ///
@@ -188,54 +193,6 @@ impl LshIndex {
                     for &id in bucket {
                         if seen.insert(id) {
                             out.push(id);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Looks up candidates for a whole batch of queries in **one walk
-    /// over the hash tables**: each table's projections and buckets are
-    /// visited once, answering every query against them before moving on
-    /// — the batched mid-tier's amortized index probe. Per query, the
-    /// result is identical to [`LshIndex::candidates`] (same ids, same
-    /// first-seen order), because a query's tables are still visited in
-    /// index order and its probe keys in the same perturbation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query's dimension is wrong.
-    pub fn candidates_batch(&self, queries: &[Vec<f32>]) -> Vec<Vec<u64>> {
-        for query in queries {
-            assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        }
-        let width = self.config.bucket_width;
-        let mut seen: Vec<std::collections::HashSet<u64>> =
-            (0..queries.len()).map(|_| std::collections::HashSet::new()).collect();
-        let mut out: Vec<Vec<u64>> = (0..queries.len()).map(|_| Vec::new()).collect();
-        for table in &self.tables {
-            for (slot, query) in queries.iter().enumerate() {
-                let bins = table.bins(query, width);
-                let mut probe_keys = Vec::with_capacity(self.config.probes);
-                probe_keys.push(key_of(&bins));
-                'probing: for delta in [1i32, -1] {
-                    for position in 0..bins.len() {
-                        if probe_keys.len() >= self.config.probes {
-                            break 'probing;
-                        }
-                        let mut perturbed = bins.clone();
-                        perturbed[position] += delta;
-                        probe_keys.push(key_of(&perturbed));
-                    }
-                }
-                for key in probe_keys {
-                    if let Some(bucket) = table.buckets.get(&key) {
-                        for &id in bucket {
-                            if seen[slot].insert(id) {
-                                out[slot].push(id);
-                            }
                         }
                     }
                 }
@@ -379,18 +336,6 @@ mod tests {
         for q in ds.sample_queries(20, 0.05) {
             assert!(wide.candidates(&q).len() >= narrow.candidates(&q).len());
         }
-    }
-
-    #[test]
-    fn batched_candidates_match_sequential() {
-        let ds = dataset();
-        let index = build_index(&ds);
-        let queries = ds.sample_queries(25, 0.02);
-        let batched = index.candidates_batch(&queries);
-        for (query, batch) in queries.iter().zip(&batched) {
-            assert_eq!(batch, &index.candidates(query), "same ids in the same order");
-        }
-        assert!(index.candidates_batch(&[]).is_empty());
     }
 
     #[test]

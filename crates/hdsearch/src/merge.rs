@@ -27,13 +27,15 @@ use crate::protocol::Neighbor;
 pub fn merge_top_k(lists: Vec<Vec<Neighbor>>, k: usize) -> Vec<Neighbor> {
     // Cursor-based k-way merge; list counts are small (leaf fan-out), so a
     // linear scan over cursors beats a binary heap's constant factor.
+    // `k` comes off the wire: reserve for what the lists can yield.
+    let available: usize = lists.iter().map(Vec::len).sum();
     let mut heads: Vec<Option<Neighbor>> = Vec::with_capacity(lists.len());
     let mut iters: Vec<std::vec::IntoIter<Neighbor>> =
         lists.into_iter().map(Vec::into_iter).collect();
     for iter in &mut iters {
         heads.push(iter.next());
     }
-    let mut out = Vec::with_capacity(k);
+    let mut out = Vec::with_capacity(k.min(available));
     while out.len() < k {
         let mut best: Option<usize> = None;
         for (i, head) in heads.iter().enumerate() {
@@ -95,6 +97,12 @@ mod tests {
         assert!(merge_top_k(Vec::new(), 5).is_empty());
         assert!(merge_top_k(vec![vec![], vec![]], 5).is_empty());
         assert!(merge_top_k(vec![vec![n(1, 0.0)]], 0).is_empty());
+    }
+
+    #[test]
+    fn huge_k_returns_every_neighbour_without_reserving_k() {
+        let merged = merge_top_k(vec![vec![n(1, 0.1), n(2, 0.4)], vec![n(3, 0.2)]], usize::MAX);
+        assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![1, 3, 2]);
     }
 
     #[test]

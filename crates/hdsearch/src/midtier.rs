@@ -7,13 +7,12 @@
 
 use crate::lsh::{LshConfig, LshIndex};
 use crate::merge::merge_top_k;
-use crate::protocol::{LeafSearchResponse, Neighbor, SearchQuery};
+use crate::protocol::{check_query, LeafSearchResponse, Neighbor, SearchQuery};
 use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
 use musuite_core::midtier::{MidTierHandler, Plan};
 use musuite_core::shard::RoundRobinMap;
 use musuite_rpc::RpcError;
-use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 
 /// The LSH-routing mid-tier microservice.
 #[derive(Debug)]
@@ -55,6 +54,11 @@ impl MidTierHandler for HdSearchMidTier {
     type LeafResponse = LeafSearchResponse;
 
     fn plan(&self, request: &SearchQuery, leaves: usize) -> Plan<Vec<f32>, (Vec<u64>, u32)> {
+        // A vector that cannot be searched reaches no leaf (whose breaker
+        // its refusal would charge); `merge` answers it.
+        if check_query(&request.vector, self.index.dim()).is_err() {
+            return Plan::new(Vec::new(), Vec::new());
+        }
         // 1. LSH lookup (the mid-tier's own compute).
         let candidates = self.index.candidates(&request.vector);
         // 2. Route each candidate to the leaf holding its vector.
@@ -80,6 +84,9 @@ impl MidTierHandler for HdSearchMidTier {
         request: SearchQuery,
         replies: Vec<Result<LeafSearchResponse, RpcError>>,
     ) -> Result<Degraded<Vec<Neighbor>>, ServiceError> {
+        if replies.is_empty() {
+            check_query(&request.vector, self.index.dim())?;
+        }
         let total = replies.len();
         let mut lists = Vec::with_capacity(total);
         for reply in replies.into_iter().flatten() {
@@ -93,9 +100,6 @@ impl MidTierHandler for HdSearchMidTier {
         }
         let response =
             Degraded::partial(merge_top_k(lists, request.k as usize), ok as u32, total as u32);
-        if response.degraded {
-            ResilienceCounters::global().incr(ResilienceEvent::DegradedResponse);
-        }
         Ok(response)
     }
 }

@@ -1,6 +1,7 @@
 //! Typed wire messages for HDSearch.
 
 use musuite_codec::{BufMut, Decode, DecodeError, Encode};
+use musuite_core::error::ServiceError;
 
 /// A front-end k-NN query: the extracted feature vector plus the number of
 /// neighbours wanted.
@@ -28,6 +29,27 @@ impl Decode for SearchQuery {
         let (k, rest) = u32::decode(rest)?;
         Ok((SearchQuery { vector, k }, rest))
     }
+}
+
+/// Refuses a query vector that cannot be searched: one whose length is not
+/// `dim`, or with a NaN or infinite coordinate, whose distances would not
+/// order. Both tiers ask before any distance is computed.
+///
+/// # Errors
+///
+/// A [`Status::BadRequest`](musuite_codec::Status::BadRequest) error that
+/// names what is wrong.
+pub fn check_query(vector: &[f32], dim: usize) -> Result<(), ServiceError> {
+    if vector.len() != dim {
+        return Err(ServiceError::bad_request(format!(
+            "query dimension {} does not match corpus dimension {dim}",
+            vector.len()
+        )));
+    }
+    if !vector.iter().all(|x| x.is_finite()) {
+        return Err(ServiceError::bad_request("query vector has a non-finite coordinate"));
+    }
+    Ok(())
 }
 
 /// One result neighbour: a global point id and its distance to the query.

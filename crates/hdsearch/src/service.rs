@@ -231,6 +231,40 @@ mod tests {
     }
 
     #[test]
+    fn hostile_query_vectors_are_refused_with_a_typed_error_and_kill_no_thread() {
+        use musuite_rpc::{ServerConfig, Status};
+        use std::time::Duration;
+        let ds = dataset();
+        let query = ds.vectors()[3].clone();
+        let mut one_worker = ServerConfig::default();
+        one_worker.workers(1);
+        let config = ClusterConfig::new()
+            .leaves(1)
+            .midtier_config(one_worker.clone())
+            .leaf_config(one_worker);
+        let service = HdSearchService::launch_with(config, ds, LshConfig::default()).unwrap();
+        let client = service.client().unwrap();
+        let call = |vector: Vec<f32>| {
+            let opts = CallOptions::within(Duration::from_secs(5));
+            client.typed().call_typed(&SearchQuery { vector, k: 3 }, opts)
+        };
+        let mut nan = query.clone();
+        nan[7] = f32::NAN;
+        for hostile in [nan, query[..query.len() - 1].to_vec()] {
+            match call(hostile) {
+                Err(RpcError::Remote { status: Status::BadRequest, .. }) => {}
+                other => panic!("a hostile vector must be a BadRequest, got {other:?}"),
+            }
+        }
+        let leaf_requests: u64 =
+            service.cluster().leaf_servers().iter().map(|leaf| leaf.stats().requests()).sum();
+        assert_eq!(leaf_requests, 0, "refused before any leaf is contacted");
+        // Both tiers' only workers are still alive.
+        let answer = call(query).expect("a valid query right after is answered");
+        assert_eq!(answer.value[0].id, 3);
+    }
+
+    #[test]
     fn k_zero_returns_empty() {
         let ds = dataset();
         let query = ds.vectors()[0].clone();

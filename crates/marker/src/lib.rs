@@ -11,7 +11,7 @@
 //! `join`, listener `accept`).
 //!
 //! Typical marks: the reactor's sweep-thread body and every
-//! [`ConnDriver`] implementation, since those run *on* the shared
+//! `ConnDriver` implementation, since those run *on* the shared
 //! network pollers where one blocked thread stalls every connection in
 //! the shard.
 //!

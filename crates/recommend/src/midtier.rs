@@ -12,7 +12,6 @@ use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
 use musuite_core::midtier::{MidTierHandler, Plan};
 use musuite_rpc::RpcError;
-use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 
 /// The forwarding-and-averaging mid-tier microservice.
 #[derive(Debug, Default)]
@@ -59,13 +58,7 @@ impl MidTierHandler for RecommendMidTier {
                 fallback_count += 1;
             }
         }
-        let envelope = |rating: f32| {
-            let response = Degraded::partial(rating, ok as u32, total as u32);
-            if response.degraded {
-                ResilienceCounters::global().incr(ResilienceEvent::DegradedResponse);
-            }
-            response
-        };
+        let envelope = |rating: f32| Degraded::partial(rating, ok as u32, total as u32);
         if total_weight > 0.0 {
             Ok(envelope(weighted_sum / total_weight))
         } else if fallback_count > 0 {

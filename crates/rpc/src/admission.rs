@@ -152,8 +152,8 @@ impl AdmissionControl {
     /// Feeds one queue-delay observation (enqueue → dequeue age of a
     /// request a worker just claimed) to the adaptive controller.
     ///
-    /// Every [`SAMPLE_WINDOW`] samples, one caller wins the window and
-    /// compares the mean delay against [`TARGET_QUEUE_DELAY`]: under it,
+    /// Every 32 samples (`SAMPLE_WINDOW`), one caller wins the window and
+    /// compares the mean delay against 2 ms (`TARGET_QUEUE_DELAY`): under it,
     /// the limit grows by one (additive increase, capped at capacity);
     /// over it, the limit is cut to 3/4 (multiplicative decrease,
     /// floored at 1). Returns the direction the limit moved, if it did.

@@ -386,7 +386,7 @@ struct WriteState {
 /// Any number of threads (workers completing responses, fan-out merge
 /// callbacks, reactor sweeps shedding load) serialize frames into a shared
 /// pending buffer under a short lock. A **loop thread** (inside a
-/// [`DeferScope`]: a connection's runner, a sweeper, a dispatch worker)
+/// `DeferScope`: a connection's runner, a sweeper, a dispatch worker)
 /// only notes the writer in its outbox and flushes it once when it runs
 /// out of ready work, or after an item that took [`MAX_DEFER`]: one
 /// `write` for all a burst produced on the connection. Any other thread

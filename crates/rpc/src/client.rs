@@ -198,21 +198,20 @@ fn budget_for(deadline: Option<Instant>) -> u32 {
 }
 
 impl Outgoing {
-    /// Serializes and writes this request as one frame of `kind`; shared
-    /// by the caller-side send path and the timer's delayed-send release
-    /// (which is why the budget is derived from the absolute deadline
-    /// here, at the last moment). `corrupt` is fault injection only.
+    /// Serializes and writes this request as one frame; shared by the
+    /// caller-side send path and the timer's delayed-send release (which
+    /// is why the budget is derived from the absolute deadline here, at
+    /// the last moment). `corrupt` is fault injection only.
     fn write(
         &self,
         writer: &SharedWriter,
         closed: &AtomicBool,
-        kind: FrameKind,
         corrupt: bool,
     ) -> Result<(), RpcError> {
         if closed.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
-        let header = FrameHeader::new(kind, self.request_id, self.method, Status::Ok)
+        let header = FrameHeader::new(FrameKind::Request, self.request_id, self.method, Status::Ok)
             .with_budget(budget_for(self.deadline), self.priority);
         // The payload's segments go on the wire without being joined; the
         // frame serializes into this connection's shared pending buffer and
@@ -401,7 +400,7 @@ impl RpcClient {
         let fault = self.faults.as_ref().and_then(ClientFaults::next_send_fault);
         match fault {
             None | Some(FaultKind::ConnectRefused) => {
-                request.write(&self.writer, &self.closed, FrameKind::Request, false)
+                request.write(&self.writer, &self.closed, false)
             }
             Some(FaultKind::Delay(delay)) => {
                 if self.is_closed() {
@@ -429,9 +428,7 @@ impl RpcClient {
                 self.shutdown();
                 Err(RpcError::ConnectionClosed)
             }
-            Some(FaultKind::Corrupt) => {
-                request.write(&self.writer, &self.closed, FrameKind::Request, true)
-            }
+            Some(FaultKind::Corrupt) => request.write(&self.writer, &self.closed, true),
         }
     }
 
@@ -584,28 +581,6 @@ impl RpcClient {
         }
     }
 
-    /// Sends a one-way notification: no response is expected, no in-flight
-    /// state is kept, and the server invokes [`Service::notify`] instead
-    /// of a request handler. Used for fire-and-forget telemetry such as
-    /// click tracking — one of the microservice roles the paper's
-    /// introduction lists.
-    ///
-    /// [`Service::notify`]: crate::service::Service::notify
-    ///
-    /// # Errors
-    ///
-    /// Returns send-path errors only; delivery is not acknowledged.
-    pub fn notify(&self, method: u32, payload: impl Into<Payload>) -> Result<(), RpcError> {
-        let oneway = Outgoing {
-            request_id: 0,
-            method,
-            payload: payload.into(),
-            deadline: None,
-            priority: Priority::Normal,
-        };
-        oneway.write(&self.writer, &self.closed, FrameKind::OneWay, false)
-    }
-
     /// Number of calls awaiting responses.
     pub fn inflight_len(&self) -> usize {
         self.inflight.lock().len()
@@ -718,7 +693,7 @@ fn on_timer_due(
             if !inflight.lock().contains_key(&request_id) {
                 return;
             }
-            match hold.request.write(writer, closed, FrameKind::Request, false) {
+            match hold.request.write(writer, closed, false) {
                 Ok(()) => return,
                 Err(e) => e,
             }

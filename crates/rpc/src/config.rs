@@ -27,6 +27,21 @@ pub enum WaitMode {
     Adaptive,
 }
 
+impl WaitMode {
+    /// The one wait rule, shared by the dispatch queue and the reactor's
+    /// sweepers: the *n*-th empty look in a row yields while *n* is within
+    /// this budget and parks after it. ~64 yields are a few microseconds —
+    /// enough to catch back-to-back arrivals without burning CPU through
+    /// idle periods. `Poll`'s budget is one a saturating count never passes.
+    pub(crate) fn spin_budget(self) -> u32 {
+        match self {
+            WaitMode::Block => 0,
+            WaitMode::Adaptive => 64,
+            WaitMode::Poll => u32::MAX,
+        }
+    }
+}
+
 /// Where request handlers execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecutionModel {

@@ -21,7 +21,6 @@
 
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
 use musuite_check::sync::Mutex;
-use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -234,7 +233,6 @@ impl FaultPlan {
 
     fn record(&self, leaf: usize, call: u64, kind: FaultKind) {
         self.log.lock().push(FaultEvent { leaf, call, kind });
-        ResilienceCounters::global().incr(ResilienceEvent::FaultInjected);
     }
 
     /// Decides the fault (if any) for the next request to `leaf`. The

@@ -10,8 +10,9 @@
 //!   after being notified (the wakeup latency that dominates the paper's
 //!   tail breakdowns).
 //!
-//! Both block- and poll-based consumer waiting are supported
-//! ([`WaitMode`]), matching the §VII trade-off discussion.
+//! Block-, poll-based and adaptive consumer waiting ([`WaitMode`]), the §VII
+//! trade-off, are one rule with three spin budgets: yield while under the
+//! budget, then park.
 
 use crate::buf::flush_outbox;
 use crate::config::WaitMode;
@@ -146,8 +147,10 @@ impl<T> DispatchQueue<T> {
         Ok(())
     }
 
-    /// Dequeues an item, blocking (or spinning, per [`WaitMode`]) until one
-    /// is available. Returns `None` once the queue is closed and drained.
+    /// Dequeues an item, waiting until one is available: an empty look
+    /// yields while it is within the [`WaitMode`]'s spin budget (none for
+    /// `Block`, no end for `Poll`), and parks after it. Returns `None` once
+    /// the queue is closed and drained.
     pub fn pop(&self) -> Option<T> {
         if let Some(item) = self.try_pop() {
             return Some(item);
@@ -155,51 +158,21 @@ impl<T> DispatchQueue<T> {
         // Nothing ready: what this thread deferred is written before it
         // waits, with the queue unlocked so producers are not held up.
         flush_outbox();
-        match self.wait_mode {
-            WaitMode::Block => self.pop_blocking(),
-            WaitMode::Poll => self.pop_polling(),
-            WaitMode::Adaptive => self.pop_adaptive(),
-        }
-    }
-
-    /// Spin iterations before an adaptive consumer gives up and parks.
-    /// ~64 yields ≈ a few microseconds — enough to catch back-to-back
-    /// arrivals at high load without burning CPU through idle periods.
-    const ADAPTIVE_SPIN_BUDGET: u32 = 64;
-
-    fn pop_adaptive(&self) -> Option<T> {
-        for _ in 0..Self::ADAPTIVE_SPIN_BUDGET {
-            {
-                let mut state = self.shared.queue.lock();
-                if let Some(item) = self.take_entry(&mut state) {
-                    return Some(item);
-                }
-                if state.closed {
-                    return None;
-                }
-            }
-            OsOpCounters::global().incr(OsOp::SchedYield);
-            musuite_check::thread::yield_now();
-        }
-        // Budget exhausted: fall back to parking on the condvar.
-        self.pop_blocking()
-    }
-
-    fn take_entry(&self, state: &mut QueueState<T>) -> Option<T> {
-        let entry = state.entries.pop_front()?;
-        let now = self.clock.now_ns();
-        self.breakdown.record(Stage::Block, self.clock.delta(entry.enqueued_at_ns, now));
-        Some(entry.item)
-    }
-
-    fn pop_blocking(&self) -> Option<T> {
         let mut state = self.shared.queue.lock();
+        let mut misses = 0u32;
         loop {
             if let Some(item) = self.take_entry(&mut state) {
                 return Some(item);
             }
             if state.closed {
                 return None;
+            }
+            misses = misses.saturating_add(1);
+            if misses <= self.wait_mode.spin_budget() {
+                drop(state);
+                yield_now();
+                state = self.shared.queue.lock();
+                continue;
             }
             let waited_from = self.clock.now_ns();
             self.park(&mut state, None);
@@ -218,20 +191,11 @@ impl<T> DispatchQueue<T> {
         }
     }
 
-    fn pop_polling(&self) -> Option<T> {
-        loop {
-            {
-                let mut state = self.shared.queue.lock();
-                if let Some(item) = self.take_entry(&mut state) {
-                    return Some(item);
-                }
-                if state.closed {
-                    return None;
-                }
-            }
-            OsOpCounters::global().incr(OsOp::SchedYield);
-            musuite_check::thread::yield_now();
-        }
+    fn take_entry(&self, state: &mut QueueState<T>) -> Option<T> {
+        let entry = state.entries.pop_front()?;
+        let now = self.clock.now_ns();
+        self.breakdown.record(Stage::Block, self.clock.delta(entry.enqueued_at_ns, now));
+        Some(entry.item)
     }
 
     /// Dequeues up to `max_size` items in one wakeup, waiting (per
@@ -260,6 +224,7 @@ impl<T> DispatchQueue<T> {
         let deadline = (!max_delay.is_zero()).then(|| Instant::now() + max_delay);
         // The batch before this one may have left frames deferred.
         let mut unflushed = true;
+        let mut misses = 0u32;
         loop {
             let mut state = self.shared.queue.lock();
             while batch.len() < max_size {
@@ -287,17 +252,15 @@ impl<T> DispatchQueue<T> {
                 flush_outbox();
                 continue;
             }
-            match self.wait_mode {
-                WaitMode::Block | WaitMode::Adaptive => {
-                    // Timed park: a straggler's notify wakes us early, the
-                    // timeout bounds how long the partial batch can age.
-                    self.park(&mut state, Some(deadline - now));
-                }
-                WaitMode::Poll => {
-                    drop(state);
-                    OsOpCounters::global().incr(OsOp::SchedYield);
-                    musuite_check::thread::yield_now();
-                }
+            // The same rule as for the first item, but the park is timed: a
+            // straggler's push wakes it early, the timeout bounds how long
+            // the partial batch can age.
+            misses = misses.saturating_add(1);
+            if misses <= self.wait_mode.spin_budget() {
+                drop(state);
+                yield_now();
+            } else {
+                self.park(&mut state, Some(deadline - now));
             }
         }
     }
@@ -356,6 +319,12 @@ impl<T> std::fmt::Debug for DispatchQueue<T> {
             .field("closed", &self.is_closed())
             .finish()
     }
+}
+
+/// A spinning consumer's turn away from the queue, which is unlocked.
+fn yield_now() {
+    OsOpCounters::global().incr(OsOp::SchedYield);
+    musuite_check::thread::yield_now();
 }
 
 #[cfg(test)]
@@ -523,29 +492,35 @@ mod tests {
         assert_eq!(reason, FlushReason::SizeFull);
     }
 
+    const WAIT_MODES: [WaitMode; 3] = [WaitMode::Block, WaitMode::Poll, WaitMode::Adaptive];
+
     #[test]
     fn pop_batch_waits_for_stragglers_within_delay() {
-        let q = DispatchQueue::new(64, WaitMode::Block);
-        q.push(1);
-        let q2 = q.clone();
-        let producer = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10));
-            assert!(q2.push(2));
-            assert!(q2.push(3));
-        });
-        let (batch, reason) = q.pop_batch(3, Duration::from_millis(500)).unwrap();
-        producer.join().unwrap();
-        assert_eq!(batch, vec![1, 2, 3]);
-        assert_eq!(reason, FlushReason::SizeFull);
+        for wait_mode in WAIT_MODES {
+            let q = DispatchQueue::new(64, wait_mode);
+            q.push(1);
+            let q2 = q.clone();
+            let producer = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(10));
+                assert!(q2.push(2));
+                assert!(q2.push(3));
+            });
+            let (batch, reason) = q.pop_batch(3, Duration::from_millis(500)).unwrap();
+            producer.join().unwrap();
+            assert_eq!(batch, vec![1, 2, 3], "{wait_mode:?}");
+            assert_eq!(reason, FlushReason::SizeFull, "{wait_mode:?}");
+        }
     }
 
     #[test]
     fn pop_batch_flushes_partial_on_delay_expiry() {
-        let q = DispatchQueue::new(64, WaitMode::Block);
-        q.push(9);
-        let (batch, reason) = q.pop_batch(8, Duration::from_millis(5)).unwrap();
-        assert_eq!(batch, vec![9]);
-        assert_eq!(reason, FlushReason::DelayExpired);
+        for wait_mode in WAIT_MODES {
+            let q = DispatchQueue::new(64, wait_mode);
+            q.push(9);
+            let (batch, reason) = q.pop_batch(8, Duration::from_millis(5)).unwrap();
+            assert_eq!(batch, vec![9], "{wait_mode:?}");
+            assert_eq!(reason, FlushReason::DelayExpired, "{wait_mode:?}");
+        }
     }
 
     #[test]

@@ -27,13 +27,17 @@
 //! * [`WaitMode::Adaptive`] — spin-yield for a budget of empty sweeps,
 //!   then fall back to the escalating park.
 //!
+//! These are the dispatch queue's rule and budgets: the *n*-th empty sweep
+//! in a row yields while *n* is within the mode's spin budget (none under
+//! `Block`, no end under `Poll`, 64 under `Adaptive`), and parks after it.
+//!
 //! Fairness: one connection may drain at most `sweep_budget` frames per
 //! sweep before the thread moves on, so a chatty peer cannot starve its
 //! shard-mates; frames it has read but not drained stay in its receive
 //! buffer and go first in the next sweep, which is therefore never empty.
 //!
 //! Registration is lock-free for the sweeper in the steady state: new
-//! connections land in the shard's [`Ledger`] and are adopted at the top
+//! connections land in the shard's `Ledger` and are adopted at the top
 //! of the next sweep, after which the connection is owned *exclusively*
 //! by its sweep thread — read buffers are never shared. Deregistration
 //! happens either by the driver (`Drive::Close`), by I/O error or EOF, by
@@ -63,8 +67,6 @@ use std::time::{Duration, Instant};
 const PARK_MIN: Duration = Duration::from_micros(20);
 /// Escalation ceiling: 20 µs << 5.
 const PARK_MAX_SHIFT: u32 = 5;
-/// Empty sweeps an `Adaptive` poller spins through before parking.
-const ADAPTIVE_SPIN_SWEEPS: u32 = 64;
 
 /// What a [`ConnDriver`] tells the reactor after each frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -537,21 +539,13 @@ fn run_sweeper(params: SweepParams) {
             idle_streak = 0;
             continue;
         }
+        // The dispatch queue's rule: yield within the spin budget, then park.
         idle_streak = idle_streak.saturating_add(1);
-        match wait_mode {
-            WaitMode::Poll => {
-                stats.record_yield();
-                musuite_check::thread::yield_now();
-            }
-            WaitMode::Block => park(&ledger, &stats, idle_streak),
-            WaitMode::Adaptive => {
-                if idle_streak <= ADAPTIVE_SPIN_SWEEPS {
-                    stats.record_yield();
-                    musuite_check::thread::yield_now();
-                } else {
-                    park(&ledger, &stats, idle_streak - ADAPTIVE_SPIN_SWEEPS);
-                }
-            }
+        if idle_streak <= wait_mode.spin_budget() {
+            stats.record_yield();
+            musuite_check::thread::yield_now();
+        } else {
+            park(&ledger, &stats, idle_streak - wait_mode.spin_budget());
         }
     }
 }
@@ -569,8 +563,6 @@ fn park(ledger: &Ledger<Registration>, stats: &ReactorStats, streak: u32) {
 mod tests {
     use super::*;
     use crate::buf::loopback_pair;
-    use musuite_codec::frame::FrameHeader;
-    use musuite_codec::{FrameKind, Status};
     use std::io::Write;
     use std::sync::mpsc;
 
@@ -817,9 +809,7 @@ mod tests {
         let (mut peer, reactor_side) = loopback_pair();
         let (driver, frames, _closes) = probe();
         reactor.register(reactor_side, Box::new(driver)).unwrap();
-        let header = FrameHeader::new(FrameKind::OneWay, 0, 2, Status::Ok);
-        let frame = Frame { header, payload: bytes::Bytes::new() };
-        peer.write_all(&frame.to_bytes()).unwrap();
+        peer.write_all(&Frame::request(0, 2, Vec::new()).to_bytes()).unwrap();
         frames.recv_timeout(Duration::from_secs(5)).unwrap();
         // A sweep is counted as it ends: stop the sweepers, then read.
         reactor.shutdown();

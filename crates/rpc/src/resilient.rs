@@ -5,9 +5,8 @@
 //! once a service is a fan-out of microservices. [`ResilientFanout`]
 //! wraps a group with the standard tail-tolerance toolkit:
 //!
-//! * **Hedged requests** — after a configurable delay (fixed, or a
-//!   quantile of the observed attempt-latency distribution) a duplicate
-//!   probe is issued to the slot's next target; the first response wins
+//! * **Hedged requests** — after a fixed delay a duplicate probe is
+//!   issued to the slot's next target; the first response wins
 //!   and the loser's late completion is discarded. The win is decided by
 //!   one atomic claim per slot, model-checked under `musuite_check`.
 //! * **Bounded retry with backoff** — a failed attempt re-routes to the
@@ -39,7 +38,6 @@ use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_codec::Priority;
 use musuite_telemetry::clock::Clock;
-use musuite_telemetry::histogram::LatencyHistogram;
 use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -66,10 +64,6 @@ pub enum HedgePolicy {
     Off,
     /// Hedge any attempt still pending after this fixed delay.
     After(Duration),
-    /// Hedge after this quantile of the observed attempt-latency
-    /// distribution (e.g. `0.99`); inert until enough attempts (64) have
-    /// been recorded to estimate it.
-    AtQuantile(f64),
 }
 
 /// Tuning for [`ResilientFanout`]. The default is deliberately inert:
@@ -348,7 +342,6 @@ pub struct ResilientFanout {
     config: ResilientConfig,
     breakers: Vec<CircuitBreaker>,
     counters: ResilienceCounters,
-    attempt_hist: Mutex<LatencyHistogram>,
     timers: Timer<TimerTask>,
     clock: Clock,
 }
@@ -381,7 +374,6 @@ impl ResilientFanout {
                 config,
                 breakers,
                 counters: ResilienceCounters::new(),
-                attempt_hist: Mutex::new(LatencyHistogram::new()),
                 timers,
                 clock: Clock::new(),
             }
@@ -398,8 +390,7 @@ impl ResilientFanout {
         &self.config
     }
 
-    /// This wrapper's event counters (the process-wide
-    /// [`ResilienceCounters::global`] set is ticked as well).
+    /// This wrapper's event counters.
     pub fn counters(&self) -> &ResilienceCounters {
         &self.counters
     }
@@ -414,28 +405,8 @@ impl ResilientFanout {
         self.group.is_empty()
     }
 
-    /// The current hedge delay: the configured fixed delay, or the
-    /// configured quantile of observed attempt latencies (`None` until 64
-    /// attempts have been recorded, and floored at 50µs so a noisy early
-    /// estimate cannot hedge every call).
-    pub fn hedge_delay(&self) -> Option<Duration> {
-        match self.config.hedge {
-            HedgePolicy::Off => None,
-            HedgePolicy::After(delay) => Some(delay),
-            HedgePolicy::AtQuantile(q) => {
-                let hist = self.attempt_hist.lock();
-                if hist.count() < 64 {
-                    None
-                } else {
-                    Some(hist.quantile(q).max(Duration::from_micros(50)))
-                }
-            }
-        }
-    }
-
     fn tick(&self, event: ResilienceEvent) {
         self.counters.incr(event);
-        ResilienceCounters::global().incr(event);
     }
 
     fn admit(&self, leaf: usize) -> Admission {
@@ -479,7 +450,10 @@ impl ResilientFanout {
             }
         }
         let gather: Arc<dyn Gather> = ScatterState::new(calls.len(), self.clock, on_complete);
-        let hedge_delay = self.hedge_delay();
+        let hedge_delay = match self.config.hedge {
+            HedgePolicy::Off => None,
+            HedgePolicy::After(delay) => Some(delay),
+        };
         for (index, call) in calls.into_iter().enumerate() {
             // The caller's list becomes the slot's, minus the primary and
             // repeats; the common slot without alternates owns no list.
@@ -567,12 +541,12 @@ impl ResilientFanout {
                 }
             }
         }
-        let started = Instant::now();
         // Per-hop budget decay: the attempt is bounded by the tighter of
         // the configured attempt deadline and what remains of the slot's
         // end-to-end budget right now (a retry after backoff sees less
         // than the primary did).
-        let remaining = slot.deadline.map(|deadline| deadline.saturating_duration_since(started));
+        let remaining =
+            slot.deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
         if remaining.is_some_and(|left| left.is_zero()) {
             // Budget exhausted before launch: fail without touching the
             // wire and without charging the target's breaker.
@@ -586,7 +560,7 @@ impl ResilientFanout {
         let this = self.clone();
         let slot_cb = slot.clone();
         let callback = move |result: Result<Bytes, RpcError>| {
-            this.on_attempt_done(&slot_cb, target, is_hedge, started, result);
+            this.on_attempt_done(&slot_cb, target, is_hedge, result);
         };
         // Through the group's request path, so attempts from concurrent
         // scatters merge into one envelope when batching is enabled.
@@ -601,7 +575,6 @@ impl ResilientFanout {
         slot: &Arc<SlotCtl>,
         target: usize,
         is_hedge: bool,
-        started: Instant,
         result: Result<Bytes, RpcError>,
     ) {
         match result {
@@ -611,7 +584,6 @@ impl ResilientFanout {
                         self.tick(ResilienceEvent::BreakerClosed);
                     }
                 }
-                self.attempt_hist.lock().record(started.elapsed());
                 if slot.try_claim() {
                     if is_hedge {
                         self.tick(ResilienceEvent::HedgeWon);
@@ -956,26 +928,6 @@ mod tests {
         // The delayed primary eventually completes; its late response is
         // discarded by the claim, never delivered twice.
         std::thread::sleep(Duration::from_millis(350));
-    }
-
-    #[test]
-    fn quantile_hedge_is_inert_until_warm() {
-        let (_servers, group) = leaf_cluster(1);
-        let config = ResilientConfig {
-            hedge: HedgePolicy::AtQuantile(0.99),
-            breaker: None,
-            ..ResilientConfig::default()
-        };
-        let rf = ResilientFanout::new(group, config);
-        assert_eq!(rf.hedge_delay(), None, "no estimate before 64 attempts");
-        for round in 0..70u8 {
-            let result =
-                rf.scatter_wait(vec![LeafCall::new(0, 1, vec![round])], CallOptions::default());
-            assert!(result.all_ok());
-        }
-        let delay = rf.hedge_delay().expect("estimate after warm-up");
-        assert!(delay >= Duration::from_micros(50), "floored estimate: {delay:?}");
-        assert_eq!(rf.counters().get(ResilienceEvent::HedgeWon), 0, "fast path never hedged");
     }
 
     #[test]

@@ -36,14 +36,14 @@ use crate::reactor::{
     spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor, ReactorConfig,
 };
 use crate::service::{RequestContext, Service};
-use crate::stats::ServerStats;
+use crate::stats::{shed_event, ServerStats};
 use musuite_check::atomic::{AtomicBool, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::batch::decode_batch;
 use musuite_codec::frame::FrameKind;
-use musuite_codec::{Frame, Priority, Status};
-use musuite_telemetry::admission::{AdmissionCounters, AdmissionEvent};
+use musuite_codec::{Frame, Status};
+use musuite_telemetry::admission::AdmissionEvent;
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -349,15 +349,6 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Maps a shed request's class to its telemetry event.
-fn shed_event(priority: Priority) -> AdmissionEvent {
-    match priority {
-        Priority::Critical => AdmissionEvent::ShedCritical,
-        Priority::Normal => AdmissionEvent::ShedNormal,
-        Priority::Sheddable => AdmissionEvent::ShedSheddable,
-    }
-}
-
 /// What every network thread and worker of one server shares; its methods
 /// are the request pipeline, from a decoded frame to a running handler.
 struct Pipeline {
@@ -371,8 +362,8 @@ struct Pipeline {
 
 impl Pipeline {
     /// Routes one decoded frame, read off the connection `writer` answers
-    /// on, through the request pipeline. `OneWay` frames go straight to
-    /// the service; `Request` frames become one context; `Batch` frames are
+    /// on, through the request pipeline. `Request` frames become one
+    /// context; `Batch` frames are
     /// unpacked into per-member contexts so admission, shedding, and expiry
     /// stay *per sub-request* (a merged frame must account identically to
     /// the same requests sent individually). A batch envelope that fails to
@@ -384,7 +375,6 @@ impl Pipeline {
             self.admit_and_dispatch(RequestContext::new(request, received, writer.clone(), stats))
         };
         match frame.header.kind {
-            FrameKind::OneWay => self.service.notify(frame.header.method, frame.payload),
             FrameKind::Request => admit(frame),
             FrameKind::Batch => {
                 let Ok(entries) = decode_batch(&frame.payload) else { return };
@@ -408,8 +398,7 @@ impl Pipeline {
         // Arrival-expiry: the budget was spent upstream, so answering now is
         // cheaper than ever touching the gate or the queue.
         if ctx.is_expired() {
-            self.stats.record_deadline_expired();
-            AdmissionCounters::global().incr(AdmissionEvent::ExpiredAtArrival);
+            self.stats.record_admission(AdmissionEvent::ExpiredAtArrival);
             ctx.respond_err(Status::DeadlineExpired, "deadline expired on arrival");
             return;
         }
@@ -417,8 +406,7 @@ impl Pipeline {
         match self.admission.try_admit(priority) {
             Some(permit) => ctx.attach_permit(permit),
             None => {
-                self.stats.record_shed(priority);
-                AdmissionCounters::global().incr(shed_event(priority));
+                self.stats.record_admission(shed_event(priority));
                 ctx.respond_err(Status::Unavailable, "admission limit reached");
                 return;
             }
@@ -445,17 +433,12 @@ impl Pipeline {
     fn screen_dequeued(&self, ctx: RequestContext) -> Option<RequestContext> {
         let delay = self.clock.delta(ctx.received_at_ns(), self.clock.now_ns());
         match self.admission.note_dequeue(delay) {
-            Some(LimitChange::Raised) => {
-                AdmissionCounters::global().incr(AdmissionEvent::LimitRaised)
-            }
-            Some(LimitChange::Lowered) => {
-                AdmissionCounters::global().incr(AdmissionEvent::LimitLowered)
-            }
+            Some(LimitChange::Raised) => self.stats.record_admission(AdmissionEvent::LimitRaised),
+            Some(LimitChange::Lowered) => self.stats.record_admission(AdmissionEvent::LimitLowered),
             None => {}
         }
         if ctx.is_expired() {
-            self.stats.record_deadline_expired();
-            AdmissionCounters::global().incr(AdmissionEvent::ExpiredInQueue);
+            self.stats.record_admission(AdmissionEvent::ExpiredInQueue);
             ctx.respond_err(Status::DeadlineExpired, "deadline expired in queue");
             return None;
         }
@@ -499,7 +482,7 @@ mod tests {
     use super::*;
     use crate::client::{CallOptions, RpcClient};
     use crate::config::WaitMode;
-    use bytes::Bytes;
+    use musuite_codec::Priority;
     use std::time::Duration;
 
     struct Echo;
@@ -759,39 +742,6 @@ mod tests {
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let err = client.call(1, Vec::new()).unwrap_err();
         assert!(matches!(err, RpcError::Remote { status: Status::AppError, .. }));
-    }
-
-    #[test]
-    fn one_way_notifications_reach_the_service() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        struct Counting {
-            notified: Arc<AtomicU64>,
-        }
-        impl Service for Counting {
-            fn call(&self, ctx: RequestContext) {
-                ctx.respond_ok(Vec::new());
-            }
-            fn notify(&self, method: u32, payload: Bytes) {
-                assert_eq!(method, 9);
-                assert_eq!(payload, b"click");
-                self.notified.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let notified = Arc::new(AtomicU64::new(0));
-        let server = Server::spawn(
-            ServerConfig::default(),
-            Arc::new(Counting { notified: notified.clone() }),
-        )
-        .unwrap();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        for _ in 0..10 {
-            client.notify(9, b"click".to_vec()).unwrap();
-        }
-        // A regular call after the notifications flushes the stream and
-        // proves ordering: all ten one-ways were consumed first.
-        client.call(1, Vec::new()).unwrap();
-        assert_eq!(notified.load(Ordering::Relaxed), 10);
-        assert_eq!(server.stats().requests(), 1, "one-ways are not counted as requests");
     }
 
     #[test]

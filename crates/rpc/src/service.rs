@@ -38,14 +38,6 @@ pub trait Service: Send + Sync + 'static {
     /// Handles one request.
     fn call(&self, ctx: RequestContext);
 
-    /// Handles a one-way notification (no response channel). The payload
-    /// is a zero-copy slice of the connection's read buffer. The default
-    /// implementation drops it; services that accept fire-and-forget
-    /// traffic (click tracking, cache invalidation) override this.
-    fn notify(&self, method: u32, payload: Bytes) {
-        let _ = (method, payload);
-    }
-
     /// Handles a batch of requests drained in one worker wakeup. The
     /// default implementation preserves single-request semantics by
     /// calling [`Service::call`] once per member, in queue order;
@@ -66,22 +58,6 @@ where
 {
     fn call(&self, ctx: RequestContext) {
         self(ctx)
-    }
-}
-
-#[cfg(test)]
-mod notify_tests {
-    use super::*;
-
-    #[test]
-    fn default_notify_is_a_no_op() {
-        struct Quiet;
-        impl Service for Quiet {
-            fn call(&self, ctx: RequestContext) {
-                ctx.respond_ok(Vec::new());
-            }
-        }
-        Quiet.notify(1, Bytes::from(vec![1, 2, 3]));
     }
 }
 

@@ -2,6 +2,7 @@
 
 use musuite_check::atomic::{AtomicU64, Ordering};
 use musuite_codec::Priority;
+use musuite_telemetry::admission::{AdmissionCounters, AdmissionEvent, AdmissionSnapshot};
 use musuite_telemetry::batching::BatchStats;
 use musuite_telemetry::breakdown::BreakdownRecorder;
 use musuite_telemetry::histogram::LatencyHistogram;
@@ -16,8 +17,7 @@ struct Inner {
     requests: AtomicU64,
     responses: AtomicU64,
     rejected: AtomicU64,
-    deadline_expired: AtomicU64,
-    shed_by_class: [AtomicU64; Priority::ALL.len()],
+    admission: AdmissionCounters,
     idle_reaped: AtomicU64,
     service_time: Mutex<LatencyHistogram>,
     coalesce: CoalesceStats,
@@ -66,16 +66,12 @@ impl ServerStats {
         self.inner.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a request dropped because its deadline budget was already
-    /// exhausted — at admission or at dispatch-queue dequeue, before any
-    /// worker time was spent on it.
-    pub fn record_deadline_expired(&self) {
-        self.inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request refused at the admission gate, by priority class.
-    pub fn record_shed(&self, priority: Priority) {
-        self.inner.shed_by_class[priority as usize].fetch_add(1, Ordering::Relaxed);
+    /// Counts one overload-control decision: a request refused at the
+    /// admission gate, one dropped on an exhausted deadline budget (at
+    /// arrival or at dispatch-queue dequeue, before any worker time was
+    /// spent on it), or a move of the adaptive concurrency limit.
+    pub fn record_admission(&self, event: AdmissionEvent) {
+        self.inner.admission.incr(event);
     }
 
     /// Counts a connection dropped by the idle-timeout reaper.
@@ -100,17 +96,22 @@ impl ServerStats {
 
     /// Requests dropped on an exhausted deadline budget so far.
     pub fn deadline_expired(&self) -> u64 {
-        self.inner.deadline_expired.load(Ordering::Relaxed)
+        self.admission().expired_total()
     }
 
     /// Requests shed at the admission gate for `priority` so far.
     pub fn shed(&self, priority: Priority) -> u64 {
-        self.inner.shed_by_class[priority as usize].load(Ordering::Relaxed)
+        self.inner.admission.get(shed_event(priority))
     }
 
     /// Requests shed at the admission gate across all priority classes.
     pub fn shed_total(&self) -> u64 {
-        self.inner.shed_by_class.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.admission().shed_total()
+    }
+
+    /// Every overload-control event so far, by kind.
+    pub fn admission(&self) -> AdmissionSnapshot {
+        self.inner.admission.snapshot()
     }
 
     /// Connections reaped for idleness so far.
@@ -147,10 +148,7 @@ impl ServerStats {
         self.inner.requests.store(0, Ordering::Relaxed);
         self.inner.responses.store(0, Ordering::Relaxed);
         self.inner.rejected.store(0, Ordering::Relaxed);
-        self.inner.deadline_expired.store(0, Ordering::Relaxed);
-        for counter in &self.inner.shed_by_class {
-            counter.store(0, Ordering::Relaxed);
-        }
+        self.inner.admission.reset();
         self.inner.idle_reaped.store(0, Ordering::Relaxed);
         self.inner.service_time.lock().reset();
         self.inner.coalesce.reset();
@@ -171,6 +169,15 @@ impl fmt::Debug for ServerStats {
     }
 }
 
+/// The admission event that counts a refusal of `priority`'s class.
+pub(crate) fn shed_event(priority: Priority) -> AdmissionEvent {
+    match priority {
+        Priority::Critical => AdmissionEvent::ShedCritical,
+        Priority::Normal => AdmissionEvent::ShedNormal,
+        Priority::Sheddable => AdmissionEvent::ShedSheddable,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,10 +190,11 @@ mod tests {
         s.record_response(Duration::from_micros(5));
         s.record_rejected();
         s.record_idle_reaped();
-        s.record_deadline_expired();
-        s.record_shed(Priority::Sheddable);
-        s.record_shed(Priority::Sheddable);
-        s.record_shed(Priority::Normal);
+        s.record_admission(AdmissionEvent::ExpiredInQueue);
+        s.record_admission(AdmissionEvent::ShedSheddable);
+        s.record_admission(AdmissionEvent::ShedSheddable);
+        s.record_admission(AdmissionEvent::ShedNormal);
+        s.record_admission(AdmissionEvent::LimitLowered);
         assert_eq!(s.requests(), 2);
         assert_eq!(s.responses(), 1);
         assert_eq!(s.rejected(), 1);
@@ -196,6 +204,7 @@ mod tests {
         assert_eq!(s.shed(Priority::Normal), 1);
         assert_eq!(s.shed(Priority::Critical), 0);
         assert_eq!(s.shed_total(), 3);
+        assert_eq!(s.admission().get(AdmissionEvent::LimitLowered), 1);
         assert_eq!(s.service_time().count(), 1);
     }
 
@@ -212,15 +221,15 @@ mod tests {
         let s = ServerStats::new();
         s.record_request();
         s.record_response(Duration::from_micros(1));
-        s.record_deadline_expired();
-        s.record_shed(Priority::Normal);
+        s.record_admission(AdmissionEvent::ExpiredAtArrival);
+        s.record_admission(AdmissionEvent::ShedNormal);
         s.batching().record_batch(4, musuite_telemetry::batching::FlushReason::SizeFull);
         s.reset();
         assert_eq!(s.batching().batches(), 0);
         assert_eq!(s.requests(), 0);
         assert_eq!(s.responses(), 0);
         assert_eq!(s.deadline_expired(), 0);
-        assert_eq!(s.shed_total(), 0);
+        assert_eq!(s.admission().total(), 0);
         assert!(s.service_time().is_empty());
     }
 }

@@ -12,7 +12,6 @@ use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
 use musuite_core::midtier::{MidTierHandler, Plan};
 use musuite_rpc::RpcError;
-use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 
 /// The broadcast-and-union mid-tier microservice.
 #[derive(Debug, Default)]
@@ -58,12 +57,7 @@ impl MidTierHandler for SetAlgebraMidTier {
                 "only {ok}/{total} shards answered: no quorum"
             )));
         }
-        let response =
-            Degraded::partial(PostingList { docs: union_sorted(lists) }, ok as u32, total as u32);
-        if response.degraded {
-            ResilienceCounters::global().incr(ResilienceEvent::DegradedResponse);
-        }
-        Ok(response)
+        Ok(Degraded::partial(PostingList { docs: union_sorted(lists) }, ok as u32, total as u32))
     }
 }
 

@@ -1,17 +1,16 @@
-//! Process-wide counters for overload-control events.
+//! Counters for overload-control events.
 //!
-//! The admission layer (priority-class shedding, deadline-budget expiry,
-//! adaptive concurrency limiting) ticks these counters at each decision
-//! point so overload experiments can report *why* requests were refused —
-//! which priority class was shed, whether work died before or after it
-//! reached the dispatch queue, and how often the adaptive limiter moved —
-//! alongside the latency distributions. The counter machinery is
+//! A server's admission layer (priority-class shedding, deadline-budget
+//! expiry, adaptive concurrency limiting) ticks its own set of these at
+//! each decision point so overload experiments can report *why* requests
+//! were refused — which priority class was shed, whether work died before
+//! or after it reached the dispatch queue, and how often the adaptive
+//! limiter moved — alongside the latency distributions. The counter machinery is
 //! [`crate::counters::EventCounters`]; this module contributes the enum,
 //! its name table and the shed/expired roll-ups.
 
 use crate::counters::{Event, EventCounters, EventSnapshot};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Overload-control events tallied by the admission layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,11 +61,6 @@ impl Event<7> for AdmissionEvent {
 
     fn index(self) -> usize {
         self as usize
-    }
-
-    fn global() -> &'static AdmissionCounters {
-        static GLOBAL: OnceLock<AdmissionCounters> = OnceLock::new();
-        GLOBAL.get_or_init(EventCounters::new)
     }
 }
 

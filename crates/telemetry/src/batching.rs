@@ -5,8 +5,8 @@
 //! full* were the batches (occupancy amortizes per-wakeup and per-frame
 //! overhead), and *why* did each batch close (a policy whose batches
 //! always flush on the delay timer is adding latency without reaching
-//! its size target). [`BatchStats`] answers both with a log₂ occupancy
-//! histogram and one counter per [`FlushReason`], so the ablation tables
+//! its size target). [`BatchStats`] answers both with the mean and largest
+//! occupancy and one counter per [`FlushReason`], so the ablation tables
 //! can explain a configuration instead of just ranking it.
 //!
 //! # Examples
@@ -53,16 +53,11 @@ impl FlushReason {
     }
 }
 
-/// Occupancy histogram buckets: log₂ buckets for 1..=2^15 plus one
-/// overflow bucket, plenty for any plausible `max_size`.
-const OCCUPANCY_BUCKETS: usize = 17;
-
 #[derive(Default)]
 struct Inner {
     flushes: [AtomicU64; 3],
     members: AtomicU64,
     max_occupancy: AtomicU64,
-    occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
 }
 
 /// Shared batch counters. Cloning is cheap; clones share storage, so one
@@ -70,11 +65,6 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct BatchStats {
     inner: Arc<Inner>,
-}
-
-fn bucket_of(occupancy: usize) -> usize {
-    let bits = usize::BITS - occupancy.max(1).leading_zeros() - 1;
-    (bits as usize).min(OCCUPANCY_BUCKETS - 1)
 }
 
 impl BatchStats {
@@ -92,7 +82,6 @@ impl BatchStats {
             return;
         }
         self.inner.members.fetch_add(occupancy as u64, Ordering::Relaxed);
-        self.inner.occupancy[bucket_of(occupancy)].fetch_add(1, Ordering::Relaxed);
         self.inner.max_occupancy.fetch_max(occupancy as u64, Ordering::Relaxed);
     }
 
@@ -125,13 +114,6 @@ impl BatchStats {
         self.members() as f64 / batches as f64
     }
 
-    /// Batches whose occupancy fell in the log₂ bucket `index`
-    /// (bucket *i* covers `2^i ..= 2^(i+1) - 1`; the last bucket is
-    /// open-ended).
-    pub fn occupancy_bucket(&self, index: usize) -> u64 {
-        self.inner.occupancy[index.min(OCCUPANCY_BUCKETS - 1)].load(Ordering::Relaxed)
-    }
-
     /// One-line report row: `batches=12 mean=7.3 max=8
     /// size-full=10 delay-expired=1 queue-drained=1`.
     pub fn summary_row(&self) -> String {
@@ -147,16 +129,13 @@ impl BatchStats {
         row
     }
 
-    /// Zeroes every counter and bucket.
+    /// Zeroes every counter.
     pub fn reset(&self) {
         for f in &self.inner.flushes {
             f.store(0, Ordering::Relaxed);
         }
         self.inner.members.store(0, Ordering::Relaxed);
         self.inner.max_occupancy.store(0, Ordering::Relaxed);
-        for b in &self.inner.occupancy {
-            b.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -181,19 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_buckets_are_log2() {
-        let stats = BatchStats::new();
-        stats.record_batch(1, FlushReason::SizeFull); // bucket 0
-        stats.record_batch(3, FlushReason::SizeFull); // bucket 1
-        stats.record_batch(4, FlushReason::SizeFull); // bucket 2
-        stats.record_batch(7, FlushReason::SizeFull); // bucket 2
-        assert_eq!(stats.occupancy_bucket(0), 1);
-        assert_eq!(stats.occupancy_bucket(1), 1);
-        assert_eq!(stats.occupancy_bucket(2), 2);
-        assert_eq!(stats.occupancy_bucket(3), 0);
-    }
-
-    #[test]
     fn empty_flush_counts_reason_only() {
         let stats = BatchStats::new();
         stats.record_batch(0, FlushReason::QueueDrained);
@@ -212,7 +178,6 @@ mod tests {
         assert_eq!(clone.batches(), 0);
         assert_eq!(clone.members(), 0);
         assert_eq!(clone.max_occupancy(), 0);
-        assert_eq!(clone.occupancy_bucket(2), 0);
     }
 
     #[test]
@@ -223,12 +188,5 @@ mod tests {
         for reason in FlushReason::ALL {
             assert!(row.contains(reason.name()), "{row} missing {}", reason.name());
         }
-    }
-
-    #[test]
-    fn huge_occupancy_lands_in_overflow_bucket() {
-        let stats = BatchStats::new();
-        stats.record_batch(1 << 20, FlushReason::SizeFull);
-        assert_eq!(stats.occupancy_bucket(OCCUPANCY_BUCKETS - 1), 1);
     }
 }

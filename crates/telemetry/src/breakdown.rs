@@ -141,20 +141,6 @@ impl BreakdownRecorder {
             h.lock().reset();
         }
     }
-
-    /// Share of total p99 time attributed to `stage`, in `[0, 1]`.
-    ///
-    /// This is the statistic behind the paper's headline "Active-Exe
-    /// contributes to mid-tier tails by up to ~87 %": the stage's p99
-    /// divided by the sum of all stages' p99s.
-    pub fn tail_share(&self, stage: Stage) -> f64 {
-        let total: f64 =
-            ALL_STAGES.iter().map(|s| self.histogram(*s).quantile(0.99).as_nanos() as f64).sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.histogram(stage).quantile(0.99).as_nanos() as f64 / total
-    }
 }
 
 impl fmt::Debug for BreakdownRecorder {
@@ -188,35 +174,6 @@ mod tests {
         let clone = r.clone();
         clone.record(Stage::Merge, Duration::from_micros(3));
         assert_eq!(r.histogram(Stage::Merge).count(), 1);
-    }
-
-    #[test]
-    fn tail_share_sums_to_one() {
-        let r = BreakdownRecorder::new();
-        for stage in ALL_STAGES {
-            for i in 1..=100u64 {
-                r.record_ns(stage, i * 1000);
-            }
-        }
-        let total: f64 = ALL_STAGES.iter().map(|s| r.tail_share(*s)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tail_share_of_empty_recorder_is_zero() {
-        let r = BreakdownRecorder::new();
-        assert_eq!(r.tail_share(Stage::ActiveExe), 0.0);
-    }
-
-    #[test]
-    fn dominant_stage_has_largest_share() {
-        let r = BreakdownRecorder::new();
-        for _ in 0..100 {
-            r.record(Stage::ActiveExe, Duration::from_micros(500));
-            r.record(Stage::NetRx, Duration::from_micros(10));
-        }
-        assert!(r.tail_share(Stage::ActiveExe) > r.tail_share(Stage::NetRx));
-        assert!(r.tail_share(Stage::ActiveExe) > 0.9);
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub trait Event<const N: usize>: Copy + 'static {
 
     /// This variant's slot in the counter array: unique and below `N`.
     fn index(self) -> usize;
-
-    /// The process-wide counter set for this enum.
-    fn global() -> &'static EventCounters<Self, N>;
 }
 
 /// Classes of OS operations tallied by the suite, mirroring the syscalls
@@ -107,11 +104,6 @@ impl Event<12> for OsOp {
     fn index(self) -> usize {
         self as usize
     }
-
-    fn global() -> &'static OsOpCounters {
-        static GLOBAL: OnceLock<OsOpCounters> = OnceLock::new();
-        GLOBAL.get_or_init(EventCounters::new)
-    }
 }
 
 impl fmt::Display for OsOp {
@@ -124,13 +116,21 @@ impl fmt::Display for OsOp {
 /// instrumented sync primitives.
 pub type OsOpCounters = EventCounters<OsOp, 12>;
 
+impl OsOpCounters {
+    /// The process-wide set: the only global counter set, since the
+    /// syscall profile it stands in for is the process's own.
+    pub fn global() -> &'static OsOpCounters {
+        static GLOBAL: OnceLock<OsOpCounters> = OnceLock::new();
+        GLOBAL.get_or_init(EventCounters::new)
+    }
+}
+
 /// An immutable point-in-time copy of an [`OsOpCounters`].
 pub type CounterSnapshot = EventSnapshot<OsOp, 12>;
 
 /// A set of per-variant relaxed atomic counters indexed by an [`Event`]
-/// enum. One process-wide instance per enum (see
-/// [`EventCounters::global`]) is ticked in production; scoped instances
-/// can be created for tests.
+/// enum, owned by whatever it counts for (a server, a fan-out). The one
+/// process-wide instance is [`OsOpCounters::global`].
 ///
 /// # Examples
 ///
@@ -158,11 +158,6 @@ impl<E: Event<N>, const N: usize> EventCounters<E, N> {
     /// Creates a zeroed counter set.
     pub fn new() -> Self {
         EventCounters { counts: std::array::from_fn(|_| AtomicU64::new(0)), _event: PhantomData }
-    }
-
-    /// Returns the process-wide counter set.
-    pub fn global() -> &'static Self {
-        E::global()
     }
 
     /// Increments the counter for `event` by one.

@@ -11,12 +11,11 @@
 //! * [`histogram`] — log-bucketed latency histograms with percentile
 //!   queries, the building block for every latency distribution reported.
 //! * [`sync`] — instrumented mutex/condvar wrappers that count futex-class
-//!   operations and measure notify→wake latency ("Active-Exe" in the
-//!   paper's breakdown figures).
+//!   operations.
 //! * [`breakdown`] — a per-request lifecycle recorder that attributes time
 //!   to the stages of Figs. 15–18 (NetRx, Block, Sched, ActiveExe, NetTx,
-//!   Net).
-//! * [`netpoll`] — shared-reactor sweep statistics (frames per sweep,
+//!   Net); the dispatch queue records notify→wake latency as ActiveExe.
+//! * [`netpoll`] — shared-reactor sweep statistics (frames and sweeps,
 //!   parks vs. yields between empty sweeps) and write-coalescing counters,
 //!   folded into the [`counters`] OS-op table.
 //! * [`procstat`] — `/proc` sampling for context switches (Fig. 19) and
@@ -49,7 +48,6 @@ pub mod report;
 pub mod resilience;
 pub mod summary;
 pub mod sync;
-pub mod wakeup;
 
 pub use admission::{AdmissionCounters, AdmissionEvent};
 pub use batching::{BatchStats, FlushReason};
@@ -62,4 +60,3 @@ pub use procstat::{ContextSwitches, SchedStat, TcpStats};
 pub use resilience::{ResilienceCounters, ResilienceEvent};
 pub use summary::DistributionSummary;
 pub use sync::{CountedCondvar, CountedMutex};
-pub use wakeup::WakeupProbe;

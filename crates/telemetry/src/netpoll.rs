@@ -5,10 +5,9 @@
 //! syscall traffic to that edge. When the RPC layer runs in
 //! `SharedPollers` mode, each reactor thread repeatedly *sweeps* its
 //! connection set; the counters here record how productive those sweeps
-//! are (frames drained per sweep) and how the reactor waited between empty
-//! sweeps (parks vs. yields), folding each wait into the process-wide
-//! [`OsOp`](crate::counters::OsOp) table so the syscall-profile analogs
-//! stay honest.
+//! are (frames drained, sweeps made) and how the reactor waited between
+//! empty sweeps (parks vs. yields), folding each wait into the
+//! process-wide [`OsOp`] table so the syscall-profile analogs stay honest.
 //!
 //! [`CoalesceStats`] measures the response write-coalescing optimization:
 //! when several frames are queued for one connection while a flush is in
@@ -122,26 +121,6 @@ impl ReactorStats {
     pub fn closed(&self) -> u64 {
         self.inner.closed.load(Ordering::Relaxed)
     }
-
-    /// Mean complete frames per sweep — the paper's "work found per poll"
-    /// lens on how well poller count matches offered load.
-    pub fn frames_per_sweep(&self) -> f64 {
-        let sweeps = self.sweeps();
-        if sweeps == 0 {
-            return 0.0;
-        }
-        self.frames() as f64 / sweeps as f64
-    }
-
-    /// Clears all counters (the global OS-op table is left untouched).
-    pub fn reset(&self) {
-        self.inner.sweeps.store(0, Ordering::Relaxed);
-        self.inner.frames.store(0, Ordering::Relaxed);
-        self.inner.parks.store(0, Ordering::Relaxed);
-        self.inner.yields.store(0, Ordering::Relaxed);
-        self.inner.registered.store(0, Ordering::Relaxed);
-        self.inner.closed.store(0, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for ReactorStats {
@@ -240,7 +219,6 @@ mod tests {
         s.record_sweep(2);
         assert_eq!(s.sweeps(), 3);
         assert_eq!(s.frames(), 6);
-        assert!((s.frames_per_sweep() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -265,8 +243,6 @@ mod tests {
         s.record_closed();
         assert_eq!(s.registered(), 2);
         assert_eq!(s.closed(), 1);
-        s.reset();
-        assert_eq!(s.registered(), 0);
     }
 
     #[test]
@@ -287,7 +263,7 @@ mod tests {
     #[test]
     fn empty_reactor_has_zero_yield() {
         let s = ReactorStats::new();
-        assert_eq!(s.frames_per_sweep(), 0.0);
+        assert_eq!((s.sweeps(), s.frames(), s.parks(), s.yields()), (0, 0, 0, 0));
     }
 
     #[test]

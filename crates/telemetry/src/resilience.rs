@@ -1,16 +1,17 @@
-//! Process-wide counters for fault-tolerance events.
+//! Counters for fault-tolerance events.
 //!
-//! The resilience layer (hedged requests, retries, per-leaf circuit
-//! breakers, degraded merges) ticks these counters at each decision point
+//! A resilient fan-out (hedged requests, retries, per-leaf circuit
+//! breakers, reconnects) ticks its own set of these at each decision point
 //! so chaos experiments can report *how* a run survived — how many hedges
-//! fired and won, how often a breaker opened, how many responses were
-//! served degraded — alongside the latency distributions. The counter
+//! fired and won, how often a breaker opened — alongside the latency
+//! distributions. Degraded responses are counted where they arrive, in
+//! the response's own envelope, and injected faults in the fault plan's
+//! log. The counter
 //! machinery is [`crate::counters::EventCounters`]; this module
 //! contributes the enum and its name table.
 
 use crate::counters::{Event, EventCounters, EventSnapshot};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Fault-tolerance events tallied by the resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,14 +31,10 @@ pub enum ResilienceEvent {
     BreakerClosed,
     /// A broken leaf connection was re-established in the background.
     Reconnect,
-    /// A merge completed from a subset of shards (degraded response).
-    DegradedResponse,
-    /// The fault-injection shim injected one fault.
-    FaultInjected,
 }
 
-impl Event<9> for ResilienceEvent {
-    const ALL: [ResilienceEvent; 9] = [
+impl Event<7> for ResilienceEvent {
+    const ALL: [ResilienceEvent; 7] = [
         ResilienceEvent::HedgeFired,
         ResilienceEvent::HedgeWon,
         ResilienceEvent::Retry,
@@ -45,8 +42,6 @@ impl Event<9> for ResilienceEvent {
         ResilienceEvent::BreakerProbe,
         ResilienceEvent::BreakerClosed,
         ResilienceEvent::Reconnect,
-        ResilienceEvent::DegradedResponse,
-        ResilienceEvent::FaultInjected,
     ];
 
     fn name(self) -> &'static str {
@@ -58,18 +53,11 @@ impl Event<9> for ResilienceEvent {
             ResilienceEvent::BreakerProbe => "breaker_probe",
             ResilienceEvent::BreakerClosed => "breaker_closed",
             ResilienceEvent::Reconnect => "reconnect",
-            ResilienceEvent::DegradedResponse => "degraded_response",
-            ResilienceEvent::FaultInjected => "fault_injected",
         }
     }
 
     fn index(self) -> usize {
         self as usize
-    }
-
-    fn global() -> &'static ResilienceCounters {
-        static GLOBAL: OnceLock<ResilienceCounters> = OnceLock::new();
-        GLOBAL.get_or_init(EventCounters::new)
     }
 }
 
@@ -92,10 +80,10 @@ impl fmt::Display for ResilienceEvent {
 /// assert_eq!(counters.get(ResilienceEvent::HedgeFired), 1);
 /// assert_eq!(counters.get(ResilienceEvent::Retry), 0);
 /// ```
-pub type ResilienceCounters = EventCounters<ResilienceEvent, 9>;
+pub type ResilienceCounters = EventCounters<ResilienceEvent, 7>;
 
 /// An immutable point-in-time copy of a [`ResilienceCounters`].
-pub type ResilienceSnapshot = EventSnapshot<ResilienceEvent, 9>;
+pub type ResilienceSnapshot = EventSnapshot<ResilienceEvent, 7>;
 
 #[cfg(test)]
 mod tests {
@@ -103,6 +91,6 @@ mod tests {
 
     #[test]
     fn resilience_event_table_is_consistent() {
-        crate::counters::assert_event_table::<ResilienceEvent, 9>();
+        crate::counters::assert_event_table::<ResilienceEvent, 7>();
     }
 }

@@ -85,10 +85,7 @@ impl<T> CountedMutex<T> {
 }
 
 /// A condition variable that counts waits and notifications as futex
-/// operations, and records notify→wake latency through a [`WakeupProbe`]
-/// when requested.
-///
-/// [`WakeupProbe`]: crate::wakeup::WakeupProbe
+/// operations.
 #[derive(Debug, Default)]
 pub struct CountedCondvar {
     inner: Condvar,
