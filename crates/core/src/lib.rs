@@ -11,7 +11,8 @@
 //! * [`cluster::Cluster`] — launches leaves and a mid-tier wired together
 //!   over real TCP on ephemeral ports,
 //! * [`shard`] / [`replication`] — data-placement policies shared by the
-//!   services (uniform sharding; replica sets for `Router`).
+//!   services (uniform sharding; replica sets for `Router`),
+//! * [`topk`] — the bounded top-`k` selector the k-NN leaves rank with.
 //!
 //! # Examples
 //!
@@ -76,6 +77,7 @@ pub mod leaf;
 pub mod midtier;
 pub mod replication;
 pub mod shard;
+pub mod topk;
 
 pub use cluster::{Cluster, ClusterConfig, TypedClient};
 pub use degrade::Degraded;

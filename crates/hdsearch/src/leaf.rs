@@ -11,6 +11,9 @@ use crate::protocol::{check_query, LeafSearchRequest, LeafSearchResponse, Neighb
 use musuite_core::error::ServiceError;
 use musuite_core::leaf::LeafHandler;
 use musuite_core::shard::RoundRobinMap;
+use musuite_core::topk::top_k_by;
+use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// A leaf holding one shard of feature vectors.
 #[derive(Debug)]
@@ -48,20 +51,27 @@ impl HdSearchLeaf {
     }
 
     /// Scores `candidates` (local indices) against `query`, returning the
-    /// top-`k` as globally-identified, distance-sorted neighbours.
+    /// top-`k` as globally-identified, distance-sorted neighbours. Scores
+    /// go to the calling thread's scratch; the result is the one
+    /// allocation, of at most `k` neighbours.
     pub fn search(&self, query: &[f32], candidates: &[u64], k: usize) -> Vec<Neighbor> {
-        let mut scored: Vec<Neighbor> = candidates
-            .iter()
-            .filter_map(|&local| {
+        SCORED.with_borrow_mut(|scored| {
+            scored.clear();
+            scored.extend(candidates.iter().filter_map(|&local| {
                 let vector = self.vectors.get(local as usize)?;
                 Some(Neighbor {
                     id: self.id_map.global_id(self.leaf_index, local),
                     distance: euclidean_sq(query, vector),
                 })
-            })
-            .collect();
-        sort_top_k(&mut scored, k);
-        scored
+            }));
+            let top = top_k_by(scored, k, nearest_first).to_vec();
+            // A list longer than the shard repeats candidates: let its
+            // storage go rather than keep it for the worker's lifetime.
+            if scored.len() > self.vectors.len() {
+                *scored = Vec::new();
+            }
+            top
+        })
     }
 
     /// Answers a whole batch of searches in **one sweep over the shard's
@@ -89,7 +99,8 @@ impl HdSearchLeaf {
             }
         }
         for (request, neighbors) in queries.iter().zip(&mut scored) {
-            sort_top_k(neighbors, request.k as usize);
+            let kept = top_k_by(neighbors, request.k as usize, nearest_first).len();
+            neighbors.truncate(kept);
         }
         scored
     }
@@ -102,14 +113,18 @@ impl HdSearchLeaf {
     }
 }
 
-/// Distance-then-id sort plus truncation — the unique total order both
-/// the sequential and the batched path rank neighbours by.
-fn sort_top_k(scored: &mut Vec<Neighbor>, k: usize) {
-    scored.sort_by(|a, b| {
-        // lint: allow(expect): `check` admits finite queries only, so no distance is NaN
-        (a.distance, a.id).partial_cmp(&(b.distance, b.id)).expect("distances are finite")
-    });
-    scored.truncate(k);
+thread_local! {
+    /// The calling thread's scored candidates, reused by every
+    /// [`HdSearchLeaf::search`] on it (under 32 B per shard vector).
+    static SCORED: RefCell<Vec<Neighbor>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Distance, then global id: the unique total order both the sequential
+/// and the batched path rank neighbours by. Squared distances are never
+/// `-0.0`, so `total_cmp` agrees with `<` on every distance a finite query
+/// can produce (an overflowing one is `+inf`).
+fn nearest_first(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
 }
 
 impl LeafHandler for HdSearchLeaf {
@@ -247,5 +262,93 @@ mod tests {
         assert!(results[1].as_ref().unwrap_err().message().contains("dimension"));
         assert_eq!(results[2].as_ref().unwrap().neighbors[0].id, 3);
         assert!(results[3].as_ref().unwrap_err().message().contains("non-finite"));
+    }
+
+    /// `search` as it was before the bounded selector, kept verbatim as
+    /// the oracle the golden test compares against.
+    fn oracle_search(
+        leaf: &HdSearchLeaf,
+        query: &[f32],
+        candidates: &[u64],
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let mut scored: Vec<Neighbor> = candidates
+            .iter()
+            .filter_map(|&local| {
+                let vector = leaf.vectors.get(local as usize)?;
+                Some(Neighbor {
+                    id: leaf.id_map.global_id(leaf.leaf_index, local),
+                    distance: euclidean_sq(query, vector),
+                })
+            })
+            .collect();
+        scored.sort_by(|a, b| {
+            (a.distance, a.id).partial_cmp(&(b.distance, b.id)).expect("distances are finite")
+        });
+        scored.truncate(k);
+        scored
+    }
+
+    fn bits(neighbors: &[Neighbor]) -> Vec<(u64, u32)> {
+        neighbors.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    }
+
+    /// Seeded candidate lists with repeats and out-of-range ids, over `k`
+    /// from 0 past the list length, on a clustered shard and on a small
+    /// integer grid (where distinct ids tie on distance): `search` and
+    /// `search_batch` return the oracle's neighbours bit for bit.
+    #[test]
+    fn golden_search_matches_the_oracle() {
+        use musuite_data::vectors::{VectorDataset, VectorDatasetConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let ds = VectorDataset::generate(&VectorDatasetConfig {
+            points: 3_000,
+            dim: 16,
+            clusters: 10,
+            spread: 0.05,
+            seed: 3,
+        });
+        let clustered: Vec<Vec<f32>> = ds.vectors().iter().skip(1).step_by(3).cloned().collect();
+        let grid: Vec<Vec<f32>> = (0..300)
+            .map(|i| vec![(i % 3) as f32, (i / 3 % 3) as f32, (i / 9 % 2) as f32])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        for shard in [clustered, grid] {
+            let dim = shard[0].len();
+            let leaf = HdSearchLeaf::new(shard, 1, RoundRobinMap::new(3));
+            let mut requests = Vec::new();
+            for _ in 0..40 {
+                let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..2.0)).collect();
+                let len = rng.gen_range(0..400);
+                let candidates: Vec<u64> =
+                    (0..len).map(|_| rng.gen_range(0..leaf.len() as u64 + 50)).collect();
+                for k in [0, 1, 10, len / 2, len, len + 5, usize::MAX] {
+                    let expected = bits(&oracle_search(&leaf, &query, &candidates, k));
+                    assert_eq!(bits(&leaf.search(&query, &candidates, k)), expected);
+                    let k = u32::try_from(k).unwrap_or(u32::MAX);
+                    requests.push(LeafSearchRequest {
+                        vector: query.clone(),
+                        candidates: candidates.clone(),
+                        k,
+                    });
+                }
+            }
+            for (request, batch) in requests.iter().zip(leaf.search_batch(&requests)) {
+                let expected =
+                    oracle_search(&leaf, &request.vector, &request.candidates, request.k as usize);
+                assert_eq!(bits(&batch), bits(&expected));
+            }
+        }
+    }
+
+    /// A finite query far from the shard scores `+inf` against every
+    /// vector; the neighbours still rank, by id.
+    #[test]
+    fn overflowing_distances_rank_by_id() {
+        let leaf = leaf();
+        let result = leaf.search(&[3e38, -3e38], &[3, 0, 2, 1], 3);
+        assert_eq!(result.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 3, 5]);
+        assert!(result.iter().all(|n| n.distance == f32::INFINITY));
     }
 }

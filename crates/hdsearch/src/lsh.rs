@@ -14,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Tuning parameters for [`LshIndex`].
@@ -38,28 +39,6 @@ impl Default for LshConfig {
     }
 }
 
-struct Projection {
-    direction: Vec<f32>,
-    offset: f32,
-}
-
-struct HashTable {
-    projections: Vec<Projection>,
-    buckets: HashMap<u64, Vec<u64>>,
-}
-
-impl HashTable {
-    fn bins(&self, vector: &[f32], width: f32) -> Vec<i32> {
-        self.projections
-            .iter()
-            .map(|p| {
-                let value = crate::distance::dot(vector, &p.direction) + p.offset;
-                (value / width).floor() as i32
-            })
-            .collect()
-    }
-}
-
 /// Combines per-projection bins into one bucket key (FNV-1a over the i32s).
 fn key_of(bins: &[i32]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -72,15 +51,64 @@ fn key_of(bins: &[i32]) -> u64 {
     hash
 }
 
+/// A lookup's working memory, one per thread and reused by every lookup it
+/// makes: the bins of the table being probed, and one stamp per ordinal
+/// that equals `generation` once the lookup in progress has reported it.
+struct Scratch {
+    bins: Vec<i32>,
+    seen: Vec<u32>,
+    generation: u32,
+}
+
+impl Scratch {
+    /// Sizes the scratch for an index and opens a new generation.
+    fn begin(&mut self, hashes: usize, ordinals: usize) -> u32 {
+        self.bins.resize(hashes, 0);
+        if self.seen.len() < ordinals {
+            self.seen.resize(ordinals, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps written 2^32 lookups ago would read as this lookup's.
+            self.seen.fill(0);
+            self.generation = 1;
+        }
+        self.generation
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> =
+        const { RefCell::new(Scratch { bins: Vec::new(), seen: Vec::new(), generation: 0 }) };
+}
+
 /// A multi-table, multiprobe LSH index mapping vectors to point ids.
 ///
 /// The index stores only ids — HDSearch's mid-tier "does not store feature
 /// vectors directly" (paper §III-A); ids indirectly reference vectors
 /// sharded across the leaves.
+///
+/// Layout: the projections of all tables are the rows of one row-major
+/// matrix (table `t`, hash `h` is row `t * hashes_per_table + h`), and a
+/// bucket holds dense `u32` ordinals — one per distinct id, numbered in
+/// first-insertion order — so a lookup deduplicates with a flat stamp
+/// array instead of a hash set. A lookup allocates nothing but its output:
+/// it works in per-thread scratch of 4 B per distinct indexed id.
 pub struct LshIndex {
     config: LshConfig,
     dim: usize,
-    tables: Vec<HashTable>,
+    /// `tables * hashes_per_table` projection directions of `dim` each.
+    directions: Vec<f32>,
+    /// One quantization offset per direction.
+    offsets: Vec<f32>,
+    /// Per table: bucket key → ordinals of the points hashed there.
+    buckets: Vec<HashMap<u64, Vec<u32>>>,
+    /// Ordinal → id.
+    ids: Vec<u64>,
+    /// Id → ordinal: an id inserted twice keeps one ordinal, so a lookup
+    /// reports it once.
+    ordinals: HashMap<u64, u32>,
+    /// Insertions, an id inserted twice counting twice.
     len: usize,
 }
 
@@ -97,18 +125,26 @@ impl LshIndex {
         assert!(config.bucket_width > 0.0, "bucket width must be positive");
         assert!(config.probes > 0, "need at least one probe");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let tables = (0..config.tables)
-            .map(|_| HashTable {
-                projections: (0..config.hashes_per_table)
-                    .map(|_| Projection {
-                        direction: (0..dim).map(|_| gaussian(&mut rng)).collect(),
-                        offset: rng.gen_range(0.0..config.bucket_width),
-                    })
-                    .collect(),
-                buckets: HashMap::new(),
-            })
-            .collect();
-        LshIndex { config, dim, tables, len: 0 }
+        let rows = config.tables * config.hashes_per_table;
+        let mut directions = Vec::with_capacity(rows * dim);
+        let mut offsets = Vec::with_capacity(rows);
+        // Per row: its direction, then its offset — the draw order that
+        // fixes the index for a seed.
+        for _ in 0..rows {
+            directions.extend((0..dim).map(|_| gaussian(&mut rng)));
+            offsets.push(rng.gen_range(0.0..config.bucket_width));
+        }
+        let buckets = (0..config.tables).map(|_| HashMap::new()).collect();
+        LshIndex {
+            config,
+            dim,
+            directions,
+            offsets,
+            buckets,
+            ids: Vec::new(),
+            ordinals: HashMap::new(),
+            len: 0,
+        }
     }
 
     /// Builds an index over `vectors`, with point `i` stored under id
@@ -126,17 +162,35 @@ impl LshIndex {
         index
     }
 
+    /// Writes `vector`'s bin under each projection of `table` into `bins`.
+    fn bins_into(&self, table: usize, vector: &[f32], bins: &mut [i32]) {
+        let width = self.config.bucket_width;
+        let first = table * self.config.hashes_per_table;
+        for (row, bin) in (first..).zip(bins) {
+            let direction = &self.directions[row * self.dim..(row + 1) * self.dim];
+            let value = crate::distance::dot(vector, direction) + self.offsets[row];
+            *bin = (value / width).floor() as i32;
+        }
+    }
+
     /// Inserts one vector under `id`.
     ///
     /// # Panics
     ///
-    /// Panics if the vector's dimension is wrong.
+    /// Panics if the vector's dimension is wrong, or on the 2^32-th
+    /// distinct id.
     pub fn insert(&mut self, vector: &[f32], id: u64) {
         assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
-        let width = self.config.bucket_width;
-        for table in &mut self.tables {
-            let bins = table.bins(vector, width);
-            table.buckets.entry(key_of(&bins)).or_default().push(id);
+        let next = self.ids.len();
+        let ordinal = *self.ordinals.entry(id).or_insert_with(|| {
+            assert!(next < u32::MAX as usize, "an index holds fewer than 2^32 distinct ids");
+            self.ids.push(id);
+            next as u32
+        });
+        let mut bins = vec![0; self.config.hashes_per_table];
+        for table in 0..self.buckets.len() {
+            self.bins_into(table, vector, &mut bins);
+            self.buckets[table].entry(key_of(&bins)).or_default().push(ordinal);
         }
         self.len += 1;
     }
@@ -168,42 +222,60 @@ impl LshIndex {
     ///
     /// Panics if the query's dimension is wrong.
     pub fn candidates(&self, query: &[f32]) -> Vec<u64> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        let width = self.config.bucket_width;
-        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for table in &self.tables {
-            let bins = table.bins(query, width);
-            let mut probe_keys = Vec::with_capacity(self.config.probes);
-            probe_keys.push(key_of(&bins));
-            // Multiprobe: ±1 perturbations of each coordinate, nearest
-            // perturbations first, until the probe budget is spent.
-            'probing: for delta in [1i32, -1] {
-                for position in 0..bins.len() {
-                    if probe_keys.len() >= self.config.probes {
-                        break 'probing;
-                    }
-                    let mut perturbed = bins.clone();
-                    perturbed[position] += delta;
-                    probe_keys.push(key_of(&perturbed));
-                }
-            }
-            for key in probe_keys {
-                if let Some(bucket) = table.buckets.get(&key) {
-                    for &id in bucket {
-                        if seen.insert(id) {
-                            out.push(id);
+        self.candidates_into(query, &mut out);
+        out
+    }
+
+    /// As [`candidates`](LshIndex::candidates), into `out` (cleared first),
+    /// so that a caller who reuses `out` makes the lookup allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query's dimension is wrong.
+    pub fn candidates_into(&self, query: &[f32], out: &mut Vec<u64>) {
+        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
+        out.clear();
+        SCRATCH.with_borrow_mut(|scratch| {
+            let generation = scratch.begin(self.config.hashes_per_table, self.ids.len());
+            let Scratch { bins, seen, .. } = scratch;
+            for (table, buckets) in self.buckets.iter().enumerate() {
+                self.bins_into(table, query, bins);
+                let mut visit = |bins: &[i32]| {
+                    let Some(bucket) = buckets.get(&key_of(bins)) else { return };
+                    for &ordinal in bucket {
+                        let stamp = &mut seen[ordinal as usize];
+                        if *stamp != generation {
+                            *stamp = generation;
+                            out.push(self.ids[ordinal as usize]);
                         }
                     }
+                };
+                visit(bins);
+                // Multiprobe: ±1 perturbations of each coordinate, nearest
+                // perturbations first, until the probe budget is spent. One
+                // bin is perturbed in place and restored; a bin the cast
+                // saturated at `i32::MAX`/`MIN` wraps rather than overflows.
+                let mut probes = 1;
+                'probing: for delta in [1i32, -1] {
+                    for position in 0..bins.len() {
+                        if probes >= self.config.probes {
+                            break 'probing;
+                        }
+                        let bin = bins[position];
+                        bins[position] = bin.wrapping_add(delta);
+                        visit(bins);
+                        bins[position] = bin;
+                        probes += 1;
+                    }
                 }
             }
-        }
-        out
+        });
     }
 
     /// Total buckets across tables (diagnostics).
     pub fn bucket_count(&self) -> usize {
-        self.tables.iter().map(|t| t.buckets.len()).sum()
+        self.buckets.iter().map(HashMap::len).sum()
     }
 }
 
@@ -212,7 +284,7 @@ impl std::fmt::Debug for LshIndex {
         f.debug_struct("LshIndex")
             .field("points", &self.len)
             .field("dim", &self.dim)
-            .field("tables", &self.tables.len())
+            .field("tables", &self.buckets.len())
             .field("buckets", &self.bucket_count())
             .finish()
     }
@@ -352,5 +424,189 @@ mod tests {
     fn wrong_dim_query_panics() {
         let index = LshIndex::new(8, LshConfig::default());
         index.candidates(&[0.0; 4]);
+    }
+
+    /// A finite query far out saturates its bins at `i32::MAX`/`MIN`; the
+    /// multiprobe perturbation of such a bin must wrap, not overflow.
+    #[test]
+    fn saturated_bins_are_probed_without_overflow() {
+        let ds = dataset();
+        let ids: Vec<u64> = (0..ds.len() as u64).collect();
+        let full_probe = LshConfig { probes: 17, ..Default::default() };
+        for config in [LshConfig::default(), full_probe] {
+            let index = LshIndex::build(ds.dim(), config, ds.vectors(), &ids);
+            for coordinate in [3e38f32, -3e38] {
+                // All coordinates far out, or one. Each projection of the
+                // latter is a single huge product, never NaN, so every bin
+                // saturates.
+                let mut one_far = vec![0.0; ds.dim()];
+                one_far[0] = coordinate;
+                for query in [vec![coordinate; ds.dim()], one_far] {
+                    let candidates = index.candidates(&query);
+                    let mut unique = candidates.clone();
+                    unique.sort_unstable();
+                    unique.dedup();
+                    assert_eq!(unique.len(), candidates.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_into_clears_and_refills() {
+        let ds = dataset();
+        let index = build_index(&ds);
+        let mut out = vec![u64::MAX; 3];
+        for q in ds.sample_queries(5, 0.02) {
+            index.candidates_into(&q, &mut out);
+            assert_eq!(out, index.candidates(&q));
+        }
+    }
+
+    /// The index as it was before its flat layout, kept verbatim as the
+    /// oracle the golden tests compare against.
+    mod oracle {
+        use super::super::{gaussian, key_of, LshConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        struct Projection {
+            direction: Vec<f32>,
+            offset: f32,
+        }
+
+        struct HashTable {
+            projections: Vec<Projection>,
+            buckets: HashMap<u64, Vec<u64>>,
+        }
+
+        impl HashTable {
+            fn bins(&self, vector: &[f32], width: f32) -> Vec<i32> {
+                self.projections
+                    .iter()
+                    .map(|p| {
+                        let value = crate::distance::dot(vector, &p.direction) + p.offset;
+                        (value / width).floor() as i32
+                    })
+                    .collect()
+            }
+        }
+
+        pub struct OracleIndex {
+            config: LshConfig,
+            dim: usize,
+            tables: Vec<HashTable>,
+        }
+
+        impl OracleIndex {
+            pub fn build(
+                dim: usize,
+                config: LshConfig,
+                vectors: &[Vec<f32>],
+                ids: &[u64],
+            ) -> OracleIndex {
+                let mut rng = StdRng::seed_from_u64(config.seed);
+                let tables = (0..config.tables)
+                    .map(|_| HashTable {
+                        projections: (0..config.hashes_per_table)
+                            .map(|_| Projection {
+                                direction: (0..dim).map(|_| gaussian(&mut rng)).collect(),
+                                offset: rng.gen_range(0.0..config.bucket_width),
+                            })
+                            .collect(),
+                        buckets: HashMap::new(),
+                    })
+                    .collect();
+                let mut index = OracleIndex { config, dim, tables };
+                for (vector, &id) in vectors.iter().zip(ids) {
+                    index.insert(vector, id);
+                }
+                index
+            }
+
+            fn insert(&mut self, vector: &[f32], id: u64) {
+                assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
+                let width = self.config.bucket_width;
+                for table in &mut self.tables {
+                    let bins = table.bins(vector, width);
+                    table.buckets.entry(key_of(&bins)).or_default().push(id);
+                }
+            }
+
+            pub fn candidates(&self, query: &[f32]) -> Vec<u64> {
+                assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
+                let width = self.config.bucket_width;
+                let mut seen = std::collections::HashSet::new();
+                let mut out = Vec::new();
+                for table in &self.tables {
+                    let bins = table.bins(query, width);
+                    let mut probe_keys = Vec::with_capacity(self.config.probes);
+                    probe_keys.push(key_of(&bins));
+                    // Multiprobe: ±1 perturbations of each coordinate, nearest
+                    // perturbations first, until the probe budget is spent.
+                    'probing: for delta in [1i32, -1] {
+                        for position in 0..bins.len() {
+                            if probe_keys.len() >= self.config.probes {
+                                break 'probing;
+                            }
+                            let mut perturbed = bins.clone();
+                            perturbed[position] += delta;
+                            probe_keys.push(key_of(&perturbed));
+                        }
+                    }
+                    for key in probe_keys {
+                        if let Some(bucket) = table.buckets.get(&key) {
+                            for &id in bucket {
+                                if seen.insert(id) {
+                                    out.push(id);
+                                }
+                            }
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Same candidates in the same order as the oracle, over probe budgets
+    /// and table shapes, for corpus points and noisy queries alike.
+    #[test]
+    fn golden_candidates_match_the_oracle() {
+        let ds = dataset();
+        let ids: Vec<u64> = (0..ds.len() as u64).collect();
+        let mut queries = ds.sample_queries(100, 0.05);
+        queries.extend(ds.vectors().iter().step_by(97).cloned());
+        for config in [
+            LshConfig::default(),
+            LshConfig { probes: 1, ..Default::default() },
+            LshConfig { probes: 17, ..Default::default() },
+            LshConfig { probes: 40, ..Default::default() },
+            LshConfig { tables: 3, hashes_per_table: 5, bucket_width: 1.5, probes: 6, seed: 9 },
+        ] {
+            let index = LshIndex::build(ds.dim(), config.clone(), ds.vectors(), &ids);
+            let oracle = oracle::OracleIndex::build(ds.dim(), config.clone(), ds.vectors(), &ids);
+            for q in &queries {
+                assert_eq!(index.candidates(q), oracle.candidates(q), "{config:?}");
+            }
+        }
+    }
+
+    /// Ids given more than once (to several vectors, and one vector twice)
+    /// are reported once, at their first sighting, as the oracle does.
+    #[test]
+    fn golden_candidates_match_the_oracle_with_repeated_ids() {
+        let ds = dataset();
+        let mut vectors = ds.vectors().to_vec();
+        vectors.push(vectors[0].clone());
+        let ids: Vec<u64> =
+            (0..vectors.len() as u64).map(|i| if i == 2_000 { 0 } else { i % 700 * 3 }).collect();
+        let index = LshIndex::build(ds.dim(), LshConfig::default(), &vectors, &ids);
+        let oracle = oracle::OracleIndex::build(ds.dim(), LshConfig::default(), &vectors, &ids);
+        assert_eq!(index.len(), 2_001, "every insertion counts");
+        for q in ds.sample_queries(100, 0.05).iter().chain(&vectors[..50]) {
+            assert_eq!(index.candidates(q), oracle.candidates(q));
+        }
     }
 }

@@ -259,6 +259,12 @@ mod tests {
         let leaf_requests: u64 =
             service.cluster().leaf_servers().iter().map(|leaf| leaf.stats().requests()).sum();
         assert_eq!(leaf_requests, 0, "refused before any leaf is contacted");
+        // Finite but far out: LSH bins saturate and every distance
+        // overflows. Such a query is valid and is answered.
+        for coordinate in [3e38f32, -3e38] {
+            let answer = call(vec![coordinate; query.len()]);
+            assert!(answer.is_ok(), "a huge finite vector must be answered, got {answer:?}");
+        }
         // Both tiers' only workers are still alive.
         let answer = call(query).expect("a valid query right after is answered");
         assert_eq!(answer.value[0].id, 3);

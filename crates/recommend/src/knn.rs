@@ -6,6 +6,10 @@
 //! their NMF factor rows; a leaf's neighbourhood search runs over its
 //! shard of users only, which is exactly how the paper shards V.
 
+use musuite_core::topk::top_k_by;
+use std::cell::RefCell;
+use std::cmp::Ordering;
+
 /// The similarity measures the paper's allknn supports ("cosine, Pearson,
 /// Euclidean, etc.").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,10 +74,22 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Similarity descending, then index ascending: the one order every
+/// Recommend ranking uses. `+0.0` and `-0.0` tie (cosines can be either)
+/// and fall to the index; a NaN ranks after every number, never panics.
+pub fn best_first<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
+    match b.1.partial_cmp(&a.1) {
+        Some(order) => order,
+        None => a.1.is_nan().cmp(&b.1.is_nan()),
+    }
+    .then(a.0.cmp(&b.0))
+}
+
 /// Finds the `k` most cosine-similar users to `query` among `candidates`
 /// (indices into `factors`), excluding an exact self-match by index.
 ///
-/// Returns `(user index, similarity)` pairs, most similar first.
+/// Returns `(user index, similarity)` pairs, most similar first. A batch
+/// of one for [`k_nearest_users_batch`].
 pub fn k_nearest_users(
     factors: &[Vec<f32>],
     query: &[f32],
@@ -81,25 +97,29 @@ pub fn k_nearest_users(
     candidates: &[usize],
     k: usize,
 ) -> Vec<(usize, f32)> {
-    let mut scored: Vec<(usize, f32)> = candidates
-        .iter()
-        .filter(|&&candidate| Some(candidate) != query_index)
-        .map(|&candidate| (candidate, cosine(query, &factors[candidate])))
-        .collect();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).expect("similarities are finite").then(a.0.cmp(&b.0))
-    });
-    scored.truncate(k);
-    scored
+    k_nearest_users_batch(factors, &[(query, query_index)], candidates, k).pop().unwrap_or_default()
+}
+
+/// Working memory of [`k_nearest_users_batch`], one per thread and reused
+/// by every call on it: one region of `candidates.len()` scores per query
+/// (at most 16 B × queries × candidates), and how much of each is filled.
+struct Scratch {
+    scored: Vec<(usize, f32)>,
+    filled: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> =
+        const { RefCell::new(Scratch { scored: Vec::new(), filled: Vec::new() }) };
 }
 
 /// Finds the `k` nearest users for a whole batch of queries in **one
 /// pass over the candidate factor rows**: each candidate's row is
 /// fetched once and its cosine against every query accumulated before
-/// moving on — the batched leaf's matrix–vector sweep. Per query, the
-/// result is bit-identical to [`k_nearest_users`]: the same cosines are
-/// computed in the same per-candidate order, so the similarity-then-
-/// index sort ranks identically.
+/// moving on — the batched leaf's matrix–vector sweep. Scores go to
+/// per-thread scratch and each query keeps its `k` best under
+/// [`best_first`], so the only allocations are the results, `k` entries
+/// each.
 ///
 /// Queries are `(factor row, excluded self index)` pairs as in the
 /// single-query form.
@@ -109,24 +129,33 @@ pub fn k_nearest_users_batch(
     candidates: &[usize],
     k: usize,
 ) -> Vec<Vec<(usize, f32)>> {
-    let mut scored: Vec<Vec<(usize, f32)>> = queries.iter().map(|_| Vec::new()).collect();
-    for &candidate in candidates {
-        let row = &factors[candidate];
-        for (slot, &(query, query_index)) in queries.iter().enumerate() {
-            if Some(candidate) == query_index {
-                continue;
-            }
-            scored[slot].push((candidate, cosine(query, row)));
+    let region = candidates.len();
+    SCRATCH.with_borrow_mut(|Scratch { scored, filled }| {
+        // Every entry read below is written first: grow, never clear.
+        if scored.len() < queries.len() * region {
+            scored.resize(queries.len() * region, (0, 0.0));
         }
-    }
-    for list in &mut scored {
-        list.sort_by(|a, b| {
-            // lint: allow(expect): cosine is clamped to [-1, 1], never NaN
-            b.1.partial_cmp(&a.1).expect("similarities are finite").then(a.0.cmp(&b.0))
-        });
-        list.truncate(k);
-    }
-    scored
+        filled.clear();
+        filled.resize(queries.len(), 0);
+        for &candidate in candidates {
+            let row = &factors[candidate];
+            for (slot, &(query, query_index)) in queries.iter().enumerate() {
+                if Some(candidate) == query_index {
+                    continue;
+                }
+                scored[slot * region + filled[slot]] = (candidate, cosine(query, row));
+                filled[slot] += 1;
+            }
+        }
+        filled
+            .iter()
+            .enumerate()
+            .map(|(slot, &len)| {
+                let start = slot * region;
+                top_k_by(&mut scored[start..start + len], k, best_first).to_vec()
+            })
+            .collect()
+    })
 }
 
 /// Similarity-weighted average of neighbour predictions.
@@ -207,6 +236,109 @@ mod tests {
             assert_eq!(batch, &k_nearest_users(&f, query, query_index, &all, 3));
         }
         assert!(k_nearest_users_batch(&f, &[], &all, 3).is_empty());
+    }
+
+    /// `k_nearest_users` as it was before the bounded selector, kept
+    /// verbatim as the oracle the golden tests compare against.
+    fn oracle_k_nearest_users(
+        factors: &[Vec<f32>],
+        query: &[f32],
+        query_index: Option<usize>,
+        candidates: &[usize],
+        k: usize,
+    ) -> Vec<(usize, f32)> {
+        let mut scored: Vec<(usize, f32)> = candidates
+            .iter()
+            .filter(|&&candidate| Some(candidate) != query_index)
+            .map(|&candidate| (candidate, cosine(query, &factors[candidate])))
+            .collect();
+        scored.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).expect("similarities are finite").then(a.0.cmp(&b.0))
+        });
+        scored.truncate(k);
+        scored
+    }
+
+    fn bits(neighbors: &[(usize, f32)]) -> Vec<(usize, u32)> {
+        neighbors.iter().map(|&(user, similarity)| (user, similarity.to_bits())).collect()
+    }
+
+    /// Rows 0–2: the query row 0 scores `-0.0` against row 1 and `+0.0`
+    /// against row 2, a tie the index breaks.
+    fn signed_zero_rows() -> Vec<Vec<f32>> {
+        vec![vec![1e-20, 1e3, 0.0], vec![-1e-20, 0.0, 1e3], vec![0.0, 0.0, 1e3]]
+    }
+
+    #[test]
+    fn signed_zero_similarities_tie_and_fall_to_the_index() {
+        let f = signed_zero_rows();
+        assert_eq!(cosine(&f[0], &f[1]).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(cosine(&f[0], &f[2]).to_bits(), 0.0f32.to_bits());
+        let nn = k_nearest_users(&f, &f[0], Some(0), &[2, 1], 2);
+        assert_eq!(nn.iter().map(|&(user, _)| user).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(bits(&nn), bits(&oracle_k_nearest_users(&f, &f[0], Some(0), &[2, 1], 2)));
+    }
+
+    /// Seeded factor rows — mixed signs, duplicated rows (distinct users
+    /// tying exactly), signed zeros — against candidate lists with repeats,
+    /// over `k` from 0 past the list length, one query at a time and in
+    /// batches that repeat a user: every result equals the oracle's, bit
+    /// for bit.
+    #[test]
+    fn golden_neighbours_match_the_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut f = signed_zero_rows();
+        f.extend((0..400).map(|_| (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect()));
+        for copy in 0..40 {
+            f.push(f[3 + copy * 5].clone());
+        }
+        let users = f.len();
+        for _ in 0..30 {
+            let len = rng.gen_range(0..users + 40);
+            let candidates: Vec<usize> = (0..len).map(|_| rng.gen_range(0..users)).collect();
+            let query_users: Vec<usize> = (0..4).map(|_| rng.gen_range(0..users)).collect();
+            let mut queries: Vec<(&[f32], Option<usize>)> =
+                query_users.iter().map(|&user| (f[user].as_slice(), Some(user))).collect();
+            queries.push(queries[0]);
+            queries.push((&f[query_users[1]], None));
+            for k in [0, 1, 20, len / 2, len, len + 5, usize::MAX] {
+                let batched = k_nearest_users_batch(&f, &queries, &candidates, k);
+                for (&(query, query_index), batch) in queries.iter().zip(&batched) {
+                    let expected =
+                        bits(&oracle_k_nearest_users(&f, query, query_index, &candidates, k));
+                    assert_eq!(bits(batch), expected);
+                    assert_eq!(
+                        bits(&k_nearest_users(&f, query, query_index, &candidates, k)),
+                        expected
+                    );
+                }
+            }
+        }
+    }
+
+    /// A NaN factor row scores NaN against everyone: it ranks after every
+    /// number, two NaNs tie and fall to the index, and nothing panics.
+    #[test]
+    fn nan_factor_row_ranks_last_and_never_panics() {
+        let mut f = factors();
+        f.push(vec![f32::NAN, 0.5]);
+        f.push(vec![f32::NAN, f32::NAN]);
+        let all: Vec<usize> = (0..f.len()).collect();
+        let nn = k_nearest_users(&f, &f[0], Some(0), &all, 10);
+        let order: Vec<usize> = nn.iter().map(|&(user, _)| user).collect();
+        assert_eq!(order, vec![1, 4, 3, 2, 5, 6]);
+        assert!(nn[4].1.is_nan() && nn[5].1.is_nan());
+        assert_eq!(k_nearest_users(&f, &f[0], Some(0), &all, 1)[0].0, 1);
+        // The NaN row as the query: every similarity NaN, index order.
+        let nn = k_nearest_users(&f, &f[5], Some(5), &all, 3);
+        assert_eq!(nn.iter().map(|&(user, _)| user).collect::<Vec<_>>(), vec![0, 1, 2]);
+        let batched = k_nearest_users_batch(&f, &[(&f[5], Some(5)), (&f[0], None)], &all, 10);
+        assert_eq!(batched[0].len(), 6);
+        assert_eq!(batched[1][0].0, 0, "self-similarity 1 ranks first");
+        assert_eq!(best_first(&(0, f32::NAN), &(1, -1.0)), Ordering::Greater);
+        assert_eq!(best_first(&(1, 0.0), &(0, -0.0)), Ordering::Greater);
     }
 
     #[test]

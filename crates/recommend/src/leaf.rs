@@ -8,11 +8,12 @@
 //! time the leaf finds the query user's nearest neighbours *within its
 //! user shard* and returns their similarity-weighted rating for the item.
 
-use crate::knn::{k_nearest_users, k_nearest_users_batch, weighted_rating};
+use crate::knn::{best_first, k_nearest_users, k_nearest_users_batch, weighted_rating};
 use crate::nmf::Nmf;
 use crate::protocol::{LeafRating, RatingQuery};
 use musuite_core::error::ServiceError;
 use musuite_core::leaf::LeafHandler;
+use musuite_core::topk::top_k_by;
 
 /// A leaf predicting ratings from its shard's user neighbourhood.
 #[derive(Debug)]
@@ -68,8 +69,8 @@ impl RecommendLeaf {
                 (item as u32, rating)
             })
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite ratings").then(a.0.cmp(&b.0)));
-        scored.truncate(n);
+        let kept = top_k_by(&mut scored, n, best_first).len();
+        scored.truncate(kept);
         scored
     }
 
