@@ -7,6 +7,7 @@
 
 use crate::error::ServiceError;
 use musuite_codec::{Decode, Encode};
+use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{RequestContext, Service};
 
 /// Typed request→response computation hosted at a leaf microserver.
@@ -23,6 +24,20 @@ pub trait LeafHandler: Send + Sync + 'static {
     /// Returns [`ServiceError`] for malformed or unprocessable requests;
     /// the error's status and message travel back to the mid-tier.
     fn handle(&self, request: Self::Request) -> Result<Self::Response, ServiceError>;
+
+    /// Returns `true` if handling `request` costs more than a socket write
+    /// (some 20 µs with the peer's wake-up): the serving thread then writes
+    /// the responses it holds back for ready work before the handler
+    /// starts, instead of making them wait it out. A batch does so if any
+    /// of its members runs long.
+    ///
+    /// The default, `false`, suits handlers cheaper than a write, whose
+    /// responses leave together when the thread runs out of ready work.
+    /// Declare from a cost measured once per handler, not per call: the
+    /// answer must be cheap, and a function of the request alone.
+    fn runs_long(&self, _request: &Self::Request) -> bool {
+        false
+    }
 
     /// Computes responses for a whole batch of requests drained in one
     /// worker wakeup, returning one result per request, *in order*.
@@ -70,6 +85,9 @@ impl<H: LeafHandler> Service for LeafService<H> {
                 return;
             }
         };
+        if self.handler.runs_long(&request) {
+            flush_outbox();
+        }
         match self.handler.handle(request) {
             Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
             Err(e) => ctx.respond_err(e.status(), e.message()),
@@ -95,6 +113,9 @@ impl<H: LeafHandler> Service for LeafService<H> {
         if live.is_empty() {
             return;
         }
+        if requests.iter().any(|request| self.handler.runs_long(request)) {
+            flush_outbox();
+        }
         let results = self.handler.handle_batch(requests);
         debug_assert_eq!(
             results.len(),
@@ -113,10 +134,121 @@ impl<H: LeafHandler> Service for LeafService<H> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use musuite_rpc::{RpcClient, RpcError, Server, ServerConfig, Status};
-    use std::sync::Arc;
+    use musuite_rpc::{
+        BatchPolicy, ExecutionModel, Frame, RecvBuf, RpcClient, RpcError, Server, ServerConfig,
+        ServerStats, Status,
+    };
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::sync::{mpsc, Arc, Mutex, OnceLock};
+    use std::time::{Duration, Instant};
+
+    /// How long a test waits for a reply, or a handler for a word from it.
+    pub(crate) const PATIENCE: Duration = Duration::from_secs(5);
+
+    /// Sends `requests` to `server` in one write; returns the connection.
+    pub(crate) fn send_together<T: musuite_codec::Encode>(
+        server: &Server,
+        requests: &[T],
+    ) -> TcpStream {
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        let wire: Vec<u8> = requests
+            .iter()
+            .enumerate()
+            .flat_map(|(id, request)| {
+                Frame::request(id as u64, 1, musuite_codec::to_bytes(request)).to_bytes()
+            })
+            .collect();
+        conn.write_all(&wire).unwrap();
+        conn.set_read_timeout(Some(PATIENCE)).unwrap();
+        conn
+    }
+
+    /// The request id of the next reply on `conn`; panics after `PATIENCE`.
+    pub(crate) fn next_reply(conn: &TcpStream, buf: &mut RecvBuf) -> u64 {
+        buf.poll_frame(&mut &*conn).unwrap().expect("a reply in time").0.header.request_id
+    }
+
+    /// Waits until `stats` has admitted `count` requests.
+    pub(crate) fn wait_admitted(stats: &ServerStats, count: u64) {
+        let deadline = Instant::now() + PATIENCE;
+        while stats.requests() < count {
+            assert!(Instant::now() < deadline, "the other requests never arrived");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Doubles; an odd request runs long and says so, and waits for a word
+    /// from the test before it answers.
+    struct OddRunsLong {
+        go: Mutex<mpsc::Receiver<()>>,
+        /// Set: every request first waits until the server has admitted
+        /// this many, so the worker does not run dry in between.
+        queued: OnceLock<(ServerStats, u64)>,
+    }
+
+    impl LeafHandler for OddRunsLong {
+        type Request = u64;
+        type Response = u64;
+        fn handle(&self, request: u64) -> Result<u64, ServiceError> {
+            if let Some((stats, count)) = self.queued.get() {
+                wait_admitted(stats, *count);
+            }
+            if request % 2 == 1 {
+                let _ = self.go.lock().unwrap().recv_timeout(2 * PATIENCE);
+            }
+            Ok(request * 2)
+        }
+        fn runs_long(&self, request: &u64) -> bool {
+            request % 2 == 1
+        }
+    }
+
+    /// Serves `requests` in one write with an [`OddRunsLong`] under `config`:
+    /// the first reply leaves before the long handler starts, or the
+    /// handler waits for the test and the test for the reply until both
+    /// give up.
+    fn assert_first_reply_precedes_long_handler(
+        config: &ServerConfig,
+        requests: &[u64],
+        queued: bool,
+    ) {
+        let (go, wait) = mpsc::channel();
+        let handler = OddRunsLong { go: Mutex::new(wait), queued: OnceLock::new() };
+        let service = Arc::new(LeafService::new(handler));
+        let server = Server::spawn(config.clone(), service.clone()).unwrap();
+        if queued {
+            let _ = service.handler().queued.set((server.stats().clone(), requests.len() as u64));
+        }
+        let conn = send_together(&server, requests);
+        let mut buf = RecvBuf::default();
+        assert_eq!(next_reply(&conn, &mut buf), 0);
+        go.send(()).unwrap();
+        let rest: Vec<u64> = (1..requests.len()).map(|_| next_reply(&conn, &mut buf)).collect();
+        assert_eq!(rest, (1..requests.len() as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_request_that_runs_long_sends_the_reply_held_before_it() {
+        for execution in [ExecutionModel::Inline, ExecutionModel::Dispatch] {
+            let mut config = ServerConfig::default();
+            config.workers(1).execution_model(execution);
+            // Inline, the connection's thread reads both and runs both.
+            let queued = execution == ExecutionModel::Dispatch;
+            assert_first_reply_precedes_long_handler(&config, &[0, 1], queued);
+        }
+    }
+
+    #[test]
+    fn a_batch_with_a_member_that_runs_long_sends_the_replies_held_before_it() {
+        let mut config = ServerConfig::default();
+        config.workers(1).batch_policy(BatchPolicy::new(2, Duration::ZERO));
+        // Batches [0, 2] then [1], or [0] then [2, 1]: either way the one
+        // that runs long comes after a reply is held.
+        assert_first_reply_precedes_long_handler(&config, &[0, 2, 1], true);
+    }
 
     struct Doubler;
     impl LeafHandler for Doubler {

@@ -21,6 +21,7 @@
 use crate::error::ServiceError;
 use bytes::Bytes;
 use musuite_codec::{Decode, Encode};
+use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
     CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, ResilientConfig, ResilientFanout,
     RpcError, Service,
@@ -121,6 +122,15 @@ pub trait MidTierHandler: Send + Sync + 'static {
         leaves: usize,
     ) -> Plan<Self::SharedRequest, Self::LeafRequest>;
 
+    /// Returns `true` if planning and issuing `request` costs more than a
+    /// socket write (some 20 µs with the peer's wake-up): the serving
+    /// thread then writes the frames it holds back for ready work before
+    /// [`plan`](MidTierHandler::plan) starts. The default is `false`; see
+    /// [`LeafHandler::runs_long`](crate::leaf::LeafHandler::runs_long).
+    fn runs_long(&self, _request: &Self::Request) -> bool {
+        false
+    }
+
     /// Merges leaf replies into the final response. Individual leaves may
     /// have failed; handlers decide whether partial results are acceptable.
     ///
@@ -201,6 +211,9 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
                 return;
             }
         };
+        if self.handler.runs_long(&request) {
+            flush_outbox();
+        }
         let fanout_start = self.clock.now_ns();
         let plan = self.handler.plan(&request, self.fanout.len());
         // Shared request state is serialized exactly once; each leaf
@@ -455,6 +468,65 @@ mod tests {
         let total: f32 = musuite_codec::from_bytes(&reply).unwrap();
         // Scales 1+2+3+4 = 10 leaves-weightings of the shared vector sum.
         assert_eq!(total, 6.0 * 10.0);
+    }
+
+    /// Squares through the leaves; an odd query's plan runs long and says
+    /// so, and waits for a word from the test before it plans.
+    struct OddPlansLong {
+        go: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        queued: std::sync::OnceLock<musuite_rpc::ServerStats>,
+    }
+
+    impl MidTierHandler for OddPlansLong {
+        type Request = u64;
+        type Response = u64;
+        type SharedRequest = ();
+        type LeafRequest = u64;
+        type LeafResponse = u64;
+        fn runs_long(&self, request: &u64) -> bool {
+            request % 2 == 1
+        }
+        fn plan(&self, request: &u64, leaves: usize) -> Plan<(), u64> {
+            if let Some(stats) = self.queued.get() {
+                crate::leaf::tests::wait_admitted(stats, 2);
+            }
+            if request % 2 == 1 {
+                let patience = 2 * crate::leaf::tests::PATIENCE;
+                let _ = self.go.lock().unwrap().recv_timeout(patience);
+            }
+            Plan::broadcast((), *request, leaves)
+        }
+        fn merge(
+            &self,
+            request: u64,
+            replies: Vec<Result<u64, RpcError>>,
+        ) -> Result<u64, ServiceError> {
+            SumSquares.merge(request, replies)
+        }
+    }
+
+    /// What a mid-tier worker holds before a plan is the leaf calls of the
+    /// query before it: they go out before a plan that runs long, or that
+    /// query's reply, which the long plan waits for, never comes.
+    #[test]
+    fn a_plan_that_runs_long_sends_the_leaf_calls_held_before_it() {
+        use crate::leaf::tests::{next_reply, send_together};
+        let leaf =
+            Server::spawn(ServerConfig::default(), Arc::new(LeafService::new(SquareLeaf))).unwrap();
+        let group = FanoutGroup::connect(&[leaf.local_addr()]).unwrap();
+        let (go, wait) = std::sync::mpsc::channel();
+        let handler =
+            OddPlansLong { go: std::sync::Mutex::new(wait), queued: std::sync::OnceLock::new() };
+        let service = Arc::new(MidTierService::new(handler, group, 1));
+        let mut config = ServerConfig::default();
+        config.workers(1);
+        let midtier = Server::spawn(config, service.clone()).unwrap();
+        let _ = service.handler().queued.set(midtier.stats().clone());
+        let conn = send_together(&midtier, &[2u64, 3]);
+        let mut buf = musuite_rpc::RecvBuf::default();
+        assert_eq!(next_reply(&conn, &mut buf), 0);
+        go.send(()).unwrap();
+        assert_eq!(next_reply(&conn, &mut buf), 1);
     }
 
     #[test]

@@ -138,6 +138,16 @@ impl LeafHandler for HdSearchLeaf {
         })
     }
 
+    /// A search costs about 1.2 µs plus 0.13–0.14 µs per candidate, request
+    /// decode and response encode included, so it crosses a write's 20 µs
+    /// at 130–145 candidates. The `hdsearch_knn` stream splits well either
+    /// side: about a third of its leaf requests carry under 64 candidates,
+    /// more than half 256 or more (EXPERIMENTS.md, "Which handlers run
+    /// long").
+    fn runs_long(&self, request: &LeafSearchRequest) -> bool {
+        request.candidates.len() >= 128
+    }
+
     fn handle_batch(
         &self,
         requests: Vec<LeafSearchRequest>,

@@ -166,6 +166,13 @@ impl LeafHandler for RecommendLeaf {
         Ok(self.predict(request.user as usize, request.item as usize))
     }
 
+    /// One neighbourhood search over the shard takes 22–46 µs, more than a
+    /// write's 20 µs for every request (EXPERIMENTS.md, "Which handlers run
+    /// long").
+    fn runs_long(&self, _request: &RatingQuery) -> bool {
+        true
+    }
+
     fn handle_batch(
         &self,
         requests: Vec<RatingQuery>,

@@ -30,7 +30,6 @@ use std::cell::RefCell;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// An outgoing message body: a shared head plus a per-request tail.
 ///
@@ -123,13 +122,11 @@ const MAX_CHUNK: usize = 64 << 10;
 /// Chunks with live payload slices a connection keeps a handle on, to take
 /// back later. One frozen while this many are out is freed with its slices.
 const MAX_LENT_CHUNKS: usize = 16;
-/// A work item that took this long — about what a write costs, the peer's
-/// wake-up included — saves nothing by holding its frames back: the loop
-/// thread flushes before the next item. Shorter ones (a Router lookup, a
-/// completion callback) batch as deep as the ready work goes. The clock is
-/// read between items only, so a frame waits out the short items after it
-/// and one of any length; see [`flush_outbox`].
-pub const MAX_DEFER: Duration = Duration::from_micros(20);
+/// Frames a loop thread holds before it writes them whatever work is
+/// ready: without it a thread that never runs dry — a saturated handler
+/// that does not declare itself long — would never write. A count, so it
+/// is the same on any host; see [`flush_outbox`].
+pub const MAX_HELD_FRAMES: usize = 64;
 
 fn invalid_data(e: DecodeError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
@@ -388,12 +385,13 @@ struct WriteState {
 /// pending buffer under a short lock. A **loop thread** (inside a
 /// `DeferScope`: a connection's runner, a sweeper, a dispatch worker)
 /// only notes the writer in its outbox and flushes it once when it runs
-/// out of ready work, or after an item that took [`MAX_DEFER`]: one
-/// `write` for all a burst produced on the connection. Any other thread
-/// flushes at once, as the *flusher*: it repeatedly takes the whole
-/// pending batch and writes it outside the lock, so frames queued
-/// meanwhile — deferred ones too — leave with it. [`CoalesceStats`] counts
-/// frames vs. actual writes; the difference is syscalls saved.
+/// out of ready work, before a handler that runs long, or once it holds
+/// [`MAX_HELD_FRAMES`]: one `write` for all a burst produced on the
+/// connection. Any other thread flushes at once, as the *flusher*: it
+/// repeatedly takes the whole pending batch and writes it outside the
+/// lock, so frames queued meanwhile — deferred ones too — leave with it.
+/// [`CoalesceStats`] counts frames vs. actual writes; the difference is
+/// syscalls saved.
 ///
 /// Works on both blocking sockets (per-connection mode) and non-blocking
 /// reactor-owned sockets: `WouldBlock` during a flush is retried with a
@@ -478,10 +476,7 @@ impl ConnWriter {
             musuite_telemetry::sync::record_contention_event();
             return Ok(());
         }
-        if Outbox::defer(self) {
-            return Ok(());
-        }
-        self.flush(st)
+        Outbox::defer(self, st)
     }
 
     /// Writes out whatever is pending, unless another thread is doing so.
@@ -544,28 +539,41 @@ struct Outbox {
     /// Inside a [`DeferScope`].
     deferring: bool,
     dirty: Vec<SharedWriter>,
-    /// When the work item in progress began.
-    item_start_ns: u64,
+    /// Frames noted since the last flush.
+    held: usize,
 }
 
 thread_local! {
     static OUTBOX: RefCell<Outbox> =
-        const { RefCell::new(Outbox { deferring: false, dirty: Vec::new(), item_start_ns: 0 }) };
+        const { RefCell::new(Outbox { deferring: false, dirty: Vec::new(), held: 0 }) };
 }
 
 impl Outbox {
-    /// Notes `writer` for the next flush; `false` (not a loop thread)
-    /// tells the caller to flush now.
-    fn defer(writer: &SharedWriter) -> bool {
-        OUTBOX.with_borrow_mut(|outbox| {
-            if outbox.deferring && !outbox.dirty.iter().any(|noted| Arc::ptr_eq(noted, writer)) {
+    /// Notes `writer`, whose frame `st` has just taken, for the next flush,
+    /// and flushes once that makes [`MAX_HELD_FRAMES`]. A thread that is
+    /// not a loop writes the frame at once.
+    fn defer<'a>(writer: &'a SharedWriter, st: MutexGuard<'a, WriteState>) -> io::Result<()> {
+        let full = OUTBOX.with_borrow_mut(|outbox| {
+            if !outbox.deferring {
+                return None;
+            }
+            if !outbox.dirty.iter().any(|noted| Arc::ptr_eq(noted, writer)) {
                 outbox.dirty.push(writer.clone());
             }
-            outbox.deferring
-        })
+            outbox.held += 1;
+            Some(outbox.held >= MAX_HELD_FRAMES)
+        });
+        let Some(full) = full else { return writer.flush(st) };
+        // Unlocked first: the flush locks every writer noted.
+        drop(st);
+        if full {
+            flush_outbox();
+        }
+        Ok(())
     }
 
     fn flush(&mut self) {
+        self.held = 0;
         for writer in self.dirty.drain(..) {
             // A failed flush has shut the socket down: its runner reports it.
             let _ = writer.flush(writer.state.lock());
@@ -573,11 +581,13 @@ impl Outbox {
     }
 }
 
-/// Writes out every frame the calling thread has deferred. Whatever in
-/// this crate blocks a thread — a queue about to park its consumer, a
-/// synchronous call or gather about to wait — calls this first; so does a
+/// Writes out every frame the calling thread has deferred. A loop thread
+/// does when it runs out of ready work, once it holds [`MAX_HELD_FRAMES`],
+/// and before a typed handler that declares it runs long; whatever in this
+/// crate blocks a thread (a queue about to park, a synchronous call or
+/// gather about to wait) calls this first. So does a raw
 /// [`Service`](crate::Service) handler before it waits on anything of its
-/// own, or runs long with frames queued.
+/// own, keeps working after it has responded, or runs longer than a write.
 pub fn flush_outbox() {
     OUTBOX.with_borrow_mut(Outbox::flush);
 }
@@ -591,21 +601,6 @@ impl DeferScope {
     pub(crate) fn enter() -> DeferScope {
         OUTBOX.with_borrow_mut(|outbox| outbox.deferring = true);
         DeferScope(())
-    }
-
-    /// Call before each work item: flushes if the item before it took
-    /// [`MAX_DEFER`] or more.
-    pub(crate) fn checkpoint(&self) {
-        OUTBOX.with_borrow_mut(|outbox| {
-            let mut now = Clock.now_ns();
-            let short = now.saturating_sub(outbox.item_start_ns) < MAX_DEFER.as_nanos() as u64;
-            if !short && !outbox.dirty.is_empty() {
-                outbox.flush();
-                // The write is not the next item's time.
-                now = Clock.now_ns();
-            }
-            outbox.item_start_ns = now;
-        });
     }
 }
 
@@ -964,6 +959,30 @@ mod conn_writer_tests {
         assert_eq!(stats.saved(), stats.frames() - stats.flushes());
     }
 
+    /// A loop thread that never runs dry still writes once per
+    /// [`MAX_HELD_FRAMES`]: 200 frames on one writer leave in four writes,
+    /// at 64, 128 and 192 and when the thread leaves its loop.
+    #[test]
+    fn a_loop_thread_that_never_runs_dry_writes_once_per_max_held_frames() {
+        const FRAMES: u64 = 200;
+        let (tx_side, rx_side) = loopback_pair();
+        let stats = CoalesceStats::new();
+        let writer = Arc::new(ConnWriter::with_stats(tx_side, stats.clone()));
+        {
+            let _scope = DeferScope::enter();
+            for id in 1..=FRAMES {
+                writer.write_parts(&Frame::request(id, 1, Vec::new()).header, &[]).unwrap();
+                assert_eq!(stats.flushes(), id / MAX_HELD_FRAMES as u64, "after frame {id}");
+            }
+        }
+        assert_eq!((stats.frames(), stats.flushes()), (FRAMES, 4));
+        let mut reader = RecvBuf::default();
+        for id in 1..=FRAMES {
+            let (frame, _) = reader.poll_frame(&mut &rx_side).unwrap().unwrap();
+            assert_eq!(frame.header.request_id, id);
+        }
+    }
+
     #[test]
     fn corrupted_variant_is_rejected_downstream() {
         let (tx_side, rx_side) = loopback_pair();
@@ -1093,5 +1112,59 @@ mod model_tests {
             .expect("no schedule may lose, duplicate, reorder or strand a frame");
         let reached = |n: &AtomicUsize| n.load(std::sync::atomic::Ordering::Relaxed) > 0;
         assert!(outcomes.iter().all(reached), "every number of writes must be reached");
+    }
+
+    /// A loop thread reaching [`MAX_HELD_FRAMES`] writes its outbox from
+    /// inside `write_parts`, while another thread writes a frame of its own
+    /// at once: the flusher election between them decides who writes the
+    /// held frames, and either way each frame is written exactly once and
+    /// none is left pending. The backstop must be seen both to write them
+    /// itself and to leave them to the other thread's flush in progress.
+    #[test]
+    fn a_backstop_flush_racing_another_flusher_writes_every_frame_once() {
+        fn send(writer: &SharedWriter, id: u64) {
+            writer.write_parts(&Frame::request(id, 1, Vec::new()).header, &[]).unwrap();
+        }
+        // Schedules where the backstop [wrote the held frames, found another
+        // thread still writing, never fired].
+        let outcomes = Arc::new([const { AtomicUsize::new(0) }; 3]);
+        let tally = outcomes.clone();
+        Checker::new()
+            .check(move || {
+                let (tx_side, rx_side) = loopback_pair();
+                let writer = Arc::new(ConnWriter::new(tx_side));
+                let immediate = thread::spawn({
+                    let writer = writer.clone();
+                    move || send(&writer, 3)
+                });
+                let outcome = {
+                    let _scope = DeferScope::enter();
+                    // As if it had held frames on other connections.
+                    OUTBOX.with_borrow_mut(|outbox| outbox.held = MAX_HELD_FRAMES - 2);
+                    send(&writer, 1);
+                    send(&writer, 2);
+                    if OUTBOX.with_borrow(|outbox| outbox.held) > 0 {
+                        // A frame rode the other thread's flush unheld: no
+                        // backstop.
+                        2
+                    } else {
+                        let st = writer.state.lock();
+                        usize::from(st.flushing || !st.pending.is_empty())
+                    }
+                };
+                immediate.join().unwrap();
+                assert!(writer.state.lock().pending.is_empty(), "a frame was stranded");
+                rx_side.set_nonblocking(true).unwrap();
+                let mut reader = RecvBuf::default();
+                let ids: Vec<u64> =
+                    std::iter::from_fn(|| reader.poll_frame(&mut &rx_side).unwrap())
+                        .map(|(frame, _)| frame.header.request_id)
+                        .collect();
+                assert!(matches!(ids[..], [1, 2, 3] | [1, 3, 2] | [3, 1, 2]), "{ids:?}");
+                tally[outcome].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            })
+            .expect("no schedule may lose, duplicate, reorder or strand a frame");
+        let reached = |n: &AtomicUsize| n.load(std::sync::atomic::Ordering::Relaxed) > 0;
+        assert!(outcomes[..2].iter().all(reached), "both orders must be reached");
     }
 }

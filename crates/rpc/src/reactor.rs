@@ -132,18 +132,15 @@ pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
         .spawn(move || {
             let mut buf = RecvBuf::default();
             // Dropped after `on_close`: what that queued is written too.
-            let outbox = DeferScope::enter();
+            let _outbox = DeferScope::enter();
             let reason = loop {
                 if !buf.has_frame() {
                     flush_outbox();
                     counters.incr(OsOp::EpollPwait);
                 }
-                let verdict = buf.poll_frame(&mut &stream).map(|got| {
-                    got.map(|(frame, rx_start_ns)| {
-                        outbox.checkpoint();
-                        driver.on_frame(frame, rx_start_ns)
-                    })
-                });
+                let verdict = buf
+                    .poll_frame(&mut &stream)
+                    .map(|got| got.map(|(frame, rx_start_ns)| driver.on_frame(frame, rx_start_ns)));
                 match verdict {
                     _ if stop.load(Ordering::Acquire) => break CloseReason::Shutdown,
                     Ok(Some(Drive::Continue)) => {}
@@ -463,7 +460,7 @@ fn run_sweeper(params: SweepParams) {
     let SweepParams { ledger, stats, live, wait_mode, sweep_budget, idle_timeout } = params;
     let mut conns: Vec<Conn> = Vec::new();
     let mut idle_streak: u32 = 0;
-    let outbox = DeferScope::enter();
+    let _outbox = DeferScope::enter();
     loop {
         for reg in ledger.drain() {
             stats.record_registered();
@@ -495,7 +492,6 @@ fn run_sweeper(params: SweepParams) {
                 match conn.buf.poll_frame(&mut conn.stream) {
                     Ok(Some((frame, rx_start_ns))) => {
                         frames_this_conn += 1;
-                        outbox.checkpoint();
                         match conn.driver.on_frame(frame, rx_start_ns) {
                             Drive::Continue => {}
                             Drive::Close => {

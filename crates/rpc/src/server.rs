@@ -167,7 +167,7 @@ impl Server {
                             let Pipeline { queue, service, stats, .. } = &*pipeline;
                             // Writes wait until the queue runs dry: `pop`
                             // flushes before it parks.
-                            let outbox = DeferScope::enter();
+                            let _outbox = DeferScope::enter();
                             if batch.is_on() {
                                 // Batched unit of work: one park/unpark per
                                 // drained batch. Expired members are dropped
@@ -177,7 +177,6 @@ impl Server {
                                 while let Some((members, reason)) =
                                     queue.pop_batch(batch.max_size(), batch.max_delay())
                                 {
-                                    outbox.checkpoint();
                                     stats.batching().record_batch(members.len(), reason);
                                     let live: Vec<RequestContext> = members
                                         .into_iter()
@@ -189,7 +188,6 @@ impl Server {
                                 }
                             } else {
                                 while let Some(ctx) = queue.pop() {
-                                    outbox.checkpoint();
                                     if let Some(ctx) = pipeline.screen_dequeued(ctx) {
                                         service.call(ctx);
                                     }
@@ -243,7 +241,12 @@ impl Server {
                             driver,
                             shutdown.clone(),
                         );
-                        table.lock().push(LiveConn { stream: conn_handle, poller });
+                        let mut live = table.lock();
+                        if shutdown.load(Ordering::Acquire) {
+                            // Registered after `shutdown` swept the table.
+                            let _ = conn_handle.shutdown(Shutdown::Both);
+                        }
+                        live.push(LiveConn { stream: conn_handle, poller });
                     }
                 })
                 .expect("spawn accept thread") // lint: allow(expect): server is inert without acceptor

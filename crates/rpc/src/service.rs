@@ -30,10 +30,14 @@ use std::time::{Duration, Instant};
 /// responds with [`Status::AppError`] so clients never hang).
 ///
 /// Those threads write what they queue (responses, `call_async` requests)
-/// when they run out of ready work, and what blocks in this crate (`call`,
-/// `scatter_wait`) writes it first. A handler that waits on something of its
-/// own for a call it issued, keeps working after it responded, or is about
-/// to run long calls [`flush_outbox`](crate::buf::flush_outbox) before.
+/// when they run out of ready work or hold
+/// [`MAX_HELD_FRAMES`](crate::buf::MAX_HELD_FRAMES), and what blocks in this
+/// crate (`call`, `scatter_wait`) writes it first; no clock cuts a burst
+/// short. A handler that waits on something of its own for a call it
+/// issued, keeps working after it responded, or is about to run longer than
+/// a write (some 20 µs) calls [`flush_outbox`](crate::buf::flush_outbox)
+/// before, or the frames queued ahead of it wait it out. The typed handlers
+/// of `musuite-core` declare the last case with `runs_long` instead.
 pub trait Service: Send + Sync + 'static {
     /// Handles one request.
     fn call(&self, ctx: RequestContext);

@@ -4,12 +4,13 @@
 //!
 //! A loop thread — a connection's runner, a reactor sweeper, a dispatch
 //! worker — writes what a burst produced once, when it runs out of ready
-//! work. Interference from the host only ever splits a burst (a handler
-//! preempted for `MAX_DEFER` counts as a long one), so a budget is asserted
-//! on the best of a few rounds.
+//! work, or earlier before a handler that says it runs long. No clock
+//! decides where a burst ends, but the host can still split one (a runner
+//! whose peer's bytes arrive in two reads), so a budget is asserted on the
+//! best of a few rounds.
 
 use bytes::Bytes;
-use musuite_rpc::buf::{flush_outbox, MAX_DEFER};
+use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
     CallOptions, ExecutionModel, FanoutGroup, Frame, NetworkModel, RecvBuf, RequestContext,
     RpcClient, Server, ServerConfig, ServerStats, Service, Status,
@@ -28,11 +29,9 @@ fn turn() -> std::sync::MutexGuard<'static, ()> {
 }
 
 const BURST: u64 = 16;
-/// Writes a burst may cost. An unoptimized handler is not far from
-/// `MAX_DEFER` once the host is busy with the rest of `cargo test`, and an
-/// item that long ends its burst, so there only some coalescing is
-/// asserted; CI runs this binary in release for the budget proper.
-const BUDGET: u64 = if cfg!(debug_assertions) { BURST / 2 } else { 2 };
+/// Writes a burst may cost: one, two if its bytes arrived in two reads.
+/// The same in a debug build: how long a handler takes no longer matters.
+const BUDGET: u64 = 2;
 const ROUNDS: usize = 5;
 const PATIENCE: Duration = Duration::from_secs(5);
 
@@ -54,32 +53,34 @@ fn settled(count: impl Fn() -> u64, want: u64) -> u64 {
 #[derive(Default)]
 struct Echo {
     delay: Option<Duration>,
-    /// Odd request ids only are delayed, and flush before they are.
-    odd_flushes_first: bool,
+    /// Set: odd request ids run long instead, and say so — they flush, then
+    /// wait for a word on this channel before they answer.
+    odd_wait_for: Option<Mutex<mpsc::Receiver<()>>>,
     /// Set: a handler first waits until the server has admitted the whole
-    /// burst of [`BURST`] its request id belongs to. That is what one CPU
+    /// burst (of the size given) its request id belongs to. That is what one CPU
     /// does by itself — the network thread runs until it blocks — and it
     /// makes a worker's ready work the same on any number of cores, where
     /// a worker as fast as its poller would otherwise run dry in between.
-    whole_burst: OnceLock<ServerStats>,
+    whole_burst: OnceLock<(ServerStats, u64)>,
 }
 
 impl Service for Echo {
     fn call(&self, ctx: RequestContext) {
-        if let Some(delay) = self.delay {
-            if !self.odd_flushes_first {
-                std::thread::sleep(delay);
-            } else if ctx.request_id() % 2 == 1 {
-                flush_outbox();
-                std::thread::sleep(delay);
-            }
-        }
-        if let Some(stats) = self.whole_burst.get() {
+        if let Some((stats, burst)) = self.whole_burst.get() {
             let deadline = Instant::now() + PATIENCE;
-            while stats.requests() < (ctx.request_id() / BURST + 1) * BURST {
+            while stats.requests() < (ctx.request_id() / burst + 1) * burst {
                 assert!(Instant::now() < deadline, "the rest of the burst never arrived");
                 std::thread::yield_now();
             }
+        }
+        if let Some(delay) = self.delay {
+            std::thread::sleep(delay);
+        }
+        if let Some(go) = self.odd_wait_for.as_ref().filter(|_| ctx.request_id() % 2 == 1) {
+            flush_outbox();
+            let go = go.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            // Timing out answers anyway: the test has failed by then.
+            let _ = go.recv_timeout(2 * PATIENCE);
         }
         let bytes = ctx.payload().clone();
         ctx.respond_ok(bytes);
@@ -120,7 +121,7 @@ fn assert_burst_is_answered_in_two_flushes(network: NetworkModel, execution: Exe
     let server = spawn_echo(network, execution, echo.clone());
     if execution == ExecutionModel::Dispatch {
         // Inline, the network thread is the handler's: nothing to wait for.
-        let _ = echo.whole_burst.set(server.stats().clone());
+        let _ = echo.whole_burst.set((server.stats().clone(), BURST));
     }
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.set_nodelay(true).expect("nodelay");
@@ -285,71 +286,89 @@ fn a_handler_that_blocks_on_its_own_calls_is_not_stranded() {
     }
 }
 
-/// (e) A response is held back for ready work only as long as the writes
-/// saved are worth: behind a handler that takes ten times `MAX_DEFER`, the
-/// response before it leaves first, in a write of its own.
+/// (e) A handler that runs long and says so — a raw `Service` by calling
+/// `flush_outbox`, a typed one by its `runs_long` — sends the reply held
+/// in front of it before it starts. The long handler waits for the test to
+/// have read that reply: were the reply still held, neither would move,
+/// and the read would give up after `PATIENCE`. Whichever thread runs the
+/// handlers.
 #[test]
-fn a_slow_handler_does_not_sit_on_the_response_before_it() {
+fn the_reply_ahead_of_a_declared_long_handler_leaves_before_it_starts() {
     let _turn = turn();
-    let mut config = ServerConfig::default();
-    config.workers(1);
-    let slow = Echo { delay: Some(10 * MAX_DEFER), ..Echo::default() };
-    let server = Server::spawn(config, Arc::new(slow)).expect("spawn slow server");
-    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
-    let coalesce = server.stats().coalesce().clone();
-    // Both are queued long before the first is handled.
-    raw.write_all(&requests(0, 2)).expect("send both");
-    let replies = read_frames(&mut RecvBuf::default(), &raw, 2);
-    assert_eq!(replies.len(), 2);
-    let flushes = settled(|| coalesce.flushes(), 2);
-    assert_eq!((coalesce.frames(), flushes), (2, 2), "each response in its own write");
-}
-
-/// (e, fast then slow) `MAX_DEFER` is looked at between items, and an item
-/// that has only begun looks fast: the thread cannot tell that the response
-/// of a fast handler is about to wait out a slow one. A handler that knows
-/// it will run long says so, and the response before it leaves at once,
-/// whichever thread runs the handlers.
-#[test]
-fn a_handler_about_to_run_long_flushes_the_response_before_it() {
-    let _turn = turn();
-    const LONG: Duration = Duration::from_millis(400);
     for execution in [ExecutionModel::Inline, ExecutionModel::Dispatch] {
-        let echo = Echo { delay: Some(LONG), odd_flushes_first: true, ..Echo::default() };
-        let server = spawn_echo(NetworkModel::BlockingPerConn, execution, Arc::new(echo));
+        let (go, wait) = mpsc::channel();
+        let echo = Arc::new(Echo { odd_wait_for: Some(Mutex::new(wait)), ..Echo::default() });
+        let server = spawn_echo(NetworkModel::BlockingPerConn, execution, echo.clone());
+        if execution == ExecutionModel::Dispatch {
+            // Both are queued before the first is handled: the worker does
+            // not run dry between them.
+            let _ = echo.whole_burst.set((server.stats().clone(), 2));
+        }
         let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
         let mut buf = RecvBuf::default();
-        let sent = Instant::now();
         raw.write_all(&requests(0, 2)).expect("send both");
-        assert_eq!(read_frames(&mut buf, &raw, 1)[0].header.request_id, 0);
-        let first = sent.elapsed();
-        assert!(first < LONG / 2, "the fast reply took {first:?} under {execution:?}");
+        let first = read_frames(&mut buf, &raw, 1);
+        assert_eq!(first[0].header.request_id, 0, "under {execution:?}");
+        go.send(()).expect("the long handler is waiting");
         assert_eq!(read_frames(&mut buf, &raw, 1)[0].header.request_id, 1);
-        assert!(sent.elapsed() >= LONG);
     }
 }
 
-/// Not a test: the measurement behind `MAX_DEFER` (EXPERIMENTS.md, PR 17).
-/// Bursts of sixteen requests, each naming how long its handler computes,
-/// to a one-worker server; prints when the replies arrive, counted from the
-/// burst's `write`. `cargo test --release -p musuite-rpc --test
-/// syscall_budget -- --ignored --nocapture`.
+/// (f) A handler that runs long without saying so holds up the replies in
+/// front of it, and they leave with its own when the worker runs out of
+/// ready work: two slow requests queued together are answered in one
+/// write, where a clock between items used to write after each.
+#[test]
+fn an_undeclared_slow_handler_s_reply_leaves_when_the_queue_runs_dry() {
+    let _turn = turn();
+    let echo = Arc::new(Echo { delay: Some(Duration::from_millis(2)), ..Echo::default() });
+    let server = spawn_echo(NetworkModel::BlockingPerConn, ExecutionModel::Dispatch, echo.clone());
+    let _ = echo.whole_burst.set((server.stats().clone(), 2));
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let coalesce = server.stats().coalesce().clone();
+    raw.write_all(&requests(0, 2)).expect("send both");
+    let replies = read_frames(&mut RecvBuf::default(), &raw, 2);
+    assert_eq!(replies.len(), 2);
+    // Given the time a second write would take to be counted.
+    let flushes = settled(|| coalesce.flushes(), 2);
+    assert_eq!((coalesce.frames(), flushes), (2, 1), "both in one write");
+}
+
+/// Not a test: the latency behind the flush rule (EXPERIMENTS.md, "What
+/// `runs_long` buys"). Bursts of sixteen requests, each naming how long its
+/// handler computes, to a one-worker server; prints when the replies
+/// arrive, counted from the burst's `write`, once with handlers that
+/// declare the runs of 20 µs or more long (flushing first, as a typed
+/// handler's `runs_long` makes its service do) and once with none that do.
+/// `cargo test --release -p musuite-rpc --test syscall_budget --
+/// --ignored --nocapture`.
 #[test]
 #[ignore = "prints a latency table"]
 fn report_reply_latency_by_handler_time() {
     let _turn = turn();
-    // Computes for the microseconds its payload opens with.
-    let spin = |ctx: RequestContext| {
-        let micros = u64::from_le_bytes(ctx.payload()[..8].try_into().expect("8 bytes"));
-        let until = Instant::now() + Duration::from_micros(micros);
-        while Instant::now() < until {
-            std::hint::spin_loop();
-        }
-        ctx.respond_ok(Vec::new());
-    };
-    let mut config = ServerConfig::default();
-    config.workers(1);
-    let server = Server::spawn(config, Arc::new(spin)).expect("spawn");
+    println!("| handlers | build | first reply p50 us | mean reply p50 us | last reply p50 us | writes per burst |");
+    println!("|---|---|---|---|---|---|");
+    for (build, declared) in [("declared", true), ("no declarations", false)] {
+        // Computes for the microseconds its payload opens with.
+        let spin = move |ctx: RequestContext| {
+            let micros = u64::from_le_bytes(ctx.payload()[..8].try_into().expect("8 bytes"));
+            if declared && micros >= 20 {
+                flush_outbox();
+            }
+            let until = Instant::now() + Duration::from_micros(micros);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            ctx.respond_ok(Vec::new());
+        };
+        let mut config = ServerConfig::default();
+        config.workers(1);
+        let server = Server::spawn(config, Arc::new(spin)).expect("spawn");
+        report_latency(&server, build);
+    }
+}
+
+fn report_latency(server: &Server, build: &str) {
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.set_nodelay(true).expect("nodelay");
     let mut buf = RecvBuf::default();
@@ -363,8 +382,6 @@ fn report_reply_latency_by_handler_time() {
         ("12 x 2 us, every 4th 150 us", |i| if i % 4 == 3 { 150 } else { 2 }),
     ];
     const BURSTS: usize = 400;
-    println!("| handlers | first reply p50 us | mean reply p50 us | last reply p50 us | writes per burst |");
-    println!("|---|---|---|---|---|");
     for (name, micros) in patterns {
         let burst: Vec<u8> = (0..BURST)
             .flat_map(|i| Frame::request(i, 1, micros(i).to_le_bytes().to_vec()).to_bytes())
@@ -390,7 +407,7 @@ fn report_reply_latency_by_handler_time() {
             samples[samples.len() / 2]
         };
         println!(
-            "| {name} | {:.0} | {:.0} | {:.0} | {:.1} |",
+            "| {name} | {build} | {:.0} | {:.0} | {:.0} | {:.1} |",
             p50(&mut first),
             p50(&mut mean),
             p50(&mut last),

@@ -756,3 +756,205 @@ fn teardown_mid_scatter_fails_fast() {
         start.elapsed()
     );
 }
+
+/// Squares, the first request after 20 ms and every other after 2 ms, and
+/// counts handler entries. Says nothing of running long, so its worker
+/// holds every reply until it runs out of ready work: by the time the
+/// first is answered the rest of a burst is queued, and a burst of fewer
+/// than `MAX_HELD_FRAMES` requests is then written in one go at its end.
+struct HoldingLeaf(Arc<AtomicU64>);
+
+impl LeafHandler for HoldingLeaf {
+    type Request = u64;
+    type Response = u64;
+    fn handle(&self, request: u64) -> Result<u64, ServiceError> {
+        let first = self.0.fetch_add(1, Ordering::Relaxed) == 0;
+        std::thread::sleep(Duration::from_millis(if first { 20 } else { 2 }));
+        Ok(request * request)
+    }
+}
+
+/// Sends a seeded burst through a two-leaf cluster of [`HoldingLeaf`]s,
+/// waits until both leaves have replies sitting in an outbox and none
+/// written, and calls `fault`. Every call must then resolve exactly once
+/// within 5 s — a value true over the shards that answered, or a typed
+/// error — and every server's books must balance.
+fn fault_while_replies_are_held(seed: u64, fault: impl FnOnce(&Cluster)) {
+    use musuite::rpc::ServerConfig;
+    const LEAVES: usize = 2;
+    // Fewer than `MAX_HELD_FRAMES`: no leaf writes before its burst is done.
+    let burst = 32 + seed % 16;
+    let mut config = ServerConfig::default();
+    config.workers(1);
+    let mid_ran = Arc::new(AtomicU64::new(0));
+    let leaf_ran: Vec<Arc<AtomicU64>> = (0..LEAVES).map(|_| Arc::default()).collect();
+    let cluster = Cluster::launch(
+        ClusterConfig::new().leaves(LEAVES).midtier_config(config.clone()).leaf_config(config),
+        TalliedSum(mid_ran.clone()),
+        |i| HoldingLeaf(leaf_ran[i].clone()),
+    )
+    .unwrap();
+    let client = cluster.client::<u64, Degraded<u64>>().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    for i in 0..burst {
+        let (tx, q) = (tx.clone(), (seed ^ i) % 1_000);
+        client.call_typed_async(&q, CallOptions::default(), move |result| {
+            let _ = tx.send((q, result));
+        });
+    }
+    drop(tx);
+    let leaves = cluster.leaf_servers();
+    let held = || leaves.iter().all(|leaf| leaf.stats().coalesce().frames() >= 4);
+    let spread = Instant::now() + Duration::from_secs(5);
+    while !held() && Instant::now() < spread {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for leaf in leaves {
+        let coalesce = leaf.stats().coalesce();
+        assert!(coalesce.frames() >= 4, "a leaf never answered (seed {seed})");
+        assert_eq!(coalesce.flushes(), 0, "the fault must land on held replies (seed {seed})");
+    }
+    let start = Instant::now();
+    fault(&cluster);
+    let mut resolved = 0;
+    while resolved < burst {
+        let left = Duration::from_secs(5).saturating_sub(start.elapsed());
+        let (q, result) = rx.recv_timeout(left).unwrap_or_else(|_| {
+            panic!("{} of {burst} calls never resolved (seed {seed})", burst - resolved)
+        });
+        if let Ok(got) = result {
+            assert_eq!(got.value, u64::from(got.shards_ok) * q * q, "query {q} (seed {seed})");
+        }
+        resolved += 1;
+    }
+    // `FnOnce` callbacks cannot fire twice; none may fire late either.
+    assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "a call resolved twice");
+    assert_every_arrival_accounted_for(cluster.midtier().stats(), &mid_ran, seed);
+    for (server, ran) in leaves.iter().zip(&leaf_ran) {
+        assert_every_arrival_accounted_for(server.stats(), ran, seed);
+    }
+}
+
+#[test]
+fn shutdown_while_workers_hold_deferred_frames_resolves_every_call_once() {
+    let seed = 0xDEFE4_u64;
+    println!("chaos seed: {seed}");
+    fault_while_replies_are_held(seed, Cluster::shutdown);
+}
+
+#[test]
+fn a_leaf_killed_while_its_replies_sit_in_an_outbox_degrades_every_call_once() {
+    let seed = 0xDEFE5_u64;
+    println!("chaos seed: {seed}");
+    fault_while_replies_are_held(seed, |cluster| cluster.leaf_servers()[1].shutdown());
+}
+
+/// A mid-tier whose worker has noted the sub-calls of a few queries in its
+/// outbox, and whose next plan — long, and not declared — waits while the
+/// leaf's end of the connection is reset. The write of the noted sub-calls
+/// then fails, the connection is shut, and every call in flight on it,
+/// sent or only noted, resolves exactly once.
+#[test]
+fn a_peer_reset_between_note_and_flush_resolves_every_call_once() {
+    use musuite::core::cluster::{TypedClient, LEAF_METHOD, QUERY_METHOD};
+    use musuite::core::midtier::MidTierService;
+    use musuite::rpc::{FanoutGroup, RpcClient, Server, ServerConfig};
+    use std::sync::mpsc;
+    use std::sync::{Mutex, OnceLock};
+
+    let seed = 0x2E5E7_u64;
+    println!("chaos seed: {seed}");
+    // The query whose plan waits for the reset.
+    const HOLD: u64 = u64::MAX;
+    let noted = 2 + seed % 4;
+
+    struct HoldsThenWaits {
+        ran: Arc<AtomicU64>,
+        /// Set: the first noted query waits until this many have arrived,
+        /// so the worker does not run dry, and flush, in between.
+        arrived: OnceLock<(ServerStats, u64)>,
+        holding: Mutex<mpsc::Sender<()>>,
+        reset: Mutex<mpsc::Receiver<()>>,
+    }
+    impl MidTierHandler for HoldsThenWaits {
+        type Request = u64;
+        type Response = Degraded<u64>;
+        type SharedRequest = u64;
+        type LeafRequest = ();
+        type LeafResponse = u64;
+        fn plan(&self, request: &u64, leaves: usize) -> Plan<u64, ()> {
+            self.ran.fetch_add(1, Ordering::Relaxed);
+            if let Some((stats, count)) = self.arrived.get() {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while stats.requests() < *count && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            if *request == HOLD {
+                let _ = self.holding.lock().unwrap().send(());
+                let _ = self.reset.lock().unwrap().recv_timeout(Duration::from_secs(5));
+            }
+            SumSquares.plan(request, leaves)
+        }
+        fn merge(
+            &self,
+            request: u64,
+            replies: Vec<Result<u64, RpcError>>,
+        ) -> Result<Degraded<u64>, ServiceError> {
+            SumSquares.merge(request, replies)
+        }
+    }
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let group = FanoutGroup::connect(&[listener.local_addr().unwrap()]).unwrap();
+    let (peer, _) = listener.accept().unwrap();
+    let (holding_tx, holding) = mpsc::channel();
+    let (reset, reset_rx) = mpsc::channel();
+    let ran = Arc::new(AtomicU64::new(0));
+    let handler = HoldsThenWaits {
+        ran: ran.clone(),
+        arrived: OnceLock::new(),
+        holding: Mutex::new(holding_tx),
+        reset: Mutex::new(reset_rx),
+    };
+    let service = Arc::new(MidTierService::new(handler, group, LEAF_METHOD));
+    let mut config = ServerConfig::default();
+    config.workers(1);
+    let midtier = Server::spawn(config, service.clone()).unwrap();
+    let client = TypedClient::<u64, Degraded<u64>>::new(
+        RpcClient::connect(midtier.local_addr()).unwrap(),
+        QUERY_METHOD,
+    );
+    let (tx, rx) = mpsc::channel();
+    let call = |q: u64| {
+        let tx = tx.clone();
+        client.call_typed_async(&q, CallOptions::default(), move |result| {
+            let _ = tx.send((q, result));
+        });
+    };
+    // A first query reaches the peer, which leaves it unread: closing a
+    // socket with unread data resets the connection instead of ending it.
+    call(0);
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(peer.peek(&mut [0u8; 1]).unwrap() > 0, "the first sub-call never arrived");
+    let _ = service.handler().arrived.set((midtier.stats().clone(), 2 + noted));
+    for q in 1..=noted {
+        call((seed ^ q) % 1_000);
+    }
+    call(HOLD);
+    holding.recv_timeout(Duration::from_secs(5)).expect("the worker reached the held plan");
+    let start = Instant::now();
+    // The leaf is gone for good: a reconnect is refused.
+    drop((peer, listener));
+    reset.send(()).unwrap();
+    for resolved in 0..2 + noted {
+        let left = Duration::from_secs(5).saturating_sub(start.elapsed());
+        let (q, result) = rx.recv_timeout(left).unwrap_or_else(|_| {
+            panic!("{} of {} calls never resolved (seed {seed})", 2 + noted - resolved, 2 + noted)
+        });
+        // The one leaf is gone: no query can have a value.
+        assert!(result.is_err(), "query {q} answered by a reset leaf (seed {seed})");
+    }
+    assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "a call resolved twice");
+    assert_every_arrival_accounted_for(midtier.stats(), &ran, seed);
+}
