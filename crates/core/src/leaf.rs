@@ -9,6 +9,7 @@ use crate::error::ServiceError;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{RequestContext, Service};
+use std::vec::Drain;
 
 /// Typed request→response computation hosted at a leaf microserver.
 pub trait LeafHandler: Send + Sync + 'static {
@@ -39,21 +40,37 @@ pub trait LeafHandler: Send + Sync + 'static {
         false
     }
 
-    /// Computes responses for a whole batch of requests drained in one
-    /// worker wakeup, returning one result per request, *in order*.
+    /// Computes responses for a batch of two or more requests drained in
+    /// one worker wakeup, returning one result per request, *in order*.
     ///
-    /// The default implementation preserves single-request semantics by
-    /// calling [`LeafHandler::handle`] per member; compute-aware leaves
-    /// override it to amortize work across the batch (one index walk
-    /// answering k queries, one matrix pass, grouped lookups). An
-    /// override must be *observationally equivalent* to the default:
-    /// bit-identical results in the same order — the batch-equivalence
-    /// proptests pin this for every suite service.
+    /// The default calls [`LeafHandler::handle`] per member. A leaf
+    /// overrides it only where a benchmark workload runs batches and one
+    /// pass can answer them all (today Recommend's matrix pass); a batch
+    /// of one never comes here. An override must be *observationally
+    /// equivalent* to the default: bit-identical results in the same
+    /// order — the batch-equivalence proptests pin this for every suite
+    /// service.
     fn handle_batch(
         &self,
         requests: Vec<Self::Request>,
     ) -> Vec<Result<Self::Response, ServiceError>> {
         requests.into_iter().map(|request| self.handle(request)).collect()
+    }
+}
+
+/// Takes `ctx`'s payload and decodes it, or gives the `BadRequest` that
+/// refuses it.
+pub(crate) fn decode<T: Decode>(ctx: &mut RequestContext) -> Result<T, ServiceError> {
+    musuite_codec::from_bytes(&ctx.take_payload())
+        .map_err(|e| ServiceError::bad_request(e.to_string()))
+}
+
+/// Completes `ctx` with the encoded response, or with the error's status
+/// and message.
+pub(crate) fn respond<T: Encode>(ctx: RequestContext, result: Result<T, ServiceError>) {
+    match result {
+        Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
+        Err(e) => ctx.respond_err(e.status(), e.message()),
     }
 }
 
@@ -77,57 +94,47 @@ impl<H: LeafHandler> LeafService<H> {
 
 impl<H: LeafHandler> Service for LeafService<H> {
     fn call(&self, mut ctx: RequestContext) {
-        let payload = ctx.take_payload();
-        let request = match musuite_codec::from_bytes::<H::Request>(&payload) {
+        let request = match decode::<H::Request>(&mut ctx) {
             Ok(request) => request,
-            Err(e) => {
-                ctx.respond_err(musuite_codec::Status::BadRequest, e.to_string());
-                return;
-            }
+            Err(refusal) => return respond::<H::Response>(ctx, Err(refusal)),
         };
         if self.handler.runs_long(&request) {
             flush_outbox();
         }
-        match self.handler.handle(request) {
-            Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
-            Err(e) => ctx.respond_err(e.status(), e.message()),
-        }
+        respond(ctx, self.handler.handle(request));
     }
 
-    fn call_batch(&self, batch: Vec<RequestContext>) {
-        // Decode every member first; a malformed member answers
-        // BadRequest individually and drops out of the batch (mirroring
-        // `call`) without discarding its batchmates.
-        let mut live = Vec::with_capacity(batch.len());
+    fn call_batch(&self, batch: Drain<'_, RequestContext>) {
+        // A malformed member is refused alone, without discarding its
+        // batchmates, and answered in its place among them.
+        let mut members = Vec::with_capacity(batch.len());
         let mut requests = Vec::with_capacity(batch.len());
         for mut ctx in batch {
-            let payload = ctx.take_payload();
-            match musuite_codec::from_bytes::<H::Request>(&payload) {
+            let refusal = match decode(&mut ctx) {
                 Ok(request) => {
                     requests.push(request);
-                    live.push(ctx);
+                    None
                 }
-                Err(e) => ctx.respond_err(musuite_codec::Status::BadRequest, e.to_string()),
-            }
-        }
-        if live.is_empty() {
-            return;
+                Err(refusal) => Some(refusal),
+            };
+            members.push((ctx, refusal));
         }
         if requests.iter().any(|request| self.handler.runs_long(request)) {
             flush_outbox();
         }
+        let expected = requests.len();
         let results = self.handler.handle_batch(requests);
         debug_assert_eq!(
             results.len(),
-            live.len(),
+            expected,
             "handle_batch must return one result per request"
         );
-        // On a (buggy) short result vector, unmatched contexts drop and
-        // auto-respond AppError, so no client is ever left hanging.
-        for (ctx, result) in live.into_iter().zip(results) {
-            match result {
-                Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
-                Err(e) => ctx.respond_err(e.status(), e.message()),
+        let mut results = results.into_iter();
+        for (ctx, refusal) in members {
+            // On a (buggy) short result vector, unmatched contexts drop and
+            // auto-respond AppError, so no client is ever left hanging.
+            if let Some(result) = refusal.map(Err).or_else(|| results.next()) {
+                respond(ctx, result);
             }
         }
     }
@@ -312,6 +319,29 @@ pub(crate) mod tests {
                 Err(_) => assert!(result.is_err()),
             }
         }
+    }
+
+    /// A malformed member is refused in its place: the replies to
+    /// `[valid, malformed, valid]`, drained as one batch, leave in that
+    /// order.
+    #[test]
+    fn a_batch_answers_its_members_in_member_order() {
+        let mut config = ServerConfig::default();
+        config.workers(1).batch_policy(BatchPolicy::new(3, PATIENCE));
+        let server = Server::spawn(config, Arc::new(LeafService::new(Doubler))).unwrap();
+        let payloads = [musuite_codec::to_bytes(&1u64), vec![0x80], musuite_codec::to_bytes(&2u64)];
+        let wire: Vec<u8> = payloads
+            .into_iter()
+            .enumerate()
+            .flat_map(|(id, payload)| Frame::request(id as u64, 1, payload).to_bytes())
+            .collect();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(&wire).unwrap();
+        conn.set_read_timeout(Some(PATIENCE)).unwrap();
+        let mut buf = RecvBuf::default();
+        let order: Vec<u64> = (0..3).map(|_| next_reply(&conn, &mut buf)).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(server.stats().batching().batches(), 1, "the three ran as one batch");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! payload bytes, where the previous design serialized it 16 times.
 
 use crate::error::ServiceError;
+use crate::leaf::{decode, respond};
 use bytes::Bytes;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
@@ -203,13 +204,9 @@ impl<H: MidTierHandler> MidTierService<H> {
 
 impl<H: MidTierHandler> Service for MidTierService<H> {
     fn call(&self, mut ctx: RequestContext) {
-        let payload = ctx.take_payload();
-        let request = match musuite_codec::from_bytes::<H::Request>(&payload) {
+        let request = match decode::<H::Request>(&mut ctx) {
             Ok(request) => request,
-            Err(e) => {
-                ctx.respond_err(musuite_codec::Status::BadRequest, e.to_string());
-                return;
-            }
+            Err(refusal) => return respond::<H::Response>(ctx, Err(refusal)),
         };
         if self.handler.runs_long(&request) {
             flush_outbox();
@@ -271,14 +268,11 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
                     })
                 })
                 .collect();
-            match handler.merge(request, replies) {
-                Ok(response) => {
-                    stats_breakdown
-                        .record_ns(Stage::Merge, clock.now_ns().saturating_sub(merge_start));
-                    ctx.respond_ok(musuite_codec::to_bytes(&response));
-                }
-                Err(e) => ctx.respond_err(e.status(), e.message()),
+            let merged = handler.merge(request, replies);
+            if merged.is_ok() {
+                stats_breakdown.record_ns(Stage::Merge, clock.now_ns().saturating_sub(merge_start));
             }
+            respond(ctx, merged);
         });
     }
 }

@@ -74,37 +74,6 @@ impl HdSearchLeaf {
         })
     }
 
-    /// Answers a whole batch of searches in **one sweep over the shard's
-    /// candidate vectors**: candidate lists are inverted into a
-    /// vector→queries map, so each distinct feature vector is fetched
-    /// once and scored against every query in the batch that references
-    /// it. Per query, the result is bit-identical to
-    /// [`HdSearchLeaf::search`] — the same `(query, vector)` distances
-    /// are computed, and the `(distance, global id)` sort key orders
-    /// equal elements identically regardless of scoring order.
-    pub fn search_batch(&self, queries: &[LeafSearchRequest]) -> Vec<Vec<Neighbor>> {
-        let mut wanted: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-        for (slot, request) in queries.iter().enumerate() {
-            for &local in &request.candidates {
-                wanted.entry(local).or_default().push(slot);
-            }
-        }
-        let mut scored: Vec<Vec<Neighbor>> = (0..queries.len()).map(|_| Vec::new()).collect();
-        for (&local, queriers) in &wanted {
-            let Some(vector) = self.vectors.get(local as usize) else { continue };
-            let id = self.id_map.global_id(self.leaf_index, local);
-            for &slot in queriers {
-                scored[slot]
-                    .push(Neighbor { id, distance: euclidean_sq(&queries[slot].vector, vector) });
-            }
-        }
-        for (request, neighbors) in queries.iter().zip(&mut scored) {
-            let kept = top_k_by(neighbors, request.k as usize, nearest_first).len();
-            neighbors.truncate(kept);
-        }
-        scored
-    }
-
     /// Refuses a query vector of the wrong dimension (an empty shard has
     /// none and takes any) or with a non-finite coordinate.
     fn check(&self, request: &LeafSearchRequest) -> Result<(), ServiceError> {
@@ -119,8 +88,8 @@ thread_local! {
     static SCORED: RefCell<Vec<Neighbor>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Distance, then global id: the unique total order both the sequential
-/// and the batched path rank neighbours by. Squared distances are never
+/// Distance, then global id: the unique total order neighbours rank by.
+/// Squared distances are never
 /// `-0.0`, so `total_cmp` agrees with `<` on every distance a finite query
 /// can produce (an overflowing one is `+inf`).
 fn nearest_first(a: &Neighbor, b: &Neighbor) -> Ordering {
@@ -146,32 +115,6 @@ impl LeafHandler for HdSearchLeaf {
     /// long").
     fn runs_long(&self, request: &LeafSearchRequest) -> bool {
         request.candidates.len() >= 128
-    }
-
-    fn handle_batch(
-        &self,
-        requests: Vec<LeafSearchRequest>,
-    ) -> Vec<Result<LeafSearchResponse, ServiceError>> {
-        // Validate members individually — a bad query vector errors out
-        // alone while its batchmates share one scoring sweep.
-        let mut results: Vec<Result<LeafSearchResponse, ServiceError>> =
-            Vec::with_capacity(requests.len());
-        let mut valid = Vec::with_capacity(requests.len());
-        let mut valid_slots = Vec::with_capacity(requests.len());
-        for (slot, request) in requests.into_iter().enumerate() {
-            match self.check(&request) {
-                Ok(()) => {
-                    results.push(Ok(LeafSearchResponse { neighbors: Vec::new() }));
-                    valid_slots.push(slot);
-                    valid.push(request);
-                }
-                Err(error) => results.push(Err(error)),
-            }
-        }
-        for (slot, neighbors) in valid_slots.into_iter().zip(self.search_batch(&valid)) {
-            results[slot] = Ok(LeafSearchResponse { neighbors });
-        }
-        results
     }
 }
 
@@ -240,23 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_matches_sequential() {
-        let leaf = leaf();
-        let requests = vec![
-            LeafSearchRequest { vector: vec![0.0, 0.0], candidates: vec![0, 1, 2, 3], k: 3 },
-            LeafSearchRequest { vector: vec![1.0, 0.0], candidates: vec![3, 0, 999], k: 2 },
-            LeafSearchRequest { vector: vec![0.0, 2.0], candidates: vec![2, 2, 1], k: 4 },
-            LeafSearchRequest { vector: vec![3.0, 3.0], candidates: vec![], k: 1 },
-        ];
-        let batched = leaf.search_batch(&requests);
-        for (request, batch) in requests.iter().zip(&batched) {
-            let sequential =
-                leaf.search(&request.vector, &request.candidates, request.k as usize);
-            assert_eq!(batch, &sequential);
-        }
-    }
-
-    #[test]
     fn batched_handler_isolates_invalid_member() {
         let leaf = leaf();
         let results = LeafHandler::handle_batch(
@@ -306,7 +232,7 @@ mod tests {
     /// Seeded candidate lists with repeats and out-of-range ids, over `k`
     /// from 0 past the list length, on a clustered shard and on a small
     /// integer grid (where distinct ids tie on distance): `search` and
-    /// `search_batch` return the oracle's neighbours bit for bit.
+    /// `handle_batch` return the oracle's neighbours bit for bit.
     #[test]
     fn golden_search_matches_the_oracle() {
         use musuite_data::vectors::{VectorDataset, VectorDatasetConfig};
@@ -344,10 +270,12 @@ mod tests {
                     });
                 }
             }
-            for (request, batch) in requests.iter().zip(leaf.search_batch(&requests)) {
+            for (request, batch) in
+                requests.iter().zip(LeafHandler::handle_batch(&leaf, requests.clone()))
+            {
                 let expected =
                     oracle_search(&leaf, &request.vector, &request.candidates, request.k as usize);
-                assert_eq!(bits(&batch), bits(&expected));
+                assert_eq!(bits(&batch.unwrap().neighbors), bits(&expected));
             }
         }
     }

@@ -58,16 +58,7 @@ impl RecommendLeaf {
             self.neighborhood,
         );
         let mut scored: Vec<(u32, f32)> = (0..items)
-            .map(|item| {
-                let predictions: Vec<f32> = neighbors
-                    .iter()
-                    .map(|&(neighbor, _)| self.model.predict(neighbor, item))
-                    .collect();
-                let rating = weighted_rating(&neighbors, &predictions)
-                    .unwrap_or_else(|| self.model.predict(user, item))
-                    .clamp(1.0, 5.0);
-                (item as u32, rating)
-            })
+            .map(|item| (item as u32, self.vote(user, item, &neighbors).rating))
             .collect();
         let kept = top_k_by(&mut scored, n, best_first).len();
         scored.truncate(kept);
@@ -76,26 +67,14 @@ impl RecommendLeaf {
 
     /// Predicts `user`'s rating of `item` from this shard's neighbourhood.
     pub fn predict(&self, user: usize, item: usize) -> LeafRating {
-        let query_factors = self.model.user_factors(user);
         let neighbors = k_nearest_users(
             self.model.user_matrix(),
-            query_factors,
+            self.model.user_factors(user),
             Some(user),
             &self.shard_users,
             self.neighborhood,
         );
-        let predictions: Vec<f32> =
-            neighbors.iter().map(|&(neighbor, _)| self.model.predict(neighbor, item)).collect();
-        match weighted_rating(&neighbors, &predictions) {
-            Some(rating) => {
-                LeafRating { rating: rating.clamp(1.0, 5.0), neighbors: neighbors.len() as u32 }
-            }
-            // No usable neighbourhood on this shard: fall back to the
-            // model's own reconstruction with zero voting weight.
-            None => {
-                LeafRating { rating: self.model.predict(user, item).clamp(1.0, 5.0), neighbors: 0 }
-            }
-        }
+        self.vote(user, item, &neighbors)
     }
 
     /// Predicts a whole batch of `(user, item)` queries with **one pass
@@ -123,24 +102,24 @@ impl RecommendLeaf {
         );
         queries
             .iter()
-            .map(|&(user, item)| {
-                let neighbors = &neighborhoods[slot_of[&user]];
-                let predictions: Vec<f32> = neighbors
-                    .iter()
-                    .map(|&(neighbor, _)| self.model.predict(neighbor, item))
-                    .collect();
-                match weighted_rating(neighbors, &predictions) {
-                    Some(rating) => LeafRating {
-                        rating: rating.clamp(1.0, 5.0),
-                        neighbors: neighbors.len() as u32,
-                    },
-                    None => LeafRating {
-                        rating: self.model.predict(user, item).clamp(1.0, 5.0),
-                        neighbors: 0,
-                    },
-                }
-            })
+            .map(|&(user, item)| self.vote(user, item, &neighborhoods[slot_of[&user]]))
             .collect()
+    }
+
+    /// `user`'s rating of `item`, weighted by `neighbors`' similarity; with
+    /// no usable neighbourhood on this shard, the model's own
+    /// reconstruction with zero voting weight.
+    fn vote(&self, user: usize, item: usize, neighbors: &[(usize, f32)]) -> LeafRating {
+        let predictions: Vec<f32> =
+            neighbors.iter().map(|&(neighbor, _)| self.model.predict(neighbor, item)).collect();
+        match weighted_rating(neighbors, &predictions) {
+            Some(rating) => {
+                LeafRating { rating: rating.clamp(1.0, 5.0), neighbors: neighbors.len() as u32 }
+            }
+            None => {
+                LeafRating { rating: self.model.predict(user, item).clamp(1.0, 5.0), neighbors: 0 }
+            }
+        }
     }
 
     /// `Ok` if `request` names a user and item the model knows.

@@ -34,21 +34,6 @@ impl RouterLeaf {
     pub fn store(&self) -> &Arc<MemKv> {
         &self.store
     }
-
-    /// Serves a buffered run of `Get` keys through [`MemKv::get_many`]
-    /// (one lock acquisition per shard touched) and clears the buffer.
-    fn flush_gets(
-        &self,
-        keys: &mut Vec<String>,
-        results: &mut Vec<Result<KvResponse, ServiceError>>,
-    ) {
-        if keys.is_empty() {
-            return;
-        }
-        let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        results.extend(self.store.get_many(&refs).into_iter().map(|v| Ok(KvResponse::Value(v))));
-        keys.clear();
-    }
 }
 
 impl LeafHandler for RouterLeaf {
@@ -72,28 +57,6 @@ impl LeafHandler for RouterLeaf {
                 KvResponse::Stored
             }
         })
-    }
-
-    /// Splits the batch into contiguous `Get` runs served via the
-    /// store's grouped lookup, while writes (`Set`/`SetEx`/`Delete`)
-    /// apply individually at their exact position in the batch — so
-    /// read-your-writes inside a batch holds, and every response is
-    /// identical to handling the same requests one at a time.
-    fn handle_batch(&self, requests: Vec<KvRequest>) -> Vec<Result<KvResponse, ServiceError>> {
-        let mut results: Vec<Result<KvResponse, ServiceError>> =
-            Vec::with_capacity(requests.len());
-        let mut pending_gets: Vec<String> = Vec::new();
-        for request in requests {
-            match request {
-                KvRequest::Get { key } => pending_gets.push(key),
-                write => {
-                    self.flush_gets(&mut pending_gets, &mut results);
-                    results.push(self.handle(write));
-                }
-            }
-        }
-        self.flush_gets(&mut pending_gets, &mut results);
-        results
     }
 }
 

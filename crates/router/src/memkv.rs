@@ -108,18 +108,14 @@ impl MemKv {
         }
     }
 
-    fn shard_index(&self, key: &str) -> usize {
+    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
         // FNV-1a over the key selects the lock shard.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for &b in key.as_bytes() {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x1_0000_0000_01b3);
         }
-        (((u128::from(hash)) * (self.shards.len() as u128)) >> 64) as usize
-    }
-
-    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(key)]
+        &self.shards[((u128::from(hash) * self.shards.len() as u128) >> 64) as usize]
     }
 
     fn tick(&self) -> u64 {
@@ -157,57 +153,18 @@ impl MemKv {
     pub fn get(&self, key: &str) -> Option<Vec<u8>> {
         let tick = self.tick();
         let mut shard = self.shard_of(key).lock();
-        self.get_in_shard(&mut shard, key, tick)
-    }
-
-    /// Reads a whole batch of keys with **one lock acquisition per
-    /// distinct shard touched** instead of one per key — the grouped
-    /// lookup the batched leaf path rides. LRU ticks are claimed in
-    /// request order *before* any shard lock is taken, so the recency
-    /// ordering the batch leaves behind is identical to issuing the same
-    /// `get`s sequentially; per key, hit/miss/expiry semantics match
-    /// [`MemKv::get`] exactly.
-    pub fn get_many(&self, keys: &[&str]) -> Vec<Option<Vec<u8>>> {
-        let ticks: Vec<u64> = keys.iter().map(|_| self.tick()).collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (slot, key) in keys.iter().enumerate() {
-            by_shard[self.shard_index(key)].push(slot);
-        }
-        let mut values: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        for (shard_index, slots) in by_shard.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
+        match shard.map.get_mut(key) {
+            Some(entry) if entry.expires_at.is_none_or(|at| Instant::now() < at) => {
+                entry.last_used = tick;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(entry.value.clone());
             }
-            let mut shard = self.shards[shard_index].lock();
-            for &slot in slots {
-                values[slot] = self.get_in_shard(&mut shard, keys[slot], ticks[slot]);
-            }
-        }
-        values
-    }
-
-    /// The `get` body once the shard lock is held and an LRU tick has
-    /// been claimed — shared verbatim by the single and grouped paths.
-    fn get_in_shard(&self, shard: &mut Shard, key: &str, tick: u64) -> Option<Vec<u8>> {
-        let expired = match shard.map.get_mut(key) {
-            Some(entry) => {
-                if entry.expires_at.is_some_and(|at| Instant::now() >= at) {
-                    true
-                } else {
-                    entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(entry.value.clone());
+            Some(_) => {
+                if let Some(entry) = shard.map.remove(key) {
+                    shard.bytes -= Shard::entry_cost(key, &entry.value);
                 }
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        if expired {
-            if let Some(entry) = shard.map.remove(key) {
-                shard.bytes -= Shard::entry_cost(key, &entry.value);
-            }
+            None => {}
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
@@ -335,6 +292,7 @@ mod tests {
         assert_eq!(store.get("k"), Some(vec![1]));
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(store.get("k"), None, "expired entry must read as miss");
+        assert!(store.is_empty(), "the read that found it expired removed it");
         assert!(!store.delete("k"), "expired entry deletes as absent");
     }
 
@@ -354,58 +312,6 @@ mod tests {
         }
         assert_eq!(store.len(), 1);
         assert!(store.bytes_used() < 400);
-    }
-
-    #[test]
-    fn grouped_get_matches_sequential_gets() {
-        let sequential = MemKv::new(MemKvConfig {
-            capacity_bytes: 1 << 20,
-            shards: 4,
-            default_ttl: None,
-        });
-        let grouped = MemKv::new(MemKvConfig {
-            capacity_bytes: 1 << 20,
-            shards: 4,
-            default_ttl: None,
-        });
-        for store in [&sequential, &grouped] {
-            for i in 0..20 {
-                store.set(&format!("k{i}"), vec![i as u8]);
-            }
-        }
-        let keys: Vec<String> =
-            (0..25).map(|i| format!("k{}", i * 7 % 23)).collect(); // hits and misses, repeats
-        let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let batched = grouped.get_many(&refs);
-        let one_by_one: Vec<Option<Vec<u8>>> = refs.iter().map(|k| sequential.get(k)).collect();
-        assert_eq!(batched, one_by_one);
-        assert_eq!(grouped.hits(), sequential.hits());
-        assert_eq!(grouped.misses(), sequential.misses());
-        assert!(grouped.get_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn grouped_get_refreshes_lru_like_sequential() {
-        // Budget fits ~3 entries of cost (1 + 8 + 64) = 73 bytes.
-        let store = small(73 * 3);
-        store.set("a", vec![0u8; 8]);
-        store.set("b", vec![0u8; 8]);
-        store.set("c", vec![0u8; 8]);
-        store.get_many(&["a", "c"]); // warm "a" and "c" through the grouped path
-        store.set("d", vec![0u8; 8]); // must evict "b" (coldest)
-        assert!(store.get("b").is_none(), "cold entry must be evicted");
-        assert!(store.get("a").is_some(), "grouped-warmed entry must survive");
-        assert!(store.get("c").is_some(), "grouped-warmed entry must survive");
-    }
-
-    #[test]
-    fn grouped_get_collects_expired_entries() {
-        let store = small(1 << 20);
-        store.set_with_ttl("stale", vec![1], Some(Duration::from_millis(10)));
-        store.set("fresh", vec![2]);
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(store.get_many(&["stale", "fresh"]), vec![None, Some(vec![2])]);
-        assert_eq!(store.len(), 1, "expired entry is removed by the grouped read");
     }
 
     #[test]

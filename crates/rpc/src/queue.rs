@@ -208,18 +208,32 @@ impl<T> DispatchQueue<T> {
     ///
     /// This is the batched unit-of-work edge: one park/unpark (and one
     /// Block/Active-Exe attribution per member, recorded at dequeue) covers
-    /// the whole batch instead of one futex round-trip per request.
+    /// the whole batch instead of one futex round-trip per request. A
+    /// batch of one (`max_size` 1) is exactly a [`DispatchQueue::pop`].
+    /// The server's workers drain into a buffer each keeps for its
+    /// lifetime; this form allocates the batch it returns.
     ///
     /// # Panics
     ///
     /// Panics if `max_size` is zero.
     pub fn pop_batch(&self, max_size: usize, max_delay: Duration) -> Option<(Vec<T>, FlushReason)> {
-        assert!(max_size > 0, "batch size must be at least one");
-        let first = self.pop()?;
         let mut batch = Vec::with_capacity(max_size.min(64));
-        batch.push(first);
+        let reason = self.pop_batch_into(&mut batch, max_size, max_delay)?;
+        Some((batch, reason))
+    }
+
+    /// [`DispatchQueue::pop_batch`] into `batch`, which the caller passes
+    /// empty and may reuse for the next batch once it has drained it.
+    pub(crate) fn pop_batch_into(
+        &self,
+        batch: &mut Vec<T>,
+        max_size: usize,
+        max_delay: Duration,
+    ) -> Option<FlushReason> {
+        assert!(max_size > 0, "batch size must be at least one");
+        batch.push(self.pop()?);
         if max_size == 1 {
-            return Some((batch, FlushReason::SizeFull));
+            return Some(FlushReason::SizeFull);
         }
         let deadline = (!max_delay.is_zero()).then(|| Instant::now() + max_delay);
         // The batch before this one may have left frames deferred.
@@ -234,17 +248,17 @@ impl<T> DispatchQueue<T> {
                 }
             }
             if batch.len() >= max_size {
-                return Some((batch, FlushReason::SizeFull));
+                return Some(FlushReason::SizeFull);
             }
             if state.closed {
-                return Some((batch, FlushReason::QueueDrained));
+                return Some(FlushReason::QueueDrained);
             }
             let Some(deadline) = deadline else {
-                return Some((batch, FlushReason::QueueDrained));
+                return Some(FlushReason::QueueDrained);
             };
             let now = Instant::now();
             if now >= deadline {
-                return Some((batch, FlushReason::DelayExpired));
+                return Some(FlushReason::DelayExpired);
             }
             if std::mem::take(&mut unflushed) {
                 // As in `pop`; then the queue is looked at again.

@@ -168,29 +168,23 @@ impl Server {
                             // Writes wait until the queue runs dry: `pop`
                             // flushes before it parks.
                             let _outbox = DeferScope::enter();
-                            if batch.is_on() {
-                                // Batched unit of work: one park/unpark per
-                                // drained batch. Expired members are dropped
-                                // from the batch, never the batch from the
-                                // queue, so one stale request cannot discard
-                                // its batchmates.
-                                while let Some((members, reason)) =
-                                    queue.pop_batch(batch.max_size(), batch.max_delay())
-                                {
+                            // One park/unpark per batch, drained into the
+                            // one buffer this worker keeps. With batching
+                            // off every batch is a single request.
+                            let mut members = Vec::with_capacity(batch.max_size().min(64));
+                            while let Some(reason) = queue.pop_batch_into(
+                                &mut members,
+                                batch.max_size(),
+                                batch.max_delay(),
+                            ) {
+                                if batch.is_on() {
                                     stats.batching().record_batch(members.len(), reason);
-                                    let live: Vec<RequestContext> = members
-                                        .into_iter()
-                                        .filter_map(|ctx| pipeline.screen_dequeued(ctx))
-                                        .collect();
-                                    if !live.is_empty() {
-                                        service.call_batch(live);
-                                    }
                                 }
-                            } else {
-                                while let Some(ctx) = queue.pop() {
-                                    if let Some(ctx) = pipeline.screen_dequeued(ctx) {
-                                        service.call(ctx);
-                                    }
+                                pipeline.screen_dequeued(&mut members);
+                                if members.len() > 1 {
+                                    service.call_batch(members.drain(..));
+                                } else if let Some(ctx) = members.pop() {
+                                    service.call(ctx);
                                 }
                             }
                         })
@@ -427,25 +421,31 @@ impl Pipeline {
         }
     }
 
-    /// Per-member dequeue bookkeeping shared by the single-request and
-    /// batched worker loops: feeds the queue-delay signal (what the
-    /// breakdown's Block stage samples) to the adaptive limiter, then
+    /// Per-member dequeue bookkeeping: feeds the queue-delay signal (what
+    /// the breakdown's Block stage samples) to the adaptive limiter, then
     /// screens out requests whose deadline expired while queued — the
     /// caller has given up, so abandoned work must never occupy a worker.
-    /// Returns the context only when it should still execute.
-    fn screen_dequeued(&self, ctx: RequestContext) -> Option<RequestContext> {
-        let delay = self.clock.delta(ctx.received_at_ns(), self.clock.now_ns());
-        match self.admission.note_dequeue(delay) {
-            Some(LimitChange::Raised) => self.stats.record_admission(AdmissionEvent::LimitRaised),
-            Some(LimitChange::Lowered) => self.stats.record_admission(AdmissionEvent::LimitLowered),
-            None => {}
-        }
-        if ctx.is_expired() {
+    /// An expired member leaves `members`, answered; the batch never
+    /// leaves the queue, so one stale request cannot discard its
+    /// batchmates.
+    fn screen_dequeued(&self, members: &mut Vec<RequestContext>) {
+        let expired = members.extract_if(.., |ctx| {
+            let delay = self.clock.delta(ctx.received_at_ns(), self.clock.now_ns());
+            match self.admission.note_dequeue(delay) {
+                Some(LimitChange::Raised) => {
+                    self.stats.record_admission(AdmissionEvent::LimitRaised)
+                }
+                Some(LimitChange::Lowered) => {
+                    self.stats.record_admission(AdmissionEvent::LimitLowered)
+                }
+                None => {}
+            }
+            ctx.is_expired()
+        });
+        for ctx in expired {
             self.stats.record_admission(AdmissionEvent::ExpiredInQueue);
             ctx.respond_err(Status::DeadlineExpired, "deadline expired in queue");
-            return None;
         }
-        Some(ctx)
     }
 }
 

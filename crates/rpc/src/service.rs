@@ -42,14 +42,15 @@ pub trait Service: Send + Sync + 'static {
     /// Handles one request.
     fn call(&self, ctx: RequestContext);
 
-    /// Handles a batch of requests drained in one worker wakeup. The
-    /// default implementation preserves single-request semantics by
-    /// calling [`Service::call`] once per member, in queue order;
-    /// services with compute-aware batch kernels (shared index walks,
-    /// matrix passes, grouped lookups) override this to amortize work
-    /// across the whole batch. Every context must still be completed
-    /// exactly once, in a response order consistent with member order.
-    fn call_batch(&self, batch: Vec<RequestContext>) {
+    /// Handles a batch of two or more requests drained in one worker
+    /// wakeup; a batch of one goes to [`Service::call`]. The members are
+    /// lent as a drain of the worker's own buffer, which it keeps for the
+    /// next batch. The default calls [`Service::call`] once per member, in
+    /// queue order; a service whose work amortizes across members (one
+    /// matrix pass for several queries) overrides it. Every context must
+    /// still be completed exactly once, and the responses sent in member
+    /// order.
+    fn call_batch(&self, batch: std::vec::Drain<'_, RequestContext>) {
         for ctx in batch {
             self.call(ctx);
         }

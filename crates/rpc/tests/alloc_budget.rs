@@ -8,12 +8,16 @@
 
 use bytes::Bytes;
 use musuite_rpc::{
-    CallOptions, FanoutGroup, LeafCall, NetworkModel, Reactor, ReactorConfig, RequestContext,
-    ResilientConfig, ResilientFanout, RpcClient, Server, ServerConfig, Service,
+    BatchPolicy, CallOptions, FanoutGroup, Frame, LeafCall, NetworkModel, Reactor, ReactorConfig,
+    RecvBuf, RequestContext, ResilientConfig, ResilientFanout, RpcClient, Server, ServerConfig,
+    Service,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 struct CountingAlloc;
 
@@ -129,4 +133,42 @@ fn two_leaf_resilient_scatter_wait() {
         assert!(fanout.scatter_wait(calls, CallOptions::default()).all_ok());
     });
     assert!(per_scatter <= 10.0 + SLACK, "{per_scatter} allocator calls per scatter, budget 10");
+}
+
+const BURST: usize = 16;
+
+/// Allocator calls per request of a [`BURST`] of echo requests sent in one
+/// write to a one-worker server draining its queue under `batch`, each
+/// burst answered in full before the next is sent.
+fn echo_burst_allocs_per_request(batch: BatchPolicy) -> f64 {
+    let mut config = ServerConfig::default();
+    config.workers(1).batch_policy(batch);
+    let server = Server::spawn(config, Arc::new(Echo)).expect("spawn echo server");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let wire: Vec<u8> = (0..BURST)
+        .flat_map(|id| Frame::request(id as u64, 1, vec![0xA5u8; 300]).to_bytes())
+        .collect();
+    let mut buf = RecvBuf::default();
+    let per_burst = allocs_per_op(|| {
+        conn.write_all(&wire).expect("send burst");
+        for _ in 0..BURST {
+            buf.poll_frame(&mut &conn).expect("readable").expect("a reply");
+        }
+    });
+    assert_eq!(server.stats().responses(), (CALLS + CALLS / 10) * BURST as u64);
+    per_burst / BURST as f64
+}
+
+/// Each worker drains every batch into the one buffer it keeps, so a burst
+/// costs the same allocator calls per request in batches of up to eight as
+/// one request at a time.
+#[test]
+fn echo_burst_costs_the_same_batched_as_unbatched() {
+    let unbatched = echo_burst_allocs_per_request(BatchPolicy::off());
+    let batched = echo_burst_allocs_per_request(BatchPolicy::new(8, Duration::ZERO));
+    assert!(
+        (batched - unbatched).abs() <= SLACK,
+        "{batched} allocator calls per request batched, {unbatched} unbatched"
+    );
 }

@@ -128,49 +128,6 @@ impl InvertedIndex {
         }
         result
     }
-
-    /// Answers a whole batch of conjunctive queries with shared work: the
-    /// walk that materializes a term's posting list into a sorted vector —
-    /// the per-query setup cost of [`InvertedIndex::search`] — happens
-    /// **once per distinct driving term across the batch**, so queries
-    /// that pivot on the same rare term (the common case under a skewed
-    /// vocabulary) share one skip-list traversal. Per query, the result
-    /// is identical to `search`: the same lists are intersected
-    /// shortest-first in the same order.
-    pub fn search_batch(&self, queries: &[Vec<TermId>]) -> Vec<Vec<DocId>> {
-        let mut materialized: HashMap<TermId, Vec<DocId>> = HashMap::new();
-        queries
-            .iter()
-            .map(|terms| {
-                let mut lists: Vec<(TermId, &SkipList)> = Vec::new();
-                for &term in terms {
-                    if self.is_stopped(term) {
-                        continue; // stop words constrain nothing in a conjunction
-                    }
-                    match self.postings.get(&term) {
-                        Some(list) => lists.push((term, list)),
-                        None => return Vec::new(), // an absent term matches no document
-                    }
-                }
-                if lists.is_empty() {
-                    return Vec::new(); // stop-word-only or empty query
-                }
-                lists.sort_by_key(|(_, list)| list.len());
-                let (head_term, head_list) = lists[0];
-                let mut result = materialized
-                    .entry(head_term)
-                    .or_insert_with(|| head_list.iter().collect())
-                    .clone();
-                for (_, list) in &lists[1..] {
-                    if result.is_empty() {
-                        break;
-                    }
-                    result = crate::intersect::intersect_skipping(&result, list);
-                }
-                result
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for InvertedIndex {
@@ -237,27 +194,6 @@ mod tests {
         let index = InvertedIndex::build(&docs, &[100, 200], 0);
         assert_eq!(index.search(&[7]), vec![100, 200]);
         assert_eq!(index.search(&[8]), vec![200]);
-    }
-
-    #[test]
-    fn batched_search_matches_sequential() {
-        use musuite_data::text::{CorpusConfig, TextCorpus};
-        let corpus = TextCorpus::generate(&CorpusConfig {
-            documents: 300,
-            vocabulary: 150,
-            doc_len: 25,
-            ..Default::default()
-        });
-        let doc_ids: Vec<DocId> = (0..corpus.len() as DocId).collect();
-        let index = InvertedIndex::build(corpus.documents(), &doc_ids, 5);
-        let mut queries = corpus.sample_queries(40);
-        queries.push(Vec::new()); // empty query
-        queries.push(index.stop_list().to_vec()); // stop-word-only query
-        queries.push(vec![9_999_999]); // absent term
-        let batched = index.search_batch(&queries);
-        for (query, batch) in queries.iter().zip(&batched) {
-            assert_eq!(batch, &index.search(query), "{query:?}");
-        }
     }
 
     #[test]

@@ -43,15 +43,6 @@ impl LeafHandler for SetAlgebraLeaf {
     fn handle(&self, request: TermQuery) -> Result<PostingList, ServiceError> {
         Ok(PostingList { docs: self.index.search(&request.terms) })
     }
-
-    fn handle_batch(&self, requests: Vec<TermQuery>) -> Vec<Result<PostingList, ServiceError>> {
-        let queries: Vec<Vec<TermId>> = requests.into_iter().map(|r| r.terms).collect();
-        self.index
-            .search_batch(&queries)
-            .into_iter()
-            .map(|docs| Ok(PostingList { docs }))
-            .collect()
-    }
 }
 
 #[cfg(test)]

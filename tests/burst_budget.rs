@@ -7,7 +7,7 @@
 //!
 //! Every server runs one worker that blocks when it waits (`WaitMode::Block`),
 //! as the benchmark's do; Recommend also runs the benchmark's shared poller
-//! and batches of eight.
+//! and batches of eight, and so do the other three in `batched_bursts`.
 
 // The one place the crate's no-unsafe rule bends: a counting global
 // allocator cannot be written without `unsafe impl GlobalAlloc`.
@@ -94,6 +94,16 @@ fn paper_default() -> ClusterConfig {
     cluster_config(server_config(NetworkModel::BlockingPerConn, None))
 }
 
+/// The benchmark's Recommend config: one shared poller and batches of up
+/// to eight, with a straggler window long enough that every batch fills,
+/// in a debug build too.
+fn batched() -> ClusterConfig {
+    cluster_config(server_config(
+        NetworkModel::SharedPollers { pollers: 1 },
+        Some(BatchPolicy::new(8, Duration::from_millis(20))),
+    ))
+}
+
 /// One write holding `requests` as query frames.
 fn burst_wire<T: musuite::codec::Encode>(requests: &[T]) -> Vec<u8> {
     requests
@@ -148,12 +158,11 @@ fn leaf_writes(leaves: &[Server], settled: impl Fn(u64) -> bool) -> u64 {
     count()
 }
 
-#[test]
-fn router_burst() {
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let service = RouterService::launch_with(paper_default(), 2, MemKvConfig::default())
-        .expect("launch Router");
-    // Half sets, half gets of what they set.
+/// Allocator calls per request of a Router burst: half sets, half gets of
+/// what they set.
+fn router_allocs(config: ClusterConfig) -> f64 {
+    let service =
+        RouterService::launch_with(config, 2, MemKvConfig::default()).expect("launch Router");
     let requests: Vec<KvRequest> = (0..BURST)
         .map(|i| {
             let key = format!("user{}", i / 2);
@@ -163,24 +172,43 @@ fn router_burst() {
             }
         })
         .collect();
-    let measured = allocs_per_request(service.cluster(), &burst_wire(&requests));
-    assert_allocs("router", measured, ROUTER_ALLOCS);
+    allocs_per_request(service.cluster(), &burst_wire(&requests))
 }
 
 #[test]
-fn hdsearch_burst() {
+fn router_burst() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    assert_allocs("router", router_allocs(paper_default()), ROUTER_ALLOCS);
+}
+
+/// The HDSearch corpus and a burst of queries near it.
+fn hdsearch_workload() -> (VectorDataset, Vec<SearchQuery>) {
     let dataset = VectorDataset::generate(&VectorDatasetConfig {
         points: 20_000,
         dim: 64,
         seed: 7,
         ..Default::default()
     });
-    let queries: Vec<SearchQuery> = dataset
+    let queries = dataset
         .sample_queries(BURST, 0.02)
         .into_iter()
         .map(|vector| SearchQuery { vector, k: 10 })
         .collect();
+    (dataset, queries)
+}
+
+/// Allocator calls per request of an HDSearch burst.
+fn hdsearch_allocs(config: ClusterConfig) -> f64 {
+    let (dataset, queries) = hdsearch_workload();
+    let service = HdSearchService::launch_with(config, dataset, LshConfig::default())
+        .expect("launch HDSearch");
+    allocs_per_request(service.cluster(), &burst_wire(&queries))
+}
+
+#[test]
+fn hdsearch_burst() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (dataset, queries) = hdsearch_workload();
     // The leaf requests the mid-tier will send, and which of them run long.
     let id_map = RoundRobinMap::new(LEAVES);
     let mid = HdSearchMidTier::build(64, LshConfig::default(), dataset.vectors(), id_map);
@@ -209,9 +237,8 @@ fn hdsearch_burst() {
     assert!(writes >= long, "{writes} leaf writes for {long} leaf requests that run long");
 }
 
-#[test]
-fn setalgebra_burst() {
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+/// Allocator calls per request of a Set Algebra burst.
+fn setalgebra_allocs(config: ClusterConfig) -> f64 {
     let corpus = TextCorpus::generate(&CorpusConfig {
         documents: 4_000,
         vocabulary: 2_000,
@@ -221,10 +248,14 @@ fn setalgebra_burst() {
     });
     let queries: Vec<TermQuery> =
         corpus.sample_queries(BURST).into_iter().map(|terms| TermQuery { terms }).collect();
-    let service =
-        SetAlgebraService::launch_with(paper_default(), &corpus, 100).expect("launch Set Algebra");
-    let measured = allocs_per_request(service.cluster(), &burst_wire(&queries));
-    assert_allocs("setalgebra", measured, SETALGEBRA_ALLOCS);
+    let service = SetAlgebraService::launch_with(config, &corpus, 100).expect("launch Set Algebra");
+    allocs_per_request(service.cluster(), &burst_wire(&queries))
+}
+
+#[test]
+fn setalgebra_burst() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    assert_allocs("setalgebra", setalgebra_allocs(paper_default()), SETALGEBRA_ALLOCS);
 }
 
 #[test]
@@ -243,15 +274,8 @@ fn recommend_burst() {
         .into_iter()
         .map(|(user, item)| RatingQuery { user, item })
         .collect();
-    // A straggler window long enough that every batch fills, in a debug
-    // build too: the count is then one of sixteen requests in two batches.
-    let config = server_config(
-        NetworkModel::SharedPollers { pollers: 1 },
-        Some(BatchPolicy::new(8, Duration::from_millis(20))),
-    );
-    let service =
-        RecommendService::launch_with(cluster_config(config), &data, NmfConfig::default(), 20)
-            .expect("launch Recommend");
+    let service = RecommendService::launch_with(batched(), &data, NmfConfig::default(), 20)
+        .expect("launch Recommend");
     let leaves = service.cluster().leaf_servers();
     let batches = || leaves.iter().map(|leaf| leaf.stats().batching().batches()).sum::<u64>();
     let measured = allocs_per_request(service.cluster(), &burst_wire(&queries));
@@ -262,8 +286,26 @@ fn recommend_burst() {
     assert_eq!(leaf_writes(leaves, |writes| writes >= batches), batches, "leaf writes, batches");
 }
 
+/// The other three services under Recommend's config. Their leaves have no
+/// batch kernel, so a batch runs `handle` per member.
+#[test]
+fn batched_bursts() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let cases = [
+        ("router", router_allocs as fn(ClusterConfig) -> f64, ROUTER_BATCHED_ALLOCS),
+        ("hdsearch", hdsearch_allocs, HDSEARCH_BATCHED_ALLOCS),
+        ("setalgebra", setalgebra_allocs, SETALGEBRA_BATCHED_ALLOCS),
+    ];
+    for (service, allocs, budget) in cases {
+        assert_allocs(&format!("{service}, batched"), allocs(batched()), budget);
+    }
+}
+
 /// Allocator calls per request, as measured in release and debug builds.
 const ROUTER_ALLOCS: f64 = 21.00;
 const HDSEARCH_ALLOCS: f64 = 30.01;
 const SETALGEBRA_ALLOCS: f64 = 30.26;
-const RECOMMEND_ALLOCS: f64 = 21.63;
+const RECOMMEND_ALLOCS: f64 = 21.25;
+const ROUTER_BATCHED_ALLOCS: f64 = 21.625;
+const HDSEARCH_BATCHED_ALLOCS: f64 = 30.63;
+const SETALGEBRA_BATCHED_ALLOCS: f64 = 31.00;
