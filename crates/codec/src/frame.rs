@@ -32,7 +32,7 @@
 
 use crate::error::DecodeError;
 use crate::wire;
-use bytes::{BufMut, Bytes};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Frame magic bytes ("μ" in CP437 spirit, then 'T': the retired
@@ -45,6 +45,62 @@ pub const HEADER_LEN: usize = 2 + 4 + 1 + 8 + 4 + 4 + 8 + 4 + 1;
 
 /// Maximum payload bytes accepted in one frame (16 MiB).
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// Offsets of the two header fields written after the payload: its length
+/// and its checksum.
+const LEN_AT: usize = 2;
+const CHECKSUM_AT: usize = 23;
+
+/// A frame refused by [`FrameHeader::encode_in_place`]: its payload is
+/// longer than [`MAX_FRAME_LEN`], which every receiver rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLarge {
+    /// Payload bytes the body wrote.
+    pub len: usize,
+}
+
+impl fmt::Display for FrameTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "a frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit", self.len)
+    }
+}
+
+impl std::error::Error for FrameTooLarge {}
+
+/// A growable byte buffer a frame is serialized into in place: written
+/// through [`BufMut`], then patched, or cut back if the frame is refused.
+pub trait FrameBuf: BufMut + AsRef<[u8]> + AsMut<[u8]> {
+    /// Shortens the buffer to its first `len` bytes.
+    fn truncate(&mut self, len: usize);
+}
+
+impl FrameBuf for Vec<u8> {
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
+}
+
+impl FrameBuf for BytesMut {
+    fn truncate(&mut self, len: usize) {
+        BytesMut::truncate(self, len);
+    }
+}
+
+/// A frame being serialized at `start`: cut back off the buffer when this
+/// drops, unless `keep` is set — on a refusal, and if the body unwinds.
+struct Rollback<'a, B: FrameBuf> {
+    buf: &'a mut B,
+    start: usize,
+    keep: bool,
+}
+
+impl<B: FrameBuf> Drop for Rollback<'_, B> {
+    fn drop(&mut self) {
+        if !self.keep {
+            self.buf.truncate(self.start);
+        }
+    }
+}
 
 /// Frame direction/role discriminator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,30 +276,64 @@ impl FrameHeader {
         HEADER_LEN
     }
 
-    /// Serializes a complete frame into `buf`: this header followed by a
-    /// payload assembled from `parts` in order.
+    /// Serializes a complete frame onto the end of `buf` in place: this
+    /// header, then whatever `body` appends as the payload, then the
+    /// payload's length and FNV-1a checksum patched into the header. Every
+    /// frame is serialized here, so length and checksum are computed in one
+    /// place whatever writes the payload.
     ///
-    /// The payload length and FNV-1a checksum are computed across part
-    /// boundaries, so a scatter payload built from a shared prefix plus a
-    /// per-leaf suffix goes on the wire without being joined first.
-    pub fn encode_with_payload<B: BufMut>(&self, parts: &[&[u8]], buf: &mut B) {
-        let len: usize = parts.iter().map(|part| part.len()).sum();
-        debug_assert!(len <= MAX_FRAME_LEN, "frame payload exceeds MAX_FRAME_LEN");
-        buf.put_slice(&MAGIC);
-        wire::put_u32_le(buf, len as u32);
-        buf.put_u8(self.kind as u8);
-        wire::put_u64_le(buf, self.request_id);
-        wire::put_u32_le(buf, self.method);
-        wire::put_u32_le(buf, self.status as u32);
-        let mut checksum = wire::FNV_OFFSET;
-        for part in parts {
-            checksum = wire::fnv1a_update(checksum, part);
+    /// # Errors
+    ///
+    /// Returns [`FrameTooLarge`] if `body` wrote more than
+    /// [`MAX_FRAME_LEN`] bytes; `buf` is then cut back to where the frame
+    /// began. It is also cut back if `body` panics, before the unwind
+    /// leaves this call.
+    pub fn encode_in_place<B: FrameBuf>(
+        &self,
+        buf: &mut B,
+        body: impl FnOnce(&mut B),
+    ) -> Result<(), FrameTooLarge> {
+        let start = buf.as_ref().len();
+        let mut frame = Rollback { buf, start, keep: false };
+        let out = &mut *frame.buf;
+        out.put_slice(&MAGIC);
+        wire::put_u32_le(out, 0); // payload length, patched below
+        out.put_u8(self.kind as u8);
+        wire::put_u64_le(out, self.request_id);
+        wire::put_u32_le(out, self.method);
+        wire::put_u32_le(out, self.status as u32);
+        wire::put_u64_le(out, 0); // checksum, patched below
+        wire::put_u32_le(out, self.deadline_budget_us);
+        out.put_u8(self.priority as u8);
+        body(out);
+        let bytes = &mut frame.buf.as_mut()[start..];
+        let len = bytes.len() - HEADER_LEN;
+        if len > MAX_FRAME_LEN {
+            return Err(FrameTooLarge { len });
         }
-        wire::put_u64_le(buf, checksum);
-        wire::put_u32_le(buf, self.deadline_budget_us);
-        buf.put_u8(self.priority as u8);
-        for part in parts {
-            buf.put_slice(part);
+        let checksum = wire::fnv1a(&bytes[HEADER_LEN..]);
+        bytes[LEN_AT..LEN_AT + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&checksum.to_le_bytes());
+        frame.keep = true;
+        Ok(())
+    }
+
+    /// Serializes a complete frame into `buf`: this header followed by a
+    /// payload assembled from `parts` in order, through
+    /// [`FrameHeader::encode_in_place`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts add up to more than [`MAX_FRAME_LEN`] bytes;
+    /// [`FrameHeader::encode_in_place`] reports that instead.
+    pub fn encode_with_payload<B: FrameBuf>(&self, parts: &[&[u8]], buf: &mut B) {
+        let encoded = self.encode_in_place(buf, |buf| {
+            for part in parts {
+                buf.put_slice(part);
+            }
+        });
+        if let Err(refused) = encoded {
+            panic!("{refused}");
         }
     }
 }
@@ -529,6 +619,44 @@ mod tests {
         assert_eq!(split, frame.to_bytes());
         let (parsed, _) = Frame::parse(&Bytes::from(split)).unwrap();
         assert_eq!(parsed, frame);
+    }
+
+    #[test]
+    fn in_place_body_matches_copied_parts() {
+        let header = FrameHeader::new(FrameKind::Response, 9, 4, Status::AppError)
+            .with_budget(777, Priority::Sheddable);
+        let mut copied = b"ahead".to_vec();
+        header.encode_with_payload(&[b"abc", b"def"], &mut copied);
+        let mut in_place = BytesMut::from(&b"ahead"[..]);
+        header.encode_in_place(&mut in_place, |buf| buf.put_slice(b"abcdef")).unwrap();
+        assert_eq!(in_place[..], copied[..]);
+    }
+
+    #[test]
+    fn an_oversized_payload_is_refused_and_rolled_back() {
+        let header = FrameHeader::new(FrameKind::Response, 1, 1, Status::Ok);
+        let mut buf = b"earlier frame".to_vec();
+        let big = vec![0u8; MAX_FRAME_LEN + 1];
+        let refused = header.encode_in_place(&mut buf, |buf| buf.put_slice(&big)).unwrap_err();
+        assert_eq!(refused, FrameTooLarge { len: MAX_FRAME_LEN + 1 });
+        assert_eq!(buf, b"earlier frame");
+        // The limit itself is allowed.
+        header.encode_in_place(&mut buf, |buf| buf.put_slice(&big[1..])).unwrap();
+        assert_eq!(buf.len(), b"earlier frame".len() + HEADER_LEN + MAX_FRAME_LEN);
+    }
+
+    #[test]
+    fn a_body_that_panics_is_rolled_back() {
+        let header = FrameHeader::new(FrameKind::Request, 1, 1, Status::Ok);
+        let mut buf = b"earlier frame".to_vec();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = header.encode_in_place(&mut buf, |buf| {
+                buf.put_slice(b"half a payload");
+                panic!("the body failed");
+            });
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(buf, b"earlier frame");
     }
 
     #[test]

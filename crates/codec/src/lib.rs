@@ -38,7 +38,8 @@ pub use decode::Decode;
 pub use encode::Encode;
 pub use error::DecodeError;
 pub use frame::{
-    Frame, FrameHeader, FrameKind, FramePrefix, Priority, Status, HEADER_LEN, MAX_FRAME_LEN,
+    Frame, FrameBuf, FrameHeader, FrameKind, FramePrefix, FrameTooLarge, Priority, Status,
+    HEADER_LEN, MAX_FRAME_LEN,
 };
 
 /// Encodes a value into a fresh byte vector.

@@ -65,11 +65,11 @@ pub(crate) fn decode<T: Decode>(ctx: &mut RequestContext) -> Result<T, ServiceEr
         .map_err(|e| ServiceError::bad_request(e.to_string()))
 }
 
-/// Completes `ctx` with the encoded response, or with the error's status
-/// and message.
+/// Completes `ctx` with the response, encoded straight into the
+/// connection's pending buffer, or with the error's status and message.
 pub(crate) fn respond<T: Encode>(ctx: RequestContext, result: Result<T, ServiceError>) {
     match result {
-        Ok(response) => ctx.respond_ok(musuite_codec::to_bytes(&response)),
+        Ok(response) => ctx.respond_encoded(&response),
         Err(e) => ctx.respond_err(e.status(), e.message()),
     }
 }
@@ -300,6 +300,50 @@ pub(crate) mod tests {
         // A truncated varint is not a valid u64.
         let err = client.call(1, vec![0x80]).unwrap_err();
         assert!(matches!(err, RpcError::Remote { status: Status::BadRequest, .. }));
+    }
+
+    /// Answers with `request` bytes.
+    struct Filler;
+    impl LeafHandler for Filler {
+        type Request = u64;
+        type Response = Vec<u8>;
+        fn handle(&self, request: u64) -> Result<Vec<u8>, ServiceError> {
+            Ok(vec![7; request as usize])
+        }
+    }
+
+    /// A reply over the frame size limit is refused alone: the call that
+    /// asked for it gets a typed error, and the calls in flight beside it
+    /// and after it on the same connection are answered.
+    #[test]
+    fn an_oversized_reply_fails_its_call_alone() {
+        use musuite_codec::MAX_FRAME_LEN;
+        let server =
+            Server::spawn(ServerConfig::default(), Arc::new(LeafService::new(Filler))).unwrap();
+        let client = RpcClient::connect(server.local_addr()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        for len in [MAX_FRAME_LEN + 1, 3] {
+            let tx = tx.clone();
+            let payload = musuite_codec::to_bytes(&(len as u64));
+            client.call_async(1, payload, move |result| tx.send((len, result)).unwrap());
+        }
+        for _ in 0..2 {
+            let (len, result) = rx.recv_timeout(PATIENCE).expect("every call completes");
+            if len == 3 {
+                let reply: Vec<u8> = musuite_codec::from_bytes(&result.unwrap()).unwrap();
+                assert_eq!(reply, [7; 3]);
+                continue;
+            }
+            match result.unwrap_err() {
+                RpcError::Remote { status: Status::AppError, detail } => {
+                    assert!(detail.contains("exceeds"), "{detail}");
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        let reply = client.call(1, musuite_codec::to_bytes(&5u64)).unwrap();
+        assert_eq!(musuite_codec::from_bytes::<Vec<u8>>(&reply).unwrap(), [7; 5]);
+        assert!(!client.is_closed());
     }
 
     #[test]

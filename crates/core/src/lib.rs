@@ -36,8 +36,8 @@
 //! }
 //!
 //! /// The mid-tier broadcasts the query and sums leaf counts. The query
-//! /// bytes are the *shared* request state: they are encoded once and the
-//! /// same buffer is fanned out to every leaf.
+//! /// bytes are the *shared* request state: held once per fan-out, and
+//! /// encoded into every leaf's frame as it is written.
 //! struct SumMidTier;
 //! impl MidTierHandler for SumMidTier {
 //!     type Request = Vec<u8>;

@@ -13,14 +13,18 @@
 //!
 //! A [`Plan`] separates request state that is *common* to every targeted
 //! leaf (an HDSearch query vector, a Recommend user vector) from the
-//! per-leaf remainder. The service encodes the shared part **once** into
-//! a `Bytes` buffer and every leaf payload references that single
-//! allocation — fanning a 2 KiB query vector out to 16 leaves moves zero
-//! payload bytes, where the previous design serialized it 16 times.
+//! per-leaf remainder. The scatter owns the plan, and every attempt on a
+//! leaf — primary, hedge or retry — encodes `shared ++ leaf request`
+//! straight into the pending buffer of the connection it goes out on: no
+//! leaf request is held in a buffer of its own. The shared part is
+//! therefore encoded once per leaf frame, where a buffer encoded once
+//! would be copied into each: that costs more CPU, most with many leaves
+//! and a large shared part (EXPERIMENTS.md, "Encoding leaf requests in
+//! place").
 
 use crate::error::ServiceError;
 use crate::leaf::{decode, respond};
-use bytes::Bytes;
+use bytes::BytesMut;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
@@ -38,9 +42,12 @@ use std::sync::Arc;
 /// leaf's request type decodes the two in sequence (a tuple
 /// `(Shared, PerLeaf)` or a struct with the shared fields first). Use
 /// `S = ()` when the leaves share nothing — `()` encodes to zero bytes.
+/// The scatter owns the plan and encodes both parts into each leaf frame
+/// as it is written.
 #[derive(Debug, Clone)]
 pub struct Plan<S, L> {
-    /// State sent to every targeted leaf, encoded once per fan-out.
+    /// State sent to every targeted leaf, held once per fan-out and
+    /// encoded into each leaf frame.
     pub shared: S,
     /// `(leaf index, per-leaf request suffix)` pairs.
     pub targets: Vec<(usize, L)>,
@@ -105,12 +112,12 @@ pub trait MidTierHandler: Send + Sync + 'static {
     type Request: Decode + Send + 'static;
     /// The encoded front-end response type.
     type Response: Encode;
-    /// Request state common to every targeted leaf, encoded **once** per
-    /// fan-out and shared across leaf payloads without copying. Use `()`
-    /// when leaves share nothing.
-    type SharedRequest: Encode;
+    /// Request state common to every targeted leaf: held once per
+    /// fan-out, in the scatter that owns the plan, and encoded into each
+    /// leaf frame as it is written. Use `()` when leaves share nothing.
+    type SharedRequest: Encode + Send + Sync + 'static;
     /// The encoded per-leaf request suffix.
-    type LeafRequest: Encode;
+    type LeafRequest: Encode + Send + Sync + 'static;
     /// The decoded per-leaf response type.
     type LeafResponse: Decode + Send + 'static;
 
@@ -212,29 +219,25 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
             flush_outbox();
         }
         let fanout_start = self.clock.now_ns();
-        let plan = self.handler.plan(&request, self.fanout.len());
-        // Shared request state is serialized exactly once; each leaf
-        // payload holds a reference-counted handle to this buffer plus its
-        // own small suffix.
-        let shared = Bytes::from(musuite_codec::to_bytes(&plan.shared));
-        let mut alternates = plan.alternates;
-        let calls: Vec<LeafCall> = plan
-            .targets
-            .into_iter()
+        let Plan { shared, targets, mut alternates } =
+            self.handler.plan(&request, self.fanout.len());
+        // The calls carry no payload: the encoder below owns the plan and
+        // writes slot `i`'s request into each attempt's frame in place.
+        let calls: Vec<LeafCall> = targets
+            .iter()
             .enumerate()
-            .map(|(slot, (leaf, leaf_request))| {
-                let suffix = musuite_codec::to_bytes(&leaf_request);
-                let call = LeafCall::new(
-                    leaf,
-                    self.leaf_method,
-                    Payload::with_suffix(shared.clone(), suffix),
-                );
+            .map(|(slot, &(leaf, _))| {
+                let call = LeafCall::new(leaf, self.leaf_method, Payload::new());
                 match alternates.get_mut(slot) {
                     Some(alts) => call.with_alternates(std::mem::take(alts)),
                     None => call,
                 }
             })
             .collect();
+        let encoder = move |slot: usize, buf: &mut BytesMut| {
+            shared.encode(buf);
+            targets[slot].1.encode(buf);
+        };
         let handler = self.handler.clone();
         let stats_breakdown = ctx_breakdown(&ctx);
         let clock = self.clock;
@@ -251,7 +254,7 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
         };
         // The worker thread issues the fan-out and returns to the pool;
         // the last response thread runs this closure.
-        self.fanout.scatter(calls, opts, move |result| {
+        self.fanout.scatter_encoded(calls, opts, encoder, move |result| {
             // Fan-out stage = plan + issue + completion dispatch, excluding
             // the time spent waiting on the leaves themselves.
             let fanout_ns =

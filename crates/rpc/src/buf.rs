@@ -1,19 +1,22 @@
 //! Wire buffers: the zero-copy plumbing under every connection.
 //!
-//! Three pieces keep payload bytes from being copied between the socket
+//! Four pieces keep payload bytes from being copied between the socket
 //! and the service handler:
 //!
+//! * [`Body`] — what an outgoing frame's payload is made from: a typed
+//!   message's encoder, which serializes it straight into the connection's
+//!   pending buffer, or a [`Payload`] of bytes already encoded.
 //! * [`Payload`] — an outgoing message body as up to two [`Bytes`]
-//!   segments (a shared prefix plus a per-request suffix). A mid-tier
-//!   scatter encodes its shared request state **once** and hands every
-//!   leaf a reference-counted clone of the same allocation; the per-leaf
-//!   suffix rides in the second segment. Length and checksum are computed
-//!   across the segment boundary, so the two are never joined in memory.
+//!   segments (a shared prefix plus a per-request suffix), for callers that
+//!   hold their bytes before the call: the segments are reference-counted
+//!   handles, and length and checksum are computed across the boundary, so
+//!   the two are never joined in memory.
 //! * [`RecvBuf`] — the frame reader of every connection, whichever runner
 //!   drives it: each wake's bytes land in a chunk, every complete frame in
 //!   the chunk is handed out as a [`Bytes`] slice of it, and the chunk is
 //!   taken back for refilling once the last slice is dropped.
-//! * [`ConnWriter`] — a thread-safe coalescing writer: what a loop thread
+//! * [`ConnWriter`] — a thread-safe coalescing writer: every frame is
+//!   serialized in place into its pending buffer; what a loop thread
 //!   queues while it has ready work leaves in one write before it waits,
 //!   and frames queued while another thread is flushing ride out in that
 //!   thread's write, shrinking the `sendmsg` column of the syscall profile.
@@ -21,7 +24,7 @@
 use bytes::{Bytes, BytesMut};
 use musuite_check::sync::MutexGuard;
 use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAGIC};
-use musuite_codec::{DecodeError, Frame};
+use musuite_codec::{DecodeError, Frame, FrameTooLarge};
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::netpoll::CoalesceStats;
@@ -30,6 +33,45 @@ use std::cell::RefCell;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
+
+/// What an outgoing frame's payload is made from.
+///
+/// A call that is written at once has its body serialized straight into
+/// the connection's pending buffer ([`Body::encode_into`]); one that is
+/// held back first — a fault shim's delayed send, a merge buffer — takes
+/// its bytes along as a [`Payload`] ([`Body::into_payload`]). Any
+/// `FnOnce(&mut BytesMut)` is a body: an encoder that appends a typed
+/// message, as `|buf| request.encode(buf)`.
+pub trait Body {
+    /// Appends the payload's bytes to `buf`.
+    fn encode_into(self, buf: &mut BytesMut);
+
+    /// The payload's bytes, in an allocation of their own.
+    fn into_payload(self) -> Payload
+    where
+        Self: Sized,
+    {
+        let mut buf = BytesMut::new();
+        self.encode_into(&mut buf);
+        Payload::from(buf.freeze())
+    }
+}
+
+impl<F: FnOnce(&mut BytesMut)> Body for F {
+    fn encode_into(self, buf: &mut BytesMut) {
+        self(buf);
+    }
+}
+
+impl Body for Payload {
+    fn encode_into(self, buf: &mut BytesMut) {
+        self.put_into(buf);
+    }
+
+    fn into_payload(self) -> Payload {
+        self
+    }
+}
 
 /// An outgoing message body: a shared head plus a per-request tail.
 ///
@@ -64,8 +106,7 @@ impl Payload {
 
     /// A payload sharing `head` and appending an owned `tail`.
     ///
-    /// The head's allocation is shared (reference-counted), not copied —
-    /// this is how a fan-out encodes common request state once.
+    /// The head's allocation is shared (reference-counted), not copied.
     pub fn with_suffix(head: Bytes, tail: impl Into<Bytes>) -> Payload {
         Payload { head, tail: tail.into() }
     }
@@ -83,6 +124,12 @@ impl Payload {
     /// The payload as wire-order segments, for scatter-write APIs.
     pub fn parts(&self) -> [&[u8]; 2] {
         [&self.head, &self.tail]
+    }
+
+    /// Appends both segments to `buf`, in wire order.
+    pub(crate) fn put_into(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.head);
+        buf.put_slice(&self.tail);
     }
 
     /// Copies both segments into one contiguous vector (for diagnostics
@@ -426,42 +473,70 @@ impl ConnWriter {
         }
     }
 
-    /// Serializes `header` with a payload assembled from `parts` and
-    /// queues it for transmission. Returns once the frame is on the wire,
-    /// queued behind an in-progress flush, or noted for the calling loop
-    /// thread's next flush.
+    /// Serializes a frame with `header` straight into the pending buffer,
+    /// its payload appended there by `body`, and queues it for
+    /// transmission. Returns once the frame is on the wire, queued behind
+    /// an in-progress flush, or noted for the calling loop thread's next
+    /// flush.
+    ///
+    /// `body` runs under the writer's lock. If it panics, the frame is cut
+    /// back off the pending buffer before the lock is released, so the
+    /// frames queued around it still parse.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors observed by this thread's own flush, and
-    /// refuses with `BrokenPipe` once any flush has failed. A frame that
-    /// leaves in a later flush reports `Ok` even if that flush fails.
-    pub fn write_parts(self: &Arc<Self>, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
-        self.enqueue(header, parts, false)
-    }
-
-    /// Fault-injection only: like [`ConnWriter::write_parts`] but flips
-    /// one bit of the serialized frame after checksumming, so the receiver
-    /// must reject it.
-    pub fn write_parts_corrupted(
+    /// Refuses a payload over [`MAX_FRAME_LEN`](musuite_codec::MAX_FRAME_LEN)
+    /// with `InvalidInput` carrying [`FrameTooLarge`] (see [`too_large`]):
+    /// nothing of it is queued, and the connection carries on. Propagates
+    /// I/O errors observed by this thread's own flush, and refuses with
+    /// `BrokenPipe` once any flush has failed. A frame that leaves in a
+    /// later flush reports `Ok` even if that flush fails.
+    pub fn write_with(
         self: &Arc<Self>,
         header: &FrameHeader,
-        parts: &[&[u8]],
+        body: impl FnOnce(&mut BytesMut),
     ) -> io::Result<()> {
-        self.enqueue(header, parts, true)
+        self.enqueue(header, body, false)
     }
 
+    /// [`ConnWriter::write_with`] with a body that copies `parts` in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConnWriter::write_with`].
+    pub fn write_parts(self: &Arc<Self>, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
+        self.write_with(header, |buf| {
+            for part in parts {
+                buf.put_slice(part);
+            }
+        })
+    }
+
+    /// Fault-injection only: like [`ConnWriter::write_with`] but flips
+    /// one bit of the serialized frame after checksumming, so the receiver
+    /// must reject it.
+    pub fn write_corrupted_with(
+        self: &Arc<Self>,
+        header: &FrameHeader,
+        body: impl FnOnce(&mut BytesMut),
+    ) -> io::Result<()> {
+        self.enqueue(header, body, true)
+    }
+
+    /// The one enqueue path: serializes the frame in place, then queues it.
     fn enqueue(
         self: &Arc<Self>,
         header: &FrameHeader,
-        parts: &[&[u8]],
+        body: impl FnOnce(&mut BytesMut),
         corrupt: bool,
     ) -> io::Result<()> {
         let mut st = self.state.lock();
         if st.broken {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
-        header.encode_with_payload(parts, &mut st.pending);
+        header
+            .encode_in_place(&mut st.pending, body)
+            .map_err(|refused| io::Error::new(io::ErrorKind::InvalidInput, refused))?;
         if corrupt {
             let last = st.pending.len() - 1;
             st.pending[last] ^= 0x40;
@@ -531,6 +606,13 @@ impl ConnWriter {
         }
         Ok(())
     }
+}
+
+/// Returns `true` if `error` is a [`ConnWriter`]'s refusal of a frame
+/// whose payload is over the frame size limit: that one frame was not
+/// sent, and the connection is fine.
+pub fn too_large(error: &io::Error) -> bool {
+    error.get_ref().is_some_and(|inner| inner.is::<FrameTooLarge>())
 }
 
 /// The calling thread's deferred writes: the writers it has queued frames
@@ -988,15 +1070,60 @@ mod conn_writer_tests {
         let (tx_side, rx_side) = loopback_pair();
         let writer = Arc::new(ConnWriter::new(tx_side));
         let frame = Frame::request(3, 9, b"poisoned".to_vec());
-        writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
+        writer.write_corrupted_with(&frame.header, |buf| buf.put_slice(&frame.payload)).unwrap();
         let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "checksum must catch the flip");
         // Empty payload: the flip lands in the header's last byte instead.
         let (tx_side, rx_side) = loopback_pair();
         let frame = Frame::request(4, 9, Vec::new());
-        Arc::new(ConnWriter::new(tx_side)).write_parts_corrupted(&frame.header, &[]).unwrap();
+        Arc::new(ConnWriter::new(tx_side)).write_corrupted_with(&frame.header, |_| {}).unwrap();
         let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A body that panics under the writer's lock leaves the pending
+    /// buffer as it found it: the frames queued before and after it parse.
+    #[test]
+    fn a_body_that_panics_leaves_the_writer_as_it_was() {
+        let (tx_side, rx_side) = loopback_pair();
+        let writer = Arc::new(ConnWriter::new(tx_side));
+        let first = Frame::request(1, 9, b"before".to_vec());
+        let header = Frame::request(2, 9, Vec::new()).header;
+        let third = Frame::request(3, 9, b"after".to_vec());
+        let unwound = {
+            let _scope = DeferScope::enter();
+            writer.write_parts(&first.header, &[&first.payload]).unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = writer.write_with(&header, |buf| {
+                    buf.put_slice(b"half a payload");
+                    panic!("the encoder failed");
+                });
+            }));
+            writer.write_parts(&third.header, &[&third.payload]).unwrap();
+            unwound
+        };
+        assert!(unwound.is_err());
+        let mut reader = RecvBuf::default();
+        assert_eq!(reader.poll_frame(&mut &rx_side).unwrap().unwrap().0, first);
+        assert_eq!(reader.poll_frame(&mut &rx_side).unwrap().unwrap().0, third);
+        assert_eq!(writer.stats.frames(), 2);
+    }
+
+    /// A payload over the limit is refused alone: nothing of it is queued,
+    /// and the frames around it leave as usual.
+    #[test]
+    fn an_oversized_frame_is_refused_without_breaking_the_connection() {
+        let (tx_side, rx_side) = loopback_pair();
+        let writer = Arc::new(ConnWriter::new(tx_side));
+        let header = Frame::request(1, 9, Vec::new()).header;
+        let big = vec![0u8; musuite_codec::MAX_FRAME_LEN + 1];
+        let refused = writer.write_with(&header, |buf| buf.put_slice(&big)).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        assert!(too_large(&refused));
+        let next = Frame::request(2, 9, b"next".to_vec());
+        writer.write_parts(&next.header, &[&next.payload]).unwrap();
+        let (frame, _) = RecvBuf::default().poll_frame(&mut &rx_side).unwrap().unwrap();
+        assert_eq!(frame, next);
     }
 
     #[test]

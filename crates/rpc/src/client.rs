@@ -14,8 +14,9 @@
 //!
 //! Response payloads are [`Bytes`] slices of the connection's receive
 //! buffer — they travel from the socket to the caller without being
-//! copied. Requests are [`Payload`]s, so a fan-out can share one encoded
-//! prefix across many calls by reference count instead of deep copy.
+//! copied. A request's payload is a [`Body`]: a typed message's encoder
+//! serializes it straight into the connection's pending buffer, and bytes
+//! already encoded go as a [`Payload`].
 //!
 //! In-flight hygiene: synchronous deadline waits use an absolute deadline
 //! (spurious wakeups cannot extend the timeout), and asynchronous calls
@@ -25,16 +26,16 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{flush_outbox, ConnWriter, Payload, SharedWriter};
+use crate::buf::{flush_outbox, Body, ConnWriter, Payload, SharedWriter};
 use crate::error::RpcError;
 use crate::fault::{ClientFaults, FaultKind};
 use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
 use crate::timer::{Fate, Timer};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_check::thread::JoinHandle;
-use musuite_codec::batch::{BatchEntry, ENTRY_HEADER_LEN};
+use musuite_codec::batch::BatchEntry;
 use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -120,21 +121,22 @@ impl SyncSlot {
 
 type InflightTable = Arc<CountedMutex<HashMap<u64, Pending>>>;
 
-/// One request on its way out: what the send path, the fault shim's
-/// hold-back and a batch envelope's member table all need of it.
+/// One request on its way out, but for its payload: what the send path,
+/// the fault shim's hold-back and a batch envelope's member table all need
+/// of it.
 struct Outgoing {
     request_id: u64,
     method: u32,
-    payload: Payload,
     deadline: Option<Instant>,
     priority: Priority,
 }
 
 /// A request held back by a [`FaultKind::Delay`] injection, released by
-/// the timer thread at `send_at`.
+/// the timer thread at `send_at`. Its payload is encoded when it is parked.
 struct DelayedSend {
     send_at: Instant,
     request: Outgoing,
+    payload: Payload,
 }
 
 type DelayedMap = Arc<Mutex<HashMap<u64, DelayedSend>>>;
@@ -198,66 +200,59 @@ fn budget_for(deadline: Option<Instant>) -> u32 {
 }
 
 impl Outgoing {
-    /// Serializes and writes this request as one frame; shared by the
-    /// caller-side send path and the timer's delayed-send release (which
-    /// is why the budget is derived from the absolute deadline here, at
-    /// the last moment). `corrupt` is fault injection only.
+    /// Serializes and writes this request as one frame, its payload
+    /// encoded by `body` straight into this connection's shared pending
+    /// buffer, where it may coalesce with competing requests into one
+    /// socket write (the writer accounts the actual `sendmsg` calls).
+    /// Shared by the caller-side send path and the timer's delayed-send
+    /// release, which is why the budget is derived from the absolute
+    /// deadline here, at the last moment. `corrupt` is fault injection
+    /// only.
     fn write(
         &self,
         writer: &SharedWriter,
         closed: &AtomicBool,
         corrupt: bool,
+        body: impl Body,
     ) -> Result<(), RpcError> {
         if closed.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
         let header = FrameHeader::new(FrameKind::Request, self.request_id, self.method, Status::Ok)
             .with_budget(budget_for(self.deadline), self.priority);
-        // The payload's segments go on the wire without being joined; the
-        // frame serializes into this connection's shared pending buffer and
-        // may coalesce with competing requests into one socket write (the
-        // writer accounts the actual `sendmsg` calls).
+        let body = |buf: &mut BytesMut| body.encode_into(buf);
         if corrupt {
-            writer.write_parts_corrupted(&header, &self.payload.parts())?;
+            writer.write_corrupted_with(&header, body)?;
         } else {
-            writer.write_parts(&header, &self.payload.parts())?;
+            writer.write_with(&header, body)?;
         }
         Ok(())
     }
 }
 
 /// Serializes and writes one [`FrameKind::Batch`] frame carrying every
-/// sub-call in `calls` as a multi-request envelope. Per-member deadline
-/// budgets are derived from the absolute deadlines here, at the last
-/// moment before the frame leaves, exactly like [`Outgoing::write`] does
-/// for single requests.
+/// sub-call in `calls` as a multi-request envelope, straight into the
+/// connection's pending buffer. Per-member deadline budgets are derived
+/// from the absolute deadlines here, at the last moment before the frame
+/// leaves, exactly like [`Outgoing::write`] does for single requests.
 fn write_batch_frame(
     writer: &SharedWriter,
     closed: &AtomicBool,
-    calls: &[Outgoing],
+    calls: &[(Outgoing, Payload)],
 ) -> Result<(), RpcError> {
     if closed.load(Ordering::Acquire) {
         return Err(RpcError::ConnectionClosed);
     }
-    let count = (calls.len() as u32).to_le_bytes();
-    let mut entry_headers: Vec<[u8; ENTRY_HEADER_LEN]> = Vec::with_capacity(calls.len());
-    for call in calls {
-        let entry = BatchEntry::new(call.request_id, call.method, Bytes::new())
-            .with_budget(budget_for(call.deadline), call.priority);
-        entry_headers.push(entry.header_bytes_for_len(call.payload.len()));
-    }
-    // Assemble the scatter list: count word, then each member's entry
-    // header followed by its payload segments — all borrowed, so the
-    // whole envelope coalesces into the connection's pending buffer
-    // without joining the payloads first.
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + calls.len() * 3);
-    parts.push(&count);
-    for (call, entry_header) in calls.iter().zip(&entry_headers) {
-        parts.push(entry_header);
-        parts.extend(call.payload.parts());
-    }
     let header = FrameHeader::new(FrameKind::Batch, 0, 0, Status::Ok);
-    writer.write_parts(&header, &parts)?;
+    writer.write_with(&header, |buf| {
+        buf.put_slice(&(calls.len() as u32).to_le_bytes());
+        for (call, payload) in calls {
+            let entry = BatchEntry::new(call.request_id, call.method, Bytes::new())
+                .with_budget(budget_for(call.deadline), call.priority);
+            buf.put_slice(&entry.header_bytes_for_len(payload.len()));
+            payload.put_into(buf);
+        }
+    })?;
     Ok(())
 }
 
@@ -380,11 +375,10 @@ impl RpcClient {
     }
 
     /// Numbers one call and fixes its absolute deadline.
-    fn outgoing(&self, method: u32, payload: Payload, opts: CallOptions) -> Outgoing {
+    fn outgoing(&self, method: u32, opts: CallOptions) -> Outgoing {
         Outgoing {
             request_id: self.next_id.fetch_add(1, Ordering::Relaxed),
             method,
-            payload,
             deadline: opts.timeout.map(|limit| Instant::now() + limit),
             priority: opts.priority,
         }
@@ -392,15 +386,15 @@ impl RpcClient {
 
     /// Sends a request through the fault shim. With no plan attached (the
     /// production path) this is a plain send; otherwise the plan may delay
-    /// the frame (parked in `delayed`, released by the timer), swallow it
-    /// (stall — only a deadline completes the call), tear the connection
-    /// down, or corrupt the frame on the wire so the receiver's checksum
-    /// rejects it.
-    fn dispatch(&self, request: Outgoing) -> Result<(), RpcError> {
+    /// the frame (parked in `delayed` with its payload encoded, released by
+    /// the timer), swallow it (stall — only a deadline completes the call),
+    /// tear the connection down, or corrupt the frame on the wire so the
+    /// receiver's checksum rejects it.
+    fn dispatch(&self, request: Outgoing, body: impl Body) -> Result<(), RpcError> {
         let fault = self.faults.as_ref().and_then(ClientFaults::next_send_fault);
         match fault {
             None | Some(FaultKind::ConnectRefused) => {
-                request.write(&self.writer, &self.closed, false)
+                request.write(&self.writer, &self.closed, false, body)
             }
             Some(FaultKind::Delay(delay)) => {
                 if self.is_closed() {
@@ -410,7 +404,8 @@ impl RpcClient {
                 // The absolute deadline (not a budget snapshot) is parked
                 // with the frame: the timer re-derives the remaining
                 // budget at release, so the hold-back decays it.
-                self.delayed.lock().insert(request_id, DelayedSend { send_at, request });
+                let payload = body.into_payload();
+                self.delayed.lock().insert(request_id, DelayedSend { send_at, request, payload });
                 self.timer.schedule(send_at, request_id);
                 Ok(())
             }
@@ -428,7 +423,7 @@ impl RpcClient {
                 self.shutdown();
                 Err(RpcError::ConnectionClosed)
             }
-            Some(FaultKind::Corrupt) => request.write(&self.writer, &self.closed, true),
+            Some(FaultKind::Corrupt) => request.write(&self.writer, &self.closed, true, body),
         }
     }
 
@@ -457,11 +452,11 @@ impl RpcClient {
         payload: impl Into<Payload>,
         opts: CallOptions,
     ) -> Result<Bytes, RpcError> {
-        let request = self.outgoing(method, payload.into(), opts);
+        let request = self.outgoing(method, opts);
         let request_id = request.request_id;
         let slot = SyncSlot::new();
         self.inflight.lock().insert(request_id, Pending::Sync(slot.clone()));
-        if let Err(e) = self.dispatch(request) {
+        if let Err(e) = self.dispatch(request, payload.into()) {
             self.inflight.lock().remove(&request_id);
             return Err(e);
         }
@@ -504,19 +499,34 @@ impl RpcClient {
     ) where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        self.call_async_inner(method, payload.into(), opts, Box::new(callback));
+        self.call_async_with(method, payload.into(), opts, callback);
     }
 
-    fn call_async_inner(
+    /// As [`RpcClient::call_async_opts`], with the payload written by
+    /// `body` straight into the connection's pending buffer: an encoder
+    /// (`|buf| request.encode(buf)`) serializes a typed message there
+    /// without a buffer of its own, and a [`Payload`] is copied there. A
+    /// body whose payload comes out over
+    /// [`MAX_FRAME_LEN`](musuite_codec::MAX_FRAME_LEN) fails this call
+    /// alone, with an [`RpcError::Io`] that
+    /// [`too_large`](crate::buf::too_large) recognizes.
+    pub fn call_async_with<F>(&self, method: u32, body: impl Body, opts: CallOptions, callback: F)
+    where
+        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
+    {
+        self.call_async_inner(method, body, opts, Box::new(callback));
+    }
+
+    pub(crate) fn call_async_inner(
         &self,
         method: u32,
-        payload: Payload,
+        body: impl Body,
         opts: CallOptions,
         callback: Callback,
     ) {
-        let request = self.register_async(method, payload, opts, callback);
+        let request = self.register_async(method, opts, callback);
         let request_id = request.request_id;
-        if let Err(e) = self.dispatch(request) {
+        if let Err(e) = self.dispatch(request, body) {
             if let Some(Pending::Async(cb)) = self.inflight.lock().remove(&request_id) {
                 cb(Err(e));
             }
@@ -526,14 +536,8 @@ impl RpcClient {
     /// Enters one asynchronous call in the in-flight table, and its
     /// deadline (if any) with the timer, before anything is sent — so a
     /// fast response cannot miss its entry.
-    fn register_async(
-        &self,
-        method: u32,
-        payload: Payload,
-        opts: CallOptions,
-        callback: Callback,
-    ) -> Outgoing {
-        let request = self.outgoing(method, payload, opts);
+    fn register_async(&self, method: u32, opts: CallOptions, callback: Callback) -> Outgoing {
+        let request = self.outgoing(method, opts);
         self.inflight.lock().insert(request.request_id, Pending::Async(callback));
         if let Some(when) = request.deadline {
             self.timer.schedule(when, request.request_id);
@@ -563,9 +567,9 @@ impl RpcClient {
             return;
         }
         // Every member is registered before the envelope leaves.
-        let members: Vec<Outgoing> = calls
+        let members: Vec<(Outgoing, Payload)> = calls
             .into_iter()
-            .map(|call| self.register_async(call.method, call.payload, call.opts, call.callback))
+            .map(|call| (self.register_async(call.method, call.opts, call.callback), call.payload))
             .collect();
         if let Err(e) = write_batch_frame(&self.writer, &self.closed, &members) {
             // A failed envelope write fails every member. The original
@@ -573,7 +577,7 @@ impl RpcClient {
             // (io::Error is not Clone, and a writer failure means the
             // connection is done for).
             let mut first = Some(e);
-            for Outgoing { request_id, .. } in &members {
+            for (Outgoing { request_id, .. }, _) in &members {
                 if let Some(Pending::Async(cb)) = self.inflight.lock().remove(request_id) {
                     cb(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
                 }
@@ -693,7 +697,7 @@ fn on_timer_due(
             if !inflight.lock().contains_key(&request_id) {
                 return;
             }
-            match hold.request.write(writer, closed, false) {
+            match hold.request.write(writer, closed, false, hold.payload) {
                 Ok(()) => return,
                 Err(e) => e,
             }

@@ -9,21 +9,22 @@
 //! design ("we do not explicitly dispatch responses, as all but the last
 //! response thread do negligible work").
 //!
-//! Request payloads are [`Payload`]s: a fan-out that sends the same
-//! request state to every leaf (the common case — a query vector, a key)
-//! encodes it **once** and hands each leaf a reference-counted clone of
-//! the same allocation. Replies come back as [`Bytes`] slices of each
-//! client connection's receive buffer, so neither direction copies
-//! payload bytes inside the process.
+//! Requests are [`Body`]s: a typed scatter's encoder writes each leaf's
+//! request straight into that leaf connection's pending buffer, and a
+//! [`Payload`] caller's bytes are copied there from reference-counted
+//! segments that siblings may share. Replies come back as [`Bytes`]
+//! slices of each client connection's receive buffer, so neither
+//! direction holds payload bytes in a buffer of their own inside the
+//! process.
 
-use crate::buf::Payload;
+use crate::buf::{Body, Payload};
 use crate::client::{BatchCall, CallOptions, Callback, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
 use crate::reactor::Reactor;
 use crate::timer::{Fate, Timer};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicUsize, Ordering};
 use musuite_check::sync::{Mutex, RwLock};
 use musuite_codec::Priority;
@@ -95,21 +96,29 @@ type Reply = Result<Bytes, RpcError>;
 // result's `Vec<Reply>` in place; that needs the two to be laid out alike.
 const _: () = assert!(std::mem::size_of::<Option<Reply>>() == std::mem::size_of::<Reply>());
 
-/// A [`ScatterState`] minus its completion's type, for holders that outlive
-/// the `scatter` call that knew it (the resilient wrapper's control blocks).
+/// A [`ScatterState`] minus its completion's and encoder's types, for
+/// holders that outlive the `scatter` call that knew them (the resilient
+/// wrapper's control blocks).
 pub(crate) trait Gather: Send + Sync {
     /// Delivers `slot`'s reply; the last delivery runs the completion.
     fn arrive(&self, slot: usize, result: Reply);
+
+    /// Appends `slot`'s request, as the scatter's encoder writes it, to
+    /// `buf`: the pending buffer of the connection an attempt goes out on.
+    fn encode(&self, slot: usize, buf: &mut BytesMut);
 }
 
 /// Count-down gather shared by [`FanoutGroup`] and the resilient wrapper:
 /// each slot's arrival stashes its result; the last arrival runs the merge.
-/// One allocation holds the count, the replies' header and the completion.
-pub(crate) struct ScatterState<F> {
+/// One allocation holds the count, the replies' header, the completion and
+/// the encoder of the scatter's requests (a no-op for a scatter of
+/// payloads).
+pub(crate) struct ScatterState<F, E> {
     remaining: AtomicUsize,
     gathered: Mutex<Gathered<F>>,
     started_at_ns: u64,
     clock: Clock,
+    encoder: E,
 }
 
 struct Gathered<F> {
@@ -117,8 +126,17 @@ struct Gathered<F> {
     on_complete: Option<F>,
 }
 
-impl<F: FnOnce(FanoutResult) + Send> ScatterState<F> {
-    pub(crate) fn new(slots: usize, clock: Clock, on_complete: F) -> Arc<ScatterState<F>> {
+impl<F, E> ScatterState<F, E>
+where
+    F: FnOnce(FanoutResult) + Send,
+    E: Fn(usize, &mut BytesMut) + Send + Sync,
+{
+    pub(crate) fn new(
+        slots: usize,
+        clock: Clock,
+        encoder: E,
+        on_complete: F,
+    ) -> Arc<ScatterState<F, E>> {
         Arc::new(ScatterState {
             remaining: AtomicUsize::new(slots),
             gathered: Mutex::new(Gathered {
@@ -127,11 +145,20 @@ impl<F: FnOnce(FanoutResult) + Send> ScatterState<F> {
             }),
             started_at_ns: clock.now_ns(),
             clock,
+            encoder,
         })
     }
 }
 
-impl<F: FnOnce(FanoutResult) + Send> Gather for ScatterState<F> {
+impl<F, E> Gather for ScatterState<F, E>
+where
+    F: FnOnce(FanoutResult) + Send,
+    E: Fn(usize, &mut BytesMut) + Send + Sync,
+{
+    fn encode(&self, slot: usize, buf: &mut BytesMut) {
+        (self.encoder)(slot, buf);
+    }
+
     fn arrive(&self, slot: usize, result: Reply) {
         let prev = self.gathered.lock().replies[slot].replace(result);
         assert!(prev.is_none(), "fan-out slot {slot} completed twice");
@@ -152,6 +179,9 @@ impl<F: FnOnce(FanoutResult) + Send> Gather for ScatterState<F> {
         }
     }
 }
+
+/// The encoder of a scatter whose requests are all in its calls' payloads.
+pub(crate) fn encode_nothing(_slot: usize, _buf: &mut BytesMut) {}
 
 /// The connections to one leaf: a small pool used round-robin, mirroring
 /// the paper's "one TCP connection to a given destination per thread"
@@ -273,7 +303,7 @@ impl MergeState {
             // lint: allow(expect): emptiness is checked immediately above
             let call = live.pop().expect("one live member");
             let opts = call.opts_at(now);
-            client.call_async_opts(call.method, call.payload, opts, call.done);
+            client.call_async_inner(call.method, call.payload, opts, call.done);
             return;
         }
         let batch = live
@@ -374,8 +404,11 @@ impl FanoutGroup {
     /// multi-request envelope when the buffer reaches `policy.max_size()`
     /// members or the oldest member has waited `policy.max_delay()`.
     /// Sub-calls from *concurrent* scatters that target the same leaf
-    /// merge into the same envelope — the shared-prefix payload machinery
-    /// keeps the common request state a single allocation throughout.
+    /// merge into the same envelope.
+    ///
+    /// A parked call holds its payload in a [`Payload`] of its own: a
+    /// typed encoder writes into an owned buffer when the call is parked
+    /// (see [`Body::into_payload`]).
     ///
     /// Members keep their individual deadlines and priorities; a member
     /// whose deadline expires while parked is completed with
@@ -528,11 +561,11 @@ impl FanoutGroup {
         for (leaf, _, _) in &requests {
             assert!(*leaf < self.leaves.len(), "leaf index {leaf} out of bounds");
         }
-        let state = ScatterState::new(requests.len(), self.clock, on_complete);
+        let state = ScatterState::new(requests.len(), self.clock, encode_nothing, on_complete);
         for (slot, (leaf, method, payload)) in requests.into_iter().enumerate() {
             let state = state.clone();
             let done = move |result| state.arrive(slot, result);
-            self.issue(leaf, method, payload, opts, done);
+            self.issue(leaf, method, payload.into(), opts, done);
         }
     }
 
@@ -541,24 +574,25 @@ impl FanoutGroup {
     /// batching is enabled ([`FanoutGroup::with_batching`]) — where it may
     /// coalesce with sub-calls from other concurrent scatters to the same
     /// leaf into one multi-request envelope. `opts.timeout` decays while
-    /// the call is parked, exactly as it decays in a send queue.
+    /// the call is parked, exactly as it decays in a send queue. `body`
+    /// writes the request into the chosen connection's pending buffer, or
+    /// into a payload of its own if the call is parked.
     ///
     /// # Panics
     ///
     /// Panics if `leaf` is out of bounds.
-    pub fn issue<P, F>(&self, leaf: usize, method: u32, payload: P, opts: CallOptions, done: F)
+    pub fn issue<F>(&self, leaf: usize, method: u32, body: impl Body, opts: CallOptions, done: F)
     where
-        P: Into<Payload>,
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
         let Some(Merge { state: merge, flusher }) = &self.merge else {
-            self.leaves[leaf].pick().call_async_opts(method, payload, opts, done);
+            self.leaves[leaf].pick().call_async_with(method, body, opts, done);
             return;
         };
         let now = Instant::now();
         let call = BufferedCall {
             method,
-            payload: payload.into(),
+            payload: body.into_payload(),
             deadline: opts.timeout.map(|limit| now + limit),
             priority: opts.priority,
             done: Box::new(done),
@@ -963,8 +997,9 @@ mod tests {
         // expires while parked; its batchmate must still be served.
         let expired_tx = tx.clone();
         let tight = CallOptions::within(std::time::Duration::from_millis(1));
-        group.issue(0, 1, vec![1u8], tight, move |r| expired_tx.send(("expired", r)).unwrap());
-        group.issue(0, 1, vec![2u8], CallOptions::default(), move |r| {
+        let payload = |byte: u8| Payload::from(vec![byte]);
+        group.issue(0, 1, payload(1), tight, move |r| expired_tx.send(("expired", r)).unwrap());
+        group.issue(0, 1, payload(2), CallOptions::default(), move |r| {
             tx.send(("healthy", r)).unwrap()
         });
         let mut outcomes = std::collections::HashMap::new();
@@ -985,7 +1020,9 @@ mod tests {
         let (servers, group) = leaf_cluster(1);
         let group = group.with_batching(BatchPolicy::new(64, std::time::Duration::from_secs(3600)));
         let (tx, rx) = std::sync::mpsc::channel();
-        group.issue(0, 1, vec![9u8], CallOptions::default(), move |r| tx.send(r).unwrap());
+        group.issue(0, 1, Payload::from(vec![9u8]), CallOptions::default(), move |r| {
+            tx.send(r).unwrap()
+        });
         // The hour-long merge window never elapses; dropping the group
         // aborts the parked call rather than stranding or sending it.
         drop(group);
@@ -1051,7 +1088,7 @@ mod model_tests {
         let report = Checker::new()
             .check(|| {
                 let merged = Arc::new(AtomicUsize::new(0));
-                let state = ScatterState::new(2, Clock::new(), {
+                let state = ScatterState::new(2, Clock::new(), encode_nothing, {
                     let merged = merged.clone();
                     move |result: FanoutResult| {
                         assert_eq!(result.replies.len(), 2);
@@ -1133,7 +1170,8 @@ mod model_tests {
     fn double_arrival_is_caught_with_replayable_seed() {
         fn buggy() -> impl Fn() + Send + Sync + 'static {
             || {
-                let state = ScatterState::new(2, Clock::new(), |_: FanoutResult| {});
+                let state =
+                    ScatterState::new(2, Clock::new(), encode_nothing, |_: FanoutResult| {});
                 let state2 = state.clone();
                 // BUG (both threads): vacancy check and arrival are two
                 // separate critical sections, so both can pass the check.

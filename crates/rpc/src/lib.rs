@@ -33,10 +33,10 @@
 //! The wire path is zero-copy end to end: each connection's reader — a
 //! per-connection poller thread or a shared reactor sweep, driving the
 //! same [`buf::RecvBuf`] — fills a reusable chunk and hands out
-//! `bytes::Bytes` slices of it; outgoing frames serialize into
-//! the connection's reusable pending buffer (the coalescing
-//! [`buf::ConnWriter`]); and a fan-out encodes shared request state once,
-//! sharing the allocation across leaves via [`buf::Payload`].
+//! `bytes::Bytes` slices of it; and outgoing frames serialize in place
+//! into the connection's reusable pending buffer (the coalescing
+//! [`buf::ConnWriter`]), a typed message encoded there by its
+//! [`buf::Body`] without a buffer of its own.
 //!
 //! # Examples
 //!
@@ -78,7 +78,7 @@ pub mod stats;
 mod timer;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
-pub use buf::{ConnWriter, Payload, RecvBuf};
+pub use buf::{Body, ConnWriter, Payload, RecvBuf};
 pub use client::{BatchCall, CallOptions, RpcClient};
 pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
 pub use error::{FailureKind, RpcError};

@@ -31,9 +31,9 @@
 use crate::buf::Payload;
 use crate::client::CallOptions;
 use crate::error::RpcError;
-use crate::fanout::{FanoutGroup, FanoutResult, Gather, ScatterState};
+use crate::fanout::{encode_nothing, FanoutGroup, FanoutResult, Gather, ScatterState};
 use crate::timer::{Fate, Timer};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_codec::Priority;
@@ -219,6 +219,8 @@ pub struct LeafCall {
     /// Method id sent to whichever target serves the slot.
     pub method: u32,
     /// Request payload (reference-counted; clones share the allocation).
+    /// Empty in a scatter whose encoder writes the requests
+    /// ([`ResilientFanout::scatter_encoded`]).
     pub payload: Payload,
     /// Fail-over targets, tried in order by hedges and retries.
     pub alternates: Vec<usize>,
@@ -437,6 +439,30 @@ impl ResilientFanout {
     where
         F: FnOnce(FanoutResult) + Send + 'static,
     {
+        self.scatter_encoded(calls, opts, encode_nothing, on_complete);
+    }
+
+    /// As [`ResilientFanout::scatter`], with slot `i`'s request written by
+    /// `encoder(i, buf)` after its call's payload: every attempt — primary,
+    /// hedge or retry — encodes it straight into the pending buffer of the
+    /// connection it goes out on, and no request is held in a buffer of its
+    /// own. A typed mid-tier gives its calls empty payloads and an encoder
+    /// that owns its plan. The encoder lives in the allocation that holds
+    /// the scatter's gather state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any target index is out of bounds.
+    pub fn scatter_encoded<E, F>(
+        self: &Arc<Self>,
+        calls: Vec<LeafCall>,
+        opts: CallOptions,
+        encoder: E,
+        on_complete: F,
+    ) where
+        E: Fn(usize, &mut BytesMut) + Send + Sync + 'static,
+        F: FnOnce(FanoutResult) + Send + 'static,
+    {
         let CallOptions { timeout, priority } = opts;
         let deadline = timeout.map(|limit| Instant::now() + limit);
         if calls.is_empty() {
@@ -449,7 +475,8 @@ impl ResilientFanout {
                 assert!(alt < self.group.len(), "alternate index {alt} out of bounds");
             }
         }
-        let gather: Arc<dyn Gather> = ScatterState::new(calls.len(), self.clock, on_complete);
+        let gather: Arc<dyn Gather> =
+            ScatterState::new(calls.len(), self.clock, encoder, on_complete);
         let hedge_delay = match self.config.hedge {
             HedgePolicy::Off => None,
             HedgePolicy::After(delay) => Some(delay),
@@ -565,7 +592,11 @@ impl ResilientFanout {
         // Through the group's request path, so attempts from concurrent
         // scatters merge into one envelope when batching is enabled.
         let opts = CallOptions { timeout: attempt_limit, priority: slot.priority };
-        self.group.issue(target, slot.method, slot.payload.clone(), opts, callback);
+        let body = |buf: &mut BytesMut| {
+            slot.payload.put_into(buf);
+            slot.gather.encode(slot.index, buf);
+        };
+        self.group.issue(target, slot.method, body, opts, callback);
     }
 
     /// Runs on the response pick-up (or reaper) thread when one attempt
@@ -1093,7 +1124,7 @@ mod model_tests {
         let report = Checker::new()
             .check(|| {
                 let merged = Arc::new(AtomicUsize::new(0));
-                let gather = ScatterState::new(1, Clock::new(), {
+                let gather = ScatterState::new(1, Clock::new(), encode_nothing, {
                     let merged = merged.clone();
                     move |result: FanoutResult| {
                         assert_eq!(result.replies.len(), 1);

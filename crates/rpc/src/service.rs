@@ -11,12 +11,12 @@
 //! fan-out.
 
 use crate::admission::AdmissionPermit;
-use crate::buf::SharedWriter;
+use crate::buf::{too_large, SharedWriter};
 use crate::stats::ServerStats;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicU64, Ordering};
 use musuite_codec::frame::FrameHeader;
-use musuite_codec::{Frame, FrameKind, Priority, Status};
+use musuite_codec::{Encode, Frame, FrameKind, Priority, Status};
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use std::time::{Duration, Instant};
@@ -201,9 +201,20 @@ impl RequestContext {
         self.leaf_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Completes the RPC successfully with `payload`.
+    /// Completes the RPC successfully with `payload`, bytes already
+    /// encoded: they are copied into the connection's pending buffer. A
+    /// typed response goes through [`RequestContext::respond_encoded`]
+    /// instead, which skips the intermediate buffer.
     pub fn respond_ok(self, payload: impl AsRef<[u8]>) {
         self.respond(Status::Ok, payload);
+    }
+
+    /// Completes the RPC successfully with `response`, encoded straight
+    /// into the connection's pending buffer: no buffer of its own is
+    /// allocated for it.
+    pub fn respond_encoded<T: Encode + ?Sized>(mut self, response: &T) {
+        self.completed = true;
+        self.send_response(Status::Ok, |buf| response.encode(buf));
     }
 
     /// Completes the RPC with an error status and diagnostic bytes.
@@ -215,10 +226,13 @@ impl RequestContext {
     /// it is serialized straight into the connection's pending buffer.
     pub fn respond(mut self, status: Status, payload: impl AsRef<[u8]>) {
         self.completed = true;
-        self.send_response(status, payload.as_ref());
+        self.send_response(status, |buf| buf.extend_from_slice(payload.as_ref()));
     }
 
-    fn send_response(&self, status: Status, payload: &[u8]) {
+    /// Writes the response frame, its payload appended by `body`. A
+    /// payload over the frame size limit is refused alone: the client gets
+    /// [`Status::AppError`] saying so, and the connection carries on.
+    fn send_response(&self, status: Status, body: impl FnOnce(&mut BytesMut)) {
         let header = FrameHeader::new(FrameKind::Response, self.request_id, self.method, status);
         let tx_start = self.clock.now_ns();
         // Account the response *before* the bytes hit the wire: the moment
@@ -235,7 +249,13 @@ impl RequestContext {
         // The frame serializes into the connection's shared pending
         // buffer — no per-response allocation — and may coalesce with
         // competing responses into a single socket write.
-        let _ = self.writer.write_parts(&header, &[payload]);
+        if let Err(refused) = self.writer.write_with(&header, body) {
+            if too_large(&refused) {
+                let header = FrameHeader { status: Status::AppError, ..header };
+                let detail = format!("response not sent: {refused}");
+                let _ = self.writer.write_parts(&header, &[detail.as_bytes()]);
+            }
+        }
         // NetTx covers queueing plus (when this thread flushed) the wire
         // hand-off; a coalesced frame's NetTx is just its queueing time.
         breakdown.record(Stage::NetTx, self.clock.delta(tx_start, self.clock.now_ns()));
@@ -248,7 +268,7 @@ impl Drop for RequestContext {
             // C-DTOR-FAIL: never panic here; make a best effort to unblock
             // the client.
             self.completed = true;
-            self.send_response(Status::AppError, &[]);
+            self.send_response(Status::AppError, |_| {});
         }
     }
 }

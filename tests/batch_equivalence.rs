@@ -174,8 +174,9 @@ proptest! {
         }
     }
 
-    /// A batch of pure reads is delivered in request order even though
-    /// the grouped lookup visits shards, not request slots.
+    /// A batch of pure reads is answered in request order: the Router
+    /// leaf has no batch kernel, so the default `handle_batch` runs
+    /// `handle` once per request, in order.
     #[test]
     fn router_get_run_preserves_request_order(
         keys in proptest::collection::vec(0u8..8, 1..12),

@@ -8,6 +8,10 @@
 //! Every server runs one worker that blocks when it waits (`WaitMode::Block`),
 //! as the benchmark's do; Recommend also runs the benchmark's shared poller
 //! and batches of eight, and so do the other three in `batched_bursts`.
+//!
+//! The ignored `report_allocation_sites` says where the calls come from:
+//! `cargo test -p musuite --test burst_budget -- --ignored --nocapture`
+//! (a debug build, whose backtraces keep their frames).
 
 // The one place the crate's no-unsafe rule bends: a counting global
 // allocator cannot be written without `unsafe impl GlobalAlloc`.
@@ -31,9 +35,11 @@ use musuite::rpc::{
 use musuite::setalgebra::protocol::TermQuery;
 use musuite::setalgebra::SetAlgebraService;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -42,10 +48,14 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: pure delegation to `System`; the counter is a static relaxed
-// atomic that never allocates, so the allocator cannot re-enter itself.
+// atomic that never allocates. Noting a site allocates, but only once
+// `SITES_ON` is set, and `note_site` does not re-enter itself on a thread.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if SITES_ON.load(Ordering::Relaxed) {
+            note_site(layout.size());
+        }
         // SAFETY: same contract as the caller's; forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -57,6 +67,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if SITES_ON.load(Ordering::Relaxed) {
+            note_site(new_size);
+        }
         // SAFETY: same contract as the caller's; forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,6 +77,55 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Set while `report_allocation_sites` counts: every allocator call then
+/// notes its site. Clear, the allocator reads it and does nothing more.
+static SITES_ON: AtomicBool = AtomicBool::new(false);
+/// Allocator calls and bytes by site, while `SITES_ON` is set.
+static SITES: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
+
+thread_local! {
+    /// This thread is noting a site: what that allocates is not noted.
+    static NOTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Charges one allocator call of `bytes` to the site the backtrace names.
+fn note_site(bytes: usize) {
+    let _ = NOTING.try_with(|noting| {
+        if noting.replace(true) {
+            return;
+        }
+        let site = call_site(&std::backtrace::Backtrace::force_capture().to_string());
+        let mut sites = SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let (calls, total) = sites.entry(site).or_default();
+        *calls += 1;
+        *total += bytes as u64;
+        drop(sites);
+        noting.set(false);
+    });
+}
+
+/// The innermost frame of `backtrace` in the workspace's code, as
+/// `function (crates/…/file.rs:line)`. The codec's helpers are skipped, so
+/// a `to_bytes` is charged to its caller; frames in `std`, `alloc` and
+/// vendored crates are never the site.
+fn call_site(backtrace: &str) -> String {
+    let mut function = "";
+    for line in backtrace.lines().map(str::trim) {
+        let Some(location) = line.strip_prefix("at ") else {
+            function = line.split_once(": ").map_or(line, |(_, name)| name);
+            continue;
+        };
+        let Some(at) = location.find("/crates/") else { continue };
+        let path = &location[at + 1..];
+        if path.starts_with("crates/codec/") {
+            continue;
+        }
+        let path = path.rsplit_once(':').map_or(path, |(line, _column)| line);
+        return format!("{function} ({path})");
+    }
+    "(no frame in the workspace)".to_owned()
+}
 
 /// The counter is process-wide: measured sections take turns.
 static TURN: Mutex<()> = Mutex::new(());
@@ -73,6 +135,8 @@ const BURST: usize = 16;
 const WARM_UP: usize = 20;
 /// Bursts counted.
 const BURSTS: usize = 50;
+/// Bursts counted, and their sites noted, by `report_allocation_sites`.
+const REPORT_BURSTS: usize = 10;
 const SLACK: f64 = 0.05;
 const LEAVES: usize = 2;
 const PATIENCE: Duration = Duration::from_secs(10);
@@ -115,6 +179,10 @@ fn burst_wire<T: musuite::codec::Encode>(requests: &[T]) -> Vec<u8> {
         .collect()
 }
 
+/// Set by `report_allocation_sites`: the counted bursts are
+/// [`REPORT_BURSTS`], and note the site of every allocator call.
+static REPORTING: AtomicBool = AtomicBool::new(false);
+
 /// Sends `wire`, a burst of [`BURST`] queries, to `cluster`'s mid-tier in
 /// one write, [`WARM_UP`] + [`BURSTS`] times, each once the last is
 /// answered; returns allocator calls per request over the counted bursts.
@@ -132,11 +200,15 @@ fn allocs_per_request(cluster: &Cluster, wire: &[u8]) -> f64 {
     for _ in 0..WARM_UP {
         round(&mut conn);
     }
+    let reporting = REPORTING.load(Ordering::Relaxed);
+    let bursts = if reporting { REPORT_BURSTS } else { BURSTS };
     let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..BURSTS {
+    SITES_ON.store(reporting, Ordering::Relaxed);
+    for _ in 0..bursts {
         round(&mut conn);
     }
-    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / (BURSTS * BURST) as f64
+    SITES_ON.store(false, Ordering::Relaxed);
+    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / (bursts * BURST) as f64
 }
 
 fn assert_allocs(service: &str, measured: f64, budget: f64) {
@@ -258,9 +330,8 @@ fn setalgebra_burst() {
     assert_allocs("setalgebra", setalgebra_allocs(paper_default()), SETALGEBRA_ALLOCS);
 }
 
-#[test]
-fn recommend_burst() {
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+/// The Recommend service under `config` and a burst of queries for it.
+fn recommend_workload(config: ClusterConfig) -> (RecommendService, Vec<RatingQuery>) {
     let data = RatingsDataset::generate(&RatingsConfig {
         users: 1_000,
         items: 200,
@@ -274,8 +345,21 @@ fn recommend_burst() {
         .into_iter()
         .map(|(user, item)| RatingQuery { user, item })
         .collect();
-    let service = RecommendService::launch_with(batched(), &data, NmfConfig::default(), 20)
+    let service = RecommendService::launch_with(config, &data, NmfConfig::default(), 20)
         .expect("launch Recommend");
+    (service, queries)
+}
+
+/// Allocator calls per request of a Recommend burst.
+fn recommend_allocs(config: ClusterConfig) -> f64 {
+    let (service, queries) = recommend_workload(config);
+    allocs_per_request(service.cluster(), &burst_wire(&queries))
+}
+
+#[test]
+fn recommend_burst() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (service, queries) = recommend_workload(batched());
     let leaves = service.cluster().leaf_servers();
     let batches = || leaves.iter().map(|leaf| leaf.stats().batching().batches()).sum::<u64>();
     let measured = allocs_per_request(service.cluster(), &burst_wire(&queries));
@@ -301,11 +385,49 @@ fn batched_bursts() {
     }
 }
 
+/// Prints, for each of the four bursts this file pins, allocator
+/// calls and bytes per request by the site that made them (see
+/// [`call_site`]). Run it in a debug build: a release build inlines the
+/// frames that name the sites.
+#[test]
+#[ignore = "a report: run with --ignored --nocapture, in a debug build"]
+fn report_allocation_sites() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    REPORTING.store(true, Ordering::Relaxed);
+    print_sites("Router", || router_allocs(paper_default()));
+    print_sites("HDSearch", || hdsearch_allocs(paper_default()));
+    print_sites("Set Algebra", || setalgebra_allocs(paper_default()));
+    print_sites("Recommend", || recommend_allocs(batched()));
+    REPORTING.store(false, Ordering::Relaxed);
+}
+
+/// Runs one service's burst with its sites noted, and prints them as a
+/// table, most calls first.
+fn print_sites(service: &str, burst: impl FnOnce() -> f64) {
+    SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).clear();
+    // What noting the sites allocates is counted here, not noted.
+    let _ = burst();
+    let sites = std::mem::take(&mut *SITES.lock().unwrap_or_else(|p| p.into_inner()));
+    let requests = (REPORT_BURSTS * BURST) as f64;
+    let mut rows: Vec<(String, u64, u64)> =
+        sites.into_iter().map(|(site, (calls, bytes))| (site, calls, bytes)).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let calls: u64 = rows.iter().map(|row| row.1).sum();
+    let bytes: u64 = rows.iter().map(|row| row.2).sum();
+    let (calls, bytes) = (calls as f64 / requests, bytes as f64 / requests);
+    println!("\n{service}: {calls:.2} allocator calls, {bytes:.0} bytes per request");
+    println!("| calls / req | bytes / req | site |\n|---|---|---|");
+    for (site, calls, bytes) in rows {
+        let (calls, bytes) = (calls as f64 / requests, bytes as f64 / requests);
+        println!("| {calls:.2} | {bytes:.0} | `{site}` |");
+    }
+}
+
 /// Allocator calls per request, as measured in release and debug builds.
-const ROUTER_ALLOCS: f64 = 21.00;
-const HDSEARCH_ALLOCS: f64 = 30.01;
-const SETALGEBRA_ALLOCS: f64 = 30.26;
-const RECOMMEND_ALLOCS: f64 = 21.25;
-const ROUTER_BATCHED_ALLOCS: f64 = 21.625;
-const HDSEARCH_BATCHED_ALLOCS: f64 = 30.63;
-const SETALGEBRA_BATCHED_ALLOCS: f64 = 31.00;
+const ROUTER_ALLOCS: f64 = 16.50;
+const HDSEARCH_ALLOCS: f64 = 22.50;
+const SETALGEBRA_ALLOCS: f64 = 25.26;
+const RECOMMEND_ALLOCS: f64 = 16.25;
+const ROUTER_BATCHED_ALLOCS: f64 = 17.125;
+const HDSEARCH_BATCHED_ALLOCS: f64 = 23.13;
+const SETALGEBRA_BATCHED_ALLOCS: f64 = 26.00;

@@ -3,13 +3,18 @@
 //! and remain intact when the source handle is dropped or the reader's
 //! pooled buffer is reused for later frames.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use musuite::codec::batch::{COUNT_LEN, ENTRY_HEADER_LEN};
 use musuite::codec::{
     decode_batch, encode_batch, from_bytes, to_bytes, BatchEntry, Decode, DecodeError, Encode,
-    Frame, Status,
+    Frame, FrameHeader, FrameKind, Priority, Status,
 };
+use musuite::core::degrade::Degraded;
+use musuite::hdsearch::protocol::{LeafSearchRequest, LeafSearchResponse, Neighbor, SearchQuery};
+use musuite::recommend::protocol::{LeafRating, RatingQuery};
+use musuite::router::{KvRequest, KvResponse};
 use musuite::rpc::RecvBuf;
+use musuite::setalgebra::protocol::{PostingList, TermQuery};
 use proptest::prelude::*;
 
 /// A well-formed `FrameKind::Batch` envelope over `payloads`, and the
@@ -39,6 +44,175 @@ fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T) {
     let bytes = to_bytes(value);
     let decoded: T = from_bytes(&bytes).expect("well-formed bytes decode");
     assert_eq!(&decoded, value);
+}
+
+/// A frame whose payload `body` encodes in place is byte-for-byte the
+/// frame of `parts`, the same payload encoded into buffers of its own
+/// first.
+fn in_place_matches_copied(
+    header: &FrameHeader,
+    body: impl FnOnce(&mut BytesMut),
+    parts: &[&[u8]],
+) -> Result<(), TestCaseError> {
+    let mut copied = Vec::new();
+    header.encode_with_payload(parts, &mut copied);
+    let mut in_place = BytesMut::from(&b"frames queued before"[..]);
+    header.encode_in_place(&mut in_place, body).unwrap();
+    prop_assert_eq!(&in_place[20..], &copied[..]);
+    Ok(())
+}
+
+/// [`in_place_matches_copied`] for one typed message.
+fn typed_frame_matches(header: &FrameHeader, value: &impl Encode) -> Result<(), TestCaseError> {
+    in_place_matches_copied(header, |buf| value.encode(buf), &[&to_bytes(value)])
+}
+
+fn header() -> impl Strategy<Value = FrameHeader> {
+    (any::<u64>(), any::<u32>(), any::<u32>(), 0usize..3, any::<bool>()).prop_map(
+        |(id, method, budget, priority, response)| {
+            let kind = if response { FrameKind::Response } else { FrameKind::Request };
+            FrameHeader::new(kind, id, method, Status::Ok)
+                .with_budget(budget, Priority::ALL[priority])
+        },
+    )
+}
+
+fn floats(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(any::<f32>(), len)
+}
+
+fn ids(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), len)
+}
+
+fn degraded<T: std::fmt::Debug>(
+    value: impl Strategy<Value = T>,
+) -> impl Strategy<Value = Degraded<T>> {
+    (value, any::<bool>(), any::<u32>(), any::<u32>()).prop_map(
+        |(value, degraded, shards_ok, shards_total)| Degraded {
+            value,
+            degraded,
+            shards_ok,
+            shards_total,
+        },
+    )
+}
+
+fn kv_request() -> impl Strategy<Value = KvRequest> {
+    (0u8..3, ".{0,24}", proptest::collection::vec(any::<u8>(), 0..200)).prop_map(
+        |(op, key, value)| match op {
+            0 => KvRequest::Get { key },
+            1 => KvRequest::Set { key, value },
+            _ => KvRequest::Delete { key },
+        },
+    )
+}
+
+fn kv_response() -> impl Strategy<Value = KvResponse> {
+    (0u8..4, proptest::collection::vec(any::<u8>(), 0..200), any::<bool>()).prop_map(
+        |(op, value, existed)| match op {
+            0 => KvResponse::Value(Some(value)),
+            1 => KvResponse::Value(None),
+            2 => KvResponse::Stored,
+            _ => KvResponse::Deleted(existed),
+        },
+    )
+}
+
+// Every typed message a service sends is encoded in place into the
+// connection's pending buffer; on the wire it is the frame its bytes,
+// encoded first, made.
+proptest! {
+    #[test]
+    fn hdsearch_frames_encode_in_place_as_copied(
+        header in header(),
+        vector in floats(0..80),
+        candidates in ids(0..64),
+        k: u32,
+        neighbors in proptest::collection::vec((any::<u64>(), any::<f32>()), 0..24),
+        degraded_neighbors in degraded(proptest::collection::vec((any::<u64>(), any::<f32>()), 0..24)),
+    ) {
+        let to_neighbors = |pairs: Vec<(u64, f32)>| -> Vec<Neighbor> {
+            pairs.into_iter().map(|(id, distance)| Neighbor { id, distance }).collect()
+        };
+        typed_frame_matches(&header, &SearchQuery { vector: vector.clone(), k })?;
+        let request = LeafSearchRequest { vector, candidates, k };
+        typed_frame_matches(&header, &request)?;
+        typed_frame_matches(&header, &LeafSearchResponse { neighbors: to_neighbors(neighbors) })?;
+        let Degraded { value, degraded, shards_ok, shards_total } = degraded_neighbors;
+        let merged = Degraded { value: to_neighbors(value), degraded, shards_ok, shards_total };
+        typed_frame_matches(&header, &merged)?;
+    }
+
+    /// A mid-tier writes the shared part and then the leaf's own part of a
+    /// leaf request into the frame, where the two used to be encoded into
+    /// a payload's two segments: the frames agree, and the leaf decodes
+    /// its request from them.
+    #[test]
+    fn shared_and_leaf_parts_encode_in_place_as_copied(
+        header in header(),
+        vector in floats(0..80),
+        candidates in ids(0..64),
+        k: u32,
+    ) {
+        let leaf = (candidates.clone(), k);
+        let body = |buf: &mut BytesMut| {
+            vector.encode(buf);
+            leaf.encode(buf);
+        };
+        in_place_matches_copied(&header, body, &[&to_bytes(&vector), &to_bytes(&leaf)])?;
+        let mut wire = Vec::new();
+        header.encode_with_payload(&[&to_bytes(&vector), &to_bytes(&leaf)], &mut wire);
+        let (frame, _) = Frame::parse(&Bytes::from(wire)).unwrap();
+        let request: LeafSearchRequest = from_bytes(&frame.payload).unwrap();
+        prop_assert_eq!(request.candidates, candidates);
+        prop_assert_eq!(request.k, k);
+        prop_assert_eq!(request.vector.len(), vector.len());
+    }
+
+    #[test]
+    fn router_frames_encode_in_place_as_copied(
+        header in header(),
+        request in kv_request(),
+        response in kv_response(),
+    ) {
+        typed_frame_matches(&header, &request)?;
+        typed_frame_matches(&header, &response)?;
+        // The mid-tier's leaf request: the query shared, `()` per leaf.
+        let body = |buf: &mut BytesMut| {
+            request.encode(buf);
+            ().encode(buf);
+        };
+        in_place_matches_copied(&header, body, &[&to_bytes(&request), &to_bytes(&())])?;
+    }
+
+    #[test]
+    fn setalgebra_frames_encode_in_place_as_copied(
+        header in header(),
+        terms in proptest::collection::vec(any::<u32>(), 0..16),
+        docs in proptest::collection::vec(any::<u32>(), 0..300),
+        merged in degraded(proptest::collection::vec(any::<u32>(), 0..300)),
+    ) {
+        typed_frame_matches(&header, &TermQuery { terms })?;
+        typed_frame_matches(&header, &PostingList { docs })?;
+        let Degraded { value, degraded, shards_ok, shards_total } = merged;
+        let merged = Degraded { value: PostingList { docs: value }, degraded, shards_ok, shards_total };
+        typed_frame_matches(&header, &merged)?;
+    }
+
+    #[test]
+    fn recommend_frames_encode_in_place_as_copied(
+        header in header(),
+        user: u32,
+        item: u32,
+        rating: f32,
+        neighbors: u32,
+        merged in degraded(any::<f32>()),
+    ) {
+        typed_frame_matches(&header, &RatingQuery { user, item })?;
+        typed_frame_matches(&header, &LeafRating { rating, neighbors })?;
+        typed_frame_matches(&header, &merged)?;
+    }
 }
 
 proptest! {
