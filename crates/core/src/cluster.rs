@@ -13,7 +13,7 @@ use crate::midtier::{MidTierHandler, MidTierService};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::{
     CallOptions, FanoutGroup, FaultPlan, NetworkModel, Reactor, ReactorConfig, ResilientConfig,
-    ResilientFanout, RpcClient, RpcError, Server, ServerConfig,
+    RpcClient, RpcError, Server, ServerConfig,
 };
 use std::marker::PhantomData;
 use std::net::SocketAddr;
@@ -113,7 +113,7 @@ impl ClusterConfig {
 pub struct Cluster {
     leaves: Vec<Server>,
     midtier: Server,
-    fanout: Arc<ResilientFanout>,
+    fanout: Arc<FanoutGroup>,
 }
 
 impl Cluster {
@@ -161,13 +161,9 @@ impl Cluster {
             config.conns_per_leaf_count(),
             config.fault_plan.as_ref(),
             leaf_reactor.as_ref(),
-        )?;
-        let service = MidTierService::with_resilience(
-            midtier,
-            Arc::new(group),
-            LEAF_METHOD,
-            config.resilience,
-        );
+        )?
+        .with_resilience(config.resilience);
+        let service = MidTierService::new(midtier, group, LEAF_METHOD);
         let fanout = service.fanout().clone();
         let midtier = Server::spawn(config.midtier.clone(), Arc::new(service))?;
         Ok(Cluster { leaves, midtier, fanout })
@@ -206,9 +202,9 @@ impl Cluster {
         Ok(TypedClient::new(self.raw_client()?, QUERY_METHOD))
     }
 
-    /// The resilient fan-out carrying mid-tier→leaf traffic (hedge /
-    /// retry / breaker counters, fault-plan observability).
-    pub fn fanout(&self) -> &Arc<ResilientFanout> {
+    /// The fan-out group carrying mid-tier→leaf traffic (hedge / retry /
+    /// breaker counters, fault-plan observability).
+    pub fn fanout(&self) -> &FanoutGroup {
         &self.fanout
     }
 
@@ -412,6 +408,45 @@ mod tests {
     #[should_panic(expected = "at least one leaf")]
     fn zero_leaves_rejected() {
         let _ = ClusterConfig::new().leaves(0);
+    }
+
+    /// Adds like [`AddLeaf`], and refuses the query `0` as a bad request.
+    struct RefusesZero(u64);
+    impl LeafHandler for RefusesZero {
+        type Request = u64;
+        type Response = u64;
+        fn handle(&self, request: u64) -> Result<u64, ServiceError> {
+            match request {
+                0 => Err(ServiceError::bad_request("unknown id")),
+                _ => AddLeaf(self.0).handle(request),
+            }
+        }
+    }
+
+    /// A leaf that refuses a query has answered it: the refusal is the
+    /// slot's result, it does not charge the leaf's breaker, and it is not
+    /// retried.
+    #[test]
+    fn a_leaf_refusal_neither_opens_its_breaker_nor_is_retried() {
+        use musuite_telemetry::resilience::ResilienceEvent;
+        let threshold = ResilientConfig::default().breaker.map(|b| b.threshold).unwrap();
+        let cluster =
+            Cluster::launch(ClusterConfig::new().leaves(2), MaxMid, |i| RefusesZero(i as u64 * 10))
+                .unwrap();
+        let client = cluster.client::<u64, u64>().unwrap();
+        for _ in 0..threshold {
+            assert!(client.call_typed(&0, CallOptions::default()).is_err(), "every leaf refuses");
+        }
+        assert_eq!(client.call_typed(&5, CallOptions::default()).unwrap(), 15);
+        assert_eq!(cluster.fanout().counters().get(ResilienceEvent::BreakerOpened), 0);
+
+        let config = ClusterConfig::new()
+            .leaves(2)
+            .resilience(ResilientConfig { retries: 2, ..Default::default() });
+        let cluster = Cluster::launch(config, MaxMid, |i| RefusesZero(i as u64 * 10)).unwrap();
+        let client = cluster.client::<u64, u64>().unwrap();
+        assert!(client.call_typed(&0, CallOptions::default()).is_err());
+        assert_eq!(cluster.fanout().counters().get(ResilienceEvent::Retry), 0);
     }
 
     #[test]

@@ -27,10 +27,7 @@ use crate::leaf::{decode, respond};
 use bytes::BytesMut;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
-use musuite_rpc::{
-    CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, ResilientConfig, ResilientFanout,
-    RpcError, Service,
-};
+use musuite_rpc::{CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, RpcError, Service};
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use std::sync::Arc;
@@ -153,40 +150,24 @@ pub trait MidTierHandler: Send + Sync + 'static {
 }
 
 /// Adapts a [`MidTierHandler`] plus a [`FanoutGroup`] of leaf connections
-/// to the untyped [`Service`] interface. All leaf traffic flows through a
-/// [`ResilientFanout`], so hedging, retry failover, and per-leaf circuit
-/// breaking apply uniformly to every service built on this adapter.
+/// to the untyped [`Service`] interface. All leaf traffic runs the
+/// group's policy: a group given a resilience policy
+/// ([`FanoutGroup::with_resilience`], as `Cluster::launch` does) hedges,
+/// retries and breaks circuits for every service built on this adapter.
 pub struct MidTierService<H> {
     handler: Arc<H>,
-    fanout: Arc<ResilientFanout>,
+    fanout: Arc<FanoutGroup>,
     leaf_method: u32,
     clock: Clock,
 }
 
 impl<H: MidTierHandler> MidTierService<H> {
-    /// Wires `handler` to a group of leaf connections with the default
-    /// resilience policy (no hedging or retries, breaker enabled).
-    /// `leaf_method` is the method id used for every leaf RPC.
+    /// Wires `handler` to a group of leaf connections. `leaf_method` is
+    /// the method id used for every leaf RPC.
     pub fn new(handler: H, leaves: FanoutGroup, leaf_method: u32) -> MidTierService<H> {
-        MidTierService::with_resilience(
-            handler,
-            Arc::new(leaves),
-            leaf_method,
-            ResilientConfig::default(),
-        )
-    }
-
-    /// Wires `handler` to leaf connections with an explicit resilience
-    /// policy (hedged requests, retry failover, circuit breakers).
-    pub fn with_resilience(
-        handler: H,
-        leaves: Arc<FanoutGroup>,
-        leaf_method: u32,
-        config: ResilientConfig,
-    ) -> MidTierService<H> {
         MidTierService {
             handler: Arc::new(handler),
-            fanout: ResilientFanout::new(leaves, config),
+            fanout: Arc::new(leaves),
             leaf_method,
             clock: Clock::new(),
         }
@@ -197,9 +178,9 @@ impl<H: MidTierHandler> MidTierService<H> {
         &self.handler
     }
 
-    /// The resilient fan-out carrying all leaf traffic (counters,
-    /// explicit shutdown).
-    pub fn fanout(&self) -> &Arc<ResilientFanout> {
+    /// The fan-out group carrying all leaf traffic (counters, explicit
+    /// shutdown).
+    pub fn fanout(&self) -> &Arc<FanoutGroup> {
         &self.fanout
     }
 

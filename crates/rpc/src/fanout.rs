@@ -1,13 +1,14 @@
-//! Scatter–gather fan-out to leaf microservers with count-down merge.
+//! Scatter–gather fan-out to leaf microservers with count-down merge, and
+//! the tail-tolerance policy a group may carry.
 //!
 //! The mid-tier "must manage fan-out of a single incoming query to many
 //! leaf microservers" (paper §I). [`FanoutGroup`] holds one asynchronous
-//! client per leaf; [`FanoutGroup::scatter`] issues all leaf requests and
-//! arranges for the completion closure to run on the thread that receives
-//! the **last** leaf response. All earlier response threads do negligible
-//! work — stash the payload, decrement a counter — exactly the paper's
-//! design ("we do not explicitly dispatch responses, as all but the last
-//! response thread do negligible work").
+//! client per leaf; a scatter issues all leaf requests and arranges for
+//! the completion closure to run on the thread that receives the **last**
+//! leaf response. All earlier response threads do negligible work — stash
+//! the payload, decrement a counter — exactly the paper's design ("we do
+//! not explicitly dispatch responses, as all but the last response thread
+//! do negligible work").
 //!
 //! Requests are [`Body`]s: a typed scatter's encoder writes each leaf's
 //! request straight into that leaf connection's pending buffer, and a
@@ -16,6 +17,32 @@
 //! slices of each client connection's receive buffer, so neither
 //! direction holds payload bytes in a buffer of their own inside the
 //! process.
+//!
+//! A group from `connect*` is bare: each slot is one attempt. A group
+//! given a [`ResilientConfig`] ([`FanoutGroup::with_resilience`]) runs the
+//! tail-tolerance toolkit on the same scatter path, so that one slow or
+//! dead leaf does not reach every request:
+//!
+//! * **Hedges** — after a fixed delay a duplicate attempt goes to the
+//!   slot's next target; the first answer wins, by one atomic claim per
+//!   slot (model-checked under `musuite_check`).
+//! * **Bounded retry with backoff** — an attempt that ends without an
+//!   answer (transport, timeout, shed, expired) is re-sent to the slot's
+//!   next target (e.g. a `ReplicaSet::read_replica` sibling), at most
+//!   `retries` times. A leaf's own refusal ([`FailureKind::Remote`]) is the
+//!   slot's answer: not retried, and a success for the leaf's breaker.
+//! * **Per-leaf circuit breakers** — consecutive failures open the
+//!   breaker, which then sheds attempts at once with
+//!   [`RpcError::CircuitOpen`]; after a cooldown one half-open probe
+//!   decides whether it closes. Opening schedules a reconnect of the leaf,
+//!   and an attempt to a leaf with no live connection reconnects it first.
+//!
+//! Failures stay per slot (the [`FanoutResult`] keeps which leaf failed
+//! and why), so mid-tiers can degrade to best-effort answers. Each slot's
+//! claim, pending count, retry credits and rotation live in the scatter's
+//! one slot array, and every attempt's callback names the scatter's state
+//! and its slot. One timer per group, started by its first task, serves
+//! hedges, retries, reconnects and the merge buffer's delay windows.
 
 use crate::buf::{Body, Payload};
 use crate::client::{BatchCall, CallOptions, Callback, RpcClient};
@@ -23,16 +50,18 @@ use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
 use crate::reactor::Reactor;
+use crate::resilient::{Admission, CircuitBreaker, HedgePolicy, ResilientConfig};
 use crate::timer::{Fate, Timer};
 use bytes::{Bytes, BytesMut};
-use musuite_check::atomic::{AtomicUsize, Ordering};
+use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
 use musuite_check::sync::{Mutex, RwLock};
 use musuite_codec::Priority;
 use musuite_telemetry::batching::{BatchStats, FlushReason};
 use musuite_telemetry::clock::Clock;
+use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The gathered outcome of one scatter: per-leaf results in request order
 /// plus the wall-clock time the fan-out took (used to attribute leaf time
@@ -58,16 +87,6 @@ impl FanoutResult {
         self.replies.iter().all(Result::is_ok)
     }
 
-    /// Number of slots that replied successfully.
-    pub fn ok_count(&self) -> usize {
-        self.replies.iter().filter(|reply| reply.is_ok()).count()
-    }
-
-    /// Number of slots that failed.
-    pub fn err_count(&self) -> usize {
-        self.replies.len() - self.ok_count()
-    }
-
     /// Iterates over the failed slots as `(slot index, error)` pairs, in
     /// request order — the per-leaf detail `successes` drops, needed by
     /// degradation policy ("which shard is missing?") and chaos assertions
@@ -78,15 +97,6 @@ impl FanoutResult {
             .enumerate()
             .filter_map(|(slot, reply)| reply.as_ref().err().map(|e| (slot, e)))
     }
-
-    /// Failure classification for `slot` (`None` if it succeeded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of bounds.
-    pub fn kind_of(&self, slot: usize) -> Option<FailureKind> {
-        self.replies[slot].as_ref().err().map(RpcError::failure_kind)
-    }
 }
 
 /// What one slot of a scatter came back with.
@@ -96,28 +106,119 @@ type Reply = Result<Bytes, RpcError>;
 // result's `Vec<Reply>` in place; that needs the two to be laid out alike.
 const _: () = assert!(std::mem::size_of::<Option<Reply>>() == std::mem::size_of::<Reply>());
 
-/// A [`ScatterState`] minus its completion's and encoder's types, for
-/// holders that outlive the `scatter` call that knew them (the resilient
-/// wrapper's control blocks).
-pub(crate) trait Gather: Send + Sync {
-    /// Delivers `slot`'s reply; the last delivery runs the completion.
-    fn arrive(&self, slot: usize, result: Reply);
-
-    /// Appends `slot`'s request, as the scatter's encoder writes it, to
-    /// `buf`: the pending buffer of the connection an attempt goes out on.
-    fn encode(&self, slot: usize, buf: &mut BytesMut);
+/// One slot of a scatter: the primary leaf plus the alternates that
+/// hedges and retries may be routed to (typically the other members of
+/// the primary's replica set).
+#[derive(Debug, Clone)]
+pub struct LeafCall {
+    /// Primary target leaf.
+    pub leaf: usize,
+    /// Method id sent to whichever target serves the slot.
+    pub method: u32,
+    /// Request payload (reference-counted; clones share the allocation).
+    /// Empty in a scatter whose encoder writes the requests
+    /// ([`FanoutGroup::scatter_encoded`]).
+    pub payload: Payload,
+    /// Fail-over targets, tried in order by hedges and retries.
+    pub alternates: Vec<usize>,
 }
 
-/// Count-down gather shared by [`FanoutGroup`] and the resilient wrapper:
-/// each slot's arrival stashes its result; the last arrival runs the merge.
-/// One allocation holds the count, the replies' header, the completion and
-/// the encoder of the scatter's requests (a no-op for a scatter of
-/// payloads).
-pub(crate) struct ScatterState<F, E> {
+impl LeafCall {
+    /// A call to `leaf` with no alternates: hedges and retries stay on
+    /// the same leaf (a different pooled connection may serve them).
+    pub fn new(leaf: usize, method: u32, payload: impl Into<Payload>) -> LeafCall {
+        LeafCall { leaf, method, payload: payload.into(), alternates: Vec::new() }
+    }
+
+    /// Adds fail-over targets for hedges and retries.
+    pub fn with_alternates(mut self, alternates: Vec<usize>) -> LeafCall {
+        self.alternates = alternates;
+        self
+    }
+}
+
+/// One slot's attempt state, in its scatter's slot array. Invariants
+/// (model-checked below):
+/// * `claimed` is taken by `swap` — exactly one attempt delivers, so the
+///   count-down merge sees each slot exactly once.
+/// * `pending` counts live obligations (in-flight attempts plus queued
+///   hedge and retry tasks). Whoever drops it to zero without a prior
+///   claim delivers the slot's last error, so the gather always completes.
+struct Slot {
+    method: u32,
+    payload: Payload,
+    /// The slot's rotation is the primary, then each alternate (none of
+    /// them the primary, none twice), then round again.
+    primary: usize,
+    alternates: Vec<usize>,
+    rotation: AtomicUsize,
+    claimed: AtomicBool,
+    pending: AtomicUsize,
+    /// The error of the slot's latest failed attempt, and the retry
+    /// credits it has left.
+    failed: Mutex<(Option<RpcError>, usize)>,
+}
+
+impl Slot {
+    /// The slot for `call` in a group of `leaves`, owing `pending`
+    /// obligations and holding `retries` credits.
+    fn new(call: LeafCall, leaves: usize, pending: usize, retries: usize) -> Slot {
+        let LeafCall { leaf, method, payload, mut alternates } = call;
+        assert!(leaf < leaves, "leaf index {leaf} out of bounds");
+        // The caller's list becomes the slot's, minus the primary and
+        // repeats; the common slot without alternates owns no list.
+        let mut kept = 0;
+        for i in 0..alternates.len() {
+            let alt = alternates[i];
+            assert!(alt < leaves, "alternate index {alt} out of bounds");
+            if alt != leaf && !alternates[..kept].contains(&alt) {
+                alternates[kept] = alt;
+                kept += 1;
+            }
+        }
+        alternates.truncate(kept);
+        Slot {
+            method,
+            payload,
+            primary: leaf,
+            alternates,
+            rotation: AtomicUsize::new(1),
+            claimed: AtomicBool::new(false),
+            pending: AtomicUsize::new(pending),
+            failed: Mutex::new((None, retries)),
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.claimed.load(Ordering::Acquire)
+    }
+
+    /// Next target in the slot's rotation (primary, alternates, wrap).
+    fn next_target(&self) -> usize {
+        match self.rotation.fetch_add(1, Ordering::Relaxed) % (1 + self.alternates.len()) {
+            0 => self.primary,
+            turn => self.alternates[turn - 1],
+        }
+    }
+}
+
+/// One scatter's state: its slot array and the count-down gather. One
+/// allocation holds the count, the replies' header, the completion, the
+/// encoder of the scatter's requests (a no-op for a scatter of payloads)
+/// and the budget every attempt shares; the slots and the replies are an
+/// allocation each. The last arrival runs the merge.
+struct ScatterState<F, E> {
+    slots: Box<[Slot]>,
     remaining: AtomicUsize,
     gathered: Mutex<Gathered<F>>,
     started_at_ns: u64,
     clock: Clock,
+    /// Every attempt — primary, hedge or retry — is bounded by what is
+    /// left of this when it launches, so retries cannot extend the
+    /// caller's deadline.
+    deadline: Option<Instant>,
+    /// Priority class every attempt carries on the wire.
+    priority: Priority,
     encoder: E,
 }
 
@@ -128,37 +229,32 @@ struct Gathered<F> {
 
 impl<F, E> ScatterState<F, E>
 where
-    F: FnOnce(FanoutResult) + Send,
-    E: Fn(usize, &mut BytesMut) + Send + Sync,
+    F: FnOnce(FanoutResult) + Send + 'static,
+    E: Fn(usize, &mut BytesMut) + Send + Sync + 'static,
 {
-    pub(crate) fn new(
-        slots: usize,
+    fn new(
+        slots: Box<[Slot]>,
         clock: Clock,
+        opts: CallOptions,
         encoder: E,
         on_complete: F,
     ) -> Arc<ScatterState<F, E>> {
         Arc::new(ScatterState {
-            remaining: AtomicUsize::new(slots),
+            remaining: AtomicUsize::new(slots.len()),
             gathered: Mutex::new(Gathered {
-                replies: (0..slots).map(|_| None).collect(),
+                replies: (0..slots.len()).map(|_| None).collect(),
                 on_complete: Some(on_complete),
             }),
+            slots,
             started_at_ns: clock.now_ns(),
             clock,
+            deadline: opts.timeout.map(|limit| Instant::now() + limit),
+            priority: opts.priority,
             encoder,
         })
     }
-}
 
-impl<F, E> Gather for ScatterState<F, E>
-where
-    F: FnOnce(FanoutResult) + Send,
-    E: Fn(usize, &mut BytesMut) + Send + Sync,
-{
-    fn encode(&self, slot: usize, buf: &mut BytesMut) {
-        (self.encoder)(slot, buf);
-    }
-
+    /// Delivers `slot`'s reply; the last delivery runs the completion.
     fn arrive(&self, slot: usize, result: Reply) {
         let prev = self.gathered.lock().replies[slot].replace(result);
         assert!(prev.is_none(), "fan-out slot {slot} completed twice");
@@ -178,16 +274,180 @@ where
             }
         }
     }
+
+    /// Delivers `result` as `slot`'s answer if no other attempt has
+    /// claimed the slot; returns whether it did.
+    fn deliver(&self, slot: usize, result: Reply) -> bool {
+        let claimed = !self.slots[slot].claimed.swap(true, Ordering::AcqRel);
+        if claimed {
+            self.arrive(slot, result);
+        }
+        claimed
+    }
+
+    /// Drops one of `slot`'s obligations; the last one out delivers the
+    /// slot's last error, unless an answer already claimed the slot.
+    fn release(&self, slot: usize) {
+        let this = &self.slots[slot];
+        if this.pending.fetch_sub(1, Ordering::AcqRel) == 1 && !this.is_done() {
+            let error = this.failed.lock().0.take();
+            self.deliver(slot, Err(error.unwrap_or(RpcError::ShuttingDown)));
+        }
+    }
+
+    /// Records a failed attempt's error and releases its obligation.
+    fn fail(&self, slot: usize, error: RpcError) {
+        self.slots[slot].failed.lock().0 = Some(error);
+        self.release(slot);
+    }
+
+    /// Issues one attempt for `slot` against `target`, or the next target
+    /// in the slot's rotation that the breakers admit. Consumes one of the
+    /// slot's obligations on every path: into the attempt's callback, or
+    /// released if nothing could be issued.
+    fn launch(self: &Arc<Self>, core: &Arc<Core>, slot: usize, target: usize, hedge: bool) {
+        if core.is_shut() {
+            return self.fail(slot, RpcError::ShuttingDown);
+        }
+        let this = &self.slots[slot];
+        let mut candidates =
+            std::iter::once(target).chain(std::iter::repeat_with(|| this.next_target()));
+        let Some(target) =
+            candidates.by_ref().take(1 + this.alternates.len()).find(|&t| core.admit(t))
+        else {
+            // Every candidate shed: fail without charging any breaker
+            // (they are already open).
+            return self.finish_attempt(core, slot, None, RpcError::CircuitOpen);
+        };
+        if core.resilience.is_some() && core.leaves[target].live_count() == 0 {
+            if let Err(error) = core.reconnect(target) {
+                return self.finish_attempt(core, slot, Some(target), error);
+            }
+        }
+        // Per-hop budget decay: the attempt is bounded by the tighter of
+        // the configured attempt deadline and what remains of the slot's
+        // end-to-end budget right now (a retry after backoff sees less
+        // than the primary did).
+        let remaining =
+            self.deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+        if remaining.is_some_and(|left| left.is_zero()) {
+            // Budget exhausted before launch: fail without touching the
+            // wire and without charging the target's breaker.
+            return self.finish_attempt(core, slot, None, RpcError::TimedOut);
+        }
+        let timeout = match (core.resilience.and_then(|config| config.attempt_timeout), remaining) {
+            (Some(configured), Some(left)) => Some(configured.min(left)),
+            (configured, left) => configured.or(left),
+        };
+        let (state, shared) = (self.clone(), core.clone());
+        let done = move |result| state.on_attempt_done(&shared, slot, target, hedge, result);
+        let body = |buf: &mut BytesMut| {
+            this.payload.put_into(buf);
+            (self.encoder)(slot, buf);
+        };
+        let opts = CallOptions { timeout, priority: self.priority };
+        core.issue(target, this.method, body, opts, done);
+    }
+
+    /// Runs on the response pick-up (or reaper) thread when one attempt
+    /// completes.
+    fn on_attempt_done(
+        self: &Arc<Self>,
+        core: &Arc<Core>,
+        slot: usize,
+        target: usize,
+        hedge: bool,
+        result: Reply,
+    ) {
+        match result {
+            Err(error) if error.failure_kind() != FailureKind::Remote => {
+                self.finish_attempt(core, slot, Some(target), error)
+            }
+            // The leaf answered: with a value, or with a refusal another
+            // attempt would only repeat. Either is the slot's answer.
+            answer => {
+                if core.breakers.get(target).is_some_and(CircuitBreaker::on_success) {
+                    core.counters.incr(ResilienceEvent::BreakerClosed);
+                }
+                if self.deliver(slot, answer) && hedge {
+                    core.counters.incr(ResilienceEvent::HedgeWon);
+                }
+                self.release(slot);
+            }
+        }
+    }
+
+    /// Accounts an attempt that ended without an answer: charges the
+    /// target's breaker, then either schedules a retry (the obligation
+    /// passes to the timer) or releases the obligation — the last release
+    /// delivers the slot's error.
+    fn finish_attempt(
+        self: &Arc<Self>,
+        core: &Arc<Core>,
+        slot: usize,
+        target: Option<usize>,
+        error: RpcError,
+    ) {
+        if let Some(leaf) = target {
+            let now_ns = core.clock.now_ns();
+            if let Some(breaker) = core.breakers.get(leaf).filter(|b| b.on_failure(now_ns)) {
+                core.counters.incr(ResilienceEvent::BreakerOpened);
+                // Heal the leaf in the background so the half-open probe
+                // has a fresh connection to use.
+                let due = Instant::now() + breaker.cooldown();
+                core.timer.schedule(due, Task::Reconnect(core.clone(), leaf));
+            }
+        }
+        let this = &self.slots[slot];
+        let retry = {
+            let mut failed = this.failed.lock();
+            failed.0 = Some(error);
+            let retry = failed.1 > 0 && !this.is_done();
+            failed.1 -= usize::from(retry);
+            retry
+        };
+        if !retry {
+            return self.release(slot);
+        }
+        core.counters.incr(ResilienceEvent::Retry);
+        let backoff = core.resilience.map_or(Duration::ZERO, |config| config.backoff);
+        self.schedule_attempt(core, slot, Some(this.next_target()), Instant::now() + backoff);
+    }
+
+    /// Queues an attempt of `slot` for `at`: a retry against `target`, or a
+    /// hedge (`None`), which takes the slot's next target when it fires. A
+    /// cancelled one, or one whose slot has been answered, releases its
+    /// obligation.
+    fn schedule_attempt(
+        self: &Arc<Self>,
+        core: &Arc<Core>,
+        slot: usize,
+        target: Option<usize>,
+        at: Instant,
+    ) {
+        let (state, shared) = (self.clone(), core.clone());
+        let attempt = move |fate| match fate {
+            Fate::Due if !state.slots[slot].is_done() => {
+                if target.is_none() {
+                    shared.counters.incr(ResilienceEvent::HedgeFired);
+                }
+                let leaf = target.unwrap_or_else(|| state.slots[slot].next_target());
+                state.launch(&shared, slot, leaf, target.is_none());
+            }
+            _ => state.release(slot),
+        };
+        core.timer.schedule(at, Task::Attempt(Box::new(attempt)));
+    }
 }
 
 /// The encoder of a scatter whose requests are all in its calls' payloads.
-pub(crate) fn encode_nothing(_slot: usize, _buf: &mut BytesMut) {}
+fn encode_nothing(_slot: usize, _buf: &mut BytesMut) {}
 
 /// The connections to one leaf: a small pool used round-robin, mirroring
 /// the paper's "one TCP connection to a given destination per thread"
 /// (one connection per response pick-up thread here). The pool is behind
 /// a read–write lock so broken connections can be swapped for fresh ones
-/// ([`FanoutGroup::reconnect`]) while pickers proceed under read locks.
+/// while pickers proceed under read locks; dropping the group empties it.
 struct LeafConns {
     addr: SocketAddr,
     conns: RwLock<Vec<Arc<RpcClient>>>,
@@ -196,21 +456,21 @@ struct LeafConns {
 }
 
 impl LeafConns {
-    /// Round-robin pick that prefers a live connection: starting from the
-    /// rotation point, the first non-closed connection wins; if the whole
-    /// pool is broken the rotation pick is returned anyway so the call
-    /// fails fast with [`RpcError::ConnectionClosed`].
-    fn pick(&self) -> Arc<RpcClient> {
+    /// Round-robin pick that prefers a live connection: the first open one
+    /// from the rotation point, else the rotation pick, so the call fails
+    /// fast with [`RpcError::ConnectionClosed`]. `None` once dropped.
+    fn pick(&self) -> Option<Arc<RpcClient>> {
         let conns = self.conns.read();
         let len = conns.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed);
-        for offset in 0..len {
-            let conn = &conns[(start + offset) % len];
-            if !conn.is_closed() {
-                return conn.clone();
-            }
-        }
-        conns[start % len].clone()
+        let mut rotated = (0..len).map(|offset| &conns[(start + offset) % len]);
+        let first = rotated.next()?;
+        let live = std::iter::once(first).chain(rotated).find(|conn| !conn.is_closed());
+        Some(live.unwrap_or(first).clone())
+    }
+
+    fn live_count(&self) -> usize {
+        self.conns.read().iter().filter(|conn| !conn.is_closed()).count()
     }
 }
 
@@ -284,7 +544,7 @@ impl MergeState {
     /// [`RpcError::TimedOut`] here — a merged envelope never outlives its
     /// tightest member budget. A lone survivor takes the plain request
     /// path; two or more leave as one batch envelope.
-    fn flush(&self, leaves: &[LeafConns], leaf: usize, calls: Vec<BufferedCall>, r: FlushReason) {
+    fn flush(&self, conns: &LeafConns, calls: Vec<BufferedCall>, reason: FlushReason) {
         let now = Instant::now();
         let mut live = Vec::with_capacity(calls.len());
         for call in calls {
@@ -294,11 +554,14 @@ impl MergeState {
             }
             live.push(call);
         }
-        self.stats.record_batch(live.len(), r);
+        self.stats.record_batch(live.len(), reason);
         if live.is_empty() {
             return;
         }
-        let client = leaves[leaf].pick();
+        let Some(client) = conns.pick() else {
+            live.into_iter().for_each(|call| (call.done)(Err(RpcError::ShuttingDown)));
+            return;
+        };
         if live.len() == 1 {
             // lint: allow(expect): emptiness is checked immediately above
             let call = live.pop().expect("one live member");
@@ -317,8 +580,171 @@ impl MergeState {
     }
 }
 
+/// An entry on the group's one timer.
+enum Task {
+    /// Closes `leaf`'s merge window.
+    Flush(Arc<Core>, usize),
+    /// Replaces a leaf's broken connections after its breaker opened.
+    Reconnect(Arc<Core>, usize),
+    /// A hedge or retry of one slot: it names a scatter whose types the
+    /// timer cannot know.
+    Attempt(Box<dyn FnOnce(Fate) + Send>),
+}
+
+impl Task {
+    fn run(self, fate: Fate) {
+        match (self, fate) {
+            (Task::Flush(core, leaf), Fate::Due) => {
+                if let Some(merge) = &core.merge {
+                    let calls = merge.take_due(leaf, Instant::now());
+                    if !calls.is_empty() {
+                        merge.flush(&core.leaves[leaf], calls, FlushReason::DelayExpired);
+                    }
+                }
+            }
+            (Task::Reconnect(core, leaf), Fate::Due) => {
+                let _ = core.reconnect(leaf);
+            }
+            (Task::Attempt(attempt), fate) => attempt(fate),
+            // A cancelled flush or reconnect needs nothing: the group is
+            // shutting down, and its shutdown aborts every buffer after
+            // it has stopped the timer.
+            (Task::Flush(..) | Task::Reconnect(..), Fate::Cancelled) => {}
+        }
+    }
+}
+
+/// What a group's handle, its attempt callbacks and its timer tasks share.
+struct Core {
+    leaves: Vec<LeafConns>,
+    reactor: Mutex<Option<Arc<Reactor>>>,
+    clock: Clock,
+    merge: Option<MergeState>,
+    /// `None` for a bare group: no breaker, hedge, retry or reconnect.
+    resilience: Option<ResilientConfig>,
+    breakers: Vec<CircuitBreaker>,
+    counters: ResilienceCounters,
+    shut: AtomicBool,
+    timer: Timer<Task>,
+}
+
+impl Core {
+    fn is_shut(&self) -> bool {
+        self.shut.load(Ordering::Acquire)
+    }
+
+    /// Whether `leaf`'s breaker, if any, lets an attempt through.
+    fn admit(&self, leaf: usize) -> bool {
+        let admission = self.breakers.get(leaf).map(|breaker| breaker.admit(self.clock.now_ns()));
+        if admission == Some(Admission::Probe) {
+            self.counters.incr(ResilienceEvent::BreakerProbe);
+        }
+        admission != Some(Admission::Reject)
+    }
+
+    /// Issues one leaf sub-call: the direct asynchronous call normally, or
+    /// the leaf's merge buffer when batching is on, where it may coalesce
+    /// with sub-calls from other concurrent scatters to the same leaf into
+    /// one multi-request envelope. `opts.timeout` decays while the call is
+    /// parked, exactly as it decays in a send queue. `body` writes the
+    /// request into the chosen connection's pending buffer, or into a
+    /// payload of its own if the call is parked.
+    fn issue<F>(
+        self: &Arc<Self>,
+        leaf: usize,
+        method: u32,
+        body: impl Body,
+        opts: CallOptions,
+        done: F,
+    ) where
+        F: FnOnce(Reply) + Send + 'static,
+    {
+        let Some(merge) = &self.merge else {
+            match self.leaves[leaf].pick() {
+                Some(conn) => conn.call_async_with(method, body, opts, done),
+                None => done(Err(RpcError::ShuttingDown)),
+            }
+            return;
+        };
+        let now = Instant::now();
+        let call = BufferedCall {
+            method,
+            payload: body.into_payload(),
+            deadline: opts.timeout.map(|limit| now + limit),
+            priority: opts.priority,
+            done: Box::new(done),
+        };
+        let (full, opened) = {
+            let mut buffer = merge.buffers[leaf].lock();
+            if self.is_shut() {
+                // Shutdown sets the flag before it aborts this buffer, so a
+                // call pushed here would be stranded.
+                drop(buffer);
+                return (call.done)(Err(RpcError::ShuttingDown));
+            }
+            buffer.calls.push(call);
+            if buffer.calls.len() >= merge.policy.max_size() {
+                buffer.opened_at = None;
+                (Some(std::mem::take(&mut buffer.calls)), None)
+            } else if merge.policy.max_delay().is_zero() {
+                // No delay budget to wait for stragglers: whatever this
+                // moment's contemporaries contributed leaves immediately.
+                (Some(std::mem::take(&mut buffer.calls)), None)
+            } else if buffer.opened_at.is_none() {
+                buffer.opened_at = Some(now);
+                (None, Some(now + merge.policy.max_delay()))
+            } else {
+                (None, None)
+            }
+        };
+        if let Some(calls) = full {
+            let reason = if calls.len() >= merge.policy.max_size() {
+                FlushReason::SizeFull
+            } else {
+                FlushReason::QueueDrained
+            };
+            merge.flush(&self.leaves[leaf], calls, reason);
+        } else if let Some(due) = opened {
+            self.timer.schedule(due, Task::Flush(self.clone(), leaf));
+        }
+    }
+
+    /// Replaces every closed connection in `leaf`'s pool with a fresh one
+    /// (same fault-plan view, so a dead leaf refuses it, and same reactor)
+    /// and returns how many it replaced. Refuses after shutdown.
+    fn reconnect(&self, leaf: usize) -> Result<usize, RpcError> {
+        let pool = &self.leaves[leaf];
+        let mut conns = pool.conns.write();
+        if self.is_shut() {
+            return Err(RpcError::ShuttingDown);
+        }
+        let reactor = self.reactor.lock().clone();
+        let mut replaced = 0;
+        for conn in conns.iter_mut().filter(|conn| conn.is_closed()) {
+            let fresh = RpcClient::connect_with(pool.addr, pool.faults.clone(), reactor.as_ref())?;
+            *conn = Arc::new(fresh);
+            replaced += 1;
+        }
+        if replaced > 0 {
+            self.counters.incr(ResilienceEvent::Reconnect);
+        }
+        Ok(replaced)
+    }
+
+    fn shutdown(&self) {
+        self.shut.store(true, Ordering::Release);
+        self.timer.shutdown();
+        if let Some(merge) = &self.merge {
+            (0..self.leaves.len()).for_each(|leaf| merge.abort(leaf));
+        }
+        for leaf in &self.leaves {
+            leaf.conns.read().iter().for_each(|conn| conn.shutdown());
+        }
+    }
+}
+
 /// A set of asynchronous clients, one connection pool per leaf
-/// microserver.
+/// microserver, and the policy its scatters run (see the module docs).
 ///
 /// With a shared [`Reactor`] attached
 /// ([`FanoutGroup::connect_with_plan_via`]), every leaf connection —
@@ -326,21 +752,15 @@ impl MergeState {
 /// spawning a response pick-up thread, so the client-side network thread
 /// count is the reactor's fixed poller count regardless of fan-out width.
 ///
-/// Drop **aborts**: sub-calls parked in a merge buffer complete exactly
-/// once with [`RpcError::ConnectionClosed`] without being sent, and calls
-/// already on the wire fail the same way as their connections close.
+/// Shutdown and drop **abort**, and mean the same: later attempts fail
+/// fast with [`RpcError::ShuttingDown`] and nothing reconnects; queued
+/// hedges and retries are cancelled, each slot still delivering once;
+/// parked sub-calls complete with [`RpcError::ConnectionClosed`] unsent,
+/// and calls on the wire fail the same way as their connections close.
+/// Callbacks and timer tasks hold the group's shared core, never this
+/// handle, so dropping the handle aborts even with calls in flight.
 pub struct FanoutGroup {
-    leaves: Arc<Vec<LeafConns>>,
-    clock: Clock,
-    reactor: Option<Arc<Reactor>>,
-    merge: Option<Merge>,
-}
-
-/// Merge batching when it is on: the buffers, and the timer whose entries
-/// (one leaf index per buffer opening) close their delay windows.
-struct Merge {
-    state: Arc<MergeState>,
-    flusher: Timer<usize>,
+    core: Arc<Core>,
 }
 
 impl FanoutGroup {
@@ -391,130 +811,87 @@ impl FanoutGroup {
                 faults,
             });
         }
-        Ok(FanoutGroup {
-            leaves: Arc::new(leaves),
+        let core = Core {
+            leaves,
+            reactor: Mutex::new(reactor.cloned()),
             clock: Clock::new(),
-            reactor: reactor.cloned(),
             merge: None,
-        })
+            resilience: None,
+            breakers: Vec::new(),
+            counters: ResilienceCounters::new(),
+            shut: AtomicBool::new(false),
+            timer: Timer::new("musuite-fanout-timer", Task::run),
+        };
+        Ok(FanoutGroup { core: Arc::new(core) })
     }
 
     /// Enables client-side merge batching: leaf sub-calls issued through
     /// this group park in a per-leaf buffer and leave as **one**
     /// multi-request envelope when the buffer reaches `policy.max_size()`
-    /// members or the oldest member has waited `policy.max_delay()`.
-    /// Sub-calls from *concurrent* scatters that target the same leaf
-    /// merge into the same envelope.
+    /// members or the oldest member has waited `policy.max_delay()`, so
+    /// sub-calls from *concurrent* scatters to the same leaf merge. A
+    /// parked call holds its request in a [`Payload`] of its own
+    /// ([`Body::into_payload`]) and keeps its deadline and priority; one
+    /// whose deadline expires while parked completes with
+    /// [`RpcError::TimedOut`] and leaves the envelope, never the other way
+    /// around. An off policy (`BatchPolicy::off()`) keeps the direct path.
     ///
-    /// A parked call holds its payload in a [`Payload`] of its own: a
-    /// typed encoder writes into an owned buffer when the call is parked
-    /// (see [`Body::into_payload`]).
+    /// # Panics
     ///
-    /// Members keep their individual deadlines and priorities; a member
-    /// whose deadline expires while parked is completed with
-    /// [`RpcError::TimedOut`] and dropped from the envelope, never the
-    /// other way around. An off policy (`BatchPolicy::off()`) leaves the
-    /// group on the direct per-call path.
+    /// Panics if a scatter through this group is still in flight.
     pub fn with_batching(mut self, policy: BatchPolicy) -> FanoutGroup {
-        if !policy.is_on() {
-            self.merge = None;
-            return self;
-        }
-        let state = Arc::new(MergeState {
+        let leaves = self.len();
+        self.core_mut().merge = policy.is_on().then(|| MergeState {
             policy,
-            buffers: (0..self.leaves.len()).map(|_| Mutex::new(MergeBuffer::default())).collect(),
+            buffers: (0..leaves).map(|_| Mutex::new(MergeBuffer::default())).collect(),
             stats: BatchStats::default(),
         });
-        let flusher = Timer::new("musuite-merge-flusher", {
-            let (state, leaves) = (state.clone(), self.leaves.clone());
-            move |leaf, fate| {
-                // Cancelled entries need nothing here: the group is being
-                // dropped, and its drop aborts every buffer.
-                if fate == Fate::Due {
-                    let calls = state.take_due(leaf, Instant::now());
-                    if !calls.is_empty() {
-                        state.flush(&leaves, leaf, calls, FlushReason::DelayExpired);
-                    }
-                }
-            }
-        });
-        self.merge = Some(Merge { state, flusher });
         self
     }
 
-    /// Merge-batching occupancy and flush-reason counters, when batching
-    /// is enabled ([`FanoutGroup::with_batching`]).
-    pub fn batch_stats(&self) -> Option<&BatchStats> {
-        self.merge.as_ref().map(|merge| &merge.state.stats)
+    /// Gives the group a resilience policy: attempt deadlines, hedges,
+    /// retries with backoff, per-leaf circuit breakers, and a reconnect
+    /// before an attempt to a leaf with no live connection. A group from
+    /// `connect*` runs none of these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scatter through this group is still in flight.
+    pub fn with_resilience(mut self, config: ResilientConfig) -> FanoutGroup {
+        let leaves = self.len();
+        let core = self.core_mut();
+        core.breakers = match config.breaker {
+            Some(breaker) => (0..leaves).map(|_| CircuitBreaker::new(breaker)).collect(),
+            None => Vec::new(),
+        };
+        core.resilience = Some(config);
+        self
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        // lint: allow(expect): only a scatter in flight shares the core
+        Arc::get_mut(&mut self.core).expect("configure a fan-out group before scattering")
+    }
+
+    /// The group's hedge, retry, breaker and reconnect counters.
+    pub fn counters(&self) -> &ResilienceCounters {
+        &self.core.counters
     }
 
     /// Number of leaves in the group.
     pub fn len(&self) -> usize {
-        self.leaves.len()
+        self.core.leaves.len()
     }
 
     /// Returns `true` if the group has no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.core.leaves.is_empty()
     }
 
-    /// A client for leaf `index` (round-robin over its pool, preferring a
-    /// live connection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn client(&self, index: usize) -> Arc<RpcClient> {
-        self.leaves[index].pick()
-    }
-
-    /// Number of non-closed connections in leaf `index`'s pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn live_count(&self, index: usize) -> usize {
-        self.leaves[index].conns.read().iter().filter(|conn| !conn.is_closed()).count()
-    }
-
-    /// Replaces every closed connection in leaf `index`'s pool with a
-    /// fresh one (carrying the same fault-plan view, so a refused
-    /// reconnect to a dead leaf surfaces as an error). Returns how many
-    /// connections were replaced.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first reconnection error; connections already replaced
-    /// stay replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn reconnect(&self, index: usize) -> Result<usize, RpcError> {
-        let leaf = &self.leaves[index];
-        let mut conns = leaf.conns.write();
-        let mut replaced = 0;
-        for slot in conns.iter_mut() {
-            if slot.is_closed() {
-                *slot = Arc::new(RpcClient::connect_with(
-                    leaf.addr,
-                    leaf.faults.clone(),
-                    self.reactor.as_ref(),
-                )?);
-                replaced += 1;
-            }
-        }
-        Ok(replaced)
-    }
-
-    /// Shuts down every connection to every leaf; in-flight calls fail
-    /// fast with [`RpcError::ConnectionClosed`]. Idempotent.
-    pub fn shutdown_all(&self) {
-        for leaf in self.leaves.iter() {
-            for conn in leaf.conns.read().iter() {
-                conn.shutdown();
-            }
-        }
+    /// Aborts the group (see the type's docs); the handle stays usable,
+    /// and every scatter through it fails fast. Idempotent.
+    pub fn shutdown(&self) {
+        self.core.shutdown();
     }
 
     /// Scatters `requests` — `(leaf index, method, payload)` triples — and
@@ -534,13 +911,8 @@ impl FanoutGroup {
         self.scatter_opts(requests, CallOptions::default(), on_complete);
     }
 
-    /// The general scatter: every leaf request is issued under `opts`. A
-    /// leaf request that has not completed within `opts.timeout` fails its
-    /// slot with [`RpcError::TimedOut`] instead of stalling the merge
-    /// forever — the mid-tier's defense against a wedged leaf. This is
-    /// also the budget-forwarding hop: callers pass the *remaining* budget
-    /// of the inbound request (already net of time spent upstream), and
-    /// each leaf frame departs carrying what is left of it at write time.
+    /// [`FanoutGroup::scatter`] under `opts`: see
+    /// [`FanoutGroup::scatter_encoded`].
     ///
     /// # Panics
     ///
@@ -554,75 +926,60 @@ impl FanoutGroup {
         P: Into<Payload>,
         F: FnOnce(FanoutResult) + Send + 'static,
     {
-        if requests.is_empty() {
-            on_complete(FanoutResult { replies: Vec::new(), elapsed_ns: 0 });
-            return;
-        }
-        for (leaf, _, _) in &requests {
-            assert!(*leaf < self.leaves.len(), "leaf index {leaf} out of bounds");
-        }
-        let state = ScatterState::new(requests.len(), self.clock, encode_nothing, on_complete);
-        for (slot, (leaf, method, payload)) in requests.into_iter().enumerate() {
-            let state = state.clone();
-            let done = move |result| state.arrive(slot, result);
-            self.issue(leaf, method, payload.into(), opts, done);
-        }
+        let calls = requests
+            .into_iter()
+            .map(|(leaf, method, payload)| LeafCall::new(leaf, method, payload));
+        self.scatter_encoded(calls, opts, encode_nothing, on_complete);
     }
 
-    /// Issues one leaf sub-call through the group's request path: the
-    /// direct asynchronous call normally, or the merge buffer when
-    /// batching is enabled ([`FanoutGroup::with_batching`]) — where it may
-    /// coalesce with sub-calls from other concurrent scatters to the same
-    /// leaf into one multi-request envelope. `opts.timeout` decays while
-    /// the call is parked, exactly as it decays in a send queue. `body`
-    /// writes the request into the chosen connection's pending buffer, or
-    /// into a payload of its own if the call is parked.
+    /// The one scatter: issues every call under the group's policy and
+    /// runs `on_complete`, on the thread that delivers last, when every
+    /// slot has delivered an answer or its final error. Slot order in the
+    /// result matches `calls` order.
+    ///
+    /// Slot `i`'s request is its call's payload followed by what
+    /// `encoder(i, buf)` writes, encoded by every attempt straight into the
+    /// pending buffer of the connection it goes out on. A typed mid-tier
+    /// gives its calls empty payloads and an encoder that owns its plan.
+    ///
+    /// `opts.timeout` is the end-to-end bound (the caller's remaining
+    /// budget) and `opts.priority` rides on every attempt's frame. Each
+    /// attempt is clamped to what is left of the budget when it launches,
+    /// so a retry departs with a *smaller* budget than the primary, and a
+    /// leaf that has not answered in time fails its slot with
+    /// [`RpcError::TimedOut`] instead of stalling the merge.
+    ///
+    /// An empty call list completes immediately on the calling thread.
     ///
     /// # Panics
     ///
-    /// Panics if `leaf` is out of bounds.
-    pub fn issue<F>(&self, leaf: usize, method: u32, body: impl Body, opts: CallOptions, done: F)
+    /// Panics if any target index is out of bounds.
+    pub fn scatter_encoded<I, E, F>(&self, calls: I, opts: CallOptions, encoder: E, on_complete: F)
     where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
+        I: IntoIterator<Item = LeafCall>,
+        I::IntoIter: ExactSizeIterator,
+        E: Fn(usize, &mut BytesMut) + Send + Sync + 'static,
+        F: FnOnce(FanoutResult) + Send + 'static,
     {
-        let Some(Merge { state: merge, flusher }) = &self.merge else {
-            self.leaves[leaf].pick().call_async_with(method, body, opts, done);
+        let calls = calls.into_iter();
+        if calls.len() == 0 {
+            on_complete(FanoutResult { replies: Vec::new(), elapsed_ns: 0 });
             return;
+        }
+        let core = &self.core;
+        let hedge = match core.resilience.map(|config| config.hedge) {
+            Some(HedgePolicy::After(delay)) => Some(delay),
+            _ => None,
         };
-        let now = Instant::now();
-        let call = BufferedCall {
-            method,
-            payload: body.into_payload(),
-            deadline: opts.timeout.map(|limit| now + limit),
-            priority: opts.priority,
-            done: Box::new(done),
-        };
-        let (full, opened) = {
-            let mut buffer = merge.buffers[leaf].lock();
-            buffer.calls.push(call);
-            if buffer.calls.len() >= merge.policy.max_size() {
-                buffer.opened_at = None;
-                (Some(std::mem::take(&mut buffer.calls)), None)
-            } else if merge.policy.max_delay().is_zero() {
-                // No delay budget to wait for stragglers: whatever this
-                // moment's contemporaries contributed leaves immediately.
-                (Some(std::mem::take(&mut buffer.calls)), None)
-            } else if buffer.opened_at.is_none() {
-                buffer.opened_at = Some(now);
-                (None, Some(now + merge.policy.max_delay()))
-            } else {
-                (None, None)
+        let (pending, leaves) = (1 + usize::from(hedge.is_some()), core.leaves.len());
+        let retries = core.resilience.map_or(0, |config| config.retries as usize);
+        let slots = calls.map(|call| Slot::new(call, leaves, pending, retries)).collect();
+        let state = ScatterState::new(slots, core.clock, opts, encoder, on_complete);
+        for slot in 0..state.slots.len() {
+            if let Some(delay) = hedge {
+                state.schedule_attempt(core, slot, None, Instant::now() + delay);
             }
-        };
-        if let Some(calls) = full {
-            let reason = if calls.len() >= merge.policy.max_size() {
-                FlushReason::SizeFull
-            } else {
-                FlushReason::QueueDrained
-            };
-            merge.flush(&self.leaves, leaf, calls, reason);
-        } else if let Some(due) = opened {
-            flusher.schedule(due, leaf);
+            state.launch(core, slot, state.slots[slot].primary, false);
         }
     }
 
@@ -634,39 +991,44 @@ impl FanoutGroup {
             let _ = tx.send(result);
         });
         crate::buf::flush_outbox();
-        // lint: allow(expect): completion closure runs on every path, even all-timeout
+        // lint: allow(expect): every slot delivers exactly once, so the completion always runs
         rx.recv().expect("scatter completion always runs")
     }
 }
 
 impl Drop for FanoutGroup {
-    /// Stops the delay flusher and aborts every parked sub-call, so no
-    /// buffered callback is ever silently dropped with the group and none
-    /// is sent on a connection that is about to close.
+    /// Shuts the group down, then drops its connections and reactor here:
+    /// their threads are joined on this thread, never on one of their own,
+    /// where a late callback could release the core's last reference.
     fn drop(&mut self) {
-        let Some(merge) = &self.merge else { return };
-        merge.flusher.shutdown();
-        for leaf in 0..merge.state.buffers.len() {
-            merge.state.abort(leaf);
+        self.core.shutdown();
+        for leaf in &self.core.leaves {
+            let conns = std::mem::take(&mut *leaf.conns.write());
+            drop(conns);
         }
+        let reactor = self.core.reactor.lock().take();
+        drop(reactor);
     }
 }
 
 impl std::fmt::Debug for FanoutGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutGroup").field("leaves", &self.len()).finish()
+        f.debug_struct("FanoutGroup")
+            .field("leaves", &self.len())
+            .field("resilience", &self.core.resilience)
+            .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::ServerConfig;
     use crate::server::Server;
     use crate::service::{RequestContext, Service};
 
     /// Replies with its configured id plus the request payload.
-    struct TaggedEcho(u8);
+    pub(crate) struct TaggedEcho(pub(crate) u8);
     impl Service for TaggedEcho {
         fn call(&self, ctx: RequestContext) {
             let mut reply = vec![self.0];
@@ -675,7 +1037,8 @@ mod tests {
         }
     }
 
-    fn leaf_cluster(n: u8) -> (Vec<Server>, FanoutGroup) {
+    /// `n` echo leaves and a bare group connected to them.
+    pub(crate) fn leaf_cluster(n: u8) -> (Vec<Server>, FanoutGroup) {
         let servers: Vec<Server> = (0..n)
             .map(|i| Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(i))).unwrap())
             .collect();
@@ -684,16 +1047,78 @@ mod tests {
         (servers, group)
     }
 
+    /// `n` echo leaves and a group connected to them, given `config`.
+    pub(crate) fn cluster_with(
+        n: u8,
+        config: Option<ResilientConfig>,
+    ) -> (Vec<Server>, FanoutGroup) {
+        let (servers, group) = leaf_cluster(n);
+        match config {
+            Some(config) => (servers, group.with_resilience(config)),
+            None => (servers, group),
+        }
+    }
+
+    /// Scatters `calls` under `opts` and waits for the merge.
+    pub(crate) fn scatter_calls_wait(
+        group: &FanoutGroup,
+        calls: Vec<LeafCall>,
+        opts: CallOptions,
+    ) -> FanoutResult {
+        let (tx, rx) = std::sync::mpsc::channel();
+        group.scatter_encoded(calls, opts, encode_nothing, move |result| tx.send(result).unwrap());
+        crate::buf::flush_outbox();
+        rx.recv_timeout(Duration::from_secs(10)).expect("the scatter completes")
+    }
+
+    /// A group connected to `servers` through `plan`, under `config`.
+    pub(crate) fn planned(
+        servers: &[Server],
+        plan: &Arc<FaultPlan>,
+        config: ResilientConfig,
+    ) -> FanoutGroup {
+        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
+        let group = FanoutGroup::connect_with_plan_via(&addrs, 1, Some(plan), None).unwrap();
+        group.with_resilience(config)
+    }
+
+    /// A connection to `leaf`, as the next attempt would pick it.
+    fn conn(group: &FanoutGroup, leaf: usize) -> Arc<RpcClient> {
+        group.core.leaves[leaf].pick().unwrap()
+    }
+
+    fn batch_stats(group: &FanoutGroup) -> Option<&BatchStats> {
+        group.core.merge.as_ref().map(|merge| &merge.stats)
+    }
+
+    /// The address of a listener that accepts connections, holds them and
+    /// never answers.
+    pub(crate) fn stuck_leaf() -> SocketAddr {
+        let stuck = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stuck.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while let Ok((stream, _)) = stuck.accept() {
+                held.push(stream);
+            }
+        });
+        addr
+    }
+
+    /// A bare group and one under the default resilience policy gather
+    /// alike, and the inert policy ticks nothing.
     #[test]
     fn scatter_gathers_in_request_order() {
-        let (_servers, group) = leaf_cluster(4);
-        let requests: Vec<_> = (0..4).map(|leaf| (leaf, 1u32, vec![9u8])).collect();
-        let result = group.scatter_wait(requests);
-        assert!(result.all_ok());
-        assert!(result.elapsed_ns > 0);
-        let replies = result.successes();
-        for (leaf, reply) in replies.iter().enumerate() {
-            assert_eq!(reply, &[leaf as u8, 9]);
+        for config in [None, Some(ResilientConfig::default())] {
+            let (_servers, group) = cluster_with(4, config);
+            let requests: Vec<_> = (0..4).map(|leaf| (leaf, 1u32, vec![9u8])).collect();
+            let result = group.scatter_wait(requests);
+            assert!(result.all_ok());
+            assert!(result.elapsed_ns > 0);
+            for (leaf, reply) in result.successes().iter().enumerate() {
+                assert_eq!(reply, &[leaf as u8, 9]);
+            }
+            assert_eq!(group.counters().snapshot().total(), 0, "inert policy ticks nothing");
         }
     }
 
@@ -738,7 +1163,7 @@ mod tests {
         let (servers, group) = leaf_cluster(3);
         // Kill leaf 1.
         servers[1].shutdown();
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
         let requests: Vec<_> = (0..3).map(|leaf| (leaf, 1u32, vec![5u8])).collect();
         let result = group.scatter_wait(requests);
         assert!(result.replies[0].is_ok());
@@ -756,20 +1181,15 @@ mod tests {
 
     #[test]
     fn pooled_connections_round_trip_and_rotate() {
-        let servers: Vec<Server> = (0..2)
-            .map(|i| Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(i))).unwrap())
-            .collect();
-        let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+        let (servers, _) = leaf_cluster(2);
+        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
         let group = FanoutGroup::connect_with_plan_via(&addrs, 3, None, None).unwrap();
         assert_eq!(group.len(), 2);
         // Repeated picks must rotate through distinct connections.
-        let a = Arc::as_ptr(&group.client(0));
-        let b = Arc::as_ptr(&group.client(0));
-        let c = Arc::as_ptr(&group.client(0));
-        let d = Arc::as_ptr(&group.client(0));
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_eq!(a, d, "pool of 3 wraps after 3 picks");
+        let picks: Vec<_> = (0..4).map(|_| Arc::as_ptr(&conn(&group, 0))).collect();
+        assert_ne!(picks[0], picks[1]);
+        assert_ne!(picks[1], picks[2]);
+        assert_eq!(picks[0], picks[3], "pool of 3 wraps after 3 picks");
         for round in 0..10u8 {
             let result = group.scatter_wait(vec![(0, 1, vec![round]), (1, 1, vec![round])]);
             assert!(result.all_ok());
@@ -809,24 +1229,20 @@ mod tests {
             ],
             elapsed_ns: 1,
         };
-        assert_eq!(result.ok_count(), 1);
-        assert_eq!(result.err_count(), 3);
         assert!(!result.all_ok());
-        assert_eq!(result.kind_of(0), None);
-        assert_eq!(result.kind_of(1), Some(FailureKind::Timeout));
-        assert_eq!(result.kind_of(2), Some(FailureKind::Transport));
-        assert_eq!(result.kind_of(3), Some(FailureKind::Remote));
-        let failed: Vec<usize> = result.failures().map(|(slot, _)| slot).collect();
-        assert_eq!(failed, vec![1, 2, 3]);
+        let failures: Vec<_> = result.failures().collect();
         assert!(
-            result.failures().all(|(slot, e)| matches!(
-                (slot, e),
-                (1, RpcError::TimedOut)
-                    | (2, RpcError::ConnectionClosed)
-                    | (3, RpcError::Remote { .. })
-            )),
-            "each failure keeps which leaf and why"
+            matches!(
+                failures[..],
+                [
+                    (1, RpcError::TimedOut),
+                    (2, RpcError::ConnectionClosed),
+                    (3, RpcError::Remote { .. })
+                ]
+            ),
+            "each failure keeps which leaf and why: {failures:?}"
         );
+        assert_eq!(result.successes(), [Bytes::from_static(b"fine")]);
     }
 
     #[test]
@@ -834,40 +1250,39 @@ mod tests {
         let server = Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(7))).unwrap();
         let group =
             FanoutGroup::connect_with_plan_via(&[server.local_addr()], 2, None, None).unwrap();
-        assert_eq!(group.live_count(0), 2);
+        let leaf = &group.core.leaves[0];
+        assert_eq!(leaf.live_count(), 2);
         // Break one connection; picks must route around it.
-        group.client(0).shutdown();
-        assert_eq!(group.live_count(0), 1);
+        conn(&group, 0).shutdown();
+        assert_eq!(leaf.live_count(), 1);
         for round in 0..4u8 {
             let result = group.scatter_wait(vec![(0usize, 1u32, vec![round])]);
             assert!(result.all_ok(), "live connection must be preferred");
         }
-        assert_eq!(group.reconnect(0).unwrap(), 1, "one closed connection replaced");
-        assert_eq!(group.live_count(0), 2);
-        assert_eq!(group.reconnect(0).unwrap(), 0, "reconnect is idempotent");
+        assert_eq!(group.core.reconnect(0).unwrap(), 1, "one closed connection replaced");
+        assert_eq!(leaf.live_count(), 2);
+        assert_eq!(group.core.reconnect(0).unwrap(), 0, "reconnect is idempotent");
     }
 
     #[test]
     fn reactor_backed_group_scatters_and_reconnects() {
         use crate::reactor::{Reactor, ReactorConfig};
-        let servers: Vec<Server> = (0..3)
-            .map(|i| Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(i))).unwrap())
-            .collect();
-        let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+        let (servers, _) = leaf_cluster(3);
+        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
         let reactor =
             Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..ReactorConfig::default() }));
         let group = FanoutGroup::connect_with_plan_via(&addrs, 2, None, Some(&reactor)).unwrap();
         // Registrations are adopted on the sweepers' next pass; poll
         // rather than racing the adoption.
         let adopted = |want: u64| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            let deadline = Instant::now() + Duration::from_secs(2);
             while reactor.stats().registered() < want {
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "only {} of {want} leaf conns adopted",
                     reactor.stats().registered()
                 );
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                std::thread::sleep(Duration::from_millis(5));
             }
         };
         adopted(6);
@@ -878,8 +1293,8 @@ mod tests {
         }
         // Break one connection; the replacement must register with the
         // same reactor and keep the fan-out healthy.
-        group.client(0).shutdown();
-        assert_eq!(group.reconnect(0).unwrap(), 1);
+        conn(&group, 0).shutdown();
+        assert_eq!(group.core.reconnect(0).unwrap(), 1);
         adopted(7); // the replacement registers with the same reactor
         let result = group.scatter_wait(vec![(0usize, 1u32, vec![9u8])]);
         assert!(result.all_ok());
@@ -905,10 +1320,10 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let opts = CallOptions {
             priority: Priority::Critical,
-            ..CallOptions::within(std::time::Duration::from_millis(200))
+            ..CallOptions::within(Duration::from_millis(200))
         };
         group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
-        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+        let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(result.all_ok());
         for reply in result.successes() {
             let budget = u32::from_le_bytes(reply[..4].try_into().unwrap());
@@ -920,11 +1335,14 @@ mod tests {
         }
     }
 
+    /// Every attempt of a resilient group takes the merge path.
     #[test]
     fn merged_scatters_coalesce_same_leaf_subcalls() {
         let (_servers, group) = leaf_cluster(2);
         let group = Arc::new(
-            group.with_batching(BatchPolicy::new(4, std::time::Duration::from_millis(20))),
+            group
+                .with_batching(BatchPolicy::new(4, Duration::from_millis(20)))
+                .with_resilience(ResilientConfig::default()),
         );
         // Four concurrent scatters each hit both leaves; same-leaf
         // sub-calls coalesce inside the 20ms merge window.
@@ -943,7 +1361,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = group.batch_stats().expect("batching is on");
+        let stats = batch_stats(&group).expect("batching is on");
         assert_eq!(stats.members(), 8, "every sub-call goes through the merge path");
         assert!(
             stats.batches() < 8,
@@ -955,20 +1373,20 @@ mod tests {
     #[test]
     fn merge_delay_expiry_flushes_partial_batch() {
         let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(64, std::time::Duration::from_millis(5)));
+        let group = group.with_batching(BatchPolicy::new(64, Duration::from_millis(5)));
         // A single sub-call can never fill a 64-wide batch; only the
         // delay flusher gets it onto the wire.
         let result = group.scatter_wait(vec![(0usize, 1u32, vec![7u8])]);
         assert!(result.all_ok());
-        let stats = group.batch_stats().unwrap();
-        assert_eq!(stats.flushes(musuite_telemetry::batching::FlushReason::DelayExpired), 1);
+        let stats = batch_stats(&group).unwrap();
+        assert_eq!(stats.flushes(FlushReason::DelayExpired), 1);
     }
 
     #[test]
     fn merge_off_policy_keeps_direct_path() {
         let (_servers, group) = leaf_cluster(1);
         let group = group.with_batching(BatchPolicy::off());
-        assert!(group.batch_stats().is_none());
+        assert!(batch_stats(&group).is_none());
         let result = group.scatter_wait(vec![(0usize, 1u32, vec![1u8])]);
         assert!(result.all_ok());
     }
@@ -976,12 +1394,12 @@ mod tests {
     #[test]
     fn merge_zero_delay_flushes_immediately() {
         let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(8, std::time::Duration::ZERO));
+        let group = group.with_batching(BatchPolicy::new(8, Duration::ZERO));
         for round in 0..3u8 {
             let result = group.scatter_wait(vec![(0usize, 1u32, vec![round])]);
             assert!(result.all_ok());
         }
-        let stats = group.batch_stats().unwrap();
+        let stats = batch_stats(&group).unwrap();
         assert_eq!(stats.members(), 3);
         assert_eq!(stats.batches(), 3, "zero delay means nothing waits for stragglers");
     }
@@ -989,22 +1407,21 @@ mod tests {
     #[test]
     fn expired_member_dropped_from_merged_batch_not_batchmates() {
         let (_servers, group) = leaf_cluster(1);
-        let group = Arc::new(
-            group.with_batching(BatchPolicy::new(8, std::time::Duration::from_millis(40))),
-        );
+        let group = group.with_batching(BatchPolicy::new(8, Duration::from_millis(40)));
         let (tx, rx) = std::sync::mpsc::channel();
         // A member whose budget is far smaller than the merge window
         // expires while parked; its batchmate must still be served.
         let expired_tx = tx.clone();
-        let tight = CallOptions::within(std::time::Duration::from_millis(1));
+        let tight = CallOptions::within(Duration::from_millis(1));
         let payload = |byte: u8| Payload::from(vec![byte]);
-        group.issue(0, 1, payload(1), tight, move |r| expired_tx.send(("expired", r)).unwrap());
-        group.issue(0, 1, payload(2), CallOptions::default(), move |r| {
+        let core = &group.core;
+        core.issue(0, 1, payload(1), tight, move |r| expired_tx.send(("expired", r)).unwrap());
+        core.issue(0, 1, payload(2), CallOptions::default(), move |r| {
             tx.send(("healthy", r)).unwrap()
         });
         let mut outcomes = std::collections::HashMap::new();
         for _ in 0..2 {
-            let (who, result) = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+            let (who, result) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             outcomes.insert(who, result);
         }
         assert!(
@@ -1015,62 +1432,87 @@ mod tests {
         assert_eq!(outcomes["healthy"].as_ref().unwrap()[..], [0u8, 2]);
     }
 
+    /// A group with a merge buffer and a hedge policy is dropped holding a
+    /// parked sub-call and a scatter whose attempt is parked and whose hedge
+    /// is queued: each completes exactly once, and nothing is sent.
     #[test]
     fn dropping_group_completes_parked_subcalls() {
+        let hour = Duration::from_secs(3600);
         let (servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(64, std::time::Duration::from_secs(3600)));
+        let config = ResilientConfig { hedge: HedgePolicy::After(hour), ..Default::default() };
+        let group = group.with_batching(BatchPolicy::new(64, hour)).with_resilience(config);
         let (tx, rx) = std::sync::mpsc::channel();
-        group.issue(0, 1, Payload::from(vec![9u8]), CallOptions::default(), move |r| {
-            tx.send(r).unwrap()
+        let parked = tx.clone();
+        group.core.issue(0, 1, Payload::from(vec![9u8]), CallOptions::default(), move |r| {
+            parked.send(r).unwrap()
+        });
+        group.scatter(vec![(0usize, 1u32, vec![4u8])], move |mut result| {
+            tx.send(result.replies.pop().unwrap()).unwrap()
         });
         // The hour-long merge window never elapses; dropping the group
-        // aborts the parked call rather than stranding or sending it.
+        // aborts the parked calls rather than stranding or sending them.
         drop(group);
-        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
-        assert!(rx.recv().is_err(), "the callback ran once and was dropped");
+        for _ in 0..2 {
+            let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
+        }
+        assert!(rx.recv().is_err(), "each callback ran once and was dropped");
         assert_eq!(servers[0].stats().requests(), 0, "nothing was flushed onto the wire");
     }
 
+    /// After `shutdown` (idempotent) a scatter fails fast with a typed
+    /// error and opens no connection, also under a resilience policy,
+    /// which reconnects a leaf with no live connection before an attempt.
     #[test]
-    fn shutdown_all_fails_fast() {
-        let (_servers, group) = leaf_cluster(2);
-        group.shutdown_all();
-        group.shutdown_all();
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![1]), (1, 1, vec![2])]);
-        assert_eq!(result.err_count(), 2);
-        for (_, error) in result.failures() {
-            assert_eq!(error.failure_kind(), FailureKind::Transport);
+    fn shutdown_is_not_undone_by_the_next_scatter() {
+        for config in [None, Some(ResilientConfig { retries: 2, ..Default::default() })] {
+            let (servers, group) = cluster_with(2, config);
+            group.shutdown();
+            group.shutdown();
+            let result = group.scatter_wait(vec![(0usize, 1u32, vec![1]), (1, 1, vec![2])]);
+            for reply in &result.replies {
+                assert!(matches!(reply, Err(RpcError::ShuttingDown)), "got {reply:?}");
+            }
+            assert_eq!(group.core.leaves[0].live_count(), 0, "nothing reconnected");
+            assert_eq!(group.counters().get(ResilienceEvent::Reconnect), 0);
+            assert_eq!(servers[0].stats().requests() + servers[1].stats().requests(), 0);
         }
+    }
+
+    /// Dropping a resilient group aborts a call in flight to a leaf that
+    /// never answers, even with no deadline: the call's callback holds the
+    /// group's core, not the handle the caller dropped.
+    #[test]
+    fn dropping_a_resilient_group_aborts_a_call_in_flight() {
+        let stuck = stuck_leaf();
+        let config = ResilientConfig { retries: 1, ..ResilientConfig::default() };
+        let group = FanoutGroup::connect(&[stuck]).unwrap().with_resilience(config);
+        let (tx, rx) = std::sync::mpsc::channel();
+        group.scatter(vec![(0usize, 1u32, vec![1u8])], move |result| tx.send(result).unwrap());
+        crate::buf::flush_outbox();
+        assert_eq!(conn(&group, 0).inflight_len(), 1, "the call is in flight");
+        drop(group);
+        let result = rx.recv_timeout(Duration::from_secs(3)).expect("the drop aborts the call");
+        assert_eq!(result.replies[0].as_ref().unwrap_err().failure_kind(), FailureKind::Transport);
     }
 
     #[test]
     fn scatter_timeout_fails_only_the_stuck_leaf() {
-        use std::net::TcpListener;
         // Leaf 0 is healthy; "leaf" 1 accepts but never responds.
         let server = Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(0))).unwrap();
-        let stuck = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stuck_addr = stuck.local_addr().unwrap();
-        let hold = std::thread::spawn(move || {
-            let mut held = Vec::new();
-            while let Ok((stream, _)) = stuck.accept() {
-                held.push(stream);
-            }
-        });
-        let group = FanoutGroup::connect(&[server.local_addr(), stuck_addr]).unwrap();
+        let stuck = stuck_leaf();
+        let group = FanoutGroup::connect(&[server.local_addr(), stuck]).unwrap();
         let requests = vec![(0usize, 1u32, vec![1u8]), (1, 1, vec![2u8])];
         let (tx, rx) = std::sync::mpsc::channel();
-        let opts = CallOptions::within(std::time::Duration::from_millis(200));
+        let opts = CallOptions::within(Duration::from_millis(200));
         group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
-        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+        let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(result.replies[0].is_ok(), "healthy leaf replied");
         assert!(
             matches!(result.replies[1], Err(RpcError::TimedOut)),
             "stuck leaf timed out: {:?}",
             result.replies[1]
         );
-        drop(group);
-        drop(hold);
     }
 }
 
@@ -1078,6 +1520,21 @@ mod tests {
 mod model_tests {
     use super::*;
     use musuite_check::{thread, Checker};
+
+    /// A scatter state over `slots` fresh slots, each owing `pending`.
+    fn gather<F>(
+        slots: usize,
+        pending: usize,
+        on_complete: F,
+    ) -> Arc<ScatterState<F, fn(usize, &mut BytesMut)>>
+    where
+        F: FnOnce(FanoutResult) + Send + 'static,
+    {
+        let slots =
+            (0..slots).map(|leaf| Slot::new(LeafCall::new(leaf, 1, Payload::new()), 2, pending, 0));
+        let opts = CallOptions::default();
+        ScatterState::new(slots.collect(), Clock::new(), opts, encode_nothing, on_complete)
+    }
 
     /// A bounded scatter's gather race: a leaf response and the reaper's
     /// `TimedOut` arrive concurrently on different slots. In every
@@ -1088,7 +1545,7 @@ mod model_tests {
         let report = Checker::new()
             .check(|| {
                 let merged = Arc::new(AtomicUsize::new(0));
-                let state = ScatterState::new(2, Clock::new(), encode_nothing, {
+                let state = gather(2, 1, {
                     let merged = merged.clone();
                     move |result: FanoutResult| {
                         assert_eq!(result.replies.len(), 2);
@@ -1109,6 +1566,47 @@ mod model_tests {
             })
             .expect("gather must merge exactly once in every schedule");
         assert!(report.iterations > 1, "both arrival orders must be explored");
+    }
+
+    /// The hedge-vs-primary race over the real slot array and gather: a
+    /// winning response and a failing attempt resolve concurrently. In
+    /// every interleaving the gather merges exactly once, a success is
+    /// never displaced by the loser's error, and the loser's completion
+    /// path never delivers twice.
+    #[test]
+    fn hedge_and_primary_claim_exactly_once() {
+        let report = Checker::new()
+            .check(|| {
+                let merged = Arc::new(AtomicUsize::new(0));
+                // Two obligations in flight: primary and hedge.
+                let state = gather(1, 2, {
+                    let merged = merged.clone();
+                    move |result: FanoutResult| {
+                        assert_eq!(result.replies.len(), 1);
+                        assert!(
+                            result.replies[0].is_ok(),
+                            "a delivered success must never be displaced by the loser"
+                        );
+                        merged.fetch_add(1, Ordering::AcqRel);
+                    }
+                });
+                // Winner: a successful attempt (primary or hedge — the
+                // claim logic is identical).
+                let winner = {
+                    let state = state.clone();
+                    thread::spawn(move || {
+                        state.deliver(0, Ok(Bytes::from_static(b"win")));
+                        state.release(0);
+                    })
+                };
+                // Loser: a failing attempt with no retries left.
+                state.fail(0, RpcError::TimedOut);
+                winner.join().unwrap();
+                assert_eq!(merged.load(Ordering::Acquire), 1, "gather merged exactly once");
+                assert!(state.slots[0].is_done());
+            })
+            .expect("slot claim must be exactly-once in every schedule");
+        assert!(report.iterations > 1, "both resolution orders must be explored");
     }
 
     /// The merge flusher's delay flush races the group's drop over one
@@ -1170,8 +1668,7 @@ mod model_tests {
     fn double_arrival_is_caught_with_replayable_seed() {
         fn buggy() -> impl Fn() + Send + Sync + 'static {
             || {
-                let state =
-                    ScatterState::new(2, Clock::new(), encode_nothing, |_: FanoutResult| {});
+                let state = gather(2, 1, |_: FanoutResult| {});
                 let state2 = state.clone();
                 // BUG (both threads): vacancy check and arrival are two
                 // separate critical sections, so both can pass the check.

@@ -26,6 +26,7 @@
 //! | async leaf clients | [`client::RpcClient::call_async`] |
 //! | response threads | [`client::RpcClient`] readers / client reactor |
 //! | fan-out + count-down merge | [`fanout::FanoutGroup`] |
+//! | hedges, retries, circuit breakers | [`resilient::ResilientConfig`] on a group |
 //! | block- vs poll-based designs (§VII) | [`config::WaitMode`] |
 //! | inline vs dispatch designs (§VII) | [`config::ExecutionModel`] |
 //! | network wait model (§IV/§VII) | [`config::NetworkModel`] |
@@ -82,14 +83,12 @@ pub use buf::{Body, ConnWriter, Payload, RecvBuf};
 pub use client::{BatchCall, CallOptions, RpcClient};
 pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
 pub use error::{FailureKind, RpcError};
-pub use fanout::FanoutGroup;
+pub use fanout::{FanoutGroup, LeafCall};
 pub use fault::{ClientFaults, FaultEvent, FaultKind, FaultPlan, FaultRule};
 pub use musuite_codec::{Frame, Priority, Status};
 pub use queue::DispatchQueue;
 pub use reactor::{CloseReason, ConnDriver, Drive, Reactor, ReactorConfig};
-pub use resilient::{
-    BreakerConfig, CircuitBreaker, HedgePolicy, LeafCall, ResilientConfig, ResilientFanout,
-};
+pub use resilient::{BreakerConfig, HedgePolicy, ResilientConfig};
 pub use server::Server;
 pub use service::{RequestContext, Service};
 pub use stats::ServerStats;

@@ -1,14 +1,14 @@
 //! The crate's one deadline timer: a min-heap of `(fire time, task)` and
 //! one lazily spawned thread that sleeps until the earliest entry is due.
 //!
-//! Three owners instantiate it — the client's reaper (call deadlines and
-//! fault-delayed sends), the resilient fan-out (hedges, retries,
-//! reconnects) and the fan-out's merge flusher (batch delay windows) —
-//! and all three get the same contract: every scheduled task reaches the
-//! owner's handler **exactly once**, as [`Fate::Due`] on the timer thread
-//! or as [`Fate::Cancelled`] on whichever thread shut the timer down (or
-//! tried to schedule after it was). Nothing queued is ever dropped
-//! silently, so a completion that rides on a task cannot be lost.
+//! Two owners instantiate it — the client's reaper (call deadlines and
+//! fault-delayed sends) and the fan-out group (hedges, retries, reconnects
+//! and merge-buffer delay windows) — and both get the same contract: every
+//! scheduled task reaches the owner's handler **exactly once**, as
+//! [`Fate::Due`] on the timer thread or as [`Fate::Cancelled`] on whichever
+//! thread shut the timer down (or tried to schedule after it was). Nothing
+//! queued is ever dropped silently, so a completion that rides on a task
+//! cannot be lost.
 
 use musuite_check::sync::{Condvar, Mutex};
 use musuite_check::thread::{Builder, JoinHandle};

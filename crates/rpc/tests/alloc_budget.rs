@@ -8,9 +8,8 @@
 
 use bytes::Bytes;
 use musuite_rpc::{
-    BatchPolicy, CallOptions, FanoutGroup, Frame, LeafCall, NetworkModel, Reactor, ReactorConfig,
-    RecvBuf, RequestContext, ResilientConfig, ResilientFanout, RpcClient, Server, ServerConfig,
-    Service,
+    BatchPolicy, FanoutGroup, Frame, NetworkModel, Reactor, ReactorConfig, RecvBuf, RequestContext,
+    ResilientConfig, RpcClient, Server, ServerConfig, Service,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -112,27 +111,28 @@ fn serial_echo_call_under_shared_pollers() {
     assert_echo_budget(&server, &client);
 }
 
-/// A resilient scatter to two leaves and its gather. The budget, by owner:
-/// the caller's `Vec<LeafCall>` (1); `scatter_wait`'s channel, its first
-/// block and the blocked receiver's registration (3); the gather — one
-/// `Arc` holding count, completion and the replies' header, plus the
-/// replies themselves (2); per slot its control block and the boxed
-/// in-flight callback (2 x 2). The leaves' side and every frame received
-/// add nothing.
+/// A scatter to two leaves under the default resilience policy (the one
+/// `Cluster::launch` gives its group) and its gather. The budget, by
+/// owner: the caller's request `Vec` (1); `scatter_wait`'s channel, its
+/// first block and the blocked receiver's registration (3); the scatter's
+/// state — one `Arc` holding count, completion, encoder and the replies'
+/// header, plus the replies themselves and the slot array (3); per slot
+/// the boxed in-flight callback (2 x 1). The leaves' side and every frame
+/// received add nothing.
 #[test]
 fn two_leaf_resilient_scatter_wait() {
     let leaves =
         [echo_server(NetworkModel::BlockingPerConn), echo_server(NetworkModel::BlockingPerConn)];
     let addrs: Vec<_> = leaves.iter().map(Server::local_addr).collect();
-    let group = Arc::new(FanoutGroup::connect(&addrs).expect("connect leaves"));
-    let fanout = ResilientFanout::new(group, ResilientConfig::default());
+    let group = FanoutGroup::connect(&addrs)
+        .expect("connect leaves")
+        .with_resilience(ResilientConfig::default());
     let payload = Bytes::from(vec![0x5Au8; 300]);
     let per_scatter = allocs_per_op(|| {
-        let calls =
-            vec![LeafCall::new(0, 1, payload.clone()), LeafCall::new(1, 1, payload.clone())];
-        assert!(fanout.scatter_wait(calls, CallOptions::default()).all_ok());
+        let requests = vec![(0, 1, payload.clone()), (1, 1, payload.clone())];
+        assert!(group.scatter_wait(requests).all_ok());
     });
-    assert!(per_scatter <= 10.0 + SLACK, "{per_scatter} allocator calls per scatter, budget 10");
+    assert!(per_scatter <= 9.0 + SLACK, "{per_scatter} allocator calls per scatter, budget 9");
 }
 
 const BURST: usize = 16;
