@@ -7,9 +7,13 @@
 //! path of Fig. 8: a worker decodes the query, runs the handler's
 //! [`plan`](MidTierHandler::plan) (e.g. an LSH lookup or SpookyHash route
 //! computation), issues asynchronous RPCs to the planned leaves, and
-//! returns to the pool. The **last** leaf-response pick-up thread runs
+//! returns to the pool. Each leaf-response pick-up thread decodes the
+//! reply that answers its slot, there and once (a losing hedge's reply is
+//! never decoded), and the **last** one runs only
 //! [`merge`](MidTierHandler::merge) and completes the front-end RPC —
-//! exactly the count-down design the paper describes.
+//! exactly the count-down design the paper describes. The `Merge` stage
+//! (the benchmark's `midtier.merge_*` rows) therefore times the merge
+//! alone, without decoding the leaves' replies.
 //!
 //! A [`Plan`] separates request state that is *common* to every targeted
 //! leaf (an HDSearch query vector, a Recommend user vector) from the
@@ -24,10 +28,12 @@
 
 use crate::error::ServiceError;
 use crate::leaf::{decode, respond};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
-use musuite_rpc::{CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, RpcError, Service};
+use musuite_rpc::{
+    CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, RpcError, ScatterPlan, Service,
+};
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use std::sync::Arc;
@@ -200,24 +206,9 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
             flush_outbox();
         }
         let fanout_start = self.clock.now_ns();
-        let Plan { shared, targets, mut alternates } =
-            self.handler.plan(&request, self.fanout.len());
-        // The calls carry no payload: the encoder below owns the plan and
-        // writes slot `i`'s request into each attempt's frame in place.
-        let calls: Vec<LeafCall> = targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &(leaf, _))| {
-                let call = LeafCall::new(leaf, self.leaf_method, Payload::new());
-                match alternates.get_mut(slot) {
-                    Some(alts) => call.with_alternates(std::mem::take(alts)),
-                    None => call,
-                }
-            })
-            .collect();
-        let encoder = move |slot: usize, buf: &mut BytesMut| {
-            shared.encode(buf);
-            targets[slot].1.encode(buf);
+        let plan = LeafPlan::<H> {
+            plan: self.handler.plan(&request, self.fanout.len()),
+            method: self.leaf_method,
         };
         let handler = self.handler.clone();
         let stats_breakdown = ctx_breakdown(&ctx);
@@ -235,7 +226,7 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
         };
         // The worker thread issues the fan-out and returns to the pool;
         // the last response thread runs this closure.
-        self.fanout.scatter_encoded(calls, opts, encoder, move |result| {
+        self.fanout.scatter_encoded(plan, opts, move |result| {
             // Fan-out stage = plan + issue + completion dispatch, excluding
             // the time spent waiting on the leaves themselves.
             let fanout_ns =
@@ -243,21 +234,43 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
             stats_breakdown.record_ns(Stage::LeafFanout, fanout_ns);
             ctx.add_leaf_time_ns(result.elapsed_ns);
             let merge_start = clock.now_ns();
-            let replies: Vec<Result<H::LeafResponse, RpcError>> = result
-                .replies
-                .into_iter()
-                .map(|reply| {
-                    reply.and_then(|bytes| {
-                        musuite_codec::from_bytes::<H::LeafResponse>(&bytes).map_err(RpcError::from)
-                    })
-                })
-                .collect();
-            let merged = handler.merge(request, replies);
+            let merged = handler.merge(request, result.replies);
             if merged.is_ok() {
                 stats_breakdown.record_ns(Stage::Merge, clock.now_ns().saturating_sub(merge_start));
             }
             respond(ctx, merged);
         });
+    }
+}
+
+/// A handler's plan as its scatter owns it: the calls carry no payload,
+/// and every attempt encodes `shared ++ leaf request` in place.
+struct LeafPlan<H: MidTierHandler> {
+    plan: Plan<H::SharedRequest, H::LeafRequest>,
+    method: u32,
+}
+
+impl<H: MidTierHandler> ScatterPlan for LeafPlan<H> {
+    type Reply = H::LeafResponse;
+
+    fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_ {
+        let (method, Plan { targets, alternates, .. }) = (self.method, &mut self.plan);
+        targets.iter().enumerate().map(move |(slot, &(leaf, _))| {
+            let call = LeafCall::new(leaf, method, Payload::new());
+            match alternates.get_mut(slot) {
+                Some(alts) => call.with_alternates(std::mem::take(alts)),
+                None => call,
+            }
+        })
+    }
+
+    fn encode(&self, slot: usize, buf: &mut BytesMut) {
+        self.plan.shared.encode(buf);
+        self.plan.targets[slot].1.encode(buf);
+    }
+
+    fn decode(&self, reply: Bytes) -> Result<H::LeafResponse, RpcError> {
+        musuite_codec::from_bytes(&reply).map_err(RpcError::from)
     }
 }
 

@@ -28,6 +28,7 @@
 
 use crate::buf::{flush_outbox, Body, ConnWriter, Payload, SharedWriter};
 use crate::error::RpcError;
+use crate::fanout::Attempt;
 use crate::fault::{ClientFaults, FaultKind};
 use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
 use crate::timer::{Fate, Timer};
@@ -69,12 +70,29 @@ impl CallOptions {
 /// pick-up thread.
 pub type Callback = Box<dyn FnOnce(Result<Bytes, RpcError>) + Send + 'static>;
 
-enum Pending {
+/// What completes one call: its in-flight entry, and a batch member's or a
+/// parked sub-call's completion until it has one.
+pub(crate) enum Pending {
+    /// A blocking caller's wake-up slot.
     Sync(Arc<SyncSlot>),
+    /// A caller's boxed closure.
     Async(Callback),
+    /// One attempt of a scatter: it names the scatter's slot and boxes
+    /// nothing.
+    Attempt(Attempt),
 }
 
-struct SyncSlot {
+impl Pending {
+    pub(crate) fn complete(self, result: Result<Bytes, RpcError>) {
+        match self {
+            Pending::Sync(slot) => slot.complete(result),
+            Pending::Async(callback) => callback(result),
+            Pending::Attempt(attempt) => attempt.done(result),
+        }
+    }
+}
+
+pub(crate) struct SyncSlot {
     result: CountedMutex<Option<Result<Bytes, RpcError>>>,
     ready: CountedCondvar,
 }
@@ -141,13 +159,6 @@ struct DelayedSend {
 
 type DelayedMap = Arc<Mutex<HashMap<u64, DelayedSend>>>;
 
-fn complete(pending: Pending, result: Result<Bytes, RpcError>) {
-    match pending {
-        Pending::Sync(slot) => slot.complete(result),
-        Pending::Async(callback) => callback(result),
-    }
-}
-
 /// One sub-call of a [`RpcClient::call_batch_async`] envelope: a method,
 /// payload, per-member [`CallOptions`], and the callback that receives
 /// this member's individual response.
@@ -155,7 +166,7 @@ pub struct BatchCall {
     method: u32,
     payload: Payload,
     opts: CallOptions,
-    callback: Callback,
+    done: Pending,
 }
 
 impl BatchCall {
@@ -171,7 +182,17 @@ impl BatchCall {
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        BatchCall { method, payload: payload.into(), opts, callback: Box::new(callback) }
+        BatchCall::completing(method, payload.into(), opts, Pending::Async(Box::new(callback)))
+    }
+
+    /// A sub-call that `done` completes.
+    pub(crate) fn completing(
+        method: u32,
+        payload: Payload,
+        opts: CallOptions,
+        done: Pending,
+    ) -> BatchCall {
+        BatchCall { method, payload, opts, done }
     }
 }
 
@@ -514,21 +535,24 @@ impl RpcClient {
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        self.call_async_inner(method, body, opts, Box::new(callback));
+        self.call_async_inner(method, body, opts, Pending::Async(Box::new(callback)));
     }
 
+    /// The asynchronous call under every public form: `done` is its
+    /// in-flight entry.
     pub(crate) fn call_async_inner(
         &self,
         method: u32,
         body: impl Body,
         opts: CallOptions,
-        callback: Callback,
+        done: Pending,
     ) {
-        let request = self.register_async(method, opts, callback);
+        let request = self.register_async(method, opts, done);
         let request_id = request.request_id;
         if let Err(e) = self.dispatch(request, body) {
-            if let Some(Pending::Async(cb)) = self.inflight.lock().remove(&request_id) {
-                cb(Err(e));
+            let pending = self.inflight.lock().remove(&request_id);
+            if let Some(pending) = pending {
+                pending.complete(Err(e));
             }
         }
     }
@@ -536,9 +560,9 @@ impl RpcClient {
     /// Enters one asynchronous call in the in-flight table, and its
     /// deadline (if any) with the timer, before anything is sent — so a
     /// fast response cannot miss its entry.
-    fn register_async(&self, method: u32, opts: CallOptions, callback: Callback) -> Outgoing {
+    fn register_async(&self, method: u32, opts: CallOptions, done: Pending) -> Outgoing {
         let request = self.outgoing(method, opts);
-        self.inflight.lock().insert(request.request_id, Pending::Async(callback));
+        self.inflight.lock().insert(request.request_id, done);
         if let Some(when) = request.deadline {
             self.timer.schedule(when, request.request_id);
         }
@@ -563,13 +587,13 @@ impl RpcClient {
         if calls.len() == 1 {
             // lint: allow(expect): length is checked immediately above
             let call = calls.into_iter().next().expect("len checked above");
-            self.call_async_inner(call.method, call.payload, call.opts, call.callback);
+            self.call_async_inner(call.method, call.payload, call.opts, call.done);
             return;
         }
         // Every member is registered before the envelope leaves.
         let members: Vec<(Outgoing, Payload)> = calls
             .into_iter()
-            .map(|call| (self.register_async(call.method, call.opts, call.callback), call.payload))
+            .map(|call| (self.register_async(call.method, call.opts, call.done), call.payload))
             .collect();
         if let Err(e) = write_batch_frame(&self.writer, &self.closed, &members) {
             // A failed envelope write fails every member. The original
@@ -578,8 +602,9 @@ impl RpcClient {
             // connection is done for).
             let mut first = Some(e);
             for (Outgoing { request_id, .. }, _) in &members {
-                if let Some(Pending::Async(cb)) = self.inflight.lock().remove(request_id) {
-                    cb(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
+                let pending = self.inflight.lock().remove(request_id);
+                if let Some(pending) = pending {
+                    pending.complete(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
                 }
             }
         }
@@ -636,7 +661,7 @@ fn deliver_response(inflight: &InflightTable, frame: Frame) {
     };
     // A `None` here means we raced with a timeout removal.
     if let Some(pending) = pending {
-        complete(pending, result);
+        pending.complete(result);
     }
 }
 
@@ -647,7 +672,7 @@ fn fail_all_inflight(inflight: &InflightTable) {
         table.drain().map(|(_, pending)| pending).collect()
     };
     for pending in drained {
-        complete(pending, Err(RpcError::ConnectionClosed));
+        pending.complete(Err(RpcError::ConnectionClosed));
     }
 }
 
@@ -706,7 +731,7 @@ fn on_timer_due(
     };
     let pending = inflight.lock().remove(&request_id);
     if let Some(pending) = pending {
-        complete(pending, Err(failure));
+        pending.complete(Err(failure));
     }
 }
 
@@ -1232,7 +1257,7 @@ mod model_tests {
                             slot.complete(Ok(Bytes::from_static(b"late")));
                             true
                         }
-                        Some(Pending::Async(_)) => unreachable!(),
+                        Some(_) => unreachable!(),
                         None => false,
                     })
                 };
@@ -1260,40 +1285,53 @@ mod model_tests {
     }
 
     /// Responder and reaper race to claim the same entry: the table's
-    /// exactly-once `remove` means the waiter sees exactly one completion,
-    /// never two.
+    /// exactly-once `remove` means the entry completes exactly once, never
+    /// twice. Two kinds of entry: a blocking caller's slot, whose waiter
+    /// sees the claiming thread's outcome, and an attempt that names a
+    /// scatter's slot, whose merge runs exactly once.
     #[test]
     fn reaper_and_responder_complete_exactly_once() {
-        Checker::new()
-            .check(|| {
-                let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
-                let slot = SyncSlot::new();
-                inflight.lock().insert(1, Pending::Sync(slot.clone()));
+        for names_a_scatter_slot in [false, true] {
+            Checker::new()
+                .check(move || {
+                    let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
+                    let slot = SyncSlot::new();
+                    let merged = Arc::new(Mutex::new(Vec::new()));
+                    let entry = if names_a_scatter_slot {
+                        let merged = merged.clone();
+                        crate::fanout::model_tests::one_slot_attempt(move |mut result| {
+                            merged.lock().push(result.replies.pop().unwrap());
+                        })
+                    } else {
+                        Pending::Sync(slot.clone())
+                    };
+                    inflight.lock().insert(1, entry);
 
-                let claim = |outcome: Result<Bytes, RpcError>| {
-                    let inflight = inflight.clone();
-                    move || match inflight.lock().remove(&1) {
-                        Some(Pending::Sync(slot)) => {
-                            slot.complete(outcome);
-                            true
+                    let claim = |outcome: Result<Bytes, RpcError>| {
+                        let inflight = inflight.clone();
+                        move || {
+                            let pending = inflight.lock().remove(&1);
+                            pending.map(|pending| pending.complete(outcome)).is_some()
                         }
-                        Some(Pending::Async(_)) => unreachable!(),
-                        None => false,
-                    }
-                };
-                let responder = thread::spawn(claim(Ok(Bytes::from_static(b"r"))));
-                let reaper = thread::spawn(claim(Err(RpcError::TimedOut)));
+                    };
+                    let responder = thread::spawn(claim(Ok(Bytes::from_static(b"r"))));
+                    let reaper = thread::spawn(claim(Err(RpcError::TimedOut)));
 
-                let result = slot.wait(None);
-                let claims =
-                    usize::from(responder.join().unwrap()) + usize::from(reaper.join().unwrap());
-                assert_eq!(claims, 1, "the entry must be claimed by exactly one thread");
-                assert!(
-                    matches!(result, Ok(_) | Err(RpcError::TimedOut)),
-                    "waiter sees the claiming thread's outcome: {result:?}"
-                );
-                assert!(inflight.lock().is_empty());
-            })
-            .expect("no schedule may deliver a completion twice");
+                    let waited = (!names_a_scatter_slot).then(|| slot.wait(None));
+                    let claims = usize::from(responder.join().unwrap())
+                        + usize::from(reaper.join().unwrap());
+                    assert_eq!(claims, 1, "the entry must be claimed by exactly one thread");
+                    let results = match waited {
+                        Some(result) => vec![result],
+                        None => std::mem::take(&mut *merged.lock()),
+                    };
+                    assert!(
+                        matches!(results[..], [Ok(_) | Err(RpcError::TimedOut)]),
+                        "one outcome, the claiming thread's: {results:?}"
+                    );
+                    assert!(inflight.lock().is_empty());
+                })
+                .expect("no schedule may deliver a completion twice");
+        }
     }
 }

@@ -10,13 +10,15 @@
 //! not explicitly dispatch responses, as all but the last response thread
 //! do negligible work").
 //!
-//! Requests are [`Body`]s: a typed scatter's encoder writes each leaf's
-//! request straight into that leaf connection's pending buffer, and a
-//! [`Payload`] caller's bytes are copied there from reference-counted
+//! Requests are [`Body`]s: a typed scatter's [`ScatterPlan`] writes each
+//! leaf's request straight into that leaf connection's pending buffer, and
+//! a [`Payload`] caller's bytes are copied there from reference-counted
 //! segments that siblings may share. Replies come back as [`Bytes`]
 //! slices of each client connection's receive buffer, so neither
 //! direction holds payload bytes in a buffer of their own inside the
-//! process.
+//! process. The plan reads a slot's reply once, on the thread that
+//! claims the slot, so the gather holds typed replies and a losing
+//! hedge's reply is dropped unread.
 //!
 //! A group from `connect*` is bare: each slot is one attempt. A group
 //! given a [`ResilientConfig`] ([`FanoutGroup::with_resilience`]) runs the
@@ -40,12 +42,14 @@
 //! Failures stay per slot (the [`FanoutResult`] keeps which leaf failed
 //! and why), so mid-tiers can degrade to best-effort answers. Each slot's
 //! claim, pending count, retry credits and rotation live in the scatter's
-//! one slot array, and every attempt's callback names the scatter's state
-//! and its slot. One timer per group, started by its first task, serves
-//! hedges, retries, reconnects and the merge buffer's delay windows.
+//! one slot array. An attempt boxes nothing: its in-flight entry, and the
+//! timer entry of a queued hedge or retry, hold the scatter's state
+//! (type-erased) and name its slot. One timer per group, started by its
+//! first task, serves hedges, retries, reconnects and the merge buffer's
+//! delay windows.
 
 use crate::buf::{Body, Payload};
-use crate::client::{BatchCall, CallOptions, Callback, RpcClient};
+use crate::client::{BatchCall, CallOptions, Pending, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
@@ -65,20 +69,21 @@ use std::time::{Duration, Instant};
 
 /// The gathered outcome of one scatter: per-leaf results in request order
 /// plus the wall-clock time the fan-out took (used to attribute leaf time
-/// vs. mid-tier time in the `Net` stage).
+/// vs. mid-tier time in the `Net` stage). `R` is what the scatter's plan
+/// reads a reply as: the reply's bytes for a scatter of payloads.
 #[derive(Debug)]
-pub struct FanoutResult {
+pub struct FanoutResult<R = Bytes> {
     /// One entry per scattered request, in the order they were passed.
-    /// Successful replies are zero-copy slices of the leaf connection's
-    /// read buffer.
-    pub replies: Vec<Result<Bytes, RpcError>>,
+    /// Successful byte replies are zero-copy slices of the leaf
+    /// connection's read buffer.
+    pub replies: Vec<Result<R, RpcError>>,
     /// Nanoseconds from scatter to last response.
     pub elapsed_ns: u64,
 }
 
-impl FanoutResult {
-    /// Returns the payloads of successful replies, dropping failures.
-    pub fn successes(self) -> Vec<Bytes> {
+impl<R> FanoutResult<R> {
+    /// Returns the successful replies, dropping failures.
+    pub fn successes(self) -> Vec<R> {
         self.replies.into_iter().filter_map(Result::ok).collect()
     }
 
@@ -99,12 +104,60 @@ impl FanoutResult {
     }
 }
 
-/// What one slot of a scatter came back with.
+/// What one attempt of a slot came back with, before the plan reads it.
 type Reply = Result<Bytes, RpcError>;
 
-// The last arrival turns the gathered `Vec<Option<Reply>>` into the
-// result's `Vec<Reply>` in place; that needs the two to be laid out alike.
+// The last arrival turns the gathered `Vec<Option<Result<R, _>>>` into the
+// result's `Vec<Result<R, _>>` in place, which takes no allocator call
+// when the two are laid out alike. `RpcError` leaves a niche, so they are
+// for `Bytes` and for the services' leaf responses.
 const _: () = assert!(std::mem::size_of::<Option<Reply>>() == std::mem::size_of::<Reply>());
+
+/// What a scatter owns and reads in place: its calls, how every attempt
+/// writes a slot's request, and how a slot's reply is read.
+///
+/// The scatter takes the calls once, when it starts. Each attempt —
+/// primary, hedge or retry — then writes its call's payload followed by
+/// what [`encode`](ScatterPlan::encode) appends, straight into the pending
+/// buffer of the connection it goes out on. A mid-tier's plan gives its
+/// calls empty payloads and encodes each leaf's request from the state it
+/// owns.
+pub trait ScatterPlan: Send + Sync + 'static {
+    /// What a slot's reply is read as.
+    type Reply: Send + 'static;
+
+    /// The scatter's calls in slot order: each slot's primary target,
+    /// method, alternates and payload.
+    fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_;
+
+    /// Appends `slot`'s request, after its call's payload, to `buf`.
+    fn encode(&self, slot: usize, buf: &mut BytesMut);
+
+    /// Reads the reply that claimed a slot, once, on the thread it arrived
+    /// on. An error is the slot's answer, as a leaf's refusal is: it is
+    /// not retried.
+    ///
+    /// # Errors
+    ///
+    /// Whatever error the slot's answer should be, typically a decode
+    /// failure.
+    fn decode(&self, reply: Bytes) -> Result<Self::Reply, RpcError>;
+}
+
+/// A list of calls whose requests are their payloads, gathered as bytes.
+impl ScatterPlan for Vec<LeafCall> {
+    type Reply = Bytes;
+
+    fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_ {
+        self.drain(..)
+    }
+
+    fn encode(&self, _slot: usize, _buf: &mut BytesMut) {}
+
+    fn decode(&self, reply: Bytes) -> Result<Bytes, RpcError> {
+        Ok(reply)
+    }
+}
 
 /// One slot of a scatter: the primary leaf plus the alternates that
 /// hedges and retries may be routed to (typically the other members of
@@ -116,8 +169,8 @@ pub struct LeafCall {
     /// Method id sent to whichever target serves the slot.
     pub method: u32,
     /// Request payload (reference-counted; clones share the allocation).
-    /// Empty in a scatter whose encoder writes the requests
-    /// ([`FanoutGroup::scatter_encoded`]).
+    /// Empty in a scatter whose plan encodes the requests
+    /// ([`ScatterPlan::encode`]).
     pub payload: Payload,
     /// Fail-over targets, tried in order by hedges and retries.
     pub alternates: Vec<usize>,
@@ -202,43 +255,71 @@ impl Slot {
     }
 }
 
-/// One scatter's state: its slot array and the count-down gather. One
-/// allocation holds the count, the replies' header, the completion, the
-/// encoder of the scatter's requests (a no-op for a scatter of payloads)
-/// and the budget every attempt shares; the slots and the replies are an
-/// allocation each. The last arrival runs the merge.
-struct ScatterState<F, E> {
+/// One scatter's state: its group's core, its slot array, its plan and the
+/// count-down gather. One allocation holds the count, the replies' header,
+/// the completion, the plan and the budget every attempt shares; the slots
+/// and the replies are an allocation each. The last arrival runs the
+/// merge.
+struct ScatterState<P: ScatterPlan, F> {
+    core: Arc<Core>,
     slots: Box<[Slot]>,
     remaining: AtomicUsize,
-    gathered: Mutex<Gathered<F>>,
+    gathered: Mutex<Gathered<P::Reply, F>>,
     started_at_ns: u64,
-    clock: Clock,
     /// Every attempt — primary, hedge or retry — is bounded by what is
     /// left of this when it launches, so retries cannot extend the
     /// caller's deadline.
     deadline: Option<Instant>,
     /// Priority class every attempt carries on the wire.
     priority: Priority,
-    encoder: E,
+    plan: P,
 }
 
-struct Gathered<F> {
-    replies: Vec<Option<Reply>>,
+struct Gathered<R, F> {
+    replies: Vec<Option<Result<R, RpcError>>>,
     on_complete: Option<F>,
 }
 
-impl<F, E> ScatterState<F, E>
+/// A scatter without its types: what its attempts' in-flight entries and
+/// its queued hedges and retries hold.
+trait Scatter: Send + Sync {
+    /// An attempt of `slot` to `target` came back with `reply`.
+    fn attempt_done(self: Arc<Self>, slot: usize, target: usize, hedge: bool, reply: Reply);
+
+    /// A queued attempt of `slot` reached the timer's handler: a retry
+    /// against `target`, or a hedge (`None`), which takes the slot's next
+    /// target when it fires.
+    fn attempt_due(self: Arc<Self>, slot: usize, target: Option<usize>, fate: Fate);
+}
+
+/// One attempt's in-flight entry: the scatter it serves, the slot, the
+/// target it went to, and whether it is a hedge.
+pub(crate) struct Attempt {
+    scatter: Arc<dyn Scatter>,
+    slot: usize,
+    target: usize,
+    hedge: bool,
+}
+
+impl Attempt {
+    /// Hands the attempt's reply to its scatter.
+    pub(crate) fn done(self, reply: Reply) {
+        self.scatter.attempt_done(self.slot, self.target, self.hedge, reply);
+    }
+}
+
+impl<P, F> ScatterState<P, F>
 where
-    F: FnOnce(FanoutResult) + Send + 'static,
-    E: Fn(usize, &mut BytesMut) + Send + Sync + 'static,
+    P: ScatterPlan,
+    F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
 {
     fn new(
+        core: Arc<Core>,
         slots: Box<[Slot]>,
-        clock: Clock,
         opts: CallOptions,
-        encoder: E,
+        plan: P,
         on_complete: F,
-    ) -> Arc<ScatterState<F, E>> {
+    ) -> Arc<ScatterState<P, F>> {
         Arc::new(ScatterState {
             remaining: AtomicUsize::new(slots.len()),
             gathered: Mutex::new(Gathered {
@@ -246,17 +327,17 @@ where
                 on_complete: Some(on_complete),
             }),
             slots,
-            started_at_ns: clock.now_ns(),
-            clock,
+            started_at_ns: core.clock.now_ns(),
+            core,
             deadline: opts.timeout.map(|limit| Instant::now() + limit),
             priority: opts.priority,
-            encoder,
+            plan,
         })
     }
 
-    /// Delivers `slot`'s reply; the last delivery runs the completion.
-    fn arrive(&self, slot: usize, result: Reply) {
-        let prev = self.gathered.lock().replies[slot].replace(result);
+    /// Delivers `slot`'s answer; the last delivery runs the completion.
+    fn arrive(&self, slot: usize, answer: Result<P::Reply, RpcError>) {
+        let prev = self.gathered.lock().replies[slot].replace(answer);
         assert!(prev.is_none(), "fan-out slot {slot} completed twice");
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last response: merge here, on the response pick-up thread.
@@ -269,18 +350,18 @@ where
                     .into_iter()
                     .map(|slot| slot.expect("all slots filled at count-down zero")) // lint: allow(expect): model-checked invariant
                     .collect();
-                let elapsed_ns = self.clock.now_ns().saturating_sub(self.started_at_ns);
+                let elapsed_ns = self.core.clock.now_ns().saturating_sub(self.started_at_ns);
                 callback(FanoutResult { replies, elapsed_ns });
             }
         }
     }
 
-    /// Delivers `result` as `slot`'s answer if no other attempt has
-    /// claimed the slot; returns whether it did.
-    fn deliver(&self, slot: usize, result: Reply) -> bool {
+    /// Delivers `reply`, read by the plan, as `slot`'s answer if no other
+    /// attempt has claimed the slot; returns whether it did.
+    fn deliver(&self, slot: usize, reply: Reply) -> bool {
         let claimed = !self.slots[slot].claimed.swap(true, Ordering::AcqRel);
         if claimed {
-            self.arrive(slot, result);
+            self.arrive(slot, reply.and_then(|payload| self.plan.decode(payload)));
         }
         claimed
     }
@@ -303,9 +384,10 @@ where
 
     /// Issues one attempt for `slot` against `target`, or the next target
     /// in the slot's rotation that the breakers admit. Consumes one of the
-    /// slot's obligations on every path: into the attempt's callback, or
-    /// released if nothing could be issued.
-    fn launch(self: &Arc<Self>, core: &Arc<Core>, slot: usize, target: usize, hedge: bool) {
+    /// slot's obligations on every path: into the attempt's in-flight
+    /// entry, or released if nothing could be issued.
+    fn launch(self: &Arc<Self>, slot: usize, target: usize, hedge: bool) {
+        let core = &self.core;
         if core.is_shut() {
             return self.fail(slot, RpcError::ShuttingDown);
         }
@@ -317,11 +399,11 @@ where
         else {
             // Every candidate shed: fail without charging any breaker
             // (they are already open).
-            return self.finish_attempt(core, slot, None, RpcError::CircuitOpen);
+            return self.finish_attempt(slot, None, RpcError::CircuitOpen);
         };
         if core.resilience.is_some() && core.leaves[target].live_count() == 0 {
             if let Err(error) = core.reconnect(target) {
-                return self.finish_attempt(core, slot, Some(target), error);
+                return self.finish_attempt(slot, Some(target), error);
             }
         }
         // Per-hop budget decay: the attempt is bounded by the tighter of
@@ -333,61 +415,27 @@ where
         if remaining.is_some_and(|left| left.is_zero()) {
             // Budget exhausted before launch: fail without touching the
             // wire and without charging the target's breaker.
-            return self.finish_attempt(core, slot, None, RpcError::TimedOut);
+            return self.finish_attempt(slot, None, RpcError::TimedOut);
         }
         let timeout = match (core.resilience.and_then(|config| config.attempt_timeout), remaining) {
             (Some(configured), Some(left)) => Some(configured.min(left)),
             (configured, left) => configured.or(left),
         };
-        let (state, shared) = (self.clone(), core.clone());
-        let done = move |result| state.on_attempt_done(&shared, slot, target, hedge, result);
+        let done = Pending::Attempt(Attempt { scatter: self.clone(), slot, target, hedge });
         let body = |buf: &mut BytesMut| {
             this.payload.put_into(buf);
-            (self.encoder)(slot, buf);
+            self.plan.encode(slot, buf);
         };
         let opts = CallOptions { timeout, priority: self.priority };
         core.issue(target, this.method, body, opts, done);
-    }
-
-    /// Runs on the response pick-up (or reaper) thread when one attempt
-    /// completes.
-    fn on_attempt_done(
-        self: &Arc<Self>,
-        core: &Arc<Core>,
-        slot: usize,
-        target: usize,
-        hedge: bool,
-        result: Reply,
-    ) {
-        match result {
-            Err(error) if error.failure_kind() != FailureKind::Remote => {
-                self.finish_attempt(core, slot, Some(target), error)
-            }
-            // The leaf answered: with a value, or with a refusal another
-            // attempt would only repeat. Either is the slot's answer.
-            answer => {
-                if core.breakers.get(target).is_some_and(CircuitBreaker::on_success) {
-                    core.counters.incr(ResilienceEvent::BreakerClosed);
-                }
-                if self.deliver(slot, answer) && hedge {
-                    core.counters.incr(ResilienceEvent::HedgeWon);
-                }
-                self.release(slot);
-            }
-        }
     }
 
     /// Accounts an attempt that ended without an answer: charges the
     /// target's breaker, then either schedules a retry (the obligation
     /// passes to the timer) or releases the obligation — the last release
     /// delivers the slot's error.
-    fn finish_attempt(
-        self: &Arc<Self>,
-        core: &Arc<Core>,
-        slot: usize,
-        target: Option<usize>,
-        error: RpcError,
-    ) {
+    fn finish_attempt(self: &Arc<Self>, slot: usize, target: Option<usize>, error: RpcError) {
+        let core = &self.core;
         if let Some(leaf) = target {
             let now_ns = core.clock.now_ns();
             if let Some(breaker) = core.breakers.get(leaf).filter(|b| b.on_failure(now_ns)) {
@@ -411,38 +459,56 @@ where
         }
         core.counters.incr(ResilienceEvent::Retry);
         let backoff = core.resilience.map_or(Duration::ZERO, |config| config.backoff);
-        self.schedule_attempt(core, slot, Some(this.next_target()), Instant::now() + backoff);
+        self.schedule_attempt(slot, Some(this.next_target()), Instant::now() + backoff);
     }
 
-    /// Queues an attempt of `slot` for `at`: a retry against `target`, or a
-    /// hedge (`None`), which takes the slot's next target when it fires. A
-    /// cancelled one, or one whose slot has been answered, releases its
-    /// obligation.
-    fn schedule_attempt(
-        self: &Arc<Self>,
-        core: &Arc<Core>,
-        slot: usize,
-        target: Option<usize>,
-        at: Instant,
-    ) {
-        let (state, shared) = (self.clone(), core.clone());
-        let attempt = move |fate| match fate {
-            Fate::Due if !state.slots[slot].is_done() => {
-                if target.is_none() {
-                    shared.counters.incr(ResilienceEvent::HedgeFired);
-                }
-                let leaf = target.unwrap_or_else(|| state.slots[slot].next_target());
-                state.launch(&shared, slot, leaf, target.is_none());
-            }
-            _ => state.release(slot),
-        };
-        core.timer.schedule(at, Task::Attempt(Box::new(attempt)));
+    /// Queues an attempt of `slot` for `at` on the group's timer (see
+    /// [`Scatter::attempt_due`]). A cancelled one, or one whose slot has
+    /// been answered, releases its obligation.
+    fn schedule_attempt(self: &Arc<Self>, slot: usize, target: Option<usize>, at: Instant) {
+        self.core.timer.schedule(at, Task::Attempt(self.clone(), slot, target));
     }
 }
 
-/// The encoder of a scatter whose requests are all in its calls' payloads.
-fn encode_nothing(_slot: usize, _buf: &mut BytesMut) {}
+impl<P, F> Scatter for ScatterState<P, F>
+where
+    P: ScatterPlan,
+    F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
+{
+    /// Runs on the response pick-up (or reaper) thread.
+    fn attempt_done(self: Arc<Self>, slot: usize, target: usize, hedge: bool, reply: Reply) {
+        match reply {
+            Err(error) if error.failure_kind() != FailureKind::Remote => {
+                self.finish_attempt(slot, Some(target), error)
+            }
+            // The leaf answered: with a value, or with a refusal another
+            // attempt would only repeat. Either is the slot's answer.
+            answer => {
+                let core = &self.core;
+                if core.breakers.get(target).is_some_and(CircuitBreaker::on_success) {
+                    core.counters.incr(ResilienceEvent::BreakerClosed);
+                }
+                if self.deliver(slot, answer) && hedge {
+                    core.counters.incr(ResilienceEvent::HedgeWon);
+                }
+                self.release(slot);
+            }
+        }
+    }
 
+    fn attempt_due(self: Arc<Self>, slot: usize, target: Option<usize>, fate: Fate) {
+        match fate {
+            Fate::Due if !self.slots[slot].is_done() => {
+                if target.is_none() {
+                    self.core.counters.incr(ResilienceEvent::HedgeFired);
+                }
+                let leaf = target.unwrap_or_else(|| self.slots[slot].next_target());
+                self.launch(slot, leaf, target.is_none());
+            }
+            _ => self.release(slot),
+        }
+    }
+}
 /// The connections to one leaf: a small pool used round-robin, mirroring
 /// the paper's "one TCP connection to a given destination per thread"
 /// (one connection per response pick-up thread here). The pool is behind
@@ -480,7 +546,7 @@ struct BufferedCall {
     payload: Payload,
     deadline: Option<Instant>,
     priority: Priority,
-    done: Callback,
+    done: Pending,
 }
 
 impl BufferedCall {
@@ -535,7 +601,7 @@ impl MergeState {
             std::mem::take(&mut buffer.calls)
         };
         for call in calls {
-            (call.done)(Err(RpcError::ConnectionClosed));
+            call.done.complete(Err(RpcError::ConnectionClosed));
         }
     }
 
@@ -549,7 +615,7 @@ impl MergeState {
         let mut live = Vec::with_capacity(calls.len());
         for call in calls {
             if call.deadline.is_some_and(|deadline| deadline <= now) {
-                (call.done)(Err(RpcError::TimedOut));
+                call.done.complete(Err(RpcError::TimedOut));
                 continue;
             }
             live.push(call);
@@ -559,7 +625,7 @@ impl MergeState {
             return;
         }
         let Some(client) = conns.pick() else {
-            live.into_iter().for_each(|call| (call.done)(Err(RpcError::ShuttingDown)));
+            live.into_iter().for_each(|call| call.done.complete(Err(RpcError::ShuttingDown)));
             return;
         };
         if live.len() == 1 {
@@ -573,7 +639,7 @@ impl MergeState {
             .into_iter()
             .map(|call| {
                 let opts = call.opts_at(now);
-                BatchCall::new(call.method, call.payload, opts, call.done)
+                BatchCall::completing(call.method, call.payload, opts, call.done)
             })
             .collect();
         client.call_batch_async(batch);
@@ -586,9 +652,9 @@ enum Task {
     Flush(Arc<Core>, usize),
     /// Replaces a leaf's broken connections after its breaker opened.
     Reconnect(Arc<Core>, usize),
-    /// A hedge or retry of one slot: it names a scatter whose types the
-    /// timer cannot know.
-    Attempt(Box<dyn FnOnce(Fate) + Send>),
+    /// A hedge or retry of one slot of a scatter, and the retry's target
+    /// (see [`Scatter::attempt_due`]).
+    Attempt(Arc<dyn Scatter>, usize, Option<usize>),
 }
 
 impl Task {
@@ -605,7 +671,7 @@ impl Task {
             (Task::Reconnect(core, leaf), Fate::Due) => {
                 let _ = core.reconnect(leaf);
             }
-            (Task::Attempt(attempt), fate) => attempt(fate),
+            (Task::Attempt(scatter, slot, target), fate) => scatter.attempt_due(slot, target, fate),
             // A cancelled flush or reconnect needs nothing: the group is
             // shutting down, and its shutdown aborts every buffer after
             // it has stopped the timer.
@@ -629,8 +695,31 @@ struct Core {
 }
 
 impl Core {
+    /// A bare group's core over `leaves`.
+    fn new(leaves: Vec<LeafConns>, reactor: Option<&Arc<Reactor>>) -> Core {
+        Core {
+            leaves,
+            reactor: Mutex::new(reactor.cloned()),
+            clock: Clock::new(),
+            merge: None,
+            resilience: None,
+            breakers: Vec::new(),
+            counters: ResilienceCounters::new(),
+            shut: AtomicBool::new(false),
+            timer: Timer::new("musuite-fanout-timer", Task::run),
+        }
+    }
+
     fn is_shut(&self) -> bool {
         self.shut.load(Ordering::Acquire)
+    }
+
+    /// How long a slot waits before its hedge, if the policy hedges.
+    fn hedge_delay(&self) -> Option<Duration> {
+        match self.resilience.map(|config| config.hedge) {
+            Some(HedgePolicy::After(delay)) => Some(delay),
+            _ => None,
+        }
     }
 
     /// Whether `leaf`'s breaker, if any, lets an attempt through.
@@ -648,21 +737,20 @@ impl Core {
     /// one multi-request envelope. `opts.timeout` decays while the call is
     /// parked, exactly as it decays in a send queue. `body` writes the
     /// request into the chosen connection's pending buffer, or into a
-    /// payload of its own if the call is parked.
-    fn issue<F>(
+    /// payload of its own if the call is parked; `done` goes with the call
+    /// as it is, parked or not.
+    fn issue(
         self: &Arc<Self>,
         leaf: usize,
         method: u32,
         body: impl Body,
         opts: CallOptions,
-        done: F,
-    ) where
-        F: FnOnce(Reply) + Send + 'static,
-    {
+        done: Pending,
+    ) {
         let Some(merge) = &self.merge else {
             match self.leaves[leaf].pick() {
-                Some(conn) => conn.call_async_with(method, body, opts, done),
-                None => done(Err(RpcError::ShuttingDown)),
+                Some(conn) => conn.call_async_inner(method, body, opts, done),
+                None => done.complete(Err(RpcError::ShuttingDown)),
             }
             return;
         };
@@ -672,7 +760,7 @@ impl Core {
             payload: body.into_payload(),
             deadline: opts.timeout.map(|limit| now + limit),
             priority: opts.priority,
-            done: Box::new(done),
+            done,
         };
         let (full, opened) = {
             let mut buffer = merge.buffers[leaf].lock();
@@ -680,7 +768,7 @@ impl Core {
                 // Shutdown sets the flag before it aborts this buffer, so a
                 // call pushed here would be stranded.
                 drop(buffer);
-                return (call.done)(Err(RpcError::ShuttingDown));
+                return call.done.complete(Err(RpcError::ShuttingDown));
             }
             buffer.calls.push(call);
             if buffer.calls.len() >= merge.policy.max_size() {
@@ -757,8 +845,8 @@ impl Core {
 /// hedges and retries are cancelled, each slot still delivering once;
 /// parked sub-calls complete with [`RpcError::ConnectionClosed`] unsent,
 /// and calls on the wire fail the same way as their connections close.
-/// Callbacks and timer tasks hold the group's shared core, never this
-/// handle, so dropping the handle aborts even with calls in flight.
+/// In-flight attempts and timer tasks hold the group's shared core, never
+/// this handle, so dropping the handle aborts even with calls in flight.
 pub struct FanoutGroup {
     core: Arc<Core>,
 }
@@ -811,18 +899,7 @@ impl FanoutGroup {
                 faults,
             });
         }
-        let core = Core {
-            leaves,
-            reactor: Mutex::new(reactor.cloned()),
-            clock: Clock::new(),
-            merge: None,
-            resilience: None,
-            breakers: Vec::new(),
-            counters: ResilienceCounters::new(),
-            shut: AtomicBool::new(false),
-            timer: Timer::new("musuite-fanout-timer", Task::run),
-        };
-        Ok(FanoutGroup { core: Arc::new(core) })
+        Ok(FanoutGroup { core: Arc::new(Core::new(leaves, reactor)) })
     }
 
     /// Enables client-side merge batching: leaf sub-calls issued through
@@ -929,18 +1006,21 @@ impl FanoutGroup {
         let calls = requests
             .into_iter()
             .map(|(leaf, method, payload)| LeafCall::new(leaf, method, payload));
-        self.scatter_encoded(calls, opts, encode_nothing, on_complete);
+        let slots = self.slots(calls);
+        // Each request is its call's payload; the plan has nothing to add.
+        self.start(slots, Vec::<LeafCall>::new(), opts, on_complete);
     }
 
-    /// The one scatter: issues every call under the group's policy and
-    /// runs `on_complete`, on the thread that delivers last, when every
-    /// slot has delivered an answer or its final error. Slot order in the
-    /// result matches `calls` order.
+    /// The one scatter: issues every call of `plan` under the group's
+    /// policy and runs `on_complete`, on the thread that delivers last,
+    /// when every slot has delivered an answer or its final error. Slot
+    /// order in the result matches the order of the plan's calls.
     ///
-    /// Slot `i`'s request is its call's payload followed by what
-    /// `encoder(i, buf)` writes, encoded by every attempt straight into the
-    /// pending buffer of the connection it goes out on. A typed mid-tier
-    /// gives its calls empty payloads and an encoder that owns its plan.
+    /// The scatter owns the plan and reads it in place (see
+    /// [`ScatterPlan`]): every attempt encodes its slot's request straight
+    /// into the pending buffer of the connection it goes out on, and the
+    /// reply that claims a slot is read by the plan on the thread it
+    /// arrived on, so the result holds the plan's typed replies.
     ///
     /// `opts.timeout` is the end-to-end bound (the caller's remaining
     /// budget) and `opts.priority` rides on every attempt's frame. Each
@@ -949,37 +1029,44 @@ impl FanoutGroup {
     /// leaf that has not answered in time fails its slot with
     /// [`RpcError::TimedOut`] instead of stalling the merge.
     ///
-    /// An empty call list completes immediately on the calling thread.
+    /// A plan without calls completes immediately on the calling thread.
     ///
     /// # Panics
     ///
     /// Panics if any target index is out of bounds.
-    pub fn scatter_encoded<I, E, F>(&self, calls: I, opts: CallOptions, encoder: E, on_complete: F)
+    pub fn scatter_encoded<P, F>(&self, mut plan: P, opts: CallOptions, on_complete: F)
     where
-        I: IntoIterator<Item = LeafCall>,
-        I::IntoIter: ExactSizeIterator,
-        E: Fn(usize, &mut BytesMut) + Send + Sync + 'static,
-        F: FnOnce(FanoutResult) + Send + 'static,
+        P: ScatterPlan,
+        F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
     {
-        let calls = calls.into_iter();
-        if calls.len() == 0 {
+        let slots = self.slots(plan.calls());
+        self.start(slots, plan, opts, on_complete);
+    }
+
+    /// The slot array for `calls` under the group's policy.
+    fn slots(&self, calls: impl ExactSizeIterator<Item = LeafCall>) -> Box<[Slot]> {
+        let core = &self.core;
+        let pending = 1 + usize::from(core.hedge_delay().is_some());
+        let retries = core.resilience.map_or(0, |config| config.retries as usize);
+        calls.map(|call| Slot::new(call, core.leaves.len(), pending, retries)).collect()
+    }
+
+    fn start<P, F>(&self, slots: Box<[Slot]>, plan: P, opts: CallOptions, on_complete: F)
+    where
+        P: ScatterPlan,
+        F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
+    {
+        if slots.is_empty() {
             on_complete(FanoutResult { replies: Vec::new(), elapsed_ns: 0 });
             return;
         }
-        let core = &self.core;
-        let hedge = match core.resilience.map(|config| config.hedge) {
-            Some(HedgePolicy::After(delay)) => Some(delay),
-            _ => None,
-        };
-        let (pending, leaves) = (1 + usize::from(hedge.is_some()), core.leaves.len());
-        let retries = core.resilience.map_or(0, |config| config.retries as usize);
-        let slots = calls.map(|call| Slot::new(call, leaves, pending, retries)).collect();
-        let state = ScatterState::new(slots, core.clock, opts, encoder, on_complete);
+        let hedge = self.core.hedge_delay();
+        let state = ScatterState::new(self.core.clone(), slots, opts, plan, on_complete);
         for slot in 0..state.slots.len() {
             if let Some(delay) = hedge {
-                state.schedule_attempt(core, slot, None, Instant::now() + delay);
+                state.schedule_attempt(slot, None, Instant::now() + delay);
             }
-            state.launch(core, slot, state.slots[slot].primary, false);
+            state.launch(slot, state.slots[slot].primary, false);
         }
     }
 
@@ -1066,7 +1153,7 @@ pub(crate) mod tests {
         opts: CallOptions,
     ) -> FanoutResult {
         let (tx, rx) = std::sync::mpsc::channel();
-        group.scatter_encoded(calls, opts, encode_nothing, move |result| tx.send(result).unwrap());
+        group.scatter_encoded(calls, opts, move |result| tx.send(result).unwrap());
         crate::buf::flush_outbox();
         rx.recv_timeout(Duration::from_secs(10)).expect("the scatter completes")
     }
@@ -1415,10 +1502,10 @@ pub(crate) mod tests {
         let tight = CallOptions::within(Duration::from_millis(1));
         let payload = |byte: u8| Payload::from(vec![byte]);
         let core = &group.core;
-        core.issue(0, 1, payload(1), tight, move |r| expired_tx.send(("expired", r)).unwrap());
-        core.issue(0, 1, payload(2), CallOptions::default(), move |r| {
-            tx.send(("healthy", r)).unwrap()
-        });
+        let expired = Pending::Async(Box::new(move |r| expired_tx.send(("expired", r)).unwrap()));
+        core.issue(0, 1, payload(1), tight, expired);
+        let healthy = Pending::Async(Box::new(move |r| tx.send(("healthy", r)).unwrap()));
+        core.issue(0, 1, payload(2), CallOptions::default(), healthy);
         let mut outcomes = std::collections::HashMap::new();
         for _ in 0..2 {
             let (who, result) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1443,9 +1530,8 @@ pub(crate) mod tests {
         let group = group.with_batching(BatchPolicy::new(64, hour)).with_resilience(config);
         let (tx, rx) = std::sync::mpsc::channel();
         let parked = tx.clone();
-        group.core.issue(0, 1, Payload::from(vec![9u8]), CallOptions::default(), move |r| {
-            parked.send(r).unwrap()
-        });
+        let parked = Pending::Async(Box::new(move |r| parked.send(r).unwrap()));
+        group.core.issue(0, 1, Payload::from(vec![9u8]), CallOptions::default(), parked);
         group.scatter(vec![(0usize, 1u32, vec![4u8])], move |mut result| {
             tx.send(result.replies.pop().unwrap()).unwrap()
         });
@@ -1517,23 +1603,36 @@ pub(crate) mod tests {
 }
 
 #[cfg(all(test, musuite_check))]
-mod model_tests {
+pub(crate) mod model_tests {
     use super::*;
     use musuite_check::{thread, Checker};
 
-    /// A scatter state over `slots` fresh slots, each owing `pending`.
+    /// A scatter of payloads, in a group with no leaves and no policy,
+    /// over `slots` fresh slots, each owing `pending`.
     fn gather<F>(
         slots: usize,
         pending: usize,
         on_complete: F,
-    ) -> Arc<ScatterState<F, fn(usize, &mut BytesMut)>>
+    ) -> Arc<ScatterState<Vec<LeafCall>, F>>
     where
         F: FnOnce(FanoutResult) + Send + 'static,
     {
         let slots =
             (0..slots).map(|leaf| Slot::new(LeafCall::new(leaf, 1, Payload::new()), 2, pending, 0));
-        let opts = CallOptions::default();
-        ScatterState::new(slots.collect(), Clock::new(), opts, encode_nothing, on_complete)
+        let core = Arc::new(Core::new(Vec::new(), None));
+        // The core outlives the run: dropping it stops its timer, which
+        // takes a lock, and a run that trips an assertion ends unwinding.
+        std::mem::forget(core.clone());
+        ScatterState::new(core, slots.collect(), CallOptions::default(), Vec::new(), on_complete)
+    }
+
+    /// The in-flight entry of an attempt to leaf 0 that serves the one
+    /// slot of a fresh scatter, whose merge `on_complete` is.
+    pub(crate) fn one_slot_attempt(
+        on_complete: impl FnOnce(FanoutResult) + Send + 'static,
+    ) -> Pending {
+        let scatter = gather(1, 1, on_complete);
+        Pending::Attempt(Attempt { scatter, slot: 0, target: 0, hedge: false })
     }
 
     /// A bounded scatter's gather race: a leaf response and the reaper's
@@ -1627,12 +1726,12 @@ mod model_tests {
                             payload: Payload::new(),
                             deadline: None,
                             priority: Priority::Normal,
-                            done: Box::new({
+                            done: Pending::Async(Box::new({
                                 let completed = completed.clone();
                                 move |_| {
                                     completed.fetch_add(1, Ordering::AcqRel);
                                 }
-                            }),
+                            })),
                         }],
                         opened_at: Some(opened),
                     })],
@@ -1645,7 +1744,7 @@ mod model_tests {
                         // path completes a call once it has been handed over.
                         let due = opened + std::time::Duration::from_secs(1);
                         for call in merge.take_due(0, due) {
-                            (call.done)(Ok(Bytes::new()));
+                            call.done.complete(Ok(Bytes::new()));
                         }
                     })
                 };

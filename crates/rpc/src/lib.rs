@@ -83,7 +83,7 @@ pub use buf::{Body, ConnWriter, Payload, RecvBuf};
 pub use client::{BatchCall, CallOptions, RpcClient};
 pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
 pub use error::{FailureKind, RpcError};
-pub use fanout::{FanoutGroup, LeafCall};
+pub use fanout::{FanoutGroup, LeafCall, ScatterPlan};
 pub use fault::{ClientFaults, FaultEvent, FaultKind, FaultPlan, FaultRule};
 pub use musuite_codec::{Frame, Priority, Status};
 pub use queue::DispatchQueue;

@@ -8,8 +8,8 @@
 
 use bytes::Bytes;
 use musuite_rpc::{
-    BatchPolicy, FanoutGroup, Frame, NetworkModel, Reactor, ReactorConfig, RecvBuf, RequestContext,
-    ResilientConfig, RpcClient, Server, ServerConfig, Service,
+    BatchPolicy, FanoutGroup, Frame, HedgePolicy, NetworkModel, Reactor, ReactorConfig, RecvBuf,
+    RequestContext, ResilientConfig, RpcClient, Server, ServerConfig, Service,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -111,28 +111,52 @@ fn serial_echo_call_under_shared_pollers() {
     assert_echo_budget(&server, &client);
 }
 
-/// A scatter to two leaves under the default resilience policy (the one
-/// `Cluster::launch` gives its group) and its gather. The budget, by
-/// owner: the caller's request `Vec` (1); `scatter_wait`'s channel, its
-/// first block and the blocked receiver's registration (3); the scatter's
-/// state — one `Arc` holding count, completion, encoder and the replies'
-/// header, plus the replies themselves and the slot array (3); per slot
-/// the boxed in-flight callback (2 x 1). The leaves' side and every frame
-/// received add nothing.
-#[test]
-fn two_leaf_resilient_scatter_wait() {
+/// Allocator calls per `scatter_wait` of two 300-byte payloads to two
+/// echo leaves through a group under `policy`.
+fn two_leaf_scatter_wait_allocs(policy: ResilientConfig) -> f64 {
     let leaves =
         [echo_server(NetworkModel::BlockingPerConn), echo_server(NetworkModel::BlockingPerConn)];
     let addrs: Vec<_> = leaves.iter().map(Server::local_addr).collect();
-    let group = FanoutGroup::connect(&addrs)
-        .expect("connect leaves")
-        .with_resilience(ResilientConfig::default());
+    let group = FanoutGroup::connect(&addrs).expect("connect leaves").with_resilience(policy);
     let payload = Bytes::from(vec![0x5Au8; 300]);
-    let per_scatter = allocs_per_op(|| {
+    allocs_per_op(|| {
         let requests = vec![(0, 1, payload.clone()), (1, 1, payload.clone())];
         assert!(group.scatter_wait(requests).all_ok());
-    });
-    assert!(per_scatter <= 9.0 + SLACK, "{per_scatter} allocator calls per scatter, budget 9");
+    })
+}
+
+/// What a two-leaf scatter may cost, by owner: the caller's request `Vec`
+/// (1); `scatter_wait`'s channel, its first block and the blocked
+/// receiver's registration (3); the scatter's state — one `Arc` holding
+/// count, completion, plan and the replies' header, plus the replies
+/// themselves and the slot array (3). An attempt's in-flight entry names
+/// the scatter's slot and boxes nothing; the leaves' side and every frame
+/// received add nothing.
+const TWO_LEAF_SCATTER: f64 = 7.0;
+
+/// A scatter to two leaves under the default resilience policy (the one
+/// `Cluster::launch` gives its group) and its gather.
+#[test]
+fn two_leaf_resilient_scatter_wait() {
+    let per_scatter = two_leaf_scatter_wait_allocs(ResilientConfig::default());
+    assert!(
+        per_scatter <= TWO_LEAF_SCATTER + SLACK,
+        "{per_scatter} allocator calls per scatter, budget {TWO_LEAF_SCATTER}"
+    );
+}
+
+/// The same scatter with a hedge fired for every slot at once: a queued
+/// hedge's timer entry and its attempt's in-flight entry name the slot
+/// too, so hedging costs no allocator call.
+#[test]
+fn two_leaf_hedged_scatter_wait() {
+    let hedged =
+        ResilientConfig { hedge: HedgePolicy::After(Duration::ZERO), ..Default::default() };
+    let per_scatter = two_leaf_scatter_wait_allocs(hedged);
+    assert!(
+        per_scatter <= TWO_LEAF_SCATTER + SLACK,
+        "{per_scatter} allocator calls per hedged scatter, budget {TWO_LEAF_SCATTER}"
+    );
 }
 
 const BURST: usize = 16;

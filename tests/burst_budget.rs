@@ -424,10 +424,10 @@ fn print_sites(service: &str, burst: impl FnOnce() -> f64) {
 }
 
 /// Allocator calls per request, as measured in release and debug builds.
-const ROUTER_ALLOCS: f64 = 16.00;
-const HDSEARCH_ALLOCS: f64 = 22.00;
-const SETALGEBRA_ALLOCS: f64 = 24.25;
-const RECOMMEND_ALLOCS: f64 = 15.25;
-const ROUTER_BATCHED_ALLOCS: f64 = 16.625;
-const HDSEARCH_BATCHED_ALLOCS: f64 = 22.63;
-const SETALGEBRA_BATCHED_ALLOCS: f64 = 25.00;
+const ROUTER_ALLOCS: f64 = 12.50;
+const HDSEARCH_ALLOCS: f64 = 18.50;
+const SETALGEBRA_ALLOCS: f64 = 20.25;
+const RECOMMEND_ALLOCS: f64 = 11.25;
+const ROUTER_BATCHED_ALLOCS: f64 = 13.125;
+const HDSEARCH_BATCHED_ALLOCS: f64 = 19.13;
+const SETALGEBRA_BATCHED_ALLOCS: f64 = 21.00;
