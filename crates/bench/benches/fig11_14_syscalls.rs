@@ -39,10 +39,10 @@ fn main() {
             if counts.iter().all(|&c| c < 0.005) {
                 continue; // skip all-zero rows, as the figures do
             }
-            if op.syscall_name() == "futex" {
+            if op.name() == "futex" {
                 futex_row = counts.clone();
             }
-            let mut row = vec![op.syscall_name().to_string()];
+            let mut row = vec![op.name().to_string()];
             row.extend(counts.iter().map(|c| format!("{c:.2}")));
             table.row_owned(row);
         }

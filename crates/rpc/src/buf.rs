@@ -27,7 +27,7 @@ use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAGIC};
 use musuite_codec::{DecodeError, Frame, FrameTooLarge};
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
-use musuite_telemetry::netpoll::CoalesceStats;
+use musuite_telemetry::netpoll::{CoalesceEvent, CoalesceStats};
 use musuite_telemetry::sync::CountedMutex;
 use std::cell::RefCell;
 use std::io::{self, Read, Write};
@@ -449,18 +449,18 @@ struct WriteState {
 pub struct ConnWriter {
     stream: TcpStream,
     state: CountedMutex<WriteState>,
-    stats: CoalesceStats,
+    stats: Arc<CoalesceStats>,
 }
 
 impl ConnWriter {
     /// Wraps `stream` with private coalescing counters.
     pub fn new(stream: TcpStream) -> ConnWriter {
-        ConnWriter::with_stats(stream, CoalesceStats::new())
+        ConnWriter::with_stats(stream, Arc::default())
     }
 
     /// Wraps `stream`, reporting into a shared [`CoalesceStats`] (a server
     /// aggregates all its connections into one bundle).
-    pub fn with_stats(stream: TcpStream, stats: CoalesceStats) -> ConnWriter {
+    pub fn with_stats(stream: TcpStream, stats: Arc<CoalesceStats>) -> ConnWriter {
         ConnWriter {
             stream,
             state: CountedMutex::new(WriteState {
@@ -541,7 +541,7 @@ impl ConnWriter {
             let last = st.pending.len() - 1;
             st.pending[last] ^= 0x40;
         }
-        self.stats.record_frame();
+        self.stats.incr(CoalesceEvent::Frame);
         if st.flushing {
             // Another thread owns the socket; our frame departs in its
             // next batch — a sendmsg saved. Two threads fighting for one
@@ -593,7 +593,7 @@ impl ConnWriter {
             match stream.write(&bytes[written..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.stats.record_flush();
+                    self.stats.incr(CoalesceEvent::Flush);
                     written += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1011,7 +1011,7 @@ mod conn_writer_tests {
     #[test]
     fn concurrent_writers_coalesce_without_corruption() {
         let (tx_side, rx_side) = loopback_pair();
-        let stats = CoalesceStats::new();
+        let stats = Arc::new(CoalesceStats::new());
         let writer = Arc::new(ConnWriter::with_stats(tx_side, stats.clone()));
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 25;
@@ -1048,7 +1048,7 @@ mod conn_writer_tests {
     fn a_loop_thread_that_never_runs_dry_writes_once_per_max_held_frames() {
         const FRAMES: u64 = 200;
         let (tx_side, rx_side) = loopback_pair();
-        let stats = CoalesceStats::new();
+        let stats = Arc::new(CoalesceStats::new());
         let writer = Arc::new(ConnWriter::with_stats(tx_side, stats.clone()));
         {
             let _scope = DeferScope::enter();

@@ -291,7 +291,7 @@ impl ServerConfig {
     }
 
     /// Enables idle-connection reaping: connections with no traffic for
-    /// `timeout` are dropped and counted in `ServerStats::idle_reaped`.
+    /// `timeout` are dropped and counted as `ServerEvent::IdleReaped`.
     /// Off by default.
     pub fn idle_timeout(&mut self, timeout: Duration) -> &mut ServerConfig {
         self.idle_timeout = Some(timeout);

@@ -1354,6 +1354,7 @@ pub(crate) mod tests {
     #[test]
     fn reactor_backed_group_scatters_and_reconnects() {
         use crate::reactor::{Reactor, ReactorConfig};
+        use musuite_telemetry::netpoll::ReactorEvent;
         let (servers, _) = leaf_cluster(3);
         let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
         let reactor =
@@ -1363,11 +1364,12 @@ pub(crate) mod tests {
         // rather than racing the adoption.
         let adopted = |want: u64| {
             let deadline = Instant::now() + Duration::from_secs(2);
-            while reactor.stats().registered() < want {
+            let registered = || reactor.stats().get(ReactorEvent::Registered);
+            while registered() < want {
                 assert!(
                     Instant::now() < deadline,
                     "only {} of {want} leaf conns adopted",
-                    reactor.stats().registered()
+                    registered()
                 );
                 std::thread::sleep(Duration::from_millis(5));
             }

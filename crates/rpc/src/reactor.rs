@@ -58,7 +58,7 @@ use musuite_check::sync::{Condvar, Mutex};
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::Frame;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
-use musuite_telemetry::netpoll::ReactorStats;
+use musuite_telemetry::netpoll::{ReactorEvent, ReactorStats};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -300,7 +300,7 @@ struct Shard {
 pub struct Reactor {
     shards: Vec<Shard>,
     next: AtomicUsize,
-    stats: ReactorStats,
+    stats: Arc<ReactorStats>,
     live: Arc<AtomicUsize>,
     shutdown: AtomicBool,
 }
@@ -326,7 +326,7 @@ impl Reactor {
     pub fn start(config: ReactorConfig) -> Reactor {
         assert!(config.pollers > 0, "reactor needs at least one poller");
         assert!(config.sweep_budget > 0, "sweep budget must be positive");
-        let stats = ReactorStats::new();
+        let stats = Arc::new(ReactorStats::new());
         let live = Arc::new(AtomicUsize::new(0));
         let shards = (0..config.pollers)
             .map(|i| {
@@ -427,7 +427,7 @@ impl Drop for Reactor {
 
 struct SweepParams {
     ledger: Arc<Ledger<Registration>>,
-    stats: ReactorStats,
+    stats: Arc<ReactorStats>,
     live: Arc<AtomicUsize>,
     wait_mode: WaitMode,
     sweep_budget: usize,
@@ -446,7 +446,7 @@ fn close_conn(mut conn: Conn, reason: CloseReason, stats: &ReactorStats, live: &
     let _ = conn.stream.shutdown(Shutdown::Both);
     // Counted out before the driver hears of it: whoever `on_close` wakes
     // must not still see this connection as live.
-    stats.record_closed();
+    stats.incr(ReactorEvent::Closed);
     live.fetch_sub(1, Ordering::AcqRel);
     conn.driver.on_close(reason);
 }
@@ -463,7 +463,7 @@ fn run_sweeper(params: SweepParams) {
     let _outbox = DeferScope::enter();
     loop {
         for reg in ledger.drain() {
-            stats.record_registered();
+            stats.incr(ReactorEvent::Registered);
             live.fetch_add(1, Ordering::AcqRel);
             conns.push(Conn {
                 stream: reg.stream,
@@ -538,7 +538,7 @@ fn run_sweeper(params: SweepParams) {
         // The dispatch queue's rule: yield within the spin budget, then park.
         idle_streak = idle_streak.saturating_add(1);
         if idle_streak <= wait_mode.spin_budget() {
-            stats.record_yield();
+            stats.incr(ReactorEvent::Yield);
             musuite_check::thread::yield_now();
         } else {
             park(&ledger, &stats, idle_streak - wait_mode.spin_budget());
@@ -551,7 +551,7 @@ fn run_sweeper(params: SweepParams) {
 /// to 640 µs parks (so idle reactors cost ~1.5k wakeups/s, not a core).
 fn park(ledger: &Ledger<Registration>, stats: &ReactorStats, streak: u32) {
     let shift = streak.saturating_sub(1).min(PARK_MAX_SHIFT);
-    stats.record_park();
+    stats.incr(ReactorEvent::Park);
     ledger.park(PARK_MIN * (1 << shift));
 }
 
@@ -810,10 +810,10 @@ mod tests {
         // A sweep is counted as it ends: stop the sweepers, then read.
         reactor.shutdown();
         let stats = reactor.stats();
-        assert_eq!(stats.registered(), 1);
+        assert_eq!(stats.get(ReactorEvent::Registered), 1);
         assert_eq!(stats.frames(), 1);
         assert!(stats.sweeps() >= 1);
-        assert_eq!(stats.closed(), 1);
+        assert_eq!(stats.get(ReactorEvent::Closed), 1);
     }
 }
 

@@ -25,25 +25,24 @@
 //!
 //! Connection bookkeeping is reaped in both modes, and an optional idle
 //! timeout drops connections with no traffic (counted in
-//! [`ServerStats::idle_reaped`]).
+//! [`ServerEvent::IdleReaped`]).
 
 use crate::admission::{AdmissionControl, LimitChange};
 use crate::buf::{ConnWriter, DeferScope, SharedWriter};
-use crate::config::{ExecutionModel, NetworkModel, ServerConfig};
+use crate::config::{BatchPolicy, ExecutionModel, NetworkModel, ServerConfig};
 use crate::error::RpcError;
 use crate::queue::DispatchQueue;
 use crate::reactor::{
     spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor, ReactorConfig,
 };
 use crate::service::{RequestContext, Service};
-use crate::stats::{shed_event, ServerStats};
+use crate::stats::{ServerEvent, ServerStats};
 use musuite_check::atomic::{AtomicBool, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::batch::decode_batch;
 use musuite_codec::frame::FrameKind;
 use musuite_codec::{Frame, Status};
-use musuite_telemetry::admission::AdmissionEvent;
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -163,31 +162,7 @@ impl Server {
                 worker_handles.push(
                     Builder::new()
                         .name(format!("musuite-worker-{i}"))
-                        .spawn(move || {
-                            let Pipeline { queue, service, stats, .. } = &*pipeline;
-                            // Writes wait until the queue runs dry: `pop`
-                            // flushes before it parks.
-                            let _outbox = DeferScope::enter();
-                            // One park/unpark per batch, drained into the
-                            // one buffer this worker keeps. With batching
-                            // off every batch is a single request.
-                            let mut members = Vec::with_capacity(batch.max_size().min(64));
-                            while let Some(reason) = queue.pop_batch_into(
-                                &mut members,
-                                batch.max_size(),
-                                batch.max_delay(),
-                            ) {
-                                if batch.is_on() {
-                                    stats.batching().record_batch(members.len(), reason);
-                                }
-                                pipeline.screen_dequeued(&mut members);
-                                if members.len() > 1 {
-                                    service.call_batch(members.drain(..));
-                                } else if let Some(ctx) = members.pop() {
-                                    service.call(ctx);
-                                }
-                            }
-                        })
+                        .spawn(move || pipeline.work(batch))
                         .expect("spawn worker thread"), // lint: allow(expect): server cannot run short-handed
                 );
             }
@@ -391,11 +366,11 @@ impl Pipeline {
     /// context abandoned, or handler panic), so the in-flight count can
     /// never leak.
     fn admit_and_dispatch(&self, mut ctx: RequestContext) {
-        self.stats.record_request();
+        self.stats.counters().incr(ServerEvent::Request);
         // Arrival-expiry: the budget was spent upstream, so answering now is
         // cheaper than ever touching the gate or the queue.
         if ctx.is_expired() {
-            self.stats.record_admission(AdmissionEvent::ExpiredAtArrival);
+            self.stats.counters().incr(ServerEvent::ExpiredAtArrival);
             ctx.respond_err(Status::DeadlineExpired, "deadline expired on arrival");
             return;
         }
@@ -403,20 +378,46 @@ impl Pipeline {
         match self.admission.try_admit(priority) {
             Some(permit) => ctx.attach_permit(permit),
             None => {
-                self.stats.record_admission(shed_event(priority));
+                self.stats.counters().incr(ServerEvent::shed(priority));
                 ctx.respond_err(Status::Unavailable, "admission limit reached");
                 return;
             }
         }
         match self.model {
-            ExecutionModel::Inline => self.service.call(ctx),
+            ExecutionModel::Inline => {
+                self.stats.counters().incr(ServerEvent::Executed);
+                self.service.call(ctx);
+            }
             ExecutionModel::Dispatch => {
                 // The queue holds the context by value; a failed push sheds
                 // load so saturation does not grow an unbounded backlog.
                 if let Err(ctx) = self.queue.try_push(ctx) {
-                    self.stats.record_rejected();
+                    self.stats.counters().incr(ServerEvent::Rejected);
                     ctx.respond_err(Status::Unavailable, "dispatch queue full");
                 }
+            }
+        }
+    }
+
+    /// A worker's loop: drains the dispatch queue until it is closed and
+    /// empty. One park/unpark per batch, drained into the one buffer this
+    /// worker keeps; with batching off every batch is a single request.
+    fn work(&self, batch: BatchPolicy) {
+        // Writes wait until the queue runs dry: `pop` flushes before it parks.
+        let _outbox = DeferScope::enter();
+        let mut members = Vec::with_capacity(batch.max_size().min(64));
+        while let Some(reason) =
+            self.queue.pop_batch_into(&mut members, batch.max_size(), batch.max_delay())
+        {
+            if batch.is_on() {
+                self.stats.batching().record_batch(members.len(), reason);
+            }
+            self.screen_dequeued(&mut members);
+            self.stats.counters().add(ServerEvent::Executed, members.len() as u64);
+            if members.len() > 1 {
+                self.service.call_batch(members.drain(..));
+            } else if let Some(ctx) = members.pop() {
+                self.service.call(ctx);
             }
         }
     }
@@ -432,18 +433,14 @@ impl Pipeline {
         let expired = members.extract_if(.., |ctx| {
             let delay = self.clock.delta(ctx.received_at_ns(), self.clock.now_ns());
             match self.admission.note_dequeue(delay) {
-                Some(LimitChange::Raised) => {
-                    self.stats.record_admission(AdmissionEvent::LimitRaised)
-                }
-                Some(LimitChange::Lowered) => {
-                    self.stats.record_admission(AdmissionEvent::LimitLowered)
-                }
+                Some(LimitChange::Raised) => self.stats.counters().incr(ServerEvent::LimitRaised),
+                Some(LimitChange::Lowered) => self.stats.counters().incr(ServerEvent::LimitLowered),
                 None => {}
             }
             ctx.is_expired()
         });
         for ctx in expired {
-            self.stats.record_admission(AdmissionEvent::ExpiredInQueue);
+            self.stats.counters().incr(ServerEvent::ExpiredInQueue);
             ctx.respond_err(Status::DeadlineExpired, "deadline expired in queue");
         }
     }
@@ -475,7 +472,7 @@ impl ConnDriver for ServerConnDriver {
     #[musuite_marker::nonblocking]
     fn on_close(&mut self, reason: CloseReason) {
         if reason == CloseReason::Idle {
-            self.pipeline.stats.record_idle_reaped();
+            self.pipeline.stats.counters().incr(ServerEvent::IdleReaped);
         }
     }
 }
@@ -486,6 +483,7 @@ mod tests {
     use crate::client::{CallOptions, RpcClient};
     use crate::config::WaitMode;
     use musuite_codec::Priority;
+    use musuite_telemetry::netpoll::ReactorEvent;
     use std::time::Duration;
 
     struct Echo;
@@ -569,7 +567,7 @@ mod tests {
                 );
                 std::thread::sleep(Duration::from_millis(5));
             }
-            assert_eq!(reactor.stats().registered(), 1);
+            assert_eq!(reactor.stats().get(ReactorEvent::Registered), 1);
         }
     }
 
@@ -665,14 +663,15 @@ mod tests {
         idle.call(1, b"warm".to_vec()).unwrap();
         // No traffic for several timeouts: the server must drop the conn.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.stats().idle_reaped() == 0 {
+        let reaped = || server.stats().counters().get(ServerEvent::IdleReaped);
+        while reaped() == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "idle connection never reaped under {network:?}"
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(server.stats().idle_reaped(), 1);
+        assert_eq!(reaped(), 1);
         // The reaped client's next call fails...
         assert!(idle.call(1, b"dead".to_vec()).is_err());
         // ...but fresh connections are unaffected.
@@ -819,8 +818,9 @@ mod tests {
             )
             .expect_err("sheddable must be shed at threshold");
         assert_eq!(err.failure_kind(), FailureKind::Shed, "got {err:?}");
-        assert_eq!(server.stats().shed(Priority::Sheddable), 1);
-        assert_eq!(server.stats().shed(Priority::Normal), 0);
+        let shed = |p| server.stats().counters().get(ServerEvent::shed(p));
+        assert_eq!(shed(Priority::Sheddable), 1);
+        assert_eq!(shed(Priority::Normal), 0);
         // ...while a normal-class arrival still clears the gate.
         {
             let tx = tx.clone();
@@ -962,5 +962,39 @@ mod tests {
         // Uncontended sequential traffic sees no queue delay, so the
         // limiter must not have collapsed the limit.
         assert_eq!(server.stats().shed_total(), 0);
+    }
+
+    /// One request that runs and one whose budget ran out before it was
+    /// admitted, through a hand-built pipeline of each execution model:
+    /// the server's own books account for both.
+    #[test]
+    fn executed_and_expired_on_arrival_close_the_books() {
+        use crate::config::AdmissionModel;
+        for model in [ExecutionModel::Inline, ExecutionModel::Dispatch] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let writer: SharedWriter = Arc::new(ConnWriter::new(listener.accept().unwrap().0));
+            let pipeline = Pipeline {
+                stats: ServerStats::new(),
+                queue: DispatchQueue::new(4, WaitMode::Block),
+                service: Arc::new(Echo),
+                model,
+                admission: AdmissionControl::new(AdmissionModel::Fixed, 4),
+                clock: Clock::new(),
+            };
+            let context =
+                |frame| RequestContext::new(frame, 0, writer.clone(), pipeline.stats.clone());
+            let late = context(Frame::request(2, 1, Vec::new()).with_budget(1, Priority::Normal));
+            std::thread::sleep(Duration::from_millis(2));
+            pipeline.admit_and_dispatch(context(Frame::request(1, 1, b"run".to_vec())));
+            pipeline.admit_and_dispatch(late);
+            pipeline.queue.close();
+            pipeline.work(BatchPolicy::off());
+            let stats = &pipeline.stats;
+            assert_eq!((stats.requests(), stats.responses()), (2, 2), "{model:?}");
+            assert_eq!(stats.executed(), 1, "{model:?}");
+            assert_eq!(stats.deadline_expired(), 1, "{model:?}");
+            assert_eq!(stats.accounting_gap(), 0, "{model:?}");
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! Per-server telemetry aggregation.
 
-use musuite_check::atomic::{AtomicU64, Ordering};
 use musuite_codec::Priority;
-use musuite_telemetry::admission::{AdmissionCounters, AdmissionEvent, AdmissionSnapshot};
 use musuite_telemetry::batching::BatchStats;
 use musuite_telemetry::breakdown::BreakdownRecorder;
+use musuite_telemetry::counters::EventCounters;
 use musuite_telemetry::histogram::LatencyHistogram;
 use musuite_telemetry::netpoll::CoalesceStats;
 use parking_lot::Mutex;
@@ -12,15 +11,54 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
+musuite_telemetry::event_enum! {
+    /// What a server counts. Every arrival is a [`Request`](Self::Request)
+    /// and then exactly one of executed, shed, expired or rejected.
+    #[non_exhaustive]
+    pub enum ServerEvent {
+        /// A request arrived (each member of a batch frame counts).
+        Request = "requests",
+        /// A response (a value or a refusal) was sent.
+        Response = "responses",
+        /// A request reached `Service::call` or `Service::call_batch`.
+        Executed = "executed",
+        /// A request was refused because the dispatch queue was full.
+        Rejected = "rejected",
+        /// A `Critical` request was refused at the admission gate.
+        ShedCritical = "shed_critical",
+        /// A `Normal` request was refused at the admission gate.
+        ShedNormal = "shed_normal",
+        /// A `Sheddable` request was refused at the admission gate.
+        ShedSheddable = "shed_sheddable",
+        /// A request arrived with its deadline budget already spent.
+        ExpiredAtArrival = "expired_at_arrival",
+        /// An admitted request expired in the queue, before any worker ran it.
+        ExpiredInQueue = "expired_in_queue",
+        /// The adaptive limiter raised the concurrency limit.
+        LimitRaised = "limit_raised",
+        /// The adaptive limiter lowered the concurrency limit.
+        LimitLowered = "limit_lowered",
+        /// A connection was dropped by the idle-timeout reaper.
+        IdleReaped = "idle_reaped",
+    }
+}
+
+impl ServerEvent {
+    /// The event that counts a refusal of `priority`'s class at the gate.
+    pub fn shed(priority: Priority) -> ServerEvent {
+        match priority {
+            Priority::Critical => ServerEvent::ShedCritical,
+            Priority::Normal => ServerEvent::ShedNormal,
+            Priority::Sheddable => ServerEvent::ShedSheddable,
+        }
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    requests: AtomicU64,
-    responses: AtomicU64,
-    rejected: AtomicU64,
-    admission: AdmissionCounters,
-    idle_reaped: AtomicU64,
+    counters: EventCounters<ServerEvent, { ServerEvent::COUNT }>,
     service_time: Mutex<LatencyHistogram>,
-    coalesce: CoalesceStats,
+    coalesce: Arc<CoalesceStats>,
     batching: BatchStats,
 }
 
@@ -32,11 +70,12 @@ struct Inner {
 /// # Examples
 ///
 /// ```
-/// use musuite_rpc::ServerStats;
+/// use musuite_rpc::stats::{ServerEvent, ServerStats};
 ///
 /// let stats = ServerStats::new();
-/// stats.record_request();
+/// stats.counters().incr(ServerEvent::Request);
 /// assert_eq!(stats.requests(), 1);
+/// assert_eq!(stats.accounting_gap(), 1, "arrived, not yet executed");
 /// ```
 #[derive(Clone, Default)]
 pub struct ServerStats {
@@ -50,85 +89,64 @@ impl ServerStats {
         ServerStats::default()
     }
 
-    /// Counts an accepted request.
-    pub fn record_request(&self) {
-        self.inner.requests.fetch_add(1, Ordering::Relaxed);
+    /// The server's event counters, which the request pipeline ticks.
+    pub fn counters(&self) -> &EventCounters<ServerEvent, { ServerEvent::COUNT }> {
+        &self.inner.counters
     }
 
     /// Counts a completed response with its server-side service time.
     pub fn record_response(&self, service_time: Duration) {
-        self.inner.responses.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.incr(ServerEvent::Response);
         self.inner.service_time.lock().record(service_time);
     }
 
-    /// Counts a request shed because the dispatch queue was full.
-    pub fn record_rejected(&self) {
-        self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one overload-control decision: a request refused at the
-    /// admission gate, one dropped on an exhausted deadline budget (at
-    /// arrival or at dispatch-queue dequeue, before any worker time was
-    /// spent on it), or a move of the adaptive concurrency limit.
-    pub fn record_admission(&self, event: AdmissionEvent) {
-        self.inner.admission.incr(event);
-    }
-
-    /// Counts a connection dropped by the idle-timeout reaper.
-    pub fn record_idle_reaped(&self) {
-        self.inner.idle_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests accepted so far.
+    /// Requests arrived so far.
     pub fn requests(&self) -> u64 {
-        self.inner.requests.load(Ordering::Relaxed)
+        self.inner.counters.get(ServerEvent::Request)
     }
 
     /// Responses completed so far.
     pub fn responses(&self) -> u64 {
-        self.inner.responses.load(Ordering::Relaxed)
+        self.inner.counters.get(ServerEvent::Response)
     }
 
-    /// Requests shed so far.
+    /// Requests handed to the service so far.
+    pub fn executed(&self) -> u64 {
+        self.inner.counters.get(ServerEvent::Executed)
+    }
+
+    /// Requests refused at a full dispatch queue so far.
     pub fn rejected(&self) -> u64 {
-        self.inner.rejected.load(Ordering::Relaxed)
+        self.inner.counters.get(ServerEvent::Rejected)
     }
 
     /// Requests dropped on an exhausted deadline budget so far.
     pub fn deadline_expired(&self) -> u64 {
-        self.admission().expired_total()
-    }
-
-    /// Requests shed at the admission gate for `priority` so far.
-    pub fn shed(&self, priority: Priority) -> u64 {
-        self.inner.admission.get(shed_event(priority))
+        self.inner.counters.get(ServerEvent::ExpiredAtArrival)
+            + self.inner.counters.get(ServerEvent::ExpiredInQueue)
     }
 
     /// Requests shed at the admission gate across all priority classes.
     pub fn shed_total(&self) -> u64 {
-        self.admission().shed_total()
+        Priority::ALL.into_iter().map(|p| self.inner.counters.get(ServerEvent::shed(p))).sum()
     }
 
-    /// Every overload-control event so far, by kind.
-    pub fn admission(&self) -> AdmissionSnapshot {
-        self.inner.admission.snapshot()
+    /// Arrivals not yet accounted for: requests − (executed + shed +
+    /// expired + rejected). Zero once the server is quiet; anything else
+    /// is a request lost (positive) or counted twice (negative).
+    pub fn accounting_gap(&self) -> i64 {
+        let accounted =
+            self.executed() + self.shed_total() + self.deadline_expired() + self.rejected();
+        self.requests() as i64 - accounted as i64
     }
 
-    /// Connections reaped for idleness so far.
-    pub fn idle_reaped(&self) -> u64 {
-        self.inner.idle_reaped.load(Ordering::Relaxed)
-    }
-
-    /// Write-coalescing counters shared by all of this server's
-    /// connections: frames queued vs. socket writes issued; the
-    /// difference is `sendmsg` syscalls saved.
-    pub fn coalesce(&self) -> &CoalesceStats {
+    /// Write-coalescing counters shared by all of this server's connections.
+    pub fn coalesce(&self) -> &Arc<CoalesceStats> {
         &self.inner.coalesce
     }
 
-    /// Batch-occupancy and flush-reason counters for the dispatch path.
-    /// Only populated when the server runs with a `BatchPolicy` that
-    /// actually batches.
+    /// Batch-occupancy and flush-reason counters for the dispatch path,
+    /// populated when the server's `BatchPolicy` batches.
     pub fn batching(&self) -> &BatchStats {
         &self.inner.batching
     }
@@ -145,11 +163,7 @@ impl ServerStats {
 
     /// Clears all counters and histograms.
     pub fn reset(&self) {
-        self.inner.requests.store(0, Ordering::Relaxed);
-        self.inner.responses.store(0, Ordering::Relaxed);
-        self.inner.rejected.store(0, Ordering::Relaxed);
-        self.inner.admission.reset();
-        self.inner.idle_reaped.store(0, Ordering::Relaxed);
+        self.inner.counters.reset();
         self.inner.service_time.lock().reset();
         self.inner.coalesce.reset();
         self.inner.batching.reset();
@@ -159,77 +173,75 @@ impl ServerStats {
 
 impl fmt::Debug for ServerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServerStats")
-            .field("requests", &self.requests())
-            .field("responses", &self.responses())
-            .field("rejected", &self.rejected())
-            .field("deadline_expired", &self.deadline_expired())
-            .field("shed", &self.shed_total())
-            .finish()
-    }
-}
-
-/// The admission event that counts a refusal of `priority`'s class.
-pub(crate) fn shed_event(priority: Priority) -> AdmissionEvent {
-    match priority {
-        Priority::Critical => AdmissionEvent::ShedCritical,
-        Priority::Normal => AdmissionEvent::ShedNormal,
-        Priority::Sheddable => AdmissionEvent::ShedSheddable,
+        self.inner.counters.fmt(f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musuite_telemetry::batching::FlushReason;
+    use musuite_telemetry::counters::assert_event_table;
 
     #[test]
     fn counters_accumulate() {
         let s = ServerStats::new();
-        s.record_request();
-        s.record_request();
+        let c = s.counters();
+        c.add(ServerEvent::Request, 2);
+        c.incr(ServerEvent::Executed);
         s.record_response(Duration::from_micros(5));
-        s.record_rejected();
-        s.record_idle_reaped();
-        s.record_admission(AdmissionEvent::ExpiredInQueue);
-        s.record_admission(AdmissionEvent::ShedSheddable);
-        s.record_admission(AdmissionEvent::ShedSheddable);
-        s.record_admission(AdmissionEvent::ShedNormal);
-        s.record_admission(AdmissionEvent::LimitLowered);
+        c.incr(ServerEvent::Rejected);
         assert_eq!(s.requests(), 2);
         assert_eq!(s.responses(), 1);
+        assert_eq!(s.executed(), 1);
         assert_eq!(s.rejected(), 1);
-        assert_eq!(s.idle_reaped(), 1);
-        assert_eq!(s.deadline_expired(), 1);
-        assert_eq!(s.shed(Priority::Sheddable), 2);
-        assert_eq!(s.shed(Priority::Normal), 1);
-        assert_eq!(s.shed(Priority::Critical), 0);
-        assert_eq!(s.shed_total(), 3);
-        assert_eq!(s.admission().get(AdmissionEvent::LimitLowered), 1);
+        assert_eq!(s.accounting_gap(), 0);
         assert_eq!(s.service_time().count(), 1);
+    }
+
+    #[test]
+    fn shed_and_expired_roll_ups() {
+        let s = ServerStats::new();
+        let c = s.counters();
+        c.incr(ServerEvent::ExpiredInQueue);
+        c.incr(ServerEvent::ExpiredAtArrival);
+        c.incr(ServerEvent::shed(Priority::Sheddable));
+        c.incr(ServerEvent::shed(Priority::Sheddable));
+        c.incr(ServerEvent::shed(Priority::Normal));
+        c.incr(ServerEvent::LimitLowered);
+        assert_eq!(s.deadline_expired(), 2);
+        assert_eq!(c.get(ServerEvent::ShedSheddable), 2);
+        assert_eq!(c.get(ServerEvent::ShedCritical), 0);
+        assert_eq!(s.shed_total(), 3);
+        assert_eq!(s.accounting_gap(), -5, "refusals with no arrival are counted twice");
     }
 
     #[test]
     fn clones_share_state() {
         let s = ServerStats::new();
         let clone = s.clone();
-        clone.record_request();
+        clone.counters().incr(ServerEvent::Request);
         assert_eq!(s.requests(), 1);
     }
 
     #[test]
     fn reset_clears() {
         let s = ServerStats::new();
-        s.record_request();
+        s.counters().incr(ServerEvent::Request);
         s.record_response(Duration::from_micros(1));
-        s.record_admission(AdmissionEvent::ExpiredAtArrival);
-        s.record_admission(AdmissionEvent::ShedNormal);
-        s.batching().record_batch(4, musuite_telemetry::batching::FlushReason::SizeFull);
+        s.counters().incr(ServerEvent::ExpiredAtArrival);
+        s.coalesce().incr(musuite_telemetry::netpoll::CoalesceEvent::Frame);
+        s.batching().record_batch(4, FlushReason::SizeFull);
         s.reset();
+        assert_eq!(s.counters().snapshot().total(), 0);
+        assert_eq!(s.coalesce().frames(), 0);
         assert_eq!(s.batching().batches(), 0);
-        assert_eq!(s.requests(), 0);
-        assert_eq!(s.responses(), 0);
-        assert_eq!(s.deadline_expired(), 0);
-        assert_eq!(s.admission().total(), 0);
+        assert_eq!((s.batching().members(), s.batching().max_occupancy()), (0, 0));
         assert!(s.service_time().is_empty());
+    }
+
+    #[test]
+    fn server_event_table_is_consistent() {
+        assert_event_table::<ServerEvent, { ServerEvent::COUNT }>();
     }
 }

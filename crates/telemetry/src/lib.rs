@@ -6,8 +6,10 @@
 //! latency to OS and network effects. This crate rebuilds the *measurement
 //! methodology* in userspace so the whole suite is self-contained:
 //!
-//! * [`counters`] — process-wide counts of the operations that issue the
-//!   syscalls the paper tallies (futex, sendmsg, recvmsg, epoll_pwait, …).
+//! * [`counters`] — the one counter machinery: [`EventCounters`] over an
+//!   enum declared with [`event_enum!`], and the process-wide counts of the
+//!   operations that issue the syscalls the paper tallies (futex, sendmsg,
+//!   recvmsg, epoll_pwait, …).
 //! * [`histogram`] — log-bucketed latency histograms with percentile
 //!   queries, the building block for every latency distribution reported.
 //! * [`sync`] — instrumented mutex/condvar wrappers that count futex-class
@@ -15,9 +17,13 @@
 //! * [`breakdown`] — a per-request lifecycle recorder that attributes time
 //!   to the stages of Figs. 15–18 (NetRx, Block, Sched, ActiveExe, NetTx,
 //!   Net); the dispatch queue records notify→wake latency as ActiveExe.
-//! * [`netpoll`] — shared-reactor sweep statistics (frames and sweeps,
-//!   parks vs. yields between empty sweeps) and write-coalescing counters,
-//!   folded into the [`counters`] OS-op table.
+//! * [`netpoll`] — shared-reactor sweep counters (frames and sweeps,
+//!   parks vs. yields between empty sweeps) and write-coalescing counters;
+//!   a park, yield, close or flush also counts in the [`counters`] OS-op
+//!   table.
+//! * [`batching`] — batch occupancy and flush-reason counters.
+//! * [`resilience`] — fan-out fault-tolerance counters (hedges, retries,
+//!   breakers, reconnects).
 //! * [`procstat`] — `/proc` sampling for context switches (Fig. 19) and
 //!   kernel-reported run-queue delay (`schedstat`).
 //! * [`report`] — plain-text table rendering used by the bench harness.
@@ -36,7 +42,6 @@
 //! assert_eq!(h.count(), 5);
 //! ```
 
-pub mod admission;
 pub mod batching;
 pub mod breakdown;
 pub mod clock;
@@ -49,13 +54,12 @@ pub mod resilience;
 pub mod summary;
 pub mod sync;
 
-pub use admission::{AdmissionCounters, AdmissionEvent};
 pub use batching::{BatchStats, FlushReason};
 pub use breakdown::{BreakdownRecorder, Stage};
 pub use clock::Clock;
-pub use counters::{OsOp, OsOpCounters};
+pub use counters::{Event, EventCounters, OsOp, OsOpCounters};
 pub use histogram::LatencyHistogram;
-pub use netpoll::{CoalesceStats, ReactorStats};
+pub use netpoll::{CoalesceEvent, CoalesceStats, ReactorEvent, ReactorStats};
 pub use procstat::{ContextSwitches, SchedStat, TcpStats};
 pub use resilience::{ResilienceCounters, ResilienceEvent};
 pub use summary::DistributionSummary;

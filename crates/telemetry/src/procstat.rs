@@ -31,6 +31,8 @@ pub struct ContextSwitches {
 
 impl ContextSwitches {
     /// Samples context switches for every thread of the current process.
+    /// A thread that exits takes its counts out of the sum, so two samples
+    /// compare only over threads that outlive both.
     ///
     /// # Errors
     ///
@@ -39,7 +41,8 @@ impl ContextSwitches {
     pub fn sample() -> io::Result<ContextSwitches> {
         let mut total = ContextSwitches::default();
         for entry in fs::read_dir("/proc/self/task")? {
-            let entry = entry?;
+            // A thread that exits mid-walk is skipped, not an error.
+            let Ok(entry) = entry else { continue };
             if let Ok(cs) = Self::parse_status(&entry.path().join("status")) {
                 total.voluntary += cs.voluntary;
                 total.nonvoluntary += cs.nonvoluntary;
@@ -109,7 +112,9 @@ pub struct SchedStat {
 }
 
 impl SchedStat {
-    /// Samples schedstat summed over every thread of this process.
+    /// Samples schedstat summed over every live thread of this process,
+    /// skipping threads that exit mid-walk (see
+    /// [`ContextSwitches::sample`] on comparing two samples).
     ///
     /// # Errors
     ///
@@ -117,7 +122,7 @@ impl SchedStat {
     pub fn sample() -> io::Result<SchedStat> {
         let mut total = SchedStat::default();
         for entry in fs::read_dir("/proc/self/task")? {
-            let entry = entry?;
+            let Ok(entry) = entry else { continue };
             let path = entry.path().join("schedstat");
             if let Ok(text) = fs::read_to_string(&path) {
                 if let Some(stat) = Self::parse(&text) {
@@ -332,13 +337,25 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn live_sampling_works_on_linux() {
-        let cs1 = ContextSwitches::sample().expect("procfs readable");
-        // Force at least one voluntary switch.
+        // A process-wide sum can fall between two samples — threads of
+        // other tests exit and take their counts with them — so the
+        // assertions are about this thread's own counters.
+        let own_switches = || {
+            ContextSwitches::parse_status(Path::new("/proc/thread-self/status")).expect("status")
+        };
+        let own_sched = || {
+            let text = fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+            SchedStat::parse(&text).expect("three numbers")
+        };
+        let (cs1, ss1) = (own_switches(), own_sched());
+        // Force at least one voluntary switch, and one more timeslice.
         std::thread::sleep(Duration::from_millis(5));
-        let cs2 = ContextSwitches::sample().expect("procfs readable");
-        assert!(cs2.total() >= cs1.total());
-        let ss = SchedStat::sample().expect("schedstat readable");
-        assert!(ss.timeslices > 0);
+        let (cs2, ss2) = (own_switches(), own_sched());
+        assert!(cs2.voluntary > cs1.voluntary, "{cs1} -> {cs2}");
+        assert!(ss2.timeslices > ss1.timeslices, "{ss1:?} -> {ss2:?}");
+        // The process-wide samplers count this thread among the live ones.
+        assert!(ContextSwitches::sample().expect("procfs").total() >= cs2.total());
+        assert!(SchedStat::sample().expect("procfs").timeslices >= ss2.timeslices);
     }
 
     #[test]

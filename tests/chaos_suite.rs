@@ -98,7 +98,8 @@ fn p99(mut samples: Vec<Duration>) -> Duration {
 /// request that arrived has been answered, then checks that each arrival
 /// was exactly one of executed (`executed` counts handler entries), shed
 /// at the gate, dropped expired, or rejected at the queue — nothing
-/// unaccounted, and nothing both dropped and run.
+/// unaccounted, and nothing both dropped and run. The server's own
+/// `executed()` must match that tally, and its `accounting_gap()` be 0.
 fn assert_every_arrival_accounted_for(stats: &ServerStats, executed: &AtomicU64, seed: u64) {
     let accounted = || {
         executed.load(Ordering::Relaxed)
@@ -126,6 +127,12 @@ fn assert_every_arrival_accounted_for(stats: &ServerStats, executed: &AtomicU64,
         stats.deadline_expired(),
         stats.rejected(),
     );
+    assert_eq!(
+        stats.executed(),
+        executed.load(Ordering::Relaxed),
+        "the server's executed count must match the handler entries (seed {seed})"
+    );
+    assert_eq!(stats.accounting_gap(), 0, "the server's own books must balance (seed {seed})");
 }
 
 #[test]
