@@ -165,11 +165,14 @@ impl Deployment {
                 let queries = workload
                     .take_ops(1_024)
                     .into_iter()
-                    .map(|op| match op {
-                        musuite_data::kv::KvOp::Get { key } => to_bytes(&KvRequest::Get { key }),
-                        musuite_data::kv::KvOp::Set { key, value } => {
-                            to_bytes(&KvRequest::Set { key, value })
-                        }
+                    .map(|op| {
+                        let request: KvRequest = match op {
+                            musuite_data::kv::KvOp::Get { key } => KvRequest::Get { key },
+                            musuite_data::kv::KvOp::Set { key, value } => {
+                                KvRequest::Set { key, value }
+                            }
+                        };
+                        to_bytes(&request)
                     })
                     .collect();
                 Deployment { kind, inner: DeploymentInner::Router(service), queries }

@@ -7,7 +7,9 @@
 //! * [`wire`] — varint and fixed-width primitive encoding,
 //! * [`encode`]/[`decode`] — [`Encode`]/[`Decode`] traits implemented for
 //!   the standard types services exchange (integers, floats, strings,
-//!   byte buffers, options, vectors, tuples, maps),
+//!   byte buffers, options, vectors, tuples), plus the views a decode can
+//!   hand out instead of copies: [`Bytes`], [`Text`] and
+//!   [`Seq`], slices of the payload the value arrived in,
 //! * [`frame`] — the length-prefixed, checksummed frame layer carrying an
 //!   RPC header (request id, method, status) plus an opaque payload.
 //!
@@ -19,9 +21,10 @@
 //! let value = (42u64, String::from("query"), vec![1.0f32, 2.0]);
 //! let mut buf = Vec::new();
 //! value.encode(&mut buf);
-//! let (decoded, rest) = <(u64, String, Vec<f32>)>::decode(&buf)?;
+//! let mut input = musuite_codec::Reader::new(bytes::Bytes::from(buf));
+//! let decoded = <(u64, String, Vec<f32>)>::decode(&mut input)?;
+//! input.finish()?;
 //! assert_eq!(decoded, value);
-//! assert!(rest.is_empty());
 //! # Ok::<(), musuite_codec::DecodeError>(())
 //! ```
 
@@ -33,8 +36,8 @@ pub mod frame;
 pub mod wire;
 
 pub use batch::{batch_frame, decode_batch, encode_batch, BatchEntry};
-pub use bytes::BufMut;
-pub use decode::Decode;
+pub use bytes::{BufMut, Bytes};
+pub use decode::{Decode, Reader, Seq, SeqIter, Text};
 pub use encode::Encode;
 pub use error::DecodeError;
 pub use frame::{
@@ -57,7 +60,9 @@ pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
 }
 
 /// Decodes a value from a byte slice, requiring the slice to be fully
-/// consumed.
+/// consumed. The slice is copied into one buffer first, which any views
+/// in the value share; a payload already in a [`bytes::Bytes`] decodes
+/// with [`from_payload`], without the copy.
 ///
 /// # Errors
 ///
@@ -73,10 +78,31 @@ pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
 /// # Ok::<(), musuite_codec::DecodeError>(())
 /// ```
 pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
-    let (value, rest) = T::decode(bytes)?;
-    if !rest.is_empty() {
-        return Err(DecodeError::TrailingBytes { count: rest.len() });
-    }
+    from_payload(bytes::Bytes::copy_from_slice(bytes))
+}
+
+/// Decodes a value from a whole payload, requiring it to be fully
+/// consumed. Views in the value are slices of `payload`.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] if the bytes are malformed or trailing bytes
+/// remain.
+///
+/// # Examples
+///
+/// ```
+/// use musuite_codec::{from_payload, to_bytes, Text};
+///
+/// let payload = bytes::Bytes::from(to_bytes("user42"));
+/// let key: Text = from_payload(payload)?;
+/// assert_eq!(&key, "user42");
+/// # Ok::<(), musuite_codec::DecodeError>(())
+/// ```
+pub fn from_payload<T: Decode>(payload: bytes::Bytes) -> Result<T, DecodeError> {
+    let mut input = Reader::new(payload);
+    let value = T::decode(&mut input)?;
+    input.finish()?;
     Ok(value)
 }
 

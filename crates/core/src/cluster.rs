@@ -259,7 +259,7 @@ impl<Req: Encode, Resp: Decode> TypedClient<Req, Resp> {
     /// [`RpcError::Decode`] if the response payload is malformed.
     pub fn call_typed(&self, request: &Req, opts: CallOptions) -> Result<Resp, RpcError> {
         let reply = self.client.call_opts(self.method, musuite_codec::to_bytes(request), opts)?;
-        musuite_codec::from_bytes::<Resp>(&reply).map_err(RpcError::from)
+        musuite_codec::from_payload::<Resp>(reply).map_err(RpcError::from)
     }
 
     /// Issues an asynchronous typed call under `opts`; the callback runs
@@ -271,7 +271,7 @@ impl<Req: Encode, Resp: Decode> TypedClient<Req, Resp> {
         let payload = musuite_codec::to_bytes(request);
         self.client.call_async_opts(self.method, payload, opts, move |result| {
             callback(result.and_then(|bytes| {
-                musuite_codec::from_bytes::<Resp>(&bytes).map_err(RpcError::from)
+                musuite_codec::from_payload::<Resp>(bytes).map_err(RpcError::from)
             }));
         });
     }

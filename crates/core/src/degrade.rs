@@ -9,7 +9,7 @@
 //! load generators can account degraded successes separately from
 //! full-fidelity ones.
 
-use musuite_codec::{BufMut, Decode, DecodeError, Encode};
+use musuite_codec::{BufMut, Decode, DecodeError, Encode, Reader};
 
 /// A fan-out response assembled from `shards_ok` of `shards_total`
 /// leaf replies. `degraded` is `true` whenever at least one shard's
@@ -70,12 +70,15 @@ impl<T: Encode> Encode for Degraded<T> {
 }
 
 impl<T: Decode> Decode for Degraded<T> {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (value, rest) = T::decode(bytes)?;
-        let (degraded, rest) = bool::decode(rest)?;
-        let (shards_ok, rest) = u32::decode(rest)?;
-        let (shards_total, rest) = u32::decode(rest)?;
-        Ok((Degraded { value, degraded, shards_ok, shards_total }, rest))
+    const MIN_WIRE_LEN: usize = T::MIN_WIRE_LEN + 3;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(Degraded {
+            value: T::decode(input)?,
+            degraded: bool::decode(input)?,
+            shards_ok: u32::decode(input)?,
+            shards_total: u32::decode(input)?,
+        })
     }
 }
 

@@ -6,6 +6,7 @@
 //! and replies immediately.
 
 use crate::error::ServiceError;
+use bytes::Bytes;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{RequestContext, Service};
@@ -56,13 +57,45 @@ pub trait LeafHandler: Send + Sync + 'static {
     ) -> Vec<Result<Self::Response, ServiceError>> {
         requests.into_iter().map(|request| self.handle(request)).collect()
     }
+
+    /// Answers one request from `payload`, the bytes of the frame it
+    /// arrived in: how a [`LeafService`] serves a request that is not
+    /// part of a batch. The default decodes an owned
+    /// [`Request`](LeafHandler::Request), writes what the thread holds if
+    /// the request [`runs_long`](LeafHandler::runs_long), and
+    /// [`handle`](LeafHandler::handle)s it.
+    ///
+    /// A leaf whose kernel can read its keys, vectors or terms in place
+    /// overrides it to decode them as views of `payload` (DESIGN.md §5a),
+    /// keeping the default's steps: refuse what does not decode with
+    /// [`decode_payload`]'s `BadRequest`, call
+    /// [`flush_outbox`] before a request that runs long, and answer
+    /// exactly as `handle` would. Nothing decoded from `payload` may
+    /// outlive the call.
+    fn handle_payload(&self, payload: Bytes) -> Result<Self::Response, ServiceError> {
+        let request = decode_payload::<Self::Request>(payload)?;
+        if self.runs_long(&request) {
+            flush_outbox();
+        }
+        self.handle(request)
+    }
+}
+
+/// Decodes a whole request payload, or gives the `BadRequest` that
+/// refuses it. Views in the value share `payload`.
+///
+/// # Errors
+///
+/// A [`Status::BadRequest`](musuite_rpc::Status::BadRequest) error naming
+/// what did not decode.
+pub fn decode_payload<T: Decode>(payload: Bytes) -> Result<T, ServiceError> {
+    musuite_codec::from_payload(payload).map_err(|e| ServiceError::bad_request(e.to_string()))
 }
 
 /// Takes `ctx`'s payload and decodes it, or gives the `BadRequest` that
 /// refuses it.
 pub(crate) fn decode<T: Decode>(ctx: &mut RequestContext) -> Result<T, ServiceError> {
-    musuite_codec::from_bytes(&ctx.take_payload())
-        .map_err(|e| ServiceError::bad_request(e.to_string()))
+    decode_payload(ctx.take_payload())
 }
 
 /// Completes `ctx` with the response, encoded straight into the
@@ -94,18 +127,14 @@ impl<H: LeafHandler> LeafService<H> {
 
 impl<H: LeafHandler> Service for LeafService<H> {
     fn call(&self, mut ctx: RequestContext) {
-        let request = match decode::<H::Request>(&mut ctx) {
-            Ok(request) => request,
-            Err(refusal) => return respond::<H::Response>(ctx, Err(refusal)),
-        };
-        if self.handler.runs_long(&request) {
-            flush_outbox();
-        }
-        respond(ctx, self.handler.handle(request));
+        let payload = ctx.take_payload();
+        respond(ctx, self.handler.handle_payload(payload));
     }
 
     fn call_batch(&self, batch: Drain<'_, RequestContext>) {
-        // A malformed member is refused alone, without discarding its
+        // Members decode as owned requests, which `handle_batch` takes
+        // together; views are for the unbatched path (`handle_payload`). A
+        // malformed member is refused alone, without discarding its
         // batchmates, and answered in its place among them.
         let mut members = Vec::with_capacity(batch.len());
         let mut requests = Vec::with_capacity(batch.len());

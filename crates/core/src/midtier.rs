@@ -111,7 +111,10 @@ impl<S, L> Plan<S, L> {
 /// Typed mid-tier logic: how to split a query across leaves and how to
 /// merge their replies.
 pub trait MidTierHandler: Send + Sync + 'static {
-    /// The decoded front-end request type.
+    /// The decoded front-end request type, read from the request's
+    /// payload. A view type (a `Text`, `Bytes` or `Seq` field) holds
+    /// slices of the payload until [`merge`](MidTierHandler::merge) has
+    /// run, and no longer (DESIGN.md §5a).
     type Request: Decode + Send + 'static;
     /// The encoded front-end response type.
     type Response: Encode;
@@ -121,7 +124,9 @@ pub trait MidTierHandler: Send + Sync + 'static {
     type SharedRequest: Encode + Send + Sync + 'static;
     /// The encoded per-leaf request suffix.
     type LeafRequest: Encode + Send + Sync + 'static;
-    /// The decoded per-leaf response type.
+    /// The decoded per-leaf response type, read from the reply's payload
+    /// on the thread that claims it; a view type holds slices of the reply
+    /// until the merge.
     type LeafResponse: Decode + Send + 'static;
 
     /// Computes which leaves to contact and with what payloads. This is
@@ -270,7 +275,7 @@ impl<H: MidTierHandler> ScatterPlan for LeafPlan<H> {
     }
 
     fn decode(&self, reply: Bytes) -> Result<H::LeafResponse, RpcError> {
-        musuite_codec::from_bytes(&reply).map_err(RpcError::from)
+        musuite_codec::from_payload(reply).map_err(RpcError::from)
     }
 }
 

@@ -8,10 +8,12 @@
 
 use crate::distance::euclidean_sq;
 use crate::protocol::{check_query, LeafSearchRequest, LeafSearchResponse, Neighbor};
+use musuite_codec::{Bytes, Seq};
 use musuite_core::error::ServiceError;
-use musuite_core::leaf::LeafHandler;
+use musuite_core::leaf::{decode_payload, LeafHandler};
 use musuite_core::shard::RoundRobinMap;
 use musuite_core::topk::top_k_by;
+use musuite_rpc::buf::flush_outbox;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
@@ -54,10 +56,15 @@ impl HdSearchLeaf {
     /// top-`k` as globally-identified, distance-sorted neighbours. Scores
     /// go to the calling thread's scratch; the result is the one
     /// allocation, of at most `k` neighbours.
-    pub fn search(&self, query: &[f32], candidates: &[u64], k: usize) -> Vec<Neighbor> {
+    pub fn search(
+        &self,
+        query: &[f32],
+        candidates: impl IntoIterator<Item = u64>,
+        k: usize,
+    ) -> Vec<Neighbor> {
         SCORED.with_borrow_mut(|scored| {
             scored.clear();
-            scored.extend(candidates.iter().filter_map(|&local| {
+            scored.extend(candidates.into_iter().filter_map(|local| {
                 let vector = self.vectors.get(local as usize)?;
                 Some(Neighbor {
                     id: self.id_map.global_id(self.leaf_index, local),
@@ -76,9 +83,9 @@ impl HdSearchLeaf {
 
     /// Refuses a query vector of the wrong dimension (an empty shard has
     /// none and takes any) or with a non-finite coordinate.
-    fn check(&self, request: &LeafSearchRequest) -> Result<(), ServiceError> {
-        let dim = if self.vectors.is_empty() { request.vector.len() } else { self.dim };
-        check_query(&request.vector, dim)
+    fn check(&self, vector: impl ExactSizeIterator<Item = f32>) -> Result<(), ServiceError> {
+        let dim = if self.vectors.is_empty() { vector.len() } else { self.dim };
+        check_query(vector, dim)
     }
 }
 
@@ -86,6 +93,18 @@ thread_local! {
     /// The calling thread's scored candidates, reused by every
     /// [`HdSearchLeaf::search`] on it (under 32 B per shard vector).
     static SCORED: RefCell<Vec<Neighbor>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's copy of a query vector read from a frame, which
+    /// holds its floats unaligned (`dim` floats once checked).
+    static QUERY: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A search costs about 1.2 µs plus 0.13–0.14 µs per candidate, request
+/// decode and response encode included, so it crosses a write's 20 µs at
+/// 130–145 candidates. The `hdsearch_knn` stream splits well either side:
+/// about a third of its leaf requests carry under 64 candidates, more than
+/// half 256 or more (EXPERIMENTS.md, "Which handlers run long").
+fn runs_long(candidates: usize) -> bool {
+    candidates >= 128
 }
 
 /// Distance, then global id: the unique total order neighbours rank by.
@@ -101,20 +120,30 @@ impl LeafHandler for HdSearchLeaf {
     type Response = LeafSearchResponse;
 
     fn handle(&self, request: LeafSearchRequest) -> Result<LeafSearchResponse, ServiceError> {
-        self.check(&request)?;
+        self.check(request.vector.iter().copied())?;
+        let candidates = request.candidates.iter().copied();
         Ok(LeafSearchResponse {
-            neighbors: self.search(&request.vector, &request.candidates, request.k as usize),
+            neighbors: self.search(&request.vector, candidates, request.k as usize),
         })
     }
 
-    /// A search costs about 1.2 µs plus 0.13–0.14 µs per candidate, request
-    /// decode and response encode included, so it crosses a write's 20 µs
-    /// at 130–145 candidates. The `hdsearch_knn` stream splits well either
-    /// side: about a third of its leaf requests carry under 64 candidates,
-    /// more than half 256 or more (EXPERIMENTS.md, "Which handlers run
-    /// long").
     fn runs_long(&self, request: &LeafSearchRequest) -> bool {
-        request.candidates.len() >= 128
+        runs_long(request.candidates.len())
+    }
+
+    /// Reads the candidates in place and copies the checked query vector
+    /// into the thread's scratch.
+    fn handle_payload(&self, payload: Bytes) -> Result<LeafSearchResponse, ServiceError> {
+        let request: LeafSearchRequest<Seq<f32>, Seq<u64>> = decode_payload(payload)?;
+        if runs_long(request.candidates.len()) {
+            flush_outbox();
+        }
+        self.check(request.vector.iter())?;
+        QUERY.with_borrow_mut(|query| {
+            request.vector.copy_into(query);
+            let candidates = request.candidates.iter();
+            Ok(LeafSearchResponse { neighbors: self.search(query, candidates, request.k as usize) })
+        })
     }
 }
 
@@ -131,7 +160,7 @@ mod tests {
     #[test]
     fn scores_and_sorts_candidates() {
         let leaf = leaf();
-        let result = leaf.search(&[0.0, 0.0], &[0, 1, 2, 3], 4);
+        let result = leaf.search(&[0.0, 0.0], [0, 1, 2, 3], 4);
         let ids: Vec<u64> = result.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 3, 5, 7], "global ids in distance order");
         let distances: Vec<f32> = result.iter().map(|n| n.distance).collect();
@@ -141,14 +170,14 @@ mod tests {
     #[test]
     fn respects_k() {
         let leaf = leaf();
-        assert_eq!(leaf.search(&[0.0, 0.0], &[0, 1, 2, 3], 2).len(), 2);
-        assert_eq!(leaf.search(&[0.0, 0.0], &[0, 1], 10).len(), 2);
+        assert_eq!(leaf.search(&[0.0, 0.0], [0, 1, 2, 3], 2).len(), 2);
+        assert_eq!(leaf.search(&[0.0, 0.0], [0, 1], 10).len(), 2);
     }
 
     #[test]
     fn ignores_out_of_range_candidates() {
         let leaf = leaf();
-        let result = leaf.search(&[0.0, 0.0], &[0, 999], 10);
+        let result = leaf.search(&[0.0, 0.0], [0, 999], 10);
         assert_eq!(result.len(), 1, "candidate 999 does not exist on this shard");
     }
 
@@ -179,7 +208,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_empty_response() {
         let leaf = leaf();
-        assert!(leaf.search(&[0.0, 0.0], &[], 5).is_empty());
+        assert!(leaf.search(&[0.0, 0.0], [], 5).is_empty());
     }
 
     #[test]
@@ -261,7 +290,8 @@ mod tests {
                     (0..len).map(|_| rng.gen_range(0..leaf.len() as u64 + 50)).collect();
                 for k in [0, 1, 10, len / 2, len, len + 5, usize::MAX] {
                     let expected = bits(&oracle_search(&leaf, &query, &candidates, k));
-                    assert_eq!(bits(&leaf.search(&query, &candidates, k)), expected);
+                    let got = leaf.search(&query, candidates.iter().copied(), k);
+                    assert_eq!(bits(&got), expected);
                     let k = u32::try_from(k).unwrap_or(u32::MAX);
                     requests.push(LeafSearchRequest {
                         vector: query.clone(),
@@ -276,6 +306,10 @@ mod tests {
                 let expected =
                     oracle_search(&leaf, &request.vector, &request.candidates, request.k as usize);
                 assert_eq!(bits(&batch.unwrap().neighbors), bits(&expected));
+                // The same request read in place from its frame.
+                let payload = Bytes::from(musuite_codec::to_bytes(request));
+                let in_place = leaf.handle_payload(payload).unwrap();
+                assert_eq!(bits(&in_place.neighbors), bits(&expected));
             }
         }
     }
@@ -285,7 +319,7 @@ mod tests {
     #[test]
     fn overflowing_distances_rank_by_id() {
         let leaf = leaf();
-        let result = leaf.search(&[3e38, -3e38], &[3, 0, 2, 1], 3);
+        let result = leaf.search(&[3e38, -3e38], [3, 0, 2, 1], 3);
         assert_eq!(result.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 3, 5]);
         assert!(result.iter().all(|n| n.distance == f32::INFINITY));
     }

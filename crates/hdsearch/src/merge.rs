@@ -10,7 +10,7 @@ use crate::protocol::Neighbor;
 /// Merges distance-sorted neighbour lists into the global top-`k`.
 ///
 /// Input lists must each be sorted by ascending distance (leaves guarantee
-/// this); the output is sorted by ascending distance with ties broken by
+/// this), owned or read from the leaves' frames; the output is sorted by ascending distance with ties broken by
 /// id for determinism.
 ///
 /// # Examples
@@ -24,14 +24,17 @@ use crate::protocol::Neighbor;
 /// let merged = merge_top_k(vec![a, b], 2);
 /// assert_eq!(merged.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 3]);
 /// ```
-pub fn merge_top_k(lists: Vec<Vec<Neighbor>>, k: usize) -> Vec<Neighbor> {
+pub fn merge_top_k<L>(lists: Vec<L>, k: usize) -> Vec<Neighbor>
+where
+    L: IntoIterator<Item = Neighbor>,
+    L::IntoIter: ExactSizeIterator,
+{
     // Cursor-based k-way merge; list counts are small (leaf fan-out), so a
     // linear scan over cursors beats a binary heap's constant factor.
-    // `k` comes off the wire: reserve for what the lists can yield.
-    let available: usize = lists.iter().map(Vec::len).sum();
     let mut heads: Vec<Option<Neighbor>> = Vec::with_capacity(lists.len());
-    let mut iters: Vec<std::vec::IntoIter<Neighbor>> =
-        lists.into_iter().map(Vec::into_iter).collect();
+    let mut iters: Vec<L::IntoIter> = lists.into_iter().map(IntoIterator::into_iter).collect();
+    // `k` comes off the wire: reserve for what the lists can yield.
+    let available: usize = iters.iter().map(ExactSizeIterator::len).sum();
     for iter in &mut iters {
         heads.push(iter.next());
     }
@@ -94,7 +97,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(merge_top_k(Vec::new(), 5).is_empty());
+        assert!(merge_top_k(Vec::<Vec<Neighbor>>::new(), 5).is_empty());
         assert!(merge_top_k(vec![vec![], vec![]], 5).is_empty());
         assert!(merge_top_k(vec![vec![n(1, 0.0)]], 0).is_empty());
     }

@@ -8,6 +8,7 @@
 use crate::lsh::{LshConfig, LshIndex};
 use crate::merge::merge_top_k;
 use crate::protocol::{check_query, LeafSearchResponse, Neighbor, SearchQuery};
+use musuite_codec::Seq;
 use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
 use musuite_core::midtier::{MidTierHandler, Plan};
@@ -16,10 +17,15 @@ use musuite_rpc::RpcError;
 use std::cell::RefCell;
 
 thread_local! {
-    /// The calling worker's candidate list, reused by every `plan` on it
-    /// (at most 8 B per indexed point; a few KB at the benchmark's scale).
-    static CANDIDATES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// The calling worker's copy of the checked query vector (`dim`
+    /// floats, which the frame holds unaligned) and its candidate list
+    /// (at most 8 B per indexed point; a few KB at the benchmark's scale),
+    /// reused by every `plan` on it.
+    static SCRATCH: RefCell<(Vec<f32>, Vec<u64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
+
+/// A query as the mid-tier reads it: the vector is a view of the frame.
+type QueryView = SearchQuery<Seq<f32>>;
 
 /// The LSH-routing mid-tier microservice.
 #[derive(Debug)]
@@ -49,26 +55,28 @@ impl HdSearchMidTier {
 }
 
 impl MidTierHandler for HdSearchMidTier {
-    type Request = SearchQuery;
+    type Request = QueryView;
     type Response = Degraded<Vec<Neighbor>>;
     // The query vector — often the largest part of a leaf request by far —
-    // is shared state: it is serialized once per fan-out and every leaf
-    // payload references that single buffer. The per-leaf suffix carries
-    // only that leaf's candidate list and `k`. On the wire each leaf still
-    // sees `vector ++ candidates ++ k`, i.e. a `LeafSearchRequest`.
-    type SharedRequest = Vec<f32>;
+    // is shared state: the plan holds the frame's view of it by reference
+    // count and encodes it into every leaf frame. The per-leaf suffix
+    // carries only that leaf's candidate list and `k`. On the wire each
+    // leaf sees `vector ++ candidates ++ k`, i.e. a `LeafSearchRequest`.
+    type SharedRequest = Seq<f32>;
     type LeafRequest = (Vec<u64>, u32);
-    type LeafResponse = LeafSearchResponse;
+    // Leaf replies are merged from views of their frames.
+    type LeafResponse = LeafSearchResponse<Seq<Neighbor>>;
 
-    fn plan(&self, request: &SearchQuery, leaves: usize) -> Plan<Vec<f32>, (Vec<u64>, u32)> {
+    fn plan(&self, request: &QueryView, leaves: usize) -> Plan<Seq<f32>, (Vec<u64>, u32)> {
         // A vector that cannot be searched reaches no leaf (whose breaker
         // its refusal would charge); `merge` answers it.
-        if check_query(&request.vector, self.index.dim()).is_err() {
-            return Plan::new(Vec::new(), Vec::new());
+        if check_query(request.vector.iter(), self.index.dim()).is_err() {
+            return Plan::new(Seq::default(), Vec::new());
         }
-        CANDIDATES.with_borrow_mut(|candidates| {
+        SCRATCH.with_borrow_mut(|(query, candidates)| {
             // 1. LSH lookup (the mid-tier's own compute).
-            self.index.candidates_into(&request.vector, candidates);
+            request.vector.copy_into(query);
+            self.index.candidates_into(query, candidates);
             // 2. Count each leaf's candidates, then give every leaf that has
             // some one list of exactly that size; `slots` then maps a leaf
             // to its target.
@@ -101,17 +109,17 @@ impl MidTierHandler for HdSearchMidTier {
     /// An LSH lookup and the routing of its candidates take 15–36 µs on
     /// the `hdsearch_knn` stream, 25–29 µs in the median: past a write's
     /// 20 µs for nine queries in ten, and unknown until the lookup has run.
-    fn runs_long(&self, _request: &SearchQuery) -> bool {
+    fn runs_long(&self, _request: &QueryView) -> bool {
         true
     }
 
     fn merge(
         &self,
-        request: SearchQuery,
-        replies: Vec<Result<LeafSearchResponse, RpcError>>,
+        request: QueryView,
+        replies: Vec<Result<LeafSearchResponse<Seq<Neighbor>>, RpcError>>,
     ) -> Result<Degraded<Vec<Neighbor>>, ServiceError> {
         if replies.is_empty() {
-            check_query(&request.vector, self.index.dim())?;
+            check_query(request.vector.iter(), self.index.dim())?;
         }
         let total = replies.len();
         let mut lists = Vec::with_capacity(total);
@@ -133,7 +141,13 @@ impl MidTierHandler for HdSearchMidTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musuite_codec::{from_bytes, to_bytes, Decode, Encode};
     use musuite_data::vectors::{VectorDataset, VectorDatasetConfig};
+
+    /// `owned` as the mid-tier reads it off the wire.
+    fn view<T: Decode>(owned: &impl Encode) -> T {
+        from_bytes(&to_bytes(owned)).unwrap()
+    }
 
     fn corpus() -> VectorDataset {
         VectorDataset::generate(&VectorDatasetConfig {
@@ -159,9 +173,9 @@ mod tests {
         let ds = corpus();
         let mid = midtier(&ds, 4);
         let query = SearchQuery { vector: ds.vectors()[0].clone(), k: 5 };
-        let plan = mid.plan(&query, 4);
+        let plan = mid.plan(&view(&query), 4);
         assert!(!plan.is_empty(), "an indexed point must produce candidates");
-        assert_eq!(plan.shared, query.vector, "query vector is the shared state");
+        assert_eq!(plan.shared.to_vec(), query.vector, "query vector is the shared state");
         for (leaf, (candidates, k)) in &plan.targets {
             assert!(*leaf < 4);
             assert!(!candidates.is_empty());
@@ -179,16 +193,16 @@ mod tests {
         let ds = corpus();
         let mid = midtier(&ds, 2);
         let replies = vec![
-            Ok(LeafSearchResponse {
+            Ok(view(&LeafSearchResponse {
                 neighbors: vec![
                     Neighbor { id: 0, distance: 0.1 },
                     Neighbor { id: 2, distance: 0.3 },
                 ],
-            }),
-            Ok(LeafSearchResponse { neighbors: vec![Neighbor { id: 1, distance: 0.2 }] }),
+            })),
+            Ok(view(&LeafSearchResponse { neighbors: vec![Neighbor { id: 1, distance: 0.2 }] })),
         ];
         let query = SearchQuery { vector: ds.vectors()[0].clone(), k: 2 };
-        let merged = mid.merge(query, replies).unwrap();
+        let merged = mid.merge(view(&query), replies).unwrap();
         assert!(!merged.degraded, "all shards answered");
         assert_eq!(merged.value.iter().map(|n| n.id).collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -198,11 +212,11 @@ mod tests {
         let ds = corpus();
         let mid = midtier(&ds, 2);
         let replies = vec![
-            Ok(LeafSearchResponse { neighbors: vec![Neighbor { id: 4, distance: 0.5 }] }),
+            Ok(view(&LeafSearchResponse { neighbors: vec![Neighbor { id: 4, distance: 0.5 }] })),
             Err(RpcError::TimedOut),
         ];
         let query = SearchQuery { vector: ds.vectors()[0].clone(), k: 3 };
-        let merged = mid.merge(query, replies).unwrap();
+        let merged = mid.merge(view(&query), replies).unwrap();
         assert!(merged.degraded, "a lost shard must be reported");
         assert_eq!((merged.shards_ok, merged.shards_total), (1, 2));
         assert_eq!(merged.value.len(), 1);
@@ -214,6 +228,6 @@ mod tests {
         let mid = midtier(&ds, 2);
         let replies = vec![Err(RpcError::TimedOut), Err(RpcError::ConnectionClosed)];
         let query = SearchQuery { vector: ds.vectors()[0].clone(), k: 3 };
-        assert!(mid.merge(query, replies).is_err());
+        assert!(mid.merge(view(&query), replies).is_err());
     }
 }

@@ -1,19 +1,26 @@
 //! Typed wire messages for HDSearch.
 
-use musuite_codec::{BufMut, Decode, DecodeError, Encode};
+use musuite_codec::{BufMut, Decode, DecodeError, Encode, Reader};
 use musuite_core::error::ServiceError;
 
 /// A front-end k-NN query: the extracted feature vector plus the number of
 /// neighbours wanted.
+///
+/// The messages here are generic over how they hold their sequences:
+/// callers build the owned form (`Vec`, the defaults); a server reads
+/// [`Seq`](musuite_codec::Seq) views of the frame the message arrived in
+/// (DESIGN.md §5a). Both have one wire form. Build the owned form from
+/// typed values: a literal `vec![1.5]` that nothing else types is a
+/// `Vec<f64>`, another wire form.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SearchQuery {
+pub struct SearchQuery<V = Vec<f32>> {
     /// The query image's feature vector.
-    pub vector: Vec<f32>,
+    pub vector: V,
     /// Number of neighbours requested.
     pub k: u32,
 }
 
-impl Encode for SearchQuery {
+impl<V: Encode> Encode for SearchQuery<V> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         self.vector.encode(buf);
         self.k.encode(buf);
@@ -23,30 +30,34 @@ impl Encode for SearchQuery {
     }
 }
 
-impl Decode for SearchQuery {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (vector, rest) = Vec::<f32>::decode(bytes)?;
-        let (k, rest) = u32::decode(rest)?;
-        Ok((SearchQuery { vector, k }, rest))
+impl<V: Decode> Decode for SearchQuery<V> {
+    const MIN_WIRE_LEN: usize = V::MIN_WIRE_LEN + 1;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(SearchQuery { vector: V::decode(input)?, k: u32::decode(input)? })
     }
 }
 
 /// Refuses a query vector that cannot be searched: one whose length is not
 /// `dim`, or with a NaN or infinite coordinate, whose distances would not
-/// order. Both tiers ask before any distance is computed.
+/// order. Both tiers ask before any distance is computed, of a slice's
+/// `iter().copied()` or of a [`Seq`](musuite_codec::Seq) view's `iter()`.
 ///
 /// # Errors
 ///
 /// A [`Status::BadRequest`](musuite_codec::Status::BadRequest) error that
 /// names what is wrong.
-pub fn check_query(vector: &[f32], dim: usize) -> Result<(), ServiceError> {
+pub fn check_query(
+    mut vector: impl ExactSizeIterator<Item = f32>,
+    dim: usize,
+) -> Result<(), ServiceError> {
     if vector.len() != dim {
         return Err(ServiceError::bad_request(format!(
             "query dimension {} does not match corpus dimension {dim}",
             vector.len()
         )));
     }
-    if !vector.iter().all(|x| x.is_finite()) {
+    if !vector.all(f32::is_finite) {
         return Err(ServiceError::bad_request("query vector has a non-finite coordinate"));
     }
     Ok(())
@@ -72,26 +83,26 @@ impl Encode for Neighbor {
 }
 
 impl Decode for Neighbor {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (id, rest) = u64::decode(bytes)?;
-        let (distance, rest) = f32::decode(rest)?;
-        Ok((Neighbor { id, distance }, rest))
+    const MIN_WIRE_LEN: usize = 5;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(Neighbor { id: u64::decode(input)?, distance: f32::decode(input)? })
     }
 }
 
 /// Mid-tier → leaf request: the query vector, the candidate point ids the
 /// LSH lookup produced for that leaf (local indices), and `k`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LeafSearchRequest {
+pub struct LeafSearchRequest<V = Vec<f32>, C = Vec<u64>> {
     /// The query feature vector.
-    pub vector: Vec<f32>,
+    pub vector: V,
     /// Candidate local indices on this leaf to score.
-    pub candidates: Vec<u64>,
+    pub candidates: C,
     /// Neighbours wanted from this leaf.
     pub k: u32,
 }
 
-impl Encode for LeafSearchRequest {
+impl<V: Encode, C: Encode> Encode for LeafSearchRequest<V, C> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         self.vector.encode(buf);
         self.candidates.encode(buf);
@@ -102,24 +113,27 @@ impl Encode for LeafSearchRequest {
     }
 }
 
-impl Decode for LeafSearchRequest {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (vector, rest) = Vec::<f32>::decode(bytes)?;
-        let (candidates, rest) = Vec::<u64>::decode(rest)?;
-        let (k, rest) = u32::decode(rest)?;
-        Ok((LeafSearchRequest { vector, candidates, k }, rest))
+impl<V: Decode, C: Decode> Decode for LeafSearchRequest<V, C> {
+    const MIN_WIRE_LEN: usize = V::MIN_WIRE_LEN + C::MIN_WIRE_LEN + 1;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(LeafSearchRequest {
+            vector: V::decode(input)?,
+            candidates: C::decode(input)?,
+            k: u32::decode(input)?,
+        })
     }
 }
 
 /// Leaf → mid-tier response: up to `k` neighbours sorted by distance,
 /// ids already translated to global point ids.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LeafSearchResponse {
+pub struct LeafSearchResponse<N = Vec<Neighbor>> {
     /// Distance-sorted neighbours from this leaf's shard.
-    pub neighbors: Vec<Neighbor>,
+    pub neighbors: N,
 }
 
-impl Encode for LeafSearchResponse {
+impl<N: Encode> Encode for LeafSearchResponse<N> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         self.neighbors.encode(buf);
     }
@@ -128,10 +142,11 @@ impl Encode for LeafSearchResponse {
     }
 }
 
-impl Decode for LeafSearchResponse {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (neighbors, rest) = Vec::<Neighbor>::decode(bytes)?;
-        Ok((LeafSearchResponse { neighbors }, rest))
+impl<N: Decode> Decode for LeafSearchResponse<N> {
+    const MIN_WIRE_LEN: usize = N::MIN_WIRE_LEN;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(LeafSearchResponse { neighbors: N::decode(input)? })
     }
 }
 

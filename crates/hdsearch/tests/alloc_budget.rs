@@ -8,6 +8,7 @@
 // allocator cannot be written without `unsafe impl GlobalAlloc`.
 #![allow(unsafe_code)]
 
+use musuite_codec::{from_bytes, to_bytes, Bytes, Seq};
 use musuite_core::leaf::LeafHandler;
 use musuite_core::midtier::MidTierHandler;
 use musuite_core::shard::RoundRobinMap;
@@ -93,19 +94,21 @@ fn midtier(corpus: &VectorDataset) -> HdSearchMidTier {
     )
 }
 
-fn queries(corpus: &VectorDataset) -> Vec<SearchQuery> {
+/// Queries as the mid-tier reads them: each vector a view of its frame.
+fn queries(corpus: &VectorDataset) -> Vec<SearchQuery<Seq<f32>>> {
     corpus
         .sample_queries(QUERIES, 0.02)
         .into_iter()
-        .map(|vector| SearchQuery { vector, k: 10 })
+        .map(|vector| from_bytes(&to_bytes(&SearchQuery { vector, k: 10 })).unwrap())
         .collect()
 }
 
-/// `plan` owns, per call: the shared copy of the query vector, the
-/// per-leaf counts, the target list, and one exactly-sized candidate list
-/// per targeted leaf. The LSH lookup itself runs in per-thread scratch.
+/// `plan` owns, per call: the per-leaf counts, the target list, and one
+/// exactly-sized candidate list per targeted leaf. The query vector is
+/// shared by reference count and the LSH lookup runs in per-thread
+/// scratch.
 #[test]
-fn plan_allocates_one_list_per_targeted_leaf_plus_three() {
+fn plan_allocates_one_list_per_targeted_leaf_plus_two() {
     let _turn = take_turn();
     let corpus = corpus();
     let mid = midtier(&corpus);
@@ -116,15 +119,16 @@ fn plan_allocates_one_list_per_targeted_leaf_plus_three() {
     let per_plan = allocs_per_call(calls(QUERIES), calls(CALLS), |query| {
         black_box(mid.plan(query, LEAVES));
     });
-    let budget = (LEAVES + 3) as f64;
+    let budget = (LEAVES + 2) as f64;
     assert!(per_plan <= budget + SLACK, "{per_plan} allocator calls per plan, budget {budget}");
-    // Exactly: the three fixed ones plus one per targeted leaf.
-    let exact = 3.0 + targeted as f64 / QUERIES as f64;
+    // Exactly: the two fixed ones plus one per targeted leaf.
+    let exact = 2.0 + targeted as f64 / QUERIES as f64;
     assert!((per_plan - exact).abs() <= SLACK, "{per_plan} allocator calls per plan, not {exact}");
 }
 
 /// `handle` allocates only its response's neighbour list: candidates are
-/// scored in per-thread scratch and the top `k` selected in place.
+/// scored in per-thread scratch and the top `k` selected in place. So does
+/// `handle_payload`, which reads the request where its frame holds it.
 #[test]
 fn leaf_handle_allocates_only_its_response() {
     let _turn = take_turn();
@@ -137,7 +141,7 @@ fn leaf_handle_allocates_only_its_response() {
         .filter_map(|query| {
             let plan = mid.plan(query, LEAVES);
             let (_, (candidates, k)) = plan.targets.into_iter().find(|(leaf, _)| *leaf == 0)?;
-            Some(LeafSearchRequest { vector: query.vector.clone(), candidates, k })
+            Some(LeafSearchRequest { vector: query.vector.to_vec(), candidates, k })
         })
         .collect();
     assert!(requests.len() > QUERIES / 2, "most queries reach leaf 0");
@@ -146,4 +150,10 @@ fn leaf_handle_allocates_only_its_response() {
         black_box(leaf.handle(request).expect("a valid query is answered"));
     });
     assert!(per_handle <= 1.0 + SLACK, "{per_handle} allocator calls per handle, budget 1");
+    let frames: Vec<Bytes> = requests.iter().map(|r| Bytes::from(to_bytes(r))).collect();
+    let calls = |count: usize| (0..count).map(|i| frames[i % frames.len()].clone()).collect();
+    let per_payload = allocs_per_call(calls(frames.len()), calls(CALLS), |payload| {
+        black_box(leaf.handle_payload(payload).expect("a valid query is answered"));
+    });
+    assert!(per_payload <= 1.0 + SLACK, "{per_payload} allocator calls per payload, budget 1");
 }

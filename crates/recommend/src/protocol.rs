@@ -1,6 +1,6 @@
 //! Typed wire messages for Recommend.
 
-use musuite_codec::{BufMut, Decode, DecodeError, Encode};
+use musuite_codec::{BufMut, Decode, DecodeError, Encode, Reader};
 
 /// A `{user, item}` rating-prediction query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +22,10 @@ impl Encode for RatingQuery {
 }
 
 impl Decode for RatingQuery {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (user, rest) = u32::decode(bytes)?;
-        let (item, rest) = u32::decode(rest)?;
-        Ok((RatingQuery { user, item }, rest))
+    const MIN_WIRE_LEN: usize = 2;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(RatingQuery { user: u32::decode(input)?, item: u32::decode(input)? })
     }
 }
 
@@ -50,10 +50,10 @@ impl Encode for LeafRating {
 }
 
 impl Decode for LeafRating {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (rating, rest) = f32::decode(bytes)?;
-        let (neighbors, rest) = u32::decode(rest)?;
-        Ok((LeafRating { rating, neighbors }, rest))
+    const MIN_WIRE_LEN: usize = 5;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(LeafRating { rating: f32::decode(input)?, neighbors: u32::decode(input)? })
     }
 }
 

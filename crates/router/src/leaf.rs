@@ -8,8 +8,9 @@
 
 use crate::memkv::{MemKv, MemKvConfig};
 use crate::protocol::{KvRequest, KvResponse};
+use musuite_codec::{Bytes, Text};
 use musuite_core::error::ServiceError;
-use musuite_core::leaf::LeafHandler;
+use musuite_core::leaf::{decode_payload, LeafHandler};
 use std::sync::Arc;
 
 /// A key-value leaf microservice.
@@ -34,6 +35,28 @@ impl RouterLeaf {
     pub fn store(&self) -> &Arc<MemKv> {
         &self.store
     }
+
+    /// Runs one request against the store, in whichever form it came: the
+    /// key is read as bytes, and a value the store keeps becomes its own
+    /// `Vec` (a view's is copied out of the frame).
+    fn apply<K: AsRef<[u8]>, V: Into<Vec<u8>>>(&self, request: KvRequest<K, V>) -> KvResponse {
+        match request {
+            KvRequest::Get { key } => KvResponse::Value(self.store.get(&key)),
+            KvRequest::Set { key, value } => {
+                self.store.set(&key, value.into());
+                KvResponse::Stored
+            }
+            KvRequest::Delete { key } => KvResponse::Deleted(self.store.delete(&key)),
+            KvRequest::SetEx { key, value, ttl_ms } => {
+                self.store.set_with_ttl(
+                    &key,
+                    value.into(),
+                    Some(std::time::Duration::from_millis(ttl_ms)),
+                );
+                KvResponse::Stored
+            }
+        }
+    }
 }
 
 impl LeafHandler for RouterLeaf {
@@ -41,22 +64,12 @@ impl LeafHandler for RouterLeaf {
     type Response = KvResponse;
 
     fn handle(&self, request: KvRequest) -> Result<KvResponse, ServiceError> {
-        Ok(match request {
-            KvRequest::Get { key } => KvResponse::Value(self.store.get(&key)),
-            KvRequest::Set { key, value } => {
-                self.store.set(&key, value);
-                KvResponse::Stored
-            }
-            KvRequest::Delete { key } => KvResponse::Deleted(self.store.delete(&key)),
-            KvRequest::SetEx { key, value, ttl_ms } => {
-                self.store.set_with_ttl(
-                    &key,
-                    value,
-                    Some(std::time::Duration::from_millis(ttl_ms)),
-                );
-                KvResponse::Stored
-            }
-        })
+        Ok(self.apply(request))
+    }
+
+    /// Reads the key and value as views of the frame.
+    fn handle_payload(&self, payload: Bytes) -> Result<KvResponse, ServiceError> {
+        Ok(self.apply(decode_payload::<KvRequest<Text, Bytes>>(payload)?))
     }
 }
 

@@ -37,12 +37,12 @@ struct Entry {
 }
 
 struct Shard {
-    map: HashMap<String, Entry>,
+    map: HashMap<Box<[u8]>, Entry>,
     bytes: usize,
 }
 
 impl Shard {
-    fn entry_cost(key: &str, value: &[u8]) -> usize {
+    fn entry_cost(key: &[u8], value: &[u8]) -> usize {
         key.len() + value.len() + 64 // fixed per-entry overhead estimate
     }
 
@@ -63,7 +63,9 @@ impl Shard {
     }
 }
 
-/// A sharded, LRU-evicting, TTL-aware in-memory key-value store.
+/// A sharded, LRU-evicting, TTL-aware in-memory key-value store. Keys
+/// are byte strings (a `&str` or a decoded [`Text`](musuite_codec::Text)
+/// key reads as its bytes); the store owns what it holds.
 ///
 /// # Examples
 ///
@@ -108,10 +110,10 @@ impl MemKv {
         }
     }
 
-    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
+    fn shard_of(&self, key: &[u8]) -> &Mutex<Shard> {
         // FNV-1a over the key selects the lock shard.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &b in key.as_bytes() {
+        for &b in key {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x1_0000_0000_01b3);
         }
@@ -124,22 +126,23 @@ impl MemKv {
 
     /// Stores `value` under `key` with the default TTL, returning the
     /// previous value if one existed.
-    pub fn set(&self, key: &str, value: Vec<u8>) -> Option<Vec<u8>> {
+    pub fn set(&self, key: &(impl AsRef<[u8]> + ?Sized), value: Vec<u8>) -> Option<Vec<u8>> {
         self.set_with_ttl(key, value, self.default_ttl)
     }
 
     /// Stores `value` under `key` with an explicit TTL.
     pub fn set_with_ttl(
         &self,
-        key: &str,
+        key: &(impl AsRef<[u8]> + ?Sized),
         value: Vec<u8>,
         ttl: Option<Duration>,
     ) -> Option<Vec<u8>> {
+        let key = key.as_ref();
         let tick = self.tick();
         let mut shard = self.shard_of(key).lock();
         let cost = Shard::entry_cost(key, &value);
         let entry = Entry { value, last_used: tick, expires_at: ttl.map(|t| Instant::now() + t) };
-        let old = shard.map.insert(key.to_string(), entry);
+        let old = shard.map.insert(key.into(), entry);
         shard.bytes += cost;
         if let Some(ref old_entry) = old {
             shard.bytes -= Shard::entry_cost(key, &old_entry.value);
@@ -150,7 +153,8 @@ impl MemKv {
 
     /// Reads the value for `key`, refreshing its LRU position. Expired
     /// entries read as misses and are removed.
-    pub fn get(&self, key: &str) -> Option<Vec<u8>> {
+    pub fn get(&self, key: &(impl AsRef<[u8]> + ?Sized)) -> Option<Vec<u8>> {
+        let key = key.as_ref();
         let tick = self.tick();
         let mut shard = self.shard_of(key).lock();
         match shard.map.get_mut(key) {
@@ -171,7 +175,8 @@ impl MemKv {
     }
 
     /// Removes `key`, returning whether it was present (and unexpired).
-    pub fn delete(&self, key: &str) -> bool {
+    pub fn delete(&self, key: &(impl AsRef<[u8]> + ?Sized)) -> bool {
+        let key = key.as_ref();
         let mut shard = self.shard_of(key).lock();
         match shard.map.remove(key) {
             Some(entry) => {

@@ -10,6 +10,7 @@
 use crate::protocol::{KvRequest, KvResponse};
 use crate::spooky::SpookyHasher;
 use musuite_check::atomic::{AtomicU64, Ordering};
+use musuite_codec::{Bytes, Text};
 use musuite_core::error::ServiceError;
 use musuite_core::midtier::{MidTierHandler, Plan};
 use musuite_core::replication::ReplicaSet;
@@ -44,17 +45,22 @@ impl RouterMidTier {
     }
 }
 
-impl MidTierHandler for RouterMidTier {
-    type Request = KvRequest;
-    type Response = KvResponse;
-    // Every replica receives the identical request (key + value bytes), so
-    // the whole request is shared state: it is serialized once and the
-    // write fan-out to N replicas reuses the same buffer.
-    type SharedRequest = KvRequest;
-    type LeafRequest = ();
-    type LeafResponse = KvResponse;
+/// A request as the mid-tier reads it: key and value are views of the
+/// frame it arrived in.
+type KvView = KvRequest<Text, Bytes>;
 
-    fn plan(&self, request: &KvRequest, leaves: usize) -> Plan<KvRequest, ()> {
+impl MidTierHandler for RouterMidTier {
+    type Request = KvView;
+    // A get's value passes through from the replica's reply, uncopied.
+    type Response = KvResponse<Bytes>;
+    // Every replica receives the identical request (key + value bytes), so
+    // the whole request is shared state: the plan holds it by reference
+    // count and encodes it into each replica's frame.
+    type SharedRequest = KvView;
+    type LeafRequest = ();
+    type LeafResponse = KvResponse<Bytes>;
+
+    fn plan(&self, request: &KvView, leaves: usize) -> Plan<KvView, ()> {
         let replica_set = self.replica_set(leaves);
         let hash = self.hasher.hash64(request.key().as_bytes());
         match request {
@@ -78,9 +84,9 @@ impl MidTierHandler for RouterMidTier {
 
     fn merge(
         &self,
-        request: KvRequest,
-        replies: Vec<Result<KvResponse, RpcError>>,
-    ) -> Result<KvResponse, ServiceError> {
+        request: KvView,
+        replies: Vec<Result<KvResponse<Bytes>, RpcError>>,
+    ) -> Result<KvResponse<Bytes>, ServiceError> {
         match request {
             KvRequest::Get { key } => match replies.into_iter().next() {
                 Some(Ok(response)) => Ok(response),
@@ -129,12 +135,12 @@ impl MidTierHandler for RouterMidTier {
 mod tests {
     use super::*;
 
-    fn get(key: &str) -> KvRequest {
+    fn get(key: &'static str) -> KvView {
         KvRequest::Get { key: key.into() }
     }
 
-    fn set(key: &str) -> KvRequest {
-        KvRequest::Set { key: key.into(), value: vec![1] }
+    fn set(key: &'static str) -> KvView {
+        KvRequest::Set { key: key.into(), value: Bytes::from_static(&[1]) }
     }
 
     #[test]
@@ -189,8 +195,9 @@ mod tests {
     #[test]
     fn merge_get_passes_value_through() {
         let router = RouterMidTier::new(3);
-        let merged = router.merge(get("k"), vec![Ok(KvResponse::Value(Some(vec![9])))]).unwrap();
-        assert_eq!(merged, KvResponse::Value(Some(vec![9])));
+        let value = || Some(Bytes::from_static(&[9]));
+        let merged = router.merge(get("k"), vec![Ok(KvResponse::Value(value()))]).unwrap();
+        assert_eq!(merged, KvResponse::Value(value()));
         assert!(router.merge(get("k"), vec![Err(RpcError::TimedOut)]).is_err());
     }
 

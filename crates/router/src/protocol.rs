@@ -4,43 +4,48 @@
 //! delete is included because the leaf store supports it and the drop-in
 //! proxy property requires covering the standard client surface.
 
-use musuite_codec::{BufMut, Decode, DecodeError, Encode};
+use musuite_codec::{BufMut, Decode, DecodeError, Encode, Reader};
 
 /// A client request routed by the mid-tier.
+///
+/// Generic over how it holds its key and value: callers build the owned
+/// form, `KvRequest` (`String`, `Vec<u8>`); a server reads
+/// `KvRequest<Text, Bytes>`, whose key and value are views of the frame
+/// it arrived in (DESIGN.md §5a). Both have one wire form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvRequest {
+pub enum KvRequest<K = String, V = Vec<u8>> {
     /// Read a key.
     Get {
         /// The key to read.
-        key: String,
+        key: K,
     },
     /// Write a key-value pair.
     Set {
         /// The key to write.
-        key: String,
+        key: K,
         /// The value bytes.
-        value: Vec<u8>,
+        value: V,
     },
     /// Remove a key.
     Delete {
         /// The key to remove.
-        key: String,
+        key: K,
     },
     /// Write a key-value pair that expires after a time-to-live — the
     /// memcached `set` with an expiry, exercised by cache-style callers.
     SetEx {
         /// The key to write.
-        key: String,
+        key: K,
         /// The value bytes.
-        value: Vec<u8>,
+        value: V,
         /// Time-to-live in milliseconds.
         ttl_ms: u64,
     },
 }
 
-impl KvRequest {
+impl<K, V> KvRequest<K, V> {
     /// The key this request touches.
-    pub fn key(&self) -> &str {
+    pub fn key(&self) -> &K {
         match self {
             KvRequest::Get { key }
             | KvRequest::Set { key, .. }
@@ -55,7 +60,7 @@ impl KvRequest {
     }
 }
 
-impl Encode for KvRequest {
+impl<K: Encode, V: Encode> Encode for KvRequest<K, V> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             KvRequest::Get { key } => {
@@ -89,47 +94,38 @@ impl Encode for KvRequest {
     }
 }
 
-impl Decode for KvRequest {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (&tag, rest) =
-            bytes.split_first().ok_or(DecodeError::UnexpectedEof { context: "KvRequest" })?;
-        match tag {
-            0 => {
-                let (key, rest) = String::decode(rest)?;
-                Ok((KvRequest::Get { key }, rest))
-            }
-            1 => {
-                let (key, rest) = String::decode(rest)?;
-                let (value, rest) = Vec::<u8>::decode(rest)?;
-                Ok((KvRequest::Set { key, value }, rest))
-            }
-            2 => {
-                let (key, rest) = String::decode(rest)?;
-                Ok((KvRequest::Delete { key }, rest))
-            }
-            3 => {
-                let (key, rest) = String::decode(rest)?;
-                let (value, rest) = Vec::<u8>::decode(rest)?;
-                let (ttl_ms, rest) = u64::decode(rest)?;
-                Ok((KvRequest::SetEx { key, value, ttl_ms }, rest))
-            }
+impl<K: Decode, V: Decode> Decode for KvRequest<K, V> {
+    const MIN_WIRE_LEN: usize = 1 + K::MIN_WIRE_LEN;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        match input.byte("KvRequest")? {
+            0 => Ok(KvRequest::Get { key: K::decode(input)? }),
+            1 => Ok(KvRequest::Set { key: K::decode(input)?, value: V::decode(input)? }),
+            2 => Ok(KvRequest::Delete { key: K::decode(input)? }),
+            3 => Ok(KvRequest::SetEx {
+                key: K::decode(input)?,
+                value: V::decode(input)?,
+                ttl_ms: u64::decode(input)?,
+            }),
             value => Err(DecodeError::InvalidDiscriminant { value, context: "KvRequest" }),
         }
     }
 }
 
-/// A leaf's (and the mid-tier's) reply.
+/// A leaf's (and the mid-tier's) reply. Generic over how it holds a value,
+/// as [`KvRequest`] is: a leaf answers with the owned form, the mid-tier
+/// reads and passes on `KvResponse<Bytes>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvResponse {
+pub enum KvResponse<V = Vec<u8>> {
     /// The value for a get, or `None` on a miss.
-    Value(Option<Vec<u8>>),
+    Value(Option<V>),
     /// Acknowledgement of a set.
     Stored,
     /// Result of a delete: whether the key existed.
     Deleted(bool),
 }
 
-impl Encode for KvResponse {
+impl<V: Encode> Encode for KvResponse<V> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             KvResponse::Value(value) => {
@@ -153,20 +149,12 @@ impl Encode for KvResponse {
     }
 }
 
-impl Decode for KvResponse {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (&tag, rest) =
-            bytes.split_first().ok_or(DecodeError::UnexpectedEof { context: "KvResponse" })?;
-        match tag {
-            0 => {
-                let (value, rest) = Option::<Vec<u8>>::decode(rest)?;
-                Ok((KvResponse::Value(value), rest))
-            }
-            1 => Ok((KvResponse::Stored, rest)),
-            2 => {
-                let (existed, rest) = bool::decode(rest)?;
-                Ok((KvResponse::Deleted(existed), rest))
-            }
+impl<V: Decode> Decode for KvResponse<V> {
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        match input.byte("KvResponse")? {
+            0 => Ok(KvResponse::Value(Option::<V>::decode(input)?)),
+            1 => Ok(KvResponse::Stored),
+            2 => Ok(KvResponse::Deleted(bool::decode(input)?)),
             value => Err(DecodeError::InvalidDiscriminant { value, context: "KvResponse" }),
         }
     }
@@ -175,7 +163,7 @@ impl Decode for KvResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use musuite_codec::{from_bytes, to_bytes};
+    use musuite_codec::{from_bytes, from_payload, to_bytes, Bytes, Text};
 
     #[test]
     fn request_roundtrips() {
@@ -188,6 +176,8 @@ mod tests {
         ] {
             let bytes = to_bytes(&request);
             assert_eq!(from_bytes::<KvRequest>(&bytes).unwrap(), request);
+            let view: KvRequest<Text, Bytes> = from_payload(Bytes::from(bytes.clone())).unwrap();
+            assert_eq!(to_bytes(&view), bytes);
         }
     }
 
@@ -210,14 +200,16 @@ mod tests {
         assert!(from_bytes::<KvRequest>(&[9]).is_err());
         assert!(from_bytes::<KvResponse>(&[9]).is_err());
         assert!(from_bytes::<KvRequest>(&[]).is_err());
+        assert!(from_bytes::<KvRequest<Text, Bytes>>(&[9]).is_err());
     }
 
     #[test]
     fn key_and_is_read_accessors() {
-        assert_eq!(KvRequest::Get { key: "a".into() }.key(), "a");
-        assert!(KvRequest::Get { key: "a".into() }.is_read());
-        assert!(!KvRequest::Set { key: "a".into(), value: vec![] }.is_read());
-        assert!(!KvRequest::Delete { key: "a".into() }.is_read());
-        assert!(!KvRequest::SetEx { key: "a".into(), value: vec![], ttl_ms: 1 }.is_read());
+        let get = |key: &str| -> KvRequest { KvRequest::Get { key: key.into() } };
+        assert_eq!(get("a").key(), "a");
+        assert!(get("a").is_read());
+        assert!(!KvRequest::Set { key: "a".to_string(), value: vec![0u8] }.is_read());
+        assert!(!KvRequest::<_, Vec<u8>>::Delete { key: "a" }.is_read());
+        assert!(!KvRequest::SetEx { key: "a", value: [0u8], ttl_ms: 1 }.is_read());
     }
 }

@@ -103,28 +103,44 @@ impl InvertedIndex {
     /// words (or no terms at all) is uninformative and returns empty, the
     /// standard IR treatment — and the one that keeps leaf work bounded,
     /// which is the entire point of the stop list (§III-C).
-    pub fn search(&self, terms: &[TermId]) -> Vec<DocId> {
-        let mut lists: Vec<&SkipList> = Vec::new();
-        for &term in terms {
+    ///
+    /// `terms` is read twice, so it may be an owned list's `iter().copied()`
+    /// or a frame's view of one. The only allocation is the result: the
+    /// shortest posting list, materialized at its exact length, which the
+    /// other lists then narrow in place.
+    pub fn search<I>(&self, terms: I) -> Vec<DocId>
+    where
+        I: IntoIterator<Item = TermId>,
+        I::IntoIter: Clone,
+    {
+        let terms = terms.into_iter();
+        let mut shortest: Option<&SkipList> = None;
+        for term in terms.clone() {
             if self.is_stopped(term) {
                 continue; // stop words constrain nothing in a conjunction
             }
             match self.postings.get(&term) {
-                Some(list) => lists.push(list),
+                Some(list) if shortest.is_none_or(|s| list.len() < s.len()) => {
+                    shortest = Some(list);
+                }
+                Some(_) => {}
                 None => return Vec::new(), // an absent term matches no document
             }
         }
-        if lists.is_empty() {
+        let Some(shortest) = shortest else {
             return Vec::new(); // stop-word-only or empty query
-        }
-        lists.sort_by_key(|list| list.len());
-        // Materialize the shortest list, then intersect via seeks.
-        let mut result: Vec<DocId> = lists[0].iter().collect();
-        for list in &lists[1..] {
+        };
+        let mut result: Vec<DocId> = Vec::with_capacity(shortest.len());
+        result.extend(shortest.iter());
+        // Stopped terms have no posting list, and the shortest one is
+        // already the result.
+        for list in terms.filter_map(|term| self.postings.get(&term)) {
             if result.is_empty() {
                 break;
             }
-            result = crate::intersect::intersect_skipping(&result, list);
+            if !std::ptr::eq(list, shortest) {
+                crate::intersect::intersect_skipping(&mut result, list);
+            }
         }
         result
     }
@@ -153,9 +169,9 @@ mod tests {
     #[test]
     fn single_term_lookup() {
         let index = sample();
-        assert_eq!(index.search(&[2]), vec![0, 1]);
-        assert_eq!(index.search(&[4]), vec![3]);
-        assert_eq!(index.search(&[9]), Vec::<DocId>::new());
+        assert_eq!(index.search([2]), vec![0, 1]);
+        assert_eq!(index.search([4]), vec![3]);
+        assert_eq!(index.search([9]), Vec::<DocId>::new());
         assert_eq!(index.document_count(), 4);
         assert_eq!(index.term_count(), 4);
     }
@@ -163,9 +179,9 @@ mod tests {
     #[test]
     fn conjunction_intersects() {
         let index = sample();
-        assert_eq!(index.search(&[2, 3]), vec![0, 1]);
-        assert_eq!(index.search(&[1, 2, 3]), vec![0]);
-        assert_eq!(index.search(&[1, 4]), Vec::<DocId>::new());
+        assert_eq!(index.search([2, 3]), vec![0, 1]);
+        assert_eq!(index.search([1, 2, 3]), vec![0]);
+        assert_eq!(index.search([1, 4]), Vec::<DocId>::new());
     }
 
     #[test]
@@ -177,23 +193,23 @@ mod tests {
         assert!(index.is_stopped(3));
         assert!(index.postings(3).is_none());
         // A stopped term does not constrain the query.
-        assert_eq!(index.search(&[2, 3]), vec![0, 1]);
+        assert_eq!(index.search([2, 3]), vec![0, 1]);
         // An all-stop-word query is uninformative: empty.
-        assert_eq!(index.search(&[3]), Vec::<DocId>::new());
+        assert_eq!(index.search([3]), Vec::<DocId>::new());
     }
 
     #[test]
     fn empty_query_matches_nothing() {
         let index = sample();
-        assert_eq!(index.search(&[]), Vec::<DocId>::new());
+        assert_eq!(index.search([]), Vec::<DocId>::new());
     }
 
     #[test]
     fn respects_custom_doc_ids() {
         let docs = vec![vec![7], vec![7, 8]];
         let index = InvertedIndex::build(&docs, &[100, 200], 0);
-        assert_eq!(index.search(&[7]), vec![100, 200]);
-        assert_eq!(index.search(&[8]), vec![200]);
+        assert_eq!(index.search([7]), vec![100, 200]);
+        assert_eq!(index.search([8]), vec![200]);
     }
 
     #[test]
@@ -208,7 +224,11 @@ mod tests {
         let doc_ids: Vec<DocId> = (0..corpus.len() as DocId).collect();
         let index = InvertedIndex::build(corpus.documents(), &doc_ids, 0);
         for query in corpus.sample_queries(50) {
-            assert_eq!(index.search(&query), corpus.matching_documents(&query), "{query:?}");
+            assert_eq!(
+                index.search(query.iter().copied()),
+                corpus.matching_documents(&query),
+                "{query:?}"
+            );
         }
     }
 }

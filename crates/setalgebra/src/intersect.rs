@@ -92,20 +92,25 @@ pub fn intersect_galloping(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Intersects a sorted slice (the shorter, driving list) against a skip
-/// list by seeking — expected `O(|a| log |b|)`, beating the linear merge
-/// when `|a| ≪ |b|`.
-pub fn intersect_skipping(a: &[u32], b: &SkipList) -> Vec<u32> {
-    let mut out = Vec::new();
+/// Intersects a sorted list (the shorter, driving list) with a skip list
+/// in place, by seeking — expected `O(|a| log |b|)`, beating the linear
+/// merge when `|a| ≪ |b|`. `a` keeps the values `b` holds, and its
+/// storage: nothing is allocated.
+pub fn intersect_skipping(a: &mut Vec<u32>, b: &SkipList) {
     let mut cursor = b.cursor();
-    for &value in a {
-        match cursor.seek(value) {
-            Some(found) if found == value => out.push(value),
-            Some(_) => {}
-            None => break,
+    let mut past_end = false;
+    a.retain(|&value| {
+        if past_end {
+            return false;
         }
-    }
-    out
+        match cursor.seek(value) {
+            Some(found) => found == value,
+            None => {
+                past_end = true;
+                false
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -149,7 +154,9 @@ mod tests {
             b_vec.sort_unstable();
             b_vec.dedup();
             let b_skip: SkipList = b_vec.iter().copied().collect();
-            assert_eq!(intersect_skipping(&a, &b_skip), intersect_linear(&a, &b_vec));
+            let expected = intersect_linear(&a, &b_vec);
+            intersect_skipping(&mut a, &b_skip);
+            assert_eq!(a, expected);
         }
     }
 
@@ -183,9 +190,11 @@ mod tests {
 
     #[test]
     fn skipping_empty_inputs() {
-        let empty = SkipList::new();
-        assert_eq!(intersect_skipping(&[1, 2, 3], &empty), Vec::<u32>::new());
-        let full: SkipList = (0..10u32).collect();
-        assert_eq!(intersect_skipping(&[], &full), Vec::<u32>::new());
+        let mut a = vec![1, 2, 3];
+        intersect_skipping(&mut a, &SkipList::new());
+        assert_eq!(a, Vec::<u32>::new());
+        let mut a = Vec::new();
+        intersect_skipping(&mut a, &(0..10u32).collect());
+        assert_eq!(a, Vec::<u32>::new());
     }
 }

@@ -2,8 +2,9 @@
 
 use crate::index::InvertedIndex;
 use crate::protocol::{PostingList, TermQuery};
+use musuite_codec::{Bytes, Seq};
 use musuite_core::error::ServiceError;
-use musuite_core::leaf::LeafHandler;
+use musuite_core::leaf::{decode_payload, LeafHandler};
 use musuite_data::text::{DocId, TermId};
 
 /// A leaf holding an inverted index over its document shard.
@@ -41,7 +42,13 @@ impl LeafHandler for SetAlgebraLeaf {
     type Response = PostingList;
 
     fn handle(&self, request: TermQuery) -> Result<PostingList, ServiceError> {
-        Ok(PostingList { docs: self.index.search(&request.terms) })
+        Ok(PostingList { docs: self.index.search(request.terms.iter().copied()) })
+    }
+
+    /// Reads the terms in place.
+    fn handle_payload(&self, payload: Bytes) -> Result<PostingList, ServiceError> {
+        let request: TermQuery<Seq<TermId>> = decode_payload(payload)?;
+        Ok(PostingList { docs: self.index.search(request.terms.iter()) })
     }
 }
 

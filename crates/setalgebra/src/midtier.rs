@@ -8,9 +8,11 @@
 
 use crate::protocol::{PostingList, TermQuery};
 use crate::union_merge::union_sorted;
+use musuite_codec::Seq;
 use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
 use musuite_core::midtier::{MidTierHandler, Plan};
+use musuite_data::text::{DocId, TermId};
 use musuite_rpc::RpcError;
 
 /// The broadcast-and-union mid-tier microservice.
@@ -24,23 +26,27 @@ impl SetAlgebraMidTier {
     }
 }
 
+/// A query as the mid-tier reads it: the terms are a view of the frame.
+type QueryView = TermQuery<Seq<TermId>>;
+
 impl MidTierHandler for SetAlgebraMidTier {
-    type Request = TermQuery;
+    type Request = QueryView;
     type Response = Degraded<PostingList>;
     // Every shard receives the identical term list, so the query is shared
-    // state: serialized once, fanned out by reference count.
-    type SharedRequest = TermQuery;
+    // state: the plan holds the frame's view of it by reference count.
+    type SharedRequest = QueryView;
     type LeafRequest = ();
-    type LeafResponse = PostingList;
+    // Shard results are unioned from views of their frames.
+    type LeafResponse = PostingList<Seq<DocId>>;
 
-    fn plan(&self, request: &TermQuery, leaves: usize) -> Plan<TermQuery, ()> {
+    fn plan(&self, request: &QueryView, leaves: usize) -> Plan<QueryView, ()> {
         Plan::broadcast(request.clone(), (), leaves)
     }
 
     fn merge(
         &self,
-        _request: TermQuery,
-        replies: Vec<Result<PostingList, RpcError>>,
+        _request: QueryView,
+        replies: Vec<Result<PostingList<Seq<DocId>>, RpcError>>,
     ) -> Result<Degraded<PostingList>, ServiceError> {
         // Document retrieval must not *silently* drop a shard: a missing
         // shard means missing documents. A quorum of surviving shards may
@@ -64,13 +70,19 @@ impl MidTierHandler for SetAlgebraMidTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musuite_codec::{from_bytes, to_bytes, Decode, Encode};
+
+    /// `owned` as the mid-tier reads it off the wire.
+    fn view<T: Decode>(owned: &impl Encode) -> T {
+        from_bytes(&to_bytes(owned)).unwrap()
+    }
 
     #[test]
     fn plan_broadcasts_to_all_leaves() {
         let mid = SetAlgebraMidTier::new();
-        let plan = mid.plan(&TermQuery { terms: vec![1, 2] }, 4);
+        let plan = mid.plan(&view(&TermQuery { terms: vec![1u32, 2] }), 4);
         assert_eq!(plan.len(), 4);
-        assert_eq!(plan.shared.terms, vec![1, 2], "term list is the shared state");
+        assert_eq!(plan.shared.terms.to_vec(), [1, 2], "term list is the shared state");
         let leaves: Vec<usize> = plan.targets.iter().map(|(leaf, ())| *leaf).collect();
         assert_eq!(leaves, vec![0, 1, 2, 3]);
     }
@@ -82,9 +94,9 @@ mod tests {
             .merge(
                 TermQuery::default(),
                 vec![
-                    Ok(PostingList { docs: vec![0, 4] }),
-                    Ok(PostingList { docs: vec![1, 5] }),
-                    Ok(PostingList { docs: vec![2] }),
+                    Ok(view(&PostingList { docs: vec![0u32, 4] })),
+                    Ok(view(&PostingList { docs: vec![1u32, 5] })),
+                    Ok(view(&PostingList { docs: vec![2u32] })),
                 ],
             )
             .unwrap();
@@ -99,8 +111,8 @@ mod tests {
             .merge(
                 TermQuery::default(),
                 vec![
-                    Ok(PostingList { docs: vec![1] }),
-                    Ok(PostingList { docs: vec![2] }),
+                    Ok(view(&PostingList { docs: vec![1u32] })),
+                    Ok(view(&PostingList { docs: vec![2u32] })),
                     Err(RpcError::TimedOut),
                 ],
             )
@@ -115,7 +127,7 @@ mod tests {
         let mid = SetAlgebraMidTier::new();
         let result = mid.merge(
             TermQuery::default(),
-            vec![Ok(PostingList { docs: vec![1] }), Err(RpcError::TimedOut)],
+            vec![Ok(view(&PostingList { docs: vec![1u32] })), Err(RpcError::TimedOut)],
         );
         assert!(result.is_err(), "half the shards is not a quorum");
     }

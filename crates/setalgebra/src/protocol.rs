@@ -1,17 +1,24 @@
 //! Typed wire messages for Set Algebra.
 
-use musuite_codec::{BufMut, Decode, DecodeError, Encode};
+use musuite_codec::{BufMut, Decode, DecodeError, Encode, Reader};
 use musuite_data::text::{DocId, TermId};
 
 /// A search query: the terms whose posting lists must all contain a
 /// matching document. The paper caps queries at ~10 terms.
+///
+/// The messages here are generic over how they hold their lists: callers
+/// build the owned form (`Vec`, the default); a server reads
+/// [`Seq`](musuite_codec::Seq) views of the frame the message arrived in
+/// (DESIGN.md §5a). Both have one wire form. Build the owned form from
+/// typed ids: a literal `vec![1, 2]` that nothing else types is a
+/// `Vec<i32>`, another wire form.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TermQuery {
+pub struct TermQuery<T = Vec<TermId>> {
     /// Query term ids.
-    pub terms: Vec<TermId>,
+    pub terms: T,
 }
 
-impl Encode for TermQuery {
+impl<T: Encode> Encode for TermQuery<T> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         self.terms.encode(buf);
     }
@@ -20,21 +27,22 @@ impl Encode for TermQuery {
     }
 }
 
-impl Decode for TermQuery {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (terms, rest) = Vec::<TermId>::decode(bytes)?;
-        Ok((TermQuery { terms }, rest))
+impl<T: Decode> Decode for TermQuery<T> {
+    const MIN_WIRE_LEN: usize = T::MIN_WIRE_LEN;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(TermQuery { terms: T::decode(input)? })
     }
 }
 
 /// A posting list of matching document ids, sorted ascending.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PostingList {
+pub struct PostingList<D = Vec<DocId>> {
     /// Matching document ids.
-    pub docs: Vec<DocId>,
+    pub docs: D,
 }
 
-impl Encode for PostingList {
+impl<D: Encode> Encode for PostingList<D> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         self.docs.encode(buf);
     }
@@ -43,10 +51,11 @@ impl Encode for PostingList {
     }
 }
 
-impl Decode for PostingList {
-    fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), DecodeError> {
-        let (docs, rest) = Vec::<DocId>::decode(bytes)?;
-        Ok((PostingList { docs }, rest))
+impl<D: Decode> Decode for PostingList<D> {
+    const MIN_WIRE_LEN: usize = D::MIN_WIRE_LEN;
+
+    fn decode(input: &mut Reader) -> Result<Self, DecodeError> {
+        Ok(PostingList { docs: D::decode(input)? })
     }
 }
 

@@ -5,7 +5,8 @@
 //! space, so inputs are disjoint in production; the union nonetheless
 //! deduplicates to stay a correct set operation for arbitrary inputs.
 
-/// Unions sorted `u32` lists into one sorted, deduplicated list.
+/// Unions sorted `u32` lists, owned or read from the leaves' frames, into
+/// one sorted, deduplicated list.
 ///
 /// # Examples
 ///
@@ -15,12 +16,16 @@
 /// let merged = union_sorted(vec![vec![1, 5], vec![2, 5, 9]]);
 /// assert_eq!(merged, vec![1, 2, 5, 9]);
 /// ```
-pub fn union_sorted(lists: Vec<Vec<u32>>) -> Vec<u32> {
+pub fn union_sorted<L>(lists: Vec<L>) -> Vec<u32>
+where
+    L: IntoIterator<Item = u32>,
+    L::IntoIter: ExactSizeIterator,
+{
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let total: usize = lists.iter().map(Vec::len).sum();
     let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-    let mut iters: Vec<std::vec::IntoIter<u32>> = lists.into_iter().map(Vec::into_iter).collect();
+    let mut iters: Vec<L::IntoIter> = lists.into_iter().map(IntoIterator::into_iter).collect();
+    let total: usize = iters.iter().map(ExactSizeIterator::len).sum();
     for (i, iter) in iters.iter_mut().enumerate() {
         if let Some(v) = iter.next() {
             heap.push(Reverse((v, i)));
@@ -56,7 +61,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert_eq!(union_sorted(Vec::new()), Vec::<u32>::new());
+        assert_eq!(union_sorted(Vec::<Vec<u32>>::new()), Vec::<u32>::new());
         assert_eq!(union_sorted(vec![Vec::new(), Vec::new()]), Vec::<u32>::new());
         assert_eq!(union_sorted(vec![vec![7]]), vec![7]);
     }

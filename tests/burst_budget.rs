@@ -81,23 +81,27 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Set while `report_allocation_sites` counts: every allocator call then
 /// notes its site. Clear, the allocator reads it and does nothing more.
 static SITES_ON: AtomicBool = AtomicBool::new(false);
-/// Allocator calls and bytes by site, while `SITES_ON` is set.
-static SITES: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
+/// Allocator calls and bytes by site and layer, while `SITES_ON` is set.
+static SITES: Mutex<BTreeMap<SiteInLayer, (u64, u64)>> = Mutex::new(BTreeMap::new());
+/// A call site (see [`call_site`]) and its layer (see [`layer`]).
+type SiteInLayer = (String, &'static str);
 
 thread_local! {
     /// This thread is noting a site: what that allocates is not noted.
     static NOTING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Charges one allocator call of `bytes` to the site the backtrace names.
+/// Charges one allocator call of `bytes` to the site and the layer the
+/// backtrace names.
 fn note_site(bytes: usize) {
     let _ = NOTING.try_with(|noting| {
         if noting.replace(true) {
             return;
         }
-        let site = call_site(&std::backtrace::Backtrace::force_capture().to_string());
+        let backtrace = std::backtrace::Backtrace::force_capture().to_string();
+        let key = (call_site(&backtrace), layer(&backtrace));
         let mut sites = SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let (calls, total) = sites.entry(site).or_default();
+        let (calls, total) = sites.entry(key).or_default();
         *calls += 1;
         *total += bytes as u64;
         drop(sites);
@@ -125,6 +129,67 @@ fn call_site(backtrace: &str) -> String {
         return format!("{function} ({path})");
     }
     "(no frame in the workspace)".to_owned()
+}
+
+/// The layers of a request's path, each with the source files under
+/// `crates/` whose allocations it is charged: a file ending in a suffix
+/// listed (or in a directory listed) belongs to that layer, the first
+/// match winning. Decoding and encoding a service's messages is codec
+/// work wherever its `protocol.rs` is.
+const LAYERS: [(&str, &[&str]); 6] = [
+    ("codec", &["codec/", "/protocol.rs", "core/src/degrade.rs"]),
+    ("scatter (`fanout`)", &["rpc/src/fanout.rs"]),
+    ("rpc hop", &["rpc/", "core/src/leaf.rs", "telemetry/"]),
+    (
+        "mid-tier plan/merge",
+        &[
+            "/midtier.rs",
+            "core/src/replication.rs",
+            "hdsearch/src/lsh.rs",
+            "hdsearch/src/merge.rs",
+            "setalgebra/src/union_merge.rs",
+        ],
+    ),
+    (
+        "leaf kernel",
+        &[
+            "/leaf.rs",
+            "core/src/topk.rs",
+            "hdsearch/src/distance.rs",
+            "setalgebra/src/index.rs",
+            "setalgebra/src/intersect.rs",
+            "recommend/src/knn.rs",
+            "recommend/src/sparse.rs",
+        ],
+    ),
+    ("store", &["router/src/memkv.rs"]),
+];
+/// What no layer claims; the report requires it to read 0.
+const OTHER: &str = "other";
+
+/// The layer of the innermost frame of `backtrace` in the workspace's
+/// code, the codec's included (see [`LAYERS`]).
+fn layer(backtrace: &str) -> &'static str {
+    let Some(path) =
+        backtrace.lines().filter_map(|line| line.trim().strip_prefix("at ")).find_map(|location| {
+            location.find("/crates/").map(|at| &location[at + "/crates/".len()..])
+        })
+    else {
+        return OTHER;
+    };
+    let path = path.split(':').next().unwrap_or(path);
+    LAYERS
+        .iter()
+        .find(|(_, files)| {
+            files.iter().any(|file| {
+                if file.ends_with('/') && !file.starts_with('/') {
+                    path.starts_with(file)
+                } else {
+                    path.ends_with(file)
+                }
+            })
+        })
+        .map_or(OTHER, |(name, _)| name)
 }
 
 /// The counter is process-wide: measured sections take turns.
@@ -287,7 +352,11 @@ fn hdsearch_burst() {
     let leaf = HdSearchLeaf::new(Vec::new(), 0, id_map);
     let long_per_burst = queries
         .iter()
-        .flat_map(|query| mid.plan(query, LEAVES).targets)
+        .flat_map(|query| {
+            // The mid-tier plans a query as it reads it off the wire.
+            let view = musuite::codec::from_bytes(&musuite::codec::to_bytes(query)).unwrap();
+            mid.plan(&view, LEAVES).targets
+        })
         .filter(|(_, (candidates, k))| {
             let request =
                 LeafSearchRequest { vector: Vec::new(), candidates: candidates.clone(), k: *k };
@@ -387,47 +456,64 @@ fn batched_bursts() {
 
 /// Prints, for each of the four bursts this file pins, allocator
 /// calls and bytes per request by the site that made them (see
-/// [`call_site`]). Run it in a debug build: a release build inlines the
+/// [`call_site`]), and by layer (see [`LAYERS`]); fails if a call falls
+/// in no layer. Run it in a debug build: a release build inlines the
 /// frames that name the sites.
 #[test]
 #[ignore = "a report: run with --ignored --nocapture, in a debug build"]
 fn report_allocation_sites() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     REPORTING.store(true, Ordering::Relaxed);
-    print_sites("Router", || router_allocs(paper_default()));
-    print_sites("HDSearch", || hdsearch_allocs(paper_default()));
-    print_sites("Set Algebra", || setalgebra_allocs(paper_default()));
-    print_sites("Recommend", || recommend_allocs(batched()));
+    let unclaimed = print_sites("Router", || router_allocs(paper_default()))
+        + print_sites("HDSearch", || hdsearch_allocs(paper_default()))
+        + print_sites("Set Algebra", || setalgebra_allocs(paper_default()))
+        + print_sites("Recommend", || recommend_allocs(batched()));
     REPORTING.store(false, Ordering::Relaxed);
+    assert_eq!(unclaimed, 0, "allocator calls no layer claims");
 }
 
 /// Runs one service's burst with its sites noted, and prints them as a
-/// table, most calls first.
-fn print_sites(service: &str, burst: impl FnOnce() -> f64) {
+/// table, most calls first, then one subtotal row per layer (they sum to
+/// the total). Returns the calls no layer claims.
+fn print_sites(service: &str, burst: impl FnOnce() -> f64) -> u64 {
     SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).clear();
     // What noting the sites allocates is counted here, not noted.
     let _ = burst();
     let sites = std::mem::take(&mut *SITES.lock().unwrap_or_else(|p| p.into_inner()));
     let requests = (REPORT_BURSTS * BURST) as f64;
-    let mut rows: Vec<(String, u64, u64)> =
-        sites.into_iter().map(|(site, (calls, bytes))| (site, calls, bytes)).collect();
+    let per_request = |calls: u64, bytes: u64| (calls as f64 / requests, bytes as f64 / requests);
+    let mut layers: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    let mut rows: Vec<(String, u64, u64)> = Vec::new();
+    for ((site, layer), (calls, bytes)) in sites {
+        let subtotal = layers.entry(layer).or_default();
+        (subtotal.0, subtotal.1) = (subtotal.0 + calls, subtotal.1 + bytes);
+        rows.push((site, calls, bytes));
+    }
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let calls: u64 = rows.iter().map(|row| row.1).sum();
     let bytes: u64 = rows.iter().map(|row| row.2).sum();
-    let (calls, bytes) = (calls as f64 / requests, bytes as f64 / requests);
-    println!("\n{service}: {calls:.2} allocator calls, {bytes:.0} bytes per request");
+    let (total_calls, total_bytes) = per_request(calls, bytes);
+    println!("\n{service}: {total_calls:.2} allocator calls, {total_bytes:.0} bytes per request");
     println!("| calls / req | bytes / req | site |\n|---|---|---|");
     for (site, calls, bytes) in rows {
-        let (calls, bytes) = (calls as f64 / requests, bytes as f64 / requests);
+        let (calls, bytes) = per_request(calls, bytes);
         println!("| {calls:.2} | {bytes:.0} | `{site}` |");
     }
+    println!("\n| calls / req | bytes / req | layer |\n|---|---|---|");
+    for name in LAYERS.iter().map(|(name, _)| *name).chain([OTHER]) {
+        let (calls, bytes) = layers.get(name).copied().unwrap_or_default();
+        let (calls, bytes) = per_request(calls, bytes);
+        println!("| {calls:.2} | {bytes:.0} | {name} |");
+    }
+    println!("| {total_calls:.2} | {total_bytes:.0} | **total** |");
+    layers.get(OTHER).map_or(0, |other| other.0)
 }
 
 /// Allocator calls per request, as measured in release and debug builds.
-const ROUTER_ALLOCS: f64 = 12.50;
-const HDSEARCH_ALLOCS: f64 = 18.50;
-const SETALGEBRA_ALLOCS: f64 = 20.25;
+const ROUTER_ALLOCS: f64 = 7.50;
+const HDSEARCH_ALLOCS: f64 = 12.00;
+const SETALGEBRA_ALLOCS: f64 = 8.40;
 const RECOMMEND_ALLOCS: f64 = 11.25;
-const ROUTER_BATCHED_ALLOCS: f64 = 13.125;
-const HDSEARCH_BATCHED_ALLOCS: f64 = 19.13;
-const SETALGEBRA_BATCHED_ALLOCS: f64 = 21.00;
+const ROUTER_BATCHED_ALLOCS: f64 = 9.625;
+const HDSEARCH_BATCHED_ALLOCS: f64 = 15.63;
+const SETALGEBRA_BATCHED_ALLOCS: f64 = 11.125;

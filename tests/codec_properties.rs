@@ -9,6 +9,7 @@ use musuite::codec::{
     decode_batch, encode_batch, from_bytes, to_bytes, BatchEntry, Decode, DecodeError, Encode,
     Frame, FrameHeader, FrameKind, Priority, Status,
 };
+use musuite::codec::{from_payload, Seq, Text};
 use musuite::core::degrade::Degraded;
 use musuite::hdsearch::protocol::{LeafSearchRequest, LeafSearchResponse, Neighbor, SearchQuery};
 use musuite::recommend::protocol::{LeafRating, RatingQuery};
@@ -421,5 +422,93 @@ proptest! {
         let outcome = decode_batch(&Bytes::from(envelope));
         let ran_out = matches!(outcome, Err(DecodeError::UnexpectedEof { .. }));
         prop_assert!(ran_out, "length {} with {} bytes left: {:?}", forged, left, outcome);
+    }
+}
+
+// A server reads each message as a view of the frame it arrived in; a
+// client, and every test above, reads the owned form. The two are one
+// generic type with one wire form, so they must read the same bytes the
+// same way.
+
+/// `bytes` decodes as the owned form `O` exactly when it decodes as the
+/// view form `V`, with the same error when neither does, and the view
+/// re-read as owned is the owned value.
+fn view_agrees<O, V>(bytes: &[u8]) -> Result<(), TestCaseError>
+where
+    O: Encode + Decode + std::fmt::Debug,
+    V: Encode + Decode + std::fmt::Debug,
+{
+    match (from_bytes::<O>(bytes), from_payload::<V>(Bytes::copy_from_slice(bytes))) {
+        (Ok(owned), Ok(view)) => {
+            let again: O = from_bytes(&to_bytes(&view)).expect("a view encodes as it decoded");
+            // Compared as encodings: floats compare by bit pattern.
+            prop_assert_eq!(to_bytes(&again), to_bytes(&owned));
+        }
+        (Err(owned), Err(view)) => prop_assert_eq!(owned, view),
+        (owned, view) => prop_assert!(false, "owned {:?}, view {:?}", owned, view),
+    }
+    Ok(())
+}
+
+/// [`view_agrees`] on `owned`'s encoding and on every strict prefix of it,
+/// each of which is refused, without a panic, as either form.
+fn owned_and_view_agree<O, V>(owned: &O) -> Result<(), TestCaseError>
+where
+    O: Encode + Decode + std::fmt::Debug,
+    V: Encode + Decode + std::fmt::Debug,
+{
+    let bytes = to_bytes(owned);
+    view_agrees::<O, V>(&bytes)?;
+    prop_assert_eq!(to_bytes(&from_bytes::<V>(&bytes).unwrap()), bytes.clone());
+    for cut in 0..bytes.len() {
+        prop_assert!(from_bytes::<V>(&bytes[..cut]).is_err(), "prefix of {} bytes", cut);
+        view_agrees::<O, V>(&bytes[..cut])?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn views_decode_as_owned_messages_do(
+        request in kv_request(),
+        response in kv_response(),
+        vector in floats(0..80),
+        candidates in ids(0..64),
+        k: u32,
+        neighbors in degraded(proptest::collection::vec((any::<u64>(), any::<f32>()), 0..24)),
+        terms in proptest::collection::vec(any::<u32>(), 0..16),
+        docs in degraded(proptest::collection::vec(any::<u32>(), 0..64)),
+    ) {
+        owned_and_view_agree::<KvRequest, KvRequest<Text, Bytes>>(&request)?;
+        owned_and_view_agree::<KvResponse, KvResponse<Bytes>>(&response)?;
+        let query = SearchQuery { vector: vector.clone(), k };
+        owned_and_view_agree::<SearchQuery, SearchQuery<Seq<f32>>>(&query)?;
+        let request = LeafSearchRequest { vector, candidates, k };
+        owned_and_view_agree::<LeafSearchRequest, LeafSearchRequest<Seq<f32>, Seq<u64>>>(&request)?;
+        let Degraded { value, degraded, shards_ok, shards_total } = neighbors;
+        let neighbors: Vec<Neighbor> =
+            value.into_iter().map(|(id, distance)| Neighbor { id, distance }).collect();
+        let response = LeafSearchResponse { neighbors: neighbors.clone() };
+        owned_and_view_agree::<LeafSearchResponse, LeafSearchResponse<Seq<Neighbor>>>(&response)?;
+        let merged = Degraded { value: neighbors, degraded, shards_ok, shards_total };
+        owned_and_view_agree::<Degraded<Vec<Neighbor>>, Degraded<Seq<Neighbor>>>(&merged)?;
+        owned_and_view_agree::<TermQuery, TermQuery<Seq<u32>>>(&TermQuery { terms })?;
+        let Degraded { value, degraded, shards_ok, shards_total } = docs;
+        let list = PostingList { docs: value };
+        owned_and_view_agree::<PostingList, PostingList<Seq<u32>>>(&list)?;
+        let merged = Degraded { value: list, degraded, shards_ok, shards_total };
+        owned_and_view_agree::<Degraded<PostingList>, Degraded<PostingList<Seq<u32>>>>(&merged)?;
+    }
+
+    #[test]
+    fn views_refuse_what_owned_messages_refuse(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        view_agrees::<KvRequest, KvRequest<Text, Bytes>>(&bytes)?;
+        view_agrees::<KvResponse, KvResponse<Bytes>>(&bytes)?;
+        view_agrees::<SearchQuery, SearchQuery<Seq<f32>>>(&bytes)?;
+        view_agrees::<LeafSearchRequest, LeafSearchRequest<Seq<f32>, Seq<u64>>>(&bytes)?;
+        view_agrees::<LeafSearchResponse, LeafSearchResponse<Seq<Neighbor>>>(&bytes)?;
+        view_agrees::<Degraded<Vec<Neighbor>>, Degraded<Seq<Neighbor>>>(&bytes)?;
+        view_agrees::<TermQuery, TermQuery<Seq<u32>>>(&bytes)?;
+        view_agrees::<Degraded<PostingList>, Degraded<PostingList<Seq<u32>>>>(&bytes)?;
     }
 }
