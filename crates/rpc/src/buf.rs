@@ -38,8 +38,8 @@ use std::sync::Arc;
 ///
 /// A call that is written at once has its body serialized straight into
 /// the connection's pending buffer ([`Body::encode_into`]); one that is
-/// held back first — a fault shim's delayed send, a merge buffer — takes
-/// its bytes along as a [`Payload`] ([`Body::into_payload`]). Any
+/// held back first — a fault shim's delayed send — takes its bytes along
+/// as a [`Payload`] ([`Body::into_payload`]). Any
 /// `FnOnce(&mut BytesMut)` is a body: an encoder that appends a typed
 /// message, as `|buf| request.encode(buf)`.
 pub trait Body {

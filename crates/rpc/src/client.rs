@@ -70,8 +70,8 @@ impl CallOptions {
 /// pick-up thread.
 pub type Callback = Box<dyn FnOnce(Result<Bytes, RpcError>) + Send + 'static>;
 
-/// What completes one call: its in-flight entry, and a batch member's or a
-/// parked sub-call's completion until it has one.
+/// What completes one call: its in-flight entry, and a batch member's
+/// completion until it has one.
 pub(crate) enum Pending {
     /// A blocking caller's wake-up slot.
     Sync(Arc<SyncSlot>),
@@ -182,17 +182,8 @@ impl BatchCall {
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        BatchCall::completing(method, payload.into(), opts, Pending::Async(Box::new(callback)))
-    }
-
-    /// A sub-call that `done` completes.
-    pub(crate) fn completing(
-        method: u32,
-        payload: Payload,
-        opts: CallOptions,
-        done: Pending,
-    ) -> BatchCall {
-        BatchCall { method, payload, opts, done }
+        let done = Pending::Async(Box::new(callback));
+        BatchCall { method, payload: payload.into(), opts, done }
     }
 }
 

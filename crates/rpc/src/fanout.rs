@@ -10,13 +10,13 @@
 //! not explicitly dispatch responses, as all but the last response thread
 //! do negligible work").
 //!
-//! Requests are [`Body`]s: a typed scatter's [`ScatterPlan`] writes each
-//! leaf's request straight into that leaf connection's pending buffer, and
-//! a [`Payload`] caller's bytes are copied there from reference-counted
-//! segments that siblings may share. Replies come back as [`Bytes`]
-//! slices of each client connection's receive buffer, so neither
-//! direction holds payload bytes in a buffer of their own inside the
-//! process. The plan reads a slot's reply once, on the thread that
+//! Requests are [`Body`](crate::Body)s: a typed scatter's [`ScatterPlan`]
+//! writes each leaf's request straight into that leaf connection's pending
+//! buffer, and a [`Payload`] caller's bytes are copied there from
+//! reference-counted segments that siblings may share. Replies come back
+//! as [`Bytes`] slices of each client connection's receive buffer, so
+//! neither direction holds payload bytes in a buffer of their own inside
+//! the process. The plan reads a slot's reply once, on the thread that
 //! claims the slot, so the gather holds typed replies and a losing
 //! hedge's reply is dropped unread.
 //!
@@ -45,11 +45,10 @@
 //! one slot array. An attempt boxes nothing: its in-flight entry, and the
 //! timer entry of a queued hedge or retry, hold the scatter's state
 //! (type-erased) and name its slot. One timer per group, started by its
-//! first task, serves hedges, retries, reconnects and the merge buffer's
-//! delay windows.
+//! first task, serves hedges, retries and reconnects.
 
-use crate::buf::{Body, Payload};
-use crate::client::{BatchCall, CallOptions, Pending, RpcClient};
+use crate::buf::Payload;
+use crate::client::{CallOptions, Pending, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
@@ -60,7 +59,6 @@ use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
 use musuite_check::sync::{Mutex, RwLock};
 use musuite_codec::Priority;
-use musuite_telemetry::batching::{BatchStats, FlushReason};
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -427,7 +425,10 @@ where
             self.plan.encode(slot, buf);
         };
         let opts = CallOptions { timeout, priority: self.priority };
-        core.issue(target, this.method, body, opts, done);
+        match core.leaves[target].pick() {
+            Some(conn) => conn.call_async_inner(this.method, body, opts, done),
+            None => done.complete(Err(RpcError::ShuttingDown)),
+        }
     }
 
     /// Accounts an attempt that ended without an answer: charges the
@@ -540,116 +541,8 @@ impl LeafConns {
     }
 }
 
-/// One leaf sub-call parked in a merge buffer awaiting flush.
-struct BufferedCall {
-    method: u32,
-    payload: Payload,
-    deadline: Option<Instant>,
-    priority: Priority,
-    done: Pending,
-}
-
-impl BufferedCall {
-    /// The options this call leaves with at `now`: what parking has left
-    /// of its budget, and its class.
-    fn opts_at(&self, now: Instant) -> CallOptions {
-        CallOptions {
-            timeout: self.deadline.map(|deadline| deadline - now),
-            priority: self.priority,
-        }
-    }
-}
-
-/// One leaf's merge buffer: the parked calls plus when the first of them
-/// arrived (the batch's delay clock).
-#[derive(Default)]
-struct MergeBuffer {
-    calls: Vec<BufferedCall>,
-    opened_at: Option<Instant>,
-}
-
-/// Client-side merge batching: same-leaf sub-calls from *concurrent*
-/// scatters park here briefly and leave as one multi-request envelope —
-/// the mid-tier analogue of the server's dequeue-side `pop_batch`.
-struct MergeState {
-    policy: BatchPolicy,
-    buffers: Vec<Mutex<MergeBuffer>>,
-    stats: BatchStats,
-}
-
-impl MergeState {
-    /// Empties `leaf`'s buffer if its delay window has closed at `now`
-    /// (it may have been flushed full and reopened since the timer entry
-    /// that brought us here was queued; that opening has its own entry).
-    fn take_due(&self, leaf: usize, now: Instant) -> Vec<BufferedCall> {
-        let mut buffer = self.buffers[leaf].lock();
-        match buffer.opened_at {
-            Some(opened) if now >= opened + self.policy.max_delay() => {
-                buffer.opened_at = None;
-                std::mem::take(&mut buffer.calls)
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Completes every call parked for `leaf` with
-    /// [`RpcError::ConnectionClosed`] instead of sending it.
-    fn abort(&self, leaf: usize) {
-        let calls = {
-            let mut buffer = self.buffers[leaf].lock();
-            buffer.opened_at = None;
-            std::mem::take(&mut buffer.calls)
-        };
-        for call in calls {
-            call.done.complete(Err(RpcError::ConnectionClosed));
-        }
-    }
-
-    /// Sends a flushed buffer to its leaf. Members whose deadline already
-    /// passed while parked are dropped *from the batch* and completed with
-    /// [`RpcError::TimedOut`] here — a merged envelope never outlives its
-    /// tightest member budget. A lone survivor takes the plain request
-    /// path; two or more leave as one batch envelope.
-    fn flush(&self, conns: &LeafConns, calls: Vec<BufferedCall>, reason: FlushReason) {
-        let now = Instant::now();
-        let mut live = Vec::with_capacity(calls.len());
-        for call in calls {
-            if call.deadline.is_some_and(|deadline| deadline <= now) {
-                call.done.complete(Err(RpcError::TimedOut));
-                continue;
-            }
-            live.push(call);
-        }
-        self.stats.record_batch(live.len(), reason);
-        if live.is_empty() {
-            return;
-        }
-        let Some(client) = conns.pick() else {
-            live.into_iter().for_each(|call| call.done.complete(Err(RpcError::ShuttingDown)));
-            return;
-        };
-        if live.len() == 1 {
-            // lint: allow(expect): emptiness is checked immediately above
-            let call = live.pop().expect("one live member");
-            let opts = call.opts_at(now);
-            client.call_async_inner(call.method, call.payload, opts, call.done);
-            return;
-        }
-        let batch = live
-            .into_iter()
-            .map(|call| {
-                let opts = call.opts_at(now);
-                BatchCall::completing(call.method, call.payload, opts, call.done)
-            })
-            .collect();
-        client.call_batch_async(batch);
-    }
-}
-
 /// An entry on the group's one timer.
 enum Task {
-    /// Closes `leaf`'s merge window.
-    Flush(Arc<Core>, usize),
     /// Replaces a leaf's broken connections after its breaker opened.
     Reconnect(Arc<Core>, usize),
     /// A hedge or retry of one slot of a scatter, and the retry's target
@@ -660,22 +553,13 @@ enum Task {
 impl Task {
     fn run(self, fate: Fate) {
         match (self, fate) {
-            (Task::Flush(core, leaf), Fate::Due) => {
-                if let Some(merge) = &core.merge {
-                    let calls = merge.take_due(leaf, Instant::now());
-                    if !calls.is_empty() {
-                        merge.flush(&core.leaves[leaf], calls, FlushReason::DelayExpired);
-                    }
-                }
-            }
             (Task::Reconnect(core, leaf), Fate::Due) => {
                 let _ = core.reconnect(leaf);
             }
             (Task::Attempt(scatter, slot, target), fate) => scatter.attempt_due(slot, target, fate),
-            // A cancelled flush or reconnect needs nothing: the group is
-            // shutting down, and its shutdown aborts every buffer after
-            // it has stopped the timer.
-            (Task::Flush(..) | Task::Reconnect(..), Fate::Cancelled) => {}
+            // A cancelled reconnect needs nothing: the group is shutting
+            // down.
+            (Task::Reconnect(..), Fate::Cancelled) => {}
         }
     }
 }
@@ -685,7 +569,6 @@ struct Core {
     leaves: Vec<LeafConns>,
     reactor: Mutex<Option<Arc<Reactor>>>,
     clock: Clock,
-    merge: Option<MergeState>,
     /// `None` for a bare group: no breaker, hedge, retry or reconnect.
     resilience: Option<ResilientConfig>,
     breakers: Vec<CircuitBreaker>,
@@ -701,7 +584,6 @@ impl Core {
             leaves,
             reactor: Mutex::new(reactor.cloned()),
             clock: Clock::new(),
-            merge: None,
             resilience: None,
             breakers: Vec::new(),
             counters: ResilienceCounters::new(),
@@ -731,72 +613,6 @@ impl Core {
         admission != Some(Admission::Reject)
     }
 
-    /// Issues one leaf sub-call: the direct asynchronous call normally, or
-    /// the leaf's merge buffer when batching is on, where it may coalesce
-    /// with sub-calls from other concurrent scatters to the same leaf into
-    /// one multi-request envelope. `opts.timeout` decays while the call is
-    /// parked, exactly as it decays in a send queue. `body` writes the
-    /// request into the chosen connection's pending buffer, or into a
-    /// payload of its own if the call is parked; `done` goes with the call
-    /// as it is, parked or not.
-    fn issue(
-        self: &Arc<Self>,
-        leaf: usize,
-        method: u32,
-        body: impl Body,
-        opts: CallOptions,
-        done: Pending,
-    ) {
-        let Some(merge) = &self.merge else {
-            match self.leaves[leaf].pick() {
-                Some(conn) => conn.call_async_inner(method, body, opts, done),
-                None => done.complete(Err(RpcError::ShuttingDown)),
-            }
-            return;
-        };
-        let now = Instant::now();
-        let call = BufferedCall {
-            method,
-            payload: body.into_payload(),
-            deadline: opts.timeout.map(|limit| now + limit),
-            priority: opts.priority,
-            done,
-        };
-        let (full, opened) = {
-            let mut buffer = merge.buffers[leaf].lock();
-            if self.is_shut() {
-                // Shutdown sets the flag before it aborts this buffer, so a
-                // call pushed here would be stranded.
-                drop(buffer);
-                return call.done.complete(Err(RpcError::ShuttingDown));
-            }
-            buffer.calls.push(call);
-            if buffer.calls.len() >= merge.policy.max_size() {
-                buffer.opened_at = None;
-                (Some(std::mem::take(&mut buffer.calls)), None)
-            } else if merge.policy.max_delay().is_zero() {
-                // No delay budget to wait for stragglers: whatever this
-                // moment's contemporaries contributed leaves immediately.
-                (Some(std::mem::take(&mut buffer.calls)), None)
-            } else if buffer.opened_at.is_none() {
-                buffer.opened_at = Some(now);
-                (None, Some(now + merge.policy.max_delay()))
-            } else {
-                (None, None)
-            }
-        };
-        if let Some(calls) = full {
-            let reason = if calls.len() >= merge.policy.max_size() {
-                FlushReason::SizeFull
-            } else {
-                FlushReason::QueueDrained
-            };
-            merge.flush(&self.leaves[leaf], calls, reason);
-        } else if let Some(due) = opened {
-            self.timer.schedule(due, Task::Flush(self.clone(), leaf));
-        }
-    }
-
     /// Replaces every closed connection in `leaf`'s pool with a fresh one
     /// (same fault-plan view, so a dead leaf refuses it, and same reactor)
     /// and returns how many it replaced. Refuses after shutdown.
@@ -822,9 +638,6 @@ impl Core {
     fn shutdown(&self) {
         self.shut.store(true, Ordering::Release);
         self.timer.shutdown();
-        if let Some(merge) = &self.merge {
-            (0..self.leaves.len()).for_each(|leaf| merge.abort(leaf));
-        }
         for leaf in &self.leaves {
             leaf.conns.read().iter().for_each(|conn| conn.shutdown());
         }
@@ -843,8 +656,8 @@ impl Core {
 /// Shutdown and drop **abort**, and mean the same: later attempts fail
 /// fast with [`RpcError::ShuttingDown`] and nothing reconnects; queued
 /// hedges and retries are cancelled, each slot still delivering once;
-/// parked sub-calls complete with [`RpcError::ConnectionClosed`] unsent,
-/// and calls on the wire fail the same way as their connections close.
+/// and calls on the wire fail with [`RpcError::ConnectionClosed`] as their
+/// connections close.
 /// In-flight attempts and timer tasks hold the group's shared core, never
 /// this handle, so dropping the handle aborts even with calls in flight.
 pub struct FanoutGroup {
@@ -902,27 +715,14 @@ impl FanoutGroup {
         Ok(FanoutGroup { core: Arc::new(Core::new(leaves, reactor)) })
     }
 
-    /// Enables client-side merge batching: leaf sub-calls issued through
-    /// this group park in a per-leaf buffer and leave as **one**
-    /// multi-request envelope when the buffer reaches `policy.max_size()`
-    /// members or the oldest member has waited `policy.max_delay()`, so
-    /// sub-calls from *concurrent* scatters to the same leaf merge. A
-    /// parked call holds its request in a [`Payload`] of its own
-    /// ([`Body::into_payload`]) and keeps its deadline and priority; one
-    /// whose deadline expires while parked completes with
-    /// [`RpcError::TimedOut`] and leaves the envelope, never the other way
-    /// around. An off policy (`BatchPolicy::off()`) keeps the direct path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scatter through this group is still in flight.
-    pub fn with_batching(mut self, policy: BatchPolicy) -> FanoutGroup {
-        let leaves = self.len();
-        self.core_mut().merge = policy.is_on().then(|| MergeState {
-            policy,
-            buffers: (0..leaves).map(|_| Mutex::new(MergeBuffer::default())).collect(),
-            stats: BatchStats::default(),
-        });
+    /// Returns the group unchanged; `policy` is ignored. Per hop, a
+    /// scatter's sub-calls are already batched by each leaf connection's
+    /// write coalescing and by the leaf server's `pop_batch`, at no cost
+    /// per call. A client-side merge buffer that parked them cost 45 %
+    /// more allocations per request on `recommend_batched` (EXPERIMENTS.md,
+    /// "Every mechanism pays rent"), so there is none; the method stays so
+    /// that existing callers compile.
+    pub fn with_batching(self, _policy: BatchPolicy) -> FanoutGroup {
         self
     }
 
@@ -1174,10 +974,6 @@ pub(crate) mod tests {
         group.core.leaves[leaf].pick().unwrap()
     }
 
-    fn batch_stats(group: &FanoutGroup) -> Option<&BatchStats> {
-        group.core.merge.as_ref().map(|merge| &merge.stats)
-    }
-
     /// The address of a listener that accepts connections, holds them and
     /// never answers.
     pub(crate) fn stuck_leaf() -> SocketAddr {
@@ -1424,130 +1220,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every attempt of a resilient group takes the merge path.
-    #[test]
-    fn merged_scatters_coalesce_same_leaf_subcalls() {
-        let (_servers, group) = leaf_cluster(2);
-        let group = Arc::new(
-            group
-                .with_batching(BatchPolicy::new(4, Duration::from_millis(20)))
-                .with_resilience(ResilientConfig::default()),
-        );
-        // Four concurrent scatters each hit both leaves; same-leaf
-        // sub-calls coalesce inside the 20ms merge window.
-        let mut handles = Vec::new();
-        for round in 0..4u8 {
-            let group = group.clone();
-            handles.push(std::thread::spawn(move || {
-                let requests = vec![(0usize, 1u32, vec![round]), (1, 1, vec![round])];
-                let result = group.scatter_wait(requests);
-                assert!(result.all_ok());
-                for (leaf, reply) in result.successes().iter().enumerate() {
-                    assert_eq!(reply, &[leaf as u8, round]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = batch_stats(&group).expect("batching is on");
-        assert_eq!(stats.members(), 8, "every sub-call goes through the merge path");
-        assert!(
-            stats.batches() < 8,
-            "concurrent same-leaf sub-calls must coalesce, got {} batches",
-            stats.batches()
-        );
-    }
-
-    #[test]
-    fn merge_delay_expiry_flushes_partial_batch() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(64, Duration::from_millis(5)));
-        // A single sub-call can never fill a 64-wide batch; only the
-        // delay flusher gets it onto the wire.
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![7u8])]);
-        assert!(result.all_ok());
-        let stats = batch_stats(&group).unwrap();
-        assert_eq!(stats.flushes(FlushReason::DelayExpired), 1);
-    }
-
-    #[test]
-    fn merge_off_policy_keeps_direct_path() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::off());
-        assert!(batch_stats(&group).is_none());
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![1u8])]);
-        assert!(result.all_ok());
-    }
-
-    #[test]
-    fn merge_zero_delay_flushes_immediately() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(8, Duration::ZERO));
-        for round in 0..3u8 {
-            let result = group.scatter_wait(vec![(0usize, 1u32, vec![round])]);
-            assert!(result.all_ok());
-        }
-        let stats = batch_stats(&group).unwrap();
-        assert_eq!(stats.members(), 3);
-        assert_eq!(stats.batches(), 3, "zero delay means nothing waits for stragglers");
-    }
-
-    #[test]
-    fn expired_member_dropped_from_merged_batch_not_batchmates() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(8, Duration::from_millis(40)));
-        let (tx, rx) = std::sync::mpsc::channel();
-        // A member whose budget is far smaller than the merge window
-        // expires while parked; its batchmate must still be served.
-        let expired_tx = tx.clone();
-        let tight = CallOptions::within(Duration::from_millis(1));
-        let payload = |byte: u8| Payload::from(vec![byte]);
-        let core = &group.core;
-        let expired = Pending::Async(Box::new(move |r| expired_tx.send(("expired", r)).unwrap()));
-        core.issue(0, 1, payload(1), tight, expired);
-        let healthy = Pending::Async(Box::new(move |r| tx.send(("healthy", r)).unwrap()));
-        core.issue(0, 1, payload(2), CallOptions::default(), healthy);
-        let mut outcomes = std::collections::HashMap::new();
-        for _ in 0..2 {
-            let (who, result) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            outcomes.insert(who, result);
-        }
-        assert!(
-            matches!(outcomes["expired"], Err(RpcError::TimedOut)),
-            "parked past its deadline: {:?}",
-            outcomes["expired"]
-        );
-        assert_eq!(outcomes["healthy"].as_ref().unwrap()[..], [0u8, 2]);
-    }
-
-    /// A group with a merge buffer and a hedge policy is dropped holding a
-    /// parked sub-call and a scatter whose attempt is parked and whose hedge
-    /// is queued: each completes exactly once, and nothing is sent.
-    #[test]
-    fn dropping_group_completes_parked_subcalls() {
-        let hour = Duration::from_secs(3600);
-        let (servers, group) = leaf_cluster(1);
-        let config = ResilientConfig { hedge: HedgePolicy::After(hour), ..Default::default() };
-        let group = group.with_batching(BatchPolicy::new(64, hour)).with_resilience(config);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let parked = tx.clone();
-        let parked = Pending::Async(Box::new(move |r| parked.send(r).unwrap()));
-        group.core.issue(0, 1, Payload::from(vec![9u8]), CallOptions::default(), parked);
-        group.scatter(vec![(0usize, 1u32, vec![4u8])], move |mut result| {
-            tx.send(result.replies.pop().unwrap()).unwrap()
-        });
-        // The hour-long merge window never elapses; dropping the group
-        // aborts the parked calls rather than stranding or sending them.
-        drop(group);
-        for _ in 0..2 {
-            let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
-        }
-        assert!(rx.recv().is_err(), "each callback ran once and was dropped");
-        assert_eq!(servers[0].stats().requests(), 0, "nothing was flushed onto the wire");
-    }
-
     /// After `shutdown` (idempotent) a scatter fails fast with a typed
     /// error and opens no connection, also under a resilience policy,
     /// which reconnects a leaf with no live connection before an attempt.
@@ -1569,19 +1241,32 @@ pub(crate) mod tests {
 
     /// Dropping a resilient group aborts a call in flight to a leaf that
     /// never answers, even with no deadline: the call's callback holds the
-    /// group's core, not the handle the caller dropped.
+    /// group's core, not the handle the caller dropped. Under a retry
+    /// policy, and under an hour-long hedge, whose queued hedge the drop
+    /// cancels: either way the slot delivers one typed error, once.
     #[test]
     fn dropping_a_resilient_group_aborts_a_call_in_flight() {
-        let stuck = stuck_leaf();
-        let config = ResilientConfig { retries: 1, ..ResilientConfig::default() };
-        let group = FanoutGroup::connect(&[stuck]).unwrap().with_resilience(config);
-        let (tx, rx) = std::sync::mpsc::channel();
-        group.scatter(vec![(0usize, 1u32, vec![1u8])], move |result| tx.send(result).unwrap());
-        crate::buf::flush_outbox();
-        assert_eq!(conn(&group, 0).inflight_len(), 1, "the call is in flight");
-        drop(group);
-        let result = rx.recv_timeout(Duration::from_secs(3)).expect("the drop aborts the call");
-        assert_eq!(result.replies[0].as_ref().unwrap_err().failure_kind(), FailureKind::Transport);
+        use std::sync::mpsc::RecvTimeoutError;
+        let hour = Duration::from_secs(3600);
+        for config in [
+            ResilientConfig { retries: 1, ..ResilientConfig::default() },
+            ResilientConfig { hedge: HedgePolicy::After(hour), ..ResilientConfig::default() },
+        ] {
+            let group = FanoutGroup::connect(&[stuck_leaf()]).unwrap().with_resilience(config);
+            let (tx, rx) = std::sync::mpsc::channel();
+            group.scatter(vec![(0usize, 1u32, vec![1u8])], move |result| tx.send(result).unwrap());
+            crate::buf::flush_outbox();
+            assert_eq!(conn(&group, 0).inflight_len(), 1, "the call is in flight");
+            drop(group);
+            let result = rx.recv_timeout(Duration::from_secs(3)).expect("the drop aborts the call");
+            let error = result.replies[0].as_ref().unwrap_err();
+            assert_eq!(error.failure_kind(), FailureKind::Transport, "{config:?}: got {error:?}");
+            let closed = rx.recv_timeout(Duration::from_secs(3));
+            assert!(
+                matches!(closed, Err(RecvTimeoutError::Disconnected)),
+                "{config:?}: the callback ran once and was dropped"
+            );
+        }
     }
 
     #[test]
@@ -1708,55 +1393,6 @@ pub(crate) mod model_tests {
             })
             .expect("slot claim must be exactly-once in every schedule");
         assert!(report.iterations > 1, "both resolution orders must be explored");
-    }
-
-    /// The merge flusher's delay flush races the group's drop over one
-    /// parked sub-call: the flusher takes the buffer to send it, or the
-    /// drop takes it to abort it. In every interleaving the callback runs
-    /// exactly once, and a second abort finds nothing left.
-    #[test]
-    fn flusher_vs_drop_completes_parked_call_exactly_once() {
-        let report = Checker::new()
-            .check(|| {
-                let completed = Arc::new(AtomicUsize::new(0));
-                let opened = Instant::now();
-                let merge = Arc::new(MergeState {
-                    policy: BatchPolicy::new(8, std::time::Duration::from_millis(1)),
-                    buffers: vec![Mutex::new(MergeBuffer {
-                        calls: vec![BufferedCall {
-                            method: 1,
-                            payload: Payload::new(),
-                            deadline: None,
-                            priority: Priority::Normal,
-                            done: Pending::Async(Box::new({
-                                let completed = completed.clone();
-                                move |_| {
-                                    completed.fetch_add(1, Ordering::AcqRel);
-                                }
-                            })),
-                        }],
-                        opened_at: Some(opened),
-                    })],
-                    stats: BatchStats::default(),
-                });
-                let flusher = {
-                    let merge = merge.clone();
-                    thread::spawn(move || {
-                        // Stands in for the send: the connection's own
-                        // path completes a call once it has been handed over.
-                        let due = opened + std::time::Duration::from_secs(1);
-                        for call in merge.take_due(0, due) {
-                            call.done.complete(Ok(Bytes::new()));
-                        }
-                    })
-                };
-                merge.abort(0);
-                flusher.join().unwrap();
-                merge.abort(0);
-                assert_eq!(completed.load(Ordering::Acquire), 1, "exactly one completion");
-            })
-            .expect("a parked call must complete exactly once in every schedule");
-        assert!(report.iterations > 1, "both claim orders must be explored");
     }
 
     /// Seeded buggy fixture: completing a slot behind a check-then-act
