@@ -157,10 +157,7 @@ fn main() {
         Table::new(&["batch policy", "p50_us", "p99_us", "errors", "mid-tier batches"]);
     for (label, policy) in policies {
         let mut midtier_config = ServerConfig::default();
-        midtier_config
-            .execution_model(ExecutionModel::Dispatch)
-            .workers(4)
-            .batch_policy(policy);
+        midtier_config.execution_model(ExecutionModel::Dispatch).workers(4).batch_policy(policy);
         let config = ClusterConfig::new().leaves(env.leaves).midtier_config(midtier_config);
         let service = HdSearchService::launch_with(config, dataset.clone(), Default::default())
             .expect("launch HDSearch");

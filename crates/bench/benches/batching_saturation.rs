@@ -43,7 +43,12 @@ struct ArmReport {
 /// windows of `batch` echo requests back-to-back for `duration`.
 /// Returns (completed requests per second, window p50, window p99) —
 /// a window's latency upper-bounds every member's.
-fn run_at(addr: std::net::SocketAddr, conns: usize, batch: usize, duration: Duration) -> (f64, Duration, Duration) {
+fn run_at(
+    addr: std::net::SocketAddr,
+    conns: usize,
+    batch: usize,
+    duration: Duration,
+) -> (f64, Duration, Duration) {
     let stop = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
     let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
@@ -101,12 +106,8 @@ fn saturate(policy: BatchPolicy, batch: usize, duration: Duration) -> ArmReport 
     let mut config = ServerConfig::default();
     config.execution_model(ExecutionModel::Dispatch).workers(4).batch_policy(policy);
     let server = Server::spawn(config, Arc::new(Echo)).expect("spawn echo server");
-    let mut best = ArmReport {
-        qps: 0.0,
-        p50: Duration::ZERO,
-        p99: Duration::ZERO,
-        batching: String::new(),
-    };
+    let mut best =
+        ArmReport { qps: 0.0, p50: Duration::ZERO, p99: Duration::ZERO, batching: String::new() };
     let mut conns = 4usize;
     while conns <= 64 {
         let (qps, p50, p99) = run_at(server.local_addr(), conns, batch, duration);

@@ -152,14 +152,10 @@ impl LeafHandler for RecommendLeaf {
         true
     }
 
-    fn handle_batch(
-        &self,
-        requests: Vec<RatingQuery>,
-    ) -> Vec<Result<LeafRating, ServiceError>> {
+    fn handle_batch(&self, requests: Vec<RatingQuery>) -> Vec<Result<LeafRating, ServiceError>> {
         // Validate members individually — an unknown user or item errors
         // out alone while its batchmates share one factor-matrix pass.
-        let mut results: Vec<Result<LeafRating, ServiceError>> =
-            Vec::with_capacity(requests.len());
+        let mut results: Vec<Result<LeafRating, ServiceError>> = Vec::with_capacity(requests.len());
         let mut valid = Vec::with_capacity(requests.len());
         let mut valid_slots = Vec::with_capacity(requests.len());
         for (slot, request) in requests.into_iter().enumerate() {

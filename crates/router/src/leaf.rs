@@ -107,7 +107,7 @@ mod tests {
             KvRequest::Get { key: "a".into() },
             KvRequest::Get { key: "missing".into() },
             KvRequest::Set { key: "a".into(), value: vec![2] }, // overwrite mid-batch
-            KvRequest::Get { key: "a".into() }, // must see the overwrite
+            KvRequest::Get { key: "a".into() },                 // must see the overwrite
             KvRequest::Get { key: "b".into() },
             KvRequest::Delete { key: "a".into() },
             KvRequest::Get { key: "a".into() }, // must see the delete

@@ -81,7 +81,9 @@ mod timer;
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
 pub use buf::{Body, ConnWriter, Payload, RecvBuf};
 pub use client::{BatchCall, CallOptions, RpcClient};
-pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
+pub use config::{
+    AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode,
+};
 pub use error::{FailureKind, RpcError};
 pub use fanout::{FanoutGroup, LeafCall, ScatterPlan};
 pub use fault::{ClientFaults, FaultEvent, FaultKind, FaultPlan, FaultRule};

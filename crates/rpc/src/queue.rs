@@ -543,8 +543,7 @@ mod tests {
         q.push(1);
         q.push(2);
         let q2 = q.clone();
-        let popper =
-            thread::spawn(move || q2.pop_batch(8, Duration::from_secs(5)).unwrap());
+        let popper = thread::spawn(move || q2.pop_batch(8, Duration::from_secs(5)).unwrap());
         thread::sleep(Duration::from_millis(20));
         q.close();
         let (batch, reason) = popper.join().unwrap();

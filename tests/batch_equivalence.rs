@@ -13,8 +13,8 @@ use musuite::hdsearch::leaf::HdSearchLeaf;
 use musuite::hdsearch::protocol::LeafSearchRequest;
 use musuite::recommend::leaf::RecommendLeaf;
 use musuite::recommend::nmf::{Nmf, NmfConfig};
-use musuite::recommend::CsrMatrix;
 use musuite::recommend::protocol::RatingQuery;
+use musuite::recommend::CsrMatrix;
 use musuite::router::leaf::RouterLeaf;
 use musuite::router::protocol::{KvRequest, KvResponse};
 use musuite::setalgebra::leaf::SetAlgebraLeaf;
@@ -29,9 +29,8 @@ fn hdsearch_requests() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<LeafSearchRe
     let finite = -10.0f32..10.0f32;
     let vector = proptest::collection::vec(finite, dim);
     let vectors = proptest::collection::vec(vector.clone(), 1..16);
-    let request = (vector, proptest::collection::vec(0u64..20, 0..12), 0u32..6).prop_map(
-        |(query, candidates, k)| LeafSearchRequest { vector: query, candidates, k },
-    );
+    let request = (vector, proptest::collection::vec(0u64..20, 0..12), 0u32..6)
+        .prop_map(|(query, candidates, k)| LeafSearchRequest { vector: query, candidates, k });
     (vectors, proptest::collection::vec(request, 0..8))
 }
 
@@ -109,8 +108,7 @@ fn setalgebra_case() -> impl Strategy<Value = (Vec<Vec<u32>>, usize, Vec<TermQue
         .prop_map(|terms| terms.into_iter().collect::<Vec<u32>>());
     let docs = proptest::collection::vec(doc, 1..30);
     // Queries reach past the vocabulary so absent terms occur.
-    let query = proptest::collection::vec(0u32..50, 0..5)
-        .prop_map(|terms| TermQuery { terms });
+    let query = proptest::collection::vec(0u32..50, 0..5).prop_map(|terms| TermQuery { terms });
     (docs, 0usize..4, proptest::collection::vec(query, 0..10))
 }
 
