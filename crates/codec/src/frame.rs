@@ -67,6 +67,14 @@ impl fmt::Display for FrameTooLarge {
 
 impl std::error::Error for FrameTooLarge {}
 
+/// An `InvalidInput` error carrying the refusal, so a writer's caller can
+/// tell the one refused frame from a failed connection.
+impl From<FrameTooLarge> for std::io::Error {
+    fn from(refused: FrameTooLarge) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, refused)
+    }
+}
+
 /// A growable byte buffer a frame is serialized into in place: written
 /// through [`BufMut`], then patched, or cut back if the frame is refused.
 pub trait FrameBuf: BufMut + AsRef<[u8]> + AsMut<[u8]> {

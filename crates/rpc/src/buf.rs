@@ -34,27 +34,13 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
-/// What an outgoing frame's payload is made from.
-///
-/// A call that is written at once has its body serialized straight into
-/// the connection's pending buffer ([`Body::encode_into`]); one that is
-/// held back first — a fault shim's delayed send — takes its bytes along
-/// as a [`Payload`] ([`Body::into_payload`]). Any
-/// `FnOnce(&mut BytesMut)` is a body: an encoder that appends a typed
-/// message, as `|buf| request.encode(buf)`.
+/// What an outgoing frame's payload is made from: a body is serialized
+/// straight into the connection's pending buffer ([`Body::encode_into`]).
+/// Any `FnOnce(&mut BytesMut)` is a body: an encoder that appends a typed
+/// message, as `|buf| request.encode(buf)`. A [`Payload`] is one too.
 pub trait Body {
     /// Appends the payload's bytes to `buf`.
     fn encode_into(self, buf: &mut BytesMut);
-
-    /// The payload's bytes, in an allocation of their own.
-    fn into_payload(self) -> Payload
-    where
-        Self: Sized,
-    {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        Payload::from(buf.freeze())
-    }
 }
 
 impl<F: FnOnce(&mut BytesMut)> Body for F {
@@ -66,10 +52,6 @@ impl<F: FnOnce(&mut BytesMut)> Body for F {
 impl Body for Payload {
     fn encode_into(self, buf: &mut BytesMut) {
         self.put_into(buf);
-    }
-
-    fn into_payload(self) -> Payload {
-        self
     }
 }
 
@@ -496,7 +478,7 @@ impl ConnWriter {
         header: &FrameHeader,
         body: impl FnOnce(&mut BytesMut),
     ) -> io::Result<()> {
-        self.enqueue(header, body, false)
+        self.enqueue(|pending| Ok(header.encode_in_place(pending, body)?))
     }
 
     /// [`ConnWriter::write_with`] with a body that copies `parts` in order.
@@ -512,35 +494,40 @@ impl ConnWriter {
         })
     }
 
-    /// Fault-injection only: like [`ConnWriter::write_with`] but flips
-    /// one bit of the serialized frame after checksumming, so the receiver
-    /// must reject it.
-    pub fn write_corrupted_with(
-        self: &Arc<Self>,
-        header: &FrameHeader,
-        body: impl FnOnce(&mut BytesMut),
-    ) -> io::Result<()> {
-        self.enqueue(header, body, true)
+    /// Queues `frame`, serialized already (a fault plan's delayed or
+    /// corrupted frame), as [`ConnWriter::write_with`] queues one it
+    /// serializes.
+    pub(crate) fn write_frame(self: &Arc<Self>, frame: &[u8]) -> io::Result<()> {
+        self.enqueue(|pending| {
+            pending.put_slice(frame);
+            Ok(())
+        })
     }
 
-    /// The one enqueue path: serializes the frame in place, then queues it.
+    /// Cuts the connection off as a failed flush does: the writer refuses
+    /// further frames, what is pending is dropped, and the socket is shut
+    /// down, so its runner fails every call in flight.
+    pub(crate) fn cut(&self) {
+        self.break_off(&mut self.state.lock());
+    }
+
+    fn break_off(&self, st: &mut WriteState) {
+        st.broken = true;
+        st.pending.clear();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// The one enqueue path: `serialize` appends one frame to the pending
+    /// buffer, which is then queued.
     fn enqueue(
         self: &Arc<Self>,
-        header: &FrameHeader,
-        body: impl FnOnce(&mut BytesMut),
-        corrupt: bool,
+        serialize: impl FnOnce(&mut BytesMut) -> io::Result<()>,
     ) -> io::Result<()> {
         let mut st = self.state.lock();
         if st.broken {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
-        header
-            .encode_in_place(&mut st.pending, body)
-            .map_err(|refused| io::Error::new(io::ErrorKind::InvalidInput, refused))?;
-        if corrupt {
-            let last = st.pending.len() - 1;
-            st.pending[last] ^= 0x40;
-        }
+        serialize(&mut st.pending)?;
         self.stats.incr(CoalesceEvent::Frame);
         if st.flushing {
             // Another thread owns the socket; our frame departs in its
@@ -569,11 +556,9 @@ impl ConnWriter {
             st = self.state.lock();
             st.spare = batch;
             if let Err(e) = result {
-                st.broken = true;
                 st.flushing = false;
-                st.pending.clear();
                 // How callers whose queued frames are lost get to know.
-                let _ = self.stream.shutdown(Shutdown::Both);
+                self.break_off(&mut st);
                 return Err(e);
             }
             if st.pending.is_empty() {
@@ -1006,6 +991,7 @@ mod tests {
 #[cfg(test)]
 mod conn_writer_tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use std::time::Duration;
 
     #[test]
@@ -1067,16 +1053,19 @@ mod conn_writer_tests {
 
     #[test]
     fn corrupted_variant_is_rejected_downstream() {
+        let plan = FaultPlan::builder(0, 1).corrupting_leaf(0, 1).build();
+        plan.arm();
+        let faults = plan.client_faults(0);
         let (tx_side, rx_side) = loopback_pair();
         let writer = Arc::new(ConnWriter::new(tx_side));
         let frame = Frame::request(3, 9, b"poisoned".to_vec());
-        writer.write_corrupted_with(&frame.header, |buf| buf.put_slice(&frame.payload)).unwrap();
+        faults.write(&writer, &frame.header, |buf| buf.put_slice(&frame.payload)).unwrap();
         let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "checksum must catch the flip");
         // Empty payload: the flip lands in the header's last byte instead.
         let (tx_side, rx_side) = loopback_pair();
         let frame = Frame::request(4, 9, Vec::new());
-        Arc::new(ConnWriter::new(tx_side)).write_corrupted_with(&frame.header, |_| {}).unwrap();
+        faults.write(&Arc::new(ConnWriter::new(tx_side)), &frame.header, |_| {}).unwrap();
         let err = RecvBuf::default().poll_frame(&mut &rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

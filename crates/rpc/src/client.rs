@@ -29,12 +29,11 @@
 use crate::buf::{flush_outbox, Body, ConnWriter, Payload, SharedWriter};
 use crate::error::RpcError;
 use crate::fanout::Attempt;
-use crate::fault::{ClientFaults, FaultKind};
+use crate::fault::ClientFaults;
 use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
 use crate::timer::{Fate, Timer};
 use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
-use musuite_check::sync::Mutex;
 use musuite_check::thread::JoinHandle;
 use musuite_codec::batch::BatchEntry;
 use musuite_codec::frame::FrameHeader;
@@ -42,7 +41,7 @@ use musuite_codec::{Frame, FrameKind, Priority, Status};
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::sync::{CountedCondvar, CountedMutex};
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,25 +138,14 @@ impl SyncSlot {
 
 type InflightTable = Arc<CountedMutex<HashMap<u64, Pending>>>;
 
-/// One request on its way out, but for its payload: what the send path,
-/// the fault shim's hold-back and a batch envelope's member table all need
-/// of it.
+/// One request on its way out, but for its payload: what the send path
+/// and a batch envelope's member table need of it.
 struct Outgoing {
     request_id: u64,
     method: u32,
     deadline: Option<Instant>,
     priority: Priority,
 }
-
-/// A request held back by a [`FaultKind::Delay`] injection, released by
-/// the timer thread at `send_at`. Its payload is encoded when it is parked.
-struct DelayedSend {
-    send_at: Instant,
-    request: Outgoing,
-    payload: Payload,
-}
-
-type DelayedMap = Arc<Mutex<HashMap<u64, DelayedSend>>>;
 
 /// One sub-call of a [`RpcClient::call_batch_async`] envelope: a method,
 /// payload, per-member [`CallOptions`], and the callback that receives
@@ -197,8 +185,8 @@ impl std::fmt::Debug for BatchCall {
     }
 }
 
-/// Remaining-budget wire encoding of an absolute deadline, computed at
-/// the moment the frame leaves so queueing before the send decays it:
+/// Remaining-budget wire encoding of an absolute deadline, computed as
+/// the frame is serialized so queueing before the send decays it:
 /// `None` encodes as 0 (no deadline); an already-expired deadline floors
 /// at 1 µs so the receiver sees it as ~expired rather than unbounded.
 fn budget_for(deadline: Option<Instant>) -> u32 {
@@ -209,63 +197,6 @@ fn budget_for(deadline: Option<Instant>) -> u32 {
             remaining.clamp(1, u128::from(u32::MAX)) as u32
         }
     }
-}
-
-impl Outgoing {
-    /// Serializes and writes this request as one frame, its payload
-    /// encoded by `body` straight into this connection's shared pending
-    /// buffer, where it may coalesce with competing requests into one
-    /// socket write (the writer accounts the actual `sendmsg` calls).
-    /// Shared by the caller-side send path and the timer's delayed-send
-    /// release, which is why the budget is derived from the absolute
-    /// deadline here, at the last moment. `corrupt` is fault injection
-    /// only.
-    fn write(
-        &self,
-        writer: &SharedWriter,
-        closed: &AtomicBool,
-        corrupt: bool,
-        body: impl Body,
-    ) -> Result<(), RpcError> {
-        if closed.load(Ordering::Acquire) {
-            return Err(RpcError::ConnectionClosed);
-        }
-        let header = FrameHeader::new(FrameKind::Request, self.request_id, self.method, Status::Ok)
-            .with_budget(budget_for(self.deadline), self.priority);
-        let body = |buf: &mut BytesMut| body.encode_into(buf);
-        if corrupt {
-            writer.write_corrupted_with(&header, body)?;
-        } else {
-            writer.write_with(&header, body)?;
-        }
-        Ok(())
-    }
-}
-
-/// Serializes and writes one [`FrameKind::Batch`] frame carrying every
-/// sub-call in `calls` as a multi-request envelope, straight into the
-/// connection's pending buffer. Per-member deadline budgets are derived
-/// from the absolute deadlines here, at the last moment before the frame
-/// leaves, exactly like [`Outgoing::write`] does for single requests.
-fn write_batch_frame(
-    writer: &SharedWriter,
-    closed: &AtomicBool,
-    calls: &[(Outgoing, Payload)],
-) -> Result<(), RpcError> {
-    if closed.load(Ordering::Acquire) {
-        return Err(RpcError::ConnectionClosed);
-    }
-    let header = FrameHeader::new(FrameKind::Batch, 0, 0, Status::Ok);
-    writer.write_with(&header, |buf| {
-        buf.put_slice(&(calls.len() as u32).to_le_bytes());
-        for (call, payload) in calls {
-            let entry = BatchEntry::new(call.request_id, call.method, Bytes::new())
-                .with_budget(budget_for(call.deadline), call.priority);
-            buf.put_slice(&entry.header_bytes_for_len(payload.len()));
-            payload.put_into(buf);
-        }
-    })?;
-    Ok(())
 }
 
 /// A connection to one RPC server.
@@ -283,11 +214,9 @@ pub struct RpcClient {
     inflight: InflightTable,
     closed: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
-    read_half: TcpStream,
-    /// Call deadlines to enforce and fault-delayed sends to release, by
-    /// request id (a delayed send is one `delayed` holds an entry for).
+    /// Call deadlines to enforce, by request id.
     timer: Timer<u64>,
-    delayed: DelayedMap,
+    /// What a fault plan does to every frame this client sends.
     faults: Option<ClientFaults>,
 }
 
@@ -331,7 +260,6 @@ impl RpcClient {
         OsOpCounters::global().incr(OsOp::OpenAt);
         stream.set_nodelay(true)?;
         let peer_addr = stream.peer_addr()?;
-        let read_half = stream.try_clone()?;
         let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
         let closed = Arc::new(AtomicBool::new(false));
         let driver = ClientConnDriver { inflight: inflight.clone(), closed: closed.clone() };
@@ -340,38 +268,39 @@ impl RpcClient {
                 // The reactor owns the read half; response matching runs
                 // inside its sweep. No per-connection thread exists, so
                 // there is nothing to join on drop.
-                reactor.register(read_half.try_clone()?, Box::new(driver))?;
+                reactor.register(stream.try_clone()?, Box::new(driver))?;
                 None
             }
             None => Some(spawn_blocking_runner(
                 "musuite-response",
-                read_half.try_clone()?,
+                stream.try_clone()?,
                 driver,
                 closed.clone(),
             )),
         };
-        let writer = Arc::new(ConnWriter::new(stream));
-        let delayed: DelayedMap = Arc::new(Mutex::new(HashMap::new()));
         let timer = Timer::new("musuite-reaper", {
-            let (inflight, closed) = (inflight.clone(), closed.clone());
-            let (delayed, writer) = (delayed.clone(), writer.clone());
-            move |request_id, fate| match fate {
-                Fate::Due => on_timer_due(&inflight, &closed, &delayed, &writer, request_id),
-                // The connection is going down, and its close path fails
-                // every in-flight entry, this one included.
-                Fate::Cancelled => {}
+            let inflight = inflight.clone();
+            // An overdue call times out, unless its response claimed the
+            // entry first. A cancelled deadline needs nothing: the
+            // connection is going down, and its close path fails every
+            // in-flight entry.
+            move |request_id, fate| {
+                if fate == Fate::Due {
+                    let pending = inflight.lock().remove(&request_id);
+                    if let Some(pending) = pending {
+                        pending.complete(Err(RpcError::TimedOut));
+                    }
+                }
             }
         });
         Ok(RpcClient {
             peer_addr,
-            writer,
+            writer: Arc::new(ConnWriter::new(stream)),
             next_id: AtomicU64::new(1),
             inflight,
             closed,
             reader,
-            read_half,
             timer,
-            delayed,
             faults,
         })
     }
@@ -396,47 +325,31 @@ impl RpcClient {
         }
     }
 
-    /// Sends a request through the fault shim. With no plan attached (the
-    /// production path) this is a plain send; otherwise the plan may delay
-    /// the frame (parked in `delayed` with its payload encoded, released by
-    /// the timer), swallow it (stall — only a deadline completes the call),
-    /// tear the connection down, or corrupt the frame on the wire so the
-    /// receiver's checksum rejects it.
-    fn dispatch(&self, request: Outgoing, body: impl Body) -> Result<(), RpcError> {
-        let fault = self.faults.as_ref().and_then(ClientFaults::next_send_fault);
-        match fault {
-            None | Some(FaultKind::ConnectRefused) => {
-                request.write(&self.writer, &self.closed, false, body)
-            }
-            Some(FaultKind::Delay(delay)) => {
-                if self.is_closed() {
-                    return Err(RpcError::ConnectionClosed);
-                }
-                let (send_at, request_id) = (Instant::now() + delay, request.request_id);
-                // The absolute deadline (not a budget snapshot) is parked
-                // with the frame: the timer re-derives the remaining
-                // budget at release, so the hold-back decays it.
-                let payload = body.into_payload();
-                self.delayed.lock().insert(request_id, DelayedSend { send_at, request, payload });
-                self.timer.schedule(send_at, request_id);
-                Ok(())
-            }
-            Some(FaultKind::Stall) => {
-                // The request is registered in flight but never leaves the
-                // host: a silently wedged leaf. Callers without a deadline
-                // will wait indefinitely — exactly the hazard deadlines
-                // and hedging exist to bound.
-                if self.is_closed() {
-                    return Err(RpcError::ConnectionClosed);
-                }
-                Ok(())
-            }
-            Some(FaultKind::Disconnect) => {
-                self.shutdown();
-                Err(RpcError::ConnectionClosed)
-            }
-            Some(FaultKind::Corrupt) => request.write(&self.writer, &self.closed, true, body),
+    /// Sends one request, its payload written by `body`.
+    fn send(&self, request: &Outgoing, body: impl Body) -> Result<(), RpcError> {
+        let header =
+            FrameHeader::new(FrameKind::Request, request.request_id, request.method, Status::Ok)
+                .with_budget(budget_for(request.deadline), request.priority);
+        self.send_frame(&header, |buf| body.encode_into(buf))
+    }
+
+    /// The one way out of this client for a frame, request or batch
+    /// envelope: refused once the connection is closed, else written by
+    /// the fault plan if one is attached ([`ClientFaults`]), straight into
+    /// the connection's pending buffer if not.
+    fn send_frame(
+        &self,
+        header: &FrameHeader,
+        body: impl FnOnce(&mut BytesMut),
+    ) -> Result<(), RpcError> {
+        if self.is_closed() {
+            return Err(RpcError::ConnectionClosed);
         }
+        match &self.faults {
+            None => self.writer.write_with(header, body)?,
+            Some(faults) => faults.write(&self.writer, header, body)?,
+        }
+        Ok(())
     }
 
     /// Issues a blocking call and waits for the response payload.
@@ -468,7 +381,7 @@ impl RpcClient {
         let request_id = request.request_id;
         let slot = SyncSlot::new();
         self.inflight.lock().insert(request_id, Pending::Sync(slot.clone()));
-        if let Err(e) = self.dispatch(request, payload.into()) {
+        if let Err(e) = self.send(&request, payload.into()) {
             self.inflight.lock().remove(&request_id);
             return Err(e);
         }
@@ -540,7 +453,7 @@ impl RpcClient {
     ) {
         let request = self.register_async(method, opts, done);
         let request_id = request.request_id;
-        if let Err(e) = self.dispatch(request, body) {
+        if let Err(e) = self.send(&request, body) {
             let pending = self.inflight.lock().remove(&request_id);
             if let Some(pending) = pending {
                 pending.complete(Err(e));
@@ -569,8 +482,8 @@ impl RpcClient {
     ///
     /// An empty vector is a no-op and a single-element vector falls back
     /// to the plain request path (the envelope would only add overhead).
-    /// Fault injection ([`ClientFaults`]) applies to the unbatched path
-    /// only; batch envelopes are sent directly.
+    /// A fault plan sees the envelope as one frame: one decision for all
+    /// its members.
     pub fn call_batch_async(&self, calls: Vec<BatchCall>) {
         if calls.is_empty() {
             return;
@@ -586,7 +499,18 @@ impl RpcClient {
             .into_iter()
             .map(|call| (self.register_async(call.method, call.opts, call.done), call.payload))
             .collect();
-        if let Err(e) = write_batch_frame(&self.writer, &self.closed, &members) {
+        // Per-member budgets are derived as the envelope is serialized.
+        let header = FrameHeader::new(FrameKind::Batch, 0, 0, Status::Ok);
+        let envelope = |buf: &mut BytesMut| {
+            buf.put_slice(&(members.len() as u32).to_le_bytes());
+            for (call, payload) in &members {
+                let entry = BatchEntry::new(call.request_id, call.method, Bytes::new())
+                    .with_budget(budget_for(call.deadline), call.priority);
+                buf.put_slice(&entry.header_bytes_for_len(payload.len()));
+                payload.put_into(buf);
+            }
+        };
+        if let Err(e) = self.send_frame(&header, envelope) {
             // A failed envelope write fails every member. The original
             // error is reported once; the rest see ConnectionClosed
             // (io::Error is not Clone, and a writer failure means the
@@ -612,7 +536,7 @@ impl RpcClient {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;
         }
-        let _ = self.read_half.shutdown(Shutdown::Both);
+        self.writer.cut();
         self.timer.shutdown();
     }
 }
@@ -690,39 +614,6 @@ impl ConnDriver for ClientConnDriver {
         // in-flight call fire here with `ConnectionClosed`.
         self.closed.store(true, Ordering::Release);
         fail_all_inflight(&self.inflight);
-    }
-}
-
-/// One due timer entry. The id is a delayed send if `delayed` holds its
-/// entry and the hold-back has elapsed — the frame is written now, late
-/// but intact; otherwise it is an overdue deadline: the in-flight entry is
-/// removed and completed with [`RpcError::TimedOut`] (and a delayed send
-/// still held back for it is cancelled). Entries already completed by the
-/// response thread are simply absent — the timer entry is then a no-op.
-fn on_timer_due(
-    inflight: &InflightTable,
-    closed: &AtomicBool,
-    delayed: &DelayedMap,
-    writer: &SharedWriter,
-    request_id: u64,
-) {
-    let now = Instant::now();
-    let release = delayed.lock().remove(&request_id).filter(|hold| hold.send_at <= now);
-    let failure = match release {
-        Some(hold) => {
-            if !inflight.lock().contains_key(&request_id) {
-                return;
-            }
-            match hold.request.write(writer, closed, false, hold.payload) {
-                Ok(()) => return,
-                Err(e) => e,
-            }
-        }
-        None => RpcError::TimedOut,
-    };
-    let pending = inflight.lock().remove(&request_id);
-    if let Some(pending) = pending {
-        pending.complete(Err(failure));
     }
 }
 
@@ -1131,7 +1022,7 @@ mod tests {
 
     mod faults {
         use super::*;
-        use crate::fault::FaultPlan;
+        use crate::fault::{FaultKind, FaultPlan};
 
         #[test]
         fn delay_fault_holds_the_frame_back_then_delivers() {
@@ -1209,6 +1100,79 @@ mod tests {
         }
 
         #[test]
+        fn a_batch_envelope_is_one_frame_to_the_plan() {
+            let server = echo_server();
+            let plan = FaultPlan::builder(16, 1)
+                .rule(0, crate::fault::FaultRule::always(FaultKind::Stall))
+                .build();
+            let client =
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
+            plan.arm();
+            let (tx, rx) = mpsc::channel();
+            let calls = (0..3u32)
+                .map(|i| {
+                    let tx = tx.clone();
+                    let opts = CallOptions::within(Duration::from_millis(100));
+                    BatchCall::new(1, vec![i as u8], opts, move |r| tx.send((i, r)).unwrap())
+                })
+                .collect();
+            client.call_batch_async(calls);
+            let mut members: Vec<u32> = (0..3)
+                .map(|_| {
+                    let (i, result) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                    assert!(matches!(result, Err(RpcError::TimedOut)), "member {i}: {result:?}");
+                    i
+                })
+                .collect();
+            members.sort_unstable();
+            assert_eq!(members, [0, 1, 2], "each member completes exactly once");
+            assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+            assert_eq!(plan.injected_of(FaultKind::Stall), 1, "one envelope, one decision");
+            assert_eq!(client.inflight_len(), 0);
+        }
+
+        /// A delayed frame outlives its client's shutdown in the plan's
+        /// timer: the call completes once, at the shutdown, and the frame,
+        /// released later, finds its writer cut and is dropped.
+        #[test]
+        fn a_frame_held_past_its_clients_shutdown_is_dropped_at_release() {
+            let server = echo_server();
+            let plan = FaultPlan::builder(17, 1).slow_leaf(0, Duration::from_millis(150)).build();
+            let connect = |plan: &Arc<FaultPlan>| {
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap()
+            };
+            let client = connect(&plan);
+            plan.arm();
+            let (tx, rx) = mpsc::channel();
+            let sent = Instant::now();
+            client.call_async(1, b"held".to_vec(), move |r| tx.send(r).unwrap());
+            client.shutdown();
+            let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
+            // The plan's timer lets go of the frame, and of the writer it
+            // holds it for, once the release time has passed.
+            let start = Instant::now();
+            while Arc::strong_count(&client.writer) > 1 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "the held frame was not released"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert!(sent.elapsed() >= Duration::from_millis(150), "released early");
+            assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "completed twice");
+            // The release did not panic the timer thread: it still delivers.
+            let healthy = connect(&plan);
+            let opts = CallOptions::within(Duration::from_secs(5));
+            assert_eq!(healthy.call_opts(1, b"later".to_vec(), opts).unwrap(), b"later");
+            drop((client, healthy));
+            // The last handle on the plan joins its timer thread.
+            drop(Arc::try_unwrap(plan).expect("the clients held the only other handles"));
+        }
+
+        #[test]
         fn disarmed_plan_is_transparent() {
             let server = echo_server();
             let plan = FaultPlan::builder(15, 1).dead_leaf(0).build();
@@ -1225,6 +1189,7 @@ mod tests {
 #[cfg(all(test, musuite_check))]
 mod model_tests {
     use super::*;
+    use musuite_check::sync::Mutex;
     use musuite_check::{thread, Checker};
 
     /// The response/deadline race over the real `SyncSlot` and in-flight

@@ -100,10 +100,9 @@ pub enum AdmissionModel {
 /// message sizes. `off()` (the default) is `max_size` 1: every batch is a
 /// single request, served by [`Service::call`](crate::Service::call).
 /// Any `max_size > 1` makes *batches* the unit of work: one park/unpark
-/// per batch at the dispatch queue, one multi-request frame per merged
-/// fan-out, and one [`Service::call_batch`](crate::Service::call_batch)
-/// per batch of two or more (a leaf runs its batch kernel there only if it
-/// has one).
+/// per batch at the dispatch queue and one
+/// [`Service::call_batch`](crate::Service::call_batch) per batch of two or
+/// more (a leaf runs its batch kernel there only if it has one).
 ///
 /// Deadline and priority bookkeeping always stays per *member*: a batch
 /// never outlives its tightest budget, and expired members are dropped

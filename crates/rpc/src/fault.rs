@@ -3,10 +3,29 @@
 //! Chaos experiments need faults that are *replayable*: a failing run must
 //! be reproducible from a printed seed, the same discipline `musuite_check`
 //! applies to thread schedules. A [`FaultPlan`] is built once per
-//! experiment from a seed and a set of per-leaf rules; the client transport
-//! consults it on every outbound request and injects delay, stall,
-//! disconnect, payload corruption (caught by the codec checksum at the
-//! receiver), or connect-refusal.
+//! experiment from a seed and a set of per-leaf rules. A fault is what a
+//! connection does to a frame: a client with a plan attached hands every
+//! frame it sends, a single request or a batch envelope alike, to
+//! `ClientFaults::write`, which writes it as the plan decides — intact,
+//! late, never, corrupted (caught by the codec checksum at the receiver),
+//! or not at all because the connection is cut. Connect-refusal is decided
+//! at connect. All of it lives here; the client's send path holds one
+//! `Option` check.
+//!
+//! What follows from faults acting on frames:
+//!
+//! * A delayed frame is serialized when it is sent, so it carries the
+//!   deadline budget it was encoded with, as a frame delayed in the
+//!   network would. The plan's own timer writes it when due, even if its
+//!   call has timed out by then (the reply then finds no entry); a
+//!   connection that broke in the meantime refuses it.
+//! * A disconnect cuts the connection ([`ConnWriter`]'s failed-flush
+//!   path), and the connection's close path fails every call in flight on
+//!   it with `ConnectionClosed`, the one that drew the fault included.
+//! * The per-leaf call index counts frames offered on a connection not yet
+//!   seen closed; a batch envelope is one frame and one decision.
+//!
+//! [`ConnWriter`]: crate::buf::ConnWriter
 //!
 //! Every injection decision is a pure function of `(seed, leaf, call
 //! index)` — no wall-clock or thread-identity input — so two plans built
@@ -19,23 +38,27 @@
 //! a single `Acquire` load; a client with no plan attached pays only an
 //! `Option` check, keeping the production path at zero overhead.
 
+use crate::buf::SharedWriter;
+use crate::timer::{Fate, Timer};
+use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
 use musuite_check::sync::Mutex;
-use std::fmt;
+use musuite_codec::frame::FrameHeader;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use std::{fmt, io};
 
-/// What the shim does to one outbound request (or connect attempt).
+/// What a connection does to one outbound frame (or connect attempt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultKind {
-    /// Hold the request back for the given duration, then send it.
+    /// Hold the frame back for the given duration, then send it.
     Delay(Duration),
-    /// Swallow the request: it is registered in flight but never sent, so
-    /// only a deadline can complete it — a silently wedged leaf.
+    /// Swallow the frame: its calls are registered in flight but never
+    /// sent, so only a deadline can complete them — a silently wedged leaf.
     Stall,
-    /// Tear the connection down instead of sending; in-flight calls fail
-    /// with `ConnectionClosed`.
+    /// Cut the connection instead of sending; in-flight calls fail with
+    /// `ConnectionClosed`.
     Disconnect,
     /// Send the frame with one payload bit flipped after the checksum was
     /// computed; the receiver detects the mismatch and drops the
@@ -145,6 +168,9 @@ pub struct FaultPlan {
     armed: AtomicBool,
     leaves: Vec<LeafFaultState>,
     log: Mutex<Vec<FaultEvent>>,
+    /// Frames held back by a [`FaultKind::Delay`], each with the connection
+    /// it is written to when due.
+    delayed: Timer<(SharedWriter, Bytes)>,
 }
 
 impl FaultPlan {
@@ -215,20 +241,8 @@ impl FaultPlan {
 
     /// Faults of `kind` injected so far (delay matches any duration).
     pub fn injected_of(&self, kind: FaultKind) -> u64 {
-        self.log
-            .lock()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    (e.kind, kind),
-                    (FaultKind::Delay(_), FaultKind::Delay(_))
-                        | (FaultKind::Stall, FaultKind::Stall)
-                        | (FaultKind::Disconnect, FaultKind::Disconnect)
-                        | (FaultKind::Corrupt, FaultKind::Corrupt)
-                        | (FaultKind::ConnectRefused, FaultKind::ConnectRefused)
-                )
-            })
-            .count() as u64
+        let kind = std::mem::discriminant(&kind);
+        self.log.lock().iter().filter(|e| std::mem::discriminant(&e.kind) == kind).count() as u64
     }
 
     fn record(&self, leaf: usize, call: u64, kind: FaultKind) {
@@ -338,7 +352,16 @@ impl FaultPlanBuilder {
                 })
                 .collect(),
             log: Mutex::new(Vec::new()),
+            delayed: Timer::new("musuite-fault-delay", release),
         })
+    }
+}
+
+/// Writes a delayed frame once it is due; a connection that broke in the
+/// meantime refuses it.
+fn release((writer, frame): (SharedWriter, Bytes), fate: Fate) {
+    if fate == Fate::Due {
+        let _ = writer.write_frame(&frame);
     }
 }
 
@@ -355,17 +378,55 @@ impl ClientFaults {
         self.leaf
     }
 
-    /// The owning plan.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
     pub(crate) fn next_send_fault(&self) -> Option<FaultKind> {
         self.plan.next_send_fault(self.leaf)
     }
 
     pub(crate) fn refuse_connect(&self) -> bool {
         self.plan.refuse_connect(self.leaf)
+    }
+
+    /// Writes one frame a client sends on `writer`, its payload appended
+    /// by `body`, as the plan decides for the leaf's next call index:
+    /// intact, corrupted, never, late (held by the plan's timer), or not
+    /// at all because the connection is cut (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// As [`ConnWriter::write_with`](crate::buf::ConnWriter::write_with)
+    /// for the frames written now; a delayed frame's later write reports
+    /// nothing.
+    pub(crate) fn write(
+        &self,
+        writer: &SharedWriter,
+        header: &FrameHeader,
+        body: impl FnOnce(&mut BytesMut),
+    ) -> io::Result<()> {
+        let serialized = |body| -> io::Result<BytesMut> {
+            let mut frame = BytesMut::new();
+            header.encode_in_place(&mut frame, body)?;
+            Ok(frame)
+        };
+        match self.next_send_fault() {
+            None | Some(FaultKind::ConnectRefused) => writer.write_with(header, body),
+            Some(FaultKind::Corrupt) => {
+                // After the checksum: the receiver must reject the frame.
+                let mut frame = serialized(body)?;
+                let last = frame.len() - 1;
+                frame[last] ^= 0x40;
+                writer.write_frame(&frame)
+            }
+            Some(FaultKind::Stall) => Ok(()),
+            Some(FaultKind::Disconnect) => {
+                writer.cut();
+                Ok(())
+            }
+            Some(FaultKind::Delay(delay)) => {
+                let frame = serialized(body)?.freeze();
+                self.plan.delayed.schedule(Instant::now() + delay, (writer.clone(), frame));
+                Ok(())
+            }
+        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! The crate's one deadline timer: a min-heap of `(fire time, task)` and
 //! one lazily spawned thread that sleeps until the earliest entry is due.
 //!
-//! Two owners instantiate it — the client's reaper (call deadlines and
-//! fault-delayed sends) and the fan-out group (hedges, retries, reconnects
-//! and merge-buffer delay windows) — and both get the same contract: every
+//! Three owners instantiate it — the client's reaper (call deadlines), the
+//! fan-out group (hedges, retries and reconnects) and a fault plan (frames
+//! held back by a delay) — and all get the same contract: every
 //! scheduled task reaches the owner's handler **exactly once**, as
 //! [`Fate::Due`] on the timer thread or as [`Fate::Cancelled`] on whichever
 //! thread shut the timer down (or tried to schedule after it was). Nothing
@@ -182,7 +182,7 @@ fn spawn_timer_thread<T: Send + 'static>(shared: Arc<Shared<T>>) -> JoinHandle<(
                 state = shared.state.lock();
             }
         })
-        .expect("spawn timer thread") // lint: allow(expect): deadlines, hedges and delay flushes are unenforceable without it
+        .expect("spawn timer thread") // lint: allow(expect): deadlines, hedges and delayed frames are unenforceable without it
 }
 
 #[cfg(test)]
