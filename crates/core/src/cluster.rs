@@ -12,8 +12,8 @@ use crate::leaf::{LeafHandler, LeafService};
 use crate::midtier::{MidTierHandler, MidTierService};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::{
-    CallOptions, FanoutGroup, FaultPlan, NetworkModel, Reactor, ReactorConfig, ResilientConfig,
-    RpcClient, RpcError, Server, ServerConfig,
+    CallOptions, FanoutGroup, FaultPlan, Reactor, ResilientConfig, RpcClient, RpcError, Server,
+    ServerConfig,
 };
 use std::marker::PhantomData;
 use std::net::SocketAddr;
@@ -144,18 +144,10 @@ impl Cluster {
         let addrs: Vec<SocketAddr> = leaves.iter().map(Server::local_addr).collect();
         // The mid-tier's network model governs both of its network edges:
         // under SharedPollers its leaf-client connections also share one
-        // fixed reactor pool instead of spawning a pick-up thread each.
-        let leaf_reactor = match config.midtier.network_model_value() {
-            NetworkModel::BlockingPerConn => None,
-            NetworkModel::SharedPollers { pollers } => {
-                Some(Arc::new(Reactor::start(ReactorConfig {
-                    pollers,
-                    wait_mode: config.midtier.wait_mode_value(),
-                    sweep_budget: config.midtier.sweep_budget_value(),
-                    idle_timeout: config.midtier.idle_timeout_value(),
-                })))
-            }
-        };
+        // fixed reactor pool instead of spawning a pick-up thread each. Its
+        // idle timeout does not: that reaps what the mid-tier accepted.
+        let leaf_reactor =
+            config.midtier.reactor_config().map(|pool| Arc::new(Reactor::start(pool)));
         let group = FanoutGroup::connect_with_plan_via(
             &addrs,
             config.conns_per_leaf_count(),
@@ -295,6 +287,7 @@ pub type ServiceResult<T> = Result<T, ServiceError>;
 mod tests {
     use super::*;
     use crate::midtier::Plan;
+    use musuite_rpc::NetworkModel;
 
     struct AddLeaf(u64);
     impl LeafHandler for AddLeaf {
@@ -382,6 +375,32 @@ mod tests {
             assert_eq!(client.call_typed(&q, CallOptions::default()).unwrap(), q + 20);
         }
         cluster.shutdown();
+    }
+
+    /// The mid-tier's idle timeout reaps the connections it accepted, never
+    /// the leaf connections it dialed, under either network model.
+    #[test]
+    fn midtier_idle_timeout_spares_its_own_leaf_connections() {
+        use musuite_telemetry::resilience::ResilienceEvent;
+        use std::time::Duration;
+        for network in [NetworkModel::BlockingPerConn, NetworkModel::SharedPollers { pollers: 2 }] {
+            let mut midtier = ServerConfig::default();
+            midtier.network_model(network).idle_timeout(Duration::from_millis(50));
+            let config = ClusterConfig::new().leaves(2).midtier_config(midtier);
+            let cluster = Cluster::launch(config, MaxMid, |i| AddLeaf(i as u64 * 10)).unwrap();
+            let client = cluster.client::<u64, u64>().unwrap();
+            assert_eq!(client.call_typed(&1, CallOptions::default()).unwrap(), 11);
+            std::thread::sleep(Duration::from_millis(300));
+            let conns: Vec<usize> =
+                cluster.leaf_servers().iter().map(Server::connection_count).collect();
+            assert_eq!(conns, [1, 1], "leaf connections after an idle spell under {network:?}");
+            // The front-end's connection was idle as long, and is gone; a
+            // fresh one reaches the leaves over the connections kept.
+            let client = cluster.client::<u64, u64>().unwrap();
+            assert_eq!(client.call_typed(&2, CallOptions::default()).unwrap(), 12);
+            let reconnects = cluster.fanout().counters().get(ResilienceEvent::Reconnect);
+            assert_eq!(reconnects, 0, "reconnects under {network:?}");
+        }
     }
 
     #[test]

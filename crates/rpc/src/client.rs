@@ -6,11 +6,13 @@
 //! pick-up thread: `<block>`" in Fig. 8, via [`RpcClient::connect`]) or a
 //! **shared reactor** ([`RpcClient::connect_with`]) that sweeps many
 //! client connections from a fixed poller pool — so a wide fan-out does
-//! not cost one thread per leaf. Either way, arriving responses are
-//! matched to in-flight requests through a shared table keyed by request
-//! id, and either wake the synchronous caller or run the asynchronous
-//! completion callback in place. Many threads may issue calls on one
-//! client concurrently; requests are multiplexed on the connection.
+//! not cost one thread per leaf. Its edge (`reactor::Edge`) makes, splits,
+//! runs and closes the connection; the client only supplies the driver.
+//! Either way, arriving responses are matched to in-flight requests through
+//! a shared table keyed by request id, and either wake the synchronous
+//! caller or run the asynchronous completion callback in place. Many
+//! threads may issue calls on one client concurrently; requests are
+//! multiplexed on the connection.
 //!
 //! Response payloads are [`Bytes`] slices of the connection's receive
 //! buffer — they travel from the socket to the caller without being
@@ -26,22 +28,20 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{flush_outbox, Body, ConnWriter, Payload, SharedWriter};
+use crate::buf::{flush_outbox, Body, Payload, SharedWriter};
 use crate::error::RpcError;
 use crate::fanout::Attempt;
 use crate::fault::ClientFaults;
-use crate::reactor::{spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor};
+use crate::reactor::{CloseReason, ConnDriver, Drive, Edge, Reactor};
 use crate::timer::{Fate, Timer};
 use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
-use musuite_check::thread::JoinHandle;
 use musuite_codec::batch::BatchEntry;
 use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
-use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use musuite_telemetry::sync::{CountedCondvar, CountedMutex};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -213,11 +213,13 @@ pub struct RpcClient {
     next_id: AtomicU64,
     inflight: InflightTable,
     closed: Arc<AtomicBool>,
-    reader: Option<JoinHandle<()>>,
     /// Call deadlines to enforce, by request id.
     timer: Timer<u64>,
     /// What a fault plan does to every frame this client sends.
     faults: Option<ClientFaults>,
+    /// What picks the responses up. Dropped after the connection is cut,
+    /// it joins the connection's own pick-up thread, if it has one.
+    edge: Edge,
 }
 
 impl RpcClient {
@@ -256,28 +258,11 @@ impl RpcClient {
                 )));
             }
         }
-        let stream = TcpStream::connect(addr)?;
-        OsOpCounters::global().incr(OsOp::OpenAt);
-        stream.set_nodelay(true)?;
-        let peer_addr = stream.peer_addr()?;
         let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
         let closed = Arc::new(AtomicBool::new(false));
         let driver = ClientConnDriver { inflight: inflight.clone(), closed: closed.clone() };
-        let reader = match reactor {
-            Some(reactor) => {
-                // The reactor owns the read half; response matching runs
-                // inside its sweep. No per-connection thread exists, so
-                // there is nothing to join on drop.
-                reactor.register(stream.try_clone()?, Box::new(driver))?;
-                None
-            }
-            None => Some(spawn_blocking_runner(
-                "musuite-response",
-                stream.try_clone()?,
-                driver,
-                closed.clone(),
-            )),
-        };
+        let edge = Edge::dialing(reactor);
+        let (writer, peer_addr) = edge.connect(addr, driver)?;
         let timer = Timer::new("musuite-reaper", {
             let inflight = inflight.clone();
             // An overdue call times out, unless its response claimed the
@@ -295,14 +280,20 @@ impl RpcClient {
         });
         Ok(RpcClient {
             peer_addr,
-            writer: Arc::new(ConnWriter::new(stream)),
+            writer,
             next_id: AtomicU64::new(1),
             inflight,
             closed,
-            reader,
             timer,
             faults,
+            edge,
         })
+    }
+
+    /// A fresh connection to the same server, with the same fault plan and
+    /// picked up the same way: what a fan-out replaces a broken one with.
+    pub(crate) fn reconnect(&self) -> Result<RpcClient, RpcError> {
+        RpcClient::connect_with(self.peer_addr, self.faults.clone(), self.edge.reactor())
     }
 
     /// The server address this client is connected to.
@@ -544,9 +535,6 @@ impl RpcClient {
 impl Drop for RpcClient {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(handle) = self.reader.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -591,7 +579,7 @@ fn fail_all_inflight(inflight: &InflightTable) {
     }
 }
 
-/// The client side of one connection, whichever runner picks the
+/// The client side of one connection, whichever arm of its edge picks the
 /// responses up: a shared [`Reactor`]'s sweep, or the connection's own
 /// pick-up thread.
 struct ClientConnDriver {
@@ -1009,6 +997,29 @@ mod tests {
             client.shutdown();
             let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
+        }
+
+        /// A client holds its reactor through its edge: the reactor lives
+        /// as long as its last client, even when that client is released
+        /// in a callback on one of the reactor's own sweep threads.
+        #[test]
+        fn a_client_keeps_its_reactor_until_released_on_its_sweeper() {
+            let server = echo_server();
+            let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
+            let client = Arc::new(
+                RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap(),
+            );
+            drop(reactor);
+            assert_eq!(client.call(1, b"kept".to_vec()).unwrap(), b"kept");
+            let (tx, rx) = mpsc::channel();
+            let last = client.clone();
+            client.call_async(1, b"last".to_vec(), move |r| {
+                drop(last);
+                tx.send(r).unwrap();
+            });
+            drop(client);
+            let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+            assert_eq!(reply, b"last");
         }
 
         #[test]

@@ -6,6 +6,7 @@
 //! All three are first-class configuration here so the ablation bench can
 //! sweep them.
 
+use crate::reactor::ReactorConfig;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -289,10 +290,15 @@ impl ServerConfig {
         self
     }
 
-    /// Enables idle-connection reaping: connections with no traffic for
-    /// `timeout` are dropped and counted as `ServerEvent::IdleReaped`.
-    /// Off by default.
+    /// Enables idle-connection reaping: accepted connections with no
+    /// traffic for `timeout` are dropped and counted as
+    /// `ServerEvent::IdleReaped`. Off by default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timeout` is zero.
     pub fn idle_timeout(&mut self, timeout: Duration) -> &mut ServerConfig {
+        assert!(!timeout.is_zero(), "idle timeout must be positive");
         self.idle_timeout = Some(timeout);
         self
     }
@@ -339,6 +345,15 @@ impl ServerConfig {
     /// Configured network wait model.
     pub fn network_model_value(&self) -> NetworkModel {
         self.network
+    }
+
+    /// The poller pool [`NetworkModel::SharedPollers`] asks for, for the
+    /// server's own edge (which adds the idle timeout) and for the one a
+    /// mid-tier's leaf clients share.
+    pub fn reactor_config(&self) -> Option<ReactorConfig> {
+        let NetworkModel::SharedPollers { pollers } = self.network else { return None };
+        let (wait_mode, sweep_budget) = (self.wait_mode, self.sweep_budget);
+        Some(ReactorConfig { pollers, wait_mode, sweep_budget, idle_timeout: None })
     }
 
     /// Configured per-sweep frame budget.
@@ -441,6 +456,12 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_pollers_rejected() {
         ServerConfig::new().network_model(NetworkModel::SharedPollers { pollers: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "idle timeout must be positive")]
+    fn zero_idle_timeout_rejected() {
+        ServerConfig::new().idle_timeout(Duration::ZERO);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::buf::Payload;
 use crate::client::{CallOptions, Pending, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
-use crate::fault::{ClientFaults, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::reactor::Reactor;
 use crate::resilient::{Admission, CircuitBreaker, HedgePolicy, ResilientConfig};
 use crate::timer::{Fate, Timer};
@@ -61,7 +61,7 @@ use musuite_check::sync::{Mutex, RwLock};
 use musuite_codec::Priority;
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::resilience::{ResilienceCounters, ResilienceEvent};
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -516,10 +516,8 @@ where
 /// a read–write lock so broken connections can be swapped for fresh ones
 /// while pickers proceed under read locks; dropping the group empties it.
 struct LeafConns {
-    addr: SocketAddr,
     conns: RwLock<Vec<Arc<RpcClient>>>,
     next: AtomicUsize,
-    faults: Option<ClientFaults>,
 }
 
 impl LeafConns {
@@ -567,7 +565,6 @@ impl Task {
 /// What a group's handle, its attempt callbacks and its timer tasks share.
 struct Core {
     leaves: Vec<LeafConns>,
-    reactor: Mutex<Option<Arc<Reactor>>>,
     clock: Clock,
     /// `None` for a bare group: no breaker, hedge, retry or reconnect.
     resilience: Option<ResilientConfig>,
@@ -579,10 +576,9 @@ struct Core {
 
 impl Core {
     /// A bare group's core over `leaves`.
-    fn new(leaves: Vec<LeafConns>, reactor: Option<&Arc<Reactor>>) -> Core {
+    fn new(leaves: Vec<LeafConns>) -> Core {
         Core {
             leaves,
-            reactor: Mutex::new(reactor.cloned()),
             clock: Clock::new(),
             resilience: None,
             breakers: Vec::new(),
@@ -614,19 +610,18 @@ impl Core {
     }
 
     /// Replaces every closed connection in `leaf`'s pool with a fresh one
-    /// (same fault-plan view, so a dead leaf refuses it, and same reactor)
-    /// and returns how many it replaced. Refuses after shutdown.
+    /// ([`RpcClient::reconnect`]: same fault-plan view, so a dead leaf
+    /// refuses it, and same reactor) and returns how many it replaced.
+    /// Refuses after shutdown.
     fn reconnect(&self, leaf: usize) -> Result<usize, RpcError> {
         let pool = &self.leaves[leaf];
         let mut conns = pool.conns.write();
         if self.is_shut() {
             return Err(RpcError::ShuttingDown);
         }
-        let reactor = self.reactor.lock().clone();
         let mut replaced = 0;
         for conn in conns.iter_mut().filter(|conn| conn.is_closed()) {
-            let fresh = RpcClient::connect_with(pool.addr, pool.faults.clone(), reactor.as_ref())?;
-            *conn = Arc::new(fresh);
+            *conn = Arc::new(conn.reconnect()?);
             replaced += 1;
         }
         if replaced > 0 {
@@ -704,15 +699,9 @@ impl FanoutGroup {
             for _ in 0..conns_per_leaf {
                 conns.push(Arc::new(RpcClient::connect_with(addr, faults.clone(), reactor)?));
             }
-            let addr = conns[0].peer_addr();
-            leaves.push(LeafConns {
-                addr,
-                conns: RwLock::new(conns),
-                next: AtomicUsize::new(0),
-                faults,
-            });
+            leaves.push(LeafConns { conns: RwLock::new(conns), next: AtomicUsize::new(0) });
         }
-        Ok(FanoutGroup { core: Arc::new(Core::new(leaves, reactor)) })
+        Ok(FanoutGroup { core: Arc::new(Core::new(leaves)) })
     }
 
     /// Returns the group unchanged; `policy` is ignored. Per hop, a
@@ -884,17 +873,16 @@ impl FanoutGroup {
 }
 
 impl Drop for FanoutGroup {
-    /// Shuts the group down, then drops its connections and reactor here:
-    /// their threads are joined on this thread, never on one of their own,
-    /// where a late callback could release the core's last reference.
+    /// Shuts the group down, then drops its connections here, and with the
+    /// last of them a reactor only they held: their threads are joined on
+    /// this thread, never on one of their own, where a late callback could
+    /// release the core's last reference.
     fn drop(&mut self) {
         self.core.shutdown();
         for leaf in &self.core.leaves {
             let conns = std::mem::take(&mut *leaf.conns.write());
             drop(conns);
         }
-        let reactor = self.core.reactor.lock().take();
-        drop(reactor);
     }
 }
 
@@ -913,6 +901,7 @@ pub(crate) mod tests {
     use crate::config::ServerConfig;
     use crate::server::Server;
     use crate::service::{RequestContext, Service};
+    use std::net::SocketAddr;
 
     /// Replies with its configured id plus the request payload.
     pub(crate) struct TaggedEcho(pub(crate) u8);
@@ -1306,7 +1295,7 @@ pub(crate) mod model_tests {
     {
         let slots =
             (0..slots).map(|leaf| Slot::new(LeafCall::new(leaf, 1, Payload::new()), 2, pending, 0));
-        let core = Arc::new(Core::new(Vec::new(), None));
+        let core = Arc::new(Core::new(Vec::new()));
         // The core outlives the run: dropping it stops its timer, which
         // takes a lock, and a run that trips an assertion ends unwinding.
         std::mem::forget(core.clone());

@@ -1,66 +1,47 @@
-//! A std-only readiness reactor: the paper's fixed network-poller pool.
+//! The network edge: the paper's two network models over one protocol.
 //!
 //! The mid-tier of Fig. 8 drives *all* of its connections from a small,
-//! fixed set of network poller threads that feed the dispatch queue — the
-//! thread count at the network edge is an architectural constant, not a
-//! function of how many clients are connected. This module reproduces
-//! that design without `epoll` bindings (no `unsafe`, no new
-//! dependencies): every registered socket is switched to non-blocking
-//! mode and partitioned across `pollers` *sweep threads*. Each sweep
-//! thread loops over its shard, asking each connection's [`RecvBuf`] to
-//! read whatever bytes the kernel has buffered; complete frames are handed
-//! to the connection's [`ConnDriver`] (the server's dispatch path or the
-//! client's in-flight completion path).
+//! fixed set of network poller threads that feed the dispatch queue, so the
+//! thread count at the network edge is an architectural constant. The
+//! [`Reactor`] reproduces that without `epoll` bindings (no `unsafe`, no new
+//! dependencies): registered sockets are switched to non-blocking mode and
+//! partitioned across `pollers` *sweep threads*, each of which asks its
+//! connections' [`RecvBuf`]s for whatever the kernel has buffered and hands
+//! complete frames to each connection's [`ConnDriver`]. One connection
+//! drains at most `sweep_budget` frames per sweep, so a chatty peer cannot
+//! starve its shard-mates. After an empty sweep the thread yields or parks
+//! (20 µs doubling to 640 µs, this reactor's stand-in for `epoll_pwait`) by
+//! the dispatch queue's [`WaitMode`] rule.
 //!
-//! Between *empty* sweeps — no shard connection had a complete frame —
-//! the thread waits according to [`WaitMode`], extending the paper's
-//! block- vs poll-based trade-off to the network edge:
+//! New connections land in their shard's `Ledger` and are adopted at the top
+//! of the next sweep, after which the sweep thread owns them exclusively. A
+//! connection leaves by [`Drive::Close`], I/O error or EOF, idle timeout or
+//! shutdown, and its driver's `on_close` runs exactly once (the handoff
+//! between a racing `register` and `shutdown` is model-checked under
+//! `musuite_check`).
 //!
-//! * [`WaitMode::Poll`] — `yield_now` and sweep again: lowest latency,
-//!   one core burned per poller.
-//! * [`WaitMode::Block`] — park on the shard's registration condvar with
-//!   an escalating timeout (20 µs doubling to 640 µs). A condvar cannot
-//!   observe socket readiness, so the timed park is this reactor's
-//!   stand-in for `epoll_pwait`: freshly idle shards wake quickly (the
-//!   paper's wakeup-latency cost, kept small), long-idle shards converge
-//!   to a few wakeups per millisecond (the CPU-conservation benefit).
-//! * [`WaitMode::Adaptive`] — spin-yield for a budget of empty sweeps,
-//!   then fall back to the escalating park.
-//!
-//! These are the dispatch queue's rule and budgets: the *n*-th empty sweep
-//! in a row yields while *n* is within the mode's spin budget (none under
-//! `Block`, no end under `Poll`, 64 under `Adaptive`), and parks after it.
-//!
-//! Fairness: one connection may drain at most `sweep_budget` frames per
-//! sweep before the thread moves on, so a chatty peer cannot starve its
-//! shard-mates; frames it has read but not drained stay in its receive
-//! buffer and go first in the next sweep, which is therefore never empty.
-//!
-//! Registration is lock-free for the sweeper in the steady state: new
-//! connections land in the shard's `Ledger` and are adopted at the top
-//! of the next sweep, after which the connection is owned *exclusively*
-//! by its sweep thread — read buffers are never shared. Deregistration
-//! happens either by the driver (`Drive::Close`), by I/O error or EOF, by
-//! idle timeout, or by reactor shutdown; in every case the driver's
-//! `on_close` runs exactly once (the handoff between a racing `register`
-//! and `shutdown` is model-checked under `musuite_check`).
-//!
-//! The thread-per-connection arm of [`NetworkModel`](crate::NetworkModel)
-//! runs the same [`ConnDriver`]s under a second runner,
-//! `spawn_blocking_runner`; a driver cannot tell which feeds it, so the
-//! two models are an ablation of the wait, not of the protocol.
+//! A server's or a client's whole network edge is one `Edge`, whose arms are
+//! the two arms of [`NetworkModel`](crate::NetworkModel): a reactor, or a
+//! runner thread per connection blocked in `read`, whose live connections
+//! sit in a `Ledger` under the same exactly-once rule. The edge makes the
+//! socket (connects, or accepts in a server's accept loop), splits it into a
+//! [`ConnWriter`] and a read half, runs the read half and closes it; server
+//! and client only name the driver. A driver cannot tell which arm feeds it,
+//! so the two models are an ablation of the wait, not of the protocol
+//! (DESIGN.md §5d).
 
-use crate::buf::{flush_outbox, DeferScope, RecvBuf};
-use crate::config::WaitMode;
+use crate::buf::{flush_outbox, ConnWriter, DeferScope, RecvBuf, SharedWriter};
+use crate::config::{ServerConfig, WaitMode};
 use crate::error::RpcError;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
 use musuite_check::sync::{Condvar, Mutex};
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::Frame;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
-use musuite_telemetry::netpoll::{ReactorEvent, ReactorStats};
-use std::net::{Shutdown, TcpStream};
+use musuite_telemetry::netpoll::{CoalesceStats, ReactorEvent, ReactorStats};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// First timed park after a shard goes idle.
@@ -89,7 +70,7 @@ pub enum CloseReason {
 }
 
 /// Per-connection protocol logic, run by a reactor sweep thread or by a
-/// thread of its own (`spawn_blocking_runner`).
+/// thread of its own (the per-connection arm of the edge).
 ///
 /// The runner owns the socket's read half and the frame-assembly buffer;
 /// the driver only sees complete frames. `on_close` is called exactly
@@ -105,60 +86,270 @@ pub trait ConnDriver: Send {
     fn on_close(&mut self, reason: CloseReason);
 }
 
-/// The thread-per-connection runner: spawns a thread named `name` that
-/// blocks on `stream`, hands every frame to `driver`, and closes the
-/// socket when the peer hangs up or sends a bad frame, when the driver
-/// says [`Drive::Close`], when a read timeout set on the socket passes with
-/// no frame in flight ([`CloseReason::Idle`]), or once `stop` is set — the
-/// owner sets it and then shuts the socket down to interrupt the wait.
-/// `on_close` is the thread's last act.
-///
-/// OS-op analogs, per the paper's syscall profile: one `epoll_pwait` per
-/// wait entered with no complete frame buffered, one `recvmsg` per `read`
-/// that returned data (counted by the [`RecvBuf`]), one `close` per
-/// connection. Frames that arrived together cost one of each — and so does
-/// what handling them sends: the thread is a [`DeferScope`] that flushes
-/// when no complete frame is left, before it waits for the next.
-pub(crate) fn spawn_blocking_runner<D: ConnDriver + 'static>(
-    name: &str,
-    stream: TcpStream,
-    mut driver: D,
+/// The network edge of one server or client, under either arm of
+/// [`NetworkModel`](crate::NetworkModel). Dropping it closes what it alone
+/// owns: its own runner threads, not a reactor it shares.
+pub(crate) enum Edge {
+    /// `BlockingPerConn`: a runner thread per connection.
+    Threads(ConnThreads),
+    /// `SharedPollers`: a fixed pool of sweep threads.
+    Shared(Arc<Reactor>),
+}
+
+impl Edge {
+    /// A server's edge, which applies the idle timeout to what it accepts.
+    pub(crate) fn serving(config: &ServerConfig) -> Edge {
+        let idle_timeout = config.idle_timeout_value();
+        match config.reactor_config() {
+            Some(pool) => {
+                Edge::Shared(Arc::new(Reactor::start(ReactorConfig { idle_timeout, ..pool })))
+            }
+            None => Edge::Threads(ConnThreads::new("musuite-poller", idle_timeout)),
+        }
+    }
+
+    /// A client's edge: a pick-up thread of its own, or a shared sweep.
+    pub(crate) fn dialing(reactor: Option<&Arc<Reactor>>) -> Edge {
+        match reactor {
+            Some(reactor) => Edge::Shared(reactor.clone()),
+            None => Edge::Threads(ConnThreads::new("musuite-response", None)),
+        }
+    }
+
+    /// Connects to `addr` and attaches the connection; returns its writer
+    /// and the peer's address.
+    pub(crate) fn connect<D: ConnDriver + 'static>(
+        &self,
+        addr: impl ToSocketAddrs,
+        driver: D,
+    ) -> Result<(SharedWriter, SocketAddr), RpcError> {
+        let stream = TcpStream::connect(addr)?;
+        let peer = stream.peer_addr()?;
+        Ok((self.attach(stream, Arc::default(), |_| driver)?, peer))
+    }
+
+    /// Binds `addr` and spawns the accept loop, which attaches every
+    /// connection until the edge shuts down.
+    pub(crate) fn listen<D: ConnDriver + 'static>(
+        self: &Arc<Self>,
+        addr: impl ToSocketAddrs,
+        stats: Arc<CoalesceStats>,
+        driver: impl Fn(SharedWriter) -> D + Send + 'static,
+    ) -> Result<Acceptor, RpcError> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let edge = self.clone();
+        OsOpCounters::global().incr(OsOp::Clone);
+        let thread = Builder::new()
+            .name("musuite-accept".to_string())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(stream) = stream else { continue };
+                    if let Err(RpcError::ShuttingDown) = edge.attach(stream, stats.clone(), &driver)
+                    {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn accept thread"); // lint: allow(expect): server is inert without acceptor
+        Ok(Acceptor { addr, thread: Mutex::new(Some(thread)) })
+    }
+
+    /// Sets `TCP_NODELAY`, ticks `OpenAt`, splits the socket into the
+    /// returned writer (writes counted in `stats`) and a read half, gives
+    /// a runner thread the idle timeout as its read timeout, and starts the
+    /// read half's runner over the driver made for the writer. Once the
+    /// driver exists, its `on_close` has run if this fails.
+    pub(crate) fn attach<D: ConnDriver + 'static>(
+        &self,
+        stream: TcpStream,
+        stats: Arc<CoalesceStats>,
+        driver: impl FnOnce(SharedWriter) -> D,
+    ) -> Result<SharedWriter, RpcError> {
+        let shut = match self {
+            Edge::Threads(threads) => threads.live.is_shutdown(),
+            Edge::Shared(reactor) => reactor.shutdown.load(Ordering::Acquire),
+        };
+        if shut {
+            return Err(RpcError::ShuttingDown);
+        }
+        OsOpCounters::global().incr(OsOp::OpenAt);
+        stream.set_nodelay(true)?;
+        let read_half = stream.try_clone()?;
+        if let Edge::Threads(threads) = self {
+            read_half.set_read_timeout(threads.idle_timeout)?;
+        }
+        let writer: SharedWriter = Arc::new(ConnWriter::with_stats(stream, stats));
+        let driver = driver(writer.clone());
+        match self {
+            Edge::Threads(threads) => threads.run(read_half, driver)?,
+            Edge::Shared(reactor) => reactor.register(read_half, Box::new(driver))?,
+        }
+        Ok(writer)
+    }
+
+    /// Connections this edge runs now.
+    pub(crate) fn live_connections(&self) -> usize {
+        match self {
+            Edge::Threads(threads) => threads.reap(),
+            Edge::Shared(reactor) => reactor.live_connections(),
+        }
+    }
+
+    /// Threads serving this edge now: one per live connection, or the
+    /// reactor's fixed poller count.
+    pub(crate) fn network_threads(&self) -> usize {
+        match self {
+            Edge::Threads(threads) => threads.reap(),
+            Edge::Shared(reactor) => reactor.poller_count(),
+        }
+    }
+
+    /// The reactor, under `SharedPollers`.
+    pub(crate) fn reactor(&self) -> Option<&Arc<Reactor>> {
+        let Edge::Shared(reactor) = self else { return None };
+        Some(reactor)
+    }
+
+    /// Closes every connection (`on_close(Shutdown)`), joins what ran it
+    /// and refuses later attaches. Idempotent.
+    pub(crate) fn shutdown(&self) {
+        match self {
+            Edge::Threads(threads) => threads.shutdown(),
+            Edge::Shared(reactor) => reactor.shutdown(),
+        }
+    }
+}
+
+/// A server's listening socket, accepted on by a thread of its own.
+pub(crate) struct Acceptor {
+    pub(crate) addr: SocketAddr,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Acceptor {
+    /// Wakes the accept loop with a throwaway connection, which its edge
+    /// (shut down first) refuses, and joins it. Idempotent.
+    pub(crate) fn stop(&self) {
+        let thread = self.thread.lock().take();
+        if let Some(thread) = thread {
+            let _ = TcpStream::connect(self.addr);
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The per-connection arm: each read half runs on a thread of its own, and
+/// the live ones sit in a [`Ledger`], so a connection attached while the
+/// edge shuts down is closed by exactly one side, as a registration is.
+pub(crate) struct ConnThreads {
+    name: &'static str,
+    idle_timeout: Option<Duration>,
+    live: Ledger<LiveConn>,
     stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    let counters = OsOpCounters::global();
-    counters.incr(OsOp::Clone);
-    Builder::new()
-        .name(name.to_string())
-        .spawn(move || {
-            let mut buf = RecvBuf::default();
-            // Dropped after `on_close`: what that queued is written too.
-            let _outbox = DeferScope::enter();
-            let reason = loop {
-                if !buf.has_frame() {
-                    flush_outbox();
-                    counters.incr(OsOp::EpollPwait);
-                }
-                let verdict = buf
-                    .poll_frame(&mut &stream)
-                    .map(|got| got.map(|(frame, rx_start_ns)| driver.on_frame(frame, rx_start_ns)));
-                match verdict {
-                    _ if stop.load(Ordering::Acquire) => break CloseReason::Shutdown,
-                    Ok(Some(Drive::Continue)) => {}
-                    Ok(Some(Drive::Close)) => break CloseReason::Disconnect,
-                    // The read timed out. With nothing buffered that is an
-                    // idle connection; inside a frame, a broken stream.
-                    Ok(None) if !buf.mid_frame() => break CloseReason::Idle,
-                    Ok(None) | Err(_) => break CloseReason::Disconnect,
-                }
-            };
-            // Both halves, explicitly: other handles to this socket exist
-            // (the write half, the owner's), so dropping ours would leave
-            // the peer waiting on a silent connection.
-            let _ = stream.shutdown(Shutdown::Both);
-            counters.incr(OsOp::Close);
-            driver.on_close(reason);
+}
+
+/// A runner and the read half it blocks on, shut down to interrupt it.
+struct LiveConn {
+    stream: Arc<TcpStream>,
+    runner: JoinHandle<()>,
+}
+
+impl LiveConn {
+    fn close(self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.runner.join();
+    }
+}
+
+impl ConnThreads {
+    fn new(name: &'static str, idle_timeout: Option<Duration>) -> ConnThreads {
+        ConnThreads { name, idle_timeout, live: Ledger::new(), stop: Arc::default() }
+    }
+
+    /// Spawns the runner: a thread that blocks on `stream`, hands every
+    /// frame to `driver`, and closes the socket when the peer hangs up or
+    /// sends a bad frame, when the driver says [`Drive::Close`], when the
+    /// read timeout passes with no frame in flight ([`CloseReason::Idle`]),
+    /// or once `stop` is set — the edge sets it, then shuts the socket down
+    /// under the wait. `on_close` is the thread's last act. It ticks one
+    /// `clone` at spawn, one `epoll_pwait` per wait entered with no complete
+    /// frame buffered and one `close`; as a [`DeferScope`] it flushes when no
+    /// complete frame is left, before it waits for the next.
+    fn run<D: ConnDriver + 'static>(
+        &self,
+        stream: TcpStream,
+        mut driver: D,
+    ) -> Result<(), RpcError> {
+        let stream = Arc::new(stream);
+        let counters = OsOpCounters::global();
+        counters.incr(OsOp::Clone);
+        let (read_half, stop) = (stream.clone(), self.stop.clone());
+        let runner = Builder::new()
+            .name(self.name.to_string())
+            .spawn(move || {
+                let mut buf = RecvBuf::default();
+                // Dropped after `on_close`: what that queued is written too.
+                let _outbox = DeferScope::enter();
+                let reason = loop {
+                    if !buf.has_frame() {
+                        flush_outbox();
+                        counters.incr(OsOp::EpollPwait);
+                    }
+                    let verdict = buf.poll_frame(&mut &*read_half).map(|got| {
+                        got.map(|(frame, rx_start_ns)| driver.on_frame(frame, rx_start_ns))
+                    });
+                    match verdict {
+                        _ if stop.load(Ordering::Acquire) => break CloseReason::Shutdown,
+                        Ok(Some(Drive::Continue)) => {}
+                        Ok(Some(Drive::Close)) => break CloseReason::Disconnect,
+                        // The read timed out. With nothing buffered that is an
+                        // idle connection; inside a frame, a broken stream.
+                        Ok(None) if !buf.mid_frame() => break CloseReason::Idle,
+                        Ok(None) | Err(_) => break CloseReason::Disconnect,
+                    }
+                };
+                // Both halves, explicitly: the writer holds another handle
+                // to this socket, so dropping this one would leave the peer
+                // waiting on a silent connection.
+                let _ = read_half.shutdown(Shutdown::Both);
+                counters.incr(OsOp::Close);
+                driver.on_close(reason);
+            })
+            .expect("spawn connection runner"); // lint: allow(expect): a connection is dead without its runner
+        self.track(LiveConn { stream, runner })
+    }
+
+    /// Keeps `conn` until its runner exits (first joining those that did)
+    /// or the edge shuts down; once shutdown has begun, closes it here.
+    fn track(&self, conn: LiveConn) -> Result<(), RpcError> {
+        self.reap();
+        self.live.submit(conn).map_err(|conn| {
+            conn.close();
+            RpcError::ShuttingDown
         })
-        .expect("spawn connection runner") // lint: allow(expect): a connection is dead without its runner
+    }
+
+    /// Joins the runners that have exited; returns how many are left.
+    fn reap(&self) -> usize {
+        for conn in self.live.take_if(|conn| conn.runner.is_finished()) {
+            let _ = conn.runner.join();
+        }
+        self.live.count()
+    }
+
+    fn shutdown(&self) {
+        self.stop.store(true, Ordering::Release);
+        for conn in self.live.begin_shutdown() {
+            conn.close();
+        }
+    }
+}
+
+impl Drop for ConnThreads {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
 }
 
 /// Tuning for a [`Reactor`]; mirrors the server's network knobs.
@@ -171,7 +362,8 @@ pub struct ReactorConfig {
     pub wait_mode: WaitMode,
     /// Max complete frames drained from one connection per sweep.
     pub sweep_budget: usize,
-    /// Drop connections with no traffic for this long (`None` = never).
+    /// Drop connections with no traffic for this long (`None` = never);
+    /// a server's reactor sets it, one its clients dial through does not.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -192,18 +384,13 @@ struct Registration {
     driver: Box<dyn ConnDriver>,
 }
 
-impl std::fmt::Debug for Registration {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registration").field("stream", &self.stream).finish()
-    }
-}
-
 /// The registration mailbox between `register` callers and one sweep
-/// thread, doubling as the shard's park point.
+/// thread, doubling as the shard's park point; and the per-connection
+/// arm's table of live connections.
 ///
 /// Exactly-once handoff invariant (model-checked): an item accepted by
-/// [`Ledger::submit`] is collected by *either* the sweeper's
-/// [`Ledger::drain`] *or* the shutdown initiator's
+/// [`Ledger::submit`] is collected by *either* its owner's
+/// [`Ledger::drain`] or [`Ledger::take_if`] *or* the shutdown initiator's
 /// [`Ledger::begin_shutdown`] — never both, never neither — because the
 /// shutdown flag and the pending queue live under one lock. A submit that
 /// loses the race observes the flag and returns the item to its caller.
@@ -244,6 +431,16 @@ impl<T> Ledger<T> {
         std::mem::take(&mut self.state.lock().pending)
     }
 
+    /// Takes the items `pick` selects, leaving the rest.
+    pub(crate) fn take_if(&self, pick: impl FnMut(&mut T) -> bool) -> Vec<T> {
+        self.state.lock().pending.extract_if(.., pick).collect()
+    }
+
+    /// Items submitted and not yet taken.
+    pub(crate) fn count(&self) -> usize {
+        self.state.lock().pending.len()
+    }
+
     /// `true` once shutdown has begun.
     pub(crate) fn is_shutdown(&self) -> bool {
         self.state.lock().shutdown
@@ -270,6 +467,8 @@ impl<T> Ledger<T> {
 struct Shard {
     ledger: Arc<Ledger<Registration>>,
     sweeper: Mutex<Option<JoinHandle<()>>>,
+    /// The sweeper's thread, recorded as it starts.
+    sweeper_id: Arc<Mutex<Option<ThreadId>>>,
 }
 
 /// A fixed pool of sweep threads multiplexing registered sockets — the
@@ -331,6 +530,7 @@ impl Reactor {
         let shards = (0..config.pollers)
             .map(|i| {
                 let ledger = Arc::new(Ledger::new());
+                let sweeper_id = Arc::new(Mutex::new(None));
                 let params = SweepParams {
                     ledger: ledger.clone(),
                     stats: stats.clone(),
@@ -341,11 +541,15 @@ impl Reactor {
                 };
                 // Thread-spawn failure at startup is unrecoverable,
                 // matching the server's worker pool.
+                let id = sweeper_id.clone();
                 let handle = Builder::new()
                     .name(format!("musuite-reactor-{i}"))
-                    .spawn(move || run_sweeper(params))
+                    .spawn(move || {
+                        *id.lock() = Some(std::thread::current().id());
+                        run_sweeper(params)
+                    })
                     .expect("spawn reactor sweeper"); // lint: allow(expect)
-                Shard { ledger, sweeper: Mutex::new(Some(handle)) }
+                Shard { ledger, sweeper: Mutex::new(Some(handle)), sweeper_id }
             })
             .collect();
         Reactor { shards, next: AtomicUsize::new(0), stats, live, shutdown: AtomicBool::new(false) }
@@ -397,7 +601,8 @@ impl Reactor {
 
     /// Stops all sweep threads, closing every connection (drivers get
     /// `on_close(Shutdown)`) and refusing future registrations.
-    /// Idempotent; joins the sweepers before returning.
+    /// Idempotent; joins the sweepers before returning, all but the
+    /// calling thread when that is one of them.
     pub fn shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -412,6 +617,12 @@ impl Reactor {
         }
         for shard in &self.shards {
             let handle = shard.sweeper.lock().take();
+            // A client holds its reactor, so the last owner can be released
+            // in a callback on a sweeper: that one is on its way out (it
+            // sees the shutdown at its next sweep) and must not join itself.
+            if *shard.sweeper_id.lock() == Some(std::thread::current().id()) {
+                continue;
+            }
             if let Some(handle) = handle {
                 let _ = handle.join();
             }
@@ -631,30 +842,17 @@ mod tests {
         idle_timeout: Option<Duration>,
     ) -> Running {
         let (peer, side) = loopback_pair();
-        let stop: Box<dyn FnOnce()> = match runner {
-            Runner::Sweeper => {
-                let reactor = Reactor::start(ReactorConfig {
-                    pollers: 1,
-                    idle_timeout,
-                    ..ReactorConfig::default()
-                });
-                reactor.register(side, Box::new(driver)).unwrap();
-                // Dropped right after, which shuts down again: idempotent.
-                Box::new(move || reactor.shutdown())
-            }
-            Runner::Blocking => {
-                side.set_read_timeout(idle_timeout).unwrap();
-                let owner = side.try_clone().unwrap();
-                let stop = Arc::new(AtomicBool::new(false));
-                let runner = spawn_blocking_runner("test", side, driver, stop.clone());
-                Box::new(move || {
-                    stop.store(true, Ordering::Release);
-                    let _ = owner.shutdown(Shutdown::Both);
-                    runner.join().unwrap();
-                })
-            }
+        let edge = match runner {
+            Runner::Sweeper => Edge::Shared(Arc::new(Reactor::start(ReactorConfig {
+                pollers: 1,
+                idle_timeout,
+                ..ReactorConfig::default()
+            }))),
+            Runner::Blocking => Edge::Threads(ConnThreads::new("test", idle_timeout)),
         };
-        Running { peer, stop }
+        edge.attach(side, Arc::default(), |_| driver).unwrap();
+        // Dropped right after, which shuts down again: idempotent.
+        Running { peer, stop: Box::new(move || edge.shutdown()) }
     }
 
     /// Waits for the connection to close on its own, then stops the runner
@@ -898,5 +1096,48 @@ mod model_tests {
             })
             .expect("no interleaving may close a driver zero or two times");
         assert!(report.iterations > 1);
+    }
+
+    /// The per-connection arm's attach/shutdown handoff: a connection is
+    /// tracked while the edge shuts down and a reap races both, its runner
+    /// exiting on its own meanwhile. By the time the attach and the
+    /// shutdown have returned, the runner has made its close exactly once
+    /// and been joined — whichever side won — and the edge keeps nothing.
+    #[test]
+    fn per_conn_attach_vs_shutdown_joins_every_runner_once() {
+        use crate::buf::loopback_pair;
+        use musuite_check::atomic::{AtomicUsize, Ordering};
+
+        let report = Checker::new()
+            .check(|| {
+                let threads = Arc::new(ConnThreads::new("model", None));
+                let closes = Arc::new(AtomicUsize::new(0));
+                let (_peer, side) = loopback_pair();
+                let stream = Arc::new(side);
+                let attacher = {
+                    let (threads, closes) = (threads.clone(), closes.clone());
+                    thread::spawn(move || {
+                        let runner = thread::spawn(move || {
+                            closes.fetch_add(1, Ordering::SeqCst);
+                        });
+                        threads.track(LiveConn { stream, runner }).is_ok()
+                    })
+                };
+                let reaper = {
+                    let threads = threads.clone();
+                    thread::spawn(move || threads.reap())
+                };
+                threads.shutdown();
+                let tracked = attacher.join().unwrap();
+                reaper.join().unwrap();
+                assert_eq!(
+                    closes.load(Ordering::SeqCst),
+                    1,
+                    "the runner must have closed once and been joined (tracked: {tracked})"
+                );
+                assert_eq!(threads.live.count(), 0, "no connection may outlive shutdown");
+            })
+            .expect("no interleaving may leave a runner unjoined or a connection live");
+        assert!(report.iterations > 1, "attach/reap/shutdown orders must be explored");
     }
 }

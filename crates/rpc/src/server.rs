@@ -1,44 +1,33 @@
 //! The threaded RPC server: network edge, dispatch queue, worker pool.
 //!
-//! The network edge is selected by [`NetworkModel`]:
+//! The network edge is a `reactor::Edge` under either
+//! [`NetworkModel`](crate::NetworkModel): a poller thread per connection
+//! blocked on its socket (the paper's "blocking on the front-end network
+//! socket", the baseline arm), or a fixed [`Reactor`] pool sweeping every
+//! connection (Fig. 8's mid-tier). The edge accepts, splits, runs, reaps and
+//! closes every connection; the server only supplies its driver, one
+//! `ServerConnDriver`. Complete requests are enqueued for the worker pool
+//! ([`ExecutionModel::Dispatch`]) or handled on the network thread
+//! ([`ExecutionModel::Inline`]); idle workers park on the queue's condition
+//! variable, the structure whose futex and wakeup costs the paper
+//! characterizes.
 //!
-//! * [`NetworkModel::BlockingPerConn`] — one poller thread per connection
-//!   blocks on the socket awaiting frames (the paper's "blocking on the
-//!   front-end network socket", and the suite's baseline ablation arm).
-//! * [`NetworkModel::SharedPollers`] — a fixed [`Reactor`] pool sweeps
-//!   every connection (the paper's Fig. 8 mid-tier, where network thread
-//!   count is an architectural constant independent of client count).
-//!
-//! Either way, the connection's protocol is one `ServerConnDriver`, and
-//! the model only picks what runs it. Complete requests are enqueued for
-//! the worker pool ([`ExecutionModel::Dispatch`]) or handled directly on
-//! the network thread ([`ExecutionModel::Inline`]). Workers park on the
-//! queue's condition variable when idle, exactly the structure whose futex
-//! and wakeup overheads the paper characterizes.
-//!
-//! Request payloads are zero-copy slices of the connection's receive
-//! buffer ([`RecvBuf`](crate::RecvBuf)) in both modes, handed through the
-//! dispatch queue into the service without a memcpy. Responses leave
-//! through a per-connection coalescing [`crate::ConnWriter`]: what a thread
-//! completes in one burst of ready work, and what other threads complete
-//! meanwhile, batch into a single socket write.
-//!
-//! Connection bookkeeping is reaped in both modes, and an optional idle
-//! timeout drops connections with no traffic (counted in
-//! [`ServerEvent::IdleReaped`]).
+//! Request payloads are zero-copy slices of the connection's receive buffer
+//! ([`RecvBuf`](crate::RecvBuf)), handed through the queue into the service
+//! without a memcpy. Responses leave through a per-connection coalescing
+//! [`crate::ConnWriter`]: what a thread completes in one burst of ready
+//! work, and what other threads complete meanwhile, batch into one socket
+//! write. An optional idle timeout drops accepted connections with no
+//! traffic (counted in [`ServerEvent::IdleReaped`]).
 
 use crate::admission::{AdmissionControl, LimitChange};
-use crate::buf::{ConnWriter, DeferScope, SharedWriter};
-use crate::config::{BatchPolicy, ExecutionModel, NetworkModel, ServerConfig};
+use crate::buf::{DeferScope, SharedWriter};
+use crate::config::{BatchPolicy, ExecutionModel, ServerConfig};
 use crate::error::RpcError;
 use crate::queue::DispatchQueue;
-use crate::reactor::{
-    spawn_blocking_runner, CloseReason, ConnDriver, Drive, Reactor, ReactorConfig,
-};
+use crate::reactor::{Acceptor, CloseReason, ConnDriver, Drive, Edge, Reactor};
 use crate::service::{RequestContext, Service};
 use crate::stats::{ServerEvent, ServerStats};
-use musuite_check::atomic::{AtomicBool, Ordering};
-use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::batch::decode_batch;
 use musuite_codec::frame::FrameKind;
@@ -46,31 +35,8 @@ use musuite_codec::{Frame, Status};
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
-
-/// A `BlockingPerConn` connection: a handle on its socket, to interrupt
-/// the poller's blocking read at shutdown, and the poller to join.
-struct LiveConn {
-    stream: TcpStream,
-    poller: JoinHandle<()>,
-}
-
-/// Connection bookkeeping in `BlockingPerConn` mode; the reactor tracks
-/// its own connections.
-type ConnTable = Mutex<Vec<LiveConn>>;
-
-/// Removes (and joins) every poller that has exited. Called
-/// opportunistically from the accept loop and from accessors, so a
-/// long-lived server shedding short-lived connections holds state
-/// proportional to *live* connections, not historical ones.
-fn reap_exited(table: &ConnTable) {
-    let done: Vec<LiveConn> =
-        table.lock().extract_if(.., |conn| conn.poller.is_finished()).collect();
-    for conn in done {
-        let _ = conn.poller.join();
-    }
-}
 
 /// A running RPC server.
 ///
@@ -101,13 +67,10 @@ fn reap_exited(table: &ConnTable) {
 /// # }
 /// ```
 pub struct Server {
-    local_addr: SocketAddr,
     pipeline: Arc<Pipeline>,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
+    edge: Arc<Edge>,
+    acceptor: Acceptor,
     worker_handles: Vec<JoinHandle<()>>,
-    table: Arc<ConnTable>,
-    reactor: Option<Arc<Reactor>>,
 }
 
 impl Server {
@@ -119,10 +82,7 @@ impl Server {
     ///
     /// Returns an error if the bind address is invalid or in use.
     pub fn spawn(config: ServerConfig, service: Arc<dyn Service>) -> Result<Server, RpcError> {
-        let listener = TcpListener::bind(config.addr())?;
-        let local_addr = listener.local_addr()?;
         let stats = ServerStats::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let queue: DispatchQueue<RequestContext> =
             DispatchQueue::new(config.queue_capacity_value(), config.wait_mode_value())
                 .with_breakdown(stats.breakdown().clone());
@@ -140,18 +100,11 @@ impl Server {
             admission,
             clock: Clock::new(),
         });
-        let table = Arc::new(ConnTable::default());
-        let reactor = match config.network_model_value() {
-            NetworkModel::BlockingPerConn => None,
-            NetworkModel::SharedPollers { pollers } => {
-                Some(Arc::new(Reactor::start(ReactorConfig {
-                    pollers,
-                    wait_mode: config.wait_mode_value(),
-                    sweep_budget: config.sweep_budget_value(),
-                    idle_timeout: config.idle_timeout_value(),
-                })))
-            }
-        };
+        let edge = Arc::new(Edge::serving(&config));
+        let acceptor = edge.listen(config.addr(), pipeline.stats.coalesce().clone(), {
+            let pipeline = pipeline.clone();
+            move |writer| ServerConnDriver { writer, pipeline: pipeline.clone() }
+        })?;
 
         let mut worker_handles = Vec::new();
         if pipeline.model == ExecutionModel::Dispatch {
@@ -167,74 +120,12 @@ impl Server {
                 );
             }
         }
-
-        let accept_handle = {
-            let shutdown = shutdown.clone();
-            let pipeline = pipeline.clone();
-            let table = table.clone();
-            let reactor = reactor.clone();
-            let idle_timeout = config.idle_timeout_value();
-            OsOpCounters::global().incr(OsOp::Clone);
-            Builder::new()
-                .name("musuite-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Retire bookkeeping for pollers that exited since
-                        // the last accept before adding the new one.
-                        reap_exited(&table);
-                        let Ok(stream) = stream else { continue };
-                        OsOpCounters::global().incr(OsOp::OpenAt);
-                        stream.set_nodelay(true).ok();
-                        let Ok(read_half) = stream.try_clone() else { continue };
-                        let stats = pipeline.stats.coalesce().clone();
-                        let driver = ServerConnDriver {
-                            writer: Arc::new(ConnWriter::with_stats(stream, stats)),
-                            pipeline: pipeline.clone(),
-                        };
-                        if let Some(reactor) = &reactor {
-                            // Shared-poller mode: the reactor owns the read
-                            // half; no thread is spawned for this conn.
-                            let _ = reactor.register(read_half, Box::new(driver));
-                            continue;
-                        }
-                        // Baseline idle reaping: the poller's blocking wait
-                        // for the next frame times out and it exits.
-                        read_half.set_read_timeout(idle_timeout).ok();
-                        let Ok(conn_handle) = read_half.try_clone() else { continue };
-                        let poller = spawn_blocking_runner(
-                            "musuite-poller",
-                            read_half,
-                            driver,
-                            shutdown.clone(),
-                        );
-                        let mut live = table.lock();
-                        if shutdown.load(Ordering::Acquire) {
-                            // Registered after `shutdown` swept the table.
-                            let _ = conn_handle.shutdown(Shutdown::Both);
-                        }
-                        live.push(LiveConn { stream: conn_handle, poller });
-                    }
-                })
-                .expect("spawn accept thread") // lint: allow(expect): server is inert without acceptor
-        };
-
-        Ok(Server {
-            local_addr,
-            pipeline,
-            shutdown,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            table,
-            reactor,
-        })
+        Ok(Server { pipeline, edge, acceptor, worker_handles })
     }
 
     /// The address the server is listening on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.addr
     }
 
     /// Shared telemetry for this server.
@@ -242,34 +133,23 @@ impl Server {
         &self.pipeline.stats
     }
 
-    /// Number of live connections. Per-connection mode reaps exited
-    /// pollers before counting; shared-poller mode asks the reactor.
+    /// Number of live connections.
     pub fn connection_count(&self) -> usize {
-        match &self.reactor {
-            Some(reactor) => reactor.live_connections(),
-            None => {
-                reap_exited(&self.table);
-                self.table.lock().len()
-            }
-        }
+        self.edge.live_connections()
     }
 
     /// Number of threads serving the network edge right now: the fixed
-    /// poller count under [`NetworkModel::SharedPollers`], one per live
-    /// connection under [`NetworkModel::BlockingPerConn`]. This is the
-    /// quantity the paper's Fig. 8 holds constant and the scaling test
-    /// asserts on.
+    /// poller count under `SharedPollers`, one per live connection under
+    /// `BlockingPerConn`. This is the quantity the paper's Fig. 8 holds
+    /// constant and the scaling test asserts on.
     pub fn network_threads(&self) -> usize {
-        match &self.reactor {
-            Some(reactor) => reactor.poller_count(),
-            None => self.connection_count(),
-        }
+        self.edge.network_threads()
     }
 
-    /// The shared reactor, when running under
-    /// [`NetworkModel::SharedPollers`] (for sweep statistics).
+    /// The shared reactor, when running under `SharedPollers` (for sweep
+    /// statistics).
     pub fn reactor(&self) -> Option<&Reactor> {
-        self.reactor.as_deref()
+        self.edge.reactor().map(|reactor| &**reactor)
     }
 
     /// The admission gate: current concurrency limit and in-flight count.
@@ -277,21 +157,11 @@ impl Server {
         &self.pipeline.admission
     }
 
-    /// Stops accepting, closes every connection, drains the worker pool,
-    /// and joins all threads. Idempotent.
+    /// Closes every connection and joins what ran them, stops accepting,
+    /// and lets the worker pool drain. Idempotent.
     pub fn shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        // Unblock pollers parked in read().
-        for conn in self.table.lock().iter() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
+        self.edge.shutdown();
+        self.acceptor.stop();
         self.pipeline.queue.close();
     }
 }
@@ -299,15 +169,8 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
-        }
-        let conns = std::mem::take(&mut *self.table.lock());
-        for conn in conns {
-            let _ = conn.poller.join();
         }
     }
 }
@@ -315,7 +178,7 @@ impl Drop for Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("local_addr", &self.local_addr)
+            .field("local_addr", &self.local_addr())
             .field("stats", self.stats())
             .finish()
     }
@@ -480,10 +343,14 @@ impl ConnDriver for ServerConnDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::ConnWriter;
     use crate::client::{CallOptions, RpcClient};
+    use crate::config::NetworkModel;
     use crate::config::WaitMode;
+    use musuite_check::atomic::Ordering;
     use musuite_codec::Priority;
     use musuite_telemetry::netpoll::ReactorEvent;
+    use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
     struct Echo;
