@@ -3,21 +3,20 @@
 //!
 //! Closed-loop clients drive an echo server to saturation three ways:
 //! unbatched (the pre-batching request path), and with `BatchPolicy`
-//! {max_size 8, 50 µs} and {max_size 32, 50 µs}. Batched arms issue
-//! multi-request frames (`call_batch_async`), and the server drains the
-//! dispatch queue batch-at-a-time (`pop_batch`), so the whole
-//! wire→queue→worker path is exercised at batch granularity. The
-//! acceptance bar for the batching tentpole is the batched arms
-//! sustaining ≥ 1.5x the unbatched saturation throughput, at a
-//! recorded (bounded) p99 cost, with the server's batch-occupancy and
-//! flush-reason counters printed alongside.
+//! {max_size 8, 50 µs} and {max_size 32, 50 µs}. Batched arms issue each
+//! window's `call_async`s inside one `burst`, so they leave in one socket
+//! write, and the server drains the dispatch queue batch-at-a-time
+//! (`pop_batch`), so the whole wire→queue→worker path is exercised at
+//! batch granularity. The acceptance bar for the batching tentpole is
+//! the batched arms sustaining ≥ 1.5x the unbatched saturation
+//! throughput, at a recorded (bounded) p99 cost, with the server's
+//! batch-occupancy and flush-reason counters printed alongside.
 //!
 //! Run: `cargo bench -p musuite-bench --bench batching_saturation`
 
 use musuite_bench::BenchEnv;
 use musuite_rpc::{
-    BatchCall, BatchPolicy, CallOptions, ExecutionModel, RequestContext, RpcClient, Server,
-    ServerConfig, Service,
+    burst, BatchPolicy, ExecutionModel, RequestContext, RpcClient, Server, ServerConfig, Service,
 };
 use musuite_telemetry::report::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,15 +66,14 @@ fn run_at(
                     client.call(1, payload.clone()).expect("echo");
                 } else {
                     let (tx, rx) = mpsc::channel();
-                    let calls: Vec<BatchCall> = (0..batch)
-                        .map(|_| {
+                    burst(|| {
+                        for _ in 0..batch {
                             let tx = tx.clone();
-                            BatchCall::new(1, payload.clone(), CallOptions::default(), move |r| {
+                            client.call_async(1, payload.clone(), move |r| {
                                 tx.send(r.is_ok()).ok();
-                            })
-                        })
-                        .collect();
-                    client.call_batch_async(calls);
+                            });
+                        }
+                    });
                     for _ in 0..batch {
                         assert!(rx.recv().expect("batch member resolves"), "member failed");
                     }

@@ -119,11 +119,9 @@ pub enum FrameKind {
     /// A response from a server to a client.
     Response = 1,
     // 2 is reserved (a retired one-way notification) and fails to decode.
-    /// A multi-request envelope: the payload is a [`crate::batch`]
-    /// envelope carrying several sub-requests, each with its own id,
-    /// method, deadline budget, and priority. Responses come back as
-    /// individual [`FrameKind::Response`] frames correlated by
-    /// sub-request id.
+    /// Reserved: a retired multi-request envelope, whose payload is a
+    /// [`crate::batch`] envelope of sub-requests, each with its own id,
+    /// method, deadline budget, and priority. An RPC server ignores it.
     Batch = 3,
 }
 

@@ -659,24 +659,46 @@ pub fn flush_outbox() {
     OUTBOX.with_borrow_mut(Outbox::flush);
 }
 
+/// Runs `f` as a burst: the frames it queues on any [`ConnWriter`] leave
+/// together when it returns, one `write` per connection, as a loop
+/// thread's do when it runs out of ready work. Eight `call_async` on one
+/// client inside a burst cost one socket write, where they would cost
+/// eight outside it.
+///
+/// `f` must not wait on replies to its own frames, which are still held:
+/// a synchronous call and `scatter_wait` flush before they wait, so they
+/// are safe; a wait of its own must call [`flush_outbox`] first. On a loop
+/// thread (a handler) the frames stay held until that loop flushes.
+pub fn burst<R>(f: impl FnOnce() -> R) -> R {
+    let _scope = DeferScope::enter();
+    f()
+}
+
 /// Marks the calling thread as a loop that drains ready work: frames it
 /// queues on any [`ConnWriter`] stay in its outbox until it flushes, which
-/// it must whenever it is about to wait, and does on the way out.
-pub(crate) struct DeferScope(());
+/// it must whenever it is about to wait, and does on the way out. A scope
+/// entered inside another leaves the flush to the outer one.
+pub(crate) struct DeferScope {
+    /// Whether a scope was open when this one was entered.
+    nested: bool,
+}
 
 impl DeferScope {
     pub(crate) fn enter() -> DeferScope {
-        OUTBOX.with_borrow_mut(|outbox| outbox.deferring = true);
-        DeferScope(())
+        let nested =
+            OUTBOX.with_borrow_mut(|outbox| std::mem::replace(&mut outbox.deferring, true));
+        DeferScope { nested }
     }
 }
 
 impl Drop for DeferScope {
     fn drop(&mut self) {
-        OUTBOX.with_borrow_mut(|outbox| {
-            outbox.flush();
-            outbox.deferring = false;
-        });
+        if !self.nested {
+            OUTBOX.with_borrow_mut(|outbox| {
+                outbox.flush();
+                outbox.deferring = false;
+            });
+        }
     }
 }
 

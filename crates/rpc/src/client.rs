@@ -34,9 +34,8 @@ use crate::fanout::Attempt;
 use crate::fault::ClientFaults;
 use crate::reactor::{CloseReason, ConnDriver, Drive, Edge, Reactor};
 use crate::timer::{Fate, Timer};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
-use musuite_codec::batch::BatchEntry;
 use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
 use musuite_telemetry::sync::{CountedCondvar, CountedMutex};
@@ -69,8 +68,7 @@ impl CallOptions {
 /// pick-up thread.
 pub type Callback = Box<dyn FnOnce(Result<Bytes, RpcError>) + Send + 'static>;
 
-/// What completes one call: its in-flight entry, and a batch member's
-/// completion until it has one.
+/// What completes one call: its in-flight entry.
 pub(crate) enum Pending {
     /// A blocking caller's wake-up slot.
     Sync(Arc<SyncSlot>),
@@ -139,50 +137,12 @@ impl SyncSlot {
 type InflightTable = Arc<CountedMutex<HashMap<u64, Pending>>>;
 
 /// One request on its way out, but for its payload: what the send path
-/// and a batch envelope's member table need of it.
+/// needs of it.
 struct Outgoing {
     request_id: u64,
     method: u32,
     deadline: Option<Instant>,
     priority: Priority,
-}
-
-/// One sub-call of a [`RpcClient::call_batch_async`] envelope: a method,
-/// payload, per-member [`CallOptions`], and the callback that receives
-/// this member's individual response.
-pub struct BatchCall {
-    method: u32,
-    payload: Payload,
-    opts: CallOptions,
-    done: Pending,
-}
-
-impl BatchCall {
-    /// A sub-call. Its deadline and priority class travel in the member's
-    /// entry header inside the batch envelope, so the server's admission
-    /// gate and dequeue-expiry act on each member individually.
-    pub fn new<F>(
-        method: u32,
-        payload: impl Into<Payload>,
-        opts: CallOptions,
-        callback: F,
-    ) -> BatchCall
-    where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        let done = Pending::Async(Box::new(callback));
-        BatchCall { method, payload: payload.into(), opts, done }
-    }
-}
-
-impl std::fmt::Debug for BatchCall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchCall")
-            .field("method", &self.method)
-            .field("payload_len", &self.payload.len())
-            .field("opts", &self.opts)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Remaining-budget wire encoding of an absolute deadline, computed as
@@ -316,29 +276,20 @@ impl RpcClient {
         }
     }
 
-    /// Sends one request, its payload written by `body`.
+    /// The one way out of this client: sends one request, its payload
+    /// written by `body`. Refused once the connection is closed, else
+    /// written by the fault plan if one is attached ([`ClientFaults`]),
+    /// straight into the connection's pending buffer if not.
     fn send(&self, request: &Outgoing, body: impl Body) -> Result<(), RpcError> {
-        let header =
-            FrameHeader::new(FrameKind::Request, request.request_id, request.method, Status::Ok)
-                .with_budget(budget_for(request.deadline), request.priority);
-        self.send_frame(&header, |buf| body.encode_into(buf))
-    }
-
-    /// The one way out of this client for a frame, request or batch
-    /// envelope: refused once the connection is closed, else written by
-    /// the fault plan if one is attached ([`ClientFaults`]), straight into
-    /// the connection's pending buffer if not.
-    fn send_frame(
-        &self,
-        header: &FrameHeader,
-        body: impl FnOnce(&mut BytesMut),
-    ) -> Result<(), RpcError> {
         if self.is_closed() {
             return Err(RpcError::ConnectionClosed);
         }
+        let header =
+            FrameHeader::new(FrameKind::Request, request.request_id, request.method, Status::Ok)
+                .with_budget(budget_for(request.deadline), request.priority);
         match &self.faults {
-            None => self.writer.write_with(header, body)?,
-            Some(faults) => faults.write(&self.writer, header, body)?,
+            None => self.writer.write_with(&header, |buf| body.encode_into(buf))?,
+            Some(faults) => faults.write(&self.writer, &header, |buf| body.encode_into(buf))?,
         }
         Ok(())
     }
@@ -434,7 +385,9 @@ impl RpcClient {
     }
 
     /// The asynchronous call under every public form: `done` is its
-    /// in-flight entry.
+    /// in-flight entry. It is entered in the in-flight table, and its
+    /// deadline (if any) with the timer, before anything is sent — so a
+    /// fast response cannot miss its entry.
     pub(crate) fn call_async_inner(
         &self,
         method: u32,
@@ -442,76 +395,16 @@ impl RpcClient {
         opts: CallOptions,
         done: Pending,
     ) {
-        let request = self.register_async(method, opts, done);
+        let request = self.outgoing(method, opts);
         let request_id = request.request_id;
+        self.inflight.lock().insert(request_id, done);
+        if let Some(when) = request.deadline {
+            self.timer.schedule(when, request_id);
+        }
         if let Err(e) = self.send(&request, body) {
             let pending = self.inflight.lock().remove(&request_id);
             if let Some(pending) = pending {
                 pending.complete(Err(e));
-            }
-        }
-    }
-
-    /// Enters one asynchronous call in the in-flight table, and its
-    /// deadline (if any) with the timer, before anything is sent — so a
-    /// fast response cannot miss its entry.
-    fn register_async(&self, method: u32, opts: CallOptions, done: Pending) -> Outgoing {
-        let request = self.outgoing(method, opts);
-        self.inflight.lock().insert(request.request_id, done);
-        if let Some(when) = request.deadline {
-            self.timer.schedule(when, request.request_id);
-        }
-        request
-    }
-
-    /// Issues several asynchronous calls as **one** multi-request
-    /// [`FrameKind::Batch`] frame: one header write, one (coalesced)
-    /// socket write, one server-side decode fan-in. Each member keeps its
-    /// own in-flight entry, deadline, priority, and callback — responses
-    /// come back as individual frames correlated by sub-request id, so
-    /// callbacks fire per member exactly as with [`RpcClient::call_async`].
-    ///
-    /// An empty vector is a no-op and a single-element vector falls back
-    /// to the plain request path (the envelope would only add overhead).
-    /// A fault plan sees the envelope as one frame: one decision for all
-    /// its members.
-    pub fn call_batch_async(&self, calls: Vec<BatchCall>) {
-        if calls.is_empty() {
-            return;
-        }
-        if calls.len() == 1 {
-            // lint: allow(expect): length is checked immediately above
-            let call = calls.into_iter().next().expect("len checked above");
-            self.call_async_inner(call.method, call.payload, call.opts, call.done);
-            return;
-        }
-        // Every member is registered before the envelope leaves.
-        let members: Vec<(Outgoing, Payload)> = calls
-            .into_iter()
-            .map(|call| (self.register_async(call.method, call.opts, call.done), call.payload))
-            .collect();
-        // Per-member budgets are derived as the envelope is serialized.
-        let header = FrameHeader::new(FrameKind::Batch, 0, 0, Status::Ok);
-        let envelope = |buf: &mut BytesMut| {
-            buf.put_slice(&(members.len() as u32).to_le_bytes());
-            for (call, payload) in &members {
-                let entry = BatchEntry::new(call.request_id, call.method, Bytes::new())
-                    .with_budget(budget_for(call.deadline), call.priority);
-                buf.put_slice(&entry.header_bytes_for_len(payload.len()));
-                payload.put_into(buf);
-            }
-        };
-        if let Err(e) = self.send_frame(&header, envelope) {
-            // A failed envelope write fails every member. The original
-            // error is reported once; the rest see ConnectionClosed
-            // (io::Error is not Clone, and a writer failure means the
-            // connection is done for).
-            let mut first = Some(e);
-            for (Outgoing { request_id, .. }, _) in &members {
-                let pending = self.inflight.lock().remove(request_id);
-                if let Some(pending) = pending {
-                    pending.complete(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
-                }
             }
         }
     }
@@ -807,21 +700,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_call_round_trips_every_member() {
+    fn a_burst_round_trips_every_call() {
         let server = echo_server();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let (tx, rx) = mpsc::channel();
-        let calls = (0..16u32)
-            .map(|i| {
+        crate::burst(|| {
+            for i in 0..16u32 {
                 let tx = tx.clone();
-                BatchCall::new(1, i.to_le_bytes().to_vec(), CallOptions::default(), move |result| {
+                client.call_async(1, i.to_le_bytes().to_vec(), move |result| {
                     let bytes = result.unwrap();
-                    let value = u32::from_le_bytes(bytes[..].try_into().unwrap());
-                    tx.send(value).unwrap();
-                })
-            })
-            .collect();
-        client.call_batch_async(calls);
+                    tx.send(u32::from_le_bytes(bytes[..].try_into().unwrap())).unwrap();
+                });
+            }
+        });
         let mut seen: Vec<u32> =
             (0..16).map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap()).collect();
         seen.sort_unstable();
@@ -830,91 +721,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_members_carry_individual_budget_and_priority() {
-        let server = Server::spawn(ServerConfig::default(), Arc::new(Probe)).unwrap();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        let (bounded_tx, bounded_rx) = mpsc::channel();
-        let (plain_tx, plain_rx) = mpsc::channel();
-        client.call_batch_async(vec![
-            BatchCall::new(
-                1,
-                b"a".to_vec(),
-                CallOptions { priority: Priority::Critical, ..CallOptions::within(BUDGET_500MS) },
-                move |r| bounded_tx.send(r).unwrap(),
-            ),
-            BatchCall::new(1, b"b".to_vec(), CallOptions::default(), move |r| {
-                plain_tx.send(r).unwrap()
-            }),
-        ]);
-        let bounded = bounded_rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-        let observed = u32::from_le_bytes(bounded[..4].try_into().unwrap());
-        assert!(observed > 0 && observed <= 500_000, "budget must decay from 500ms: {observed}");
-        assert_eq!(bounded[4], Priority::Critical as u8);
-        let plain = plain_rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(u32::from_le_bytes(plain[..4].try_into().unwrap()), 0);
-        assert_eq!(plain[4], Priority::Normal as u8);
-    }
-
-    #[test]
-    fn batch_member_deadline_reaps_against_stuck_server() {
-        let addr = stuck_server();
-        let client = RpcClient::connect(addr).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let bounded_tx = tx.clone();
-        client.call_batch_async(vec![
-            BatchCall::new(
-                1,
-                b"never".to_vec(),
-                CallOptions::within(Duration::from_millis(100)),
-                move |r| bounded_tx.send(r).unwrap(),
-            ),
-            BatchCall::new(1, b"unbounded".to_vec(), CallOptions::default(), move |r| {
-                tx.send(r).unwrap()
-            }),
-        ]);
-        assert_eq!(client.inflight_len(), 2);
-        let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(result, Err(RpcError::TimedOut)));
-        assert_eq!(client.inflight_len(), 1, "only the bounded member is reaped");
-    }
-
-    #[test]
-    fn batch_of_one_uses_plain_request_path() {
-        let server = echo_server();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        let (tx, rx) = mpsc::channel();
-        client.call_batch_async(vec![BatchCall::new(
-            1,
-            b"solo".to_vec(),
-            CallOptions::default(),
-            move |r| tx.send(r).unwrap(),
-        )]);
-        let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(result.unwrap(), b"solo");
-        // Empty batches are a no-op.
-        client.call_batch_async(Vec::new());
-        assert_eq!(client.inflight_len(), 0);
-    }
-
-    #[test]
-    fn batch_send_on_closed_client_fails_all_members() {
+    fn a_burst_on_a_closed_client_fails_every_call_once() {
         let server = echo_server();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         client.shutdown();
         let (tx, rx) = mpsc::channel();
-        let calls = (0..3u32)
-            .map(|_| {
+        crate::burst(|| {
+            for i in 0..3u32 {
                 let tx = tx.clone();
-                BatchCall::new(1, b"late".to_vec(), CallOptions::default(), move |r| {
-                    tx.send(r).unwrap()
-                })
+                client.call_async(1, b"late".to_vec(), move |r| tx.send((i, r)).unwrap());
+            }
+        });
+        let mut calls: Vec<u32> = (0..3)
+            .map(|_| {
+                let (i, result) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert!(matches!(result, Err(RpcError::ConnectionClosed)), "call {i}: {result:?}");
+                i
             })
             .collect();
-        client.call_batch_async(calls);
-        for _ in 0..3 {
-            let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(matches!(result, Err(RpcError::ConnectionClosed)));
-        }
+        calls.sort_unstable();
+        assert_eq!(calls, [0, 1, 2], "each call completes exactly once");
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
         assert_eq!(client.inflight_len(), 0);
     }
 
@@ -1111,7 +938,7 @@ mod tests {
         }
 
         #[test]
-        fn a_batch_envelope_is_one_frame_to_the_plan() {
+        fn every_frame_of_a_burst_is_its_own_decision() {
             let server = echo_server();
             let plan = FaultPlan::builder(16, 1)
                 .rule(0, crate::fault::FaultRule::always(FaultKind::Stall))
@@ -1121,25 +948,25 @@ mod tests {
                     .unwrap();
             plan.arm();
             let (tx, rx) = mpsc::channel();
-            let calls = (0..3u32)
-                .map(|i| {
+            crate::burst(|| {
+                for i in 0..3u32 {
                     let tx = tx.clone();
                     let opts = CallOptions::within(Duration::from_millis(100));
-                    BatchCall::new(1, vec![i as u8], opts, move |r| tx.send((i, r)).unwrap())
-                })
-                .collect();
-            client.call_batch_async(calls);
-            let mut members: Vec<u32> = (0..3)
+                    client
+                        .call_async_opts(1, vec![i as u8], opts, move |r| tx.send((i, r)).unwrap());
+                }
+            });
+            let mut calls: Vec<u32> = (0..3)
                 .map(|_| {
                     let (i, result) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-                    assert!(matches!(result, Err(RpcError::TimedOut)), "member {i}: {result:?}");
+                    assert!(matches!(result, Err(RpcError::TimedOut)), "call {i}: {result:?}");
                     i
                 })
                 .collect();
-            members.sort_unstable();
-            assert_eq!(members, [0, 1, 2], "each member completes exactly once");
+            calls.sort_unstable();
+            assert_eq!(calls, [0, 1, 2], "each call completes exactly once");
             assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
-            assert_eq!(plan.injected_of(FaultKind::Stall), 1, "one envelope, one decision");
+            assert_eq!(plan.injected_of(FaultKind::Stall), 3, "three frames, three decisions");
             assert_eq!(client.inflight_len(), 0);
         }
 

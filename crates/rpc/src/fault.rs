@@ -5,12 +5,11 @@
 //! applies to thread schedules. A [`FaultPlan`] is built once per
 //! experiment from a seed and a set of per-leaf rules. A fault is what a
 //! connection does to a frame: a client with a plan attached hands every
-//! frame it sends, a single request or a batch envelope alike, to
-//! `ClientFaults::write`, which writes it as the plan decides — intact,
-//! late, never, corrupted (caught by the codec checksum at the receiver),
-//! or not at all because the connection is cut. Connect-refusal is decided
-//! at connect. All of it lives here; the client's send path holds one
-//! `Option` check.
+//! request frame it sends to `ClientFaults::write`, which writes it as
+//! the plan decides — intact, late, never, corrupted (caught by the codec
+//! checksum at the receiver), or not at all because the connection is
+//! cut. Connect-refusal is decided at connect. All of it lives here; the
+//! client's send path holds one `Option` check.
 //!
 //! What follows from faults acting on frames:
 //!
@@ -23,7 +22,8 @@
 //!   path), and the connection's close path fails every call in flight on
 //!   it with `ConnectionClosed`, the one that drew the fault included.
 //! * The per-leaf call index counts frames offered on a connection not yet
-//!   seen closed; a batch envelope is one frame and one decision.
+//!   seen closed: every request is one frame and one decision, inside a
+//!   [`burst`](crate::burst) too.
 //!
 //! [`ConnWriter`]: crate::buf::ConnWriter
 //!

@@ -79,8 +79,8 @@ pub mod stats;
 mod timer;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
-pub use buf::{Body, ConnWriter, Payload, RecvBuf};
-pub use client::{BatchCall, CallOptions, RpcClient};
+pub use buf::{burst, Body, ConnWriter, Payload, RecvBuf};
+pub use client::{CallOptions, RpcClient};
 pub use config::{
     AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode,
 };

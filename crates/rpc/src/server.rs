@@ -29,7 +29,6 @@ use crate::reactor::{Acceptor, CloseReason, ConnDriver, Drive, Edge, Reactor};
 use crate::service::{RequestContext, Service};
 use crate::stats::{ServerEvent, ServerStats};
 use musuite_check::thread::{Builder, JoinHandle};
-use musuite_codec::batch::decode_batch;
 use musuite_codec::frame::FrameKind;
 use musuite_codec::{Frame, Status};
 use musuite_telemetry::breakdown::Stage;
@@ -197,28 +196,13 @@ struct Pipeline {
 
 impl Pipeline {
     /// Routes one decoded frame, read off the connection `writer` answers
-    /// on, through the request pipeline. `Request` frames become one
-    /// context; `Batch` frames are
-    /// unpacked into per-member contexts so admission, shedding, and expiry
-    /// stay *per sub-request* (a batch envelope must account identically to
-    /// the same requests sent individually). A batch envelope that fails to
-    /// decode despite the outer checksum is a peer bug and is dropped whole;
-    /// anything else (responses on a server connection) is ignored.
+    /// on, through the request pipeline: a `Request` frame becomes one
+    /// context. Any other kind (a response, or the reserved kind 3) is
+    /// ignored.
     fn dispatch_frame(&self, frame: Frame, received: u64, writer: &SharedWriter) {
-        let admit = |request: Frame| {
+        if frame.header.kind == FrameKind::Request {
             let stats = self.stats.clone();
-            self.admit_and_dispatch(RequestContext::new(request, received, writer.clone(), stats))
-        };
-        match frame.header.kind {
-            FrameKind::Request => admit(frame),
-            FrameKind::Batch => {
-                let Ok(entries) = decode_batch(&frame.payload) else { return };
-                for entry in entries {
-                    let member = Frame::request(entry.request_id, entry.method, entry.payload);
-                    admit(member.with_budget(entry.deadline_budget_us, entry.priority));
-                }
-            }
-            FrameKind::Response => {}
+            self.admit_and_dispatch(RequestContext::new(frame, received, writer.clone(), stats));
         }
     }
 

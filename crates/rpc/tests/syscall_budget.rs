@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
-    CallOptions, ExecutionModel, FanoutGroup, Frame, NetworkModel, RecvBuf, RequestContext,
+    burst, CallOptions, ExecutionModel, FanoutGroup, Frame, NetworkModel, RecvBuf, RequestContext,
     RpcClient, Server, ServerConfig, ServerStats, Service, Status,
 };
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -62,6 +62,8 @@ struct Echo {
     /// makes a worker's ready work the same on any number of cores, where
     /// a worker as fast as its poller would otherwise run dry in between.
     whole_burst: OnceLock<(ServerStats, u64)>,
+    /// Set: the reply is sent inside a `burst` of the handler's own.
+    in_burst: bool,
 }
 
 impl Service for Echo {
@@ -83,7 +85,11 @@ impl Service for Echo {
             let _ = go.recv_timeout(2 * PATIENCE);
         }
         let bytes = ctx.payload().clone();
-        ctx.respond_ok(bytes);
+        if self.in_burst {
+            burst(|| ctx.respond_ok(bytes));
+        } else {
+            ctx.respond_ok(bytes);
+        }
     }
 }
 
@@ -116,8 +122,12 @@ fn read_frames(buf: &mut RecvBuf, stream: &TcpStream, count: u64) -> Vec<Frame> 
 /// work for whichever threads serve them, and come back in one flush, two
 /// if the burst was split once.
 fn assert_burst_is_answered_in_two_flushes(network: NetworkModel, execution: ExecutionModel) {
+    assert_burst_of(Echo::default(), network, execution);
+}
+
+fn assert_burst_of(echo: Echo, network: NetworkModel, execution: ExecutionModel) {
     let _turn = turn();
-    let echo = Arc::new(Echo::default());
+    let echo = Arc::new(echo);
     let server = spawn_echo(network, execution, echo.clone());
     if execution == ExecutionModel::Dispatch {
         // Inline, the network thread is the handler's: nothing to wait for.
@@ -149,6 +159,16 @@ fn a_burst_is_answered_in_two_flushes_by_a_dispatch_worker() {
         NetworkModel::BlockingPerConn,
         ExecutionModel::Dispatch,
     );
+}
+
+/// A `burst` opened where a loop thread already defers its writes (here
+/// a handler's, on a dispatch worker) leaves the flush to that loop: it
+/// neither writes each reply at its own exit nor ends the worker's
+/// deferring for the replies after it.
+#[test]
+fn a_burst_inside_a_dispatch_worker_s_handler_is_answered_in_two_flushes() {
+    let echo = Echo { in_burst: true, ..Echo::default() };
+    assert_burst_of(echo, NetworkModel::BlockingPerConn, ExecutionModel::Dispatch);
 }
 
 #[test]
@@ -203,6 +223,30 @@ fn reissues_from_a_burst_of_completions_leave_in_two_sendmsgs() {
         best = best.min(sendmsgs() - before);
     }
     assert!(best <= BUDGET, "{best} sendmsg for {BURST} re-issued calls, budget {BUDGET}");
+    client.shutdown();
+}
+
+/// A caller's `burst` is what a user thread has of a loop's coalescing:
+/// eight calls on one client inside one cost one `sendmsg`, the same eight
+/// outside it eight. The peer reads the frames and never replies, so every
+/// `sendmsg` counted is the client's.
+#[test]
+fn eight_calls_in_a_burst_leave_in_one_sendmsg() {
+    const CALLS: u64 = 8;
+    let _turn = turn();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = RpcClient::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (peer, _) = listener.accept().expect("accept");
+    let mut buf = RecvBuf::default();
+    let issue = || (0..CALLS).for_each(|_| client.call_async(1, vec![7u8; 64], |_| {}));
+    let before = sendmsgs();
+    burst(issue);
+    assert_eq!(sendmsgs() - before, 1, "a burst of {CALLS} calls is one write");
+    read_frames(&mut buf, &peer, CALLS);
+    let before = sendmsgs();
+    issue();
+    assert_eq!(sendmsgs() - before, CALLS, "outside a burst every call is its own write");
+    read_frames(&mut buf, &peer, CALLS);
     client.shutdown();
 }
 

@@ -1,5 +1,6 @@
 //! Fault-injection and robustness tests for the RPC substrate.
 
+use musuite::codec::{batch_frame, BatchEntry};
 use musuite::rpc::{
     CallOptions, ExecutionModel, Frame, NetworkModel, Reactor, ReactorConfig, RecvBuf,
     RequestContext, RpcClient, RpcError, Server, ServerConfig, Service, Status, WaitMode,
@@ -50,6 +51,34 @@ fn oversized_frame_is_rejected_cleanly() {
     std::thread::sleep(Duration::from_millis(50));
     let client = RpcClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.call(1, b"still alive".to_vec()).unwrap(), b"still alive");
+}
+
+/// Kind 3 is reserved: a well-formed frame of it (the shape the retired
+/// client envelope had) is ignored, counted as nothing, and the request
+/// behind it on the same connection is answered.
+#[test]
+fn a_reserved_kind_frame_is_ignored_and_the_connection_carries_on() {
+    for network in [NetworkModel::BlockingPerConn, NetworkModel::SharedPollers { pollers: 1 }] {
+        let mut config = ServerConfig::default();
+        config.network_model(network);
+        let server = echo_server(config);
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let reserved = batch_frame(&[
+            BatchEntry::new(1, 1, b"one".to_vec()),
+            BatchEntry::new(2, 1, b"two".to_vec()),
+        ]);
+        raw.write_all(&reserved.to_bytes()).unwrap();
+        raw.write_all(&Frame::request(9, 1, b"after".to_vec()).to_bytes()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (reply, _) = RecvBuf::default().poll_frame(&mut raw).unwrap().expect("a reply");
+        assert_eq!(
+            (reply.header.request_id, &reply.payload[..]),
+            (9, &b"after"[..]),
+            "{network:?}"
+        );
+        assert_eq!(server.stats().requests(), 1, "{network:?}");
+        assert_eq!(server.stats().accounting_gap(), 0, "{network:?}");
+    }
 }
 
 #[test]
