@@ -32,7 +32,8 @@ use bytes::{Bytes, BytesMut};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
-    CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, RpcError, ScatterPlan, Service,
+    CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, RingSpan, RpcError, ScatterPlan,
+    Service,
 };
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
@@ -54,15 +55,15 @@ pub struct Plan<S, L> {
     pub shared: S,
     /// `(leaf index, per-leaf request suffix)` pairs.
     pub targets: Vec<(usize, L)>,
-    /// Per-target alternate leaf indices, parallel to `targets`; empty
-    /// when no target has a failover replica.
-    alternates: Vec<Vec<usize>>,
+    /// The leaves every target's hedges and retries may fail over to;
+    /// empty when none may.
+    alternates: RingSpan,
 }
 
 impl<S, L> Plan<S, L> {
     /// A plan from shared state and explicit targets.
     pub fn new(shared: S, targets: Vec<(usize, L)>) -> Plan<S, L> {
-        Plan { shared, targets, alternates: Vec::new() }
+        Plan { shared, targets, alternates: RingSpan::default() }
     }
 
     /// A plan targeting every one of `leaves` with the same per-leaf
@@ -74,27 +75,23 @@ impl<S, L> Plan<S, L> {
         Plan {
             shared,
             targets: (0..leaves).map(|leaf| (leaf, leaf_request.clone())).collect(),
-            alternates: Vec::new(),
+            alternates: RingSpan::default(),
         }
     }
 
-    /// Attaches alternate leaf indices per target, parallel to
-    /// [`targets`](Plan::targets). Retries and hedge probes for target
-    /// `i` may be redirected to `alternates[i]` (e.g. the other members
-    /// of a replica set) instead of hammering the same failing leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alternates.len()` differs from the target count.
-    pub fn with_alternates(mut self, alternates: Vec<Vec<usize>>) -> Plan<S, L> {
-        assert_eq!(alternates.len(), self.targets.len(), "alternates must be parallel to targets");
-        self.alternates = alternates;
+    /// Lets every target's retries and hedge probes fail over to the
+    /// leaves of `alternates` (e.g. a key's replica set, or a range of
+    /// leaves) instead of hammering the same failing leaf. A target tries
+    /// itself first, then the span's other leaves in ring order
+    /// ([`LeafCall::with_alternates`]).
+    pub fn with_alternates(mut self, alternates: impl Into<RingSpan>) -> Plan<S, L> {
+        self.alternates = alternates.into();
         self
     }
 
-    /// The per-target alternate leaf indices (empty when none are set).
-    pub fn alternates(&self) -> &[Vec<usize>] {
-        &self.alternates
+    /// The leaves the targets may fail over to (empty when none are set).
+    pub fn alternates(&self) -> RingSpan {
+        self.alternates
     }
 
     /// Number of targeted leaves.
@@ -259,13 +256,9 @@ impl<H: MidTierHandler> ScatterPlan for LeafPlan<H> {
     type Reply = H::LeafResponse;
 
     fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_ {
-        let (method, Plan { targets, alternates, .. }) = (self.method, &mut self.plan);
-        targets.iter().enumerate().map(move |(slot, &(leaf, _))| {
-            let call = LeafCall::new(leaf, method, Payload::new());
-            match alternates.get_mut(slot) {
-                Some(alts) => call.with_alternates(std::mem::take(alts)),
-                None => call,
-            }
+        let (method, alternates) = (self.method, self.plan.alternates);
+        self.plan.targets.iter().map(move |&(leaf, _)| {
+            LeafCall::new(leaf, method, Payload::new()).with_alternates(alternates)
         })
     }
 

@@ -9,6 +9,7 @@
 //! to one member chosen by the caller's random value.
 
 use crate::shard::shard_for_hash;
+use musuite_rpc::RingSpan;
 
 /// Placement policy mapping key hashes to replica groups on a leaf ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,10 +48,10 @@ impl ReplicaSet {
     }
 
     /// Leaves that must receive a `set` for this key: `replicas`
-    /// consecutive ring positions starting at the home shard.
-    pub fn write_set(&self, key_hash: u64) -> Vec<usize> {
-        let home = self.home(key_hash);
-        (0..self.replicas).map(|i| (home + i) % self.leaves).collect()
+    /// consecutive ring positions starting at the home shard. A read may
+    /// fail over to any of them.
+    pub fn write_set(&self, key_hash: u64) -> RingSpan {
+        RingSpan::new(self.home(key_hash), self.replicas, self.leaves)
     }
 
     /// The leaf chosen to serve a `get`, selected by `choice` (a random
@@ -71,7 +72,7 @@ mod tests {
         let rs = ReplicaSet::new(16, 3);
         for key in 0..1000u64 {
             let hash = key.wrapping_mul(0x9E3779B97F4A7C15);
-            let set = rs.write_set(hash);
+            let set: Vec<usize> = rs.write_set(hash).iter().collect();
             assert_eq!(set.len(), 3);
             let mut dedup = set.clone();
             dedup.sort_unstable();
@@ -89,7 +90,7 @@ mod tests {
             let writes = rs.write_set(hash);
             for choice in 0..10u64 {
                 let read = rs.read_replica(hash, choice);
-                assert!(writes.contains(&read), "get must be served by a leaf holding the key");
+                assert!(writes.contains(read), "get must be served by a leaf holding the key");
             }
         }
     }
@@ -112,7 +113,7 @@ mod tests {
             .map(|k: u64| k.wrapping_mul(0x2545F4914F6CDD1D))
             .find(|&h| rs.home(h) == 3)
             .unwrap();
-        assert_eq!(rs.write_set(hash), vec![3, 0, 1]);
+        assert_eq!(rs.write_set(hash).iter().collect::<Vec<_>>(), vec![3, 0, 1]);
     }
 
     #[test]

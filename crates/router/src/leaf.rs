@@ -36,23 +36,21 @@ impl RouterLeaf {
         &self.store
     }
 
-    /// Runs one request against the store, in whichever form it came: the
-    /// key is read as bytes, and a value the store keeps becomes its own
-    /// `Vec` (a view's is copied out of the frame).
-    fn apply<K: AsRef<[u8]>, V: Into<Vec<u8>>>(&self, request: KvRequest<K, V>) -> KvResponse {
+    /// Runs one request against the store, in whichever form it came: key
+    /// and value are read as bytes, and the store copies what it keeps (a
+    /// stored key's value is written over its old one, so a set of a view
+    /// copies out of the frame once, into the entry).
+    fn apply<K: AsRef<[u8]>, V: AsRef<[u8]>>(&self, request: KvRequest<K, V>) -> KvResponse {
         match request {
             KvRequest::Get { key } => KvResponse::Value(self.store.get(&key)),
             KvRequest::Set { key, value } => {
-                self.store.set(&key, value.into());
+                self.store.set(&key, value);
                 KvResponse::Stored
             }
             KvRequest::Delete { key } => KvResponse::Deleted(self.store.delete(&key)),
             KvRequest::SetEx { key, value, ttl_ms } => {
-                self.store.set_with_ttl(
-                    &key,
-                    value.into(),
-                    Some(std::time::Duration::from_millis(ttl_ms)),
-                );
+                let ttl = std::time::Duration::from_millis(ttl_ms);
+                self.store.set_with_ttl(&key, value, Some(ttl));
                 KvResponse::Stored
             }
         }
@@ -136,6 +134,21 @@ mod tests {
         assert_eq!(results[2].as_ref().unwrap(), &KvResponse::Value(Some(vec![9])));
         assert_eq!(leaf.store().hits(), 2);
         assert_eq!(leaf.store().misses(), 1);
+    }
+
+    /// A set then a get, both as the wire brings them: the get reads the
+    /// value the set wrote, a first time and over an older value.
+    #[test]
+    fn a_set_read_from_the_frame_is_what_a_get_returns() {
+        let leaf = RouterLeaf::default();
+        let payload = |request: &KvRequest| Bytes::from(musuite_codec::to_bytes(request));
+        let get = payload(&KvRequest::Get { key: "k".into() });
+        for value in [vec![1u8; 128], vec![2u8; 128], vec![3u8; 16], vec![4u8; 256]] {
+            let set = payload(&KvRequest::Set { key: "k".into(), value: value.clone() });
+            assert_eq!(leaf.handle_payload(set).unwrap(), KvResponse::Stored);
+            assert_eq!(leaf.handle_payload(get.clone()).unwrap(), KvResponse::Value(Some(value)));
+        }
+        assert_eq!(leaf.store().len(), 1);
     }
 
     #[test]

@@ -36,14 +36,23 @@ struct Entry {
     expires_at: Option<Instant>,
 }
 
+impl Entry {
+    fn is_live(&self) -> bool {
+        self.expires_at.is_none_or(|at| Instant::now() < at)
+    }
+}
+
 struct Shard {
     map: HashMap<Box<[u8]>, Entry>,
     bytes: usize,
 }
 
 impl Shard {
-    fn entry_cost(key: &[u8], value: &[u8]) -> usize {
-        key.len() + value.len() + 64 // fixed per-entry overhead estimate
+    /// What an entry holds: its key, its value's whole buffer (an
+    /// overwrite with a shorter value keeps the longer one's), and a fixed
+    /// per-entry overhead estimate.
+    fn entry_cost(key: &[u8], value: &Vec<u8>) -> usize {
+        key.len() + value.capacity() + 64
     }
 
     /// Evicts least-recently-used entries until the shard fits its budget.
@@ -64,8 +73,11 @@ impl Shard {
 }
 
 /// A sharded, LRU-evicting, TTL-aware in-memory key-value store. Keys
-/// are byte strings (a `&str` or a decoded [`Text`](musuite_codec::Text)
-/// key reads as its bytes); the store owns what it holds.
+/// and values are byte strings (a `&str`, a `Vec<u8>` or a decoded
+/// [`Text`](musuite_codec::Text) or [`Bytes`](musuite_codec::Bytes) view
+/// reads as its bytes); the store copies what it keeps. A set of a stored
+/// key overwrites the entry in place: the key is stored once, and a value
+/// that fits the entry's buffer is written into it.
 ///
 /// # Examples
 ///
@@ -73,8 +85,9 @@ impl Shard {
 /// use musuite_router::memkv::{MemKv, MemKvConfig};
 ///
 /// let store = MemKv::new(MemKvConfig::default());
-/// store.set("k", b"v".to_vec());
-/// assert_eq!(store.get("k"), Some(b"v".to_vec()));
+/// assert!(!store.set("k", b"v"), "a new key replaces nothing");
+/// assert!(store.set("k", b"w".to_vec()), "the second set overwrites the first");
+/// assert_eq!(store.get("k"), Some(b"w".to_vec()));
 /// assert!(store.delete("k"));
 /// assert_eq!(store.get("k"), None);
 /// ```
@@ -124,31 +137,46 @@ impl MemKv {
         self.clock_ticks.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Stores `value` under `key` with the default TTL, returning the
-    /// previous value if one existed.
-    pub fn set(&self, key: &(impl AsRef<[u8]> + ?Sized), value: Vec<u8>) -> Option<Vec<u8>> {
+    /// Stores a copy of `value` under `key` with the default TTL; returns
+    /// whether it replaced a live (unexpired) entry.
+    pub fn set(&self, key: &(impl AsRef<[u8]> + ?Sized), value: impl AsRef<[u8]>) -> bool {
         self.set_with_ttl(key, value, self.default_ttl)
     }
 
-    /// Stores `value` under `key` with an explicit TTL.
+    /// [`MemKv::set`] with an explicit TTL. A stored key's entry is
+    /// overwritten in place: its key is not stored again, and the value is
+    /// written into the entry's buffer when it fits there.
     pub fn set_with_ttl(
         &self,
         key: &(impl AsRef<[u8]> + ?Sized),
-        value: Vec<u8>,
+        value: impl AsRef<[u8]>,
         ttl: Option<Duration>,
-    ) -> Option<Vec<u8>> {
-        let key = key.as_ref();
+    ) -> bool {
+        let (key, value) = (key.as_ref(), value.as_ref());
         let tick = self.tick();
-        let mut shard = self.shard_of(key).lock();
-        let cost = Shard::entry_cost(key, &value);
-        let entry = Entry { value, last_used: tick, expires_at: ttl.map(|t| Instant::now() + t) };
-        let old = shard.map.insert(key.into(), entry);
-        shard.bytes += cost;
-        if let Some(ref old_entry) = old {
-            shard.bytes -= Shard::entry_cost(key, &old_entry.value);
-        }
+        let expires_at = ttl.map(|t| Instant::now() + t);
+        let mut guard = self.shard_of(key).lock();
+        let shard = &mut *guard;
+        let replaced = match shard.map.get_mut(key) {
+            Some(entry) => {
+                let live = entry.is_live();
+                shard.bytes -= Shard::entry_cost(key, &entry.value);
+                entry.value.clear();
+                entry.value.reserve_exact(value.len());
+                entry.value.extend_from_slice(value);
+                (entry.last_used, entry.expires_at) = (tick, expires_at);
+                shard.bytes += Shard::entry_cost(key, &entry.value);
+                live
+            }
+            None => {
+                let entry = Entry { value: value.to_vec(), last_used: tick, expires_at };
+                shard.bytes += Shard::entry_cost(key, &entry.value);
+                shard.map.insert(key.into(), entry);
+                false
+            }
+        };
         shard.evict_to(self.per_shard_budget, &self.evictions);
-        old.map(|e| e.value)
+        replaced
     }
 
     /// Reads the value for `key`, refreshing its LRU position. Expired
@@ -158,7 +186,7 @@ impl MemKv {
         let tick = self.tick();
         let mut shard = self.shard_of(key).lock();
         match shard.map.get_mut(key) {
-            Some(entry) if entry.expires_at.is_none_or(|at| Instant::now() < at) => {
+            Some(entry) if entry.is_live() => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(entry.value.clone());
@@ -181,7 +209,7 @@ impl MemKv {
         match shard.map.remove(key) {
             Some(entry) => {
                 shard.bytes -= Shard::entry_cost(key, &entry.value);
-                entry.expires_at.is_none_or(|at| Instant::now() < at)
+                entry.is_live()
             }
             None => false,
         }
@@ -197,7 +225,8 @@ impl MemKv {
         self.len() == 0
     }
 
-    /// Approximate bytes in use.
+    /// Bytes in use: each entry's key and value buffer, plus a fixed
+    /// per-entry overhead estimate.
     pub fn bytes_used(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes).sum()
     }
@@ -241,8 +270,8 @@ mod tests {
     #[test]
     fn set_get_delete_roundtrip() {
         let store = small(1 << 20);
-        assert_eq!(store.set("a", vec![1]), None);
-        assert_eq!(store.set("a", vec![2]), Some(vec![1]));
+        assert!(!store.set("a", vec![1]));
+        assert!(store.set("a", vec![2]));
         assert_eq!(store.get("a"), Some(vec![2]));
         assert!(store.delete("a"));
         assert!(!store.delete("a"));
@@ -309,6 +338,36 @@ mod tests {
         assert_eq!(store.get("k"), None);
     }
 
+    /// An overwrite charges the buffer the entry keeps: a longer value's
+    /// own, and after a shorter one, the longer buffer it was written into.
+    #[test]
+    fn overwrites_charge_what_the_entry_holds() {
+        let store = small(1 << 20);
+        store.set("k", [1u8; 8]);
+        assert_eq!(store.bytes_used(), 1 + 8 + 64);
+        assert!(store.set("k", [2u8; 32]), "a longer value replaces the entry");
+        assert_eq!(store.bytes_used(), 1 + 32 + 64);
+        assert!(store.set("k", [3u8; 4]), "a shorter value replaces the entry");
+        assert_eq!(store.bytes_used(), 1 + 32 + 64, "the 32-byte buffer is still held");
+        assert_eq!(store.get("k"), Some(vec![3u8; 4]));
+        assert!(store.set("k", [4u8; 16]), "a value that fits is written in place");
+        assert_eq!(store.bytes_used(), 1 + 32 + 64);
+        assert_eq!(store.get("k"), Some(vec![4u8; 16]));
+        assert!(store.delete("k"));
+        assert_eq!(store.bytes_used(), 0);
+    }
+
+    /// A set of an expired key replaces no live entry, and the entry it
+    /// rewrites lives again.
+    #[test]
+    fn an_expired_entry_is_not_replaced_live() {
+        let store = small(1 << 20);
+        store.set_with_ttl("k", [1u8], Some(Duration::from_millis(10)));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!store.set("k", [2u8]));
+        assert_eq!(store.get("k"), Some(vec![2u8]), "the rewritten entry has no TTL");
+    }
+
     #[test]
     fn overwrite_does_not_leak_bytes() {
         let store = small(1 << 20);
@@ -332,7 +391,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u32 {
                     let key = format!("t{t}-k{i}");
-                    store.set(&key, i.to_le_bytes().to_vec());
+                    store.set(&key, i.to_le_bytes());
                     assert_eq!(store.get(&key), Some(i.to_le_bytes().to_vec()));
                 }
             }));

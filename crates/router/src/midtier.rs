@@ -70,13 +70,11 @@ impl MidTierHandler for RouterMidTier {
                 // The same data lives on every member of the write set, so
                 // retries and hedge probes for a read may fail over to the
                 // other replicas instead of re-hitting a dead one.
-                let alternates: Vec<usize> =
-                    replica_set.write_set(hash).into_iter().filter(|&l| l != primary).collect();
-                Plan::new(request.clone(), vec![(primary, ())]).with_alternates(vec![alternates])
+                Plan::new(request.clone(), vec![(primary, ())])
+                    .with_alternates(replica_set.write_set(hash))
             }
             KvRequest::Set { .. } | KvRequest::Delete { .. } | KvRequest::SetEx { .. } => {
-                let targets =
-                    replica_set.write_set(hash).into_iter().map(|leaf| (leaf, ())).collect();
+                let targets = replica_set.write_set(hash).iter().map(|leaf| (leaf, ())).collect();
                 Plan::new(request.clone(), targets)
             }
         }
@@ -148,6 +146,9 @@ mod tests {
         let router = RouterMidTier::new(3);
         let plan = router.plan(&get("k"), 16);
         assert_eq!(plan.len(), 1);
+        // A read fails over within the key's write set, which holds it.
+        assert_eq!(plan.alternates().len(), 3);
+        assert!(plan.alternates().contains(plan.targets[0].0));
     }
 
     #[test]

@@ -157,9 +157,93 @@ impl ScatterPlan for Vec<LeafCall> {
     }
 }
 
+/// A run of consecutive leaves on a ring of `width`: `start`, `start + 1`,
+/// and so on, `len` of them, wrapping from `width - 1` to 0. A replica set
+/// is one (`ReplicaSet::write_set`), and so is every fail-over list a
+/// scatter takes: a span names its leaves without a list on the heap. The
+/// default span is empty.
+///
+/// # Examples
+///
+/// ```
+/// use musuite_rpc::RingSpan;
+///
+/// let span = RingSpan::new(3, 3, 4);
+/// assert_eq!(span.iter().collect::<Vec<_>>(), [3, 0, 1]);
+/// assert!(span.contains(0) && !span.contains(2));
+/// assert_eq!(RingSpan::from(1..3).iter().collect::<Vec<_>>(), [1, 2]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RingSpan {
+    start: usize,
+    len: usize,
+    width: usize,
+}
+
+impl RingSpan {
+    /// The `len` leaves from `start` on a ring of `width`; every empty span
+    /// is the default one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `width`, or if a non-empty span starts
+    /// outside the ring.
+    pub fn new(start: usize, len: usize, width: usize) -> RingSpan {
+        assert!(len <= width, "a span of {len} does not fit a ring of {width}");
+        if len == 0 {
+            return RingSpan::default();
+        }
+        assert!(start < width, "span start {start} is off a ring of {width}");
+        RingSpan { start, len, width }
+    }
+
+    /// Number of leaves in the span.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the span names no leaf.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Returns `true` if `leaf` is in the span.
+    pub fn contains(&self, leaf: usize) -> bool {
+        self.position(leaf).is_some()
+    }
+
+    /// The span's leaves in ring order, from its start.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = usize> {
+        let RingSpan { start, len, width } = *self;
+        (0..len).map(move |i| (start + i) % width)
+    }
+
+    /// Where `leaf` falls in the span, counted from its start.
+    fn position(&self, leaf: usize) -> Option<usize> {
+        let offset = (leaf < self.width).then(|| (leaf + self.width - self.start) % self.width);
+        offset.filter(|&offset| offset < self.len)
+    }
+
+    /// The `n`th leaf of the span in ring order with `skip` left out.
+    fn nth_skipping(&self, skip: usize, n: usize) -> usize {
+        let n = match self.position(skip) {
+            Some(at) if at <= n => n + 1,
+            _ => n,
+        };
+        (self.start + n) % self.width
+    }
+}
+
+/// The leaves of a range that does not wrap, `range.start..range.end`.
+impl From<std::ops::Range<usize>> for RingSpan {
+    fn from(range: std::ops::Range<usize>) -> RingSpan {
+        RingSpan::new(range.start, range.len(), range.end)
+    }
+}
+
 /// One slot of a scatter: the primary leaf plus the alternates that
-/// hedges and retries may be routed to (typically the other members of
-/// the primary's replica set).
+/// hedges and retries may be routed to (typically the primary's replica
+/// set).
 #[derive(Debug, Clone)]
 pub struct LeafCall {
     /// Primary target leaf.
@@ -170,20 +254,22 @@ pub struct LeafCall {
     /// Empty in a scatter whose plan encodes the requests
     /// ([`ScatterPlan::encode`]).
     pub payload: Payload,
-    /// Fail-over targets, tried in order by hedges and retries.
-    pub alternates: Vec<usize>,
+    /// Fail-over targets for hedges and retries: the span's leaves in ring
+    /// order, the primary left out if the span holds it.
+    pub alternates: RingSpan,
 }
 
 impl LeafCall {
     /// A call to `leaf` with no alternates: hedges and retries stay on
     /// the same leaf (a different pooled connection may serve them).
     pub fn new(leaf: usize, method: u32, payload: impl Into<Payload>) -> LeafCall {
-        LeafCall { leaf, method, payload: payload.into(), alternates: Vec::new() }
+        LeafCall { leaf, method, payload: payload.into(), alternates: RingSpan::default() }
     }
 
-    /// Adds fail-over targets for hedges and retries.
-    pub fn with_alternates(mut self, alternates: Vec<usize>) -> LeafCall {
-        self.alternates = alternates;
+    /// Adds fail-over targets for hedges and retries: a [`RingSpan`], such
+    /// as the primary's replica set, or a range of leaves.
+    pub fn with_alternates(mut self, alternates: impl Into<RingSpan>) -> LeafCall {
+        self.alternates = alternates.into();
         self
     }
 }
@@ -195,13 +281,14 @@ impl LeafCall {
 /// * `pending` counts live obligations (in-flight attempts plus queued
 ///   hedge and retry tasks). Whoever drops it to zero without a prior
 ///   claim delivers the slot's last error, so the gather always completes.
+#[derive(Default)]
 struct Slot {
     method: u32,
     payload: Payload,
-    /// The slot's rotation is the primary, then each alternate (none of
-    /// them the primary, none twice), then round again.
+    /// The slot's rotation is the primary, then each leaf of `alternates`
+    /// other than the primary, in ring order, then round again.
     primary: usize,
-    alternates: Vec<usize>,
+    alternates: RingSpan,
     rotation: AtomicUsize,
     claimed: AtomicBool,
     pending: AtomicUsize,
@@ -214,20 +301,9 @@ impl Slot {
     /// The slot for `call` in a group of `leaves`, owing `pending`
     /// obligations and holding `retries` credits.
     fn new(call: LeafCall, leaves: usize, pending: usize, retries: usize) -> Slot {
-        let LeafCall { leaf, method, payload, mut alternates } = call;
+        let LeafCall { leaf, method, payload, alternates } = call;
         assert!(leaf < leaves, "leaf index {leaf} out of bounds");
-        // The caller's list becomes the slot's, minus the primary and
-        // repeats; the common slot without alternates owns no list.
-        let mut kept = 0;
-        for i in 0..alternates.len() {
-            let alt = alternates[i];
-            assert!(alt < leaves, "alternate index {alt} out of bounds");
-            if alt != leaf && !alternates[..kept].contains(&alt) {
-                alternates[kept] = alt;
-                kept += 1;
-            }
-        }
-        alternates.truncate(kept);
+        assert!(alternates.iter().all(|alt| alt < leaves), "alternate index out of bounds");
         Slot {
             method,
             payload,
@@ -244,23 +320,69 @@ impl Slot {
         self.claimed.load(Ordering::Acquire)
     }
 
+    /// How many targets the rotation holds besides the primary.
+    fn alternate_count(&self) -> usize {
+        self.alternates.len() - usize::from(self.alternates.contains(self.primary))
+    }
+
     /// Next target in the slot's rotation (primary, alternates, wrap).
     fn next_target(&self) -> usize {
-        match self.rotation.fetch_add(1, Ordering::Relaxed) % (1 + self.alternates.len()) {
+        match self.rotation.fetch_add(1, Ordering::Relaxed) % (1 + self.alternate_count()) {
             0 => self.primary,
-            turn => self.alternates[turn - 1],
+            turn => self.alternates.nth_skipping(self.primary, turn - 1),
+        }
+    }
+}
+
+/// How many slots a scatter holds in its own allocation; a wider one boxes
+/// its slot array. Every benchmark workload scatters to one or two leaves.
+/// Each inline slot a narrower scatter leaves vacant is a `Slot` (168
+/// bytes) of the state's allocation: two slots add one to a scatter of
+/// one, where four would add two to a two-leaf Set Algebra request, some
+/// 17 % of its bytes.
+const INLINE_SLOTS: usize = 2;
+
+/// A scatter's slot array: the first `len` of `inline` up to
+/// [`INLINE_SLOTS`] wide, all of `boxed` above it. The other field stays
+/// vacant (an empty box allocates nothing).
+struct Slots {
+    inline: [Slot; INLINE_SLOTS],
+    boxed: Box<[Slot]>,
+    len: usize,
+}
+
+impl Slots {
+    fn new(slots: impl ExactSizeIterator<Item = Slot>) -> Slots {
+        let len = slots.len();
+        if len > INLINE_SLOTS {
+            return Slots { inline: Default::default(), boxed: slots.collect(), len };
+        }
+        let mut slots = slots.fuse();
+        let inline = std::array::from_fn(|_| slots.next().unwrap_or_default());
+        Slots { inline, boxed: Box::default(), len }
+    }
+}
+
+impl std::ops::Deref for Slots {
+    type Target = [Slot];
+
+    fn deref(&self) -> &[Slot] {
+        match self.len {
+            len if len > INLINE_SLOTS => &self.boxed,
+            len => &self.inline[..len],
         }
     }
 }
 
 /// One scatter's state: its group's core, its slot array, its plan and the
 /// count-down gather. One allocation holds the count, the replies' header,
-/// the completion, the plan and the budget every attempt shares; the slots
-/// and the replies are an allocation each. The last arrival runs the
-/// merge.
+/// the completion, the plan, the budget every attempt shares and, up to
+/// [`INLINE_SLOTS`] wide, the slots; the replies are an allocation of
+/// their own (the merge takes them), and so are the slots of a wider
+/// scatter. The last arrival runs the merge.
 struct ScatterState<P: ScatterPlan, F> {
     core: Arc<Core>,
-    slots: Box<[Slot]>,
+    slots: Slots,
     remaining: AtomicUsize,
     gathered: Mutex<Gathered<P::Reply, F>>,
     started_at_ns: u64,
@@ -313,7 +435,7 @@ where
 {
     fn new(
         core: Arc<Core>,
-        slots: Box<[Slot]>,
+        slots: Slots,
         opts: CallOptions,
         plan: P,
         on_complete: F,
@@ -355,13 +477,16 @@ where
     }
 
     /// Delivers `reply`, read by the plan, as `slot`'s answer if no other
-    /// attempt has claimed the slot; returns whether it did.
-    fn deliver(&self, slot: usize, reply: Reply) -> bool {
-        let claimed = !self.slots[slot].claimed.swap(true, Ordering::AcqRel);
-        if claimed {
-            self.arrive(slot, reply.and_then(|payload| self.plan.decode(payload)));
+    /// attempt has claimed the slot. A `hedge` that claims it is counted
+    /// as won before the answer arrives, so the completion sees the count.
+    fn deliver(&self, slot: usize, reply: Reply, hedge: bool) {
+        if self.slots[slot].claimed.swap(true, Ordering::AcqRel) {
+            return;
         }
-        claimed
+        if hedge {
+            self.core.counters.incr(ResilienceEvent::HedgeWon);
+        }
+        self.arrive(slot, reply.and_then(|payload| self.plan.decode(payload)));
     }
 
     /// Drops one of `slot`'s obligations; the last one out delivers the
@@ -370,7 +495,7 @@ where
         let this = &self.slots[slot];
         if this.pending.fetch_sub(1, Ordering::AcqRel) == 1 && !this.is_done() {
             let error = this.failed.lock().0.take();
-            self.deliver(slot, Err(error.unwrap_or(RpcError::ShuttingDown)));
+            self.deliver(slot, Err(error.unwrap_or(RpcError::ShuttingDown)), false);
         }
     }
 
@@ -393,7 +518,7 @@ where
         let mut candidates =
             std::iter::once(target).chain(std::iter::repeat_with(|| this.next_target()));
         let Some(target) =
-            candidates.by_ref().take(1 + this.alternates.len()).find(|&t| core.admit(t))
+            candidates.by_ref().take(1 + this.alternate_count()).find(|&t| core.admit(t))
         else {
             // Every candidate shed: fail without charging any breaker
             // (they are already open).
@@ -489,9 +614,7 @@ where
                 if core.breakers.get(target).is_some_and(CircuitBreaker::on_success) {
                     core.counters.incr(ResilienceEvent::BreakerClosed);
                 }
-                if self.deliver(slot, answer) && hedge {
-                    core.counters.incr(ResilienceEvent::HedgeWon);
-                }
+                self.deliver(slot, answer, hedge);
                 self.release(slot);
             }
         }
@@ -833,14 +956,14 @@ impl FanoutGroup {
     }
 
     /// The slot array for `calls` under the group's policy.
-    fn slots(&self, calls: impl ExactSizeIterator<Item = LeafCall>) -> Box<[Slot]> {
+    fn slots(&self, calls: impl ExactSizeIterator<Item = LeafCall>) -> Slots {
         let core = &self.core;
         let pending = 1 + usize::from(core.hedge_delay().is_some());
         let retries = core.resilience.map_or(0, |config| config.retries as usize);
-        calls.map(|call| Slot::new(call, core.leaves.len(), pending, retries)).collect()
+        Slots::new(calls.map(|call| Slot::new(call, core.leaves.len(), pending, retries)))
     }
 
-    fn start<P, F>(&self, slots: Box<[Slot]>, plan: P, opts: CallOptions, on_complete: F)
+    fn start<P, F>(&self, slots: Slots, plan: P, opts: CallOptions, on_complete: F)
     where
         P: ScatterPlan,
         F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
@@ -1258,6 +1381,50 @@ pub(crate) mod tests {
         }
     }
 
+    /// A slot's fail-over span may wrap the ring and hold the primary
+    /// anywhere in it: the rotation is the primary, then the span's other
+    /// leaves in ring order from its start, then round again. That is the
+    /// order a list of the span's leaves gave.
+    #[test]
+    fn a_wrapping_span_rotates_primary_then_ring_order() {
+        let span = RingSpan::new(3, 3, 4);
+        assert_eq!(span.iter().collect::<Vec<_>>(), [3, 0, 1]);
+        let slot = Slot::new(LeafCall::new(0, 1, Payload::new()).with_alternates(span), 4, 1, 0);
+        // The primary goes out first, by name; the rotation continues from
+        // the turn after it.
+        let turns: Vec<usize> = (0..6).map(|_| slot.next_target()).collect();
+        assert_eq!(turns, [3, 1, 0, 3, 1, 0]);
+        // A primary outside its span rotates through the whole span.
+        let slot = Slot::new(LeafCall::new(2, 1, Payload::new()).with_alternates(span), 4, 1, 0);
+        let turns: Vec<usize> = (0..4).map(|_| slot.next_target()).collect();
+        assert_eq!(turns, [3, 0, 1, 2]);
+        // No span: every turn is the primary.
+        let slot = Slot::new(LeafCall::new(1, 1, Payload::new()), 4, 1, 0);
+        assert_eq!((0..3).map(|_| slot.next_target()).collect::<Vec<_>>(), [1, 1, 1]);
+    }
+
+    #[test]
+    fn ring_spans_name_their_leaves() {
+        assert!(RingSpan::default().is_empty());
+        assert_eq!(RingSpan::from(2..2), RingSpan::default());
+        assert_eq!(RingSpan::new(9, 0, 4), RingSpan::default());
+        assert!(!RingSpan::new(9, 0, 4).contains(1));
+        let range = RingSpan::from(1..4);
+        assert_eq!(range.iter().collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(!range.contains(0) && range.contains(3) && !range.contains(4));
+        let whole = RingSpan::new(2, 4, 4);
+        assert_eq!(whole.iter().collect::<Vec<_>>(), [2, 3, 0, 1]);
+        assert_eq!((0..3).map(|n| whole.nth_skipping(0, n)).collect::<Vec<_>>(), [2, 3, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "alternate index out of bounds")]
+    fn out_of_bounds_alternate_panics() {
+        let (_servers, group) = leaf_cluster(2);
+        let call = LeafCall::new(0, 1, vec![1u8]).with_alternates(1..3);
+        scatter_calls_wait(&group, vec![call], CallOptions::default());
+    }
+
     #[test]
     fn scatter_timeout_fails_only_the_stuck_leaf() {
         // Leaf 0 is healthy; "leaf" 1 accepts but never responds.
@@ -1299,7 +1466,7 @@ pub(crate) mod model_tests {
         // The core outlives the run: dropping it stops its timer, which
         // takes a lock, and a run that trips an assertion ends unwinding.
         std::mem::forget(core.clone());
-        ScatterState::new(core, slots.collect(), CallOptions::default(), Vec::new(), on_complete)
+        ScatterState::new(core, Slots::new(slots), CallOptions::default(), Vec::new(), on_complete)
     }
 
     /// The in-flight entry of an attempt to leaf 0 that serves the one
@@ -1370,7 +1537,7 @@ pub(crate) mod model_tests {
                 let winner = {
                     let state = state.clone();
                     thread::spawn(move || {
-                        state.deliver(0, Ok(Bytes::from_static(b"win")));
+                        state.deliver(0, Ok(Bytes::from_static(b"win")), false);
                         state.release(0);
                     })
                 };

@@ -85,7 +85,7 @@ pub use config::{
     AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode,
 };
 pub use error::{FailureKind, RpcError};
-pub use fanout::{FanoutGroup, LeafCall, ScatterPlan};
+pub use fanout::{FanoutGroup, LeafCall, RingSpan, ScatterPlan};
 pub use fault::{ClientFaults, FaultEvent, FaultKind, FaultPlan, FaultRule};
 pub use musuite_codec::{Frame, Priority, Status};
 pub use queue::DispatchQueue;

@@ -202,7 +202,7 @@ mod tests {
         let (servers, group) = cluster_with(2, Some(config));
         servers[0].shutdown();
         std::thread::sleep(Duration::from_millis(50));
-        let call = LeafCall::new(0, 1, vec![7u8]).with_alternates(vec![1]);
+        let call = LeafCall::new(0, 1, vec![7u8]).with_alternates(1..2);
         let result = scatter_calls_wait(&group, vec![call], CallOptions::default());
         assert!(result.all_ok(), "retry must fail over to the healthy replica: {result:?}");
         assert_eq!(result.successes()[0], [1u8, 7], "served by the alternate leaf");
@@ -315,7 +315,7 @@ mod tests {
         let group = planned(&servers, &plan, config);
         plan.arm();
         let started = Instant::now();
-        let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(vec![1]);
+        let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(1..2);
         let result = scatter_calls_wait(&group, vec![call], CallOptions::default());
         let elapsed = started.elapsed();
         assert!(result.all_ok(), "hedge must win: {result:?}");
@@ -329,6 +329,34 @@ mod tests {
         // The delayed primary eventually completes; its late response is
         // discarded by the claim, never delivered twice.
         std::thread::sleep(Duration::from_millis(350));
+    }
+
+    /// A hedge that wins is counted before its answer completes the
+    /// scatter: the completion runs inside that delivery, and reads the
+    /// count through the group it holds.
+    #[test]
+    fn a_won_hedge_is_counted_before_the_completion_runs() {
+        let (servers, _) = leaf_cluster(2);
+        let plan = FaultPlan::builder(21, 2).slow_leaf(0, Duration::from_millis(300)).build();
+        let config = ResilientConfig {
+            hedge: HedgePolicy::After(Duration::from_millis(20)),
+            breaker: None,
+            ..ResilientConfig::default()
+        };
+        let group = std::sync::Arc::new(planned(&servers, &plan, config));
+        plan.arm();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let held = group.clone();
+        let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(1..2);
+        group.scatter_encoded(vec![call], CallOptions::default(), move |result| {
+            let won = held.counters().get(ResilienceEvent::HedgeWon);
+            tx.send((result, won)).unwrap();
+        });
+        crate::buf::flush_outbox();
+        let (result, won) =
+            rx.recv_timeout(Duration::from_secs(10)).expect("the scatter completes");
+        assert_eq!(result.successes()[0], [1u8, 3], "the hedge's replica answered");
+        assert_eq!(won, 1, "the completion reads the won hedge");
     }
 
     #[test]
@@ -410,7 +438,7 @@ mod tests {
         let (_servers, group) = cluster_with(1, Some(ResilientConfig::default()));
         let debug = format!("{group:?}");
         assert!(debug.contains("FanoutGroup") && debug.contains("resilience"), "{debug}");
-        let call = LeafCall::new(0, 1, vec![1u8]).with_alternates(vec![2]);
+        let call = LeafCall::new(0, 1, vec![1u8]).with_alternates(2..3);
         assert!(format!("{call:?}").contains("alternates"));
     }
 }

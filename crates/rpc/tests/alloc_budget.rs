@@ -111,16 +111,16 @@ fn serial_echo_call_under_shared_pollers() {
     assert_echo_budget(&server, &client);
 }
 
-/// Allocator calls per `scatter_wait` of two 300-byte payloads to two
+/// Allocator calls per `scatter_wait` of 300-byte payloads to `width`
 /// echo leaves through a group under `policy`.
-fn two_leaf_scatter_wait_allocs(policy: ResilientConfig) -> f64 {
-    let leaves =
-        [echo_server(NetworkModel::BlockingPerConn), echo_server(NetworkModel::BlockingPerConn)];
+fn scatter_wait_allocs(width: usize, policy: ResilientConfig) -> f64 {
+    let leaves: Vec<Server> =
+        (0..width).map(|_| echo_server(NetworkModel::BlockingPerConn)).collect();
     let addrs: Vec<_> = leaves.iter().map(Server::local_addr).collect();
     let group = FanoutGroup::connect(&addrs).expect("connect leaves").with_resilience(policy);
     let payload = Bytes::from(vec![0x5Au8; 300]);
     allocs_per_op(|| {
-        let requests = vec![(0, 1, payload.clone()), (1, 1, payload.clone())];
+        let requests = (0..width).map(|leaf| (leaf, 1, payload.clone())).collect();
         assert!(group.scatter_wait(requests).all_ok());
     })
 }
@@ -128,17 +128,17 @@ fn two_leaf_scatter_wait_allocs(policy: ResilientConfig) -> f64 {
 /// What a two-leaf scatter may cost, by owner: the caller's request `Vec`
 /// (1); `scatter_wait`'s channel, its first block and the blocked
 /// receiver's registration (3); the scatter's state — one `Arc` holding
-/// count, completion, plan and the replies' header, plus the replies
-/// themselves and the slot array (3). An attempt's in-flight entry names
-/// the scatter's slot and boxes nothing; the leaves' side and every frame
+/// count, completion, plan, the replies' header and the slots, plus the
+/// replies themselves (2). An attempt's in-flight entry names the
+/// scatter's slot and boxes nothing; the leaves' side and every frame
 /// received add nothing.
-const TWO_LEAF_SCATTER: f64 = 7.0;
+const TWO_LEAF_SCATTER: f64 = 6.0;
 
 /// A scatter to two leaves under the default resilience policy (the one
 /// `Cluster::launch` gives its group) and its gather.
 #[test]
 fn two_leaf_resilient_scatter_wait() {
-    let per_scatter = two_leaf_scatter_wait_allocs(ResilientConfig::default());
+    let per_scatter = scatter_wait_allocs(2, ResilientConfig::default());
     assert!(
         per_scatter <= TWO_LEAF_SCATTER + SLACK,
         "{per_scatter} allocator calls per scatter, budget {TWO_LEAF_SCATTER}"
@@ -152,10 +152,24 @@ fn two_leaf_resilient_scatter_wait() {
 fn two_leaf_hedged_scatter_wait() {
     let hedged =
         ResilientConfig { hedge: HedgePolicy::After(Duration::ZERO), ..Default::default() };
-    let per_scatter = two_leaf_scatter_wait_allocs(hedged);
+    let per_scatter = scatter_wait_allocs(2, hedged);
     assert!(
         per_scatter <= TWO_LEAF_SCATTER + SLACK,
         "{per_scatter} allocator calls per hedged scatter, budget {TWO_LEAF_SCATTER}"
+    );
+}
+
+/// A scatter wider than the slots its state holds boxes its slot array:
+/// one allocator call more than a two-leaf scatter. (A reply that is in
+/// before `scatter_wait` blocks spares the receiver's registration, so a
+/// run may read a little under the budget, never a whole call.)
+#[test]
+fn a_wide_scatter_boxes_its_slots() {
+    let budget = TWO_LEAF_SCATTER + 1.0;
+    let per_scatter = scatter_wait_allocs(3, ResilientConfig::default());
+    assert!(
+        per_scatter <= budget + SLACK && per_scatter > budget - 1.0 + SLACK,
+        "{per_scatter} allocator calls per three-leaf scatter, budget {budget}"
     );
 }
 

@@ -9,7 +9,8 @@
 //! as the benchmark's do; Recommend also runs the benchmark's shared poller
 //! and batches of eight, and so do the other three in `batched_bursts`.
 //!
-//! The ignored `report_allocation_sites` says where the calls come from:
+//! The ignored `report_allocation_sites` says where the calls come from,
+//! and asserts them by layer, so that a budget that fails names its layer:
 //! `cargo test -p musuite --test burst_budget -- --ignored --nocapture`
 //! (a debug build, whose backtraces keep their frames).
 
@@ -454,28 +455,57 @@ fn batched_bursts() {
     }
 }
 
+/// The four bursts this file pins, each with its budget by layer.
+type LayeredBurst = (&'static str, fn() -> f64, [f64; LAYERS.len()]);
+
+const LAYERED_BURSTS: [LayeredBurst; 4] = [
+    ("Router", || router_allocs(paper_default()), ROUTER_LAYERS),
+    ("HDSearch", || hdsearch_allocs(paper_default()), HDSEARCH_LAYERS),
+    ("Set Algebra", || setalgebra_allocs(paper_default()), SETALGEBRA_LAYERS),
+    ("Recommend", || recommend_allocs(batched()), RECOMMEND_LAYERS),
+];
+
 /// Prints, for each of the four bursts this file pins, allocator
 /// calls and bytes per request by the site that made them (see
-/// [`call_site`]), and by layer (see [`LAYERS`]); fails if a call falls
-/// in no layer. Run it in a debug build: a release build inlines the
-/// frames that name the sites.
+/// [`call_site`]), and by layer (see [`LAYERS`]); fails if a layer's
+/// calls miss its budget, or if a call falls in no layer. Run it in a
+/// debug build: a release build inlines the frames that name the sites.
 #[test]
 #[ignore = "a report: run with --ignored --nocapture, in a debug build"]
 fn report_allocation_sites() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     REPORTING.store(true, Ordering::Relaxed);
-    let unclaimed = print_sites("Router", || router_allocs(paper_default()))
-        + print_sites("HDSearch", || hdsearch_allocs(paper_default()))
-        + print_sites("Set Algebra", || setalgebra_allocs(paper_default()))
-        + print_sites("Recommend", || recommend_allocs(batched()));
+    let mut misses = Vec::new();
+    for (service, burst, budgets) in LAYERED_BURSTS {
+        let (layers, unclaimed) = print_sites(service, burst);
+        for ((name, _), (measured, budget)) in LAYERS.iter().zip(layers.into_iter().zip(budgets)) {
+            if (measured - budget).abs() > SLACK {
+                misses.push(format!("{service}: {name} {measured:.2} ≠ {budget:.2}"));
+            }
+        }
+        if unclaimed > 0 {
+            misses.push(format!("{service}: {unclaimed} allocator calls no layer claims"));
+        }
+    }
     REPORTING.store(false, Ordering::Relaxed);
-    assert_eq!(unclaimed, 0, "allocator calls no layer claims");
+    assert!(misses.is_empty(), "allocator calls per request by layer: {}", misses.join("; "));
+}
+
+/// The layer budgets are a split of the service budgets.
+#[test]
+fn layer_budgets_sum_to_the_service_budgets() {
+    let totals = [ROUTER_ALLOCS, HDSEARCH_ALLOCS, SETALGEBRA_ALLOCS, RECOMMEND_ALLOCS];
+    for ((service, _, layers), total) in LAYERED_BURSTS.iter().zip(totals) {
+        let sum: f64 = layers.iter().sum();
+        assert!((sum - total).abs() <= SLACK, "{service}: layers sum to {sum:.2}, budget {total}");
+    }
 }
 
 /// Runs one service's burst with its sites noted, and prints them as a
 /// table, most calls first, then one subtotal row per layer (they sum to
-/// the total). Returns the calls no layer claims.
-fn print_sites(service: &str, burst: impl FnOnce() -> f64) -> u64 {
+/// the total). Returns each layer's calls per request, in the order of
+/// [`LAYERS`], and the calls no layer claims.
+fn print_sites(service: &str, burst: impl FnOnce() -> f64) -> ([f64; LAYERS.len()], u64) {
     SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).clear();
     // What noting the sites allocates is counted here, not noted.
     let _ = burst();
@@ -506,14 +536,23 @@ fn print_sites(service: &str, burst: impl FnOnce() -> f64) -> u64 {
         println!("| {calls:.2} | {bytes:.0} | {name} |");
     }
     println!("| {total_calls:.2} | {total_bytes:.0} | **total** |");
-    layers.get(OTHER).map_or(0, |other| other.0)
+    let by_layer = LAYERS.map(|(name, _)| layers.get(name).map_or(0, |l| l.0) as f64 / requests);
+    (by_layer, layers.get(OTHER).map_or(0, |other| other.0))
 }
 
+/// Allocator calls per request by layer, in the order of [`LAYERS`]: codec,
+/// scatter, rpc hop, mid-tier plan/merge, leaf kernel, store. Each row sums
+/// to the service's budget below.
+const ROUTER_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 1.00, 0.0, 0.50];
+const HDSEARCH_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 7.50, 1.50, 0.0];
+const SETALGEBRA_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 3.75, 1.625, 0.0];
+const RECOMMEND_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.50, 1.00, 6.75, 0.0];
+
 /// Allocator calls per request, as measured in release and debug builds.
-const ROUTER_ALLOCS: f64 = 7.50;
-const HDSEARCH_ALLOCS: f64 = 12.00;
-const SETALGEBRA_ALLOCS: f64 = 8.40;
-const RECOMMEND_ALLOCS: f64 = 11.25;
-const ROUTER_BATCHED_ALLOCS: f64 = 9.625;
-const HDSEARCH_BATCHED_ALLOCS: f64 = 15.63;
-const SETALGEBRA_BATCHED_ALLOCS: f64 = 11.125;
+const ROUTER_ALLOCS: f64 = 3.50;
+const HDSEARCH_ALLOCS: f64 = 11.00;
+const SETALGEBRA_ALLOCS: f64 = 7.40;
+const RECOMMEND_ALLOCS: f64 = 10.25;
+const ROUTER_BATCHED_ALLOCS: f64 = 6.625;
+const HDSEARCH_BATCHED_ALLOCS: f64 = 14.63;
+const SETALGEBRA_BATCHED_ALLOCS: f64 = 10.125;

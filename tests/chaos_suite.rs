@@ -74,7 +74,7 @@ impl MidTierHandler for PrimaryWithFailover {
     type LeafRequest = ();
     type LeafResponse = u64;
     fn plan(&self, request: &u64, leaves: usize) -> Plan<u64, ()> {
-        Plan::new(*request, vec![(0, ())]).with_alternates(vec![(1..leaves).collect()])
+        Plan::new(*request, vec![(0, ())]).with_alternates(1..leaves)
     }
     fn merge(
         &self,

@@ -158,8 +158,8 @@ proptest! {
             let key = format!("key{key_id}");
             match op {
                 0 => {
-                    let expected = model.insert(key.clone(), vec![value]);
-                    prop_assert_eq!(store.set(&key, vec![value]), expected);
+                    let replaced = model.insert(key.clone(), vec![value]).is_some();
+                    prop_assert_eq!(store.set(&key, vec![value]), replaced);
                 }
                 1 => prop_assert_eq!(store.get(&key), model.get(&key).cloned()),
                 _ => prop_assert_eq!(store.delete(&key), model.remove(&key).is_some()),
@@ -174,7 +174,7 @@ proptest! {
         let rs = musuite::core::replication::ReplicaSet::new(leaves, replicas);
         let writes = rs.write_set(hash);
         prop_assert_eq!(writes.len(), replicas);
-        prop_assert!(writes.contains(&rs.read_replica(hash, choice)));
+        prop_assert!(writes.contains(rs.read_replica(hash, choice)));
     }
 
     #[test]
