@@ -7,6 +7,7 @@
 //! top-k with ids translated back to global space.
 
 use crate::distance::euclidean_sq;
+use crate::merge::nearest_first;
 use crate::protocol::{check_query, LeafSearchRequest, LeafSearchResponse, Neighbor};
 use musuite_codec::{Bytes, Seq};
 use musuite_core::error::ServiceError;
@@ -15,7 +16,6 @@ use musuite_core::shard::RoundRobinMap;
 use musuite_core::topk::top_k_by;
 use musuite_rpc::buf::flush_outbox;
 use std::cell::RefCell;
-use std::cmp::Ordering;
 
 /// A leaf holding one shard of feature vectors.
 #[derive(Debug)]
@@ -105,14 +105,6 @@ thread_local! {
 /// half 256 or more (EXPERIMENTS.md, "Which handlers run long").
 fn runs_long(candidates: usize) -> bool {
     candidates >= 128
-}
-
-/// Distance, then global id: the unique total order neighbours rank by.
-/// Squared distances are never
-/// `-0.0`, so `total_cmp` agrees with `<` on every distance a finite query
-/// can produce (an overflowing one is `+inf`).
-fn nearest_first(a: &Neighbor, b: &Neighbor) -> Ordering {
-    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
 }
 
 impl LeafHandler for HdSearchLeaf {

@@ -2,16 +2,45 @@
 //!
 //! "Each leaf calculates distances and returns a distance-sorted list. The
 //! mid-tier then merges these responses and returns the k-NN across all
-//! shards" (paper §III-A). The merge is the k-way "merge" step of merge
-//! sort with an early exit after `k` outputs.
+//! shards" (paper §III-A). The merge is the "merge" step of merge sort,
+//! applied to one list after another, with an early exit after `k`
+//! outputs.
 
 use crate::protocol::Neighbor;
+use musuite_codec::MAX_FRAME_LEN;
+use std::cell::RefCell;
+use std::cmp::Ordering;
+use std::mem::size_of;
 
-/// Merges distance-sorted neighbour lists into the global top-`k`.
+/// Distance, then global id: the one order neighbours rank by, in a leaf's
+/// list and in the merge. A NaN distance, which a reply's bytes can carry
+/// whatever its sign, ranks after every number; a finite query's squared
+/// distances are never NaN nor `-0.0`, so on them this agrees with `<`
+/// (an overflowing one is `+inf`).
+pub fn nearest_first(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.distance
+        .is_nan()
+        .cmp(&b.distance.is_nan())
+        .then(a.distance.total_cmp(&b.distance))
+        .then(a.id.cmp(&b.id))
+}
+
+thread_local! {
+    /// The calling thread's running answer and the buffer the next list is
+    /// merged into, reused by every [`merge_top_k`] on it (at most `k`
+    /// neighbours each; one that outgrows a frame is let go).
+    static SCRATCH: RefCell<(Vec<Neighbor>, Vec<Neighbor>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Merges sorted neighbour lists into the global top-`k`.
 ///
-/// Input lists must each be sorted by ascending distance (leaves guarantee
-/// this), owned or read from the leaves' frames; the output is sorted by ascending distance with ties broken by
-/// id for determinism.
+/// Input lists must each be sorted by [`nearest_first`] (leaves guarantee
+/// this), owned or read from the leaves' frames; the output is sorted the
+/// same way, so ties break by id, and on a tie of both the earlier list's
+/// neighbour comes first. The lists are folded in one at a time through
+/// the calling thread's scratch, which keeps no more than `k`: the answer
+/// is the one allocation, at its exact length (none if it is empty).
 ///
 /// # Examples
 ///
@@ -24,46 +53,35 @@ use crate::protocol::Neighbor;
 /// let merged = merge_top_k(vec![a, b], 2);
 /// assert_eq!(merged.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 3]);
 /// ```
-pub fn merge_top_k<L>(lists: Vec<L>, k: usize) -> Vec<Neighbor>
+pub fn merge_top_k<L>(lists: impl IntoIterator<Item = L>, k: usize) -> Vec<Neighbor>
 where
     L: IntoIterator<Item = Neighbor>,
-    L::IntoIter: ExactSizeIterator,
 {
-    // Cursor-based k-way merge; list counts are small (leaf fan-out), so a
-    // linear scan over cursors beats a binary heap's constant factor.
-    let mut heads: Vec<Option<Neighbor>> = Vec::with_capacity(lists.len());
-    let mut iters: Vec<L::IntoIter> = lists.into_iter().map(IntoIterator::into_iter).collect();
-    // `k` comes off the wire: reserve for what the lists can yield.
-    let available: usize = iters.iter().map(ExactSizeIterator::len).sum();
-    for iter in &mut iters {
-        heads.push(iter.next());
-    }
-    let mut out = Vec::with_capacity(k.min(available));
-    while out.len() < k {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(candidate) = head {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let current = heads[b].expect("best cursor has a head");
-                        (candidate.distance, candidate.id) < (current.distance, current.id)
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
+    // Taken, not borrowed: the lists' iterators run in between.
+    let (mut answer, mut next) = SCRATCH.take();
+    answer.clear();
+    for list in lists {
+        next.clear();
+        let mut kept = answer.iter().copied().peekable();
+        let mut list = list.into_iter().peekable();
+        while next.len() < k {
+            let nearest = match (kept.peek(), list.peek()) {
+                (Some(a), Some(b)) if nearest_first(b, a).is_lt() => list.next(),
+                (Some(_), _) => kept.next(),
+                (None, _) => list.next(),
+            };
+            let Some(nearest) = nearest else { break };
+            next.push(nearest);
         }
-        match best {
-            Some(i) => {
-                out.push(heads[i].take().expect("selected head present"));
-                heads[i] = iters[i].next();
-            }
-            None => break, // all lists exhausted
-        }
+        std::mem::swap(&mut answer, &mut next);
     }
-    out
+    let merged = answer.to_vec();
+    // `k` comes off the wire: an answer longer than a frame is not kept.
+    let fits = |buffer: &Vec<Neighbor>| buffer.capacity() * size_of::<Neighbor>() <= MAX_FRAME_LEN;
+    if fits(&answer) && fits(&next) {
+        SCRATCH.set((answer, next));
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -112,6 +130,16 @@ mod tests {
     fn ties_break_by_id_for_determinism() {
         let merged = merge_top_k(vec![vec![n(9, 0.5)], vec![n(3, 0.5)]], 2);
         assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![3, 9]);
+    }
+
+    #[test]
+    fn a_nan_distance_ranks_after_every_number() {
+        let nan = n(5, f32::NAN);
+        let merged = merge_top_k(vec![vec![nan], vec![n(1, 0.1), n(2, 0.2)]], 2);
+        assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![1, 2]);
+        let negative = n(6, -f32::NAN);
+        let merged = merge_top_k(vec![vec![negative], vec![n(1, f32::INFINITY)], vec![nan]], 3);
+        assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![1, 6, 5]);
     }
 
     #[test]

@@ -18,10 +18,12 @@ use std::cell::RefCell;
 
 thread_local! {
     /// The calling worker's copy of the checked query vector (`dim`
-    /// floats, which the frame holds unaligned) and its candidate list
-    /// (at most 8 B per indexed point; a few KB at the benchmark's scale),
-    /// reused by every `plan` on it.
-    static SCRATCH: RefCell<(Vec<f32>, Vec<u64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// floats, which the frame holds unaligned), its candidate list (at
+    /// most 8 B per indexed point; a few KB at the benchmark's scale) and
+    /// its map from a leaf to the candidates it holds, then to its target
+    /// (one word per leaf), reused by every `plan` on it.
+    static SCRATCH: RefCell<(Vec<f32>, Vec<u64>, Vec<usize>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// A query as the mid-tier reads it: the vector is a view of the frame.
@@ -73,14 +75,15 @@ impl MidTierHandler for HdSearchMidTier {
         if check_query(request.vector.iter(), self.index.dim()).is_err() {
             return Plan::new(Seq::default(), Vec::new());
         }
-        SCRATCH.with_borrow_mut(|(query, candidates)| {
+        SCRATCH.with_borrow_mut(|(query, candidates, slots)| {
             // 1. LSH lookup (the mid-tier's own compute).
             request.vector.copy_into(query);
             self.index.candidates_into(query, candidates);
             // 2. Count each leaf's candidates, then give every leaf that has
             // some one list of exactly that size; `slots` then maps a leaf
             // to its target.
-            let mut slots = vec![0usize; leaves];
+            slots.clear();
+            slots.resize(leaves, 0);
             for &id in candidates.iter() {
                 if let Some(count) = slots.get_mut(self.id_map.leaf_of(id)) {
                     *count += 1;
@@ -122,19 +125,14 @@ impl MidTierHandler for HdSearchMidTier {
             check_query(request.vector.iter(), self.index.dim())?;
         }
         let total = replies.len();
-        let mut lists = Vec::with_capacity(total);
-        for reply in replies.into_iter().flatten() {
-            lists.push(reply.neighbors);
-        }
-        let ok = lists.len();
+        let ok = replies.iter().filter(|reply| reply.is_ok()).count();
         // Partial results are acceptable (k-NN quality degrades gracefully)
         // unless every contacted leaf failed.
         if ok == 0 && total > 0 {
             return Err(ServiceError::unavailable("all leaves failed"));
         }
-        let response =
-            Degraded::partial(merge_top_k(lists, request.k as usize), ok as u32, total as u32);
-        Ok(response)
+        let lists = replies.into_iter().flatten().map(|reply| reply.neighbors);
+        Ok(Degraded::partial(merge_top_k(lists, request.k as usize), ok as u32, total as u32))
     }
 }
 

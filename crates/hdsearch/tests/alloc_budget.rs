@@ -1,5 +1,6 @@
-//! Allocator calls per request on HDSearch's two kernels, steady state, as
-//! budgets: the mid-tier's LSH `plan` and the leaf's `handle`. A
+//! Allocator calls per request on HDSearch's kernels, steady state, as
+//! budgets: the mid-tier's LSH `plan` and k-NN `merge`, and the leaf's
+//! `handle`. A
 //! regression here is `sat_allocs_per_req` on the `hdsearch_knn` benchmark
 //! workload. Own test binary, because the counter is the process's
 //! allocator.
@@ -13,8 +14,9 @@ use musuite_core::leaf::LeafHandler;
 use musuite_core::midtier::MidTierHandler;
 use musuite_core::shard::RoundRobinMap;
 use musuite_data::vectors::{VectorDataset, VectorDatasetConfig};
-use musuite_hdsearch::protocol::{LeafSearchRequest, SearchQuery};
+use musuite_hdsearch::protocol::{LeafSearchRequest, LeafSearchResponse, Neighbor, SearchQuery};
 use musuite_hdsearch::{HdSearchLeaf, HdSearchMidTier, LshConfig};
+use musuite_rpc::RpcError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,12 +105,11 @@ fn queries(corpus: &VectorDataset) -> Vec<SearchQuery<Seq<f32>>> {
         .collect()
 }
 
-/// `plan` owns, per call: the per-leaf counts, the target list, and one
-/// exactly-sized candidate list per targeted leaf. The query vector is
-/// shared by reference count and the LSH lookup runs in per-thread
-/// scratch.
+/// `plan` owns, per call: the target list and one exactly-sized candidate
+/// list per targeted leaf. The query vector is shared by reference count,
+/// and the LSH lookup and the per-leaf counts run in per-thread scratch.
 #[test]
-fn plan_allocates_one_list_per_targeted_leaf_plus_two() {
+fn plan_allocates_one_list_per_targeted_leaf_plus_one() {
     let _turn = take_turn();
     let corpus = corpus();
     let mid = midtier(&corpus);
@@ -119,10 +120,10 @@ fn plan_allocates_one_list_per_targeted_leaf_plus_two() {
     let per_plan = allocs_per_call(calls(QUERIES), calls(CALLS), |query| {
         black_box(mid.plan(query, LEAVES));
     });
-    let budget = (LEAVES + 2) as f64;
+    let budget = (LEAVES + 1) as f64;
     assert!(per_plan <= budget + SLACK, "{per_plan} allocator calls per plan, budget {budget}");
-    // Exactly: the two fixed ones plus one per targeted leaf.
-    let exact = 2.0 + targeted as f64 / QUERIES as f64;
+    // Exactly: the target list plus one per targeted leaf.
+    let exact = 1.0 + targeted as f64 / QUERIES as f64;
     assert!((per_plan - exact).abs() <= SLACK, "{per_plan} allocator calls per plan, not {exact}");
 }
 
@@ -156,4 +157,46 @@ fn leaf_handle_allocates_only_its_response() {
         black_box(leaf.handle_payload(payload).expect("a valid query is answered"));
     });
     assert!(per_payload <= 1.0 + SLACK, "{per_payload} allocator calls per payload, budget 1");
+}
+
+/// A leaf's reply as the mid-tier reads it: its neighbours a view of the
+/// frame.
+type ReplyView = Result<LeafSearchResponse<Seq<Neighbor>>, RpcError>;
+
+/// `merge` allocates only the answer it hands back: the replies are folded
+/// into the global top `k` through per-thread scratch, at two leaves (the
+/// benchmark's width) as at sixteen (the paper's). Before the merge folded
+/// its lists through scratch it cost 4 allocator calls at either width:
+/// the lists, the merge's cursors and heads, and the answer.
+#[test]
+fn merge_allocates_only_its_answer() {
+    let _turn = take_turn();
+    let corpus = corpus();
+    let mid = midtier(&corpus);
+    let queries = queries(&corpus);
+    // Leaf `leaf`'s sorted reply of `k` = 10 neighbours to query `q`.
+    let reply = |q: usize, leaf: usize| -> Vec<u8> {
+        let neighbor =
+            |i: usize| Neighbor { id: (i * 16 + leaf) as u64, distance: (q + i * leaf) as f32 };
+        to_bytes(&LeafSearchResponse { neighbors: (0..10).map(neighbor).collect::<Vec<_>>() })
+    };
+    for width in [2, 16] {
+        let frames: Vec<Vec<Vec<u8>>> =
+            (0..QUERIES).map(|q| (0..width).map(|leaf| reply(q, leaf)).collect()).collect();
+        let calls = |count: usize| -> Vec<(SearchQuery<Seq<f32>>, Vec<ReplyView>)> {
+            (0..count)
+                .map(|i| {
+                    let replies = frames[i % QUERIES].iter().map(|f| Ok(from_bytes(f).unwrap()));
+                    (queries[i % QUERIES].clone(), replies.collect())
+                })
+                .collect()
+        };
+        let per_merge = allocs_per_call(calls(QUERIES), calls(CALLS), |(query, replies)| {
+            black_box(mid.merge(query, replies).expect("every leaf answered"));
+        });
+        assert!(
+            (per_merge - 1.0).abs() <= SLACK,
+            "{per_merge} allocator calls per merge of {width} replies, budget 1"
+        );
+    }
 }

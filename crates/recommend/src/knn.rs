@@ -89,7 +89,7 @@ pub fn best_first<I: Ord>(a: &(I, f32), b: &(I, f32)) -> Ordering {
 /// (indices into `factors`), excluding an exact self-match by index.
 ///
 /// Returns `(user index, similarity)` pairs, most similar first. A batch
-/// of one for [`k_nearest_users_batch`].
+/// of one for [`for_each_nearest_users`].
 pub fn k_nearest_users(
     factors: &[Vec<f32>],
     query: &[f32],
@@ -97,12 +97,17 @@ pub fn k_nearest_users(
     candidates: &[usize],
     k: usize,
 ) -> Vec<(usize, f32)> {
-    k_nearest_users_batch(factors, &[(query, query_index)], candidates, k).pop().unwrap_or_default()
+    let mut nearest = Vec::new();
+    for_each_nearest_users(factors, &[(query, query_index)], candidates, k, |neighbors| {
+        nearest = neighbors.to_vec();
+    });
+    nearest
 }
 
-/// Working memory of [`k_nearest_users_batch`], one per thread and reused
+/// Working memory of [`for_each_nearest_users`], one per thread and reused
 /// by every call on it: one region of `candidates.len()` scores per query
 /// (at most 16 B × queries × candidates), and how much of each is filled.
+#[derive(Default)]
 struct Scratch {
     scored: Vec<(usize, f32)>,
     filled: Vec<usize>,
@@ -117,57 +122,69 @@ thread_local! {
 /// pass over the candidate factor rows**: each candidate's row is
 /// fetched once and its cosine against every query accumulated before
 /// moving on — the batched leaf's matrix–vector sweep. Scores go to
-/// per-thread scratch and each query keeps its `k` best under
-/// [`best_first`], so the only allocations are the results, `k` entries
-/// each.
+/// per-thread scratch, each query's region is cut to its `k` best under
+/// [`best_first`] in place, and `each` is handed the regions in query
+/// order: the search allocates nothing of its own.
 ///
 /// Queries are `(factor row, excluded self index)` pairs as in the
 /// single-query form.
+pub fn for_each_nearest_users(
+    factors: &[Vec<f32>],
+    queries: &[(&[f32], Option<usize>)],
+    candidates: &[usize],
+    k: usize,
+    mut each: impl FnMut(&[(usize, f32)]),
+) {
+    let region = candidates.len();
+    // Taken, not borrowed: `each` runs in between.
+    let Scratch { mut scored, mut filled } = SCRATCH.take();
+    // Every entry read below is written first: grow, never clear.
+    if scored.len() < queries.len() * region {
+        scored.resize(queries.len() * region, (0, 0.0));
+    }
+    filled.clear();
+    filled.resize(queries.len(), 0);
+    for &candidate in candidates {
+        let row = &factors[candidate];
+        for (slot, &(query, query_index)) in queries.iter().enumerate() {
+            if Some(candidate) == query_index {
+                continue;
+            }
+            scored[slot * region + filled[slot]] = (candidate, cosine(query, row));
+            filled[slot] += 1;
+        }
+    }
+    for (slot, &len) in filled.iter().enumerate() {
+        let start = slot * region;
+        each(top_k_by(&mut scored[start..start + len], k, best_first));
+    }
+    SCRATCH.set(Scratch { scored, filled });
+}
+
+/// [`for_each_nearest_users`], each query's neighbours copied out.
 pub fn k_nearest_users_batch(
     factors: &[Vec<f32>],
     queries: &[(&[f32], Option<usize>)],
     candidates: &[usize],
     k: usize,
 ) -> Vec<Vec<(usize, f32)>> {
-    let region = candidates.len();
-    SCRATCH.with_borrow_mut(|Scratch { scored, filled }| {
-        // Every entry read below is written first: grow, never clear.
-        if scored.len() < queries.len() * region {
-            scored.resize(queries.len() * region, (0, 0.0));
-        }
-        filled.clear();
-        filled.resize(queries.len(), 0);
-        for &candidate in candidates {
-            let row = &factors[candidate];
-            for (slot, &(query, query_index)) in queries.iter().enumerate() {
-                if Some(candidate) == query_index {
-                    continue;
-                }
-                scored[slot * region + filled[slot]] = (candidate, cosine(query, row));
-                filled[slot] += 1;
-            }
-        }
-        filled
-            .iter()
-            .enumerate()
-            .map(|(slot, &len)| {
-                let start = slot * region;
-                top_k_by(&mut scored[start..start + len], k, best_first).to_vec()
-            })
-            .collect()
-    })
+    let mut nearest = Vec::with_capacity(queries.len());
+    for_each_nearest_users(factors, queries, candidates, k, |neighbors| {
+        nearest.push(neighbors.to_vec());
+    });
+    nearest
 }
 
 /// Similarity-weighted average of neighbour predictions.
 ///
-/// `predictions[i]` is the rating neighbour `i` implies; weights are the
-/// (non-negative-clamped) similarities. Returns `None` when no neighbour
-/// carries positive weight.
-pub fn weighted_rating(neighbors: &[(usize, f32)], predictions: &[f32]) -> Option<f32> {
-    assert_eq!(neighbors.len(), predictions.len(), "one prediction per neighbour");
+/// `votes` are `(similarity, prediction)` pairs, one per neighbour: the
+/// rating the neighbour implies, weighted by its (non-negative-clamped)
+/// similarity, summed in the order given. Returns `None` when no
+/// neighbour carries positive weight.
+pub fn weighted_rating(votes: impl IntoIterator<Item = (f32, f32)>) -> Option<f32> {
     let mut numerator = 0.0f32;
     let mut denominator = 0.0f32;
-    for ((_, similarity), &prediction) in neighbors.iter().zip(predictions) {
+    for (similarity, prediction) in votes {
         let weight = similarity.max(0.0);
         numerator += weight * prediction;
         denominator += weight;
@@ -343,18 +360,16 @@ mod tests {
 
     #[test]
     fn weighted_rating_averages_by_similarity() {
-        let neighbors = vec![(0, 1.0f32), (1, 0.5)];
-        let rating = weighted_rating(&neighbors, &[4.0, 1.0]).unwrap();
+        let rating = weighted_rating([(1.0, 4.0), (0.5, 1.0)]).unwrap();
         assert!((rating - 3.0).abs() < 1e-6); // (1·4 + 0.5·1) / 1.5
     }
 
     #[test]
     fn negative_similarities_carry_no_weight() {
-        let neighbors = vec![(0, -0.9f32), (1, 0.3)];
-        let rating = weighted_rating(&neighbors, &[1.0, 5.0]).unwrap();
+        let rating = weighted_rating([(-0.9, 1.0), (0.3, 5.0)]).unwrap();
         assert!((rating - 5.0).abs() < 1e-6);
-        assert_eq!(weighted_rating(&[(0, -1.0)], &[3.0]), None);
-        assert_eq!(weighted_rating(&[], &[]), None);
+        assert_eq!(weighted_rating([(-1.0, 3.0)]), None);
+        assert_eq!(weighted_rating([]), None);
     }
 
     #[test]

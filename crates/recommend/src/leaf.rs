@@ -8,12 +8,20 @@
 //! time the leaf finds the query user's nearest neighbours *within its
 //! user shard* and returns their similarity-weighted rating for the item.
 
-use crate::knn::{best_first, k_nearest_users, k_nearest_users_batch, weighted_rating};
+use crate::knn::{best_first, for_each_nearest_users, k_nearest_users, weighted_rating};
 use crate::nmf::Nmf;
 use crate::protocol::{LeafRating, RatingQuery};
 use musuite_core::error::ServiceError;
 use musuite_core::leaf::LeafHandler;
 use musuite_core::topk::top_k_by;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The calling thread's batch of queries as `(user, position)` pairs,
+    /// sorted so that a user's queries sit together, reused by every
+    /// [`RecommendLeaf::predict_batch`] on it (16 B per query).
+    static BY_USER: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A leaf predicting ratings from its shard's user neighbourhood.
 #[derive(Debug)]
@@ -79,40 +87,49 @@ impl RecommendLeaf {
 
     /// Predicts a whole batch of `(user, item)` queries with **one pass
     /// over the shard's factor matrix**: the batch's distinct query users
-    /// share one [`k_nearest_users_batch`] sweep (a user appearing in
+    /// share one [`for_each_nearest_users`] sweep (a user appearing in
     /// several queries gets one neighbourhood, not one per query), then
-    /// each query votes over its user's neighbourhood exactly as
-    /// [`RecommendLeaf::predict`] does — bit-identical ratings.
+    /// each query votes over its user's neighbourhood, where the sweep's
+    /// scratch holds it, exactly as [`RecommendLeaf::predict`] does —
+    /// bit-identical ratings.
     pub fn predict_batch(&self, queries: &[(usize, usize)]) -> Vec<LeafRating> {
-        let mut order: Vec<usize> = Vec::new();
-        let mut slot_of: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for &(user, _) in queries {
-            slot_of.entry(user).or_insert_with(|| {
-                order.push(user);
-                order.len() - 1
-            });
-        }
-        let batch_queries: Vec<(&[f32], Option<usize>)> =
-            order.iter().map(|&user| (self.model.user_factors(user), Some(user))).collect();
-        let neighborhoods = k_nearest_users_batch(
+        // Taken, not borrowed: a vote runs inside the sweep.
+        let mut by_user = BY_USER.take();
+        by_user.clear();
+        by_user.extend(queries.iter().enumerate().map(|(position, &(user, _))| (user, position)));
+        by_user.sort_unstable();
+        let same_user = |a: &(usize, usize), b: &(usize, usize)| a.0 == b.0;
+        let mut users: Vec<(&[f32], Option<usize>)> = Vec::with_capacity(queries.len());
+        users.extend(
+            by_user
+                .chunk_by(same_user)
+                .map(|run| (self.model.user_factors(run[0].0), Some(run[0].0))),
+        );
+        let mut ratings = vec![LeafRating { rating: 0.0, neighbors: 0 }; queries.len()];
+        let mut runs = by_user.chunk_by(same_user);
+        for_each_nearest_users(
             self.model.user_matrix(),
-            &batch_queries,
+            &users,
             &self.shard_users,
             self.neighborhood,
+            |neighbors| {
+                for &(user, position) in runs.next().expect("one run per distinct user") {
+                    ratings[position] = self.vote(user, queries[position].1, neighbors);
+                }
+            },
         );
-        queries
-            .iter()
-            .map(|&(user, item)| self.vote(user, item, &neighborhoods[slot_of[&user]]))
-            .collect()
+        BY_USER.set(by_user);
+        ratings
     }
 
     /// `user`'s rating of `item`, weighted by `neighbors`' similarity; with
     /// no usable neighbourhood on this shard, the model's own
     /// reconstruction with zero voting weight.
     fn vote(&self, user: usize, item: usize, neighbors: &[(usize, f32)]) -> LeafRating {
-        let predictions: Vec<f32> =
-            neighbors.iter().map(|&(neighbor, _)| self.model.predict(neighbor, item)).collect();
-        match weighted_rating(neighbors, &predictions) {
+        let votes = neighbors
+            .iter()
+            .map(|&(neighbor, similarity)| (similarity, self.model.predict(neighbor, item)));
+        match weighted_rating(votes) {
             Some(rating) => {
                 LeafRating { rating: rating.clamp(1.0, 5.0), neighbors: neighbors.len() as u32 }
             }

@@ -1,8 +1,8 @@
 //! Allocator calls per batch on Recommend's batched leaf, steady state: a
-//! batch's allocations must not grow with the shard it searches. A
-//! regression here is `sat_alloc_bytes_per_req` on the `recommend_batched`
-//! benchmark workload. Own test binary, because the counter is the
-//! process's allocator.
+//! batch's allocations are a fixed count that does not grow with the shard
+//! it searches. A regression here is `sat_allocs_per_req` and
+//! `sat_alloc_bytes_per_req` on the `recommend_batched` benchmark workload.
+//! Own test binary, because the counter is the process's allocator.
 
 // The one place the crate's no-unsafe rule bends: a counting global
 // allocator cannot be written without `unsafe impl GlobalAlloc`.
@@ -87,9 +87,18 @@ fn allocs_per_batch(model: &Nmf, queries: &[(u32, u32)], shard_users: usize) -> 
     (ALLOCS.load(Ordering::Relaxed) - before) as f64 / BATCHES as f64
 }
 
+/// Allocator calls per `handle_batch` of [`BATCH`] valid queries: the
+/// handler's results, its valid queries and their positions (3), and
+/// `predict_batch`'s sweep of the distinct users and its ratings (2).
+/// Users are grouped in per-thread scratch, every neighbourhood is scored
+/// and cut to its `k` best in place, and each query votes over its region
+/// there. (It was 27 when every neighbourhood and every vote was a list of
+/// its own, and the users were grouped in a map.)
+const PER_BATCH: f64 = 5.0;
+
 /// Every neighbourhood is scored in per-thread scratch and cut to its
 /// `k` best in place, so a 2 000-user shard costs the allocator what a
-/// 500-user one does.
+/// 500-user one does: [`PER_BATCH`] at both.
 #[test]
 fn batched_leaf_allocations_do_not_grow_with_the_shard() {
     let _turn = take_turn();
@@ -109,5 +118,9 @@ fn batched_leaf_allocations_do_not_grow_with_the_shard() {
     assert!(
         (small - large).abs() <= SLACK,
         "{small} allocator calls per batch at 500 shard users, {large} at 2 000"
+    );
+    assert!(
+        (small - PER_BATCH).abs() <= SLACK,
+        "{small} allocator calls per batch, not {PER_BATCH}"
     );
 }

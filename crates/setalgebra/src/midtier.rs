@@ -53,17 +53,14 @@ impl MidTierHandler for SetAlgebraMidTier {
         // still answer, but only inside an explicitly degraded envelope;
         // below a majority the result is too incomplete to be useful.
         let total = replies.len();
-        let mut lists = Vec::with_capacity(total);
-        for reply in replies.into_iter().flatten() {
-            lists.push(reply.docs);
-        }
-        let ok = lists.len();
+        let ok = replies.iter().filter(|reply| reply.is_ok()).count();
         if ok * 2 <= total {
             return Err(ServiceError::unavailable(format!(
                 "only {ok}/{total} shards answered: no quorum"
             )));
         }
-        Ok(Degraded::partial(PostingList { docs: union_sorted(lists) }, ok as u32, total as u32))
+        let docs = union_sorted(replies.into_iter().flatten().map(|reply| reply.docs));
+        Ok(Degraded::partial(PostingList { docs }, ok as u32, total as u32))
     }
 }
 

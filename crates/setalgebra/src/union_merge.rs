@@ -5,8 +5,23 @@
 //! space, so inputs are disjoint in production; the union nonetheless
 //! deduplicates to stay a correct set operation for arbitrary inputs.
 
+use musuite_codec::MAX_FRAME_LEN;
+use std::cell::RefCell;
+use std::mem::size_of;
+
+thread_local! {
+    /// The calling thread's running union and the buffer the next list is
+    /// merged into, reused by every [`union_sorted`] on it (one that
+    /// outgrows a frame is let go).
+    static SCRATCH: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
 /// Unions sorted `u32` lists, owned or read from the leaves' frames, into
 /// one sorted, deduplicated list.
+///
+/// The lists are folded in one at a time, each merged with the union so
+/// far through the calling thread's scratch: the union is the one
+/// allocation, at its exact length (none if it is empty).
 ///
 /// # Examples
 ///
@@ -16,31 +31,36 @@
 /// let merged = union_sorted(vec![vec![1, 5], vec![2, 5, 9]]);
 /// assert_eq!(merged, vec![1, 2, 5, 9]);
 /// ```
-pub fn union_sorted<L>(lists: Vec<L>) -> Vec<u32>
+pub fn union_sorted<L>(lists: impl IntoIterator<Item = L>) -> Vec<u32>
 where
     L: IntoIterator<Item = u32>,
-    L::IntoIter: ExactSizeIterator,
 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-    let mut iters: Vec<L::IntoIter> = lists.into_iter().map(IntoIterator::into_iter).collect();
-    let total: usize = iters.iter().map(ExactSizeIterator::len).sum();
-    for (i, iter) in iters.iter_mut().enumerate() {
-        if let Some(v) = iter.next() {
-            heap.push(Reverse((v, i)));
+    // Taken, not borrowed: the lists' iterators run in between.
+    let (mut union, mut next) = SCRATCH.take();
+    union.clear();
+    for list in lists {
+        next.clear();
+        let mut kept = union.iter().copied().peekable();
+        let mut list = list.into_iter().peekable();
+        loop {
+            let least = match (kept.peek(), list.peek()) {
+                (Some(a), Some(b)) if b < a => list.next(),
+                (Some(_), _) => kept.next(),
+                (None, _) => list.next(),
+            };
+            let Some(least) = least else { break };
+            if next.last() != Some(&least) {
+                next.push(least);
+            }
         }
+        std::mem::swap(&mut union, &mut next);
     }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((value, i))) = heap.pop() {
-        if out.last() != Some(&value) {
-            out.push(value);
-        }
-        if let Some(next) = iters[i].next() {
-            heap.push(Reverse((next, i)));
-        }
+    let merged = union.to_vec();
+    let fits = |buffer: &Vec<u32>| buffer.capacity() * size_of::<u32>() <= MAX_FRAME_LEN;
+    if fits(&union) && fits(&next) {
+        SCRATCH.set((union, next));
     }
-    out
+    merged
 }
 
 #[cfg(test)]

@@ -544,15 +544,15 @@ fn print_sites(service: &str, burst: impl FnOnce() -> f64) -> ([f64; LAYERS.len(
 /// scatter, rpc hop, mid-tier plan/merge, leaf kernel, store. Each row sums
 /// to the service's budget below.
 const ROUTER_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 1.00, 0.0, 0.50];
-const HDSEARCH_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 7.50, 1.50, 0.0];
-const SETALGEBRA_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 3.75, 1.625, 0.0];
-const RECOMMEND_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.50, 1.00, 6.75, 0.0];
+const HDSEARCH_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 3.50, 1.50, 0.0];
+const SETALGEBRA_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 1.375, 1.625, 0.0];
+const RECOMMEND_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.50, 1.00, 1.25, 0.0];
 
 /// Allocator calls per request, as measured in release and debug builds.
 const ROUTER_ALLOCS: f64 = 3.50;
-const HDSEARCH_ALLOCS: f64 = 11.00;
-const SETALGEBRA_ALLOCS: f64 = 7.40;
-const RECOMMEND_ALLOCS: f64 = 10.25;
+const HDSEARCH_ALLOCS: f64 = 7.00;
+const SETALGEBRA_ALLOCS: f64 = 5.00;
+const RECOMMEND_ALLOCS: f64 = 4.75;
 const ROUTER_BATCHED_ALLOCS: f64 = 6.625;
-const HDSEARCH_BATCHED_ALLOCS: f64 = 14.63;
-const SETALGEBRA_BATCHED_ALLOCS: f64 = 10.125;
+const HDSEARCH_BATCHED_ALLOCS: f64 = 10.63;
+const SETALGEBRA_BATCHED_ALLOCS: f64 = 7.75;
