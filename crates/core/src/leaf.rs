@@ -41,16 +41,24 @@ pub trait LeafHandler: Send + Sync + 'static {
         false
     }
 
-    /// Computes responses for a batch of two or more requests drained in
-    /// one worker wakeup, returning one result per request, *in order*.
+    /// `true` if [`handle_batch`](LeafHandler::handle_batch) is a kernel
+    /// that answers a batch in one pass (today Recommend's matrix pass).
+    /// A [`LeafService`] gives such a leaf's batches to `handle_batch` as
+    /// owned requests, and serves every other leaf's batch members one by
+    /// one, as lone requests are, through
+    /// [`handle_payload`](LeafHandler::handle_payload).
+    const BATCH_KERNEL: bool = false;
+
+    /// Computes responses for a batch of requests, returning one result
+    /// per request, *in order*.
     ///
-    /// The default calls [`LeafHandler::handle`] per member. A leaf
-    /// overrides it only where a benchmark workload runs batches and one
-    /// pass can answer them all (today Recommend's matrix pass); a batch
-    /// of one never comes here. An override must be *observationally
-    /// equivalent* to the default: bit-identical results in the same
-    /// order — the batch-equivalence proptests pin this for every suite
-    /// service.
+    /// The default calls [`LeafHandler::handle`] per member. A
+    /// [`LeafService`] calls it only for a leaf that declares
+    /// [`BATCH_KERNEL`](LeafHandler::BATCH_KERNEL), with the two or more
+    /// requests drained in one worker wakeup. An override must be
+    /// *observationally equivalent* to the default: bit-identical results
+    /// in the same order — the batch-equivalence proptests pin this for
+    /// every suite service.
     fn handle_batch(
         &self,
         requests: Vec<Self::Request>,
@@ -59,10 +67,11 @@ pub trait LeafHandler: Send + Sync + 'static {
     }
 
     /// Answers one request from `payload`, the bytes of the frame it
-    /// arrived in: how a [`LeafService`] serves a request that is not
-    /// part of a batch. The default decodes an owned
-    /// [`Request`](LeafHandler::Request), writes what the thread holds if
-    /// the request [`runs_long`](LeafHandler::runs_long), and
+    /// arrived in: how a [`LeafService`] serves every request, batch
+    /// members included, of a leaf without a
+    /// [`BATCH_KERNEL`](LeafHandler::BATCH_KERNEL). The default decodes an
+    /// owned [`Request`](LeafHandler::Request), writes what the thread
+    /// holds if the request [`runs_long`](LeafHandler::runs_long), and
     /// [`handle`](LeafHandler::handle)s it.
     ///
     /// A leaf whose kernel can read its keys, vectors or terms in place
@@ -90,12 +99,6 @@ pub trait LeafHandler: Send + Sync + 'static {
 /// what did not decode.
 pub fn decode_payload<T: Decode>(payload: Bytes) -> Result<T, ServiceError> {
     musuite_codec::from_payload(payload).map_err(|e| ServiceError::bad_request(e.to_string()))
-}
-
-/// Takes `ctx`'s payload and decodes it, or gives the `BadRequest` that
-/// refuses it.
-pub(crate) fn decode<T: Decode>(ctx: &mut RequestContext) -> Result<T, ServiceError> {
-    decode_payload(ctx.take_payload())
 }
 
 /// Completes `ctx` with the response, encoded straight into the
@@ -132,21 +135,20 @@ impl<H: LeafHandler> Service for LeafService<H> {
     }
 
     fn call_batch(&self, batch: Drain<'_, RequestContext>) {
-        // Members decode as owned requests, which `handle_batch` takes
-        // together; views are for the unbatched path (`handle_payload`). A
-        // malformed member is refused alone, without discarding its
-        // batchmates, and answered in its place among them.
-        let mut members = Vec::with_capacity(batch.len());
+        if !H::BATCH_KERNEL {
+            return batch.for_each(|ctx| self.call(ctx));
+        }
+        // The kernel takes owned requests together. Each member decodes
+        // from a handle on its payload before the drain hands the contexts
+        // out; a malformed one is refused alone, in its place among its
+        // batchmates.
         let mut requests = Vec::with_capacity(batch.len());
-        for mut ctx in batch {
-            let refusal = match decode(&mut ctx) {
-                Ok(request) => {
-                    requests.push(request);
-                    None
-                }
-                Err(refusal) => Some(refusal),
-            };
-            members.push((ctx, refusal));
+        let mut refused = Vec::new();
+        for (member, ctx) in batch.as_slice().iter().enumerate() {
+            match decode_payload(ctx.payload().clone()) {
+                Ok(request) => requests.push(request),
+                Err(refusal) => refused.push((member, refusal)),
+            }
         }
         if requests.iter().any(|request| self.handler.runs_long(request)) {
             flush_outbox();
@@ -159,10 +161,12 @@ impl<H: LeafHandler> Service for LeafService<H> {
             "handle_batch must return one result per request"
         );
         let mut results = results.into_iter();
-        for (ctx, refusal) in members {
+        let mut refused = refused.into_iter().peekable();
+        for (member, ctx) in batch.enumerate() {
+            let refusal = refused.next_if(|(at, _)| *at == member).map(|(_, refusal)| Err(refusal));
             // On a (buggy) short result vector, unmatched contexts drop and
             // auto-respond AppError, so no client is ever left hanging.
-            if let Some(result) = refusal.map(Err).or_else(|| results.next()) {
+            if let Some(result) = refusal.or_else(|| results.next()) {
                 respond(ctx, result);
             }
         }
@@ -178,6 +182,7 @@ pub(crate) mod tests {
     };
     use std::io::Write;
     use std::net::TcpStream;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc, Mutex, OnceLock};
     use std::time::{Duration, Instant};
 
@@ -415,6 +420,79 @@ pub(crate) mod tests {
         let order: Vec<u64> = (0..3).map(|_| next_reply(&conn, &mut buf)).collect();
         assert_eq!(order, vec![0, 1, 2]);
         assert_eq!(server.stats().batching().batches(), 1, "the three ran as one batch");
+    }
+
+    /// Doubles, and counts which entry point served each request; a
+    /// `KERNEL` leaf declares a batch kernel.
+    #[derive(Default)]
+    struct EntryCounts<const KERNEL: bool> {
+        payloads: AtomicUsize,
+        handles: AtomicUsize,
+        batches: AtomicUsize,
+    }
+
+    impl<const KERNEL: bool> LeafHandler for EntryCounts<KERNEL> {
+        type Request = u64;
+        type Response = u64;
+        const BATCH_KERNEL: bool = KERNEL;
+        fn handle(&self, request: u64) -> Result<u64, ServiceError> {
+            self.handles.fetch_add(1, Ordering::Relaxed);
+            Ok(request * 2)
+        }
+        fn handle_batch(&self, requests: Vec<u64>) -> Vec<Result<u64, ServiceError>> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            requests.into_iter().map(|request| Ok(request * 2)).collect()
+        }
+        fn handle_payload(&self, payload: Bytes) -> Result<u64, ServiceError> {
+            self.payloads.fetch_add(1, Ordering::Relaxed);
+            Ok(decode_payload::<u64>(payload)? * 2)
+        }
+    }
+
+    /// Serves eight requests in one write, the fourth malformed, as one
+    /// batch of eight: every member is answered in its place, the
+    /// malformed one alone refused. Returns how often the leaf's
+    /// `handle_payload`, `handle` and `handle_batch` ran.
+    fn serve_a_batch_of_eight<const KERNEL: bool>() -> [usize; 3] {
+        let mut config = ServerConfig::default();
+        config.workers(1).batch_policy(BatchPolicy::new(8, PATIENCE));
+        let service = Arc::new(LeafService::new(EntryCounts::<KERNEL>::default()));
+        let server = Server::spawn(config, service.clone()).unwrap();
+        let wire: Vec<u8> = (0..8u64)
+            .flat_map(|id| {
+                let payload = match id {
+                    3 => vec![0x80],
+                    _ => musuite_codec::to_bytes(&id),
+                };
+                Frame::request(id, 1, payload).to_bytes()
+            })
+            .collect();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(&wire).unwrap();
+        conn.set_read_timeout(Some(PATIENCE)).unwrap();
+        let mut buf = RecvBuf::default();
+        for id in 0..8u64 {
+            let (reply, _) = buf.poll_frame(&mut &conn).unwrap().expect("a reply in time");
+            assert_eq!(reply.header.request_id, id, "replies leave in member order");
+            if id == 3 {
+                assert_eq!(reply.header.status, Status::BadRequest);
+            } else {
+                assert_eq!(reply.header.status, Status::Ok);
+                assert_eq!(musuite_codec::from_bytes::<u64>(&reply.payload).unwrap(), id * 2);
+            }
+        }
+        assert_eq!(server.stats().batching().batches(), 1, "the eight ran as one batch");
+        let counts = service.handler();
+        [&counts.payloads, &counts.handles, &counts.batches].map(|n| n.load(Ordering::Relaxed))
+    }
+
+    /// A leaf without a batch kernel serves a batch's members as lone
+    /// requests, through `handle_payload`; one that declares a kernel gets
+    /// the batch in one `handle_batch`.
+    #[test]
+    fn a_batch_reaches_handle_batch_only_for_a_leaf_with_a_kernel() {
+        assert_eq!(serve_a_batch_of_eight::<false>(), [8, 0, 0], "payloads, handles, batches");
+        assert_eq!(serve_a_batch_of_eight::<true>(), [0, 0, 1], "payloads, handles, batches");
     }
 
     #[test]

@@ -27,13 +27,12 @@
 //! place").
 
 use crate::error::ServiceError;
-use crate::leaf::{decode, respond};
+use crate::leaf::{decode_payload, respond};
 use bytes::{Bytes, BytesMut};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
-    CallOptions, FanoutGroup, LeafCall, Payload, RequestContext, RingSpan, RpcError, ScatterPlan,
-    Service,
+    CallOptions, FanoutGroup, LeafCall, RequestContext, RingSpan, RpcError, ScatterPlan, Service,
 };
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
@@ -200,7 +199,7 @@ impl<H: MidTierHandler> MidTierService<H> {
 
 impl<H: MidTierHandler> Service for MidTierService<H> {
     fn call(&self, mut ctx: RequestContext) {
-        let request = match decode::<H::Request>(&mut ctx) {
+        let request = match decode_payload::<H::Request>(ctx.take_payload()) {
             Ok(request) => request,
             Err(refusal) => return respond::<H::Response>(ctx, Err(refusal)),
         };
@@ -245,8 +244,8 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
     }
 }
 
-/// A handler's plan as its scatter owns it: the calls carry no payload,
-/// and every attempt encodes `shared ++ leaf request` in place.
+/// A handler's plan as its scatter owns it: every attempt encodes
+/// `shared ++ leaf request` in place.
 struct LeafPlan<H: MidTierHandler> {
     plan: Plan<H::SharedRequest, H::LeafRequest>,
     method: u32,
@@ -257,9 +256,10 @@ impl<H: MidTierHandler> ScatterPlan for LeafPlan<H> {
 
     fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_ {
         let (method, alternates) = (self.method, self.plan.alternates);
-        self.plan.targets.iter().map(move |&(leaf, _)| {
-            LeafCall::new(leaf, method, Payload::new()).with_alternates(alternates)
-        })
+        self.plan
+            .targets
+            .iter()
+            .map(move |&(leaf, _)| LeafCall::new(leaf, method).with_alternates(alternates))
     }
 
     fn encode(&self, slot: usize, buf: &mut BytesMut) {

@@ -85,27 +85,35 @@ impl RecommendLeaf {
         self.vote(user, item, &neighbors)
     }
 
-    /// Predicts a whole batch of `(user, item)` queries with **one pass
-    /// over the shard's factor matrix**: the batch's distinct query users
-    /// share one [`for_each_nearest_users`] sweep (a user appearing in
-    /// several queries gets one neighbourhood, not one per query), then
-    /// each query votes over its user's neighbourhood, where the sweep's
-    /// scratch holds it, exactly as [`RecommendLeaf::predict`] does —
-    /// bit-identical ratings.
-    pub fn predict_batch(&self, queries: &[(usize, usize)]) -> Vec<LeafRating> {
+    /// Answers a whole batch of queries with **one pass over the shard's
+    /// factor matrix**: the batch's distinct valid query users share one
+    /// [`for_each_nearest_users`] sweep (a user appearing in several
+    /// queries gets one neighbourhood, not one per query), then each query
+    /// votes over its user's neighbourhood, where the sweep's scratch holds
+    /// it, exactly as [`RecommendLeaf::predict`] does — bit-identical
+    /// ratings. A query naming an unknown user or item is refused alone,
+    /// in its place, with the error [`LeafHandler::handle`] gives it.
+    pub fn predict_batch(&self, queries: &[RatingQuery]) -> Vec<Result<LeafRating, ServiceError>> {
         // Taken, not borrowed: a vote runs inside the sweep.
         let mut by_user = BY_USER.take();
         by_user.clear();
-        by_user.extend(queries.iter().enumerate().map(|(position, &(user, _))| (user, position)));
+        let mut ratings: Vec<Result<LeafRating, ServiceError>> = queries
+            .iter()
+            .enumerate()
+            .map(|(position, query)| {
+                self.validate(query)?;
+                by_user.push((query.user as usize, position));
+                Ok(LeafRating { rating: 0.0, neighbors: 0 })
+            })
+            .collect();
         by_user.sort_unstable();
         let same_user = |a: &(usize, usize), b: &(usize, usize)| a.0 == b.0;
-        let mut users: Vec<(&[f32], Option<usize>)> = Vec::with_capacity(queries.len());
+        let mut users: Vec<(&[f32], Option<usize>)> = Vec::with_capacity(by_user.len());
         users.extend(
             by_user
                 .chunk_by(same_user)
                 .map(|run| (self.model.user_factors(run[0].0), Some(run[0].0))),
         );
-        let mut ratings = vec![LeafRating { rating: 0.0, neighbors: 0 }; queries.len()];
         let mut runs = by_user.chunk_by(same_user);
         for_each_nearest_users(
             self.model.user_matrix(),
@@ -114,7 +122,8 @@ impl RecommendLeaf {
             self.neighborhood,
             |neighbors| {
                 for &(user, position) in runs.next().expect("one run per distinct user") {
-                    ratings[position] = self.vote(user, queries[position].1, neighbors);
+                    let item = queries[position].item as usize;
+                    ratings[position] = Ok(self.vote(user, item, neighbors));
                 }
             },
         );
@@ -169,26 +178,10 @@ impl LeafHandler for RecommendLeaf {
         true
     }
 
+    const BATCH_KERNEL: bool = true;
+
     fn handle_batch(&self, requests: Vec<RatingQuery>) -> Vec<Result<LeafRating, ServiceError>> {
-        // Validate members individually — an unknown user or item errors
-        // out alone while its batchmates share one factor-matrix pass.
-        let mut results: Vec<Result<LeafRating, ServiceError>> = Vec::with_capacity(requests.len());
-        let mut valid = Vec::with_capacity(requests.len());
-        let mut valid_slots = Vec::with_capacity(requests.len());
-        for (slot, request) in requests.into_iter().enumerate() {
-            match self.validate(&request) {
-                Ok(()) => {
-                    results.push(Ok(LeafRating { rating: 0.0, neighbors: 0 }));
-                    valid_slots.push(slot);
-                    valid.push((request.user as usize, request.item as usize));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        for (slot, rating) in valid_slots.into_iter().zip(self.predict_batch(&valid)) {
-            results[slot] = Ok(rating);
-        }
-        results
+        self.predict_batch(&requests)
     }
 }
 
@@ -284,16 +277,17 @@ mod tests {
         let leaf = RecommendLeaf::new(model, (0..30).collect(), 8);
         // Repeat a user across queries so the shared-neighbourhood path
         // is exercised alongside distinct users.
-        let mut queries: Vec<(usize, usize)> = data
+        let mut queries: Vec<RatingQuery> = data
             .sample_queries(20)
             .iter()
-            .map(|&(user, item)| (user as usize, item as usize))
+            .map(|&(user, item)| RatingQuery { user, item })
             .collect();
         queries.push(queries[0]);
-        queries.push((queries[0].0, queries[1].1));
+        queries.push(RatingQuery { user: queries[0].user, item: queries[1].item });
         let batched = leaf.predict_batch(&queries);
-        for (&(user, item), batch) in queries.iter().zip(&batched) {
-            let sequential = leaf.predict(user, item);
+        for (query, batch) in queries.iter().zip(&batched) {
+            let batch = batch.as_ref().unwrap();
+            let sequential = leaf.predict(query.user as usize, query.item as usize);
             assert_eq!(batch.rating.to_bits(), sequential.rating.to_bits(), "bit-identical");
             assert_eq!(batch.neighbors, sequential.neighbors);
         }

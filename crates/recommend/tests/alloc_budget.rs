@@ -88,13 +88,13 @@ fn allocs_per_batch(model: &Nmf, queries: &[(u32, u32)], shard_users: usize) -> 
 }
 
 /// Allocator calls per `handle_batch` of [`BATCH`] valid queries: the
-/// handler's results, its valid queries and their positions (3), and
-/// `predict_batch`'s sweep of the distinct users and its ratings (2).
-/// Users are grouped in per-thread scratch, every neighbourhood is scored
-/// and cut to its `k` best in place, and each query votes over its region
-/// there. (It was 27 when every neighbourhood and every vote was a list of
-/// its own, and the users were grouped in a map.)
-const PER_BATCH: f64 = 5.0;
+/// results, which the votes fill in place, and the sweep's list of
+/// distinct users (2). Queries are validated and grouped by user in
+/// per-thread scratch, every neighbourhood is scored and cut to its `k`
+/// best in place, and each query votes over its region there. (It was 27
+/// when every neighbourhood and every vote was a list of its own, and the
+/// users were grouped in a map.)
+const PER_BATCH: f64 = 2.0;
 
 /// Every neighbourhood is scored in per-thread scratch and cut to its
 /// `k` best in place, so a 2 000-user shard costs the allocator what a

@@ -10,13 +10,13 @@
 //! not explicitly dispatch responses, as all but the last response thread
 //! do negligible work").
 //!
-//! Requests are [`Body`](crate::Body)s: a typed scatter's [`ScatterPlan`]
-//! writes each leaf's request straight into that leaf connection's pending
-//! buffer, and a [`Payload`] caller's bytes are copied there from
-//! reference-counted segments that siblings may share. Replies come back
-//! as [`Bytes`] slices of each client connection's receive buffer, so
-//! neither direction holds payload bytes in a buffer of their own inside
-//! the process. The plan reads a slot's reply once, on the thread that
+//! Every attempt's request is written by the scatter's [`ScatterPlan`],
+//! straight into the pending buffer of the leaf connection it goes out
+//! on: a typed plan encodes it, and a caller's list of [`Payload`]s
+//! copies it there from reference-counted segments that siblings may
+//! share. Replies come back as [`Bytes`] slices of each client
+//! connection's receive buffer, so neither direction holds payload bytes
+//! in a buffer of their own inside the process. The plan reads a slot's reply once, on the thread that
 //! claims the slot, so the gather holds typed replies and a losing
 //! hedge's reply is dropped unread.
 //!
@@ -115,20 +115,21 @@ const _: () = assert!(std::mem::size_of::<Option<Reply>>() == std::mem::size_of:
 /// writes a slot's request, and how a slot's reply is read.
 ///
 /// The scatter takes the calls once, when it starts. Each attempt —
-/// primary, hedge or retry — then writes its call's payload followed by
-/// what [`encode`](ScatterPlan::encode) appends, straight into the pending
-/// buffer of the connection it goes out on. A mid-tier's plan gives its
-/// calls empty payloads and encodes each leaf's request from the state it
-/// owns.
+/// primary, hedge or retry — then writes what
+/// [`encode`](ScatterPlan::encode) appends, straight into the pending
+/// buffer of the connection it goes out on: the plan is the one place a
+/// slot's request is held. A mid-tier's plan encodes each leaf's request
+/// from the state it owns; a caller's `(leaf, method, payload)` list is a
+/// plan that copies the slot's payload.
 pub trait ScatterPlan: Send + Sync + 'static {
     /// What a slot's reply is read as.
     type Reply: Send + 'static;
 
     /// The scatter's calls in slot order: each slot's primary target,
-    /// method, alternates and payload.
+    /// method and alternates. The requests stay with the plan.
     fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_;
 
-    /// Appends `slot`'s request, after its call's payload, to `buf`.
+    /// Appends `slot`'s request to `buf`.
     fn encode(&self, slot: usize, buf: &mut BytesMut);
 
     /// Reads the reply that claimed a slot, once, on the thread it arrived
@@ -142,15 +143,23 @@ pub trait ScatterPlan: Send + Sync + 'static {
     fn decode(&self, reply: Bytes) -> Result<Self::Reply, RpcError>;
 }
 
-/// A list of calls whose requests are their payloads, gathered as bytes.
-impl ScatterPlan for Vec<LeafCall> {
+/// A caller's `(leaf index, method, payload)` triples, each slot's request
+/// its payload, gathered as bytes. Every attempt copies the payload's bytes
+/// from a clone of it: a reference count for [`Bytes`] and [`Payload`],
+/// a copy of the vector for a `Vec<u8>`.
+impl<P> ScatterPlan for Vec<(usize, u32, P)>
+where
+    P: Into<Payload> + Clone + Send + Sync + 'static,
+{
     type Reply = Bytes;
 
     fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_ {
-        self.drain(..)
+        self.iter().map(|&(leaf, method, _)| LeafCall::new(leaf, method))
     }
 
-    fn encode(&self, _slot: usize, _buf: &mut BytesMut) {}
+    fn encode(&self, slot: usize, buf: &mut BytesMut) {
+        self[slot].2.clone().into().put_into(buf);
+    }
 
     fn decode(&self, reply: Bytes) -> Result<Bytes, RpcError> {
         Ok(reply)
@@ -241,19 +250,16 @@ impl From<std::ops::Range<usize>> for RingSpan {
     }
 }
 
-/// One slot of a scatter: the primary leaf plus the alternates that
-/// hedges and retries may be routed to (typically the primary's replica
-/// set).
-#[derive(Debug, Clone)]
+/// Where one slot of a scatter goes: the primary leaf plus the alternates
+/// that hedges and retries may be routed to (typically the primary's
+/// replica set). The slot's request is its plan's to write
+/// ([`ScatterPlan::encode`]).
+#[derive(Debug, Clone, Copy)]
 pub struct LeafCall {
     /// Primary target leaf.
     pub leaf: usize,
     /// Method id sent to whichever target serves the slot.
     pub method: u32,
-    /// Request payload (reference-counted; clones share the allocation).
-    /// Empty in a scatter whose plan encodes the requests
-    /// ([`ScatterPlan::encode`]).
-    pub payload: Payload,
     /// Fail-over targets for hedges and retries: the span's leaves in ring
     /// order, the primary left out if the span holds it.
     pub alternates: RingSpan,
@@ -262,8 +268,8 @@ pub struct LeafCall {
 impl LeafCall {
     /// A call to `leaf` with no alternates: hedges and retries stay on
     /// the same leaf (a different pooled connection may serve them).
-    pub fn new(leaf: usize, method: u32, payload: impl Into<Payload>) -> LeafCall {
-        LeafCall { leaf, method, payload: payload.into(), alternates: RingSpan::default() }
+    pub fn new(leaf: usize, method: u32) -> LeafCall {
+        LeafCall { leaf, method, alternates: RingSpan::default() }
     }
 
     /// Adds fail-over targets for hedges and retries: a [`RingSpan`], such
@@ -284,7 +290,6 @@ impl LeafCall {
 #[derive(Default)]
 struct Slot {
     method: u32,
-    payload: Payload,
     /// The slot's rotation is the primary, then each leaf of `alternates`
     /// other than the primary, in ring order, then round again.
     primary: usize,
@@ -301,12 +306,11 @@ impl Slot {
     /// The slot for `call` in a group of `leaves`, owing `pending`
     /// obligations and holding `retries` credits.
     fn new(call: LeafCall, leaves: usize, pending: usize, retries: usize) -> Slot {
-        let LeafCall { leaf, method, payload, alternates } = call;
+        let LeafCall { leaf, method, alternates } = call;
         assert!(leaf < leaves, "leaf index {leaf} out of bounds");
         assert!(alternates.iter().all(|alt| alt < leaves), "alternate index out of bounds");
         Slot {
             method,
-            payload,
             primary: leaf,
             alternates,
             rotation: AtomicUsize::new(1),
@@ -336,10 +340,10 @@ impl Slot {
 
 /// How many slots a scatter holds in its own allocation; a wider one boxes
 /// its slot array. Every benchmark workload scatters to one or two leaves.
-/// Each inline slot a narrower scatter leaves vacant is a `Slot` (168
+/// Each inline slot a narrower scatter leaves vacant is a `Slot` (104
 /// bytes) of the state's allocation: two slots add one to a scatter of
 /// one, where four would add two to a two-leaf Set Algebra request, some
-/// 17 % of its bytes.
+/// 13 % of its bytes on `setalgebra_terms`.
 const INLINE_SLOTS: usize = 2;
 
 /// A scatter's slot array: the first `len` of `inline` up to
@@ -545,10 +549,7 @@ where
             (configured, left) => configured.or(left),
         };
         let done = Pending::Attempt(Attempt { scatter: self.clone(), slot, target, hedge });
-        let body = |buf: &mut BytesMut| {
-            this.payload.put_into(buf);
-            self.plan.encode(slot, buf);
-        };
+        let body = |buf: &mut BytesMut| self.plan.encode(slot, buf);
         let opts = CallOptions { timeout, priority: self.priority };
         match core.leaves[target].pick() {
             Some(conn) => conn.call_async_inner(this.method, body, opts, done),
@@ -894,14 +895,14 @@ impl FanoutGroup {
     /// Panics if any leaf index is out of bounds.
     pub fn scatter<P, F>(&self, requests: Vec<(usize, u32, P)>, on_complete: F)
     where
-        P: Into<Payload>,
+        P: Into<Payload> + Clone + Send + Sync + 'static,
         F: FnOnce(FanoutResult) + Send + 'static,
     {
         self.scatter_opts(requests, CallOptions::default(), on_complete);
     }
 
-    /// [`FanoutGroup::scatter`] under `opts`: see
-    /// [`FanoutGroup::scatter_encoded`].
+    /// [`FanoutGroup::scatter`] under `opts`: the request list is the
+    /// scatter's plan (see [`FanoutGroup::scatter_encoded`]).
     ///
     /// # Panics
     ///
@@ -912,15 +913,10 @@ impl FanoutGroup {
         opts: CallOptions,
         on_complete: F,
     ) where
-        P: Into<Payload>,
+        P: Into<Payload> + Clone + Send + Sync + 'static,
         F: FnOnce(FanoutResult) + Send + 'static,
     {
-        let calls = requests
-            .into_iter()
-            .map(|(leaf, method, payload)| LeafCall::new(leaf, method, payload));
-        let slots = self.slots(calls);
-        // Each request is its call's payload; the plan has nothing to add.
-        self.start(slots, Vec::<LeafCall>::new(), opts, on_complete);
+        self.scatter_encoded(requests, opts, on_complete);
     }
 
     /// The one scatter: issues every call of `plan` under the group's
@@ -951,29 +947,16 @@ impl FanoutGroup {
         P: ScatterPlan,
         F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
     {
-        let slots = self.slots(plan.calls());
-        self.start(slots, plan, opts, on_complete);
-    }
-
-    /// The slot array for `calls` under the group's policy.
-    fn slots(&self, calls: impl ExactSizeIterator<Item = LeafCall>) -> Slots {
         let core = &self.core;
-        let pending = 1 + usize::from(core.hedge_delay().is_some());
+        let (leaves, hedge) = (core.leaves.len(), core.hedge_delay());
+        let pending = 1 + usize::from(hedge.is_some());
         let retries = core.resilience.map_or(0, |config| config.retries as usize);
-        Slots::new(calls.map(|call| Slot::new(call, core.leaves.len(), pending, retries)))
-    }
-
-    fn start<P, F>(&self, slots: Slots, plan: P, opts: CallOptions, on_complete: F)
-    where
-        P: ScatterPlan,
-        F: FnOnce(FanoutResult<P::Reply>) + Send + 'static,
-    {
+        let slots = Slots::new(plan.calls().map(|call| Slot::new(call, leaves, pending, retries)));
         if slots.is_empty() {
             on_complete(FanoutResult { replies: Vec::new(), elapsed_ns: 0 });
             return;
         }
-        let hedge = self.core.hedge_delay();
-        let state = ScatterState::new(self.core.clone(), slots, opts, plan, on_complete);
+        let state = ScatterState::new(core.clone(), slots, opts, plan, on_complete);
         for slot in 0..state.slots.len() {
             if let Some(delay) = hedge {
                 state.schedule_attempt(slot, None, Instant::now() + delay);
@@ -984,7 +967,10 @@ impl FanoutGroup {
 
     /// Scatters and blocks the calling thread until the merge completes —
     /// convenience for tests and synchronous front-ends.
-    pub fn scatter_wait<P: Into<Payload>>(&self, requests: Vec<(usize, u32, P)>) -> FanoutResult {
+    pub fn scatter_wait<P>(&self, requests: Vec<(usize, u32, P)>) -> FanoutResult
+    where
+        P: Into<Payload> + Clone + Send + Sync + 'static,
+    {
         let (tx, rx) = std::sync::mpsc::channel();
         self.scatter(requests, move |result| {
             let _ = tx.send(result);
@@ -1058,14 +1044,34 @@ pub(crate) mod tests {
         }
     }
 
+    /// A scatter of byte requests whose slots may fail over: each slot's
+    /// call, and its request.
+    pub(crate) struct Calls(pub(crate) Vec<(LeafCall, Vec<u8>)>);
+
+    impl ScatterPlan for Calls {
+        type Reply = Bytes;
+
+        fn calls(&mut self) -> impl ExactSizeIterator<Item = LeafCall> + '_ {
+            self.0.iter().map(|&(call, _)| call)
+        }
+
+        fn encode(&self, slot: usize, buf: &mut BytesMut) {
+            buf.extend_from_slice(&self.0[slot].1);
+        }
+
+        fn decode(&self, reply: Bytes) -> Result<Bytes, RpcError> {
+            Ok(reply)
+        }
+    }
+
     /// Scatters `calls` under `opts` and waits for the merge.
     pub(crate) fn scatter_calls_wait(
         group: &FanoutGroup,
-        calls: Vec<LeafCall>,
+        calls: Vec<(LeafCall, Vec<u8>)>,
         opts: CallOptions,
     ) -> FanoutResult {
         let (tx, rx) = std::sync::mpsc::channel();
-        group.scatter_encoded(calls, opts, move |result| tx.send(result).unwrap());
+        group.scatter_encoded(Calls(calls), opts, move |result| tx.send(result).unwrap());
         crate::buf::flush_outbox();
         rx.recv_timeout(Duration::from_secs(10)).expect("the scatter completes")
     }
@@ -1389,17 +1395,17 @@ pub(crate) mod tests {
     fn a_wrapping_span_rotates_primary_then_ring_order() {
         let span = RingSpan::new(3, 3, 4);
         assert_eq!(span.iter().collect::<Vec<_>>(), [3, 0, 1]);
-        let slot = Slot::new(LeafCall::new(0, 1, Payload::new()).with_alternates(span), 4, 1, 0);
+        let slot = Slot::new(LeafCall::new(0, 1).with_alternates(span), 4, 1, 0);
         // The primary goes out first, by name; the rotation continues from
         // the turn after it.
         let turns: Vec<usize> = (0..6).map(|_| slot.next_target()).collect();
         assert_eq!(turns, [3, 1, 0, 3, 1, 0]);
         // A primary outside its span rotates through the whole span.
-        let slot = Slot::new(LeafCall::new(2, 1, Payload::new()).with_alternates(span), 4, 1, 0);
+        let slot = Slot::new(LeafCall::new(2, 1).with_alternates(span), 4, 1, 0);
         let turns: Vec<usize> = (0..4).map(|_| slot.next_target()).collect();
         assert_eq!(turns, [3, 0, 1, 2]);
         // No span: every turn is the primary.
-        let slot = Slot::new(LeafCall::new(1, 1, Payload::new()), 4, 1, 0);
+        let slot = Slot::new(LeafCall::new(1, 1), 4, 1, 0);
         assert_eq!((0..3).map(|_| slot.next_target()).collect::<Vec<_>>(), [1, 1, 1]);
     }
 
@@ -1421,8 +1427,8 @@ pub(crate) mod tests {
     #[should_panic(expected = "alternate index out of bounds")]
     fn out_of_bounds_alternate_panics() {
         let (_servers, group) = leaf_cluster(2);
-        let call = LeafCall::new(0, 1, vec![1u8]).with_alternates(1..3);
-        scatter_calls_wait(&group, vec![call], CallOptions::default());
+        let call = LeafCall::new(0, 1).with_alternates(1..3);
+        scatter_calls_wait(&group, vec![(call, vec![1u8])], CallOptions::default());
     }
 
     #[test]
@@ -1456,12 +1462,11 @@ pub(crate) mod model_tests {
         slots: usize,
         pending: usize,
         on_complete: F,
-    ) -> Arc<ScatterState<Vec<LeafCall>, F>>
+    ) -> Arc<ScatterState<Vec<(usize, u32, Bytes)>, F>>
     where
         F: FnOnce(FanoutResult) + Send + 'static,
     {
-        let slots =
-            (0..slots).map(|leaf| Slot::new(LeafCall::new(leaf, 1, Payload::new()), 2, pending, 0));
+        let slots = (0..slots).map(|leaf| Slot::new(LeafCall::new(leaf, 1), 2, pending, 0));
         let core = Arc::new(Core::new(Vec::new()));
         // The core outlives the run: dropping it stops its timer, which
         // takes a lock, and a run that trips an assertion ends unwinding.

@@ -173,7 +173,7 @@ mod tests {
     use crate::client::CallOptions;
     use crate::error::{FailureKind, RpcError};
     use crate::fanout::tests::{
-        cluster_with, leaf_cluster, planned, scatter_calls_wait, stuck_leaf,
+        cluster_with, leaf_cluster, planned, scatter_calls_wait, stuck_leaf, Calls,
     };
     use crate::fanout::{FanoutGroup, FanoutResult, LeafCall};
     use crate::fault::{FaultPlan, FaultRule};
@@ -188,7 +188,7 @@ mod tests {
 
     /// Scatters `byte` to leaf 0 alone and waits for the merge.
     fn send_one(group: &FanoutGroup, byte: u8) -> FanoutResult {
-        scatter_calls_wait(group, vec![LeafCall::new(0, 1, vec![byte])], CallOptions::default())
+        scatter_calls_wait(group, vec![(LeafCall::new(0, 1), vec![byte])], CallOptions::default())
     }
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         let (servers, group) = cluster_with(2, Some(config));
         servers[0].shutdown();
         std::thread::sleep(Duration::from_millis(50));
-        let call = LeafCall::new(0, 1, vec![7u8]).with_alternates(1..2);
+        let call = (LeafCall::new(0, 1).with_alternates(1..2), vec![7u8]);
         let result = scatter_calls_wait(&group, vec![call], CallOptions::default());
         assert!(result.all_ok(), "retry must fail over to the healthy replica: {result:?}");
         assert_eq!(result.successes()[0], [1u8, 7], "served by the alternate leaf");
@@ -262,7 +262,7 @@ mod tests {
             priority: Priority::Sheddable,
             ..CallOptions::within(Duration::from_millis(80))
         };
-        let result = scatter_calls_wait(&group, vec![LeafCall::new(0, 1, vec![1u8])], opts);
+        let result = scatter_calls_wait(&group, vec![(LeafCall::new(0, 1), vec![1u8])], opts);
         assert!(
             matches!(result.replies[0], Err(RpcError::TimedOut)),
             "got {:?}",
@@ -315,7 +315,7 @@ mod tests {
         let group = planned(&servers, &plan, config);
         plan.arm();
         let started = Instant::now();
-        let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(1..2);
+        let call = (LeafCall::new(0, 1).with_alternates(1..2), vec![3u8]);
         let result = scatter_calls_wait(&group, vec![call], CallOptions::default());
         let elapsed = started.elapsed();
         assert!(result.all_ok(), "hedge must win: {result:?}");
@@ -347,8 +347,8 @@ mod tests {
         plan.arm();
         let (tx, rx) = std::sync::mpsc::channel();
         let held = group.clone();
-        let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(1..2);
-        group.scatter_encoded(vec![call], CallOptions::default(), move |result| {
+        let call = (LeafCall::new(0, 1).with_alternates(1..2), vec![3u8]);
+        group.scatter_encoded(Calls(vec![call]), CallOptions::default(), move |result| {
             let won = held.counters().get(ResilienceEvent::HedgeWon);
             tx.send((result, won)).unwrap();
         });
@@ -438,7 +438,7 @@ mod tests {
         let (_servers, group) = cluster_with(1, Some(ResilientConfig::default()));
         let debug = format!("{group:?}");
         assert!(debug.contains("FanoutGroup") && debug.contains("resilience"), "{debug}");
-        let call = LeafCall::new(0, 1, vec![1u8]).with_alternates(2..3);
+        let call = LeafCall::new(0, 1).with_alternates(2..3);
         assert!(format!("{call:?}").contains("alternates"));
     }
 }

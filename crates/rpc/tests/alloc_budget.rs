@@ -125,8 +125,8 @@ fn scatter_wait_allocs(width: usize, policy: ResilientConfig) -> f64 {
     })
 }
 
-/// What a two-leaf scatter may cost, by owner: the caller's request `Vec`
-/// (1); `scatter_wait`'s channel, its first block and the blocked
+/// What a two-leaf scatter may cost, by owner: the caller's request `Vec`,
+/// which the scatter keeps as its plan (1); `scatter_wait`'s channel, its first block and the blocked
 /// receiver's registration (3); the scatter's state — one `Arc` holding
 /// count, completion, plan, the replies' header and the slots, plus the
 /// replies themselves (2). An attempt's in-flight entry names the
