@@ -10,6 +10,7 @@
 use crate::error::ServiceError;
 use crate::leaf::{LeafHandler, LeafService};
 use crate::midtier::{MidTierHandler, MidTierService};
+use bytes::BytesMut;
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::{
     CallOptions, FanoutGroup, FaultPlan, Reactor, ResilientConfig, RpcClient, RpcError, Server,
@@ -250,7 +251,8 @@ impl<Req: Encode, Resp: Decode> TypedClient<Req, Resp> {
     /// server-side), [`RpcError::TimedOut`] when the budget runs out, or
     /// [`RpcError::Decode`] if the response payload is malformed.
     pub fn call_typed(&self, request: &Req, opts: CallOptions) -> Result<Resp, RpcError> {
-        let reply = self.client.call_opts(self.method, musuite_codec::to_bytes(request), opts)?;
+        let reply =
+            self.client.call_opts(self.method, |buf: &mut BytesMut| request.encode(buf), opts)?;
         musuite_codec::from_payload::<Resp>(reply).map_err(RpcError::from)
     }
 
@@ -260,8 +262,8 @@ impl<Req: Encode, Resp: Decode> TypedClient<Req, Resp> {
     where
         F: FnOnce(Result<Resp, RpcError>) + Send + 'static,
     {
-        let payload = musuite_codec::to_bytes(request);
-        self.client.call_async_opts(self.method, payload, opts, move |result| {
+        let encode = |buf: &mut BytesMut| request.encode(buf);
+        self.client.call_async_opts(self.method, encode, opts, move |result| {
             callback(result.and_then(|bytes| {
                 musuite_codec::from_payload::<Resp>(bytes).map_err(RpcError::from)
             }));

@@ -1,16 +1,12 @@
 //! Wire buffers: the zero-copy plumbing under every connection.
 //!
-//! Four pieces keep payload bytes from being copied between the socket
+//! Three pieces keep payload bytes from being copied between the socket
 //! and the service handler:
 //!
 //! * [`Body`] — what an outgoing frame's payload is made from: a typed
 //!   message's encoder, which serializes it straight into the connection's
-//!   pending buffer, or a [`Payload`] of bytes already encoded.
-//! * [`Payload`] — an outgoing message body as up to two [`Bytes`]
-//!   segments (a shared prefix plus a per-request suffix), for callers that
-//!   hold their bytes before the call: the segments are reference-counted
-//!   handles, and length and checksum are computed across the boundary, so
-//!   the two are never joined in memory.
+//!   pending buffer, or bytes already encoded ([`Bytes`], `Vec<u8>`),
+//!   copied there.
 //! * [`RecvBuf`] — the frame reader of every connection, whichever runner
 //!   drives it: each wake's bytes land in a chunk, every complete frame in
 //!   the chunk is handed out as a [`Bytes`] slice of it, and the chunk is
@@ -37,7 +33,8 @@ use std::sync::Arc;
 /// What an outgoing frame's payload is made from: a body is serialized
 /// straight into the connection's pending buffer ([`Body::encode_into`]).
 /// Any `FnOnce(&mut BytesMut)` is a body: an encoder that appends a typed
-/// message, as `|buf| request.encode(buf)`. A [`Payload`] is one too.
+/// message, as `|buf| request.encode(buf)`. Bytes already encoded, a
+/// [`Bytes`] or a `Vec<u8>`, are one too: they are copied there.
 pub trait Body {
     /// Appends the payload's bytes to `buf`.
     fn encode_into(self, buf: &mut BytesMut);
@@ -49,96 +46,15 @@ impl<F: FnOnce(&mut BytesMut)> Body for F {
     }
 }
 
-impl Body for Payload {
+impl Body for Bytes {
     fn encode_into(self, buf: &mut BytesMut) {
-        self.put_into(buf);
+        buf.put_slice(&self);
     }
 }
 
-/// An outgoing message body: a shared head plus a per-request tail.
-///
-/// Both segments are cheap reference-counted handles. Converting a
-/// `Vec<u8>` or [`Bytes`] produces a single-segment payload; a two-part
-/// payload shares its head across sibling requests.
-///
-/// # Examples
-///
-/// ```
-/// use musuite_rpc::Payload;
-/// use bytes::Bytes;
-///
-/// let shared = Bytes::from(vec![1u8, 2, 3]);
-/// let a = Payload::with_suffix(shared.clone(), vec![4u8]);
-/// let b = Payload::with_suffix(shared, vec![5u8]);
-/// assert_eq!(a.len(), 4);
-/// assert_eq!(a.to_vec(), [1, 2, 3, 4]);
-/// assert_eq!(b.to_vec(), [1, 2, 3, 5]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Payload {
-    head: Bytes,
-    tail: Bytes,
-}
-
-impl Payload {
-    /// An empty payload.
-    pub fn new() -> Payload {
-        Payload::default()
-    }
-
-    /// A payload sharing `head` and appending an owned `tail`.
-    ///
-    /// The head's allocation is shared (reference-counted), not copied.
-    pub fn with_suffix(head: Bytes, tail: impl Into<Bytes>) -> Payload {
-        Payload { head, tail: tail.into() }
-    }
-
-    /// Total length in bytes across both segments.
-    pub fn len(&self) -> usize {
-        self.head.len() + self.tail.len()
-    }
-
-    /// Returns `true` if both segments are empty.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.tail.is_empty()
-    }
-
-    /// The payload as wire-order segments, for scatter-write APIs.
-    pub fn parts(&self) -> [&[u8]; 2] {
-        [&self.head, &self.tail]
-    }
-
-    /// Appends both segments to `buf`, in wire order.
-    pub(crate) fn put_into(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.head);
-        buf.put_slice(&self.tail);
-    }
-
-    /// Copies both segments into one contiguous vector (for diagnostics
-    /// and tests; the hot path never joins them).
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend_from_slice(&self.head);
-        out.extend_from_slice(&self.tail);
-        out
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(head: Vec<u8>) -> Payload {
-        Payload { head: Bytes::from(head), tail: Bytes::new() }
-    }
-}
-
-impl From<Bytes> for Payload {
-    fn from(head: Bytes) -> Payload {
-        Payload { head, tail: Bytes::new() }
-    }
-}
-
-impl From<&'static [u8]> for Payload {
-    fn from(head: &'static [u8]) -> Payload {
-        Payload { head: Bytes::from_static(head), tail: Bytes::new() }
+impl Body for Vec<u8> {
+    fn encode_into(self, buf: &mut BytesMut) {
+        buf.put_slice(&self);
     }
 }
 
@@ -481,19 +397,6 @@ impl ConnWriter {
         self.enqueue(|pending| Ok(header.encode_in_place(pending, body)?))
     }
 
-    /// [`ConnWriter::write_with`] with a body that copies `parts` in order.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConnWriter::write_with`].
-    pub fn write_parts(self: &Arc<Self>, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
-        self.write_with(header, |buf| {
-            for part in parts {
-                buf.put_slice(part);
-            }
-        })
-    }
-
     /// Queues `frame`, serialized already (a fault plan's delayed or
     /// corrupted frame), as [`ConnWriter::write_with`] queues one it
     /// serializes.
@@ -712,6 +615,13 @@ pub(crate) fn loopback_pair() -> (TcpStream, TcpStream) {
     (a, b)
 }
 
+/// Queues `frame`, whose payload is encoded already, on `writer`, for this
+/// crate's tests.
+#[cfg(test)]
+pub(crate) fn send_frame(writer: &SharedWriter, frame: &Frame) -> io::Result<()> {
+    writer.write_with(&frame.header, |buf| buf.put_slice(&frame.payload))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,28 +631,13 @@ mod tests {
 
     #[test]
     fn payload_conversions() {
-        let from_vec = Payload::from(vec![1u8, 2]);
-        assert_eq!(from_vec.len(), 2);
-        assert!(!from_vec.is_empty());
-        let empty = Payload::new();
-        assert!(empty.is_empty());
-        let from_bytes = Payload::from(Bytes::from(vec![3u8]));
-        assert_eq!(from_bytes.to_vec(), [3]);
-        let from_static = Payload::from(&b"hi"[..]);
-        assert_eq!(from_static.to_vec(), b"hi");
-    }
-
-    #[test]
-    fn payload_suffix_shares_head_allocation() {
-        let shared = Bytes::from(vec![9u8; 32]);
-        let base = shared.as_ptr();
-        let a = Payload::with_suffix(shared.clone(), vec![1u8]);
-        let b = Payload::with_suffix(shared, vec![2u8]);
-        // Both payloads alias the same head allocation — no deep copy.
-        assert_eq!(a.parts()[0].as_ptr(), base);
-        assert_eq!(b.parts()[0].as_ptr(), base);
-        assert_eq!(a.parts()[1], [1]);
-        assert_eq!(b.parts()[1], [2]);
+        // Bytes already encoded are a body that copies them, whichever
+        // form the caller holds them in.
+        let mut buf = BytesMut::new();
+        Bytes::from(vec![b'a', b'b']).encode_into(&mut buf);
+        vec![b'c'].encode_into(&mut buf);
+        Bytes::from(&b"d"[..]).encode_into(&mut buf);
+        assert_eq!(&buf[..], b"abcd");
     }
 
     /// An in-memory peer: hands out `sizes[i]` bytes at the i-th read
@@ -807,8 +702,8 @@ mod tests {
     fn encoded_frames_roundtrip_through_the_buffer() {
         let mut wire = Frame::request(1, 7, b"first".to_vec()).to_bytes();
         // A two-segment payload goes on the wire without being joined.
-        let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
-        Frame::request(2, 8, Vec::new()).header.encode_with_payload(&payload.parts(), &mut wire);
+        let parts: [&[u8]; 2] = [&[0xAA; 3], &[0xBB]];
+        Frame::request(2, 8, Vec::new()).header.encode_with_payload(&parts, &mut wire);
         // Budget and priority ride in the header's tail.
         let third = Frame::response(1, 7, Status::Ok, Vec::new())
             .with_budget(5_000, musuite_codec::Priority::Critical);
@@ -1029,7 +924,7 @@ mod conn_writer_tests {
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
                         let frame = Frame::request(t * PER_THREAD + i, 9, vec![t as u8; 64]);
-                        w.write_parts(&frame.header, &[&frame.payload]).unwrap();
+                        send_frame(&w, &frame).unwrap();
                     }
                 })
             })
@@ -1061,7 +956,7 @@ mod conn_writer_tests {
         {
             let _scope = DeferScope::enter();
             for id in 1..=FRAMES {
-                writer.write_parts(&Frame::request(id, 1, Vec::new()).header, &[]).unwrap();
+                send_frame(&writer, &Frame::request(id, 1, Vec::new())).unwrap();
                 assert_eq!(stats.flushes(), id / MAX_HELD_FRAMES as u64, "after frame {id}");
             }
         }
@@ -1103,14 +998,14 @@ mod conn_writer_tests {
         let third = Frame::request(3, 9, b"after".to_vec());
         let unwound = {
             let _scope = DeferScope::enter();
-            writer.write_parts(&first.header, &[&first.payload]).unwrap();
+            send_frame(&writer, &first).unwrap();
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _ = writer.write_with(&header, |buf| {
                     buf.put_slice(b"half a payload");
                     panic!("the encoder failed");
                 });
             }));
-            writer.write_parts(&third.header, &[&third.payload]).unwrap();
+            send_frame(&writer, &third).unwrap();
             unwound
         };
         assert!(unwound.is_err());
@@ -1132,7 +1027,7 @@ mod conn_writer_tests {
         assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
         assert!(too_large(&refused));
         let next = Frame::request(2, 9, b"next".to_vec());
-        writer.write_parts(&next.header, &[&next.payload]).unwrap();
+        send_frame(&writer, &next).unwrap();
         let (frame, _) = RecvBuf::default().poll_frame(&mut &rx_side).unwrap().unwrap();
         assert_eq!(frame, next);
     }
@@ -1145,14 +1040,14 @@ mod conn_writer_tests {
         let frame = Frame::request(1, 1, vec![0u8; 4096]);
         let mut saw_error = false;
         for _ in 0..1_000 {
-            if writer.write_parts(&frame.header, &[&frame.payload]).is_err() {
+            if send_frame(&writer, &frame).is_err() {
                 saw_error = true;
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
         if saw_error {
-            let err = writer.write_parts(&frame.header, &[&frame.payload]).unwrap_err();
+            let err = send_frame(&writer, &frame).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "broken flag must latch");
         }
     }
@@ -1218,7 +1113,7 @@ mod model_tests {
     #[test]
     fn deferred_and_immediate_frames_are_each_written_exactly_once() {
         fn send(writer: &SharedWriter, id: u64) {
-            writer.write_parts(&Frame::request(id, 1, Vec::new()).header, &[]).unwrap();
+            send_frame(&writer, &Frame::request(id, 1, Vec::new())).unwrap();
         }
         let outcomes = Arc::new([const { AtomicUsize::new(0) }; 3]);
         let tally = outcomes.clone();
@@ -1253,7 +1148,7 @@ mod model_tests {
     }
 
     /// A loop thread reaching [`MAX_HELD_FRAMES`] writes its outbox from
-    /// inside `write_parts`, while another thread writes a frame of its own
+    /// inside `write_with`, while another thread writes a frame of its own
     /// at once: the flusher election between them decides who writes the
     /// held frames, and either way each frame is written exactly once and
     /// none is left pending. The backstop must be seen both to write them
@@ -1261,7 +1156,7 @@ mod model_tests {
     #[test]
     fn a_backstop_flush_racing_another_flusher_writes_every_frame_once() {
         fn send(writer: &SharedWriter, id: u64) {
-            writer.write_parts(&Frame::request(id, 1, Vec::new()).header, &[]).unwrap();
+            send_frame(&writer, &Frame::request(id, 1, Vec::new())).unwrap();
         }
         // Schedules where the backstop [wrote the held frames, found another
         // thread still writing, never fired].

@@ -18,7 +18,7 @@
 //! buffer — they travel from the socket to the caller without being
 //! copied. A request's payload is a [`Body`]: a typed message's encoder
 //! serializes it straight into the connection's pending buffer, and bytes
-//! already encoded go as a [`Payload`].
+//! already encoded are copied there.
 //!
 //! In-flight hygiene: synchronous deadline waits use an absolute deadline
 //! (spurious wakeups cannot extend the timeout), and asynchronous calls
@@ -28,7 +28,7 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{flush_outbox, Body, Payload, SharedWriter};
+use crate::buf::{flush_outbox, Body, SharedWriter};
 use crate::error::RpcError;
 use crate::fanout::Attempt;
 use crate::fault::ClientFaults;
@@ -149,7 +149,7 @@ struct Outgoing {
 /// the frame is serialized so queueing before the send decays it:
 /// `None` encodes as 0 (no deadline); an already-expired deadline floors
 /// at 1 µs so the receiver sees it as ~expired rather than unbounded.
-fn budget_for(deadline: Option<Instant>) -> u32 {
+pub(crate) fn budget_for(deadline: Option<Instant>) -> u32 {
     match deadline {
         None => 0,
         Some(deadline) => {
@@ -301,11 +301,12 @@ impl RpcClient {
     /// Returns [`RpcError::Remote`] for non-`Ok` response statuses,
     /// [`RpcError::ConnectionClosed`] if the connection drops mid-call, or
     /// an I/O error from the send path.
-    pub fn call(&self, method: u32, payload: impl Into<Payload>) -> Result<Bytes, RpcError> {
-        self.call_opts(method, payload, CallOptions::default())
+    pub fn call(&self, method: u32, payload: impl Into<Bytes>) -> Result<Bytes, RpcError> {
+        self.call_opts(method, payload.into(), CallOptions::default())
     }
 
-    /// Issues a blocking call under `opts`. The timeout travels on the
+    /// Issues a blocking call under `opts`, its payload written by `body`
+    /// (see [`RpcClient::call_async_opts`]). The timeout travels on the
     /// wire as a remaining budget (decayed at each hop) and the priority
     /// drives the server's admission gate.
     ///
@@ -316,14 +317,14 @@ impl RpcClient {
     pub fn call_opts(
         &self,
         method: u32,
-        payload: impl Into<Payload>,
+        body: impl Body,
         opts: CallOptions,
     ) -> Result<Bytes, RpcError> {
         let request = self.outgoing(method, opts);
         let request_id = request.request_id;
         let slot = SyncSlot::new();
         self.inflight.lock().insert(request_id, Pending::Sync(slot.clone()));
-        if let Err(e) = self.send(&request, payload.into()) {
+        if let Err(e) = self.send(&request, body) {
             self.inflight.lock().remove(&request_id);
             return Err(e);
         }
@@ -343,41 +344,29 @@ impl RpcClient {
     /// This is the mid-tier's leaf-request primitive: the calling worker
     /// returns immediately and "proceeds to process successive requests"
     /// (paper §IV) while RPC state lives in the in-flight table.
-    pub fn call_async<F>(&self, method: u32, payload: impl Into<Payload>, callback: F)
+    pub fn call_async<F>(&self, method: u32, payload: impl Into<Bytes>, callback: F)
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        self.call_async_opts(method, payload, CallOptions::default(), callback);
+        self.call_async_opts(method, payload.into(), CallOptions::default(), callback);
     }
 
-    /// As [`RpcClient::call_async`] under `opts`. With a timeout the
-    /// callback is guaranteed to run within roughly that long: if no
-    /// response arrives in time, the timer thread removes the in-flight
-    /// entry and invokes the callback with [`RpcError::TimedOut`] — this
-    /// is what bounds a scatter against a stuck leaf. Timeout and priority
-    /// both travel in the request frame header so the server's admission
-    /// gate and dequeue-expiry can act on them.
-    pub fn call_async_opts<F>(
-        &self,
-        method: u32,
-        payload: impl Into<Payload>,
-        opts: CallOptions,
-        callback: F,
-    ) where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        self.call_async_with(method, payload.into(), opts, callback);
-    }
-
-    /// As [`RpcClient::call_async_opts`], with the payload written by
-    /// `body` straight into the connection's pending buffer: an encoder
+    /// As [`RpcClient::call_async`] under `opts`, with the payload written
+    /// by `body` straight into the connection's pending buffer: an encoder
     /// (`|buf| request.encode(buf)`) serializes a typed message there
-    /// without a buffer of its own, and a [`Payload`] is copied there. A
-    /// body whose payload comes out over
+    /// without a buffer of its own, and bytes already encoded ([`Bytes`],
+    /// `Vec<u8>`) are copied there. A body whose payload comes out over
     /// [`MAX_FRAME_LEN`](musuite_codec::MAX_FRAME_LEN) fails this call
     /// alone, with an [`RpcError::Io`] that
     /// [`too_large`](crate::buf::too_large) recognizes.
-    pub fn call_async_with<F>(&self, method: u32, body: impl Body, opts: CallOptions, callback: F)
+    ///
+    /// With a timeout the callback is guaranteed to run within roughly that
+    /// long: if no response arrives in time, the timer thread removes the
+    /// in-flight entry and invokes the callback with [`RpcError::TimedOut`]
+    /// — this is what bounds a scatter against a stuck leaf. Timeout and
+    /// priority both travel in the request frame header so the server's
+    /// admission gate and dequeue-expiry can act on them.
+    pub fn call_async_opts<F>(&self, method: u32, body: impl Body, opts: CallOptions, callback: F)
     where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
@@ -753,20 +742,6 @@ mod tests {
             listener.local_addr().unwrap()
         };
         assert!(RpcClient::connect(addr).is_err());
-    }
-
-    #[test]
-    fn payload_prefix_sharing_round_trips() {
-        let server = echo_server();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        let shared = Bytes::from(vec![7u8; 1024]);
-        for suffix in 0u8..4 {
-            let payload = Payload::with_suffix(shared.clone(), vec![suffix]);
-            let reply = client.call(1, payload).unwrap();
-            assert_eq!(reply.len(), 1025);
-            assert_eq!(reply[..1024], [7u8; 1024][..]);
-            assert_eq!(reply[1024], suffix);
-        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! Every attempt's request is written by the scatter's [`ScatterPlan`],
 //! straight into the pending buffer of the leaf connection it goes out
-//! on: a typed plan encodes it, and a caller's list of [`Payload`]s
-//! copies it there from reference-counted segments that siblings may
-//! share. Replies come back as [`Bytes`] slices of each client
+//! on: a typed plan encodes it, and a caller's list of payloads copies
+//! it there, from a reference-counted [`Bytes`] that siblings may share.
+//! Replies come back as [`Bytes`] slices of each client
 //! connection's receive buffer, so neither direction holds payload bytes
 //! in a buffer of their own inside the process. The plan reads a slot's reply once, on the thread that
 //! claims the slot, so the gather holds typed replies and a losing
@@ -47,7 +47,6 @@
 //! (type-erased) and name its slot. One timer per group, started by its
 //! first task, serves hedges, retries and reconnects.
 
-use crate::buf::Payload;
 use crate::client::{CallOptions, Pending, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
@@ -145,11 +144,11 @@ pub trait ScatterPlan: Send + Sync + 'static {
 
 /// A caller's `(leaf index, method, payload)` triples, each slot's request
 /// its payload, gathered as bytes. Every attempt copies the payload's bytes
-/// from a clone of it: a reference count for [`Bytes`] and [`Payload`],
-/// a copy of the vector for a `Vec<u8>`.
+/// from a clone of it: a reference count for [`Bytes`], a copy of the
+/// vector for a `Vec<u8>`.
 impl<P> ScatterPlan for Vec<(usize, u32, P)>
 where
-    P: Into<Payload> + Clone + Send + Sync + 'static,
+    P: Into<Bytes> + Clone + Send + Sync + 'static,
 {
     type Reply = Bytes;
 
@@ -158,7 +157,8 @@ where
     }
 
     fn encode(&self, slot: usize, buf: &mut BytesMut) {
-        self[slot].2.clone().into().put_into(buf);
+        let payload: Bytes = self[slot].2.clone().into();
+        buf.extend_from_slice(&payload);
     }
 
     fn decode(&self, reply: Bytes) -> Result<Bytes, RpcError> {
@@ -886,7 +886,8 @@ impl FanoutGroup {
 
     /// Scatters `requests` — `(leaf index, method, payload)` triples — and
     /// runs `on_complete` on the response thread that receives the final
-    /// reply.
+    /// reply. The request list is the scatter's plan: to scatter it under
+    /// [`CallOptions`], hand it to [`FanoutGroup::scatter_encoded`].
     ///
     /// An empty request list completes immediately on the calling thread.
     ///
@@ -895,28 +896,10 @@ impl FanoutGroup {
     /// Panics if any leaf index is out of bounds.
     pub fn scatter<P, F>(&self, requests: Vec<(usize, u32, P)>, on_complete: F)
     where
-        P: Into<Payload> + Clone + Send + Sync + 'static,
+        P: Into<Bytes> + Clone + Send + Sync + 'static,
         F: FnOnce(FanoutResult) + Send + 'static,
     {
-        self.scatter_opts(requests, CallOptions::default(), on_complete);
-    }
-
-    /// [`FanoutGroup::scatter`] under `opts`: the request list is the
-    /// scatter's plan (see [`FanoutGroup::scatter_encoded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any leaf index is out of bounds.
-    pub fn scatter_opts<P, F>(
-        &self,
-        requests: Vec<(usize, u32, P)>,
-        opts: CallOptions,
-        on_complete: F,
-    ) where
-        P: Into<Payload> + Clone + Send + Sync + 'static,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_encoded(requests, opts, on_complete);
+        self.scatter_encoded(requests, CallOptions::default(), on_complete);
     }
 
     /// The one scatter: issues every call of `plan` under the group's
@@ -969,7 +952,7 @@ impl FanoutGroup {
     /// convenience for tests and synchronous front-ends.
     pub fn scatter_wait<P>(&self, requests: Vec<(usize, u32, P)>) -> FanoutResult
     where
-        P: Into<Payload> + Clone + Send + Sync + 'static,
+        P: Into<Bytes> + Clone + Send + Sync + 'static,
     {
         let (tx, rx) = std::sync::mpsc::channel();
         self.scatter(requests, move |result| {
@@ -1120,23 +1103,6 @@ pub(crate) mod tests {
                 assert_eq!(reply, &[leaf as u8, 9]);
             }
             assert_eq!(group.counters().snapshot().total(), 0, "inert policy ticks nothing");
-        }
-    }
-
-    #[test]
-    fn scatter_with_shared_prefix_payloads() {
-        let (_servers, group) = leaf_cluster(3);
-        let shared = Bytes::from(vec![7u8; 64]);
-        let requests: Vec<_> = (0..3)
-            .map(|leaf| (leaf, 1u32, Payload::with_suffix(shared.clone(), vec![leaf as u8])))
-            .collect();
-        let result = group.scatter_wait(requests);
-        assert!(result.all_ok());
-        for (leaf, reply) in result.successes().iter().enumerate() {
-            // TaggedEcho prepends the leaf id, then echoes head + tail.
-            assert_eq!(reply[0], leaf as u8);
-            assert_eq!(&reply[1..65], &shared[..]);
-            assert_eq!(reply[65], leaf as u8);
         }
     }
 
@@ -1304,7 +1270,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scatter_opts_forwards_budget_and_priority_to_every_leaf() {
+    fn scatter_encoded_forwards_budget_and_priority_to_every_leaf() {
         // Each leaf reports the budget and priority it observed on the wire.
         struct Probe;
         impl Service for Probe {
@@ -1325,7 +1291,7 @@ pub(crate) mod tests {
             priority: Priority::Critical,
             ..CallOptions::within(Duration::from_millis(200))
         };
-        group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
+        group.scatter_encoded(requests, opts, move |result| tx.send(result).unwrap());
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(result.all_ok());
         for reply in result.successes() {
@@ -1440,7 +1406,7 @@ pub(crate) mod tests {
         let requests = vec![(0usize, 1u32, vec![1u8]), (1, 1, vec![2u8])];
         let (tx, rx) = std::sync::mpsc::channel();
         let opts = CallOptions::within(Duration::from_millis(200));
-        group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
+        group.scatter_encoded(requests, opts, move |result| tx.send(result).unwrap());
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(result.replies[0].is_ok(), "healthy leaf replied");
         assert!(

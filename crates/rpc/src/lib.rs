@@ -37,7 +37,8 @@
 //! `bytes::Bytes` slices of it; and outgoing frames serialize in place
 //! into the connection's reusable pending buffer (the coalescing
 //! [`buf::ConnWriter`]), a typed message encoded there by its
-//! [`buf::Body`] without a buffer of its own.
+//! [`buf::Body`] without a buffer of its own, and bytes a caller holds
+//! already — `bytes::Bytes`, the one payload type — copied there.
 //!
 //! # Examples
 //!
@@ -79,7 +80,7 @@ pub mod stats;
 mod timer;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
-pub use buf::{burst, Body, ConnWriter, Payload, RecvBuf};
+pub use buf::{burst, Body, ConnWriter, RecvBuf};
 pub use client::{CallOptions, RpcClient};
 pub use config::{
     AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode,

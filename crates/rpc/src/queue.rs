@@ -150,45 +150,11 @@ impl<T> DispatchQueue<T> {
     /// Dequeues an item, waiting until one is available: an empty look
     /// yields while it is within the [`WaitMode`]'s spin budget (none for
     /// `Block`, no end for `Poll`), and parks after it. Returns `None` once
-    /// the queue is closed and drained.
+    /// the queue is closed and drained. This is a batch of one.
     pub fn pop(&self) -> Option<T> {
-        if let Some(item) = self.try_pop() {
-            return Some(item);
-        }
-        // Nothing ready: what this thread deferred is written before it
-        // waits, with the queue unlocked so producers are not held up.
-        flush_outbox();
-        let mut state = self.shared.queue.lock();
-        let mut misses = 0u32;
-        loop {
-            if let Some(item) = self.take_entry(&mut state) {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            misses = misses.saturating_add(1);
-            if misses <= self.wait_mode.spin_budget() {
-                drop(state);
-                yield_now();
-                state = self.shared.queue.lock();
-                continue;
-            }
-            let waited_from = self.clock.now_ns();
-            self.park(&mut state, None);
-            // Active-Exe: we became runnable when the producer notified;
-            // the gap until this line executes is the wakeup latency. The
-            // producer-side timestamp travels via the queue entry itself,
-            // so approximate with the wait-return edge: time from notify
-            // (entry enqueued after waited_from) to now.
-            if let Some(front) = state.entries.front() {
-                if front.enqueued_at_ns >= waited_from {
-                    let now = self.clock.now_ns();
-                    self.breakdown
-                        .record(Stage::ActiveExe, self.clock.delta(front.enqueued_at_ns, now));
-                }
-            }
-        }
+        let mut slot = None;
+        self.pop_batch_into(|item| slot = Some(item), 1, Duration::ZERO)?;
+        slot
     }
 
     fn take_entry(&self, state: &mut QueueState<T>) -> Option<T> {
@@ -218,63 +184,103 @@ impl<T> DispatchQueue<T> {
     /// Panics if `max_size` is zero.
     pub fn pop_batch(&self, max_size: usize, max_delay: Duration) -> Option<(Vec<T>, FlushReason)> {
         let mut batch = Vec::with_capacity(max_size.min(64));
-        let reason = self.pop_batch_into(&mut batch, max_size, max_delay)?;
+        let reason = self.pop_batch_into(|item| batch.push(item), max_size, max_delay)?;
         Some((batch, reason))
     }
 
-    /// [`DispatchQueue::pop_batch`] into `batch`, which the caller passes
-    /// empty and may reuse for the next batch once it has drained it.
+    /// The one dequeue loop, under [`DispatchQueue::pop`] and
+    /// [`DispatchQueue::pop_batch`]: hands up to `max_size` items to `put`,
+    /// in FIFO order, and says why the batch closed; `None` once the queue
+    /// is closed and drained with nothing taken. The server's workers put
+    /// into a buffer each keeps for the next batch.
+    ///
+    /// Each empty look is followed by the same steps: what this thread
+    /// deferred is written once, with the queue unlocked, and the queue
+    /// looked at again; then the thread yields while it is within the
+    /// [`WaitMode`]'s spin budget and parks after it. Until the first
+    /// member the park is untimed, and its wake-up is recorded as
+    /// Active-Exe. Once the first member is in, the miss count and the
+    /// write start afresh, and the wait is for stragglers: the park is
+    /// timed to what is left of `max_delay`, and the batch closes once the
+    /// queue is closed, the delay is zero, or the delay has passed.
     pub(crate) fn pop_batch_into(
         &self,
-        batch: &mut Vec<T>,
+        mut put: impl FnMut(T),
         max_size: usize,
         max_delay: Duration,
     ) -> Option<FlushReason> {
         assert!(max_size > 0, "batch size must be at least one");
-        batch.push(self.pop()?);
-        if max_size == 1 {
-            return Some(FlushReason::SizeFull);
-        }
-        let deadline = (!max_delay.is_zero()).then(|| Instant::now() + max_delay);
-        // The batch before this one may have left frames deferred.
+        let mut taken = 0;
+        // When the wait for stragglers ends; set as the first member is in.
+        let mut stragglers_until = None;
         let mut unflushed = true;
         let mut misses = 0u32;
+        let mut state = self.shared.queue.lock();
         loop {
-            let mut state = self.shared.queue.lock();
-            while batch.len() < max_size {
-                match self.take_entry(&mut state) {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
+            while taken < max_size {
+                let Some(item) = self.take_entry(&mut state) else { break };
+                put(item);
+                taken += 1;
             }
-            if batch.len() >= max_size {
+            if taken == max_size {
                 return Some(FlushReason::SizeFull);
             }
-            if state.closed {
-                return Some(FlushReason::QueueDrained);
-            }
-            let Some(deadline) = deadline else {
-                return Some(FlushReason::QueueDrained);
+            let timeout = if taken == 0 {
+                if state.closed && !unflushed {
+                    return None;
+                }
+                None
+            } else {
+                if state.closed || max_delay.is_zero() {
+                    return Some(FlushReason::QueueDrained);
+                }
+                let now = Instant::now();
+                let until = match stragglers_until {
+                    Some(until) => until,
+                    None => {
+                        // The first member is in: the wait starts afresh.
+                        (misses, unflushed) = (0, true);
+                        *stragglers_until.insert(now + max_delay)
+                    }
+                };
+                if now >= until {
+                    return Some(FlushReason::DelayExpired);
+                }
+                Some(until - now)
             };
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(FlushReason::DelayExpired);
-            }
             if std::mem::take(&mut unflushed) {
-                // As in `pop`; then the queue is looked at again.
+                // Written before this thread waits, with the queue unlocked
+                // so producers are not held up; then the queue is looked at
+                // again.
                 drop(state);
                 flush_outbox();
+                state = self.shared.queue.lock();
                 continue;
             }
-            // The same rule as for the first item, but the park is timed: a
-            // straggler's push wakes it early, the timeout bounds how long
-            // the partial batch can age.
             misses = misses.saturating_add(1);
             if misses <= self.wait_mode.spin_budget() {
                 drop(state);
                 yield_now();
-            } else {
-                self.park(&mut state, Some(deadline - now));
+                state = self.shared.queue.lock();
+                continue;
+            }
+            // Only a wait for the first member ends in an Active-Exe sample:
+            // a straggler's worker is running a batch already.
+            let waited_from = timeout.is_none().then(|| self.clock.now_ns());
+            // A straggler's push wakes a timed park early; the timeout
+            // bounds how long the partial batch can age.
+            self.park(&mut state, timeout);
+            // Active-Exe: we became runnable when the producer notified;
+            // the gap until this line executes is the wakeup latency. The
+            // producer-side timestamp travels via the queue entry itself,
+            // so approximate with the wait-return edge: time from notify
+            // (entry enqueued after waited_from) to now.
+            if let (Some(waited_from), Some(front)) = (waited_from, state.entries.front()) {
+                if front.enqueued_at_ns >= waited_from {
+                    let now = self.clock.now_ns();
+                    self.breakdown
+                        .record(Stage::ActiveExe, self.clock.delta(front.enqueued_at_ns, now));
+                }
             }
         }
     }
@@ -504,6 +510,26 @@ mod tests {
         let (batch, reason) = q.pop_batch(1, Duration::from_millis(50)).unwrap();
         assert_eq!(batch, vec![5]);
         assert_eq!(reason, FlushReason::SizeFull);
+    }
+
+    /// A batch whose first member was queued already parks only for a
+    /// straggler, and that timed wake-up is not an Active-Exe sample: the
+    /// worker was running a batch already.
+    #[test]
+    fn pop_batch_records_no_active_exe_for_a_straggler() {
+        let q = DispatchQueue::new(8, WaitMode::Block);
+        q.push(1);
+        let q2 = q.clone();
+        let producer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(10));
+            assert!(q2.push(2));
+        });
+        // The push, not the timeout, ends the park.
+        let (batch, reason) = q.pop_batch(2, Duration::from_secs(1)).unwrap();
+        producer.join().unwrap();
+        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(reason, FlushReason::SizeFull);
+        assert_eq!(q.breakdown().histogram(Stage::ActiveExe).count(), 0);
     }
 
     const WAIT_MODES: [WaitMode; 3] = [WaitMode::Block, WaitMode::Poll, WaitMode::Adaptive];

@@ -254,7 +254,7 @@ impl Pipeline {
         let _outbox = DeferScope::enter();
         let mut members = Vec::with_capacity(batch.max_size().min(64));
         while let Some(reason) =
-            self.queue.pop_batch_into(&mut members, batch.max_size(), batch.max_delay())
+            self.queue.pop_batch_into(|ctx| members.push(ctx), batch.max_size(), batch.max_delay())
         {
             if batch.is_on() {
                 self.stats.batching().record_batch(members.len(), reason);

@@ -12,6 +12,7 @@
 
 use crate::admission::AdmissionPermit;
 use crate::buf::{too_large, SharedWriter};
+use crate::client::budget_for;
 use crate::stats::ServerStats;
 use bytes::{Bytes, BytesMut};
 use musuite_check::atomic::{AtomicU64, Ordering};
@@ -172,13 +173,7 @@ impl RequestContext {
     /// expired — so a dead request forwarded anyway is marked
     /// ~expired downstream rather than unbounded.
     pub fn remaining_budget(&self) -> u32 {
-        match self.deadline {
-            None => 0,
-            Some(deadline) => {
-                let remaining = deadline.saturating_duration_since(Instant::now()).as_micros();
-                remaining.clamp(1, u128::from(u32::MAX)) as u32
-            }
-        }
+        budget_for(self.deadline)
     }
 
     /// Returns `true` once this request's deadline budget is exhausted —
@@ -253,7 +248,8 @@ impl RequestContext {
             if too_large(&refused) {
                 let header = FrameHeader { status: Status::AppError, ..header };
                 let detail = format!("response not sent: {refused}");
-                let _ = self.writer.write_parts(&header, &[detail.as_bytes()]);
+                let _ =
+                    self.writer.write_with(&header, |buf| buf.extend_from_slice(detail.as_bytes()));
             }
         }
         // NetTx covers queueing plus (when this thread flushed) the wire

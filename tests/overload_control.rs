@@ -60,7 +60,7 @@ impl Service for RelayMid {
             priority: ctx.priority(),
         };
         let payload = ctx.payload().to_vec();
-        self.leaves.scatter_opts(vec![(0usize, 1u32, payload)], opts, move |result| {
+        self.leaves.scatter_encoded(vec![(0usize, 1u32, payload)], opts, move |result| {
             match result.replies.into_iter().next().expect("one scattered slot") {
                 Ok(bytes) => ctx.respond_ok(bytes),
                 // A timed-out or expired leaf call is a deadline failure as

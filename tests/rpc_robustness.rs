@@ -260,7 +260,7 @@ fn concurrent_mixed_sync_async_traffic() {
 #[test]
 fn fanout_survives_stuck_and_garbage_leaves() {
     use bytes::Bytes;
-    use musuite::rpc::{FanoutGroup, Payload};
+    use musuite::rpc::FanoutGroup;
     use std::net::TcpListener;
 
     // Replies with fixed bytes unrelated to the request — a leaf that is
@@ -287,22 +287,19 @@ fn fanout_survives_stuck_and_garbage_leaves() {
     let group =
         FanoutGroup::connect(&[healthy.local_addr(), stuck_addr, garbage.local_addr()]).unwrap();
 
-    // One shared prefix buffer referenced by all three leaf payloads, plus
-    // a one-byte per-leaf suffix.
+    // One shared buffer referenced by all three leaf payloads.
     let shared = Bytes::from(vec![0x5A; 128]);
-    let requests: Vec<(usize, u32, Payload)> = (0..3)
-        .map(|leaf| (leaf, 1u32, Payload::with_suffix(shared.clone(), vec![leaf as u8])))
-        .collect();
+    let requests: Vec<(usize, u32, Bytes)> =
+        (0..3).map(|leaf| (leaf, 1u32, shared.clone())).collect();
     let (tx, rx) = std::sync::mpsc::channel();
     let opts = CallOptions::within(Duration::from_millis(300));
-    group.scatter_opts(requests, opts, move |result| tx.send(result).unwrap());
+    group.scatter_encoded(requests, opts, move |result| tx.send(result).unwrap());
     let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
     // Slot N holds leaf N's outcome regardless of completion order.
     assert_eq!(result.replies.len(), 3);
     let echoed = result.replies[0].as_ref().expect("healthy leaf replies");
-    assert_eq!(&echoed[..128], &shared[..], "echo returns the shared prefix");
-    assert_eq!(echoed[128], 0, "echo returns leaf 0's suffix");
+    assert_eq!(echoed, &shared, "echo returns the shared payload");
     assert!(
         matches!(result.replies[1], Err(RpcError::TimedOut)),
         "stuck leaf must surface as a timeout, got {:?}",
