@@ -288,7 +288,7 @@ pub type ServiceResult<T> = Result<T, ServiceError>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::midtier::Plan;
+    use crate::midtier::{Plan, Replies};
     use musuite_rpc::NetworkModel;
 
     struct AddLeaf(u64);
@@ -310,11 +310,7 @@ mod tests {
         fn plan(&self, request: &u64, leaves: usize) -> Plan<u64, ()> {
             Plan::broadcast(*request, (), leaves)
         }
-        fn merge(
-            &self,
-            _request: u64,
-            replies: Vec<Result<u64, RpcError>>,
-        ) -> Result<u64, ServiceError> {
+        fn merge(&self, _request: u64, replies: impl Replies<u64>) -> Result<u64, ServiceError> {
             replies
                 .into_iter()
                 .filter_map(Result::ok)

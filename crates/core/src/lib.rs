@@ -21,9 +21,8 @@
 //! ```
 //! use musuite_core::cluster::{Cluster, ClusterConfig};
 //! use musuite_core::leaf::LeafHandler;
-//! use musuite_core::midtier::{MidTierHandler, Plan};
+//! use musuite_core::midtier::{MidTierHandler, Plan, Replies};
 //! use musuite_core::error::ServiceError;
-//! use musuite_rpc::RpcError;
 //!
 //! /// Each leaf returns the number of bytes it was sent.
 //! struct CountLeaf;
@@ -37,7 +36,8 @@
 //!
 //! /// The mid-tier broadcasts the query and sums leaf counts. The query
 //! /// bytes are the *shared* request state: held once per fan-out, and
-//! /// encoded into every leaf's frame as it is written.
+//! /// encoded into every leaf's frame as it is written. The merge takes
+//! /// the replies where the scatter gathered them.
 //! struct SumMidTier;
 //! impl MidTierHandler for SumMidTier {
 //!     type Request = Vec<u8>;
@@ -51,7 +51,7 @@
 //!     fn merge(
 //!         &self,
 //!         _request: Vec<u8>,
-//!         replies: Vec<Result<u64, RpcError>>,
+//!         replies: impl Replies<u64>,
 //!     ) -> Result<u64, ServiceError> {
 //!         Ok(replies.into_iter().filter_map(Result::ok).sum())
 //!     }
@@ -83,4 +83,4 @@ pub use cluster::{Cluster, ClusterConfig, TypedClient};
 pub use degrade::Degraded;
 pub use error::ServiceError;
 pub use leaf::LeafHandler;
-pub use midtier::{MidTierHandler, Plan};
+pub use midtier::{MidTierHandler, Plan, Replies};

@@ -32,10 +32,12 @@ use bytes::{Bytes, BytesMut};
 use musuite_codec::{Decode, Encode};
 use musuite_rpc::buf::flush_outbox;
 use musuite_rpc::{
-    CallOptions, FanoutGroup, LeafCall, RequestContext, RingSpan, RpcError, ScatterPlan, Service,
+    CallOptions, FanoutGroup, InlineList, LeafCall, RequestContext, RingSpan, RpcError,
+    ScatterPlan, Service,
 };
 use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A fan-out plan: request state shared by every targeted leaf, plus
@@ -52,8 +54,9 @@ pub struct Plan<S, L> {
     /// State sent to every targeted leaf, held once per fan-out and
     /// encoded into each leaf frame.
     pub shared: S,
-    /// `(leaf index, per-leaf request suffix)` pairs.
-    pub targets: Vec<(usize, L)>,
+    /// `(leaf index, per-leaf request suffix)` pairs, held in the plan up
+    /// to [`INLINE_SLOTS`](musuite_rpc::INLINE_SLOTS) of them.
+    pub targets: InlineList<(usize, L)>,
     /// The leaves every target's hedges and retries may fail over to;
     /// empty when none may.
     alternates: RingSpan,
@@ -61,8 +64,8 @@ pub struct Plan<S, L> {
 
 impl<S, L> Plan<S, L> {
     /// A plan from shared state and explicit targets.
-    pub fn new(shared: S, targets: Vec<(usize, L)>) -> Plan<S, L> {
-        Plan { shared, targets, alternates: RingSpan::default() }
+    pub fn new(shared: S, targets: impl IntoIterator<Item = (usize, L)>) -> Plan<S, L> {
+        Plan { shared, targets: targets.into_iter().collect(), alternates: RingSpan::default() }
     }
 
     /// A plan targeting every one of `leaves` with the same per-leaf
@@ -71,11 +74,7 @@ impl<S, L> Plan<S, L> {
     where
         L: Clone,
     {
-        Plan {
-            shared,
-            targets: (0..leaves).map(|leaf| (leaf, leaf_request.clone())).collect(),
-            alternates: RingSpan::default(),
-        }
+        Plan::new(shared, (0..leaves).map(|leaf| (leaf, leaf_request.clone())))
     }
 
     /// Lets every target's retries and hedge probes fail over to the
@@ -102,6 +101,20 @@ impl<S, L> Plan<S, L> {
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
     }
+}
+
+/// The leaves' replies as [`MidTierHandler::merge`] takes them: one per
+/// target, in the plan's order, to read as a slice and then consume by
+/// value. A scatter hands over the [`InlineList`] it gathered them in; a
+/// `Vec` serves as well.
+pub trait Replies<R>:
+    IntoIterator<Item = Result<R, RpcError>> + Deref<Target = [Result<R, RpcError>]>
+{
+}
+
+impl<R, T> Replies<R> for T where
+    T: IntoIterator<Item = Result<R, RpcError>> + Deref<Target = [Result<R, RpcError>]>
+{
 }
 
 /// Typed mid-tier logic: how to split a query across leaves and how to
@@ -145,6 +158,11 @@ pub trait MidTierHandler: Send + Sync + 'static {
 
     /// Merges leaf replies into the final response. Individual leaves may
     /// have failed; handlers decide whether partial results are acceptable.
+    /// The replies come in the plan's target order, as the scatter
+    /// gathered them (held in its state up to
+    /// [`INLINE_SLOTS`](musuite_rpc::INLINE_SLOTS) wide, so a merge of one
+    /// or two replies receives no allocation); a merge may read them in
+    /// place, then consume them.
     ///
     /// # Errors
     ///
@@ -152,7 +170,7 @@ pub trait MidTierHandler: Send + Sync + 'static {
     fn merge(
         &self,
         request: Self::Request,
-        replies: Vec<Result<Self::LeafResponse, RpcError>>,
+        replies: impl Replies<Self::LeafResponse>,
     ) -> Result<Self::Response, ServiceError>;
 }
 
@@ -310,13 +328,9 @@ mod tests {
         type LeafRequest = u64;
         type LeafResponse = u64;
         fn plan(&self, request: &u64, leaves: usize) -> Plan<(), u64> {
-            Plan::new((), (0..leaves).map(|leaf| (leaf, request + leaf as u64)).collect())
+            Plan::new((), (0..leaves).map(|leaf| (leaf, request + leaf as u64)))
         }
-        fn merge(
-            &self,
-            _request: u64,
-            replies: Vec<Result<u64, RpcError>>,
-        ) -> Result<u64, ServiceError> {
+        fn merge(&self, _request: u64, replies: impl Replies<u64>) -> Result<u64, ServiceError> {
             let mut sum = 0u64;
             for reply in replies {
                 sum += reply.map_err(|e| ServiceError::new(e.to_string()))?;
@@ -421,12 +435,12 @@ mod tests {
         type LeafRequest = u32;
         type LeafResponse = f32;
         fn plan(&self, request: &Vec<f32>, leaves: usize) -> Plan<Vec<f32>, u32> {
-            Plan::new(request.clone(), (0..leaves).map(|leaf| (leaf, leaf as u32 + 1)).collect())
+            Plan::new(request.clone(), (0..leaves).map(|leaf| (leaf, leaf as u32 + 1)))
         }
         fn merge(
             &self,
             _request: Vec<f32>,
-            replies: Vec<Result<f32, RpcError>>,
+            replies: impl Replies<f32>,
         ) -> Result<f32, ServiceError> {
             let mut sum = 0f32;
             for reply in replies {
@@ -485,11 +499,7 @@ mod tests {
             }
             Plan::broadcast((), *request, leaves)
         }
-        fn merge(
-            &self,
-            request: u64,
-            replies: Vec<Result<u64, RpcError>>,
-        ) -> Result<u64, ServiceError> {
+        fn merge(&self, request: u64, replies: impl Replies<u64>) -> Result<u64, ServiceError> {
             SumSquares.merge(request, replies)
         }
     }
@@ -523,8 +533,8 @@ mod tests {
         let plan = Plan::broadcast(vec![1u8], 7u32, 3);
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
-        assert_eq!(plan.targets, vec![(0, 7), (1, 7), (2, 7)]);
-        let empty: Plan<(), u32> = Plan::new((), Vec::new());
+        assert_eq!(plan.targets[..], [(0, 7), (1, 7), (2, 7)]);
+        let empty: Plan<(), u32> = Plan::new((), []);
         assert!(empty.is_empty());
     }
 }

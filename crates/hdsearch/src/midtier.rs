@@ -11,9 +11,9 @@ use crate::protocol::{check_query, LeafSearchResponse, Neighbor, SearchQuery};
 use musuite_codec::Seq;
 use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
-use musuite_core::midtier::{MidTierHandler, Plan};
+use musuite_core::midtier::{MidTierHandler, Plan, Replies};
 use musuite_core::shard::RoundRobinMap;
-use musuite_rpc::RpcError;
+use musuite_rpc::InlineList;
 use std::cell::RefCell;
 
 thread_local! {
@@ -73,7 +73,7 @@ impl MidTierHandler for HdSearchMidTier {
         // A vector that cannot be searched reaches no leaf (whose breaker
         // its refusal would charge); `merge` answers it.
         if check_query(request.vector.iter(), self.index.dim()).is_err() {
-            return Plan::new(Seq::default(), Vec::new());
+            return Plan::new(Seq::default(), []);
         }
         SCRATCH.with_borrow_mut(|(query, candidates, slots)| {
             // 1. LSH lookup (the mid-tier's own compute).
@@ -81,7 +81,8 @@ impl MidTierHandler for HdSearchMidTier {
             self.index.candidates_into(query, candidates);
             // 2. Count each leaf's candidates, then give every leaf that has
             // some one list of exactly that size; `slots` then maps a leaf
-            // to its target.
+            // to its target. The target list is held in the plan or, wider
+            // than that, boxed once at its size.
             slots.clear();
             slots.resize(leaves, 0);
             for &id in candidates.iter() {
@@ -89,11 +90,12 @@ impl MidTierHandler for HdSearchMidTier {
                     *count += 1;
                 }
             }
-            let mut targets = Vec::with_capacity(slots.iter().filter(|&&count| count > 0).count());
+            let mut plan = Plan::new(request.vector.clone(), []);
+            plan.targets = InlineList::with_capacity(slots.iter().filter(|&&n| n > 0).count());
             for (leaf, slot) in slots.iter_mut().enumerate() {
                 if *slot > 0 {
-                    targets.push((leaf, (Vec::with_capacity(*slot), request.k)));
-                    *slot = targets.len() - 1;
+                    plan.targets.push((leaf, (Vec::with_capacity(*slot), request.k)));
+                    *slot = plan.targets.len() - 1;
                 }
             }
             // 3. Route each candidate to the leaf holding its vector, in
@@ -101,11 +103,11 @@ impl MidTierHandler for HdSearchMidTier {
             for &id in candidates.iter() {
                 let leaf = self.id_map.leaf_of(id);
                 if leaf < leaves {
-                    let (_, (list, _)) = &mut targets[slots[leaf]];
+                    let (_, (list, _)) = &mut plan.targets[slots[leaf]];
                     list.push(self.id_map.local_index(id));
                 }
             }
-            Plan::new(request.vector.clone(), targets)
+            plan
         })
     }
 
@@ -119,7 +121,7 @@ impl MidTierHandler for HdSearchMidTier {
     fn merge(
         &self,
         request: QueryView,
-        replies: Vec<Result<LeafSearchResponse<Seq<Neighbor>>, RpcError>>,
+        replies: impl Replies<LeafSearchResponse<Seq<Neighbor>>>,
     ) -> Result<Degraded<Vec<Neighbor>>, ServiceError> {
         if replies.is_empty() {
             check_query(request.vector.iter(), self.index.dim())?;
@@ -141,6 +143,7 @@ mod tests {
     use super::*;
     use musuite_codec::{from_bytes, to_bytes, Decode, Encode};
     use musuite_data::vectors::{VectorDataset, VectorDatasetConfig};
+    use musuite_rpc::RpcError;
 
     /// `owned` as the mid-tier reads it off the wire.
     fn view<T: Decode>(owned: &impl Encode) -> T {
@@ -174,7 +177,7 @@ mod tests {
         let plan = mid.plan(&view(&query), 4);
         assert!(!plan.is_empty(), "an indexed point must produce candidates");
         assert_eq!(plan.shared.to_vec(), query.vector, "query vector is the shared state");
-        for (leaf, (candidates, k)) in &plan.targets {
+        for (leaf, (candidates, k)) in plan.targets.iter() {
             assert!(*leaf < 4);
             assert!(!candidates.is_empty());
             assert_eq!(*k, 5);

@@ -16,7 +16,7 @@ use musuite_core::shard::RoundRobinMap;
 use musuite_data::vectors::{VectorDataset, VectorDatasetConfig};
 use musuite_hdsearch::protocol::{LeafSearchRequest, LeafSearchResponse, Neighbor, SearchQuery};
 use musuite_hdsearch::{HdSearchLeaf, HdSearchMidTier, LshConfig};
-use musuite_rpc::RpcError;
+use musuite_rpc::{RpcError, INLINE_SLOTS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,12 +87,12 @@ fn corpus() -> VectorDataset {
     })
 }
 
-fn midtier(corpus: &VectorDataset) -> HdSearchMidTier {
+fn midtier(corpus: &VectorDataset, leaves: usize) -> HdSearchMidTier {
     HdSearchMidTier::build(
         corpus.dim(),
         LshConfig::default(),
         corpus.vectors(),
-        RoundRobinMap::new(LEAVES),
+        RoundRobinMap::new(leaves),
     )
 }
 
@@ -105,26 +105,43 @@ fn queries(corpus: &VectorDataset) -> Vec<SearchQuery<Seq<f32>>> {
         .collect()
 }
 
-/// `plan` owns, per call: the target list and one exactly-sized candidate
-/// list per targeted leaf. The query vector is shared by reference count,
-/// and the LSH lookup and the per-leaf counts run in per-thread scratch.
+/// `plan` owns, per call: one exactly-sized candidate list per targeted
+/// leaf, and the target list of a plan with more targets than it holds in
+/// place ([`INLINE_SLOTS`]), boxed once at its size. The query vector is
+/// shared by reference count, and the LSH lookup and the per-leaf counts
+/// run in per-thread scratch. At 16 leaves some plans target more than
+/// twice as many leaves as are held in place, where a list grown by
+/// pushing would reallocate.
 #[test]
 fn plan_allocates_one_list_per_targeted_leaf_plus_one() {
     let _turn = take_turn();
     let corpus = corpus();
-    let mid = midtier(&corpus);
     let queries = queries(&corpus);
-    // CALLS cycles through the queries a whole number of times.
-    let targeted: usize = queries.iter().map(|query| mid.plan(query, LEAVES).len()).sum();
-    let calls = |count: usize| (0..count).map(|i| &queries[i % QUERIES]).collect::<Vec<_>>();
-    let per_plan = allocs_per_call(calls(QUERIES), calls(CALLS), |query| {
-        black_box(mid.plan(query, LEAVES));
-    });
-    let budget = (LEAVES + 1) as f64;
-    assert!(per_plan <= budget + SLACK, "{per_plan} allocator calls per plan, budget {budget}");
-    // Exactly: the target list plus one per targeted leaf.
-    let exact = 1.0 + targeted as f64 / QUERIES as f64;
-    assert!((per_plan - exact).abs() <= SLACK, "{per_plan} allocator calls per plan, not {exact}");
+    for (leaves, widest) in [(LEAVES, INLINE_SLOTS), (16, 2 * INLINE_SLOTS)] {
+        let mid = midtier(&corpus, leaves);
+        // CALLS cycles through the queries a whole number of times.
+        let widths: Vec<usize> =
+            queries.iter().map(|query| mid.plan(query, leaves).len()).collect();
+        let targeted: usize = widths.iter().sum();
+        let boxed = widths.iter().filter(|&&width| width > INLINE_SLOTS).count();
+        assert!(boxed < QUERIES, "{leaves} leaves: some plans hold their targets in place");
+        assert!(
+            widths.iter().any(|&width| width > widest),
+            "{leaves} leaves: some plan targets more than {widest} leaves"
+        );
+        let calls = |count: usize| (0..count).map(|i| &queries[i % QUERIES]).collect::<Vec<_>>();
+        let per_plan = allocs_per_call(calls(QUERIES), calls(CALLS), |query| {
+            black_box(mid.plan(query, leaves));
+        });
+        let budget = (leaves + 1) as f64;
+        assert!(per_plan <= budget + SLACK, "{per_plan} allocator calls per plan, budget {budget}");
+        // Exactly: one per targeted leaf, plus one per boxed target list.
+        let exact = (targeted + boxed) as f64 / QUERIES as f64;
+        assert!(
+            (per_plan - exact).abs() <= SLACK,
+            "{leaves} leaves: {per_plan} allocator calls per plan, not {exact}"
+        );
+    }
 }
 
 /// `handle` allocates only its response's neighbour list: candidates are
@@ -134,7 +151,7 @@ fn plan_allocates_one_list_per_targeted_leaf_plus_one() {
 fn leaf_handle_allocates_only_its_response() {
     let _turn = take_turn();
     let corpus = corpus();
-    let mid = midtier(&corpus);
+    let mid = midtier(&corpus, LEAVES);
     let shard: Vec<Vec<f32>> = corpus.vectors().iter().step_by(LEAVES).cloned().collect();
     let leaf = HdSearchLeaf::new(shard, 0, RoundRobinMap::new(LEAVES));
     let requests: Vec<LeafSearchRequest> = queries(&corpus)
@@ -172,7 +189,7 @@ type ReplyView = Result<LeafSearchResponse<Seq<Neighbor>>, RpcError>;
 fn merge_allocates_only_its_answer() {
     let _turn = take_turn();
     let corpus = corpus();
-    let mid = midtier(&corpus);
+    let mid = midtier(&corpus, LEAVES);
     let queries = queries(&corpus);
     // Leaf `leaf`'s sorted reply of `k` = 10 neighbours to query `q`.
     let reply = |q: usize, leaf: usize| -> Vec<u8> {

@@ -98,9 +98,15 @@ pub fn k_nearest_users(
     k: usize,
 ) -> Vec<(usize, f32)> {
     let mut nearest = Vec::new();
-    for_each_nearest_users(factors, &[(query, query_index)], candidates, k, |neighbors| {
-        nearest = neighbors.to_vec();
-    });
+    for_each_nearest_users(
+        factors,
+        std::iter::once((query, query_index)),
+        candidates,
+        k,
+        |neighbors| {
+            nearest = neighbors.to_vec();
+        },
+    );
     nearest
 }
 
@@ -127,26 +133,28 @@ thread_local! {
 /// order: the search allocates nothing of its own.
 ///
 /// Queries are `(factor row, excluded self index)` pairs as in the
-/// single-query form.
-pub fn for_each_nearest_users(
+/// single-query form, read anew for every candidate row: an iterator over
+/// them, such as one over a batch's runs of queries by user, needs no list
+/// of its own.
+pub fn for_each_nearest_users<'q>(
     factors: &[Vec<f32>],
-    queries: &[(&[f32], Option<usize>)],
+    queries: impl Iterator<Item = (&'q [f32], Option<usize>)> + Clone,
     candidates: &[usize],
     k: usize,
     mut each: impl FnMut(&[(usize, f32)]),
 ) {
-    let region = candidates.len();
+    let (region, count) = (candidates.len(), queries.clone().count());
     // Taken, not borrowed: `each` runs in between.
     let Scratch { mut scored, mut filled } = SCRATCH.take();
     // Every entry read below is written first: grow, never clear.
-    if scored.len() < queries.len() * region {
-        scored.resize(queries.len() * region, (0, 0.0));
+    if scored.len() < count * region {
+        scored.resize(count * region, (0, 0.0));
     }
     filled.clear();
-    filled.resize(queries.len(), 0);
+    filled.resize(count, 0);
     for &candidate in candidates {
         let row = &factors[candidate];
-        for (slot, &(query, query_index)) in queries.iter().enumerate() {
+        for (slot, (query, query_index)) in queries.clone().enumerate() {
             if Some(candidate) == query_index {
                 continue;
             }
@@ -169,7 +177,7 @@ pub fn k_nearest_users_batch(
     k: usize,
 ) -> Vec<Vec<(usize, f32)>> {
     let mut nearest = Vec::with_capacity(queries.len());
-    for_each_nearest_users(factors, queries, candidates, k, |neighbors| {
+    for_each_nearest_users(factors, queries.iter().copied(), candidates, k, |neighbors| {
         nearest.push(neighbors.to_vec());
     });
     nearest

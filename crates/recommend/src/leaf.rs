@@ -108,16 +108,13 @@ impl RecommendLeaf {
             .collect();
         by_user.sort_unstable();
         let same_user = |a: &(usize, usize), b: &(usize, usize)| a.0 == b.0;
-        let mut users: Vec<(&[f32], Option<usize>)> = Vec::with_capacity(by_user.len());
-        users.extend(
-            by_user
-                .chunk_by(same_user)
-                .map(|run| (self.model.user_factors(run[0].0), Some(run[0].0))),
-        );
+        let users = by_user
+            .chunk_by(same_user)
+            .map(|run| (self.model.user_factors(run[0].0), Some(run[0].0)));
         let mut runs = by_user.chunk_by(same_user);
         for_each_nearest_users(
             self.model.user_matrix(),
-            &users,
+            users,
             &self.shard_users,
             self.neighborhood,
             |neighbors| {

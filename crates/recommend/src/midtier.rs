@@ -10,8 +10,7 @@
 use crate::protocol::{LeafRating, RatingQuery};
 use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
-use musuite_core::midtier::{MidTierHandler, Plan};
-use musuite_rpc::RpcError;
+use musuite_core::midtier::{MidTierHandler, Plan, Replies};
 
 /// The forwarding-and-averaging mid-tier microservice.
 #[derive(Debug, Default)]
@@ -40,7 +39,7 @@ impl MidTierHandler for RecommendMidTier {
     fn merge(
         &self,
         request: RatingQuery,
-        replies: Vec<Result<LeafRating, RpcError>>,
+        replies: impl Replies<LeafRating>,
     ) -> Result<Degraded<f32>, ServiceError> {
         let total = replies.len();
         let mut weighted_sum = 0.0f32;
@@ -77,6 +76,7 @@ impl MidTierHandler for RecommendMidTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musuite_rpc::RpcError;
 
     fn query() -> RatingQuery {
         RatingQuery { user: 1, item: 2 }

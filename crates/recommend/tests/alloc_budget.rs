@@ -88,13 +88,14 @@ fn allocs_per_batch(model: &Nmf, queries: &[(u32, u32)], shard_users: usize) -> 
 }
 
 /// Allocator calls per `handle_batch` of [`BATCH`] valid queries: the
-/// results, which the votes fill in place, and the sweep's list of
-/// distinct users (2). Queries are validated and grouped by user in
-/// per-thread scratch, every neighbourhood is scored and cut to its `k`
+/// results, which the votes fill in place (1). Queries are validated and
+/// grouped by user in per-thread scratch, the sweep reads the distinct
+/// users from the groups, every neighbourhood is scored and cut to its `k`
 /// best in place, and each query votes over its region there. (It was 27
 /// when every neighbourhood and every vote was a list of its own, and the
-/// users were grouped in a map.)
-const PER_BATCH: f64 = 2.0;
+/// users were grouped in a map; 2 while the sweep took a list of the
+/// distinct users.)
+const PER_BATCH: f64 = 1.0;
 
 /// Every neighbourhood is scored in per-thread scratch and cut to its
 /// `k` best in place, so a 2 000-user shard costs the allocator what a

@@ -12,9 +12,8 @@ use crate::spooky::SpookyHasher;
 use musuite_check::atomic::{AtomicU64, Ordering};
 use musuite_codec::{Bytes, Text};
 use musuite_core::error::ServiceError;
-use musuite_core::midtier::{MidTierHandler, Plan};
+use musuite_core::midtier::{MidTierHandler, Plan, Replies};
 use musuite_core::replication::ReplicaSet;
-use musuite_rpc::RpcError;
 
 /// The routing mid-tier microservice.
 #[derive(Debug)]
@@ -70,11 +69,11 @@ impl MidTierHandler for RouterMidTier {
                 // The same data lives on every member of the write set, so
                 // retries and hedge probes for a read may fail over to the
                 // other replicas instead of re-hitting a dead one.
-                Plan::new(request.clone(), vec![(primary, ())])
+                Plan::new(request.clone(), [(primary, ())])
                     .with_alternates(replica_set.write_set(hash))
             }
             KvRequest::Set { .. } | KvRequest::Delete { .. } | KvRequest::SetEx { .. } => {
-                let targets = replica_set.write_set(hash).iter().map(|leaf| (leaf, ())).collect();
+                let targets = replica_set.write_set(hash).iter().map(|leaf| (leaf, ()));
                 Plan::new(request.clone(), targets)
             }
         }
@@ -83,7 +82,7 @@ impl MidTierHandler for RouterMidTier {
     fn merge(
         &self,
         request: KvView,
-        replies: Vec<Result<KvResponse<Bytes>, RpcError>>,
+        replies: impl Replies<KvResponse<Bytes>>,
     ) -> Result<KvResponse<Bytes>, ServiceError> {
         match request {
             KvRequest::Get { key } => match replies.into_iter().next() {
@@ -132,6 +131,7 @@ impl MidTierHandler for RouterMidTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musuite_rpc::RpcError;
 
     fn get(key: &'static str) -> KvView {
         KvRequest::Get { key: key.into() }

@@ -1068,8 +1068,8 @@ mod model_tests {
                     let merged = Arc::new(Mutex::new(Vec::new()));
                     let entry = if names_a_scatter_slot {
                         let merged = merged.clone();
-                        crate::fanout::model_tests::one_slot_attempt(move |mut result| {
-                            merged.lock().push(result.replies.pop().unwrap());
+                        crate::fanout::model_tests::one_slot_attempt(move |result| {
+                            merged.lock().push(result.replies.into_iter().next().unwrap());
                         })
                     } else {
                         Pending::Sync(slot.clone())

@@ -51,6 +51,7 @@ use crate::client::{CallOptions, Pending, RpcClient};
 use crate::config::BatchPolicy;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::FaultPlan;
+use crate::inline::InlineList;
 use crate::reactor::Reactor;
 use crate::resilient::{Admission, CircuitBreaker, HedgePolicy, ResilientConfig};
 use crate::timer::{Fate, Timer};
@@ -70,29 +71,26 @@ use std::time::{Duration, Instant};
 /// reads a reply as: the reply's bytes for a scatter of payloads.
 #[derive(Debug)]
 pub struct FanoutResult<R = Bytes> {
-    /// One entry per scattered request, in the order they were passed.
-    /// Successful byte replies are zero-copy slices of the leaf
-    /// connection's read buffer.
-    pub replies: Vec<Result<R, RpcError>>,
+    /// One entry per scattered request, in the order they were passed,
+    /// moved out of the scatter's state as they were gathered: held in
+    /// place up to [`INLINE_SLOTS`](crate::INLINE_SLOTS) wide. Successful
+    /// byte replies are zero-copy slices of the leaf connection's read
+    /// buffer.
+    pub replies: InlineList<Result<R, RpcError>>,
     /// Nanoseconds from scatter to last response.
     pub elapsed_ns: u64,
 }
 
 impl<R> FanoutResult<R> {
-    /// Returns the successful replies, dropping failures.
-    pub fn successes(self) -> Vec<R> {
-        self.replies.into_iter().filter_map(Result::ok).collect()
-    }
-
     /// Returns `true` if every leaf replied successfully.
     pub fn all_ok(&self) -> bool {
         self.replies.iter().all(Result::is_ok)
     }
 
     /// Iterates over the failed slots as `(slot index, error)` pairs, in
-    /// request order — the per-leaf detail `successes` drops, needed by
-    /// degradation policy ("which shard is missing?") and chaos assertions
-    /// ("did that leaf time out or disconnect?").
+    /// request order — the per-leaf detail needed by degradation policy
+    /// ("which shard is missing?") and chaos assertions ("did that leaf
+    /// time out or disconnect?").
     pub fn failures(&self) -> impl Iterator<Item = (usize, &RpcError)> {
         self.replies
             .iter()
@@ -103,12 +101,6 @@ impl<R> FanoutResult<R> {
 
 /// What one attempt of a slot came back with, before the plan reads it.
 type Reply = Result<Bytes, RpcError>;
-
-// The last arrival turns the gathered `Vec<Option<Result<R, _>>>` into the
-// result's `Vec<Result<R, _>>` in place, which takes no allocator call
-// when the two are laid out alike. `RpcError` leaves a niche, so they are
-// for `Bytes` and for the services' leaf responses.
-const _: () = assert!(std::mem::size_of::<Option<Reply>>() == std::mem::size_of::<Reply>());
 
 /// What a scatter owns and reads in place: its calls, how every attempt
 /// writes a slot's request, and how a slot's reply is read.
@@ -284,10 +276,11 @@ impl LeafCall {
 /// (model-checked below):
 /// * `claimed` is taken by `swap` — exactly one attempt delivers, so the
 ///   count-down merge sees each slot exactly once.
+/// * `arrived` is set under the gather's lock when the slot's answer is
+///   counted; a second arrival of the slot panics, naming it.
 /// * `pending` counts live obligations (in-flight attempts plus queued
 ///   hedge and retry tasks). Whoever drops it to zero without a prior
 ///   claim delivers the slot's last error, so the gather always completes.
-#[derive(Default)]
 struct Slot {
     method: u32,
     /// The slot's rotation is the primary, then each leaf of `alternates`
@@ -296,6 +289,7 @@ struct Slot {
     alternates: RingSpan,
     rotation: AtomicUsize,
     claimed: AtomicBool,
+    arrived: AtomicBool,
     pending: AtomicUsize,
     /// The error of the slot's latest failed attempt, and the retry
     /// credits it has left.
@@ -315,6 +309,7 @@ impl Slot {
             alternates,
             rotation: AtomicUsize::new(1),
             claimed: AtomicBool::new(false),
+            arrived: AtomicBool::new(false),
             pending: AtomicUsize::new(pending),
             failed: Mutex::new((None, retries)),
         }
@@ -338,56 +333,15 @@ impl Slot {
     }
 }
 
-/// How many slots a scatter holds in its own allocation; a wider one boxes
-/// its slot array. Every benchmark workload scatters to one or two leaves.
-/// Each inline slot a narrower scatter leaves vacant is a `Slot` (104
-/// bytes) of the state's allocation: two slots add one to a scatter of
-/// one, where four would add two to a two-leaf Set Algebra request, some
-/// 13 % of its bytes on `setalgebra_terms`.
-const INLINE_SLOTS: usize = 2;
-
-/// A scatter's slot array: the first `len` of `inline` up to
-/// [`INLINE_SLOTS`] wide, all of `boxed` above it. The other field stays
-/// vacant (an empty box allocates nothing).
-struct Slots {
-    inline: [Slot; INLINE_SLOTS],
-    boxed: Box<[Slot]>,
-    len: usize,
-}
-
-impl Slots {
-    fn new(slots: impl ExactSizeIterator<Item = Slot>) -> Slots {
-        let len = slots.len();
-        if len > INLINE_SLOTS {
-            return Slots { inline: Default::default(), boxed: slots.collect(), len };
-        }
-        let mut slots = slots.fuse();
-        let inline = std::array::from_fn(|_| slots.next().unwrap_or_default());
-        Slots { inline, boxed: Box::default(), len }
-    }
-}
-
-impl std::ops::Deref for Slots {
-    type Target = [Slot];
-
-    fn deref(&self) -> &[Slot] {
-        match self.len {
-            len if len > INLINE_SLOTS => &self.boxed,
-            len => &self.inline[..len],
-        }
-    }
-}
-
 /// One scatter's state: its group's core, its slot array, its plan and the
-/// count-down gather. One allocation holds the count, the replies' header,
-/// the completion, the plan, the budget every attempt shares and, up to
-/// [`INLINE_SLOTS`] wide, the slots; the replies are an allocation of
-/// their own (the merge takes them), and so are the slots of a wider
-/// scatter. The last arrival runs the merge.
+/// count-down gather. One allocation holds the count, the completion, the
+/// plan, the budget every attempt shares and, up to
+/// [`INLINE_SLOTS`](crate::INLINE_SLOTS) wide, the slots and the replies;
+/// a wider scatter boxes its slots and its replies, one allocation each.
+/// The last arrival moves the replies out to the merge and runs it.
 struct ScatterState<P: ScatterPlan, F> {
     core: Arc<Core>,
-    slots: Slots,
-    remaining: AtomicUsize,
+    slots: InlineList<Slot>,
     gathered: Mutex<Gathered<P::Reply, F>>,
     started_at_ns: u64,
     /// Every attempt — primary, hedge or retry — is bounded by what is
@@ -399,8 +353,12 @@ struct ScatterState<P: ScatterPlan, F> {
     plan: P,
 }
 
+/// The count-down gather: how many slots have yet to answer, each slot's
+/// answer (a placeholder [`RpcError::ShuttingDown`] until it arrives) and
+/// the completion.
 struct Gathered<R, F> {
-    replies: Vec<Option<Result<R, RpcError>>>,
+    remaining: usize,
+    replies: InlineList<Result<R, RpcError>>,
     on_complete: Option<F>,
 }
 
@@ -439,15 +397,15 @@ where
 {
     fn new(
         core: Arc<Core>,
-        slots: Slots,
+        slots: InlineList<Slot>,
         opts: CallOptions,
         plan: P,
         on_complete: F,
     ) -> Arc<ScatterState<P, F>> {
         Arc::new(ScatterState {
-            remaining: AtomicUsize::new(slots.len()),
             gathered: Mutex::new(Gathered {
-                replies: (0..slots.len()).map(|_| None).collect(),
+                remaining: slots.len(),
+                replies: slots.iter().map(|_| Err(RpcError::ShuttingDown)).collect(),
                 on_complete: Some(on_complete),
             }),
             slots,
@@ -459,24 +417,24 @@ where
         })
     }
 
-    /// Delivers `slot`'s answer; the last delivery runs the completion.
+    /// Delivers `slot`'s answer; the last delivery moves the replies out
+    /// and runs the completion.
     fn arrive(&self, slot: usize, answer: Result<P::Reply, RpcError>) {
-        let prev = self.gathered.lock().replies[slot].replace(answer);
-        assert!(prev.is_none(), "fan-out slot {slot} completed twice");
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last response: merge here, on the response pick-up thread.
-            let (replies, callback) = {
-                let mut gathered = self.gathered.lock();
-                (std::mem::take(&mut gathered.replies), gathered.on_complete.take())
-            };
-            if let Some(callback) = callback {
-                let replies = replies
-                    .into_iter()
-                    .map(|slot| slot.expect("all slots filled at count-down zero")) // lint: allow(expect): model-checked invariant
-                    .collect();
-                let elapsed_ns = self.core.clock.now_ns().saturating_sub(self.started_at_ns);
-                callback(FanoutResult { replies, elapsed_ns });
-            }
+        let mut gathered = self.gathered.lock();
+        let twice = self.slots[slot].arrived.swap(true, Ordering::Relaxed);
+        assert!(!twice, "fan-out slot {slot} completed twice");
+        gathered.replies[slot] = answer;
+        gathered.remaining -= 1;
+        if gathered.remaining > 0 {
+            return;
+        }
+        // Last response: merge here, on the response pick-up thread.
+        let replies = std::mem::take(&mut gathered.replies);
+        let callback = gathered.on_complete.take();
+        drop(gathered);
+        if let Some(callback) = callback {
+            let elapsed_ns = self.core.clock.now_ns().saturating_sub(self.started_at_ns);
+            callback(FanoutResult { replies, elapsed_ns });
         }
     }
 
@@ -934,9 +892,10 @@ impl FanoutGroup {
         let (leaves, hedge) = (core.leaves.len(), core.hedge_delay());
         let pending = 1 + usize::from(hedge.is_some());
         let retries = core.resilience.map_or(0, |config| config.retries as usize);
-        let slots = Slots::new(plan.calls().map(|call| Slot::new(call, leaves, pending, retries)));
+        let slots: InlineList<Slot> =
+            plan.calls().map(|call| Slot::new(call, leaves, pending, retries)).collect();
         if slots.is_empty() {
-            on_complete(FanoutResult { replies: Vec::new(), elapsed_ns: 0 });
+            on_complete(FanoutResult { replies: InlineList::new(), elapsed_ns: 0 });
             return;
         }
         let state = ScatterState::new(core.clone(), slots, opts, plan, on_complete);
@@ -1099,8 +1058,8 @@ pub(crate) mod tests {
             let result = group.scatter_wait(requests);
             assert!(result.all_ok());
             assert!(result.elapsed_ns > 0);
-            for (leaf, reply) in result.successes().iter().enumerate() {
-                assert_eq!(reply, &[leaf as u8, 9]);
+            for (leaf, reply) in result.replies.iter().enumerate() {
+                assert_eq!(reply.as_ref().unwrap(), &[leaf as u8, 9]);
             }
             assert_eq!(group.counters().snapshot().total(), 0, "inert policy ticks nothing");
         }
@@ -1119,10 +1078,8 @@ pub(crate) mod tests {
         let (_servers, group) = leaf_cluster(2);
         let requests = vec![(1usize, 1u32, vec![1]), (1, 1, vec![2]), (0, 1, vec![3])];
         let result = group.scatter_wait(requests);
-        let replies = result.successes();
-        assert_eq!(replies[0], [1, 1]);
-        assert_eq!(replies[1], [1, 2]);
-        assert_eq!(replies[2], [0, 3]);
+        let replies: Vec<Bytes> = result.replies.into_iter().map(Result::unwrap).collect();
+        assert_eq!(replies, [&[1, 1][..], &[1, 2], &[0, 3]]);
     }
 
     #[test]
@@ -1188,12 +1145,14 @@ pub(crate) mod tests {
     #[test]
     fn per_leaf_failure_accessors_distinguish_modes() {
         let result = FanoutResult {
-            replies: vec![
+            replies: [
                 Ok(Bytes::from_static(b"fine")),
                 Err(RpcError::TimedOut),
                 Err(RpcError::ConnectionClosed),
                 Err(RpcError::remote(musuite_codec::Status::AppError)),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             elapsed_ns: 1,
         };
         assert!(!result.all_ok());
@@ -1209,7 +1168,7 @@ pub(crate) mod tests {
             ),
             "each failure keeps which leaf and why: {failures:?}"
         );
-        assert_eq!(result.successes(), [Bytes::from_static(b"fine")]);
+        assert_eq!(result.replies[0].as_ref().unwrap(), &Bytes::from_static(b"fine"));
     }
 
     #[test]
@@ -1294,7 +1253,7 @@ pub(crate) mod tests {
         group.scatter_encoded(requests, opts, move |result| tx.send(result).unwrap());
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(result.all_ok());
-        for reply in result.successes() {
+        for reply in result.replies.into_iter().map(Result::unwrap) {
             let budget = u32::from_le_bytes(reply[..4].try_into().unwrap());
             assert!(
                 budget > 0 && budget <= 200_000,
@@ -1314,7 +1273,7 @@ pub(crate) mod tests {
             group.shutdown();
             group.shutdown();
             let result = group.scatter_wait(vec![(0usize, 1u32, vec![1]), (1, 1, vec![2])]);
-            for reply in &result.replies {
+            for reply in result.replies.iter() {
                 assert!(matches!(reply, Err(RpcError::ShuttingDown)), "got {reply:?}");
             }
             assert_eq!(group.core.leaves[0].live_count(), 0, "nothing reconnected");
@@ -1437,7 +1396,7 @@ pub(crate) mod model_tests {
         // The core outlives the run: dropping it stops its timer, which
         // takes a lock, and a run that trips an assertion ends unwinding.
         std::mem::forget(core.clone());
-        ScatterState::new(core, Slots::new(slots), CallOptions::default(), Vec::new(), on_complete)
+        ScatterState::new(core, slots.collect(), CallOptions::default(), Vec::new(), on_complete)
     }
 
     /// The in-flight entry of an attempt to leaf 0 that serves the one
@@ -1525,23 +1484,26 @@ pub(crate) mod model_tests {
     /// Seeded buggy fixture: completing a slot behind a check-then-act
     /// instead of the in-flight table's exactly-once claim. The default
     /// (preemption-free) schedule passes; only a preempting schedule makes
-    /// both threads see the slot vacant and double-fill it. The checker
-    /// must find that schedule, trip the double-fill assertion, and hand
-    /// back a seed that replays the identical interleaving.
+    /// both threads see the slot unanswered and answer it twice. The
+    /// checker must find that schedule, trip the slot's arrival assertion,
+    /// and hand back a seed that replays the identical interleaving.
     #[test]
     fn double_arrival_is_caught_with_replayable_seed() {
+        fn unanswered<P: ScatterPlan, F>(state: &ScatterState<P, F>) -> bool {
+            !state.slots[0].arrived.load(Ordering::Relaxed)
+        }
         fn buggy() -> impl Fn() + Send + Sync + 'static {
             || {
                 let state = gather(2, 1, |_: FanoutResult| {});
                 let state2 = state.clone();
-                // BUG (both threads): vacancy check and arrival are two
+                // BUG (both threads): the check and the arrival are two
                 // separate critical sections, so both can pass the check.
                 let responder = thread::spawn(move || {
-                    if state2.gathered.lock().replies[0].is_none() {
+                    if unanswered(&state2) {
                         state2.arrive(0, Ok(Bytes::new()));
                     }
                 });
-                if state.gathered.lock().replies[0].is_none() {
+                if unanswered(&state) {
                     state.arrive(0, Err(RpcError::TimedOut));
                 }
                 responder.join().unwrap();

@@ -71,6 +71,7 @@ pub mod config;
 pub mod error;
 pub mod fanout;
 pub mod fault;
+pub mod inline;
 pub mod queue;
 pub mod reactor;
 pub mod resilient;
@@ -88,6 +89,7 @@ pub use config::{
 pub use error::{FailureKind, RpcError};
 pub use fanout::{FanoutGroup, LeafCall, RingSpan, ScatterPlan};
 pub use fault::{ClientFaults, FaultEvent, FaultKind, FaultPlan, FaultRule};
+pub use inline::{InlineList, INLINE_SLOTS};
 pub use musuite_codec::{Frame, Priority, Status};
 pub use queue::DispatchQueue;
 pub use reactor::{CloseReason, ConnDriver, Drive, Reactor, ReactorConfig};

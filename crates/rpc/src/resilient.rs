@@ -205,7 +205,7 @@ mod tests {
         let call = (LeafCall::new(0, 1).with_alternates(1..2), vec![7u8]);
         let result = scatter_calls_wait(&group, vec![call], CallOptions::default());
         assert!(result.all_ok(), "retry must fail over to the healthy replica: {result:?}");
-        assert_eq!(result.successes()[0], [1u8, 7], "served by the alternate leaf");
+        assert_eq!(result.replies[0].as_ref().unwrap(), &[1u8, 7], "served by the alternate leaf");
         assert!(group.counters().get(ResilienceEvent::Retry) >= 1);
     }
 
@@ -319,7 +319,7 @@ mod tests {
         let result = scatter_calls_wait(&group, vec![call], CallOptions::default());
         let elapsed = started.elapsed();
         assert!(result.all_ok(), "hedge must win: {result:?}");
-        assert_eq!(result.successes()[0], [1u8, 3], "the hedge's replica answered");
+        assert_eq!(result.replies[0].as_ref().unwrap(), &[1u8, 3], "the hedge's replica answered");
         assert!(
             elapsed < Duration::from_millis(250),
             "hedged call must not wait out the delayed primary: {elapsed:?}"
@@ -355,7 +355,7 @@ mod tests {
         crate::buf::flush_outbox();
         let (result, won) =
             rx.recv_timeout(Duration::from_secs(10)).expect("the scatter completes");
-        assert_eq!(result.successes()[0], [1u8, 3], "the hedge's replica answered");
+        assert_eq!(result.replies[0].as_ref().unwrap(), &[1u8, 3], "the hedge's replica answered");
         assert_eq!(won, 1, "the completion reads the won hedge");
     }
 
@@ -386,7 +386,7 @@ mod tests {
         plan.arm();
         let result = send_one(&group, 0xAB);
         assert!(result.all_ok(), "retry after checksum rejection must succeed: {result:?}");
-        assert_eq!(result.successes()[0], [0u8, 0xAB], "data intact after retry");
+        assert_eq!(result.replies[0].as_ref().unwrap(), &[0u8, 0xAB], "data intact after retry");
         assert!(group.counters().get(ResilienceEvent::Retry) >= 1);
         assert!(group.counters().get(ResilienceEvent::Reconnect) >= 1, "broken conn was replaced");
     }

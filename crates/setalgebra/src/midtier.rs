@@ -11,9 +11,8 @@ use crate::union_merge::union_sorted;
 use musuite_codec::Seq;
 use musuite_core::degrade::Degraded;
 use musuite_core::error::ServiceError;
-use musuite_core::midtier::{MidTierHandler, Plan};
+use musuite_core::midtier::{MidTierHandler, Plan, Replies};
 use musuite_data::text::{DocId, TermId};
-use musuite_rpc::RpcError;
 
 /// The broadcast-and-union mid-tier microservice.
 #[derive(Debug, Default)]
@@ -46,7 +45,7 @@ impl MidTierHandler for SetAlgebraMidTier {
     fn merge(
         &self,
         _request: QueryView,
-        replies: Vec<Result<PostingList<Seq<DocId>>, RpcError>>,
+        replies: impl Replies<PostingList<Seq<DocId>>>,
     ) -> Result<Degraded<PostingList>, ServiceError> {
         // Document retrieval must not *silently* drop a shard: a missing
         // shard means missing documents. A quorum of surviving shards may
@@ -68,6 +67,7 @@ impl MidTierHandler for SetAlgebraMidTier {
 mod tests {
     use super::*;
     use musuite_codec::{from_bytes, to_bytes, Decode, Encode};
+    use musuite_rpc::RpcError;
 
     /// `owned` as the mid-tier reads it off the wire.
     fn view<T: Decode>(owned: &impl Encode) -> T {

@@ -29,9 +29,10 @@ use musuite::hdsearch::protocol::{LeafSearchRequest, SearchQuery};
 use musuite::hdsearch::{HdSearchLeaf, HdSearchMidTier, HdSearchService, LshConfig};
 use musuite::recommend::protocol::RatingQuery;
 use musuite::recommend::{NmfConfig, RecommendService};
-use musuite::router::{KvRequest, MemKvConfig, RouterService};
+use musuite::router::{KvRequest, MemKvConfig, RouterMidTier, RouterService};
 use musuite::rpc::{
-    BatchPolicy, Frame, NetworkModel, RecvBuf, Server, ServerConfig, Status, WaitMode,
+    BatchPolicy, FaultKind, FaultPlan, FaultRule, Frame, NetworkModel, RecvBuf, Server,
+    ServerConfig, Status, WaitMode,
 };
 use musuite::setalgebra::protocol::TermQuery;
 use musuite::setalgebra::SetAlgebraService;
@@ -41,7 +42,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 struct CountingAlloc;
@@ -205,7 +206,16 @@ const BURSTS: usize = 50;
 const REPORT_BURSTS: usize = 10;
 const SLACK: f64 = 0.05;
 const LEAVES: usize = 2;
+/// Leaves a Router key is stored on: a set reaches both.
+const REPLICAS: usize = 2;
 const PATIENCE: Duration = Duration::from_secs(10);
+/// How far apart the first bursts of the warm-up send their requests (see
+/// [`allocs_per_request`]): longer than a request takes to cross the three
+/// tiers, in a debug build too.
+const TRICKLE: Duration = Duration::from_millis(10);
+/// How long the warm-up holds a leaf's requests back (see
+/// [`cluster_config`]): longer than a trickled burst takes to send.
+const HELD_BACK: Duration = Duration::from_millis(400);
 
 fn server_config(network: NetworkModel, batch: Option<BatchPolicy>) -> ServerConfig {
     let mut config = ServerConfig::default();
@@ -216,30 +226,79 @@ fn server_config(network: NetworkModel, batch: Option<BatchPolicy>) -> ServerCon
     config
 }
 
-fn cluster_config(config: ServerConfig) -> ClusterConfig {
-    ClusterConfig::new().leaves(LEAVES).midtier_config(config.clone()).leaf_config(config)
+/// The hold-back plan of the cluster last configured (see
+/// [`cluster_config`]) and the calls it holds back, until
+/// [`allocs_per_request`] disarms it.
+static HOLD_BACK: Mutex<Option<(Arc<FaultPlan>, u64)>> = Mutex::new(None);
+
+/// [`LEAVES`] leaves and their mid-tier, each under `config`, and a fault
+/// plan, armed from the start, that holds each leaf back for one burst in
+/// turn. A burst sends leaf `i` `calls[i]` calls, so its calls of the
+/// `i`-th burst, `i * calls[i]` to `(i + 1) * calls[i] - 1`, leave
+/// [`HELD_BACK`] late; [`allocs_per_request`] disarms the plan once those
+/// bursts are answered.
+fn cluster_config(config: ServerConfig, calls: [u64; LEAVES]) -> ClusterConfig {
+    let plan = (0..LEAVES).filter(|&leaf| calls[leaf] > 0).fold(
+        FaultPlan::builder(0, LEAVES),
+        |plan, leaf| {
+            let from = leaf as u64 * calls[leaf];
+            let until = from + calls[leaf] - 1;
+            let kind = FaultKind::Delay(HELD_BACK);
+            plan.rule(leaf, FaultRule { kind, from, until, every: 1, probability: 1.0 })
+        },
+    );
+    let plan = plan.build();
+    plan.arm();
+    let held = calls.iter().sum();
+    *HOLD_BACK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = Some((plan.clone(), held));
+    ClusterConfig::new()
+        .leaves(LEAVES)
+        .midtier_config(config.clone())
+        .leaf_config(config)
+        .fault_plan(plan)
 }
 
-fn paper_default() -> ClusterConfig {
-    cluster_config(server_config(NetworkModel::BlockingPerConn, None))
+fn paper_default() -> ServerConfig {
+    server_config(NetworkModel::BlockingPerConn, None)
 }
 
 /// The benchmark's Recommend config: one shared poller and batches of up
 /// to eight, with a straggler window long enough that every batch fills,
 /// in a debug build too.
-fn batched() -> ClusterConfig {
-    cluster_config(server_config(
+fn batched() -> ServerConfig {
+    server_config(
         NetworkModel::SharedPollers { pollers: 1 },
         Some(BatchPolicy::new(8, Duration::from_millis(20))),
-    ))
+    )
 }
 
-/// One write holding `requests` as query frames.
-fn burst_wire<T: musuite::codec::Encode>(requests: &[T]) -> Vec<u8> {
+/// The calls a burst sends each leaf where every request reaches every
+/// leaf (Set Algebra, Recommend).
+const BROADCAST: [u64; LEAVES] = [BURST as u64; LEAVES];
+
+/// The calls a burst of `requests` sends each leaf, as `mid` plans them.
+fn calls_per_leaf<M, T>(mid: &M, requests: &[T]) -> [u64; LEAVES]
+where
+    M: MidTierHandler,
+    T: musuite::codec::Encode,
+{
+    let mut calls = [0; LEAVES];
+    for request in requests {
+        // The mid-tier plans a request as it reads it off the wire.
+        let view = musuite::codec::from_bytes(&musuite::codec::to_bytes(request)).unwrap();
+        for (leaf, _) in mid.plan(&view, LEAVES).targets {
+            calls[leaf] += 1;
+        }
+    }
+    calls
+}
+
+/// `requests` as query frames, one each.
+fn burst_wire<T: musuite::codec::Encode>(requests: &[T]) -> Vec<Vec<u8>> {
     requests
         .iter()
         .enumerate()
-        .flat_map(|(id, request)| {
+        .map(|(id, request)| {
             Frame::request(id as u64, QUERY_METHOD, musuite::codec::to_bytes(request)).to_bytes()
         })
         .collect()
@@ -249,29 +308,57 @@ fn burst_wire<T: musuite::codec::Encode>(requests: &[T]) -> Vec<u8> {
 /// [`REPORT_BURSTS`], and note the site of every allocator call.
 static REPORTING: AtomicBool = AtomicBool::new(false);
 
-/// Sends `wire`, a burst of [`BURST`] queries, to `cluster`'s mid-tier in
-/// one write, [`WARM_UP`] + [`BURSTS`] times, each once the last is
+/// Sends `frames`, a burst of [`BURST`] queries, to `cluster`'s mid-tier
+/// in one write, [`WARM_UP`] + [`BURSTS`] times, each once the last is
 /// answered; returns allocator calls per request over the counted bursts.
-fn allocs_per_request(cluster: &Cluster, wire: &[u8]) -> f64 {
+///
+/// The warm-up starts with [`LEAVES`] bursts sent a frame at a time,
+/// [`TRICKLE`] apart, while the plan of [`cluster_config`] holds one leaf
+/// after another back for a whole burst; then the plan is disarmed, so the
+/// rest of the warm-up and the counted bursts send as a client without a
+/// plan does. A trickled request crosses the tiers alone, so each reply of
+/// a leaf not held back arrives in a read of its own and pins a receive
+/// chunk of its own until the held-back leaf answers, and the merge runs on
+/// the held-back leaf's response thread. So before the count starts,
+/// whichever leaf would have answered last, each response thread has run
+/// every query's merge, and each leaf connection has lent a chunk to every
+/// reply of a burst that waits for a sibling at once, the most a burst can
+/// pin.
+fn allocs_per_request(cluster: &Cluster, frames: &[Vec<u8>]) -> f64 {
     let mut conn = TcpStream::connect(cluster.midtier_addr()).expect("connect");
     conn.set_read_timeout(Some(PATIENCE)).expect("timeout");
     let mut buf = RecvBuf::default();
-    let mut round = |conn: &mut TcpStream| {
-        conn.write_all(wire).expect("send burst");
+    let wire = frames.concat();
+    let mut round = |conn: &mut TcpStream, trickle: bool| {
+        if trickle {
+            for frame in frames {
+                conn.write_all(frame).expect("send a request");
+                std::thread::sleep(TRICKLE);
+            }
+        } else {
+            conn.write_all(&wire).expect("send burst");
+        }
         for _ in 0..BURST {
             let (reply, _) = buf.poll_frame(&mut &*conn).expect("readable").expect("a reply");
             assert_eq!(reply.header.status, Status::Ok, "{:?}", reply.payload);
         }
     };
+    for _ in 0..LEAVES {
+        round(&mut conn, true);
+    }
+    let hold_back = HOLD_BACK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).take();
+    let (plan, held) = hold_back.expect("a cluster from `cluster_config`");
+    plan.disarm();
+    assert_eq!(plan.injected(), held, "each leaf held back for one whole burst");
     for _ in 0..WARM_UP {
-        round(&mut conn);
+        round(&mut conn, false);
     }
     let reporting = REPORTING.load(Ordering::Relaxed);
     let bursts = if reporting { REPORT_BURSTS } else { BURSTS };
     let before = ALLOCS.load(Ordering::Relaxed);
     SITES_ON.store(reporting, Ordering::Relaxed);
     for _ in 0..bursts {
-        round(&mut conn);
+        round(&mut conn, false);
     }
     SITES_ON.store(false, Ordering::Relaxed);
     (ALLOCS.load(Ordering::Relaxed) - before) as f64 / (bursts * BURST) as f64
@@ -298,9 +385,7 @@ fn leaf_writes(leaves: &[Server], settled: impl Fn(u64) -> bool) -> u64 {
 
 /// Allocator calls per request of a Router burst: half sets, half gets of
 /// what they set.
-fn router_allocs(config: ClusterConfig) -> f64 {
-    let service =
-        RouterService::launch_with(config, 2, MemKvConfig::default()).expect("launch Router");
+fn router_allocs(config: ServerConfig) -> f64 {
     let requests: Vec<KvRequest> = (0..BURST)
         .map(|i| {
             let key = format!("user{}", i / 2);
@@ -310,6 +395,10 @@ fn router_allocs(config: ClusterConfig) -> f64 {
             }
         })
         .collect();
+    let calls = calls_per_leaf(&RouterMidTier::new(REPLICAS), &requests);
+    let service =
+        RouterService::launch_with(cluster_config(config, calls), REPLICAS, MemKvConfig::default())
+            .expect("launch Router");
     allocs_per_request(service.cluster(), &burst_wire(&requests))
 }
 
@@ -335,9 +424,15 @@ fn hdsearch_workload() -> (VectorDataset, Vec<SearchQuery>) {
     (dataset, queries)
 }
 
+/// The mid-tier an HDSearch service over `dataset` runs.
+fn hdsearch_midtier(dataset: &VectorDataset) -> HdSearchMidTier {
+    HdSearchMidTier::build(64, LshConfig::default(), dataset.vectors(), RoundRobinMap::new(LEAVES))
+}
+
 /// Allocator calls per request of an HDSearch burst.
-fn hdsearch_allocs(config: ClusterConfig) -> f64 {
+fn hdsearch_allocs(config: ServerConfig) -> f64 {
     let (dataset, queries) = hdsearch_workload();
+    let config = cluster_config(config, calls_per_leaf(&hdsearch_midtier(&dataset), &queries));
     let service = HdSearchService::launch_with(config, dataset, LshConfig::default())
         .expect("launch HDSearch");
     allocs_per_request(service.cluster(), &burst_wire(&queries))
@@ -348,9 +443,8 @@ fn hdsearch_burst() {
     let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (dataset, queries) = hdsearch_workload();
     // The leaf requests the mid-tier will send, and which of them run long.
-    let id_map = RoundRobinMap::new(LEAVES);
-    let mid = HdSearchMidTier::build(64, LshConfig::default(), dataset.vectors(), id_map);
-    let leaf = HdSearchLeaf::new(Vec::new(), 0, id_map);
+    let mid = hdsearch_midtier(&dataset);
+    let leaf = HdSearchLeaf::new(Vec::new(), 0, RoundRobinMap::new(LEAVES));
     let long_per_burst = queries
         .iter()
         .flat_map(|query| {
@@ -365,7 +459,8 @@ fn hdsearch_burst() {
         })
         .count() as u64;
     assert!(long_per_burst > 0, "the burst must hold leaf requests that run long");
-    let service = HdSearchService::launch_with(paper_default(), dataset, LshConfig::default())
+    let config = cluster_config(paper_default(), calls_per_leaf(&mid, &queries));
+    let service = HdSearchService::launch_with(config, dataset, LshConfig::default())
         .expect("launch HDSearch");
     let leaves = service.cluster().leaf_servers();
     let writes_before = leaf_writes(leaves, |_| true);
@@ -380,7 +475,7 @@ fn hdsearch_burst() {
 }
 
 /// Allocator calls per request of a Set Algebra burst.
-fn setalgebra_allocs(config: ClusterConfig) -> f64 {
+fn setalgebra_allocs(config: ServerConfig) -> f64 {
     let corpus = TextCorpus::generate(&CorpusConfig {
         documents: 4_000,
         vocabulary: 2_000,
@@ -390,6 +485,7 @@ fn setalgebra_allocs(config: ClusterConfig) -> f64 {
     });
     let queries: Vec<TermQuery> =
         corpus.sample_queries(BURST).into_iter().map(|terms| TermQuery { terms }).collect();
+    let config = cluster_config(config, BROADCAST);
     let service = SetAlgebraService::launch_with(config, &corpus, 100).expect("launch Set Algebra");
     allocs_per_request(service.cluster(), &burst_wire(&queries))
 }
@@ -401,7 +497,7 @@ fn setalgebra_burst() {
 }
 
 /// The Recommend service under `config` and a burst of queries for it.
-fn recommend_workload(config: ClusterConfig) -> (RecommendService, Vec<RatingQuery>) {
+fn recommend_workload(config: ServerConfig) -> (RecommendService, Vec<RatingQuery>) {
     let data = RatingsDataset::generate(&RatingsConfig {
         users: 1_000,
         items: 200,
@@ -415,13 +511,14 @@ fn recommend_workload(config: ClusterConfig) -> (RecommendService, Vec<RatingQue
         .into_iter()
         .map(|(user, item)| RatingQuery { user, item })
         .collect();
+    let config = cluster_config(config, BROADCAST);
     let service = RecommendService::launch_with(config, &data, NmfConfig::default(), 20)
         .expect("launch Recommend");
     (service, queries)
 }
 
 /// Allocator calls per request of a Recommend burst.
-fn recommend_allocs(config: ClusterConfig) -> f64 {
+fn recommend_allocs(config: ServerConfig) -> f64 {
     let (service, queries) = recommend_workload(config);
     allocs_per_request(service.cluster(), &burst_wire(&queries))
 }
@@ -549,14 +646,14 @@ fn print_sites(service: &str, burst: impl FnOnce() -> f64) -> ([f64; LAYERS.len(
 /// Allocator calls per request by layer, in the order of [`LAYERS`]: codec,
 /// scatter, rpc hop, mid-tier plan/merge, leaf kernel, store. Each row sums
 /// to the service's budget below.
-const ROUTER_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 1.00, 0.0, 0.50];
-const HDSEARCH_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 3.50, 1.50, 0.0];
-const SETALGEBRA_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.0, 1.375, 1.625, 0.0];
-const RECOMMEND_LAYERS: [f64; LAYERS.len()] = [0.0, 2.00, 0.25, 1.00, 0.50, 0.0];
+const ROUTER_LAYERS: [f64; LAYERS.len()] = [0.0, 1.00, 0.0, 0.0, 0.0, 0.50];
+const HDSEARCH_LAYERS: [f64; LAYERS.len()] = [0.0, 1.00, 0.0, 2.50, 1.50, 0.0];
+const SETALGEBRA_LAYERS: [f64; LAYERS.len()] = [0.0, 1.00, 0.0, 0.375, 1.625, 0.0];
+const RECOMMEND_LAYERS: [f64; LAYERS.len()] = [0.0, 1.00, 0.25, 0.0, 0.25, 0.0];
 
 /// Allocator calls per request, as measured in release and debug builds,
 /// batched or not.
-const ROUTER_ALLOCS: f64 = 3.50;
-const HDSEARCH_ALLOCS: f64 = 7.00;
-const SETALGEBRA_ALLOCS: f64 = 5.00;
-const RECOMMEND_ALLOCS: f64 = 3.75;
+const ROUTER_ALLOCS: f64 = 1.50;
+const HDSEARCH_ALLOCS: f64 = 5.00;
+const SETALGEBRA_ALLOCS: f64 = 3.00;
+const RECOMMEND_ALLOCS: f64 = 1.50;

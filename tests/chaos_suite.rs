@@ -12,10 +12,10 @@ use musuite::core::cluster::{Cluster, ClusterConfig};
 use musuite::core::degrade::Degraded;
 use musuite::core::error::ServiceError;
 use musuite::core::leaf::LeafHandler;
-use musuite::core::midtier::{MidTierHandler, Plan};
+use musuite::core::midtier::{MidTierHandler, Plan, Replies};
 use musuite::rpc::{
-    CallOptions, FaultKind, FaultPlan, HedgePolicy, RequestContext, ResilientConfig, RpcError,
-    ServerStats, Service,
+    CallOptions, FaultKind, FaultPlan, HedgePolicy, RequestContext, ResilientConfig, ServerStats,
+    Service,
 };
 use musuite::telemetry::resilience::ResilienceEvent;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,7 @@ impl MidTierHandler for SumSquares {
     fn merge(
         &self,
         _request: u64,
-        replies: Vec<Result<u64, RpcError>>,
+        replies: impl Replies<u64>,
     ) -> Result<Degraded<u64>, ServiceError> {
         let total = replies.len();
         let oks: Vec<u64> = replies.into_iter().flatten().collect();
@@ -74,13 +74,9 @@ impl MidTierHandler for PrimaryWithFailover {
     type LeafRequest = ();
     type LeafResponse = u64;
     fn plan(&self, request: &u64, leaves: usize) -> Plan<u64, ()> {
-        Plan::new(*request, vec![(0, ())]).with_alternates(1..leaves)
+        Plan::new(*request, [(0, ())]).with_alternates(1..leaves)
     }
-    fn merge(
-        &self,
-        _request: u64,
-        replies: Vec<Result<u64, RpcError>>,
-    ) -> Result<u64, ServiceError> {
+    fn merge(&self, _request: u64, replies: impl Replies<u64>) -> Result<u64, ServiceError> {
         replies
             .into_iter()
             .next()
@@ -675,7 +671,7 @@ impl MidTierHandler for TalliedSum {
     fn merge(
         &self,
         request: u64,
-        replies: Vec<Result<u64, RpcError>>,
+        replies: impl Replies<u64>,
     ) -> Result<Degraded<u64>, ServiceError> {
         SumSquares.merge(request, replies)
     }
@@ -960,7 +956,7 @@ fn a_peer_reset_between_note_and_flush_resolves_every_call_once() {
         fn merge(
             &self,
             request: u64,
-            replies: Vec<Result<u64, RpcError>>,
+            replies: impl Replies<u64>,
         ) -> Result<Degraded<u64>, ServiceError> {
             SumSquares.merge(request, replies)
         }
