@@ -14,7 +14,6 @@ use musuite_recommend::nmf::{Nmf, NmfConfig};
 use musuite_recommend::sparse::CsrMatrix;
 use musuite_router::spooky::SpookyHasher;
 use musuite_setalgebra::intersect::{intersect_linear, intersect_skipping};
-use musuite_setalgebra::skiplist::SkipList;
 use musuite_telemetry::histogram::LatencyHistogram;
 use std::hint::black_box;
 use std::time::Duration;
@@ -63,7 +62,6 @@ fn bench_intersection(c: &mut Criterion) {
     // The Zipf-shaped case: one short and one long posting list.
     let short_list: Vec<u32> = (0..200u32).map(|i| i * 37).collect();
     let long_list: Vec<u32> = (0..50_000u32).collect();
-    let long_skip: SkipList = long_list.iter().copied().collect();
     let mut group = c.benchmark_group("posting_intersection");
     group.bench_function("linear_merge_200x50k", |b| {
         b.iter(|| black_box(intersect_linear(black_box(&short_list), black_box(&long_list))))
@@ -71,7 +69,7 @@ fn bench_intersection(c: &mut Criterion) {
     group.bench_function("skip_seek_200x50k", |b| {
         b.iter(|| {
             let mut driving = black_box(&short_list).clone();
-            intersect_skipping(&mut driving, black_box(&long_skip));
+            intersect_skipping(&mut driving, black_box(&long_list));
             black_box(driving)
         })
     });

@@ -6,13 +6,28 @@
 //! most frequent terms as a stop list. Members of the stop list are
 //! discarded during indexing" (paper §III-C).
 
-use crate::skiplist::SkipList;
+use crate::intersect::intersect_skipping;
 use musuite_data::text::{DocId, TermId};
 use std::collections::HashMap;
 
+/// What the term table knows of a term.
+#[derive(Clone, Copy)]
+enum Term {
+    /// On the stop list: discarded at indexing, constrains no query.
+    Stopped,
+    /// Indexed: its posting list is `postings[start..end]`.
+    Run { start: usize, end: usize },
+}
+
 /// An inverted index over one shard of the corpus.
+///
+/// Every posting list of the shard lives in one flat array, one sorted
+/// run per term, and is searched by exponential seeks
+/// ([`intersect::seek`](crate::intersect::seek)): the array-backed form of
+/// the skip list the paper stores its posting lists in.
 pub struct InvertedIndex {
-    postings: HashMap<TermId, SkipList>,
+    terms: HashMap<TermId, Term>,
+    postings: Vec<DocId>,
     stop_list: Vec<TermId>,
     documents: usize,
 }
@@ -50,6 +65,11 @@ impl InvertedIndex {
 
     /// Builds the index with an explicit, externally computed stop list.
     ///
+    /// A counting sort: one pass counts each term's postings, one lays the
+    /// runs out in a single array and fills them in document order. A run
+    /// whose ids did not arrive strictly ascending (`doc_ids` unsorted, or
+    /// a term repeated within a document) is sorted and deduplicated.
+    ///
     /// # Panics
     ///
     /// Panics if `documents` and `doc_ids` lengths differ.
@@ -59,21 +79,49 @@ impl InvertedIndex {
         stop_list: Vec<TermId>,
     ) -> InvertedIndex {
         assert_eq!(documents.len(), doc_ids.len(), "one id per document");
-        let stopped: std::collections::HashSet<TermId> = stop_list.iter().copied().collect();
-        let mut postings: HashMap<TermId, SkipList> = HashMap::new();
+        let mut terms: HashMap<TermId, Term> =
+            stop_list.iter().map(|&term| (term, Term::Stopped)).collect();
+        // Count: a run's `end` holds its length until the layout.
+        for &term in documents.iter().flatten() {
+            if let Term::Run { end, .. } =
+                terms.entry(term).or_insert(Term::Run { start: 0, end: 0 })
+            {
+                *end += 1;
+            }
+        }
+        // Lay out: each run starts empty at its offset; `end` is then the
+        // fill cursor, and comes back to where the run ends.
+        let mut total = 0;
+        for term in terms.values_mut() {
+            if let Term::Run { start, end } = term {
+                let len = *end;
+                (*start, *end) = (total, total);
+                total += len;
+            }
+        }
+        let mut postings = vec![0; total];
         for (doc, &doc_id) in documents.iter().zip(doc_ids) {
-            for &term in doc {
-                if !stopped.contains(&term) {
-                    postings.entry(term).or_default().insert(doc_id);
+            for term in doc {
+                if let Some(Term::Run { end, .. }) = terms.get_mut(term) {
+                    postings[*end] = doc_id;
+                    *end += 1;
                 }
             }
         }
-        InvertedIndex { postings, stop_list, documents: documents.len() }
+        for term in terms.values_mut() {
+            if let Term::Run { start, end } = term {
+                *end = *start + sort_dedup(&mut postings[*start..*end]);
+            }
+        }
+        InvertedIndex { terms, postings, stop_list, documents: documents.len() }
     }
 
-    /// The posting list for `term`, if indexed.
-    pub fn postings(&self, term: TermId) -> Option<&SkipList> {
-        self.postings.get(&term)
+    /// The posting list for `term`, ascending, if indexed.
+    pub fn postings(&self, term: TermId) -> Option<&[DocId]> {
+        match self.terms.get(&term) {
+            Some(&Term::Run { start, end }) => Some(&self.postings[start..end]),
+            _ => None,
+        }
     }
 
     /// Terms discarded as stop words, most frequent first.
@@ -83,7 +131,7 @@ impl InvertedIndex {
 
     /// Returns `true` if `term` was stopped.
     pub fn is_stopped(&self, term: TermId) -> bool {
-        self.stop_list.contains(&term)
+        matches!(self.terms.get(&term), Some(Term::Stopped))
     }
 
     /// Number of indexed documents.
@@ -93,7 +141,7 @@ impl InvertedIndex {
 
     /// Number of distinct indexed terms (stop words excluded).
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.terms.values().filter(|term| matches!(term, Term::Run { .. })).count()
     }
 
     /// Documents containing **all** of `terms`, via shortest-first
@@ -114,43 +162,59 @@ impl InvertedIndex {
         I::IntoIter: Clone,
     {
         let terms = terms.into_iter();
-        let mut shortest: Option<&SkipList> = None;
+        let mut shortest: Option<&[DocId]> = None;
         for term in terms.clone() {
-            if self.is_stopped(term) {
-                continue; // stop words constrain nothing in a conjunction
-            }
-            match self.postings.get(&term) {
-                Some(list) if shortest.is_none_or(|s| list.len() < s.len()) => {
-                    shortest = Some(list);
+            match self.terms.get(&term) {
+                // Stop words constrain nothing in a conjunction.
+                Some(Term::Stopped) => {}
+                Some(&Term::Run { start, end }) => {
+                    if shortest.is_none_or(|s| end - start < s.len()) {
+                        shortest = Some(&self.postings[start..end]);
+                    }
                 }
-                Some(_) => {}
                 None => return Vec::new(), // an absent term matches no document
             }
         }
         let Some(shortest) = shortest else {
             return Vec::new(); // stop-word-only or empty query
         };
-        let mut result: Vec<DocId> = Vec::with_capacity(shortest.len());
-        result.extend(shortest.iter());
+        let mut result = shortest.to_vec();
         // Stopped terms have no posting list, and the shortest one is
         // already the result.
-        for list in terms.filter_map(|term| self.postings.get(&term)) {
+        for list in terms.filter_map(|term| self.postings(term)) {
             if result.is_empty() {
                 break;
             }
             if !std::ptr::eq(list, shortest) {
-                crate::intersect::intersect_skipping(&mut result, list);
+                intersect_skipping(&mut result, list);
             }
         }
         result
     }
 }
 
+/// Sorts and deduplicates `run` in place unless it is already strictly
+/// ascending; returns the length of its deduplicated prefix.
+fn sort_dedup(run: &mut [DocId]) -> usize {
+    if run.is_sorted_by(|a, b| a < b) {
+        return run.len();
+    }
+    run.sort_unstable();
+    let mut kept = 0;
+    for i in 0..run.len() {
+        if kept == 0 || run[i] != run[kept - 1] {
+            run[kept] = run[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
 impl std::fmt::Debug for InvertedIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InvertedIndex")
             .field("documents", &self.documents)
-            .field("terms", &self.postings.len())
+            .field("terms", &self.term_count())
             .field("stopped", &self.stop_list.len())
             .finish()
     }
@@ -196,6 +260,27 @@ mod tests {
         assert_eq!(index.search([2, 3]), vec![0, 1]);
         // An all-stop-word query is uninformative: empty.
         assert_eq!(index.search([3]), Vec::<DocId>::new());
+    }
+
+    #[test]
+    fn build_sorts_and_dedups_unsorted_doc_ids() {
+        // Ids arrive descending, term 5 repeats within the first document,
+        // and the last two documents share an id.
+        let docs = vec![vec![5, 1, 5], vec![1, 3], vec![5], vec![3]];
+        let index = InvertedIndex::build(&docs, &[30, 10, 20, 20], 0);
+        assert_eq!(index.postings(5), Some(&[20, 30][..]));
+        assert_eq!(index.postings(1), Some(&[10, 30][..]));
+        assert_eq!(index.postings(3), Some(&[10, 20][..]));
+        assert_eq!(index.search([1, 5]), vec![30]);
+        assert_eq!(index.term_count(), 3);
+    }
+
+    #[test]
+    fn empty_index_matches_nothing() {
+        let index = InvertedIndex::build(&[], &[], 0);
+        assert_eq!(index.term_count(), 0);
+        assert_eq!(index.postings(0), None);
+        assert_eq!(index.search([0]), Vec::<DocId>::new());
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! The leaf "intersects two sets L1 and L2 using a linear merge by
 //! scanning both lists in parallel, requiring O(|L1|+|L2|) time" (paper
-//! §III-C) — [`intersect_linear`]. The skip pointers the corpus stores
-//! exist "to speed up list intersections"; [`intersect_skipping`] uses
-//! them, seeking in the longer list instead of scanning, which wins when
+//! §III-C) — [`intersect_linear`]. The skips the corpus stores exist "to
+//! speed up list intersections"; [`intersect_skipping`] takes them,
+//! [`seek`]ing in the longer list instead of scanning, which wins when
 //! list lengths are very different (the Zipf-shaped case). The ablation
 //! bench compares both.
-
-use crate::skiplist::SkipList;
 
 /// Intersects two sorted slices by linear merge — the paper's leaf
 /// algorithm (the "merge" step of merge sort).
@@ -59,57 +57,59 @@ pub fn intersect_many(lists: &[&[u32]]) -> Vec<u32> {
 }
 
 /// Intersects two sorted slices with galloping (exponential) search in
-/// the longer list — `O(|a| log |b|)` like the skip-list seek, but over a
-/// flat array (better constants, no pointer chasing). The classic choice
-/// when `|a| ≪ |b|`.
+/// the longer list, `O(|a| log |b|)`: [`intersect_skipping`] into a copy
+/// of the shorter one. The classic choice when `|a| ≪ |b|`.
 pub fn intersect_galloping(a: &[u32], b: &[u32]) -> Vec<u32> {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(short.len());
-    let mut low = 0usize;
-    for &value in short {
-        if low >= long.len() {
-            break;
-        }
-        // Gallop: double the step until long[high] >= value (or the end),
-        // then binary-search the inclusive bracket.
-        let mut step = 1usize;
-        let mut high = low + 1;
-        while high < long.len() && long[high] < value {
-            high += step;
-            step *= 2;
-        }
-        let end = (high + 1).min(long.len());
-        match long[low..end].binary_search(&value) {
-            Ok(offset) => {
-                out.push(value);
-                low += offset + 1;
-            }
-            Err(offset) => {
-                low += offset;
-            }
-        }
-    }
+    let mut out = short.to_vec();
+    intersect_skipping(&mut out, long);
     out
 }
 
-/// Intersects a sorted list (the shorter, driving list) with a skip list
-/// in place, by seeking — expected `O(|a| log |b|)`, beating the linear
-/// merge when `|a| ≪ |b|`. `a` keeps the values `b` holds, and its
-/// storage: nothing is allocated.
-pub fn intersect_skipping(a: &mut Vec<u32>, b: &SkipList) {
-    let mut cursor = b.cursor();
-    let mut past_end = false;
+/// The position of the first element ≥ `target` in the sorted `list`, at
+/// or after `from` (`list.len()` if there is none).
+///
+/// An exponential search: it probes `from`, `from + 1`, `from + 3`,
+/// `from + 7`, … until a probe reaches `target`, then binary-searches the
+/// last gap. A skip list's towers give the same `O(log d)` seek over a
+/// distance `d`, drawn at random where these skips are fixed.
+///
+/// # Panics
+///
+/// Panics if `from > list.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use musuite_setalgebra::intersect::seek;
+///
+/// let list = [10, 20, 30, 40];
+/// assert_eq!(seek(&list, 0, 15), 1);
+/// assert_eq!(seek(&list, 1, 20), 1, "a cursor at its target stays");
+/// assert_eq!(seek(&list, 1, 41), 4);
+/// ```
+pub fn seek(list: &[u32], from: usize, target: u32) -> usize {
+    let rest = &list[from..];
+    let mut probe = 1;
+    while probe <= rest.len() && rest[probe - 1] < target {
+        probe *= 2;
+    }
+    // Everything before `rest[probe / 2]` is below `target`; the answer
+    // is at most `probe - 1`, or the end.
+    let low = probe / 2;
+    let high = probe.min(rest.len());
+    from + low + rest[low..high].partition_point(|&value| value < target)
+}
+
+/// Intersects a sorted list (the shorter, driving list) with a sorted
+/// list `b` in place, [`seek`]ing through `b` from one match to the next:
+/// `O(|a| log |b|)`, beating the linear merge when `|a| ≪ |b|`. `a` keeps
+/// the values `b` holds, and its storage: nothing is allocated.
+pub fn intersect_skipping(a: &mut Vec<u32>, b: &[u32]) {
+    let mut cursor = 0;
     a.retain(|&value| {
-        if past_end {
-            return false;
-        }
-        match cursor.seek(value) {
-            Some(found) => found == value,
-            None => {
-                past_end = true;
-                false
-            }
-        }
+        cursor = seek(b, cursor, value);
+        b.get(cursor) == Some(&value)
     });
 }
 
@@ -153,9 +153,8 @@ mod tests {
                 (0..rng.gen_range(0..2000)).map(|_| rng.gen_range(0..1000)).collect();
             b_vec.sort_unstable();
             b_vec.dedup();
-            let b_skip: SkipList = b_vec.iter().copied().collect();
             let expected = intersect_linear(&a, &b_vec);
-            intersect_skipping(&mut a, &b_skip);
+            intersect_skipping(&mut a, &b_vec);
             assert_eq!(a, expected);
         }
     }
@@ -191,10 +190,45 @@ mod tests {
     #[test]
     fn skipping_empty_inputs() {
         let mut a = vec![1, 2, 3];
-        intersect_skipping(&mut a, &SkipList::new());
+        intersect_skipping(&mut a, &[]);
         assert_eq!(a, Vec::<u32>::new());
         let mut a = Vec::new();
-        intersect_skipping(&mut a, &(0..10u32).collect());
+        intersect_skipping(&mut a, &(0..10u32).collect::<Vec<_>>());
         assert_eq!(a, Vec::<u32>::new());
+    }
+
+    #[test]
+    fn seek_finds_first_geq() {
+        let list = [10u32, 20, 30, 40];
+        assert_eq!(seek(&list, 0, 0), 0);
+        assert_eq!(seek(&list, 0, 10), 0);
+        assert_eq!(seek(&list, 0, 15), 1);
+        assert_eq!(seek(&list, 1, 20), 1, "seek is monotone and idempotent");
+        assert_eq!(seek(&list, 1, 35), 3);
+        assert_eq!(seek(&list, 3, 41), 4);
+        assert_eq!(seek(&list, 4, 0), 4, "an exhausted cursor stays at the end");
+        assert_eq!(seek(&[], 0, 0), 0);
+    }
+
+    #[test]
+    fn seek_interleaves_two_lists_correctly() {
+        // The leapfrog access pattern: each list seeks to the other's head.
+        let a: Vec<u32> = (0..1000u32).map(|i| i * 3).collect();
+        let b: Vec<u32> = (0..1000u32).map(|i| i * 5).collect();
+        let (mut i, mut j) = (0, 0);
+        let mut common = Vec::new();
+        while i < a.len() {
+            j = seek(&b, j, a[i]);
+            match b.get(j) {
+                Some(&y) if y == a[i] => {
+                    common.push(y);
+                    i += 1;
+                }
+                Some(&y) => i = seek(&a, i, y),
+                None => break,
+            }
+        }
+        let expected: Vec<u32> = (0..3000u32).filter(|v| v % 3 == 0 && v % 5 == 0).collect();
+        assert_eq!(common, expected);
     }
 }

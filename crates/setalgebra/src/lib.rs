@@ -10,10 +10,11 @@
 //!
 //! From-scratch substrates:
 //!
-//! * [`skiplist`] — posting lists "stored as a skip list" (the paper cites
-//!   Pugh), with O(log n) seek for intersection skipping,
 //! * [`index`] — the inverted index with a collection-frequency stop list,
+//!   every posting list of a shard one sorted run of a single array,
 //! * [`intersect`] — linear-merge and skip-based intersection algorithms,
+//!   whose exponential-search [`seek`](intersect::seek) stands in for the
+//!   skip list the paper stores posting lists in (it cites Pugh),
 //! * [`union_merge`] — the mid-tier's k-way sorted union,
 //! * [`compress`] — delta-varint posting-list compression (the paper's
 //!   compression-scheme pointer),
@@ -49,7 +50,6 @@ pub mod leaf;
 pub mod midtier;
 pub mod protocol;
 pub mod service;
-pub mod skiplist;
 pub mod union_merge;
 
 pub use compress::CompressedPostings;
@@ -57,4 +57,3 @@ pub use index::InvertedIndex;
 pub use leaf::SetAlgebraLeaf;
 pub use midtier::SetAlgebraMidTier;
 pub use service::{SetAlgebraClient, SetAlgebraService};
-pub use skiplist::SkipList;

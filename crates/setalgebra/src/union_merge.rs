@@ -21,7 +21,9 @@ thread_local! {
 ///
 /// The lists are folded in one at a time, each merged with the union so
 /// far through the calling thread's scratch: the union is the one
-/// allocation, at its exact length (none if it is empty).
+/// allocation, at its exact length (none if it is empty). Scratch that is
+/// too short grows once per list, to the union so far plus the list's
+/// length as its iterator's lower size hint gives it.
 ///
 /// # Examples
 ///
@@ -39,9 +41,11 @@ where
     let (mut union, mut next) = SCRATCH.take();
     union.clear();
     for list in lists {
+        let list = list.into_iter();
         next.clear();
+        next.reserve(union.len() + list.size_hint().0);
         let mut kept = union.iter().copied().peekable();
-        let mut list = list.into_iter().peekable();
+        let mut list = list.peekable();
         loop {
             let least = match (kept.peek(), list.peek()) {
                 (Some(a), Some(b)) if b < a => list.next(),

@@ -1,8 +1,10 @@
 //! Allocator calls per request on Set Algebra's mid-tier merge, steady
 //! state, as budgets: the union of the leaves' posting lists allocates only
 //! the list it hands back. A regression here is `sat_allocs_per_req` on
-//! the `setalgebra_terms` benchmark workload. Own test binary, because the
-//! counter is the process's allocator.
+//! the `setalgebra_terms` benchmark workload. Beside it, the cold union's
+//! scratch and the leaf's index build, whose cost is part of the
+//! workload's `setup_s`. Own test binary, because the counter is the
+//! process's allocator.
 
 // The one place the crate's no-unsafe rule bends: a counting global
 // allocator cannot be written without `unsafe impl GlobalAlloc`.
@@ -10,22 +12,39 @@
 
 use musuite_codec::{from_bytes, to_bytes, Seq};
 use musuite_core::midtier::MidTierHandler;
+use musuite_data::text::{CorpusConfig, DocId, TextCorpus};
 use musuite_rpc::RpcError;
 use musuite_setalgebra::protocol::{PostingList, TermQuery};
-use musuite_setalgebra::SetAlgebraMidTier;
+use musuite_setalgebra::union_merge::union_sorted;
+use musuite_setalgebra::{InvertedIndex, SetAlgebraMidTier};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread, so that tests running side by
+    /// side do not count each other's.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure delegation to `System`; the counter is a static relaxed
-// atomic that never allocates, so the allocator cannot re-enter itself.
+fn count() {
+    // `try_with`: a thread's last frees may come after its locals are gone.
+    let _ = ALLOCS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocator calls the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: pure delegation to `System`; the counter is a `const`-initialized
+// thread-local `Cell` with no destructor, which never allocates, so the
+// allocator cannot re-enter itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same contract as the caller's; forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -36,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same contract as the caller's; forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,9 +94,9 @@ fn allocs_per_merge(width: usize, docs: impl Fn(usize, usize) -> Vec<u32>) -> f6
     };
     calls(QUERIES).into_iter().for_each(merge);
     let inputs = calls(CALLS);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     inputs.into_iter().for_each(merge);
-    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64
+    (allocs() - before) as f64 / CALLS as f64
 }
 
 /// The union of round-robin shards' posting lists is the merge's one
@@ -103,4 +122,47 @@ fn merge_allocates_only_its_union() {
             "{per_empty} allocator calls per empty union of {width} replies, budget 0"
         );
     }
+}
+
+/// A response thread's first union sizes its scratch once per list, from
+/// the list's length, rather than doubling its way up: two lists of 120
+/// and 125 ids (`burst_budget`'s largest union, 245) cost the two scratch
+/// buffers and the union itself. Growing by pushes, it took 14.
+#[test]
+fn a_cold_thread_s_first_union_reserves_its_scratch() {
+    let lists =
+        [(0..120).map(|i| 2 * i).collect::<Vec<u32>>(), (0..125).map(|i| 2 * i + 1).collect()];
+    let calls = std::thread::spawn(move || {
+        let before = allocs();
+        let union = union_sorted(lists.iter().map(|list| list.iter().copied()));
+        let calls = allocs() - before;
+        assert_eq!(union.len(), 245);
+        calls
+    })
+    .join()
+    .expect("the union thread panicked");
+    assert!(calls <= 3, "{calls} allocator calls for a cold thread's first union, budget 3");
+}
+
+/// The index lays every posting list of a shard out in one array, so its
+/// build costs the array and the term table's growth, not a call per
+/// posting: 2 000 documents and about 60 000 postings in at most 64 calls.
+#[test]
+fn an_index_build_allocates_per_shard_not_per_posting() {
+    let corpus = TextCorpus::generate(&CorpusConfig {
+        documents: 2_000,
+        vocabulary: 5_000,
+        doc_len: 40,
+        ..Default::default()
+    });
+    let documents = corpus.documents();
+    let postings: usize = documents.iter().map(Vec::len).sum();
+    assert!((50_000..70_000).contains(&postings), "{postings} postings, want about 60 000");
+    let doc_ids: Vec<DocId> = (0..documents.len() as DocId).collect();
+    let stop_list = InvertedIndex::stop_list_for(documents, 20);
+    let before = allocs();
+    let index = InvertedIndex::build_with_stop_list(documents, &doc_ids, stop_list);
+    let calls = allocs() - before;
+    black_box(&index);
+    assert!(calls <= 64, "{calls} allocator calls to index {postings} postings, budget 64");
 }

@@ -6,10 +6,10 @@ use musuite::hdsearch::protocol::Neighbor;
 use musuite::router::memkv::{MemKv, MemKvConfig};
 use musuite::router::spooky::SpookyHasher;
 use musuite::setalgebra::compress::{intersect_compressed, CompressedPostings};
+use musuite::setalgebra::index::InvertedIndex;
 use musuite::setalgebra::intersect::{
-    intersect_galloping, intersect_linear, intersect_many, intersect_skipping,
+    intersect_galloping, intersect_linear, intersect_many, intersect_skipping, seek,
 };
-use musuite::setalgebra::skiplist::SkipList;
 use musuite::setalgebra::union_merge::union_sorted;
 use musuite::telemetry::histogram::LatencyHistogram;
 use proptest::prelude::*;
@@ -22,18 +22,22 @@ fn sorted_set(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
 
 proptest! {
     #[test]
-    fn skiplist_behaves_like_btreeset(values in proptest::collection::vec(0u32..10_000, 0..400)) {
-        let mut model = BTreeSet::new();
-        let mut list = SkipList::new();
-        for &v in &values {
-            prop_assert_eq!(list.insert(v), model.insert(v));
-        }
-        prop_assert_eq!(list.len(), model.len());
-        prop_assert_eq!(list.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
-        // Seek agrees with the model's range lookup.
-        for probe in values.iter().take(50) {
-            let expected = model.range(probe..).next().copied();
-            prop_assert_eq!(list.cursor().seek(*probe), expected);
+    fn skiplist_behaves_like_btreeset(
+        values in proptest::collection::vec(0u32..10_000, 0..400),
+        probes in proptest::collection::vec(0u32..10_050, 0..50),
+    ) {
+        let model: BTreeSet<u32> = values.iter().copied().collect();
+        let list: Vec<u32> = model.iter().copied().collect();
+        // Seek agrees with the model's range lookup, from the start and,
+        // for ascending targets, from where the last seek left off.
+        let mut probes = probes;
+        probes.sort_unstable();
+        let mut cursor = 0;
+        for &probe in &probes {
+            let expected = model.range(probe..).next();
+            prop_assert_eq!(list.get(seek(&list, 0, probe)), expected);
+            cursor = seek(&list, cursor, probe);
+            prop_assert_eq!(list.get(cursor), expected);
         }
     }
 
@@ -44,13 +48,59 @@ proptest! {
         let expected: Vec<u32> = set_a.intersection(&set_b).copied().collect();
         prop_assert_eq!(intersect_linear(&a, &b), expected.clone());
         prop_assert_eq!(intersect_galloping(&a, &b), expected.clone());
-        let b_skip: SkipList = b.iter().copied().collect();
         let mut skipped = a.clone();
-        intersect_skipping(&mut skipped, &b_skip);
+        intersect_skipping(&mut skipped, &b);
         prop_assert_eq!(skipped, expected.clone());
         let b_compressed = CompressedPostings::from_sorted(&b).unwrap();
         prop_assert_eq!(intersect_compressed(&a, &b_compressed), expected.clone());
         prop_assert_eq!(intersect_many(&[&a, &b]), expected);
+    }
+
+    #[test]
+    fn flat_index_agrees_with_btreeset_model(
+        documents in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..12), 0..60),
+        stop_list in proptest::collection::vec(0u32..45, 0..6),
+        queries in proptest::collection::vec(proptest::collection::vec(0u32..45, 0..5), 1..20),
+        stride in 1u32..61,
+        offset in 0u32..61,
+    ) {
+        // Terms may repeat within a document and come in any order. The
+        // ids are distinct (`i -> i * stride + offset` permutes 0..61, as
+        // 61 is prime), unsorted and non-contiguous.
+        let doc_ids: Vec<u32> =
+            (0..documents.len() as u32).map(|i| (i * stride + offset) % 61 * 7 + 3).collect();
+        let index = InvertedIndex::build_with_stop_list(&documents, &doc_ids, stop_list.clone());
+        let stopped: BTreeSet<u32> = stop_list.iter().copied().collect();
+        let mut model: std::collections::BTreeMap<u32, BTreeSet<u32>> = Default::default();
+        for (doc, &id) in documents.iter().zip(&doc_ids) {
+            for &term in doc.iter().filter(|term| !stopped.contains(term)) {
+                model.entry(term).or_default().insert(id);
+            }
+        }
+        prop_assert_eq!(index.term_count(), model.len());
+        for term in 0..45 {
+            let expected = model.get(&term).map(|ids| ids.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(index.postings(term).map(<[u32]>::to_vec), expected);
+            prop_assert_eq!(index.is_stopped(term), stopped.contains(&term));
+        }
+        for query in &queries {
+            // A conjunction of the query's unstopped terms; none is no match.
+            let mut terms = query.iter().filter(|term| !stopped.contains(term)).peekable();
+            let expected: Vec<u32> = if terms.peek().is_none() {
+                Vec::new()
+            } else {
+                let mut matches: Option<BTreeSet<u32>> = None;
+                for term in terms {
+                    let ids = model.get(term).cloned().unwrap_or_default();
+                    matches = Some(match matches {
+                        Some(so_far) => so_far.intersection(&ids).copied().collect(),
+                        None => ids,
+                    });
+                }
+                matches.unwrap_or_default().into_iter().collect()
+            };
+            prop_assert_eq!(index.search(query.iter().copied()), expected, "{:?}", query);
+        }
     }
 
     #[test]
