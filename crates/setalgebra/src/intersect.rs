@@ -211,6 +211,14 @@ mod tests {
     }
 
     #[test]
+    fn seek_from_start_hits_first() {
+        let list = [7u32, 9];
+        assert_eq!(list[seek(&list, 0, 0)], 7);
+        assert_eq!(list[seek(&list, 0, 7)], 7);
+        assert_eq!(list[seek(&list, 0, 8)], 9);
+    }
+
+    #[test]
     fn seek_interleaves_two_lists_correctly() {
         // The leapfrog access pattern: each list seeks to the other's head.
         let a: Vec<u32> = (0..1000u32).map(|i| i * 3).collect();
