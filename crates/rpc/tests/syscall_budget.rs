@@ -1,6 +1,7 @@
-//! Socket writes per burst of ready work, as budgets: a regression here is
-//! `sat_os_ops_per_req` (the `sendmsg` share) on every benchmark workload.
-//! Own test binary, because `OsOpCounters::global()` is the process's.
+//! Socket writes and reads per burst of ready work, as budgets: a
+//! regression here is `sat_os_ops_per_req` (the `sendmsg` and `recvmsg`
+//! shares) on every benchmark workload. Own test binary, because
+//! `OsOpCounters::global()` is the process's.
 //!
 //! A loop thread — a connection's runner, a reactor sweeper, a dispatch
 //! worker — writes what a burst produced once, when it runs out of ready
@@ -32,11 +33,19 @@ const BURST: u64 = 16;
 /// Writes a burst may cost: one, two if its bytes arrived in two reads.
 /// The same in a debug build: how long a handler takes no longer matters.
 const BUDGET: u64 = 2;
+/// Reads a burst and its replies may cost: one on each side. Sixteen
+/// frames of 100 bytes fit one receive chunk, so the server takes the
+/// burst in one read, and the client the replies of one flush.
+const READ_BUDGET: u64 = 2;
 const ROUNDS: usize = 5;
 const PATIENCE: Duration = Duration::from_secs(5);
 
 fn sendmsgs() -> u64 {
     OsOpCounters::global().get(OsOp::SendMsg)
+}
+
+fn recvmsgs() -> u64 {
+    OsOpCounters::global().get(OsOp::RecvMsg)
 }
 
 /// `count()`, once it has reached `want` or a second has passed: a write is
@@ -120,7 +129,8 @@ fn read_frames(buf: &mut RecvBuf, stream: &TcpStream, count: u64) -> Vec<Frame> 
 
 /// (a) Sixteen requests that arrive in one `write` are one burst of ready
 /// work for whichever threads serve them, and come back in one flush, two
-/// if the burst was split once.
+/// if the burst was split once. The server reads the burst in one read,
+/// and the client the replies in another.
 fn assert_burst_is_answered_in_two_flushes(network: NetworkModel, execution: ExecutionModel) {
     assert_burst_of(Echo::default(), network, execution);
 }
@@ -137,19 +147,25 @@ fn assert_burst_of(echo: Echo, network: NetworkModel, execution: ExecutionModel)
     raw.set_nodelay(true).expect("nodelay");
     let mut buf = RecvBuf::default();
     let coalesce = server.stats().coalesce().clone();
-    let mut best = u64::MAX;
+    let (mut best, mut best_reads) = (u64::MAX, u64::MAX);
     for round in 0..ROUNDS as u64 {
-        let (frames, flushes) = (coalesce.frames(), coalesce.flushes());
+        let (frames, flushes, reads) = (coalesce.frames(), coalesce.flushes(), recvmsgs());
         raw.write_all(&requests(round * BURST, BURST)).expect("send burst");
         let replies = read_frames(&mut buf, &raw, BURST);
         let ids: Vec<u64> = replies.iter().map(|frame| frame.header.request_id).collect();
         assert_eq!(ids, (round * BURST..(round + 1) * BURST).collect::<Vec<_>>());
         assert_eq!(coalesce.frames() - frames, BURST);
         best = best.min(coalesce.flushes() - flushes);
+        best_reads = best_reads.min(recvmsgs() - reads);
     }
     assert!(
         best <= BUDGET,
         "{best} flushes for {BURST} responses under {network:?}/{execution:?}, budget {BUDGET}"
+    );
+    assert!(
+        best_reads <= READ_BUDGET,
+        "{best_reads} reads for {BURST} requests and their responses under \
+         {network:?}/{execution:?}, budget {READ_BUDGET}"
     );
 }
 
